@@ -329,16 +329,24 @@ fn main() {
     // One drive through the full pipeline with the acceleration layer
     // off vs on. The headline number is machine-independent: total ℓ1
     // iterations across every group solve of the drive. Support
-    // preservation is asserted, not assumed.
-    let baseline_pipe = OnlineCs::new(cfg, model).expect("valid config");
-    let accel_pipe = OnlineCs::new(
-        OnlineCsConfig {
-            accel: SolverAccel::enabled(),
-            ..cfg
-        },
-        model,
-    )
-    .expect("valid config");
+    // preservation is asserted, not assumed. The layer accelerates the
+    // FISTA path, so both legs (and section 5) pin FISTA in place of the
+    // default exact active-set solver.
+    let fista_pipe = |cfg: OnlineCsConfig| {
+        OnlineCs::new(cfg, model)
+            .expect("valid config")
+            .with_recovery(
+                CsRecovery::new(model, cfg.radio_range, cfg.detection_floor_dbm)
+                    .with_accel(cfg.accel)
+                    .with_solver(CsRecovery::fallback_fista()),
+            )
+    };
+    let accel_cfg = OnlineCsConfig {
+        accel: SolverAccel::enabled(),
+        ..cfg
+    };
+    let baseline_pipe = fista_pipe(cfg);
+    let accel_pipe = fista_pipe(accel_cfg);
     let base_report = baseline_pipe.run_detailed(&readings).expect("baseline run");
     let accel_report = accel_pipe.run_detailed(&readings).expect("accelerated run");
     assert_eq!(
@@ -387,15 +395,7 @@ fn main() {
     // bit-identical by construction and the fused factorization spans
     // the same row space, so both legs must recover the same AP set —
     // asserted, then recorded as kernel_support_identical.
-    let kernel_base_pipe = OnlineCs::new(
-        OnlineCsConfig {
-            accel: SolverAccel::enabled(),
-            ..cfg
-        },
-        model,
-    )
-    .expect("valid config")
-    .with_fused_factorization(false);
+    let kernel_base_pipe = fista_pipe(accel_cfg).with_fused_factorization(false);
     kernels::set_mode(Some(Mode::Scalar));
     let kernel_base_report = kernel_base_pipe
         .run_detailed(&readings)

@@ -20,8 +20,9 @@
 //! | `pipeline.round_winner_k` | histogram | BIC-selected AP count per round |
 //! | `pipeline.memo_lookups` / `pipeline.memo_hits` | counter | group-recovery memo traffic |
 //! | `pipeline.group_solves` | counter | ℓ1 solves actually run |
-//! | `pipeline.solver_iterations` | counter | total solver iterations |
-//! | `pipeline.solver_unconverged` | counter | solves stopped at the iteration cap |
+//! | `pipeline.solver_iterations` | counter | total solver work: active-set pivots plus FISTA iterations (fallback or pinned) |
+//! | `pipeline.solver_unconverged` | counter | solves left uncertified after any fallback (FISTA stopped at its iteration cap) |
+//! | `pipeline.solver_fallbacks` | counter | active-set solves that ran out of pivots and were re-solved on FISTA |
 //! | `pipeline.screened_cols` | counter | columns removed by gap-safe screening |
 //! | `pipeline.iterations_saved` | counter | iteration-budget headroom from early stops |
 //! | `pipeline.warm_seeded` | counter | solves seeded from a previous window |
@@ -54,6 +55,7 @@ pub struct PipelineInstruments {
     group_solves: Counter,
     solver_iterations: Counter,
     solver_unconverged: Counter,
+    solver_fallbacks: Counter,
     screened_cols: Counter,
     iterations_saved: Counter,
     warm_seeded: Counter,
@@ -76,6 +78,7 @@ impl PipelineInstruments {
             group_solves: registry.counter("pipeline.group_solves"),
             solver_iterations: registry.counter("pipeline.solver_iterations"),
             solver_unconverged: registry.counter("pipeline.solver_unconverged"),
+            solver_fallbacks: registry.counter("pipeline.solver_fallbacks"),
             screened_cols: registry.counter("pipeline.screened_cols"),
             iterations_saved: registry.counter("pipeline.iterations_saved"),
             warm_seeded: registry.counter("pipeline.warm_seeded"),
@@ -114,6 +117,7 @@ impl PipelineInstruments {
         self.group_solves.add(stats.solves);
         self.solver_iterations.add(stats.solver_iterations);
         self.solver_unconverged.add(stats.unconverged);
+        self.solver_fallbacks.add(stats.fallbacks);
         self.screened_cols.add(stats.screened_cols);
         self.iterations_saved.add(stats.iterations_saved);
         self.warm_seeded.add(stats.warm_seeded);
@@ -159,6 +163,7 @@ mod tests {
             solves: 6,
             solver_iterations: 600,
             unconverged: 1,
+            fallbacks: 2,
             screened_cols: 42,
             iterations_saved: 120,
             warm_seeded: 3,
@@ -173,6 +178,8 @@ mod tests {
         assert_eq!(snap.counters["pipeline.candidates_scored"], 12);
         assert_eq!(snap.counters["pipeline.memo_hits"], 4);
         assert_eq!(snap.counters["pipeline.solver_iterations"], 600);
+        assert_eq!(snap.counters["pipeline.solver_unconverged"], 1);
+        assert_eq!(snap.counters["pipeline.solver_fallbacks"], 2);
         assert_eq!(snap.counters["pipeline.screened_cols"], 42);
         assert_eq!(snap.counters["pipeline.iterations_saved"], 120);
         assert_eq!(snap.counters["pipeline.warm_seeded"], 3);

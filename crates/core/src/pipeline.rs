@@ -52,11 +52,13 @@ pub struct OnlineCsConfig {
     /// deterministic order, so any thread count produces byte-identical
     /// estimates.
     pub threads: usize,
-    /// Solver-acceleration switches for the per-group ℓ1 solves
+    /// Solver-acceleration switches for the per-group FISTA solves —
+    /// the active set's fallback, or all solves with FISTA pinned
     /// (default: all on; see [`SolverAccel`] and DESIGN.md). With
-    /// `warm_start` enabled the *window* loop runs serially so windows
-    /// chain in drive order — hypothesis fan-out inside each window
-    /// still uses `threads`.
+    /// `warm_start` enabled and a solver that takes seeds (pinned FISTA,
+    /// not the default active set) the
+    /// *window* loop runs serially so windows chain in drive order —
+    /// hypothesis fan-out inside each window still uses `threads`.
     pub accel: SolverAccel,
 }
 
@@ -264,11 +266,13 @@ impl OnlineCs {
         // is safe: the per-round hypothesis fan-out draws from the same
         // global thread budget and runs inline once it is exhausted.
         let windows: Vec<Vec<RssReading>> = windows_over(readings, self.config.window)?;
-        let processed = if self.config.accel.warm_start {
+        let processed = if self.recovery.uses_warm_start() {
             // Warm starts chain window w's solutions into window w+1's
             // initial iterates, which only makes sense in drive order:
             // run the window loop serially (the per-window hypothesis
-            // fan-out inside `estimate_round` still parallelizes).
+            // fan-out inside `estimate_round` still parallelizes). The
+            // seedless active set skips the chain and keeps windows
+            // parallel.
             let mut warm = WarmStartCache::new();
             let mut out = Vec::with_capacity(windows.len());
             for round in &windows {
@@ -435,9 +439,8 @@ impl OnlineCsSession<'_> {
     fn process(&mut self, round: &[RssReading]) -> Result<()> {
         let warm = self
             .pipeline
-            .config
-            .accel
-            .warm_start
+            .recovery
+            .uses_warm_start()
             .then_some(&mut self.warm);
         if let Some(est) = self.pipeline.process_round_stats(round, warm)?.0 {
             self.pipeline
@@ -644,14 +647,17 @@ mod tests {
             accel: SolverAccel::enabled(),
             ..small_config()
         };
-        let base = OnlineCs::new(baseline_cfg, model())
-            .unwrap()
-            .run_detailed(&readings)
-            .unwrap();
-        let fast = OnlineCs::new(accel_cfg, model())
-            .unwrap()
-            .run_detailed(&readings)
-            .unwrap();
+        // FISTA pinned on both legs: the acceleration layer is what is
+        // measured, and it only acts on the proximal-gradient path.
+        let fista = |cfg: OnlineCsConfig| {
+            OnlineCs::new(cfg, model()).unwrap().with_recovery(
+                CsRecovery::new(model(), cfg.radio_range, cfg.detection_floor_dbm)
+                    .with_accel(cfg.accel)
+                    .with_solver(CsRecovery::fallback_fista()),
+            )
+        };
+        let base = fista(baseline_cfg).run_detailed(&readings).unwrap();
+        let fast = fista(accel_cfg).run_detailed(&readings).unwrap();
         // Same estimate, found with a smaller iteration bill.
         assert_eq!(base.final_aps.len(), fast.final_aps.len());
         for (b, f) in base.final_aps.iter().zip(&fast.final_aps) {

@@ -29,7 +29,9 @@ use crowdwifi_geo::{Grid, Point};
 use crowdwifi_linalg::qr::orth;
 use crowdwifi_linalg::svd::pseudo_inverse;
 use crowdwifi_linalg::{Matrix, Svd};
-use crowdwifi_sparsesolve::{AnySolver, Fista, SolverWorkspace, SparseRecovery};
+use crowdwifi_sparsesolve::{
+    ActiveSet, AnySolver, Fista, Recovery, SolverWorkspace, SparseRecovery,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -50,10 +52,16 @@ pub struct SensingStats {
     pub hits: u64,
     /// Requests that ran the ℓ1 solver.
     pub solves: u64,
-    /// Total solver iterations across all solves.
+    /// Total solver iterations across all solves: active-set pivots
+    /// plus the iterations of any FISTA fallback.
     pub solver_iterations: u64,
-    /// Solves that hit the iteration cap without converging.
+    /// Solves left uncertified: the active set ran out of pivots and
+    /// its FISTA fallback also hit the iteration cap (or FISTA, when
+    /// selected directly, hit the cap).
     pub unconverged: u64,
+    /// Active-set solves that exhausted their pivot budget and were
+    /// re-solved on the FISTA path.
+    pub fallbacks: u64,
     /// Columns eliminated by gap-safe screening across all solves.
     pub screened_cols: u64,
     /// Iteration-budget headroom left by early-converged solves.
@@ -71,6 +79,7 @@ impl SensingStats {
         self.solves += other.solves;
         self.solver_iterations += other.solver_iterations;
         self.unconverged += other.unconverged;
+        self.fallbacks += other.fallbacks;
         self.screened_cols += other.screened_cols;
         self.iterations_saved += other.iterations_saved;
         self.warm_seeded += other.warm_seeded;
@@ -78,8 +87,9 @@ impl SensingStats {
 }
 
 /// Solver-acceleration switches threaded from [`crate::OnlineCsConfig`]
-/// down to the per-group ℓ1 solves (see DESIGN.md, "Solver
-/// acceleration").
+/// down to the per-group FISTA solves — the fallback of the default
+/// active-set solver, or every solve when FISTA is selected with
+/// [`CsRecovery::with_solver`] (see DESIGN.md, "Solver acceleration").
 ///
 /// All features preserve the recovered support: gap-safe screening only
 /// discards columns that are provably zero in every optimum, the
@@ -250,9 +260,15 @@ type ModesMemo = HashMap<(Vec<usize>, u64), Vec<crate::centroid::CentroidEstimat
 /// first.
 #[derive(Debug)]
 pub struct WindowSensing {
-    /// `m × n` distances from reading `i` to grid point `j`.
-    dist: Matrix,
-    /// `m × n` floor-shifted model RSS (the full, unpruned `A`).
+    /// Per grid point, a bitset over readings (`reach_words` words per
+    /// column): bit `i` of column `j` is set when grid point `j` lies
+    /// within radio range of reading `i`.
+    reach: Vec<u64>,
+    /// Words per column of `reach`.
+    reach_words: usize,
+    /// `m × n` floor-shifted model RSS, evaluated only where the grid
+    /// point is within radio range of the reading (zero elsewhere —
+    /// pruning never reads those entries).
     sig: Matrix,
     /// Floor-shifted observed RSS per reading.
     shifted_rss: Vec<f64>,
@@ -273,8 +289,10 @@ pub struct WindowSensing {
     solves: AtomicU64,
     /// Total solver iterations across all solves.
     solver_iterations: AtomicU64,
-    /// Solves that hit the iteration cap.
+    /// Solves left uncertified after any fallback.
     unconverged: AtomicU64,
+    /// Active-set solves re-run on the FISTA fallback.
+    fallbacks: AtomicU64,
     /// Columns eliminated by gap-safe screening.
     screened_cols: AtomicU64,
     /// Iteration-budget headroom left by early stops.
@@ -295,12 +313,12 @@ struct MemoEntry {
 impl WindowSensing {
     /// Number of readings this workspace was prepared for.
     pub fn readings(&self) -> usize {
-        self.dist.rows()
+        self.sig.rows()
     }
 
     /// Number of grid points this workspace was prepared for.
     pub fn grid_len(&self) -> usize {
-        self.dist.cols()
+        self.sig.cols()
     }
 
     /// Number of distinct group recoveries cached so far.
@@ -348,6 +366,7 @@ impl WindowSensing {
             solves: self.solves.load(Ordering::Relaxed),
             solver_iterations: self.solver_iterations.load(Ordering::Relaxed),
             unconverged: self.unconverged.load(Ordering::Relaxed),
+            fallbacks: self.fallbacks.load(Ordering::Relaxed),
             screened_cols: self.screened_cols.load(Ordering::Relaxed),
             iterations_saved: self.iterations_saved.load(Ordering::Relaxed),
             warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
@@ -405,16 +424,23 @@ impl CsRecovery {
             pathloss,
             floor_dbm,
             radio_range,
-            solver: AnySolver::from(
-                Fista::default()
-                    .with_max_iterations(400)
-                    .with_tolerance(1e-7)
-                    .expect("default tolerance is valid"),
-            ),
+            solver: AnySolver::from(ActiveSet::default()),
             orthogonalize: true,
             fused_factorization: true,
             accel: SolverAccel::disabled(),
         }
+    }
+
+    /// The pipeline's FISTA configuration (400 iterations, relative-change
+    /// tolerance `1e-7`): the fallback for active-set solves that run out
+    /// of pivots, and the solver to pass to [`CsRecovery::with_solver`]
+    /// when an experiment needs the proximal-gradient path itself (the
+    /// solver-acceleration tests and benches).
+    pub fn fallback_fista() -> Fista {
+        Fista::default()
+            .with_max_iterations(400)
+            .with_tolerance(1e-7)
+            .expect("fallback tolerance is valid")
     }
 
     /// Selects how the Proposition-1 operator is built (default: fused).
@@ -451,12 +477,22 @@ impl CsRecovery {
         self.accel
     }
 
-    /// Replaces the ℓ1 solver (default: FISTA). Accepts anything that
-    /// converts into [`AnySolver`], e.g. a configured [`Fista`] or an
-    /// `Omp` for the greedy ablation.
+    /// Replaces the ℓ1 solver (default: the exact [`ActiveSet`], falling
+    /// back to [`CsRecovery::fallback_fista`] for solves it cannot
+    /// certify). Accepts anything that converts into [`AnySolver`], e.g.
+    /// [`CsRecovery::fallback_fista`] to run FISTA alone, or an `Omp`
+    /// for the greedy ablation. Only the active set falls back.
     pub fn with_solver(mut self, solver: impl Into<AnySolver>) -> Self {
         self.solver = solver.into();
         self
+    }
+
+    /// Whether group solves consume a cross-window warm-start seed:
+    /// warm starts are on and the solver takes seeds. The seedless
+    /// active set (the default) does not, so pipelines skip building
+    /// the warm-start chain for it.
+    pub(crate) fn uses_warm_start(&self) -> bool {
+        self.accel.warm_start && !matches!(self.solver, AnySolver::ActiveSet(_))
     }
 
     /// The configured solver's name (for logs and ablation tables).
@@ -542,21 +578,36 @@ impl CsRecovery {
     /// Precomputes the window-wide distance and signature matrices (and
     /// the shifted observation vector) shared by every hypothesis of one
     /// round. See [`WindowSensing`].
+    ///
+    /// The path-loss model is evaluated only for (reading, grid point)
+    /// pairs within radio range — column pruning discards every other
+    /// entry before a solve — and each grid point's reach over the
+    /// readings is kept as a bitset, so a group's candidate columns cost
+    /// one masked comparison per column.
     pub fn prepare_window(&self, grid: &Grid, readings: &[RssReading]) -> WindowSensing {
         let m = readings.len();
         let n = grid.len();
-        let dist = Matrix::from_fn(m, n, |i, j| readings[i].position.distance(grid.point(j)));
-        // Evaluate the path-loss model from the *same* distances so a
-        // workspace recovery is bit-identical to the direct path.
-        let sig = Matrix::from_fn(m, n, |i, j| {
-            (self.pathloss.mean_rss(dist.get(i, j)) - self.floor_dbm).max(0.0)
-        });
+        let reach_words = m.div_ceil(64);
+        let mut reach = vec![0_u64; n * reach_words];
+        let mut sig = Matrix::zeros(m, n);
+        for (i, reading) in readings.iter().enumerate() {
+            for j in 0..n {
+                let d = reading.position.distance(grid.point(j));
+                if d <= self.radio_range {
+                    // The same distance and model call as the direct
+                    // path, so a workspace recovery is bit-identical.
+                    sig.set(i, j, (self.pathloss.mean_rss(d) - self.floor_dbm).max(0.0));
+                    reach[j * reach_words + i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
         let shifted_rss = readings
             .iter()
             .map(|r| (r.rss_dbm - self.floor_dbm).max(0.0))
             .collect();
         WindowSensing {
-            dist,
+            reach,
+            reach_words,
             sig,
             shifted_rss,
             warm_field: None,
@@ -567,6 +618,7 @@ impl CsRecovery {
             solves: AtomicU64::new(0),
             solver_iterations: AtomicU64::new(0),
             unconverged: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
             screened_cols: AtomicU64::new(0),
             iterations_saved: AtomicU64::new(0),
             warm_seeded: AtomicU64::new(0),
@@ -622,11 +674,17 @@ impl CsRecovery {
         }
 
         let n = sensing.grid_len();
-        let candidates: Vec<usize> = (0..n)
-            .filter(|&j| {
-                idx.iter()
-                    .all(|&i| sensing.dist.get(i, j) <= self.radio_range)
-            })
+        let words = sensing.reach_words;
+        let mut group = vec![0_u64; words];
+        for &i in idx {
+            group[i / 64] |= 1 << (i % 64);
+        }
+        let candidates: Vec<usize> = sensing
+            .reach
+            .chunks_exact(words)
+            .enumerate()
+            .filter(|(_, col)| col.iter().zip(&group).all(|(&c, &g)| c & g == g))
+            .map(|(j, _)| j)
             .collect();
         let (theta, raw, solve_stats) = if candidates.is_empty() {
             (vec![0.0; n], vec![0.0; n], None)
@@ -644,6 +702,7 @@ impl CsRecovery {
             let stats = (
                 solve.iterations,
                 solve.converged,
+                solve.fallback,
                 solve.screened_cols,
                 solve.iterations_saved,
                 solve.warm_used,
@@ -670,13 +729,18 @@ impl CsRecovery {
                 Ok(hit.get().theta.clone())
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                if let Some((iterations, converged, screened, saved, warm_used)) = solve_stats {
+                if let Some((iterations, converged, fallback, screened, saved, warm_used)) =
+                    solve_stats
+                {
                     sensing.solves.fetch_add(1, Ordering::Relaxed);
                     sensing
                         .solver_iterations
                         .fetch_add(iterations as u64, Ordering::Relaxed);
                     if !converged {
                         sensing.unconverged.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if fallback {
+                        sensing.fallbacks.fetch_add(1, Ordering::Relaxed);
                     }
                     sensing
                         .screened_cols
@@ -733,18 +797,17 @@ impl CsRecovery {
         Ok(out)
     }
 
-    /// Applies the active [`SolverAccel`] switches to the configured
-    /// solver, returning `None` when the stock solver should run
-    /// unchanged (acceleration off, or a solver family with no
-    /// accelerated path). `orthonormal` marks the Proposition-1 branch,
-    /// where `Q` has orthonormal rows and the proximal Lipschitz
-    /// constant is exactly 1 — pinning it skips the power iteration
-    /// every solve would otherwise spend estimating it.
-    fn accel_solver(&self, orthonormal: bool) -> Option<AnySolver> {
+    /// Applies the active [`SolverAccel`] switches to `solver`,
+    /// returning `None` when it should run unchanged (acceleration off,
+    /// or a solver family with no accelerated path). `orthonormal` marks
+    /// the Proposition-1 branch, where `Q` has orthonormal rows and the
+    /// proximal Lipschitz constant is exactly 1 — pinning it skips the
+    /// power iteration every solve would otherwise spend estimating it.
+    fn accel_solver(&self, solver: &AnySolver, orthonormal: bool) -> Option<AnySolver> {
         if !self.accel.is_active() {
             return None;
         }
-        match &self.solver {
+        match solver {
             AnySolver::Fista(f) => {
                 let mut f = f
                     .clone()
@@ -763,8 +826,9 @@ impl CsRecovery {
                 .with_gap_tolerance(self.accel.gap_rel)
                 .ok()
                 .map(AnySolver::AdmmLasso),
-            // OMP / IRLS / basis pursuit have no screened or gap-stopped
-            // path; warm starts still flow through the shared workspace.
+            // The active set is exact; OMP / IRLS / basis pursuit have no
+            // screened or gap-stopped path. Warm starts still flow
+            // through the workspace to the families that take them.
             _ => None,
         }
     }
@@ -793,24 +857,15 @@ impl CsRecovery {
             .collect();
         let a = Matrix::from_fn(m, candidates.len(), |i, j| a_raw.get(i, j) / norms[j]);
 
-        // One workspace per solve keeps the solver's per-iteration
-        // vectors (x/z/gradients) in reused buffers instead of fresh
-        // heap allocations every FISTA step.
-        let mut ws = SolverWorkspace::new();
         // Warm-start seed: the previous window's raw solution restricted
         // to this group's candidates. Both solver branches work in the
         // same coordinate space (one unknown per candidate column), so
         // the restriction is a plain gather.
-        let mut warm_used = false;
-        if let Some(field) = warm {
-            let x0: Vec<f64> = candidates.iter().map(|&j| field[j]).collect();
-            if x0.iter().any(|&v| v > 0.0) {
-                ws.set_warm_start(&x0);
-                warm_used = true;
-            }
-        }
-        let recovery = if self.orthogonalize {
-            let (q, y_prime) = if self.fused_factorization {
+        let seed: Option<Vec<f64>> = warm
+            .map(|field| candidates.iter().map(|&j| field[j]).collect::<Vec<f64>>())
+            .filter(|x0| x0.iter().any(|&v| v > 0.0));
+        let (op, rhs) = if self.orthogonalize {
+            if self.fused_factorization {
                 // Fused Proposition 1: one SVD A = U Σ Vᵀ yields both
                 // the orthonormal row basis Q = V_rᵀ and the
                 // transformed observation y' = Q A† y = Σ_r⁻¹ U_rᵀ y
@@ -845,17 +900,17 @@ impl CsRecovery {
                 let t = q.matmul(&pinv); // r × m
                 let y_prime = t.matvec(y);
                 (q, y_prime)
-            };
-            match self.accel_solver(true) {
-                Some(s) => s.recover_with(&q, &y_prime, &mut ws)?,
-                None => self.solver.recover_with(&q, &y_prime, &mut ws)?,
             }
         } else {
-            match self.accel_solver(false) {
-                Some(s) => s.recover_with(&a, y, &mut ws)?,
-                None => self.solver.recover_with(&a, y, &mut ws)?,
-            }
+            (a, y.to_vec())
         };
+        let solve = |solver: &AnySolver| {
+            let accel = self.accel_solver(solver, self.orthogonalize);
+            solve_seeded(accel.as_ref().unwrap_or(solver), &op, &rhs, seed.as_deref())
+        };
+        let (recovery, warm_used, fallback) = settle(&self.solver, solve(&self.solver)?, || {
+            solve(&AnySolver::from(Self::fallback_fista()))
+        })?;
 
         // Raw solver field on the full grid — the warm-start seed for
         // the next window's solves (pre-debias so reseeding stays in
@@ -936,6 +991,7 @@ impl CsRecovery {
             raw,
             iterations: recovery.iterations,
             converged: recovery.converged,
+            fallback,
             screened_cols: recovery.screened_cols,
             iterations_saved: recovery.iterations_saved,
             warm_used,
@@ -952,9 +1008,56 @@ struct GroupSolve {
     raw: Vec<f64>,
     iterations: usize,
     converged: bool,
+    /// Whether the active set gave up and FISTA produced the solution.
+    fallback: bool,
     screened_cols: usize,
     iterations_saved: usize,
     warm_used: bool,
+}
+
+/// Accepts `solver`'s `first` solve, or — when an active set could not
+/// certify it — the FISTA fallback computed by `refit`, whose iterations
+/// then include the spent pivots. Both solves come as (recovery, seed
+/// used); returns the kept recovery, whether any seed was used, and
+/// whether the fallback ran.
+fn settle(
+    solver: &AnySolver,
+    first: (Recovery, bool),
+    refit: impl FnOnce() -> Result<(Recovery, bool)>,
+) -> Result<(Recovery, bool, bool)> {
+    let (mut recovery, mut warm_used) = first;
+    let fallback = !recovery.converged && matches!(solver, AnySolver::ActiveSet(_));
+    if fallback {
+        let pivots = recovery.iterations;
+        let (fista, seeded) = refit()?;
+        recovery = fista;
+        recovery.iterations += pivots;
+        warm_used |= seeded;
+    }
+    Ok((recovery, warm_used, fallback))
+}
+
+/// Runs one solve in a fresh workspace, handing the warm-start `seed` to
+/// every family but the (seedless) active set. Returns the recovery and
+/// whether the seed was used.
+fn solve_seeded(
+    solver: &AnySolver,
+    op: &Matrix,
+    rhs: &[f64],
+    seed: Option<&[f64]>,
+) -> Result<(Recovery, bool)> {
+    // One workspace per solve keeps the iterative solvers' per-iteration
+    // vectors (x/z/gradients) in reused buffers instead of fresh heap
+    // allocations every step.
+    let mut ws = SolverWorkspace::new();
+    let seeded = match seed {
+        Some(x0) if !matches!(solver, AnySolver::ActiveSet(_)) => {
+            ws.set_warm_start(x0);
+            true
+        }
+        _ => false,
+    };
+    Ok((solver.recover_with(op, rhs, &mut ws)?, seeded))
 }
 
 #[cfg(test)]
@@ -1064,12 +1167,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn workspace_recovery_matches_direct_path() {
-        let grid = grid_100();
-        let ap = grid.point(grid.nearest_index(Point::new(45.0, 45.0)));
-        let route = l_route();
-        let readings: Vec<crowdwifi_channel::RssReading> = route
+    /// Clean readings of an AP at `ap` taken at `route`, in order.
+    fn readings_along(ap: Point, route: &[Point]) -> Vec<crowdwifi_channel::RssReading> {
+        route
             .iter()
             .enumerate()
             .map(|(i, &p)| {
@@ -1079,29 +1179,76 @@ mod tests {
                     i as f64,
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    /// Every group recovered through a prepared window must be
+    /// bit-identical to the direct per-subset recovery.
+    fn assert_workspace_matches_direct(
+        engine: &CsRecovery,
+        grid: &Grid,
+        readings: &[crowdwifi_channel::RssReading],
+        groups: &[Vec<usize>],
+    ) -> WindowSensing {
+        let sensing = engine.prepare_window(grid, readings);
+        for idx in groups {
+            let positions: Vec<Point> = idx.iter().map(|&i| readings[i].position).collect();
+            let rss: Vec<f64> = idx.iter().map(|&i| readings[i].rss_dbm).collect();
+            let direct = engine.recover_single_ap(grid, &positions, &rss).unwrap();
+            let shared = engine.recover_group(&sensing, idx).unwrap();
+            assert_eq!(direct, *shared, "subset {idx:?} diverged");
+        }
+        sensing
+    }
+
+    #[test]
+    fn workspace_recovery_matches_direct_path() {
+        let grid = grid_100();
+        let ap = grid.point(grid.nearest_index(Point::new(45.0, 45.0)));
+        let readings = readings_along(ap, &l_route());
         let engine = engine();
-        let sensing = engine.prepare_window(&grid, &readings);
-        // Whole window, a prefix group and a strided group: each must be
-        // bit-identical to the direct per-subset recovery.
+        // Whole window, a prefix group and a strided group.
         let groups: [Vec<usize>; 3] = [
             (0..readings.len()).collect(),
             (0..4).collect(),
             (0..readings.len()).step_by(2).collect(),
         ];
-        for idx in &groups {
-            let positions: Vec<Point> = idx.iter().map(|&i| readings[i].position).collect();
-            let rss: Vec<f64> = idx.iter().map(|&i| readings[i].rss_dbm).collect();
-            let direct = engine.recover_single_ap(&grid, &positions, &rss).unwrap();
-            let shared = engine.recover_group(&sensing, idx).unwrap();
-            assert_eq!(direct, *shared, "subset {idx:?} diverged");
-        }
+        let sensing = assert_workspace_matches_direct(&engine, &grid, &readings, &groups);
         assert_eq!(sensing.cached_groups(), groups.len());
         // A repeated query is served from the memo (same Arc).
         let again = engine.recover_group(&sensing, &groups[1]).unwrap();
         let first = engine.recover_group(&sensing, &groups[1]).unwrap();
         assert!(Arc::ptr_eq(&again, &first));
         assert_eq!(sensing.cached_groups(), groups.len());
+    }
+
+    /// The range-restricted signatures on a window far wider than the
+    /// radio range: a 700 m L-shaped drive of 70 readings (two reach
+    /// words per column) over a 520 × 240 m lattice, where most grid
+    /// points are out of range of most readings.
+    #[test]
+    fn range_restricted_window_matches_direct_path() {
+        let area = Rect::new(Point::new(0.0, -20.0), Point::new(520.0, 220.0)).unwrap();
+        let grid = Grid::new(area, 10.0).unwrap();
+        let mut route: Vec<Point> = (0..50).map(|i| Point::new(10.0 * i as f64, 0.0)).collect();
+        route.extend((0..20).map(|i| Point::new(500.0, 10.0 * i as f64)));
+        let readings = readings_along(Point::new(250.0, 40.0), &route);
+        let engine = engine();
+        let groups: Vec<Vec<usize>> = vec![
+            (0..readings.len()).collect(),
+            (18..30).collect(),
+            (15..45).step_by(7).collect(),
+            (44..56).collect(),
+            (60..70).collect(),
+            vec![3],
+        ];
+        let sensing = assert_workspace_matches_direct(&engine, &grid, &readings, &groups);
+        let in_range = sensing.reach.iter().map(|w| w.count_ones()).sum::<u32>();
+        let pairs = readings.len() * grid.len();
+        assert!(
+            (in_range as usize) * 4 < pairs,
+            "{in_range} of {pairs} pairs in range"
+        );
     }
 
     #[test]
@@ -1233,7 +1380,10 @@ mod tests {
                 )
             })
             .collect();
-        let engine = engine().with_accel(SolverAccel::enabled());
+        // Warm starts seed the FISTA path only: pin it.
+        let engine = engine()
+            .with_accel(SolverAccel::enabled())
+            .with_solver(CsRecovery::fallback_fista());
         let mut warm = WarmStartCache::new();
         assert!(warm.is_empty());
         assert!(warm.project(&grid).is_none());
@@ -1269,6 +1419,62 @@ mod tests {
         assert!(warm.is_empty());
     }
 
+    fn recovery(iterations: usize, converged: bool) -> Recovery {
+        Recovery {
+            solution: vec![0.5, 0.0],
+            iterations,
+            residual_norm: 0.1,
+            converged,
+            screened_cols: 0,
+            iterations_saved: 0,
+        }
+    }
+
+    /// An uncertified active-set solve is replaced by the fallback, its
+    /// pivots added to the fallback's iterations; a certified one, or an
+    /// uncertified solve of any other family, is kept as is.
+    #[test]
+    fn uncertified_active_set_solves_fall_back() {
+        let active = AnySolver::from(ActiveSet::default());
+        let fista = AnySolver::from(CsRecovery::fallback_fista());
+        let refit = || Ok((recovery(400, false), true));
+
+        let (rec, warm, fallback) = settle(&active, (recovery(7, false), false), refit).unwrap();
+        assert!(fallback && warm);
+        assert_eq!(rec, recovery(407, false));
+
+        let unused = || -> Result<(Recovery, bool)> { panic!("no fallback expected") };
+        let (rec, warm, fallback) = settle(&active, (recovery(3, true), false), unused).unwrap();
+        assert!(!fallback && !warm);
+        assert_eq!(rec, recovery(3, true));
+        let (rec, _, fallback) = settle(&fista, (recovery(400, false), true), unused).unwrap();
+        assert!(!fallback);
+        assert_eq!(rec, recovery(400, false));
+
+        // The certified default never falls back on this clean drive.
+        let grid = grid_100();
+        let ap = grid.point(grid.nearest_index(Point::new(45.0, 45.0)));
+        let readings = readings_along(ap, &l_route());
+        let idx: Vec<usize> = (0..readings.len()).collect();
+        let default = engine();
+        let sensing = default.prepare_window(&grid, &readings);
+        default.recover_group(&sensing, &idx).unwrap();
+        let stats = sensing.stats();
+        assert_eq!(
+            (stats.solves, stats.fallbacks, stats.unconverged),
+            (1, 0, 0)
+        );
+    }
+
+    #[test]
+    fn only_seeded_solvers_use_the_warm_start_chain() {
+        let accel = SolverAccel::enabled();
+        assert!(!engine().with_accel(accel).uses_warm_start());
+        let fista = engine().with_solver(CsRecovery::fallback_fista());
+        assert!(fista.clone().with_accel(accel).uses_warm_start());
+        assert!(!fista.uses_warm_start());
+    }
+
     #[test]
     fn stats_merge_sums_every_field() {
         let a = SensingStats {
@@ -1277,6 +1483,7 @@ mod tests {
             solves: 3,
             solver_iterations: 4,
             unconverged: 5,
+            fallbacks: 9,
             screened_cols: 6,
             iterations_saved: 7,
             warm_seeded: 8,
@@ -1291,6 +1498,7 @@ mod tests {
                 solves: 6,
                 solver_iterations: 8,
                 unconverged: 10,
+                fallbacks: 18,
                 screened_cols: 12,
                 iterations_saved: 14,
                 warm_seeded: 16,

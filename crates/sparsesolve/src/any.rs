@@ -4,6 +4,7 @@
 //! the ℓ1 solver at runtime while staying `Clone + Debug` (a boxed
 //! trait object would not be).
 
+use crate::active_set::ActiveSet;
 use crate::admm::{AdmmLasso, BasisPursuit};
 use crate::fista::Fista;
 use crate::irls::Irls;
@@ -20,7 +21,11 @@ use crowdwifi_linalg::Matrix;
 /// use crowdwifi_sparsesolve::any::AnySolver;
 /// use crowdwifi_sparsesolve::SparseRecovery;
 ///
-/// let solvers = [AnySolver::default_fista(), AnySolver::default_omp()];
+/// let solvers = [
+///     AnySolver::default_active_set(),
+///     AnySolver::default_fista(),
+///     AnySolver::default_omp(),
+/// ];
 /// let a = Matrix::identity(3);
 /// for s in &solvers {
 ///     let rec = s.recover(&a, &[2.0, 0.0, 0.0])?;
@@ -30,6 +35,8 @@ use crowdwifi_linalg::Matrix;
 /// ```
 #[derive(Debug, Clone)]
 pub enum AnySolver {
+    /// Exact active-set non-negative LASSO.
+    ActiveSet(ActiveSet),
     /// Proximal-gradient LASSO (ISTA/FISTA).
     Fista(Fista),
     /// ADMM LASSO.
@@ -43,6 +50,11 @@ pub enum AnySolver {
 }
 
 impl AnySolver {
+    /// The active-set solver with its default configuration.
+    pub fn default_active_set() -> Self {
+        AnySolver::ActiveSet(ActiveSet::default())
+    }
+
     /// FISTA with its default configuration.
     pub fn default_fista() -> Self {
         AnySolver::Fista(Fista::default())
@@ -137,6 +149,7 @@ fn record_multi(name: &'static str, rhs: usize, result: &Result<Vec<Recovery>>) 
 impl SparseRecovery for AnySolver {
     fn recover(&self, a: &Matrix, y: &[f64]) -> Result<Recovery> {
         let result = match self {
+            AnySolver::ActiveSet(s) => s.recover(a, y),
             AnySolver::Fista(s) => s.recover(a, y),
             AnySolver::AdmmLasso(s) => s.recover(a, y),
             AnySolver::BasisPursuit(s) => s.recover(a, y),
@@ -149,6 +162,7 @@ impl SparseRecovery for AnySolver {
 
     fn recover_with(&self, a: &Matrix, y: &[f64], ws: &mut SolverWorkspace) -> Result<Recovery> {
         let result = match self {
+            AnySolver::ActiveSet(s) => s.recover_with(a, y, ws),
             AnySolver::Fista(s) => s.recover_with(a, y, ws),
             AnySolver::AdmmLasso(s) => s.recover_with(a, y, ws),
             AnySolver::BasisPursuit(s) => s.recover_with(a, y, ws),
@@ -166,6 +180,7 @@ impl SparseRecovery for AnySolver {
         ws: &mut SolverWorkspace,
     ) -> Result<Vec<Recovery>> {
         let result = match self {
+            AnySolver::ActiveSet(s) => s.recover_multi(a, ys, ws),
             AnySolver::Fista(s) => s.recover_multi(a, ys, ws),
             AnySolver::AdmmLasso(s) => s.recover_multi(a, ys, ws),
             AnySolver::BasisPursuit(s) => s.recover_multi(a, ys, ws),
@@ -178,12 +193,19 @@ impl SparseRecovery for AnySolver {
 
     fn name(&self) -> &'static str {
         match self {
+            AnySolver::ActiveSet(s) => s.name(),
             AnySolver::Fista(s) => s.name(),
             AnySolver::AdmmLasso(s) => s.name(),
             AnySolver::BasisPursuit(s) => s.name(),
             AnySolver::Omp(s) => s.name(),
             AnySolver::Irls(s) => s.name(),
         }
+    }
+}
+
+impl From<ActiveSet> for AnySolver {
+    fn from(s: ActiveSet) -> Self {
+        AnySolver::ActiveSet(s)
     }
 }
 
@@ -245,6 +267,7 @@ mod tests {
         theta[30] = 1.5;
         let y = a.matvec(&theta);
         for solver in [
+            AnySolver::default_active_set(),
             AnySolver::default_fista(),
             AnySolver::default_admm(),
             AnySolver::from(BasisPursuit::default()),
@@ -286,6 +309,7 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         let names = [
+            AnySolver::default_active_set().name(),
             AnySolver::default_fista().name(),
             AnySolver::default_admm().name(),
             AnySolver::from(BasisPursuit::default()).name(),

@@ -67,7 +67,9 @@ pub struct Fista {
 impl Default for Fista {
     fn default() -> Self {
         Fista {
-            lambda_rel: 0.01,
+            // Shared with the active set, whose uncertified solves the
+            // pipeline re-solves on FISTA: both must pose the same LASSO.
+            lambda_rel: crate::active_set::LAMBDA_REL,
             max_iterations: 2000,
             tolerance: 1e-8,
             nonnegative: true,

@@ -11,8 +11,12 @@
 //! implements the standard solver families from scratch on top of
 //! [`crowdwifi_linalg`]:
 //!
+//! * [`active_set`] — an exact Lawson–Hanson active-set solver for the
+//!   non-negative LASSO that certifies its answer by KKT. The pipeline
+//!   default.
 //! * [`fista`] — proximal-gradient LASSO (`min ½‖Aθ − y‖² + λ‖θ‖₁`), in
-//!   plain ISTA and accelerated FISTA variants. The pipeline default.
+//!   plain ISTA and accelerated FISTA variants. The pipeline's fallback
+//!   when the active set runs out of pivots.
 //! * [`admm`] — ADMM solvers for both the LASSO and the equality-
 //!   constrained basis-pursuit program.
 //! * [`omp`] — orthogonal matching pursuit, a greedy baseline that is also
@@ -39,6 +43,7 @@
 
 #![deny(missing_docs)]
 
+pub mod active_set;
 pub mod admm;
 pub mod any;
 pub mod fista;
@@ -48,6 +53,7 @@ pub mod prox;
 mod screen;
 pub mod workspace;
 
+pub use active_set::ActiveSet;
 pub use any::AnySolver;
 pub use fista::Fista;
 pub use workspace::SolverWorkspace;

@@ -2,12 +2,14 @@
 //! k-sparse signals from random Bernoulli measurements when the sampling
 //! bound M = O(k log(N/k)) is comfortably satisfied.
 
+use crowdwifi_linalg::kernels::{self, Mode};
 use crowdwifi_linalg::{vector, Matrix};
+use crowdwifi_sparsesolve::active_set::{ActiveSet, KKT_TOLERANCE, LAMBDA_REL};
 use crowdwifi_sparsesolve::admm::{AdmmLasso, BasisPursuit};
 use crowdwifi_sparsesolve::fista::Fista;
 use crowdwifi_sparsesolve::irls::Irls;
 use crowdwifi_sparsesolve::omp::Omp;
-use crowdwifi_sparsesolve::SparseRecovery;
+use crowdwifi_sparsesolve::{Recovery, SparseRecovery};
 use proptest::prelude::*;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -38,6 +40,59 @@ fn sparse_signal(rng: &mut ChaCha8Rng, k: usize, nonneg: bool) -> Vec<f64> {
         };
     }
     theta
+}
+
+/// A random non-negative problem: `r × n` uniform entries in `[0, 1)`
+/// with `dups` columns overwritten by exact copies of others and `zeros`
+/// columns zeroed, measuring a 1–3-sparse non-negative signal with
+/// small non-negative noise.
+fn nonneg_problem(seed: u64, r: usize, n: usize, dups: usize, zeros: usize) -> (Matrix, Vec<f64>) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut a = Matrix::from_fn(r, n, |_, _| rng.random_range(0.0..1.0));
+    for _ in 0..dups {
+        let (src, dst) = (rng.random_range(0..n), rng.random_range(0..n));
+        for i in 0..r {
+            a.set(i, dst, a.get(i, src));
+        }
+    }
+    for _ in 0..zeros {
+        let c = rng.random_range(0..n);
+        for i in 0..r {
+            a.set(i, c, 0.0);
+        }
+    }
+    let mut theta = vec![0.0; n];
+    for _ in 0..rng.random_range(1..=3) {
+        theta[rng.random_range(0..n)] = rng.random_range(0.5..2.0);
+    }
+    let y = a
+        .matvec(&theta)
+        .into_iter()
+        .map(|v| v + rng.random_range(0.0..0.05))
+        .collect();
+    (a, y)
+}
+
+/// Objective `½‖y − Ax‖² + λ·1ᵀx` of the non-negative LASSO and the
+/// duality gap certified by `x`: the residual `r`, scaled to satisfy the
+/// dual constraint `Aᵀθ ≤ λ`, is dual-feasible, so
+/// `objective − gap ≤ optimum ≤ objective`.
+fn objective_and_gap(a: &Matrix, y: &[f64], x: &[f64], lambda: f64) -> (f64, f64) {
+    let r = vector::sub(y, &a.matvec(x));
+    let primal = 0.5 * vector::dot(&r, &r) + lambda * vector::norm1(x);
+    let worst = a.matvec_transposed(&r).into_iter().fold(lambda, f64::max);
+    let s = lambda / worst;
+    let theta: Vec<f64> = r.iter().map(|v| s * v).collect();
+    let dual = vector::dot(y, &theta) - 0.5 * vector::dot(&theta, &theta);
+    (primal, (primal - dual).max(0.0))
+}
+
+/// The active-set solve of `(a, y)` with the kernels pinned to `mode`.
+fn solve_in_mode(mode: Mode, a: &Matrix, y: &[f64]) -> Recovery {
+    kernels::set_mode(Some(mode));
+    let rec = ActiveSet::default().recover(a, y).unwrap();
+    kernels::set_mode(None);
+    rec
 }
 
 proptest! {
@@ -143,10 +198,63 @@ proptest! {
         // Random, not-necessarily-consistent measurements.
         let y: Vec<f64> = (0..M).map(|_| rng.random_range(-5.0..5.0)).collect();
         for solver in [&Fista::default() as &dyn SparseRecovery,
-                       &AdmmLasso::default(), &Omp::new(6), &BasisPursuit::default(),
+                       &ActiveSet::default(), &AdmmLasso::default(), &Omp::new(6), &BasisPursuit::default(),
                        &Irls::default()] {
             let rec = solver.recover(&a, &y).unwrap();
             prop_assert!(rec.solution.iter().all(|x| x.is_finite()), "{} produced non-finite", solver.name());
+        }
+    }
+}
+
+proptest! {
+    // Cheap solves: cover the shape space more densely than the
+    // iterative families above.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn active_set_certifies_the_nonnegative_lasso(
+        seed in 0u64..1000,
+        r_pick in 0usize..=48,
+        n in 1usize..=300,
+        dups in 0usize..4,
+        zeros in 0usize..4,
+    ) {
+        // Every certified solve must be feasible, satisfy KKT within the
+        // solver's tolerance, match a long FISTA run's objective within
+        // the two solutions' duality gaps, and repeat bit for bit across
+        // runs and kernel dispatch modes. One case in five is a
+        // single-row problem.
+        let r = r_pick.saturating_sub(8).max(1);
+        let (a, y) = nonneg_problem(seed, r, n, dups, zeros);
+        let rec = ActiveSet::default().recover(&a, &y).unwrap();
+        prop_assert_eq!(&rec, &ActiveSet::default().recover(&a, &y).unwrap());
+        prop_assert_eq!(&rec, &solve_in_mode(Mode::Scalar, &a, &y));
+        prop_assert_eq!(&rec, &solve_in_mode(Mode::Vectorized, &a, &y));
+        prop_assert!(rec.solution.iter().all(|&v| v >= 0.0 && v.is_finite()));
+        if rec.converged {
+            let b_max = vector::norm_inf(&a.matvec_transposed(&y));
+            let lambda = LAMBDA_REL * b_max;
+            let slack = 1e-9 * b_max;
+            let r_vec = vector::sub(&y, &a.matvec(&rec.solution));
+            for (j, g) in a.matvec_transposed(&r_vec).into_iter().enumerate() {
+                prop_assert!(g - lambda <= KKT_TOLERANCE * b_max + slack,
+                    "column {} violates KKT by {}", j, g - lambda);
+                if rec.solution[j] > 0.0 {
+                    prop_assert!((g - lambda).abs() <= slack,
+                        "passive column {} off stationarity by {}", j, g - lambda);
+                }
+            }
+            let reference = Fista::default()
+                .with_max_iterations(20_000)
+                .with_tolerance(1e-12).unwrap()
+                .recover(&a, &y).unwrap();
+            let (ours, our_gap) = objective_and_gap(&a, &y, &rec.solution, lambda);
+            let (theirs, their_gap) = objective_and_gap(&a, &y, &reference.solution, lambda);
+            let eps = 1e-9 * (1.0 + theirs);
+            prop_assert!(ours <= theirs + our_gap + eps,
+                "active set {} vs FISTA {} (gap {})", ours, theirs, our_gap);
+            prop_assert!(theirs <= ours + their_gap + eps,
+                "FISTA {} beat the active set {} beyond its gap {}", theirs, ours, their_gap);
         }
     }
 }

@@ -60,17 +60,23 @@ cargo test -q --release --test transport_equivalence fleet_
 # is trimmed from its 32-schedule default to keep the gate quick (all
 # four fault flavors are still covered — the test asserts so).
 CROWDWIFI_CHAOS_SCHEDULES=12 cargo test -q --test chaos_recovery
-# The solver-acceleration layer must never change what is recovered:
-# gap-safe screening has to land on the same minimizer as the plain
-# solve (property test), and the accelerated campus drive must keep the
-# unaccelerated support while cutting >=30% of total l1 iterations.
-# Run both by name so a workspace filter can never silently skip them,
-# and under both kernel dispatch modes: the solver invariants may not
-# depend on which kernel path computed them.
+# The l1 solvers must never change what is recovered: gap-safe
+# screening has to land on the same minimizer as the plain solve, every
+# certified active-set solve must be feasible, satisfy KKT and match a
+# long FISTA run's objective (property tests), the accelerated campus
+# drive must keep the unaccelerated support while cutting >=30% of total
+# FISTA iterations, and the default active-set drive must be as accurate
+# as pinned FISTA. Run them by name so a workspace filter can never
+# silently skip them, and under both kernel dispatch modes: the solver
+# invariants may not depend on which kernel path computed them.
 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
     screening_preserves_support_and_solution
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
     screening_preserves_support_and_solution
+cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
+    active_set_certifies_the_nonnegative_lasso
+CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
+    active_set_certifies_the_nonnegative_lasso
 cargo test -q --test solver_accel
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test solver_accel
 # The binary wire codec's contracts: proptest round-trips over every

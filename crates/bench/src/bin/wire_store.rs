@@ -2,11 +2,10 @@
 //!
 //! Two questions, one bench:
 //!
-//! 1. What does the binary framing buy over the retired text codec on
-//!    realistic round traffic? Measured as **payload bytes per
-//!    message** (target ≤ 0.35× the text codec — the varint byte-swap
-//!    float packing is what makes lattice coordinates cheap) and
-//!    **encode+decode throughput** (target ≥ 5×).
+//! 1. What does the binary framing cost on realistic round traffic?
+//!    Measured as **payload bytes per message** (target ≤ 47.57 — the
+//!    varint byte-swap float packing is what makes lattice coordinates
+//!    cheap) and **encode+decode throughput** (target ≥ 3M messages/s).
 //! 2. How fast does the [`ObsStore`] columnar store ingest and answer
 //!    aggregate queries at 10M+ stored observations (1M under
 //!    `BENCH_SMOKE=1`)? Queries read per-bucket aggregates only, so
@@ -23,9 +22,18 @@ use crowdwifi_middleware::messages::{
 };
 use crowdwifi_middleware::segment::SegmentId;
 use crowdwifi_middleware::store::{ApId, ObsStore};
-use crowdwifi_middleware::wire::{self, WireMessage};
+use crowdwifi_middleware::wire::WireMessage;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Payload-size ceiling: 0.35 × the 135.92 bytes/message the retired
+/// text codec spent on this corpus. The corpus is deterministic, so the
+/// measured value carries no noise.
+const TARGET_PAYLOAD_BYTES: f64 = 47.57;
+
+/// Throughput floor, messages per second: about 2.3× headroom under
+/// the committed single-core full run.
+const TARGET_MSGS_PER_SEC: f64 = 3_000_000.0;
 
 /// One message of realistic round traffic, either direction.
 enum Msg {
@@ -96,16 +104,6 @@ fn corpus(n: usize) -> Vec<Msg> {
     msgs
 }
 
-/// Sums text-codec payload bytes over the corpus.
-fn text_bytes(msgs: &[Msg]) -> u64 {
-    msgs.iter()
-        .map(|m| match m {
-            Msg::Up(m) => m.to_wire().len() as u64,
-            Msg::Down(m) => m.to_wire().len() as u64,
-        })
-        .sum()
-}
-
 /// Sums binary frame bytes over the corpus (framing header included).
 fn binary_frame_bytes(msgs: &[Msg]) -> u64 {
     msgs.iter()
@@ -114,39 +112,6 @@ fn binary_frame_bytes(msgs: &[Msg]) -> u64 {
             Msg::Down(m) => m.to_frame().len() as u64,
         })
         .sum()
-}
-
-/// Times `reps` full encode+decode passes over the corpus with the
-/// text codec, framed the way the text era actually shipped bytes:
-/// `[len][crc][text payload]` (the pre-binary WAL format), CRC
-/// validated on the way back in. Returns messages per second.
-fn text_throughput(msgs: &[Msg], reps: usize) -> f64 {
-    let mut scratch = Vec::with_capacity(512);
-    let start = Instant::now();
-    for _ in 0..reps {
-        for m in msgs {
-            scratch.clear();
-            match m {
-                Msg::Up(m) => {
-                    wire::frame_into(&mut scratch, |out| {
-                        out.extend_from_slice(m.to_wire().as_bytes());
-                    });
-                    let payload = wire::unframe(&scratch).expect("text frame");
-                    let text = std::str::from_utf8(payload).expect("text payload is UTF-8");
-                    black_box(ToServer::from_wire(text).expect("text decode"));
-                }
-                Msg::Down(m) => {
-                    wire::frame_into(&mut scratch, |out| {
-                        out.extend_from_slice(m.to_wire().as_bytes());
-                    });
-                    let payload = wire::unframe(&scratch).expect("text frame");
-                    let text = std::str::from_utf8(payload).expect("text payload is UTF-8");
-                    black_box(ToVehicle::from_wire(text).expect("text decode"));
-                }
-            }
-        }
-    }
-    (reps * msgs.len()) as f64 / start.elapsed().as_secs_f64()
 }
 
 /// Times `reps` full encode+decode passes with the binary codec,
@@ -185,36 +150,20 @@ fn main() {
 
     // --- Codec: bytes per message ------------------------------------
     let msgs = corpus(corpus_n);
-    let text_payload = text_bytes(&msgs);
     let binary_framed = binary_frame_bytes(&msgs);
     let binary_payload = binary_framed - 8 * msgs.len() as u64;
-    // Text frames on the old WAL path carried the same 8-byte len+CRC
-    // header, so payload-to-payload is the codec-to-codec comparison;
-    // the framed ratio charges the binary side its header anyway.
-    let payload_ratio = binary_payload as f64 / text_payload as f64;
-    let framed_ratio = binary_framed as f64 / text_payload as f64;
-    println!(
-        "  bytes/message: text {:.1}, binary {:.1} payload ({:.1} framed) → ratio {payload_ratio:.3} payload, {framed_ratio:.3} framed",
-        text_payload as f64 / msgs.len() as f64,
-        binary_payload as f64 / msgs.len() as f64,
-        binary_framed as f64 / msgs.len() as f64,
-    );
+    let payload_per_msg = binary_payload as f64 / msgs.len() as f64;
+    let framed_per_msg = binary_framed as f64 / msgs.len() as f64;
+    println!("  bytes/message: {payload_per_msg:.2} payload ({framed_per_msg:.2} framed)");
 
     // --- Codec: encode+decode throughput -----------------------------
     // Warm up once, then take the best of three trials each — the
     // max-throughput estimator is robust to transient machine load.
-    text_throughput(&msgs, 1);
     binary_throughput(&msgs, 1);
-    let best =
-        |f: &dyn Fn(&[Msg], usize) -> f64| (0..3).map(|_| f(&msgs, reps)).fold(0.0f64, f64::max);
-    let text_mps = best(&text_throughput);
-    let binary_mps = best(&binary_throughput);
-    let speedup = binary_mps / text_mps;
-    println!(
-        "  encode+decode: text {:.2} Mmsg/s, binary {:.2} Mmsg/s → {speedup:.1}x",
-        text_mps / 1e6,
-        binary_mps / 1e6,
-    );
+    let binary_mps = (0..3)
+        .map(|_| binary_throughput(&msgs, reps))
+        .fold(0.0f64, f64::max);
+    println!("  encode+decode: {:.2} Mmsg/s", binary_mps / 1e6);
 
     // --- Store: ingest ------------------------------------------------
     // 256 APs observed in rotation, ~50 observations per AP per minute
@@ -266,20 +215,17 @@ fn main() {
     );
 
     assert!(
-        payload_ratio <= 0.35,
-        "payload ratio {payload_ratio:.3} missed the ≤0.35 target"
+        payload_per_msg <= TARGET_PAYLOAD_BYTES,
+        "payload {payload_per_msg:.2} bytes/message missed the ≤{TARGET_PAYLOAD_BYTES} target"
     );
     assert!(
-        speedup >= 5.0,
-        "speedup {speedup:.1}x missed the ≥5x target"
+        binary_mps >= TARGET_MSGS_PER_SEC,
+        "{binary_mps:.0} msgs/s missed the ≥{TARGET_MSGS_PER_SEC} target"
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"wire_store\",\n  \"schema_version\": 7,\n  \"machine\": {{\"physical_parallelism\": {}, \"smoke\": {smoke}}},\n  \"codec\": {{\n    \"corpus_messages\": {corpus_n},\n    \"text_bytes_per_message\": {:.2},\n    \"binary_payload_bytes_per_message\": {:.2},\n    \"binary_framed_bytes_per_message\": {:.2},\n    \"payload_bytes_ratio\": {payload_ratio:.4},\n    \"framed_bytes_ratio\": {framed_ratio:.4},\n    \"target_payload_bytes_ratio\": 0.35,\n    \"text_msgs_per_sec\": {text_mps:.0},\n    \"binary_msgs_per_sec\": {binary_mps:.0},\n    \"encode_decode_speedup\": {speedup:.2},\n    \"target_encode_decode_speedup\": 5.0\n  }},\n  \"store\": {{\n    \"observations\": {store_n},\n    \"ingest_obs_per_sec\": {ingest_rate:.0},\n    \"buckets\": {},\n    \"column_bytes\": {},\n    \"aggregate_query\": \"mean_rssi over a 10-minute window\",\n    \"aggregate_query_p50_us\": {p50:.3},\n    \"aggregate_query_p99_us\": {p99:.3},\n    \"static_aps\": {static_aps}\n  }},\n  \"notes\": \"Codec rows compare the length-prefixed CRC32 binary framing against the retired text codec on a deterministic 20k-message corpus shaped like real round traffic (60% lattice-position uploads, 20% assignments, 15% answer batches, 5% control). payload_bytes_ratio is binary payload over text payload (both codecs' WAL frames carry the same 8-byte len+CRC header); the ≤0.35 target holds because f64s are varint-packed byte-swapped, so lattice coordinates cost 2-4 bytes instead of 17 text bytes. Throughput is single-threaded frame-to-message round trips, best of three trials per codec: both sides pay full framing (len+CRC backfill on encode, CRC validation on decode, scratch buffer reused) exactly as the transports and WAL ship them — the text era framed its payloads the same way, so neither leg skips integrity work. Store rows ingest observations into the time-bucketed SoA columns (10 bytes/observation) and report mean_rssi latency percentiles reading per-minute per-AP aggregates only — flat in total observation count.\"\n}}\n",
+        "{{\n  \"bench\": \"wire_store\",\n  \"schema_version\": 8,\n  \"machine\": {{\"physical_parallelism\": {}, \"smoke\": {smoke}}},\n  \"codec\": {{\n    \"corpus_messages\": {corpus_n},\n    \"binary_payload_bytes_per_message\": {payload_per_msg:.2},\n    \"binary_framed_bytes_per_message\": {framed_per_msg:.2},\n    \"target_payload_bytes_per_message\": {TARGET_PAYLOAD_BYTES},\n    \"binary_msgs_per_sec\": {binary_mps:.0},\n    \"target_msgs_per_sec\": {TARGET_MSGS_PER_SEC:.0}\n  }},\n  \"store\": {{\n    \"observations\": {store_n},\n    \"ingest_obs_per_sec\": {ingest_rate:.0},\n    \"buckets\": {},\n    \"column_bytes\": {},\n    \"aggregate_query\": \"mean_rssi over a 10-minute window\",\n    \"aggregate_query_p50_us\": {p50:.3},\n    \"aggregate_query_p99_us\": {p99:.3},\n    \"static_aps\": {static_aps}\n  }},\n  \"notes\": \"Codec rows measure the length-prefixed CRC32 binary framing on a deterministic 20k-message corpus shaped like real round traffic (60% lattice-position uploads, 20% assignments, 15% answer batches, 5% control). Payload bytes exclude the 8-byte len+CRC header, framed bytes include it; the payload target holds because f64s are varint-packed byte-swapped, so lattice coordinates cost 2-4 bytes. Throughput is single-threaded frame-to-message round trips, best of three trials: full framing (len+CRC backfill on encode, CRC validation on decode, scratch buffer reused) exactly as the transports and WAL ship them. Store rows ingest observations into the time-bucketed SoA columns (10 bytes/observation) and report mean_rssi latency percentiles reading per-minute per-AP aggregates only — flat in total observation count.\"\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        text_payload as f64 / msgs.len() as f64,
-        binary_payload as f64 / msgs.len() as f64,
-        binary_framed as f64 / msgs.len() as f64,
         store.bucket_count(),
         store.column_bytes(),
     );

@@ -36,7 +36,7 @@
 //! whenever the fault semantics make them comparable.
 
 use crate::fault::{FaultPlan, FaultTally, ServerFault};
-use crate::messages::{codec_err, push_str, push_u64, wire_capacity, TokenReader, VehicleId};
+use crate::messages::{codec_err, wire_capacity, VehicleId};
 use crate::protocol::{Action, Event, PlatformConfig, ServerCore, ShardedDatabase, VirtualInstant};
 use crate::segment::SegmentMap;
 use crate::transport::EventHost;
@@ -268,51 +268,6 @@ pub struct WalHeader {
     pub config: PlatformConfig,
 }
 
-impl WalHeader {
-    /// Encodes the header (tag `H`, format version 1); the config and
-    /// segment map travel as nested wire strings.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::from("H 1");
-        push_str(&mut out, &self.config.to_wire());
-        push_str(&mut out, &self.segments.to_wire());
-        push_u64(&mut out, self.fleet.len() as u64);
-        for v in &self.fleet {
-            push_u64(&mut out, u64::from(v.0));
-        }
-        out
-    }
-
-    /// Decodes a header produced by [`WalHeader::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::Codec`] on unknown tags or versions,
-    /// truncated input, malformed tokens, or trailing garbage.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        if r.tag()? != "H" {
-            return Err(codec_err("expected WalHeader tag H"));
-        }
-        let version = r.u64()?;
-        if version != 1 {
-            return Err(codec_err(format!("unsupported WAL version {version}")));
-        }
-        let config = PlatformConfig::from_wire(&r.string()?)?;
-        let segments = SegmentMap::from_wire(&r.string()?)?;
-        let n = r.usize()?;
-        let mut fleet = Vec::with_capacity(wire_capacity(n));
-        for _ in 0..n {
-            fleet.push(VehicleId(r.u32()?));
-        }
-        r.finish()?;
-        Ok(WalHeader {
-            segments,
-            fleet,
-            config,
-        })
-    }
-}
-
 impl WireMessage for WalHeader {
     fn encode_binary(&self, out: &mut Vec<u8>) {
         wire::put_header(out, wire::TAG_WAL_HEADER);
@@ -344,13 +299,12 @@ impl WireMessage for WalHeader {
     }
 }
 
-/// Appends events to a [`LogSink`] as CRC-framed records — in the
-/// binary wire encoding since codec version 2 — fsyncing every
-/// [`DEFAULT_SYNC_EVERY`] appends (count-based, so batching is
-/// deterministic across backends). Created with the round's header as
-/// the first frame; `rewrite` compacts the log in place. One scratch
-/// buffer is reused across appends, so the steady-state log path
-/// performs zero per-event allocations.
+/// Appends events to a [`LogSink`] as CRC-framed [`crate::wire`]
+/// records, fsyncing every [`DEFAULT_SYNC_EVERY`] appends (count-based,
+/// so batching is deterministic across backends). Created with the
+/// round's header as the first frame; `rewrite` compacts the log in
+/// place. One scratch buffer is reused across appends, so the
+/// steady-state log path performs zero per-event allocations.
 pub struct WalWriter<'a> {
     sink: &'a mut dyn LogSink,
     sync_every: u64,
@@ -361,8 +315,8 @@ pub struct WalWriter<'a> {
 }
 
 impl<'a> WalWriter<'a> {
-    /// Resets `sink` to a fresh log holding only the (binary) header
-    /// frame, and syncs it.
+    /// Resets `sink` to a fresh log holding only the header frame, and
+    /// syncs it.
     ///
     /// # Errors
     ///
@@ -457,24 +411,14 @@ pub struct WalReplay {
     pub events: Vec<Event>,
     /// Bytes dropped from the tail (0 for a cleanly closed log).
     pub dropped_tail_bytes: usize,
-    /// The codec the log was written with, dispatched from the header
-    /// frame's first payload byte: [`wire::WIRE_VERSION`] for binary
-    /// logs, [`wire::TEXT_VERSION`] for logs written before the binary
-    /// switch.
-    pub codec: u8,
 }
 
 /// Parses a WAL byte image, tolerating a torn tail: the first
 /// incomplete or CRC-invalid frame and everything after it is dropped
 /// (that suffix was never durably synced). Frames that pass the CRC
 /// but fail to decode are *not* tail damage — they mean the log was
-/// written by something else entirely, and surface as errors.
-///
-/// The header frame carries the codec version: a first payload byte of
-/// [`wire::WIRE_VERSION`] selects the binary decoders, anything else
-/// (text headers start with ASCII `H`) routes the whole log through
-/// the retained text decoders — so WALs written before the binary
-/// switch still recover byte-identically.
+/// written by something else entirely (any payload whose first byte is
+/// not [`wire::WIRE_VERSION`], say), and surface as errors.
 ///
 /// # Errors
 ///
@@ -488,32 +432,15 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalReplay> {
             "WAL unrecoverable: no intact header frame".to_string(),
         ));
     };
-    let binary = first.first() == Some(&wire::WIRE_VERSION);
-    fn text(p: &[u8]) -> Result<&str> {
-        std::str::from_utf8(p).map_err(|_| codec_err("non-UTF-8 WAL frame"))
-    }
-    let header = if binary {
-        WalHeader::decode_binary(first)?
-    } else {
-        WalHeader::from_wire(text(first)?)?
-    };
-    let mut events = Vec::with_capacity(rest.len());
-    for payload in rest {
-        events.push(if binary {
-            Event::decode_binary(payload)?
-        } else {
-            Event::from_wire(text(payload)?)?
-        });
-    }
+    let header = WalHeader::decode_binary(first)?;
+    let events = rest
+        .iter()
+        .map(|payload| Event::decode_binary(payload))
+        .collect::<Result<Vec<_>>>()?;
     Ok(WalReplay {
         header,
         events,
         dropped_tail_bytes,
-        codec: if binary {
-            wire::WIRE_VERSION
-        } else {
-            wire::TEXT_VERSION
-        },
     })
 }
 
@@ -649,32 +576,16 @@ impl SnapshotStore {
     }
 }
 
+/// Decodes one snapshot payload; `None` for anything that is not a
+/// well-formed snapshot record, so `load` skips the slot.
 fn decode_snapshot(payload: &[u8]) -> Option<LoadedSnapshot> {
-    // Codec dispatch mirrors read_wal: a leading version byte selects
-    // the binary decoder; text-era snapshots start with ASCII `P`.
-    if payload.first() == Some(&wire::WIRE_VERSION) {
-        let mut r = WireReader::new(payload);
-        if r.header().ok()? != wire::TAG_SNAPSHOT {
-            return None;
-        }
-        let seq = r.varint().ok()?;
-        let round = r.usize().ok()?;
-        let database = ShardedDatabase::decode_body(&mut r).ok()?;
-        r.finish().ok()?;
-        return Some(LoadedSnapshot {
-            seq,
-            round,
-            database,
-        });
-    }
-    let s = std::str::from_utf8(payload).ok()?;
-    let mut r = TokenReader::new(s);
-    if r.tag().ok()? != "P" {
+    let mut r = WireReader::new(payload);
+    if r.header().ok()? != wire::TAG_SNAPSHOT {
         return None;
     }
-    let seq = r.u64().ok()?;
+    let seq = r.varint().ok()?;
     let round = r.usize().ok()?;
-    let database = ShardedDatabase::from_wire(&r.string().ok()?).ok()?;
+    let database = ShardedDatabase::decode_body(&mut r).ok()?;
     r.finish().ok()?;
     Some(LoadedSnapshot {
         seq,
@@ -918,15 +829,23 @@ mod tests {
     #[test]
     fn wal_header_round_trips() {
         let h = header();
-        let decoded = WalHeader::from_wire(&h.to_wire()).unwrap();
+        let frame = h.to_frame();
+        let decoded = WalHeader::from_frame(&frame).unwrap();
         assert_eq!(decoded.fleet, h.fleet);
         assert_eq!(decoded.config, h.config);
-        assert_eq!(decoded.segments.to_wire(), h.segments.to_wire());
+        assert_eq!(decoded.segments.to_frame(), h.segments.to_frame());
+        assert_eq!(decoded.to_frame(), frame);
+
+        let payload = &frame[8..];
+        let mut future_version = payload.to_vec();
+        future_version[0] = wire::WIRE_VERSION + 1;
         assert!(
-            WalHeader::from_wire("H 2 s: s: 0").is_err(),
+            WalHeader::decode_binary(&future_version).is_err(),
             "future version"
         );
-        assert!(WalHeader::from_wire("Z 1").is_err(), "wrong tag");
+        let mut wrong_tag = payload.to_vec();
+        wrong_tag[1] = wire::TAG_SNAPSHOT;
+        assert!(WalHeader::decode_binary(&wrong_tag).is_err(), "wrong tag");
     }
 
     #[test]
@@ -1037,7 +956,7 @@ mod tests {
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.seq, 0);
         assert_eq!(loaded.round, 0);
-        assert_eq!(loaded.database.to_wire(), db.to_wire());
+        assert_eq!(loaded.database.to_frame(), db.to_frame());
 
         // A torn second write must not destroy the first snapshot.
         let mut db2 = db.clone();
@@ -1054,12 +973,12 @@ mod tests {
         assert_eq!(store.torn_writes(), 1);
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.seq, 0, "fell back to the previous good slot");
-        assert_eq!(loaded.database.to_wire(), db.to_wire());
+        assert_eq!(loaded.database.to_frame(), db.to_frame());
 
         // The next good write overwrites the torn slot and wins.
         store.write(2, &db2, false).unwrap();
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.seq, 2);
-        assert_eq!(loaded.database.to_wire(), db2.to_wire());
+        assert_eq!(loaded.database.to_frame(), db2.to_frame());
     }
 }

@@ -1,15 +1,11 @@
-//! Client–server protocol messages, with a self-contained wire codec.
+//! Client–server protocol messages.
 //!
-//! Two codecs coexist. The live one is the compact binary encoding of
-//! [`crate::wire`] (every type here implements
-//! [`crate::wire::WireMessage`]); the original text codec — a
-//! whitespace-separated token format where floats travel as the
-//! 16-hex-digit bit pattern of their IEEE-754 representation (so
-//! `-0.0`, subnormals, `f64::MAX` and even NaN payloads survive) and
-//! strings are percent-escaped — is retained in full so logs written
-//! before the binary switch still decode. Both round-trip every value
-//! bit-exactly without pulling a serialization crate into the offline
-//! build.
+//! Every type here travels in the binary encoding of [`crate::wire`]
+//! (each implements [`crate::wire::WireMessage`]): the same encoding
+//! carries transport frames, write-ahead-log records and snapshots, and
+//! round-trips every value bit-exactly — NaN payloads, `-0.0` and
+//! subnormals included — without pulling a serialization crate into
+//! the offline build.
 
 use crate::segment::SegmentId;
 use crate::wire::{self, WireMessage, WireReader};
@@ -17,7 +13,6 @@ use crate::{MiddlewareError, Result};
 use crowdwifi_core::ApEstimate;
 use crowdwifi_geo::Point;
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Identifier of a crowd-vehicle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -111,273 +106,11 @@ pub(crate) fn codec_err(why: impl Into<String>) -> MiddlewareError {
     MiddlewareError::Codec(why.into())
 }
 
-/// Appends a float as its 16-hex-digit IEEE-754 bit pattern — the only
-/// text encoding that round-trips every `f64` bit-exactly.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    let _ = write!(out, " {:016x}", v.to_bits());
-}
-
-/// Appends an unsigned integer in decimal.
-pub(crate) fn push_u64(out: &mut String, v: u64) {
-    let _ = write!(out, " {v}");
-}
-
-/// Appends a percent-escaped string token (prefix `s:`, so the empty
-/// string still occupies one token).
-pub(crate) fn push_str(out: &mut String, s: &str) {
-    out.push_str(" s:");
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' => out.push(b as char),
-            b'-' | b'_' | b'.' | b'~' | b':' | b'/' | b'(' | b')' | b',' => out.push(b as char),
-            _ => {
-                let _ = write!(out, "%{b:02x}");
-            }
-        }
-    }
-}
-
-/// Pull parser over the codec's whitespace-separated tokens. Every
-/// accessor returns [`MiddlewareError::Codec`] on truncated or
-/// malformed input; [`TokenReader::finish`] rejects trailing garbage.
-pub(crate) struct TokenReader<'a> {
-    tokens: std::str::SplitAsciiWhitespace<'a>,
-}
-
-impl<'a> TokenReader<'a> {
-    pub(crate) fn new(s: &'a str) -> Self {
-        TokenReader {
-            tokens: s.split_ascii_whitespace(),
-        }
-    }
-
-    fn next(&mut self) -> Result<&'a str> {
-        self.tokens
-            .next()
-            .ok_or_else(|| codec_err("truncated message"))
-    }
-
-    /// The next raw token (used for message tags).
-    pub(crate) fn tag(&mut self) -> Result<&'a str> {
-        self.next()
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        let t = self.next()?;
-        t.parse()
-            .map_err(|_| codec_err(format!("bad u32 token {t:?}")))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        let t = self.next()?;
-        t.parse()
-            .map_err(|_| codec_err(format!("bad u64 token {t:?}")))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize> {
-        let t = self.next()?;
-        t.parse()
-            .map_err(|_| codec_err(format!("bad usize token {t:?}")))
-    }
-
-    pub(crate) fn i8(&mut self) -> Result<i8> {
-        let t = self.next()?;
-        t.parse()
-            .map_err(|_| codec_err(format!("bad i8 token {t:?}")))
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        let t = self.next()?;
-        if t.len() != 16 {
-            return Err(codec_err(format!("bad f64 bit-pattern token {t:?}")));
-        }
-        u64::from_str_radix(t, 16)
-            .map(f64::from_bits)
-            .map_err(|_| codec_err(format!("bad f64 bit-pattern token {t:?}")))
-    }
-
-    pub(crate) fn point(&mut self) -> Result<Point> {
-        Ok(Point::new(self.f64()?, self.f64()?))
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String> {
-        let t = self.next()?;
-        let escaped = t
-            .strip_prefix("s:")
-            .ok_or_else(|| codec_err(format!("bad string token {t:?}")))?;
-        let mut bytes = Vec::with_capacity(escaped.len());
-        let mut rest = escaped.bytes();
-        while let Some(b) = rest.next() {
-            if b != b'%' {
-                bytes.push(b);
-                continue;
-            }
-            let (hi, lo) = (rest.next(), rest.next());
-            let pair: String = [hi, lo].into_iter().flatten().map(|b| b as char).collect();
-            if pair.len() != 2 {
-                return Err(codec_err(format!("bad escape in string token {t:?}")));
-            }
-            let byte = u8::from_str_radix(&pair, 16)
-                .map_err(|_| codec_err(format!("bad escape in string token {t:?}")))?;
-            bytes.push(byte);
-        }
-        String::from_utf8(bytes).map_err(|_| codec_err(format!("non-UTF-8 string token {t:?}")))
-    }
-
-    /// Consumes the reader, rejecting any trailing tokens.
-    pub(crate) fn finish(mut self) -> Result<()> {
-        match self.tokens.next() {
-            Some(t) => Err(codec_err(format!("trailing token {t:?}"))),
-            None => Ok(()),
-        }
-    }
-}
-
 /// Caps a length prefix read from the wire so a malformed message
 /// cannot force a huge allocation before the (inevitable) truncation
 /// error surfaces.
 pub(crate) fn wire_capacity(n: usize) -> usize {
     n.min(1024)
-}
-
-impl ToServer {
-    /// Encodes the message in the wire format described in the module
-    /// docs.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        match self {
-            ToServer::Upload(u) => {
-                out.push('U');
-                push_u64(&mut out, u64::from(u.vehicle.0));
-                push_u64(&mut out, u.estimates.len() as u64);
-                for e in &u.estimates {
-                    push_f64(&mut out, e.position.x);
-                    push_f64(&mut out, e.position.y);
-                    push_f64(&mut out, e.credit);
-                }
-            }
-            ToServer::Answers(answers) => {
-                out.push('A');
-                push_u64(&mut out, answers.len() as u64);
-                for a in answers {
-                    push_u64(&mut out, u64::from(a.vehicle.0));
-                    push_u64(&mut out, a.task_id as u64);
-                    let _ = write!(out, " {}", a.label);
-                }
-            }
-            ToServer::Failed(reason) => {
-                out.push('F');
-                push_str(&mut out, reason);
-            }
-        }
-        out
-    }
-
-    /// Decodes a message produced by [`ToServer::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::Codec`] on unknown tags, truncated
-    /// input, malformed tokens, or trailing garbage.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        let msg = match r.tag()? {
-            "U" => {
-                let vehicle = VehicleId(r.u32()?);
-                let n = r.usize()?;
-                let mut estimates = Vec::with_capacity(wire_capacity(n));
-                for _ in 0..n {
-                    estimates.push(ApEstimate {
-                        position: r.point()?,
-                        credit: r.f64()?,
-                    });
-                }
-                ToServer::Upload(SensingUpload { vehicle, estimates })
-            }
-            "A" => {
-                let n = r.usize()?;
-                let mut answers = Vec::with_capacity(wire_capacity(n));
-                for _ in 0..n {
-                    answers.push(MappingAnswer {
-                        vehicle: VehicleId(r.u32()?),
-                        task_id: r.usize()?,
-                        label: r.i8()?,
-                    });
-                }
-                ToServer::Answers(answers)
-            }
-            "F" => ToServer::Failed(r.string()?),
-            t => return Err(codec_err(format!("unknown ToServer tag {t:?}"))),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
-
-impl ToVehicle {
-    /// Encodes the message in the wire format described in the module
-    /// docs.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        match self {
-            ToVehicle::Assign(tasks) => {
-                out.push('T');
-                push_u64(&mut out, tasks.len() as u64);
-                for t in tasks {
-                    push_u64(&mut out, t.task_id as u64);
-                    push_u64(&mut out, u64::from(t.pattern.segment.0));
-                    push_u64(&mut out, t.pattern.aps.len() as u64);
-                    for ap in &t.pattern.aps {
-                        push_f64(&mut out, ap.x);
-                        push_f64(&mut out, ap.y);
-                    }
-                }
-            }
-            ToVehicle::RequestUpload => out.push('R'),
-            ToVehicle::Done => out.push('D'),
-            ToVehicle::Abort(reason) => {
-                out.push('X');
-                push_str(&mut out, reason);
-            }
-        }
-        out
-    }
-
-    /// Decodes a message produced by [`ToVehicle::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::Codec`] on unknown tags, truncated
-    /// input, malformed tokens, or trailing garbage.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        let msg = match r.tag()? {
-            "T" => {
-                let n = r.usize()?;
-                let mut tasks = Vec::with_capacity(wire_capacity(n));
-                for _ in 0..n {
-                    let task_id = r.usize()?;
-                    let segment = SegmentId(r.u32()?);
-                    let m = r.usize()?;
-                    let mut aps = Vec::with_capacity(wire_capacity(m));
-                    for _ in 0..m {
-                        aps.push(r.point()?);
-                    }
-                    tasks.push(MappingTask {
-                        task_id,
-                        pattern: Pattern { segment, aps },
-                    });
-                }
-                ToVehicle::Assign(tasks)
-            }
-            "R" => ToVehicle::RequestUpload,
-            "D" => ToVehicle::Done,
-            "X" => ToVehicle::Abort(r.string()?),
-            t => return Err(codec_err(format!("unknown ToVehicle tag {t:?}"))),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
 }
 
 impl WireMessage for ToServer {

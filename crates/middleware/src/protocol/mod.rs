@@ -45,7 +45,7 @@ pub use shards::{ShardState, ShardTable, ShardedDatabase};
 
 use self::quorum::RoundLedger;
 use self::rounds::{LabelingState, DEAD_RELIABILITY_FACTOR};
-use crate::messages::{codec_err, push_str, push_u64, TokenReader};
+use crate::messages::codec_err;
 use crate::messages::{MappingTask, ToServer, ToVehicle, VehicleId};
 use crate::segment::SegmentMap;
 use crate::server::CrowdServer;
@@ -143,72 +143,18 @@ pub enum Event {
 }
 
 impl Event {
-    /// Encodes the event for the durability write-ahead log, using the
-    /// same token codec as the protocol messages: `EM` (message, with
-    /// the inner [`ToServer`] wire string nested as one string token),
-    /// `ET` (timer fired) or `EL` (links closed), each stamped with the
-    /// event's virtual timestamp in microseconds.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::new();
-        match self {
-            Event::Message { now, from, msg } => {
-                out.push_str("EM");
-                push_u64(&mut out, now.as_micros());
-                push_u64(&mut out, u64::from(from.0));
-                push_str(&mut out, &msg.to_wire());
-            }
-            Event::TimerFired { now, timer } => {
-                out.push_str("ET");
-                push_u64(&mut out, now.as_micros());
-                push_u64(&mut out, u64::from(timer.vehicle.0));
-                push_u64(&mut out, timer.generation);
-            }
-            Event::LinksClosed { now } => {
-                out.push_str("EL");
-                push_u64(&mut out, now.as_micros());
-            }
-            Event::Garbled { now, from } => {
-                out.push_str("EG");
-                push_u64(&mut out, now.as_micros());
-                push_u64(&mut out, u64::from(from.0));
-            }
+    /// The event for one raw uplink frame from `from`: the decoded
+    /// [`Event::Message`], or [`Event::Garbled`] when the frame fails
+    /// framing (bad CRC, bad length prefix) or decoding (bad version
+    /// byte, unknown tag, truncated varint, trailing bytes). Every
+    /// transport turns uplink bytes into events here, so a malformed
+    /// (or malicious) frame quarantines its sender the same way on
+    /// every backend.
+    pub fn uplink(now: VirtualInstant, from: VehicleId, frame: &[u8]) -> Event {
+        match ToServer::from_frame(frame) {
+            Ok(msg) => Event::Message { now, from, msg },
+            Err(_) => Event::Garbled { now, from },
         }
-        out
-    }
-
-    /// Decodes an event produced by [`Event::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::Codec`] on unknown tags, truncated
-    /// input, malformed tokens, or trailing garbage.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        let event = match r.tag()? {
-            "EM" => {
-                let now = VirtualInstant::from_micros(r.u64()?);
-                let from = VehicleId(r.u32()?);
-                let msg = ToServer::from_wire(&r.string()?)?;
-                Event::Message { now, from, msg }
-            }
-            "ET" => Event::TimerFired {
-                now: VirtualInstant::from_micros(r.u64()?),
-                timer: TimerId {
-                    vehicle: VehicleId(r.u32()?),
-                    generation: r.u64()?,
-                },
-            },
-            "EL" => Event::LinksClosed {
-                now: VirtualInstant::from_micros(r.u64()?),
-            },
-            "EG" => Event::Garbled {
-                now: VirtualInstant::from_micros(r.u64()?),
-                from: VehicleId(r.u32()?),
-            },
-            t => return Err(codec_err(format!("unknown Event tag {t:?}"))),
-        };
-        r.finish()?;
-        Ok(event)
     }
 }
 
@@ -504,50 +450,11 @@ impl ServerCore {
         }
     }
 
-    /// Decodes one raw wire frame from `from` and feeds it through the
-    /// state machine. A frame that fails to decode **quarantines its
-    /// sender** instead of failing the round: the vehicle is declared
-    /// dead with [`VehicleFate::Quarantined`], its outstanding work is
-    /// reassigned, and the `platform.quarantine` counter is bumped —
-    /// one malformed (or malicious) frame must never cost the other
-    /// vehicles their round.
-    pub fn handle_frame(
-        &mut self,
-        now: VirtualInstant,
-        from: VehicleId,
-        frame: &str,
-    ) -> Vec<Action> {
-        if self.finished {
-            return Vec::new();
-        }
-        match ToServer::from_wire(frame) {
-            Ok(msg) => self.on_message(now, from, msg),
-            Err(_) => self.quarantine(now, from),
-        }
-    }
-
-    /// [`ServerCore::handle_frame`] for the binary codec: validates and
-    /// decodes one raw CRC-framed binary record from `from`. A frame
-    /// that fails framing (bad CRC, bad length prefix) or decoding (bad
-    /// version byte, unknown tag, truncated varint) quarantines its
-    /// sender exactly as the text variant does.
-    pub fn handle_frame_binary(
-        &mut self,
-        now: VirtualInstant,
-        from: VehicleId,
-        frame: &[u8],
-    ) -> Vec<Action> {
-        if self.finished {
-            return Vec::new();
-        }
-        match ToServer::from_frame(frame) {
-            Ok(msg) => self.on_message(now, from, msg),
-            Err(_) => self.quarantine(now, from),
-        }
-    }
-
     /// Declares `from` dead with [`VehicleFate::Quarantined`] after a
-    /// malformed frame, keeping the round alive for everyone else.
+    /// malformed frame, keeping the round alive for everyone else: its
+    /// outstanding work is reassigned and the `platform.quarantine`
+    /// counter is bumped. Frames from an already-dead or unregistered
+    /// vehicle are inert.
     fn quarantine(&mut self, now: VirtualInstant, from: VehicleId) -> Vec<Action> {
         if self.ledger.dead.contains(&from) || !self.server.is_registered(from) {
             return Vec::new();

@@ -3,7 +3,7 @@
 
 use super::fates::{FateRecord, RoundHealth, VehicleFate};
 use super::quorum::RoundLedger;
-use crate::messages::{codec_err, push_f64, push_u64, TokenReader};
+use crate::messages::codec_err;
 use crate::messages::{MappingTask, VehicleId};
 use crate::server::{CrowdServer, RoundOutcome};
 use crate::vehicle::VehicleExit;
@@ -73,55 +73,6 @@ impl Default for PlatformConfig {
             seed: 0,
             tolerance: FaultTolerance::default(),
         }
-    }
-}
-
-impl PlatformConfig {
-    /// Encodes the config in the protocol's token wire format (tag
-    /// `C`); floats travel as exact bit patterns, durations as
-    /// microseconds. Used by the durability layer's WAL header so a
-    /// recovered server rebuilds under the *logged* config, not
-    /// whatever the restarted process happens to be configured with.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::from("C");
-        push_u64(&mut out, self.bootstrap_patterns as u64);
-        push_u64(&mut out, self.workers_per_task as u64);
-        push_f64(&mut out, self.merge_radius);
-        push_f64(&mut out, self.spammer_cutoff);
-        push_u64(&mut out, self.seed);
-        push_u64(&mut out, self.tolerance.deadline.as_micros() as u64);
-        push_u64(&mut out, self.tolerance.retry_backoff.as_micros() as u64);
-        push_u64(&mut out, u64::from(self.tolerance.max_retries));
-        push_f64(&mut out, self.tolerance.quorum);
-        out
-    }
-
-    /// Decodes a config produced by [`PlatformConfig::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MiddlewareError::Codec`] on unknown tags, truncated
-    /// input, malformed tokens, or trailing garbage.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        if r.tag()? != "C" {
-            return Err(codec_err("expected PlatformConfig tag C"));
-        }
-        let config = PlatformConfig {
-            bootstrap_patterns: r.usize()?,
-            workers_per_task: r.usize()?,
-            merge_radius: r.f64()?,
-            spammer_cutoff: r.f64()?,
-            seed: r.u64()?,
-            tolerance: FaultTolerance {
-                deadline: Duration::from_micros(r.u64()?),
-                retry_backoff: Duration::from_micros(r.u64()?),
-                max_retries: r.u32()?,
-                quorum: r.f64()?,
-            },
-        };
-        r.finish()?;
-        Ok(config)
     }
 }
 

@@ -15,7 +15,7 @@
 //!   replaces only the shards it actually covered, so independent
 //!   segments advance at their own pace across a campaign.
 
-use crate::messages::{codec_err, push_f64, push_u64, wire_capacity, TokenReader};
+use crate::messages::{codec_err, wire_capacity};
 use crate::messages::{Pattern, SensingUpload, VehicleId};
 use crate::segment::{SegmentId, SegmentMap};
 use crate::wire::{self, WireMessage, WireReader};
@@ -212,60 +212,6 @@ impl ShardedDatabase {
             .flat_map(|s| s.fused.iter().copied())
             .filter(|ap| ap.position.distance(position) <= radius)
             .collect()
-    }
-
-    /// Encodes the database shard by shard in the protocol's token wire
-    /// format (tag `D`): per segment its id, last-covering round and
-    /// fused APs, floats as exact bit patterns. This is the payload of
-    /// the durability layer's periodic snapshots, so the per-segment
-    /// framing matters: a future multi-server deployment can snapshot
-    /// and ship shards independently.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::from("D");
-        push_u64(&mut out, self.shards.len() as u64);
-        for (seg, state) in &self.shards {
-            push_u64(&mut out, u64::from(seg.0));
-            push_u64(&mut out, state.round as u64);
-            push_u64(&mut out, state.fused.len() as u64);
-            for ap in &state.fused {
-                push_f64(&mut out, ap.position.x);
-                push_f64(&mut out, ap.position.y);
-                push_f64(&mut out, ap.support);
-                push_u64(&mut out, ap.contributors as u64);
-            }
-        }
-        out
-    }
-
-    /// Decodes a database produced by [`ShardedDatabase::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::MiddlewareError::Codec`] on unknown tags,
-    /// truncated input, malformed tokens, or trailing garbage.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        if r.tag()? != "D" {
-            return Err(codec_err("expected ShardedDatabase tag D"));
-        }
-        let n = r.usize()?;
-        let mut shards = BTreeMap::new();
-        for _ in 0..n {
-            let seg = SegmentId(r.u32()?);
-            let round = r.usize()?;
-            let m = r.usize()?;
-            let mut fused = Vec::with_capacity(wire_capacity(m));
-            for _ in 0..m {
-                fused.push(FusedAp {
-                    position: r.point()?,
-                    support: r.f64()?,
-                    contributors: r.usize()?,
-                });
-            }
-            shards.insert(seg, ShardState { fused, round });
-        }
-        r.finish()?;
-        Ok(ShardedDatabase { shards })
     }
 }
 

@@ -3,7 +3,7 @@
 //! The crowd-server partitions the service area into square segments;
 //! sensing uploads and mapping tasks are keyed by segment.
 
-use crate::messages::{codec_err, push_f64, TokenReader};
+use crate::messages::codec_err;
 use crate::wire::{self, WireMessage, WireReader};
 use crate::Result;
 use crowdwifi_geo::{Point, Rect};
@@ -101,43 +101,6 @@ impl SegmentMap {
             .filter(|&id| self.bounds(id).center().distance(p) <= radius + slack)
             .collect()
     }
-
-    /// Encodes the map in the wire format of [`crate::messages`]: area
-    /// corners and segment size as bit-exact floats. The grid shape is
-    /// derived from those on decode, so a round trip reproduces the
-    /// partition exactly.
-    pub fn to_wire(&self) -> String {
-        let mut out = String::from("S");
-        push_f64(&mut out, self.area.min().x);
-        push_f64(&mut out, self.area.min().y);
-        push_f64(&mut out, self.area.max().x);
-        push_f64(&mut out, self.area.max().y);
-        push_f64(&mut out, self.segment_size);
-        out
-    }
-
-    /// Decodes a map produced by [`SegmentMap::to_wire`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::MiddlewareError::Codec`] on malformed input,
-    /// including geometry that [`SegmentMap::new`] would reject.
-    pub fn from_wire(s: &str) -> Result<Self> {
-        let mut r = TokenReader::new(s);
-        match r.tag()? {
-            "S" => {}
-            t => return Err(codec_err(format!("unknown SegmentMap tag {t:?}"))),
-        }
-        let min = r.point()?;
-        let max = r.point()?;
-        let segment_size = r.f64()?;
-        r.finish()?;
-        let area = Rect::new(min, max).map_err(|e| codec_err(format!("bad segment area: {e}")))?;
-        if !(segment_size > 0.0 && segment_size.is_finite()) {
-            return Err(codec_err(format!("bad segment size {segment_size}")));
-        }
-        Ok(SegmentMap::new(area, segment_size))
-    }
 }
 
 impl WireMessage for SegmentMap {
@@ -162,7 +125,16 @@ impl WireMessage for SegmentMap {
         if !(segment_size > 0.0 && segment_size.is_finite()) {
             return Err(codec_err(format!("bad segment size {segment_size}")));
         }
-        Ok(SegmentMap::new(area, segment_size))
+        // Segment ids are `u32`, so a grid with more cells than that
+        // cannot be addressed (and `len` would overflow).
+        let map = SegmentMap::new(area, segment_size);
+        if map.nx.checked_mul(map.ny).is_none() {
+            return Err(codec_err(format!(
+                "segment grid {}x{} overflows u32",
+                map.nx, map.ny
+            )));
+        }
+        Ok(map)
     }
 }
 

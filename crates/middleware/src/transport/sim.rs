@@ -279,12 +279,8 @@ fn sim_drive<H: EventHost>(
                 let Some((from, bytes)) = next else { break };
                 progressed = true;
                 wire.absorb(&bytes);
-                let event = match ToServer::from_frame(&bytes) {
-                    Ok(msg) => Event::Message { now, from, msg },
-                    Err(_) => Event::Garbled { now, from },
-                };
                 apply(
-                    host.handle(event)?,
+                    host.handle(Event::uplink(now, from, &bytes))?,
                     &mut downlinks,
                     &mut timers,
                     &mut outcome,

@@ -192,13 +192,6 @@ fn drive<H: EventHost>(
     rx: &channel::Receiver<(VehicleId, Vec<u8>)>,
     links: &mut BTreeMap<VehicleId, VehicleLink>,
 ) -> Result<PlatformReport> {
-    // Uplink frames that fail to decode (the fault layer garbled them)
-    // become `Event::Garbled`, quarantining the sender.
-    let decode =
-        |now: VirtualInstant, from: VehicleId, bytes: &[u8]| match ToServer::from_frame(bytes) {
-            Ok(msg) => Event::Message { now, from, msg },
-            Err(_) => Event::Garbled { now, from },
-        };
     let start = Instant::now();
     let mut timers: BTreeMap<TimerId, VirtualInstant> = BTreeMap::new();
     let mut outcome: Option<Result<PlatformReport>> = None;
@@ -238,7 +231,7 @@ fn drive<H: EventHost>(
                     .saturating_duration_since(Instant::now())
                     .max(Duration::from_millis(1));
                 match rx.recv_timeout(timeout) {
-                    Ok((from, bytes)) => Some(decode(virtual_now(start), from, &bytes)),
+                    Ok((from, bytes)) => Some(Event::uplink(virtual_now(start), from, &bytes)),
                     Err(RecvTimeoutError::Timeout) => None,
                     Err(RecvTimeoutError::Disconnected) => Some(Event::LinksClosed {
                         now: virtual_now(start),
@@ -248,7 +241,7 @@ fn drive<H: EventHost>(
             // No armed deadlines (the core is between phases only
             // momentarily, so this is defensive): block on traffic.
             None => match rx.recv() {
-                Ok((from, bytes)) => Some(decode(virtual_now(start), from, &bytes)),
+                Ok((from, bytes)) => Some(Event::uplink(virtual_now(start), from, &bytes)),
                 Err(_) => Some(Event::LinksClosed {
                     now: virtual_now(start),
                 }),

@@ -1,13 +1,12 @@
-//! The binary wire codec: length-prefixed, CRC32-validated frames over
-//! a compact little-endian payload encoding.
+//! The middleware's wire codec: length-prefixed, CRC32-validated frames
+//! over a compact little-endian payload encoding.
 //!
-//! This replaces the PR 4 text/hex-float codec on every hot byte path
-//! (transport links, WAL frames, snapshots) while keeping the text
-//! codec alive as a *decoder* for logs written before the switch. The
-//! design follows the embedded-sensing playbook: no serialization
-//! crate, no per-message allocation on the encode path, and every
-//! frame is independently checksummed so a flipped bit quarantines one
-//! sender instead of poisoning a round.
+//! It is the only serialization in the crate: transport links, WAL
+//! frames and snapshots all carry it. The design follows the
+//! embedded-sensing playbook: no serialization crate, no per-message
+//! allocation on the encode path, and every frame is independently
+//! checksummed so a flipped bit quarantines one sender instead of
+//! poisoning a round.
 //!
 //! # Frame layout
 //!
@@ -18,10 +17,8 @@
 //!
 //! The frame header is byte-identical to the durability layer's WAL
 //! framing, so one `split_frames` walks both. The payload's leading
-//! version byte is the codec dispatcher: [`WIRE_VERSION`] (2) selects
-//! this binary encoding; text-era payloads start with an ASCII tag
-//! letter (`H`, `E`, `U`, ... — all ≥ 0x41), which is how old WALs and
-//! snapshots are recognized and routed to the retained text decoders.
+//! version byte must be [`WIRE_VERSION`]; a payload with any other
+//! first byte fails to decode.
 //!
 //! # Field encodings
 //!
@@ -32,9 +29,8 @@
 //!   pattern. Real-world coordinates (lattice nodes, credits, segment
 //!   sizes) have mostly-zero low mantissa bytes, so byte-swapping puts
 //!   the zeros in front and the varint collapses them: `60.0` costs 3
-//!   bytes instead of 8 (or 17 in the text codec). Arbitrary bit
-//!   patterns — NaN payloads included — still round-trip exactly, at a
-//!   worst case of 10 bytes;
+//!   bytes instead of 8. Arbitrary bit patterns — NaN payloads
+//!   included — still round-trip exactly, at a worst case of 10 bytes;
 //! * strings as a varint byte length followed by raw UTF-8.
 //!
 //! Encoders append into a caller-supplied `Vec<u8>` ([`WireMessage::
@@ -47,14 +43,9 @@ use crate::messages::codec_err;
 use crate::Result;
 use crowdwifi_geo::Point;
 
-/// Version byte opening every binary payload. Version 1 is the text
-/// codec (implied; text payloads carry no version byte and are
-/// recognized by their ASCII tag), version 2 is this binary encoding.
+/// Version byte opening every payload. Version 1 was a retired text
+/// codec, so this encoding starts at 2.
 pub const WIRE_VERSION: u8 = 2;
-
-/// The codec version number recorded for text-era payloads when a
-/// reader reports which decoder it used.
-pub const TEXT_VERSION: u8 = 1;
 
 // ---------------------------------------------------------------------
 // CRC32

@@ -1,8 +1,8 @@
 //! Fleet-scale round throughput on the batched event-loop backend.
 //!
 //! [`FleetTransport`] multiplexes tens of thousands of vehicle session
-//! state machines over a clamped worker pool and shards the server's
-//! data plane by road segment. This bench measures what that buys:
+//! state machines over a clamped worker pool in front of the one
+//! server core. This bench measures what that buys:
 //! **simulated vehicle-rounds per hour** — how many vehicle
 //! participations in a full faulted crowdsensing round the engine
 //! completes per wall-clock hour — at 10k, 50k and 100k vehicles
@@ -36,11 +36,11 @@ use std::time::{Duration, Instant};
 
 /// Vehicles sharing one road segment (and its single roadside AP).
 const VEHICLES_PER_SEGMENT: u32 = 20;
-/// Road-segment length in meters; one segment-shard key per segment.
+/// Road-segment length in meters.
 const SEG_LEN: f64 = 150.0;
 
 /// A long straight road: one 150 m segment per 20 vehicles, so fleet
-/// size scales the number of segment shards, not the density.
+/// size scales the number of road segments, not the density.
 fn road(n: u32) -> SegmentMap {
     let segs = n.div_ceil(VEHICLES_PER_SEGMENT).max(1);
     SegmentMap::new(
@@ -140,12 +140,11 @@ fn main() {
     let transport = FleetTransport::new();
     let worker_budget = transport.worker_budget();
     println!(
-        "fleet rounds: sizes {sizes:?}, {worker_budget} worker(s), {} shard(s){} ...",
-        transport.shard_count(),
+        "fleet rounds: sizes {sizes:?}, {worker_budget} worker(s){} ...",
         if smoke { " (smoke)" } else { "" }
     );
 
-    // Equivalence contract: a small fleet on the batched sharded engine
+    // Equivalence contract: a small fleet on the batched engine
     // must be byte-identical to the reference simulator on the same
     // seed and fault plan. Asserted before anything is timed.
     let eq_n = 200;
@@ -191,9 +190,8 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"fleet_rounds\",\n  \"schema_version\": 7,\n  \"machine\": {{\"physical_parallelism\": {}, \"worker_budget\": {worker_budget}, \"smoke\": {smoke}}},\n  \"equivalence\": {{\"vehicles\": {eq_n}, \"digest_match\": true}},\n  \"shards\": {},\n  \"rows\": [\n{}\n  ],\n  \"headline_vehicle_rounds_per_hour\": {headline:.0},\n  \"target_vehicle_rounds_per_hour\": 1000000,\n  \"notes\": \"Each row is one full crowdsensing round on FleetTransport with faults on (1% drop, 0.5% duplication, one crash and one stall per 2048 vehicles): sensing, upload, labeling with retries and reassignment, sharded fusion, reliability scoring. vehicle_rounds_per_hour = vehicles / wall_secs * 3600; headline is the worst row. Vehicles run a deliberately cheap estimator (one 12-sample window, 10 m lattice, 60 m radio range, no global refine, single-threaded solves) so the number measures the round engine — event batching, shard routing, timer machinery — not estimator maths. machine.worker_budget is the transport's worker-pool size after clamping to detected parallelism (CROWDWIFI_THREADS rules). Before timing, a 200-vehicle round is asserted byte-identical (state digest and fused map) between FleetTransport and the reference SimTransport on the same seed and plan.\"\n}}\n",
+        "{{\n  \"bench\": \"fleet_rounds\",\n  \"schema_version\": 8,\n  \"machine\": {{\"physical_parallelism\": {}, \"worker_budget\": {worker_budget}, \"smoke\": {smoke}}},\n  \"equivalence\": {{\"vehicles\": {eq_n}, \"digest_match\": true}},\n  \"rows\": [\n{}\n  ],\n  \"headline_vehicle_rounds_per_hour\": {headline:.0},\n  \"target_vehicle_rounds_per_hour\": 1000000,\n  \"notes\": \"Each row is one full crowdsensing round on FleetTransport with faults on (1% drop, 0.5% duplication, one crash and one stall per 2048 vehicles): sensing, upload, labeling with retries and reassignment, per-segment fusion, reliability scoring. vehicle_rounds_per_hour = vehicles / wall_secs * 3600; headline is the worst row. Vehicles run a deliberately cheap estimator (one 12-sample window, 10 m lattice, 60 m radio range, no global refine, single-threaded solves) so the number measures the round engine — event batching, timer machinery — not estimator maths. machine.worker_budget is the transport's worker-pool size after clamping to detected parallelism (CROWDWIFI_THREADS rules). Before timing, a 200-vehicle round is asserted byte-identical (state digest and fused map) between FleetTransport and the reference SimTransport on the same seed and plan.\"\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        transport.shard_count(),
         rows.join(",\n"),
     );
     let out_path = bench_out_path("BENCH_fleet.json");

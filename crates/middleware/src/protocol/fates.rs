@@ -33,8 +33,9 @@ pub enum VehicleFate {
     /// Its link closed (with every other outstanding vehicle) before
     /// responding.
     Vanished(RoundPhase),
-    /// It sent a frame that failed to decode; the server stopped
-    /// trusting it rather than fail the round.
+    /// It sent a frame that failed to decode, or an upload claiming
+    /// another vehicle's identity; the server stopped trusting it
+    /// rather than fail the round.
     Quarantined,
 }
 

@@ -3,7 +3,7 @@
 //! [`ServerCore`] is the whole round protocol of §5.5 — uploads under
 //! deadline, (ℓ,γ)-regular task assignment, answer collection with
 //! retry/backoff, quorum-gated degradation, orphan reassignment,
-//! Karger–Oh–Shah inference and shard-by-shard fusion — expressed as a
+//! Dawid–Skene EM inference and shard-by-shard fusion — expressed as a
 //! state machine with **no I/O of any kind**. It never blocks, never
 //! sleeps, never reads a clock and never owns a channel or an OS
 //! thread: every stimulus arrives as a timestamped [`Event`], every
@@ -22,26 +22,25 @@
 //! The drivers in [`crate::transport`] are thin: the threaded backend
 //! maps real channel traffic and wall-clock deadlines onto events, the
 //! simulation backend replays the same protocol under a virtual clock
-//! in a single OS thread. Because all protocol decisions live here,
+//! in a single OS thread, and the fleet backend batches vehicle
+//! sessions over a worker pool. Because all protocol decisions live here,
 //! every backend gets deadlines, retries, quorum, reassignment and the
 //! `platform.*` metrics for free — and same-seed rounds agree across
 //! backends on everything but raw phase timings.
 //!
 //! Campaign state is sharded by road segment (see [`shards`]): fusion
-//! runs per segment, and the cross-round [`shards::ShardedDatabase`]
-//! advances each segment independently.
+//! runs per segment inside this one core, and the cross-round
+//! [`shards::ShardedDatabase`] advances each segment independently.
 
 pub mod fates;
-pub mod fleet;
 pub mod quorum;
 pub mod rounds;
 pub mod shards;
 
 pub use fates::{FateRecord, RoundHealth, RoundPhase, VehicleFate};
-pub use fleet::{FleetCore, ShardRouter};
 pub use quorum::quorum_required;
 pub use rounds::{validate_config, FaultTolerance, PlatformConfig, PlatformReport};
-pub use shards::{ShardState, ShardTable, ShardedDatabase};
+pub use shards::{ShardState, ShardedDatabase};
 
 use self::quorum::RoundLedger;
 use self::rounds::{LabelingState, DEAD_RELIABILITY_FACTOR};
@@ -264,13 +263,7 @@ pub struct ServerCore {
     timer_gen: BTreeMap<VehicleId, u64>,
     waiting: BTreeSet<VehicleId>,
     labeling: LabelingState,
-    shards: ShardTable,
     finished: bool,
-    /// When set, round close skips the in-core fusion pass and reports
-    /// an empty fused map; the embedding [`FleetCore`] consolidates its
-    /// segment shards instead and installs the (byte-identical) merge
-    /// via [`ServerCore::install_fused`].
-    deferred_fusion: bool,
 }
 
 impl ServerCore {
@@ -309,19 +302,8 @@ impl ServerCore {
             timer_gen: BTreeMap::new(),
             waiting: BTreeSet::new(),
             labeling: LabelingState::default(),
-            shards: ShardTable::default(),
             finished: false,
-            deferred_fusion: false,
         })
-    }
-
-    /// Defers round-close fusion to an external consolidator (the
-    /// sharded [`FleetCore`]): `maybe_finish_labeling` skips
-    /// `finalize_sharded` and the `platform.shards.fused` gauge, leaving
-    /// `PlatformReport::fused` empty for the consolidator to fill.
-    pub(crate) fn with_deferred_fusion(mut self) -> Self {
-        self.deferred_fusion = true;
-        self
     }
 
     /// Rebuilds a crashed server from its durable round history: a
@@ -361,7 +343,7 @@ impl ServerCore {
 
     /// A deterministic fingerprint of the full protocol state —
     /// everything that decides future behavior (phase, ledger, labeling
-    /// book, shard table, RNG stream position, crowd-server state), and
+    /// book, RNG stream position, crowd-server state), and
     /// nothing that does not (the metrics registry, whose timing
     /// histograms are driver-dependent). Two cores with equal digests
     /// respond identically to every future event sequence; the chaos
@@ -371,7 +353,7 @@ impl ServerCore {
         format!(
             "phase={:?} started={:?} finished={} waiting={:?} gens={:?} rng={:?} \
              fates={:?} retries={:?} dead={:?} outstanding={:?} answered={:?} \
-             reassigned={} lost={} shards={:?} server={:?}",
+             reassigned={} lost={} server={:?}",
             self.phase,
             self.phase_started,
             self.finished,
@@ -385,7 +367,6 @@ impl ServerCore {
             self.labeling.answered,
             self.labeling.reassigned,
             self.labeling.lost,
-            self.shards,
             self.server,
         )
     }
@@ -394,29 +375,6 @@ impl ServerCore {
     /// (clones share state).
     pub(crate) fn registry_handle(&self) -> Registry {
         self.registry.clone()
-    }
-
-    /// The stored upload for `v`, if one arrived this round.
-    pub(crate) fn upload_of(&self, v: VehicleId) -> Option<&crate::messages::SensingUpload> {
-        self.server.upload_of(v)
-    }
-
-    /// The segment map this round runs over.
-    pub(crate) fn segment_map(&self) -> &SegmentMap {
-        self.server.segments()
-    }
-
-    /// `(merge_radius, spammer_cutoff)` — the fusion parameters an
-    /// external consolidator must reproduce.
-    pub(crate) fn fusion_params(&self) -> (f64, f64) {
-        (self.config.merge_radius, self.config.spammer_cutoff)
-    }
-
-    /// Installs an externally consolidated fused map, making the
-    /// crowd-server state (and hence [`ServerCore::state_digest`])
-    /// byte-identical to a core that fused in-line.
-    pub(crate) fn install_fused(&mut self, fused: Vec<crowdwifi_crowd::fusion::FusedAp>) {
-        self.server.set_fused(fused);
     }
 
     /// Whether the round has emitted [`Action::Completed`] or
@@ -451,10 +409,10 @@ impl ServerCore {
     }
 
     /// Declares `from` dead with [`VehicleFate::Quarantined`] after a
-    /// malformed frame, keeping the round alive for everyone else: its
-    /// outstanding work is reassigned and the `platform.quarantine`
-    /// counter is bumped. Frames from an already-dead or unregistered
-    /// vehicle are inert.
+    /// malformed frame or a forged upload, keeping the round alive for
+    /// everyone else: its outstanding work is reassigned and the
+    /// `platform.quarantine` counter is bumped. Frames from an
+    /// already-dead or unregistered vehicle are inert.
     fn quarantine(&mut self, now: VirtualInstant, from: VehicleId) -> Vec<Action> {
         if self.ledger.dead.contains(&from) || !self.server.is_registered(from) {
             return Vec::new();
@@ -507,9 +465,15 @@ impl ServerCore {
         self.phase_started = now;
     }
 
+    /// Messages from an unregistered link are inert, like garbled
+    /// frames from one; an upload claiming another vehicle's identity
+    /// quarantines its sender instead of replacing the victim's upload.
     fn on_message(&mut self, now: VirtualInstant, from: VehicleId, msg: ToServer) -> Vec<Action> {
-        if self.ledger.dead.contains(&from) {
-            return Vec::new(); // late message from a declared-dead vehicle
+        if self.ledger.dead.contains(&from) || !self.server.is_registered(from) {
+            return Vec::new(); // late message from a declared-dead vehicle, or a stranger
+        }
+        if matches!(&msg, ToServer::Upload(up) if up.vehicle != from) {
+            return self.quarantine(now, from);
         }
         let mut actions = Vec::new();
         match self.phase {
@@ -540,7 +504,6 @@ impl ServerCore {
                     for a in batch {
                         if a.vehicle == from && owed.remove(&a.task_id) {
                             self.labeling.answered.insert((from, a.task_id));
-                            self.shards.slot_closed(a.task_id);
                             fresh.push(a);
                         }
                     }
@@ -673,24 +636,12 @@ impl ServerCore {
     /// Declared-dead `v`'s orphans move to the least-loaded survivors;
     /// each recipient gets the batch plus a fresh deadline.
     fn reassign(&mut self, now: VirtualInstant, v: VehicleId, actions: &mut Vec<Action>) {
-        let orphans: Vec<usize> = self
-            .labeling
-            .outstanding
-            .get(&v)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
         self.disarm(v);
         let batches = self
             .labeling
             .reassign_orphans(&self.server, &self.ledger, v);
-        for &task_id in &orphans {
-            self.shards.slot_closed(task_id);
-        }
         let deadline = self.config.tolerance.deadline;
         for (w, tasks) in batches {
-            for task in &tasks {
-                self.shards.slot_opened(task.task_id);
-            }
             actions.push(Action::Send {
                 to: w,
                 msg: ToVehicle::Assign(tasks),
@@ -730,7 +681,6 @@ impl ServerCore {
                 return;
             }
         };
-        self.shards = ShardTable::new(self.server.patterns());
         let deadline = self.config.tolerance.deadline;
         for &v in &alive {
             let tasks = assignments.get(&v).cloned().unwrap_or_default();
@@ -738,9 +688,6 @@ impl ServerCore {
                 self.labeling
                     .outstanding
                     .insert(v, tasks.iter().map(|t| t.task_id).collect());
-                for task in &tasks {
-                    self.shards.slot_opened(task.task_id);
-                }
             }
             actions.push(Action::Send {
                 to: v,
@@ -797,13 +744,10 @@ impl ServerCore {
             let q = self.server.penalize(v, DEAD_RELIABILITY_FACTOR);
             outcome.reliabilities.insert(v, q);
         }
-        let fused = if self.deferred_fusion {
-            Vec::new()
-        } else {
-            self.server
-                .finalize_sharded(self.config.merge_radius, self.config.spammer_cutoff)
-                .to_vec()
-        };
+        let fused = self
+            .server
+            .finalize_sharded(self.config.merge_radius, self.config.spammer_cutoff)
+            .to_vec();
         self.observe_phase("platform.phase.inference_seconds", now);
 
         let reassigned_tasks = self.labeling.reassigned;
@@ -862,15 +806,18 @@ impl ServerCore {
             .set(self.ledger.dead.len() as i64);
         reg.gauge("platform.quorum_margin")
             .set(alive as i64 - quorum_required(total, self.config.tolerance.quorum) as i64);
-        reg.gauge("platform.shards").set(self.shards.len() as i64);
-        if !self.deferred_fusion {
-            let fused_shards: BTreeSet<_> = fused
-                .iter()
-                .map(|ap| self.server.segments().segment_of(ap.position))
-                .collect();
-            reg.gauge("platform.shards.fused")
-                .set(fused_shards.len() as i64);
-        }
+        // Segments holding at least one pattern, then at least one
+        // fused AP.
+        let pattern_shards: BTreeSet<_> =
+            self.server.patterns().iter().map(|p| p.segment).collect();
+        reg.gauge("platform.shards")
+            .set(pattern_shards.len() as i64);
+        let fused_shards: BTreeSet<_> = fused
+            .iter()
+            .map(|ap| self.server.segments().segment_of(ap.position))
+            .collect();
+        reg.gauge("platform.shards.fused")
+            .set(fused_shards.len() as i64);
 
         self.phase = Phase::Done;
         self.finished = true;
@@ -909,7 +856,10 @@ impl ServerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::{MappingAnswer, SensingUpload};
+    use crowdwifi_core::ApEstimate;
     use crowdwifi_geo::{Point, Rect};
+    use std::collections::VecDeque;
 
     fn segments() -> SegmentMap {
         SegmentMap::new(
@@ -922,6 +872,159 @@ mod tests {
         let ids: Vec<VehicleId> = fleet.iter().map(|&v| VehicleId(v)).collect();
         ServerCore::new(segments(), &ids, PlatformConfig::default(), Registry::new())
             .expect("valid core")
+    }
+
+    /// A five-vehicle core that asks three labels per task, so the
+    /// round survives one quarantined vehicle.
+    fn core5() -> ServerCore {
+        let ids: Vec<VehicleId> = (0..5).map(VehicleId).collect();
+        let config = PlatformConfig {
+            workers_per_task: 3,
+            seed: 11,
+            ..PlatformConfig::default()
+        };
+        ServerCore::new(segments(), &ids, config, Registry::new()).expect("valid core")
+    }
+
+    /// An upload claiming to come from `vehicle`, sensing one AP at
+    /// `(x, 30)`.
+    fn upload(vehicle: u32, x: f64) -> SensingUpload {
+        SensingUpload {
+            vehicle: VehicleId(vehicle),
+            estimates: vec![ApEstimate {
+                position: Point::new(x, 30.0),
+                credit: 2.0,
+            }],
+        }
+    }
+
+    fn sent(from: u32, up: SensingUpload) -> Event {
+        Event::Message {
+            now: VirtualInstant::from_micros(1),
+            from: VehicleId(from),
+            msg: ToServer::Upload(up),
+        }
+    }
+
+    /// Every vehicle in `vehicles` uploads its own estimate near x = 40.
+    fn own_uploads(vehicles: std::ops::Range<u32>) -> impl Iterator<Item = Event> {
+        vehicles.map(|v| sent(v, upload(v, 40.0 + f64::from(v))))
+    }
+
+    /// Starts the round, feeds `events` in order and answers every
+    /// assignment with "exists"; returns how the round ended.
+    fn run(c: &mut ServerCore, events: impl IntoIterator<Item = Event>) -> Result<PlatformReport> {
+        let mut queue: VecDeque<Event> = events.into_iter().collect();
+        let mut actions = c.start(VirtualInstant::ZERO);
+        loop {
+            for action in actions {
+                match action {
+                    Action::Send {
+                        to,
+                        msg: ToVehicle::Assign(tasks),
+                    } if !tasks.is_empty() => queue.push_back(Event::Message {
+                        now: VirtualInstant::from_micros(2),
+                        from: to,
+                        msg: ToServer::Answers(
+                            tasks
+                                .iter()
+                                .map(|task| MappingAnswer {
+                                    vehicle: to,
+                                    task_id: task.task_id,
+                                    label: 1,
+                                })
+                                .collect(),
+                        ),
+                    }),
+                    Action::Completed(report) => return Ok(*report),
+                    Action::Failed(e) => return Err(e),
+                    _ => {}
+                }
+            }
+            let event = queue.pop_front().expect("round left undecided");
+            actions = c.handle(event);
+        }
+    }
+
+    #[test]
+    fn replacement_upload_replaces_the_first() {
+        // Vehicle 0 uploads twice while uploads are open; the fused map
+        // must be the one a single upload of the second copy produces.
+        let mut twice = core5();
+        let events = [sent(0, upload(0, 40.0))]
+            .into_iter()
+            .chain(own_uploads(1..4))
+            .chain([sent(0, upload(0, 47.0))])
+            .chain(own_uploads(4..5));
+        let twice = run(&mut twice, events).expect("round completes");
+        let once = |x: f64| {
+            let mut c = core5();
+            let events = [sent(0, upload(0, x))].into_iter().chain(own_uploads(1..5));
+            run(&mut c, events).expect("round completes").fused
+        };
+        assert!(!twice.fused.is_empty());
+        assert_eq!(format!("{:?}", twice.fused), format!("{:?}", once(47.0)));
+        assert_ne!(
+            format!("{:?}", twice.fused),
+            format!("{:?}", once(40.0)),
+            "the two uploads must fuse differently for this test to bite"
+        );
+    }
+
+    #[test]
+    fn upload_under_an_unknown_identity_quarantines_the_sender() {
+        let mut c = core5();
+        let events = [sent(0, upload(99, 40.0))]
+            .into_iter()
+            .chain(own_uploads(1..5));
+        let report = run(&mut c, events).expect("one forged upload must not fail the round");
+        assert_eq!(report.dead_vehicles(), vec![VehicleId(0)]);
+        assert_eq!(report.fates[&VehicleId(0)].fate, VehicleFate::Quarantined);
+    }
+
+    #[test]
+    fn upload_under_another_vehicles_identity_cannot_replace_its_upload() {
+        // Vehicle 0 re-sends as vehicle 1 after vehicle 1's own upload.
+        // The round must end exactly as if vehicle 0 had sent garbage.
+        let mut forged = core5();
+        let events = own_uploads(1..2)
+            .chain([sent(0, upload(1, 200.0))])
+            .chain(own_uploads(2..5));
+        let forged_report = run(&mut forged, events).expect("round completes");
+        let mut garbled = core5();
+        let events = own_uploads(1..2)
+            .chain([Event::Garbled {
+                now: VirtualInstant::from_micros(1),
+                from: VehicleId(0),
+            }])
+            .chain(own_uploads(2..5));
+        let garbled_report = run(&mut garbled, events).expect("round completes");
+
+        assert_eq!(
+            forged.server.upload_of(VehicleId(1)),
+            Some(&upload(1, 41.0))
+        );
+        assert_eq!(
+            forged_report.fates[&VehicleId(0)].fate,
+            VehicleFate::Quarantined
+        );
+        assert!(!forged_report.fused.is_empty());
+        assert_eq!(
+            format!("{:?}", forged_report.fused),
+            format!("{:?}", garbled_report.fused)
+        );
+        assert_eq!(forged.state_digest(), garbled.state_digest());
+    }
+
+    #[test]
+    fn messages_from_an_unregistered_link_are_inert() {
+        let mut c = core5();
+        let _ = c.start(VirtualInstant::ZERO);
+        let before = c.state_digest();
+        for up in [upload(99, 40.0), upload(1, 40.0)] {
+            assert!(c.handle(sent(99, up)).is_empty());
+        }
+        assert_eq!(c.state_digest(), before);
     }
 
     #[test]

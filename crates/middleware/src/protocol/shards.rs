@@ -5,9 +5,6 @@
 //! exactly one segment, and nothing in the round protocol couples two
 //! segments to each other. This module makes that explicit:
 //!
-//! * [`ShardTable`] tracks, per segment, which mapping tasks exist and
-//!   how many label slots are still open, so the core can observe
-//!   independent segments finishing their labeling independently;
 //! * [`fuse_sharded`] runs reliability-weighted fusion *per segment*
 //!   instead of over the whole map — each shard's fusion reads only its
 //!   own estimates, which is the shape a multi-shard server needs;
@@ -16,84 +13,13 @@
 //!   segments advance at their own pace across a campaign.
 
 use crate::messages::{codec_err, wire_capacity};
-use crate::messages::{Pattern, SensingUpload, VehicleId};
+use crate::messages::{SensingUpload, VehicleId};
 use crate::segment::{SegmentId, SegmentMap};
 use crate::wire::{self, WireMessage, WireReader};
 use crate::Result;
 use crowdwifi_crowd::fusion::{fuse_submissions, FusedAp, Submission};
 use crowdwifi_geo::Point;
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Per-segment labeling progress of one round.
-#[derive(Debug, Clone, Default)]
-pub struct ShardTable {
-    shards: BTreeMap<SegmentId, Shard>,
-    task_segment: BTreeMap<usize, SegmentId>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    tasks: BTreeSet<usize>,
-    open_slots: usize,
-}
-
-impl ShardTable {
-    /// Builds the shard table from the round's pattern set: task `i`
-    /// belongs to the segment of pattern `i`.
-    pub fn new(patterns: &[Pattern]) -> Self {
-        let mut table = ShardTable::default();
-        for (task_id, pattern) in patterns.iter().enumerate() {
-            table
-                .shards
-                .entry(pattern.segment)
-                .or_default()
-                .tasks
-                .insert(task_id);
-            table.task_segment.insert(task_id, pattern.segment);
-        }
-        table
-    }
-
-    /// Number of shards (segments with at least one task).
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the table has no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Records one label slot opening for `task_id` (initial assignment
-    /// or reassignment).
-    pub fn slot_opened(&mut self, task_id: usize) {
-        if let Some(seg) = self.task_segment.get(&task_id) {
-            if let Some(shard) = self.shards.get_mut(seg) {
-                shard.open_slots += 1;
-            }
-        }
-    }
-
-    /// Records one label slot closing for `task_id` (answer received,
-    /// or the slot was lost with its vehicle).
-    pub fn slot_closed(&mut self, task_id: usize) {
-        if let Some(seg) = self.task_segment.get(&task_id) {
-            if let Some(shard) = self.shards.get_mut(seg) {
-                shard.open_slots = shard.open_slots.saturating_sub(1);
-            }
-        }
-    }
-
-    /// Shards that still have open label slots.
-    pub fn open_shards(&self) -> usize {
-        self.shards.values().filter(|s| s.open_slots > 0).count()
-    }
-
-    /// Task count per shard, in segment-id order.
-    pub fn task_counts(&self) -> impl Iterator<Item = usize> + '_ {
-        self.shards.values().map(|s| s.tasks.len())
-    }
-}
+use std::collections::BTreeMap;
 
 /// Reliability-weighted fusion run shard by shard: every vehicle's
 /// estimates are bucketed into their road segment, each segment fuses
@@ -285,37 +211,6 @@ mod tests {
                 })
                 .collect(),
         }
-    }
-
-    #[test]
-    fn shard_table_tracks_open_slots_per_segment() {
-        let patterns = vec![
-            Pattern {
-                segment: SegmentId(0),
-                aps: vec![Point::new(10.0, 10.0)],
-            },
-            Pattern {
-                segment: SegmentId(1),
-                aps: vec![Point::new(150.0, 10.0)],
-            },
-            Pattern {
-                segment: SegmentId(0),
-                aps: vec![Point::new(20.0, 20.0)],
-            },
-        ];
-        let mut t = ShardTable::new(&patterns);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.task_counts().collect::<Vec<_>>(), vec![2, 1]);
-        t.slot_opened(0);
-        t.slot_opened(1);
-        assert_eq!(t.open_shards(), 2);
-        t.slot_closed(0);
-        assert_eq!(t.open_shards(), 1);
-        t.slot_closed(1);
-        assert_eq!(t.open_shards(), 0);
-        // Closing an already-closed slot saturates instead of wrapping.
-        t.slot_closed(1);
-        assert_eq!(t.open_shards(), 0);
     }
 
     #[test]

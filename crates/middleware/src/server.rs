@@ -420,14 +420,6 @@ impl CrowdServer {
         &self.fused
     }
 
-    /// Installs an externally computed fused database. Shard
-    /// consolidation uses this to land the cross-shard merge so that
-    /// downloads and state digests match the single-core path byte for
-    /// byte.
-    pub(crate) fn set_fused(&mut self, fused: Vec<FusedAp>) {
-        self.fused = fused;
-    }
-
     /// Serves a user-vehicle download: fused APs within `radius` of
     /// `position`.
     pub fn download(&self, position: Point, radius: f64) -> Vec<FusedAp> {

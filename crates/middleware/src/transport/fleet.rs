@@ -21,22 +21,23 @@
 //! sees the exact event sequence [`SimTransport`](super::SimTransport)
 //! generates, and a same-seed round is byte-identical across the two
 //! backends (state digest, fused map and deterministic projection
-//! alike) for any worker or shard count. Virtual time advances exactly
-//! as in the simulator: only at quiescence, straight to the earliest
-//! armed deadline.
+//! alike) for any worker count. Virtual time advances exactly as in
+//! the simulator: only at quiescence, straight to the earliest armed
+//! deadline.
 //!
-//! The server side is the sharded [`FleetCore`]: control plane intact,
-//! per-segment-shard data cores, cross-shard consolidation at round
-//! close (see [`crate::protocol::fleet`]).
+//! The server side is the same [`ServerCore`] every other backend
+//! drives, fusing per road segment in-line at round close; a durable
+//! round wraps it in a [`DurableRound`]. The worker pool parallelises
+//! the vehicle side only; the core stays single-threaded. Plain and
+//! durable rounds run the same loop and differ only in the host handed
+//! to `fleet_drive`.
 
 use super::sim::{apply, Downlink, QueueSink, ServerQueue, Uplink};
 use super::{panic_message, seal_report, EventHost, Transport};
 use crate::durability::{DurableRound, LogSink};
 use crate::fault::{FaultPlan, FaultTally, LinkDirection};
 use crate::messages::{ToServer, ToVehicle, VehicleId};
-use crate::protocol::{
-    Action, Event, FleetCore, PlatformConfig, PlatformReport, TimerId, VirtualInstant,
-};
+use crate::protocol::{Event, PlatformConfig, PlatformReport, ServerCore, TimerId, VirtualInstant};
 use crate::segment::SegmentMap;
 use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleExit, VehicleStep};
 use crate::wire::{WireDigest, WireMessage};
@@ -49,25 +50,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// Default segment-shard count for the sharded server core.
-const DEFAULT_SHARDS: usize = 8;
-
 /// The fleet-scale backend: a batched event loop over a clamped worker
-/// pool driving a sharded [`FleetCore`].
+/// pool driving a [`ServerCore`].
 #[derive(Debug, Clone, Copy)]
 pub struct FleetTransport {
     workers: usize,
-    shards: usize,
 }
 
 impl FleetTransport {
     /// A transport with the auto-detected worker budget (the
     /// `CROWDWIFI_THREADS` resolution rules, clamped to detected
-    /// parallelism) and the default shard count.
+    /// parallelism).
     pub fn new() -> Self {
         FleetTransport {
             workers: clamp_workers(0),
-            shards: DEFAULT_SHARDS,
         }
     }
 
@@ -80,29 +76,16 @@ impl FleetTransport {
         self
     }
 
-    /// Overrides the segment-shard count of the server core (clamped to
-    /// at least one). Shard count never changes round results, only how
-    /// the data plane is partitioned.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// The effective (post-clamp) worker budget; benches record this
     /// under `machine.worker_budget`.
     pub fn worker_budget(&self) -> usize {
         self.workers
     }
 
-    /// The segment-shard count in force.
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
-    /// Runs one faulted round and returns the report plus the sharded
-    /// core's final [`state_digest`](crate::protocol::ServerCore::state_digest)
-    /// extended with a [`WireDigest`] over the binary uplink frames, for
-    /// byte-for-byte comparison against
+    /// Runs one faulted round and returns the report plus the core's
+    /// final [`state_digest`](ServerCore::state_digest) extended with a
+    /// [`WireDigest`] over the binary uplink frames, for byte-for-byte
+    /// comparison against
     /// [`sim_round_with_digest`](super::sim_round_with_digest).
     ///
     /// # Errors
@@ -116,14 +99,7 @@ impl FleetTransport {
         plan: &FaultPlan,
     ) -> Result<(PlatformReport, String)> {
         let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
-        let mut core = FleetCore::new(
-            segments.clone(),
-            &ids,
-            config,
-            Registry::new(),
-            self.shards,
-            self.workers,
-        )?;
+        let mut core = ServerCore::new(segments.clone(), &ids, config, Registry::new())?;
         plan.validate()?;
         let tally = Arc::new(FaultTally::new());
         let mut wire = WireDigest::new();
@@ -167,10 +143,6 @@ impl Transport for FleetTransport {
         plan: &FaultPlan,
         wal: &mut dyn LogSink,
     ) -> Result<PlatformReport> {
-        // The durable host wraps an unsharded core: WAL replay must
-        // rebuild byte-identical state under the logged config, and the
-        // log format knows nothing about shard layouts. The batched
-        // vehicle loop still applies.
         let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
         plan.validate()?;
         let tally = Arc::new(FaultTally::new());
@@ -193,20 +165,6 @@ impl Transport for FleetTransport {
             self.workers,
             &mut wire,
         )
-    }
-}
-
-impl EventHost for FleetCore {
-    fn begin(&mut self) -> Result<Vec<Action>> {
-        Ok(self.start(VirtualInstant::ZERO))
-    }
-
-    fn handle(&mut self, event: Event) -> Result<Vec<Action>> {
-        Ok(FleetCore::handle(self, event))
-    }
-
-    fn registry(&self) -> Registry {
-        self.registry_handle()
     }
 }
 
@@ -568,6 +526,5 @@ mod tests {
         assert_eq!(clamp_workers(1), 1);
         let t = FleetTransport::new().with_workers(usize::MAX);
         assert_eq!(t.worker_budget(), detected);
-        assert_eq!(FleetTransport::new().with_shards(0).shard_count(), 1);
     }
 }

@@ -14,14 +14,17 @@
 //!   rounds/sec benchmarking practical.
 //! * [`FleetTransport`] — the fleet-scale engine: vehicle sessions are
 //!   batched state machines multiplexed over a clamped worker pool
-//!   (not one thread or inline drain per vehicle), and the server is
-//!   the segment-sharded [`crate::protocol::FleetCore`]. Same virtual
-//!   clock, same fault layer, byte-identical same-seed rounds to
+//!   (not one thread or inline drain per vehicle). Same virtual clock,
+//!   same fault layer, byte-identical same-seed rounds to
 //!   [`SimTransport`] at 10k–100k vehicles.
 //!
 //! All backends wrap every link in the same [`crate::fault`] layer and
-//! drive the same core, so a given seed + fault plan yields the same
-//! [`PlatformReport::deterministic`] projection on any of them.
+//! drive the same [`ServerCore`] (bare, or inside the durability
+//! layer's crash-injecting host), so a given seed + fault plan yields
+//! the same [`PlatformReport::deterministic`] projection on any of
+//! them. [`SimTransport`] stays as the independent reference: with the
+//! core shared, comparing it against [`FleetTransport`] isolates
+//! exactly the fleet engine's batched vehicle loop.
 
 mod fleet;
 mod sim;

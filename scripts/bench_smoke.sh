@@ -152,7 +152,7 @@ if [ "$run_fleet" -eq 1 ]; then
 # shared runner while still catching the engine going quadratic.
 gate "fleet vehicle-rounds/hour" "$(num "$F" headline_vehicle_rounds_per_hour)" ">=" 1000000
 # The bench refuses to time anything unless a small fleet on the
-# batched sharded engine was byte-identical to the reference simulator;
+# batched fleet engine was byte-identical to the reference simulator;
 # the written flag records that the assertion ran.
 if ! grep -q '"digest_match": true' "$F"; then
     echo "FAIL: fleet round not byte-identical to the reference simulator" >&2

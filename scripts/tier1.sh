@@ -11,10 +11,11 @@ cargo fmt --all --check
 cargo build --release --workspace
 cargo build --release --examples
 
-# The sans-I/O protocol core must stay pure: no threads, channels or
-# wall clocks — those belong to the transport drivers. Grep keeps this
-# honest because the compiler can't.
-if grep -RnE 'std::thread|crossbeam|Instant::now|std::time::Instant|thread::sleep|SystemTime' \
+# The sans-I/O protocol core must stay pure: no threads (spawned
+# directly or through the `par_map` pool), channels or wall clocks —
+# those belong to the transport drivers. Grep keeps this honest because
+# the compiler can't.
+if grep -RnE 'std::thread|par_map|crossbeam|Instant::now|std::time::Instant|thread::sleep|SystemTime' \
     crates/middleware/src/protocol/; then
     echo "tier1: FAILED — I/O or wall-clock primitive in the sans-I/O protocol core" >&2
     exit 1

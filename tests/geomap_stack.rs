@@ -83,7 +83,7 @@ fn campaign_rounds_drain_into_the_map_through_the_sink() {
     let map = Arc::new(GeoMap::new(MapConfig::new(area())).unwrap());
     let mut sink = GeoMapSink::new(Arc::clone(&map), period);
     let outcome = run_campaign_with_faults_into(
-        &FleetTransport::new().with_shards(2).with_workers(2),
+        &FleetTransport::new().with_workers(2),
         SegmentMap::new(area(), 150.0),
         vec![fleet(3), fleet(4)],
         config(),

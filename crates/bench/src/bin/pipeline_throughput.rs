@@ -20,8 +20,9 @@
 //!    on, with support preservation asserted.
 //! 5. **Kernel acceleration** — the accelerated drive on the scalar
 //!    kernels + unfused factorization (the PR 5 compute path) vs the
-//!    vectorized kernels + single-SVD fused factorization, again with
-//!    support preservation asserted.
+//!    vectorized kernels + fused Gram-whitening factorization (pivoted
+//!    Cholesky plus one CholeskyQR pass), again with support
+//!    preservation asserted.
 //!
 //! Writes `BENCH_pipeline.json` at the repo root, including the machine
 //! topology so single-core runs read honestly (the thread sweep cannot
@@ -391,10 +392,10 @@ fn main() {
     // Same accelerated drive, two compute layers: the baseline leg pins
     // the scalar (seed-exact) kernels and the unfused MGS-orth +
     // pseudo-inverse factorization; the new leg runs the unrolled
-    // kernels with the single-SVD fused factorization. The kernels are
-    // bit-identical by construction and the fused factorization spans
-    // the same row space, so both legs must recover the same AP set —
-    // asserted, then recorded as kernel_support_identical.
+    // kernels with the fused Gram-whitening factorization. The kernels
+    // are bit-identical by construction and the fused factorization
+    // spans the same row space, so both legs must recover the same AP
+    // set — asserted, then recorded as kernel_support_identical.
     let kernel_base_pipe = fista_pipe(accel_cfg).with_fused_factorization(false);
     kernels::set_mode(Some(Mode::Scalar));
     let kernel_base_report = kernel_base_pipe
@@ -460,7 +461,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 7,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_accel\": {{\"baseline_iterations\": {base_iters}, \"accel_iterations\": {accel_iters}, \"iteration_reduction\": {iter_reduction:.3}, \"baseline_solves\": {}, \"accel_solves\": {}, \"screened_cols\": {}, \"iterations_saved\": {}, \"warm_seeded\": {}, \"baseline_unconverged\": {}, \"accel_unconverged\": {}, \"baseline_ms\": {:.1}, \"accel_ms\": {:.1}, \"wall_speedup\": {:.3}, \"support_identical\": true}},\n  \"kernel_accel\": {{\"kernel_baseline_ms\": {:.1}, \"kernel_accel_ms\": {:.1}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_support_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_accel and kernel_accel are the machine-independent algorithmic gains over the seed implementation. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_accel compares one full drive with the acceleration layer (gap-safe screening, duality-gap stops, cross-window warm starts, Gram caching) off vs on: iteration_reduction is the cut in total l1 iterations, and support_identical records the in-bench assertion that both runs recover the same AP set. kernel_accel compares the same accelerated drive on the PR 5 compute path (scalar kernels, MGS orthogonalization + pseudo-inverse) vs the current one (row-blocked vectorized kernels, single-SVD fused factorization): the kernels are bit-identical to the scalar reference, the fused factorization spans the same row space, and kernel_support_identical records the in-bench assertion that both legs recover the same AP set.\"\n}}\n",
+        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 7,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_accel\": {{\"baseline_iterations\": {base_iters}, \"accel_iterations\": {accel_iters}, \"iteration_reduction\": {iter_reduction:.3}, \"baseline_solves\": {}, \"accel_solves\": {}, \"screened_cols\": {}, \"iterations_saved\": {}, \"warm_seeded\": {}, \"baseline_unconverged\": {}, \"accel_unconverged\": {}, \"baseline_ms\": {:.1}, \"accel_ms\": {:.1}, \"wall_speedup\": {:.3}, \"support_identical\": true}},\n  \"kernel_accel\": {{\"kernel_baseline_ms\": {:.1}, \"kernel_accel_ms\": {:.1}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_support_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_accel and kernel_accel are the machine-independent algorithmic gains over the seed implementation. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_accel compares one full drive with the acceleration layer (gap-safe screening, duality-gap stops, cross-window warm starts, Gram caching) off vs on: iteration_reduction is the cut in total l1 iterations, and support_identical records the in-bench assertion that both runs recover the same AP set. kernel_accel compares the same accelerated drive on the PR 5 compute path (scalar kernels, MGS orthogonalization + pseudo-inverse) vs the current one (row-blocked vectorized kernels, fused pivoted-Cholesky whitening with one CholeskyQR pass, no SVD): the kernels are bit-identical to the scalar reference, the fused factorization spans the same row space, and kernel_support_identical records the in-bench assertion that both legs recover the same AP set.\"\n}}\n",
         readings.len(),
         cfg.window.size,
         cfg.window.step,

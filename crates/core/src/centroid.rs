@@ -108,11 +108,19 @@ pub fn candidate_modes(
     }
     let zeta = rel_threshold * max;
     let dominant: Vec<usize> = (0..theta.len()).filter(|&n| theta[n] >= zeta).collect();
-    // Hoist the dominant positions out of the O(d²) linking loop below
-    // (grid.point recomputes coordinates from the index on every call).
     let dom_pts: Vec<Point> = dominant.iter().map(|&n| grid.point(n)).collect();
+    // Grid index → position in `dominant` (`usize::MAX` when not
+    // dominant), so linking probes only lattice neighbours.
+    let mut slot = vec![usize::MAX; theta.len()];
+    for (i, &n) in dominant.iter().enumerate() {
+        slot[n] = i;
+    }
 
-    // Union-find over dominant points linked within `link_radius`.
+    // Union-find over dominant points linked within `link_radius`. Only
+    // the lattice offsets of `link_offsets` can pass the distance test,
+    // and they are probed in grid-index order, so the linked pairs
+    // `(i, j > i)` are visited in exactly the order of an all-pairs
+    // scan and the components come out identical.
     let mut parent: Vec<usize> = (0..dominant.len()).collect();
     fn find(parent: &mut Vec<usize>, i: usize) -> usize {
         if parent[i] != i {
@@ -121,9 +129,17 @@ pub fn candidate_modes(
         }
         parent[i]
     }
-    for i in 0..dominant.len() {
-        for j in (i + 1)..dominant.len() {
-            if dom_pts[i].distance(dom_pts[j]) <= link_radius {
+    let (nx, ny) = (grid.nx() as isize, grid.ny() as isize);
+    let offsets = link_offsets(grid.lattice(), link_radius, nx.max(ny));
+    for (i, &n) in dominant.iter().enumerate() {
+        let (cx, cy) = ((n % grid.nx()) as isize, (n / grid.nx()) as isize);
+        for &(dx, dy) in &offsets {
+            let (x, y) = (cx + dx, cy + dy);
+            if x < 0 || x >= nx || y >= ny {
+                continue;
+            }
+            let j = slot[(y * nx + x) as usize];
+            if j != usize::MAX && dom_pts[i].distance(dom_pts[j]) <= link_radius {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
                     parent[ri] = rj;
@@ -160,6 +176,36 @@ pub fn candidate_modes(
     });
     modes.truncate(max_modes);
     modes
+}
+
+/// Lattice offsets `(dx, dy)` to later grid cells (`dy > 0`, or
+/// `dy = 0` and `dx > 0`) whose points can lie within `link_radius`, in
+/// grid-index order. Point coordinates are `min + (i + ½)·lattice`, so
+/// a pair's computed separation differs from `|d|·lattice` per axis
+/// only by coordinate round-off; the `slack` keeps every offset that
+/// round-off could bring inside the radius. Offsets stop at `max_reach`
+/// cells, the grid's larger dimension.
+fn link_offsets(lattice: f64, link_radius: f64, max_reach: isize) -> Vec<(isize, isize)> {
+    if !(link_radius >= 0.0) {
+        return Vec::new();
+    }
+    let slack = 1e-6 * lattice;
+    let near = |d: isize| (d.unsigned_abs() as f64 * lattice - slack).max(0.0);
+    let radius2 = link_radius * link_radius;
+    let reach = ((link_radius / lattice).floor() as isize)
+        .saturating_add(1)
+        .min(max_reach);
+    let mut offsets = Vec::new();
+    for dy in 0..=reach {
+        let x_from = if dy == 0 { 1 } else { -reach };
+        for dx in x_from..=reach {
+            let (ex, ey) = (near(dx), near(dy));
+            if ex * ex + ey * ey <= radius2 {
+                offsets.push((dx, dy));
+            }
+        }
+    }
+    offsets
 }
 
 #[cfg(test)]
@@ -247,5 +293,81 @@ mod tests {
         let modes = candidate_modes(&theta, &g, 0.3, 5.0, 2);
         assert_eq!(modes.len(), 2);
         assert!(candidate_modes(&vec![0.0; g.len()], &g, 0.3, 5.0, 3).is_empty());
+    }
+
+    /// The all-pairs linking the lattice-local probe replaces.
+    fn all_pairs_components(theta: &[f64], g: &Grid, zeta: f64, link: f64) -> Vec<Vec<usize>> {
+        let dominant: Vec<usize> = (0..theta.len()).filter(|&n| theta[n] >= zeta).collect();
+        let mut comp: Vec<usize> = (0..dominant.len()).collect();
+        for i in 0..dominant.len() {
+            for j in (i + 1)..dominant.len() {
+                if g.point(dominant[i]).distance(g.point(dominant[j])) <= link {
+                    let (a, b) = (comp[i], comp[j]);
+                    for c in comp.iter_mut() {
+                        if *c == a {
+                            *c = b;
+                        }
+                    }
+                }
+            }
+        }
+        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+        for (i, &c) in comp.iter().enumerate() {
+            groups.entry(c).or_default().push(dominant[i]);
+        }
+        let mut out: Vec<Vec<usize>> = groups.into_values().collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn lattice_local_linking_matches_all_pairs() {
+        // An off-origin, non-square lattice with a link radius that
+        // lands exactly on lattice distances (2 cells) and between them.
+        let g = Grid::new(
+            Rect::new(Point::new(-313.7, 91.3), Point::new(-113.7, 211.3)).unwrap(),
+            8.0,
+        )
+        .unwrap();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for case in 0..40 {
+            let theta: Vec<f64> = (0..g.len())
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                    if u < 0.15 + 0.02 * (case % 10) as f64 {
+                        u
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let link = [16.0, 8.0, 11.3, 24.5, 0.0][case % 5];
+            let max = theta.iter().cloned().fold(0.0_f64, f64::max);
+            let expected = all_pairs_components(&theta, &g, 0.3 * max, link);
+            let modes = candidate_modes(&theta, &g, 0.3, link, usize::MAX);
+            assert_eq!(modes.len(), expected.len(), "case {case}");
+            let mut want: Vec<CentroidEstimate> = expected
+                .iter()
+                .map(|comp| {
+                    let pts: Vec<Point> = comp.iter().map(|&n| g.point(n)).collect();
+                    let ws: Vec<f64> = comp.iter().map(|&n| theta[n]).collect();
+                    CentroidEstimate {
+                        position: weighted_centroid(&pts, &ws).unwrap(),
+                        mass: ws.iter().sum(),
+                    }
+                })
+                .collect();
+            want.sort_by(|a, b| {
+                b.mass
+                    .partial_cmp(&a.mass)
+                    .unwrap()
+                    .then(a.position.x.partial_cmp(&b.position.x).unwrap())
+                    .then(a.position.y.partial_cmp(&b.position.y).unwrap())
+            });
+            assert_eq!(modes, want, "case {case}");
+        }
     }
 }

@@ -29,12 +29,22 @@
 //! | `pipeline.consolidation_merges` | counter | estimates merged into an existing location |
 //! | `pipeline.consolidation_new` | counter | estimates that opened a new location |
 //! | `pipeline.round_seconds` | timer | wall-clock per processed round |
+//! | `pipeline.prepare_seconds` | timer | per round: building the window's sensing workspace (distances, signatures, reach bitsets) |
+//! | `pipeline.factorize_seconds` | timer | per round: column normalization plus the Proposition-1 whitening of every group solved |
+//! | `pipeline.solve_seconds` | timer | per round: the ℓ1 solves of every group, fallbacks included |
+//! | `pipeline.debias_seconds` | timer | per round: matched-filter debias and grid scatter of every group solved |
+//! | `pipeline.modes_seconds` | timer | per round: candidate-mode extraction (mode-memo misses) |
+//!
+//! The four recovery-stage timers sum the time of every thread that
+//! worked on the round, so with a parallel hypothesis fan-out they are
+//! CPU time and can exceed `round_seconds`. Hypothesis scoring, global
+//! refinement and position polishing are not split out yet.
 //!
 //! Memo hits/solves are exact totals but scheduling-dependent with more
 //! than one worker thread (see [`crate::recovery::SensingStats`]); pin
 //! `threads: 1` when a byte-identical snapshot matters.
 
-use crate::recovery::SensingStats;
+use crate::recovery::{SensingStats, StageTimes};
 use crate::select::RoundEstimate;
 use crowdwifi_obs::{Counter, Histogram, Registry};
 
@@ -62,6 +72,11 @@ pub struct PipelineInstruments {
     merges: Counter,
     new_estimates: Counter,
     round_time: Histogram,
+    prepare_time: Histogram,
+    factorize_time: Histogram,
+    solve_time: Histogram,
+    debias_time: Histogram,
+    modes_time: Histogram,
 }
 
 impl PipelineInstruments {
@@ -85,14 +100,24 @@ impl PipelineInstruments {
             merges: registry.counter("pipeline.consolidation_merges"),
             new_estimates: registry.counter("pipeline.consolidation_new"),
             round_time: registry.timer("pipeline.round_seconds"),
+            prepare_time: registry.timer("pipeline.prepare_seconds"),
+            factorize_time: registry.timer("pipeline.factorize_seconds"),
+            solve_time: registry.timer("pipeline.solve_seconds"),
+            debias_time: registry.timer("pipeline.debias_seconds"),
+            modes_time: registry.timer("pipeline.modes_seconds"),
         }
     }
 
     /// Binds all pipeline metrics in the process-wide
     /// [`crowdwifi_obs::global`] registry (the default for
-    /// [`crate::OnlineCs`]).
+    /// [`crate::OnlineCs`]). The handles are looked up once per process
+    /// and cloned after that: the global registry's cells live as long
+    /// as the process, and fleets build one estimator per vehicle.
     pub fn global() -> Self {
-        Self::from_registry(crowdwifi_obs::global())
+        static GLOBAL: std::sync::OnceLock<PipelineInstruments> = std::sync::OnceLock::new();
+        GLOBAL
+            .get_or_init(|| Self::from_registry(crowdwifi_obs::global()))
+            .clone()
     }
 
     /// Starts the per-round span timer.
@@ -121,6 +146,16 @@ impl PipelineInstruments {
         self.screened_cols.add(stats.screened_cols);
         self.iterations_saved.add(stats.iterations_saved);
         self.warm_seeded.add(stats.warm_seeded);
+    }
+
+    /// Records one round's stage breakdown: the workspace preparation
+    /// time plus the window's accumulated recovery-stage times.
+    pub(crate) fn record_stages(&self, prepare: std::time::Duration, stages: &StageTimes) {
+        self.prepare_time.observe_duration(prepare);
+        self.factorize_time.observe_duration(stages.factorize);
+        self.solve_time.observe_duration(stages.solve);
+        self.debias_time.observe_duration(stages.debias);
+        self.modes_time.observe_duration(stages.modes);
     }
 
     /// Records one consolidation step: `merged` locations folded into
@@ -171,6 +206,14 @@ mod tests {
         inst.record_round(Some(&est), &stats);
         inst.record_round(None, &SensingStats::default());
         inst.record_consolidation(1, 3);
+        let ms = std::time::Duration::from_millis;
+        let stages = StageTimes {
+            factorize: ms(4),
+            solve: ms(3),
+            debias: ms(2),
+            modes: ms(1),
+        };
+        inst.record_stages(ms(5), &stages);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["pipeline.windows_processed"], 2);
         assert_eq!(snap.counters["pipeline.windows_empty"], 1);
@@ -186,5 +229,16 @@ mod tests {
         assert_eq!(snap.counters["pipeline.consolidation_merges"], 1);
         assert_eq!(snap.counters["pipeline.consolidation_new"], 2);
         assert_eq!(snap.histograms["pipeline.round_winner_k"].count, 1);
+        for (stage, secs) in [
+            ("prepare", 0.005),
+            ("factorize", 0.004),
+            ("solve", 0.003),
+            ("debias", 0.002),
+            ("modes", 0.001),
+        ] {
+            let h = &snap.histograms[&format!("pipeline.{stage}_seconds")];
+            assert_eq!(h.count, 1, "{stage}");
+            assert!((h.sum - secs).abs() < 1e-12, "{stage}: {}", h.sum);
+        }
     }
 }

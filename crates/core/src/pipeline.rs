@@ -164,9 +164,11 @@ impl OnlineCs {
     /// Overrides the window-factorization strategy of the inner
     /// recovery engine (see
     /// [`CsRecovery::with_fused_factorization`]); `true` (the default)
-    /// folds orthogonalization and pseudo-inversion into one SVD. An
-    /// A/B hook for the throughput bench's `kernel_accel` section —
-    /// both settings recover the same support.
+    /// whitens each group's sensing matrix from its small Gram matrix
+    /// (pivoted Cholesky plus one CholeskyQR pass, no SVD), `false`
+    /// runs Gram–Schmidt plus an SVD pseudo-inverse. An A/B hook for the
+    /// throughput bench's `kernel_accel` section — both settings pose
+    /// the same ℓ1 program and recover the same support.
     pub fn with_fused_factorization(mut self, fused: bool) -> Self {
         self.recovery = self.recovery.with_fused_factorization(fused);
         self
@@ -217,10 +219,12 @@ impl OnlineCs {
         let positions: Vec<Point> = round.iter().map(|r| r.position).collect();
         let grid =
             Grid::from_reference_points(&positions, self.config.radio_range, self.config.lattice)?;
+        let prepare_start = std::time::Instant::now();
         let sensing = match warm.as_deref() {
             Some(w) => self.recovery.prepare_window_seeded(&grid, round, w),
             None => self.recovery.prepare_window(&grid, round),
         };
+        let prepare = prepare_start.elapsed();
         let span = self.instruments.round_span();
         let est = estimate_round(
             round,
@@ -236,6 +240,8 @@ impl OnlineCs {
         span.finish();
         let stats = sensing.stats();
         self.instruments.record_round(est.as_ref(), &stats);
+        self.instruments
+            .record_stages(prepare, &sensing.stage_times());
         if let Some(w) = warm {
             w.absorb(&grid, &sensing);
         }

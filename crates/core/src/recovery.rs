@@ -17,24 +17,29 @@
 //!   of the readings' range disks cannot carry mass and are dropped
 //!   before the solve, which both sharpens and accelerates recovery.
 //!
-//! The orthogonalization follows Proposition 1 exactly: with
-//! `Q = orth(Aᵀ)ᵀ` and `T = Q A†`, the transformed system
-//! `y' = T y = Q θ + ε'` has orthonormal rows, restoring the incoherence
-//! ℓ1 recovery needs (and, as a bonus, giving the proximal solver a unit
-//! Lipschitz constant).
+//! The orthogonalization follows Proposition 1: with `Q` an orthonormal
+//! basis of `A`'s row space and `y'` chosen so that `Qᵀ y' = A† y`, the
+//! transformed system `y' = Q θ + ε'` has orthonormal rows, restoring
+//! the incoherence ℓ1 recovery needs (and, as a bonus, giving the
+//! proximal solver a unit Lipschitz constant). The default route builds
+//! `Q` and `y'` from a pivoted Cholesky of the small `m × m` Gram matrix
+//! `A Aᵀ` plus one CholeskyQR re-orthogonalization pass
+//! ([`crowdwifi_linalg::whiten`]) — no per-group SVD.
 
 use crate::{CoreError, Result};
 use crowdwifi_channel::{PathLossModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
 use crowdwifi_linalg::qr::orth;
 use crowdwifi_linalg::svd::pseudo_inverse;
-use crowdwifi_linalg::{Matrix, Svd};
+use crowdwifi_linalg::whiten::whiten;
+use crowdwifi_linalg::Matrix;
 use crowdwifi_sparsesolve::{
     ActiveSet, AnySolver, Fista, Recovery, SolverWorkspace, SparseRecovery,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Cumulative memo and solver statistics of one [`WindowSensing`]
 /// workspace, read with [`WindowSensing::stats`].
@@ -84,6 +89,22 @@ impl SensingStats {
         self.iterations_saved += other.iterations_saved;
         self.warm_seeded += other.warm_seeded;
     }
+}
+
+/// Cumulative wall time one [`WindowSensing`] workspace spent in each
+/// stage of its group recoveries, read with
+/// [`WindowSensing::stage_times`]. Summed over every thread that
+/// recovered a group of the window, so it is CPU time, not elapsed time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StageTimes {
+    /// Column normalization plus the Proposition-1 factorization.
+    pub factorize: Duration,
+    /// The ℓ1 solves, including any FISTA fallback.
+    pub solve: Duration,
+    /// Matched-filter debias and the scatter back to the grid.
+    pub debias: Duration,
+    /// Candidate-mode extraction (memo misses only).
+    pub modes: Duration,
 }
 
 /// Solver-acceleration switches threaded from [`crate::OnlineCsConfig`]
@@ -266,9 +287,10 @@ pub struct WindowSensing {
     reach: Vec<u64>,
     /// Words per column of `reach`.
     reach_words: usize,
-    /// `m × n` floor-shifted model RSS, evaluated only where the grid
-    /// point is within radio range of the reading (zero elsewhere —
-    /// pruning never reads those entries).
+    /// `n × m` floor-shifted model RSS, one row per grid point (row `j`
+    /// is column `j` of the window's sensing matrix), evaluated only
+    /// where the grid point is within radio range of the reading (zero
+    /// elsewhere — pruning never reads those entries).
     sig: Matrix,
     /// Floor-shifted observed RSS per reading.
     shifted_rss: Vec<f64>,
@@ -299,6 +321,9 @@ pub struct WindowSensing {
     iterations_saved: AtomicU64,
     /// Solves seeded from the warm-start field.
     warm_seeded: AtomicU64,
+    /// Nanoseconds per [`StageTimes`] stage: factorize, solve, debias,
+    /// modes.
+    stage_ns: [AtomicU64; 4],
 }
 
 /// One memoized group recovery: the debiased grid indicator handed to
@@ -313,12 +338,12 @@ struct MemoEntry {
 impl WindowSensing {
     /// Number of readings this workspace was prepared for.
     pub fn readings(&self) -> usize {
-        self.sig.rows()
+        self.sig.cols()
     }
 
     /// Number of grid points this workspace was prepared for.
     pub fn grid_len(&self) -> usize {
-        self.sig.cols()
+        self.sig.rows()
     }
 
     /// Number of distinct group recoveries cached so far.
@@ -350,7 +375,9 @@ impl WindowSensing {
         {
             return modes.clone();
         }
+        let start = Instant::now();
         let modes = compute();
+        self.add_stage_time(3, start.elapsed());
         self.modes_memo
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -371,6 +398,22 @@ impl WindowSensing {
             iterations_saved: self.iterations_saved.load(Ordering::Relaxed),
             warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
         }
+    }
+
+    /// Cumulative per-stage recovery time (see [`StageTimes`]).
+    pub fn stage_times(&self) -> StageTimes {
+        let ns = |i: usize| Duration::from_nanos(self.stage_ns[i].load(Ordering::Relaxed));
+        StageTimes {
+            factorize: ns(0),
+            solve: ns(1),
+            debias: ns(2),
+            modes: ns(3),
+        }
+    }
+
+    fn add_stage_time(&self, stage: usize, elapsed: Duration) {
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.stage_ns[stage].fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Whether this window was prepared with a warm-start field.
@@ -445,22 +488,25 @@ impl CsRecovery {
 
     /// Selects how the Proposition-1 operator is built (default: fused).
     ///
-    /// The fused path runs **one** SVD of the normalized sensing matrix
-    /// and reads both pieces off it — `Q = V_rᵀ` (an orthonormal row
-    /// basis of the row space) and `y' = Q A† y = Σ_r⁻¹ U_rᵀ y` — where
-    /// the unfused path pays a Gram–Schmidt orthogonalization *plus* a
-    /// separate SVD for `A†` *plus* an `r × pruned-N × m` matmul for
-    /// `T = Q A†`. Both produce an orthonormal row basis of the same
-    /// row space, so the ℓ1 program (and its recovered support) is the
-    /// same; only the basis rotation — and hence the exact float path —
-    /// differs. The unfused path is kept for the kernel-acceleration
-    /// bench baseline and the support-equivalence tests.
+    /// The fused path whitens the normalized sensing matrix from its
+    /// small `m × m` Gram matrix ([`crowdwifi_linalg::whiten`]): a
+    /// pivoted Cholesky with the `√ε·σ_max` rank rule in squared form,
+    /// `Q = C⁻¹ A_S` on the pivot rows, `y'` the least-squares solution
+    /// of `L z = y`, and one CholeskyQR pass that brings `Q`'s rows
+    /// orthonormal to round-off. The unfused path pays a Gram–Schmidt
+    /// orthogonalization *plus* an SVD for `A†` *plus* an
+    /// `r × pruned-N × m` matmul for `T = Q A†`. Both produce an
+    /// orthonormal row basis of the same row space, so the ℓ1 program
+    /// (and its recovered support) is the same; only the basis rotation
+    /// — and hence the exact float path — differs. The unfused path is
+    /// kept for the kernel-acceleration bench baseline and the
+    /// support-equivalence tests.
     pub fn with_fused_factorization(mut self, fused: bool) -> Self {
         self.fused_factorization = fused;
         self
     }
 
-    /// Whether the fused one-SVD factorization is active.
+    /// Whether the fused Gram-whitening factorization is active.
     pub fn fused_factorization(&self) -> bool {
         self.fused_factorization
     }
@@ -563,16 +609,17 @@ impl CsRecovery {
             return Ok(vec![0.0; n]);
         }
 
-        // A over the pruned columns; y shifted to the same origin.
+        // A over the pruned columns, one row per column; y shifted to
+        // the same origin.
         let m = positions.len();
-        let a_raw = Matrix::from_fn(m, candidates.len(), |i, jc| {
+        let cols = Matrix::from_fn(candidates.len(), m, |jc, i| {
             self.shifted_model_rss(positions[i], grid.point(candidates[jc]))
         });
         let y: Vec<f64> = rss_dbm
             .iter()
             .map(|&r| (r - self.floor_dbm).max(0.0))
             .collect();
-        Ok(self.solve_pruned(&a_raw, &y, &candidates, n, None)?.theta)
+        Ok(self.solve_pruned(&cols, &y, &candidates, n, None)?.theta)
     }
 
     /// Precomputes the window-wide distance and signature matrices (and
@@ -589,14 +636,14 @@ impl CsRecovery {
         let n = grid.len();
         let reach_words = m.div_ceil(64);
         let mut reach = vec![0_u64; n * reach_words];
-        let mut sig = Matrix::zeros(m, n);
+        let mut sig = Matrix::zeros(n, m);
         for (i, reading) in readings.iter().enumerate() {
             for j in 0..n {
                 let d = reading.position.distance(grid.point(j));
                 if d <= self.radio_range {
                     // The same distance and model call as the direct
                     // path, so a workspace recovery is bit-identical.
-                    sig.set(i, j, (self.pathloss.mean_rss(d) - self.floor_dbm).max(0.0));
+                    sig.set(j, i, (self.pathloss.mean_rss(d) - self.floor_dbm).max(0.0));
                     reach[j * reach_words + i / 64] |= 1 << (i % 64);
                 }
             }
@@ -622,6 +669,7 @@ impl CsRecovery {
             screened_cols: AtomicU64::new(0),
             iterations_saved: AtomicU64::new(0),
             warm_seeded: AtomicU64::new(0),
+            stage_ns: Default::default(),
         }
     }
 
@@ -689,16 +737,23 @@ impl CsRecovery {
         let (theta, raw, solve_stats) = if candidates.is_empty() {
             (vec![0.0; n], vec![0.0; n], None)
         } else {
-            let a_raw = Matrix::from_fn(idx.len(), candidates.len(), |r, jc| {
-                sensing.sig.get(idx[r], candidates[jc])
-            });
+            let mut cols = Vec::with_capacity(candidates.len() * idx.len());
+            for &j in &candidates {
+                let sig = sensing.sig.row(j);
+                cols.extend(idx.iter().map(|&i| sig[i]));
+            }
+            let cols = Matrix::from_vec(candidates.len(), idx.len(), cols)
+                .expect("one entry per (candidate, reading)");
             let y: Vec<f64> = idx.iter().map(|&i| sensing.shifted_rss[i]).collect();
             let warm = if self.accel.warm_start {
                 sensing.warm_field.as_deref()
             } else {
                 None
             };
-            let solve = self.solve_pruned(&a_raw, &y, &candidates, n, warm)?;
+            let solve = self.solve_pruned(&cols, &y, &candidates, n, warm)?;
+            for (stage, elapsed) in solve.stage_times.into_iter().enumerate() {
+                sensing.add_stage_time(stage, elapsed);
+            }
             let stats = (
                 solve.iterations,
                 solve.converged,
@@ -833,29 +888,52 @@ impl CsRecovery {
         }
     }
 
+    /// The system the ℓ1 solver sees for the column-normalized `a`: the
+    /// Proposition-1 operator and observation, or `(a, y)` itself when
+    /// orthogonalization is off.
+    fn prop1_operator(&self, a: Matrix, y: &[f64]) -> Result<(Matrix, Vec<f64>)> {
+        if !self.orthogonalize {
+            return Ok((a, y.to_vec()));
+        }
+        if self.fused_factorization {
+            // Fused Proposition 1: whiten A from its m × m Gram matrix —
+            // pivoted Cholesky under the √ε·σ_max rank rule (squared:
+            // pivots above ε·λ_max(AAᵀ)), Q = C⁻¹ A_S on the pivot rows,
+            // y' = L⁺ y, then one CholeskyQR pass so Q's rows are
+            // orthonormal to round-off. Keeping noise-level directions
+            // would divide y' by them and inflate ‖Qᵀy'‖∞ — and with it
+            // the relative ℓ1 weight λ — enough to shrink away
+            // genuinely weak APs.
+            let w = whiten(&a, y).map_err(|e| CoreError::Solver(e.to_string()))?;
+            return Ok((w.q, w.y));
+        }
+        // Unfused Proposition 1: Q = orth(Aᵀ)ᵀ, T = Q A†, y' = T y — the
+        // historical route, kept as the bench baseline for the fused
+        // factorization.
+        let q = orth(&a.transpose()).transpose(); // r × pruned-N
+        let pinv = pseudo_inverse(&a).map_err(|e| CoreError::Solver(e.to_string()))?;
+        let y_prime = q.matmul(&pinv).matvec(y); // T = Q A† is r × m
+        Ok((q, y_prime))
+    }
+
     /// Normalizes, (optionally) orthogonalizes, solves and debiases the
     /// pruned system; scatters back to the full `n`-length grid. Shared
-    /// by the direct and workspace recovery paths. `warm` is a full-grid
-    /// raw solver field from the previous window; its restriction to the
-    /// candidate columns seeds the solve when it carries any mass.
+    /// by the direct and workspace recovery paths. `cols` holds the
+    /// pruned sensing matrix column-contiguously (row `jc` is the
+    /// signature of candidate `jc` over the group's readings). `warm` is
+    /// a full-grid raw solver field from the previous window; its
+    /// restriction to the candidate columns seeds the solve when it
+    /// carries any mass.
     fn solve_pruned(
         &self,
-        a_raw: &Matrix,
+        cols: &Matrix,
         y: &[f64],
         candidates: &[usize],
         n: usize,
         warm: Option<&[f64]>,
     ) -> Result<GroupSolve> {
-        let m = a_raw.rows();
-        // Column normalization: RSS signatures of near columns have much
-        // larger norms than far ones, which biases ℓ1 toward
-        // trajectory-adjacent grid points. Normalizing restores the
-        // unit-column convention CS theory assumes; the solution is
-        // un-scaled afterwards so θ keeps its indicator interpretation.
-        let norms: Vec<f64> = (0..candidates.len())
-            .map(|j| a_raw.col_norm2(j).max(1e-12))
-            .collect();
-        let a = Matrix::from_fn(m, candidates.len(), |i, j| a_raw.get(i, j) / norms[j]);
+        let started = Instant::now();
+        let (sumsq, norms, a) = normalize_columns(cols);
 
         // Warm-start seed: the previous window's raw solution restricted
         // to this group's candidates. Both solver branches work in the
@@ -864,46 +942,8 @@ impl CsRecovery {
         let seed: Option<Vec<f64>> = warm
             .map(|field| candidates.iter().map(|&j| field[j]).collect::<Vec<f64>>())
             .filter(|x0| x0.iter().any(|&v| v > 0.0));
-        let (op, rhs) = if self.orthogonalize {
-            if self.fused_factorization {
-                // Fused Proposition 1: one SVD A = U Σ Vᵀ yields both
-                // the orthonormal row basis Q = V_rᵀ and the
-                // transformed observation y' = Q A† y = Σ_r⁻¹ U_rᵀ y
-                // (V_rᵀ V Σ⁺ collapses to Σ_r⁻¹ on the kept columns).
-                // No Gram–Schmidt pass, no second SVD for A†, no
-                // r × pruned-N × m matmul for T.
-                let svd = Svd::new(&a).map_err(|e| CoreError::Solver(e.to_string()))?;
-                let sigma = svd.singular_values();
-                // Rank cutoff at √ε·σ_max, NOT the pseudo-inverse's
-                // 1e-10·σ_max: the SVD comes from the Gram
-                // eigendecomposition, whose eigenvalues carry ~ε·λ_max
-                // absolute error, so singular values below √ε·σ_max are
-                // numerical noise. Dividing y' by a noise σ inflates
-                // ‖Qᵀy'‖∞ — and with it the relative ℓ1 weight λ —
-                // enough to shrink away genuinely weak APs.
-                let tol = f64::EPSILON.sqrt() * sigma.first().copied().unwrap_or(0.0);
-                let kept: Vec<usize> = (0..sigma.len()).filter(|&i| sigma[i] > tol).collect();
-                let v = svd.v();
-                let q = Matrix::from_fn(kept.len(), v.rows(), |r, c| v.get(c, kept[r]));
-                let y_prime: Vec<f64> = kept
-                    .iter()
-                    .map(|&i| svd.u().col_dot(i, y) / sigma[i])
-                    .collect();
-                (q, y_prime)
-            } else {
-                // Unfused Proposition 1: Q = orth(Aᵀ)ᵀ, T = Q A†,
-                // y' = T y — the historical route, kept as the bench
-                // baseline for the fused factorization.
-                let q_cols = orth(&a.transpose()); // pruned-N × r
-                let q = q_cols.transpose(); // r × pruned-N
-                let pinv = pseudo_inverse(&a).map_err(|e| CoreError::Solver(e.to_string()))?;
-                let t = q.matmul(&pinv); // r × m
-                let y_prime = t.matvec(y);
-                (q, y_prime)
-            }
-        } else {
-            (a, y.to_vec())
-        };
+        let (op, rhs) = self.prop1_operator(a, y)?;
+        let factorized = Instant::now();
         let solve = |solver: &AnySolver| {
             let accel = self.accel_solver(solver, self.orthogonalize);
             solve_seeded(accel.as_ref().unwrap_or(solver), &op, &rhs, seed.as_deref())
@@ -911,6 +951,7 @@ impl CsRecovery {
         let (recovery, warm_used, fallback) = settle(&self.solver, solve(&self.solver)?, || {
             solve(&AnySolver::from(Self::fallback_fista()))
         })?;
+        let solved = Instant::now();
 
         // Raw solver field on the full grid — the warm-start seed for
         // the next window's solves (pre-debias so reseeding stays in
@@ -944,40 +985,20 @@ impl CsRecovery {
         // the hypothesis-selection stage disambiguates using the rest
         // of the window (see `select`).
         let max_coef = pruned.iter().cloned().fold(0.0_f64, f64::max);
-        {
-            let ynorm = crowdwifi_linalg::vector::norm2(y).max(1e-12);
-            let mut scored: Vec<(usize, f64, f64)> = Vec::with_capacity(pruned.len());
-            // One residual buffer for the whole rescoring loop; the
-            // column itself is read straight out of the matrix storage
-            // (`col_sumsq`/`col_dot`/`col_iter`) instead of being
-            // copied into a fresh `Vec` per candidate.
-            let mut res: Vec<f64> = Vec::with_capacity(m);
-            for j in 0..pruned.len() {
-                let cc = a_raw.col_sumsq(j);
-                if cc <= 0.0 {
-                    continue;
-                }
-                let cj = (a_raw.col_dot(j, y) / cc).max(0.0);
-                res.clear();
-                res.extend(y.iter().zip(a_raw.col_iter(j)).map(|(yy, aa)| yy - cj * aa));
-                let relres = crowdwifi_linalg::vector::norm2(&res) / ynorm;
-                scored.push((j, cj, relres));
+        let scored = matched_filter_scores(cols, &sumsq, y);
+        if !scored.is_empty() {
+            let res_min = scored.iter().map(|s| s.2).fold(f64::INFINITY, f64::min);
+            let scale = res_min.max(0.01);
+            let l1_rel: Vec<f64> = pruned
+                .iter()
+                .map(|&p| if max_coef > 0.0 { p / max_coef } else { 0.0 })
+                .collect();
+            for p in pruned.iter_mut() {
+                *p = 0.0;
             }
-            if !scored.is_empty() {
-                let res_min = scored.iter().map(|s| s.2).fold(f64::INFINITY, f64::min);
-                let scale = res_min.max(0.01);
-                let l1_rel: Vec<f64> = pruned
-                    .iter()
-                    .map(|&p| if max_coef > 0.0 { p / max_coef } else { 0.0 })
-                    .collect();
-                for p in pruned.iter_mut() {
-                    *p = 0.0;
-                }
-                for &(j, cj, relres) in &scored {
-                    let w =
-                        (-((relres * relres - res_min * res_min) / (2.0 * scale * scale))).exp();
-                    pruned[j] = cj * w * (0.5 + 0.5 * l1_rel[j]);
-                }
+            for &(j, cj, relres) in &scored {
+                let w = (-((relres * relres - res_min * res_min) / (2.0 * scale * scale))).exp();
+                pruned[j] = cj * w * (0.5 + 0.5 * l1_rel[j]);
             }
         }
 
@@ -986,6 +1007,7 @@ impl CsRecovery {
         for (jc, &j) in candidates.iter().enumerate() {
             theta[j] = pruned[jc];
         }
+        let debiased = Instant::now();
         Ok(GroupSolve {
             theta,
             raw,
@@ -995,6 +1017,7 @@ impl CsRecovery {
             screened_cols: recovery.screened_cols,
             iterations_saved: recovery.iterations_saved,
             warm_used,
+            stage_times: [factorized - started, solved - factorized, debiased - solved],
         })
     }
 }
@@ -1013,6 +1036,63 @@ struct GroupSolve {
     screened_cols: usize,
     iterations_saved: usize,
     warm_used: bool,
+    /// Wall time of the factorize, solve and debias stages.
+    stage_times: [Duration; 3],
+}
+
+/// Column normalization of a column-contiguous pruned sensing matrix
+/// (row `j` of `cols` is column `j`): RSS signatures of near columns
+/// have much larger norms than far ones, which biases ℓ1 toward
+/// trajectory-adjacent grid points, so every column is scaled to unit
+/// norm — the convention CS theory assumes — and the solution is
+/// un-scaled afterwards so θ keeps its indicator interpretation.
+/// Returns each column's sum of squares (accumulated top to bottom from
+/// -0.0, like `Matrix::col_sumsq`, and reused by the debias), the
+/// norms, and the normalized `m × N` matrix.
+fn normalize_columns(cols: &Matrix) -> (Vec<f64>, Vec<f64>, Matrix) {
+    let sumsq: Vec<f64> = (0..cols.rows())
+        .map(|j| {
+            let mut acc = -0.0;
+            for &x in cols.row(j) {
+                acc += x * x;
+            }
+            acc
+        })
+        .collect();
+    let norms: Vec<f64> = sumsq.iter().map(|ss| ss.sqrt().max(1e-12)).collect();
+    let a = Matrix::from_fn(cols.cols(), cols.rows(), |i, j| cols.get(j, i) / norms[j]);
+    (sumsq, norms, a)
+}
+
+/// Scores every candidate column by how well it alone explains `y`:
+/// `(j, c_j, ρ_j)` with `c_j = max(⟨a_j, y⟩ / ‖a_j‖², 0)` and `ρ_j` the
+/// relative residual `‖y − c_j a_j‖ / ‖y‖`, skipping all-zero columns.
+/// `cols` holds the raw columns contiguously and `sumsq` their sums of
+/// squares. Both reductions run top to bottom from -0.0, exactly like
+/// `Matrix::col_dot` and `vector::norm2`; the residual is formed
+/// explicitly, since the shortcut `‖y‖² − ⟨a_j, y⟩²/‖a_j‖²` rounds
+/// differently.
+fn matched_filter_scores(cols: &Matrix, sumsq: &[f64], y: &[f64]) -> Vec<(usize, f64, f64)> {
+    let ynorm = crowdwifi_linalg::vector::norm2(y).max(1e-12);
+    let mut scored = Vec::with_capacity(sumsq.len());
+    for (j, &cc) in sumsq.iter().enumerate() {
+        if cc <= 0.0 {
+            continue;
+        }
+        let col = cols.row(j);
+        let mut dot = -0.0;
+        for (&x, &yy) in col.iter().zip(y) {
+            dot += x * yy;
+        }
+        let cj = (dot / cc).max(0.0);
+        let mut res2 = -0.0;
+        for (&x, &yy) in col.iter().zip(y) {
+            let r = yy - cj * x;
+            res2 += r * r;
+        }
+        scored.push((j, cj, res2.sqrt() / ynorm));
+    }
+    scored
 }
 
 /// Accepts `solver`'s `first` solve, or — when an active set could not
@@ -1299,6 +1379,108 @@ mod tests {
             .recover_single_ap(&grid, &positions, &rss)
             .unwrap();
         assert_eq!(support(&fused_accel), support(&fused));
+    }
+
+    /// Twelve readings 1 m apart along a straight road with centimetre
+    /// jitter: the group's signatures are nearly colinear and its
+    /// spectrum decays into round-off. The Proposition-1 operator must still have
+    /// orthonormal rows — FISTA's accelerated path pins its Lipschitz
+    /// constant to 1 on that assumption, and the ℓ1 program is only
+    /// rotation-invariant for an orthonormal basis.
+    #[test]
+    fn near_colinear_group_has_an_orthonormal_operator() {
+        let grid = grid_100();
+        let positions: Vec<Point> = (0..12)
+            .map(|i| Point::new(5.0 + i as f64, 50.0 + 0.02 * (i % 3) as f64))
+            .collect();
+        let rss = clean_rss(Point::new(40.0, 70.0), &positions);
+        let engine = engine();
+        let candidates: Vec<usize> = (0..grid.len())
+            .filter(|&j| {
+                let gp = grid.point(j);
+                positions
+                    .iter()
+                    .all(|p| p.distance(gp) <= engine.radio_range())
+            })
+            .collect();
+        let cols = Matrix::from_fn(candidates.len(), positions.len(), |jc, i| {
+            engine.shifted_model_rss(positions[i], grid.point(candidates[jc]))
+        });
+        let y: Vec<f64> = rss.iter().map(|&r| (r + 95.0).max(0.0)).collect();
+        let (_, _, a) = normalize_columns(&cols);
+        let (q, y_prime) = engine.prop1_operator(a, &y).unwrap();
+        assert!(q.rows() >= 2, "rank {}", q.rows());
+        assert_eq!(y_prime.len(), q.rows());
+        let err = q
+            .matmul(&q.transpose())
+            .sub(&Matrix::identity(q.rows()))
+            .max_abs();
+        assert!(err <= 1e-10, "rows off orthonormal by {err:e}");
+    }
+
+    /// The column-contiguous norms and matched-filter scores reproduce,
+    /// bit for bit and on both kernel paths, the strided-column
+    /// formulas they replace (`col_norm2`, `col_sumsq`, `col_dot` and
+    /// an explicit residual through `vector::norm2`).
+    #[test]
+    fn contiguous_debias_scores_match_the_strided_formulas() {
+        use crowdwifi_linalg::kernels::{self, Mode};
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut unit = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (m, n) in [(1, 5), (7, 40), (12, 171), (13, 3)] {
+            // Path-loss-like magnitudes with exact zeros (out of range)
+            // and one all-zero column.
+            let mut cols = Matrix::from_fn(n, m, |_, _| {
+                let u = unit();
+                if u < 0.2 {
+                    0.0
+                } else {
+                    60.0 * u
+                }
+            });
+            for i in 0..m {
+                cols.set(n / 2, i, 0.0);
+            }
+            let y: Vec<f64> = (0..m).map(|_| 50.0 * unit()).collect();
+            let (sumsq, norms, a) = normalize_columns(&cols);
+            let scores = matched_filter_scores(&cols, &sumsq, &y);
+            let a_raw = cols.transpose();
+            for mode in [Mode::Scalar, Mode::Vectorized] {
+                kernels::set_mode(Some(mode));
+                let ynorm = crowdwifi_linalg::vector::norm2(&y).max(1e-12);
+                let mut want = Vec::new();
+                for (j, &norm) in norms.iter().enumerate() {
+                    assert_eq!(norm.to_bits(), a_raw.col_norm2(j).max(1e-12).to_bits());
+                    for i in 0..m {
+                        let v = a_raw.get(i, j) / norm;
+                        assert_eq!(a.get(i, j).to_bits(), v.to_bits());
+                    }
+                    let cc = a_raw.col_sumsq(j);
+                    if cc <= 0.0 {
+                        continue;
+                    }
+                    let cj = (a_raw.col_dot(j, &y) / cc).max(0.0);
+                    let res: Vec<f64> = y
+                        .iter()
+                        .zip(a_raw.col_iter(j))
+                        .map(|(yy, aa)| yy - cj * aa)
+                        .collect();
+                    want.push((j, cj, crowdwifi_linalg::vector::norm2(&res) / ynorm));
+                }
+                kernels::set_mode(None);
+                let bits = |v: &[(usize, f64, f64)]| -> Vec<(usize, u64, u64)> {
+                    v.iter()
+                        .map(|&(j, c, r)| (j, c.to_bits(), r.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&scores), bits(&want), "{m}x{n} in {mode:?}");
+            }
+        }
     }
 
     #[test]

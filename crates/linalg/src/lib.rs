@@ -5,8 +5,13 @@
 //! * a row-major [`Matrix`] type with the usual products ([`matrix`]),
 //! * Householder QR with least-squares solving ([`qr`]),
 //! * a symmetric Jacobi eigensolver ([`eigen`]) used by the MDS baseline,
+//! * pivoted-Cholesky whitening ([`whiten`]): the Proposition 1
+//!   orthogonalization — an orthonormal row basis of the sensing matrix
+//!   and the transformed observation — from the small Gram matrix, with
+//!   no SVD,
 //! * singular value decomposition and the Moore–Penrose pseudo-inverse
-//!   ([`svd`]) used by the Proposition 1 orthogonalization,
+//!   ([`svd`]), used by the unfused orth + pseudo-inverse reference
+//!   route and the baselines,
 //! * LU/Cholesky solvers ([`solve`]) used by the ADMM basis-pursuit solver,
 //! * a matrix-free conjugate-gradient solver ([`cg`]) for city-scale
 //!   grids where factoring is too expensive,
@@ -39,6 +44,7 @@ pub mod qr;
 pub mod solve;
 pub mod svd;
 pub mod vector;
+pub mod whiten;
 
 pub use eigen::SymmetricEigen;
 pub use matrix::Matrix;

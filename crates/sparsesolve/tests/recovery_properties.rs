@@ -3,6 +3,7 @@
 //! bound M = O(k log(N/k)) is comfortably satisfied.
 
 use crowdwifi_linalg::kernels::{self, Mode};
+use crowdwifi_linalg::whiten::whiten;
 use crowdwifi_linalg::{vector, Matrix};
 use crowdwifi_sparsesolve::active_set::{ActiveSet, KKT_TOLERANCE, LAMBDA_REL};
 use crowdwifi_sparsesolve::admm::{AdmmLasso, BasisPursuit};
@@ -11,6 +12,7 @@ use crowdwifi_sparsesolve::irls::Irls;
 use crowdwifi_sparsesolve::omp::Omp;
 use crowdwifi_sparsesolve::{Recovery, SparseRecovery};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -93,6 +95,64 @@ fn solve_in_mode(mode: Mode, a: &Matrix, y: &[f64]) -> Recovery {
     let rec = ActiveSet::default().recover(a, y).unwrap();
     kernels::set_mode(None);
     rec
+}
+
+/// The active-set certification contract on one problem: deterministic
+/// across runs and kernel modes, feasible, KKT-stationary when it
+/// reports convergence, and within both duality gaps of a long FISTA
+/// run's objective.
+fn assert_certified(a: &Matrix, y: &[f64]) -> Result<(), TestCaseError> {
+    let rec = ActiveSet::default().recover(a, y).unwrap();
+    prop_assert_eq!(&rec, &ActiveSet::default().recover(a, y).unwrap());
+    prop_assert_eq!(&rec, &solve_in_mode(Mode::Scalar, a, y));
+    prop_assert_eq!(&rec, &solve_in_mode(Mode::Vectorized, a, y));
+    prop_assert!(rec.solution.iter().all(|&v| v >= 0.0 && v.is_finite()));
+    if rec.converged {
+        let b_max = vector::norm_inf(&a.matvec_transposed(y));
+        let lambda = LAMBDA_REL * b_max;
+        let slack = 1e-9 * b_max;
+        let r_vec = vector::sub(y, &a.matvec(&rec.solution));
+        for (j, g) in a.matvec_transposed(&r_vec).into_iter().enumerate() {
+            prop_assert!(
+                g - lambda <= KKT_TOLERANCE * b_max + slack,
+                "column {} violates KKT by {}",
+                j,
+                g - lambda
+            );
+            if rec.solution[j] > 0.0 {
+                prop_assert!(
+                    (g - lambda).abs() <= slack,
+                    "passive column {} off stationarity by {}",
+                    j,
+                    g - lambda
+                );
+            }
+        }
+        let reference = Fista::default()
+            .with_max_iterations(20_000)
+            .with_tolerance(1e-12)
+            .unwrap()
+            .recover(a, y)
+            .unwrap();
+        let (ours, our_gap) = objective_and_gap(a, y, &rec.solution, lambda);
+        let (theirs, their_gap) = objective_and_gap(a, y, &reference.solution, lambda);
+        let eps = 1e-9 * (1.0 + theirs);
+        prop_assert!(
+            ours <= theirs + our_gap + eps,
+            "active set {} vs FISTA {} (gap {})",
+            ours,
+            theirs,
+            our_gap
+        );
+        prop_assert!(
+            theirs <= ours + their_gap + eps,
+            "FISTA {} beat the active set {} beyond its gap {}",
+            theirs,
+            ours,
+            their_gap
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -222,39 +282,16 @@ proptest! {
         // Every certified solve must be feasible, satisfy KKT within the
         // solver's tolerance, match a long FISTA run's objective within
         // the two solutions' duality gaps, and repeat bit for bit across
-        // runs and kernel dispatch modes. One case in five is a
-        // single-row problem.
+        // runs and kernel dispatch modes — on the raw problem and on its
+        // Proposition-1 whitened form (orthonormal rows, signed
+        // entries), which is what the recovery pipeline solves. One case
+        // in five is a single-row problem.
         let r = r_pick.saturating_sub(8).max(1);
         let (a, y) = nonneg_problem(seed, r, n, dups, zeros);
-        let rec = ActiveSet::default().recover(&a, &y).unwrap();
-        prop_assert_eq!(&rec, &ActiveSet::default().recover(&a, &y).unwrap());
-        prop_assert_eq!(&rec, &solve_in_mode(Mode::Scalar, &a, &y));
-        prop_assert_eq!(&rec, &solve_in_mode(Mode::Vectorized, &a, &y));
-        prop_assert!(rec.solution.iter().all(|&v| v >= 0.0 && v.is_finite()));
-        if rec.converged {
-            let b_max = vector::norm_inf(&a.matvec_transposed(&y));
-            let lambda = LAMBDA_REL * b_max;
-            let slack = 1e-9 * b_max;
-            let r_vec = vector::sub(&y, &a.matvec(&rec.solution));
-            for (j, g) in a.matvec_transposed(&r_vec).into_iter().enumerate() {
-                prop_assert!(g - lambda <= KKT_TOLERANCE * b_max + slack,
-                    "column {} violates KKT by {}", j, g - lambda);
-                if rec.solution[j] > 0.0 {
-                    prop_assert!((g - lambda).abs() <= slack,
-                        "passive column {} off stationarity by {}", j, g - lambda);
-                }
-            }
-            let reference = Fista::default()
-                .with_max_iterations(20_000)
-                .with_tolerance(1e-12).unwrap()
-                .recover(&a, &y).unwrap();
-            let (ours, our_gap) = objective_and_gap(&a, &y, &rec.solution, lambda);
-            let (theirs, their_gap) = objective_and_gap(&a, &y, &reference.solution, lambda);
-            let eps = 1e-9 * (1.0 + theirs);
-            prop_assert!(ours <= theirs + our_gap + eps,
-                "active set {} vs FISTA {} (gap {})", ours, theirs, our_gap);
-            prop_assert!(theirs <= ours + their_gap + eps,
-                "FISTA {} beat the active set {} beyond its gap {}", theirs, ours, their_gap);
+        assert_certified(&a, &y)?;
+        let w = whiten(&a, &y).unwrap();
+        if w.q.rows() > 0 {
+            assert_certified(&w.q, &w.y)?;
         }
     }
 }

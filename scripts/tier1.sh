@@ -37,6 +37,12 @@ cargo test -q --workspace --doc
 # across shapes, ragged tails and non-finite inputs, so the batch entry
 # points are pinned on each path.
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-linalg --test kernel_equivalence
+# The Proposition-1 whitening (pivoted Cholesky + CholeskyQR) must give
+# orthonormal rows spanning the sensing matrix's row space, with
+# Qᵀy' = A⁺y where the spectrum has a gap, and the same bits on both
+# kernel paths.
+CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-linalg --test properties \
+    whitened_operator_is_an_orthonormal_prop1_basis
 # Cross-backend determinism: same seed + fault plan must produce
 # byte-identical deterministic projections on every backend, proven
 # independent of the kernel path.
@@ -47,8 +53,9 @@ CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test transport_equivalence
 # long FISTA run's objective (property tests), the accelerated campus
 # drive must keep the unaccelerated support while cutting >=30% of total
 # FISTA iterations, and the default active-set drive must be as accurate
-# as pinned FISTA. The solver invariants may not depend on which kernel
-# path computed them.
+# as pinned FISTA. The active-set property covers both the raw problem
+# and its whitened Proposition-1 form. The solver invariants may not
+# depend on which kernel path computed them.
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
     screening_preserves_support_and_solution
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \

@@ -12,7 +12,7 @@
 //!
 //! | module | crate | contents |
 //! |--------|-------|----------|
-//! | [`linalg`] | `crowdwifi-linalg` | dense matrices, QR, eigen, SVD, pseudo-inverse |
+//! | [`linalg`] | `crowdwifi-linalg` | dense matrices, QR, eigen, SVD, pseudo-inverse, Prop-1 whitening |
 //! | [`sparsesolve`] | `crowdwifi-sparsesolve` | ℓ1 solvers: FISTA, ADMM, OMP |
 //! | [`geo`] | `crowdwifi-geo` | points, rectangles, grids, trajectories |
 //! | [`channel`] | `crowdwifi-channel` | path loss, fading, GMM likelihood, BIC |

@@ -10,9 +10,8 @@ use crowdwifi_channel::PathLossModel;
 use crowdwifi_core::recovery::CsRecovery;
 use crowdwifi_geo::{Grid, Point, Rect};
 use crowdwifi_linalg::Matrix;
-use crowdwifi_sparsesolve::admm::AdmmLasso;
 use crowdwifi_sparsesolve::omp::Omp;
-use crowdwifi_sparsesolve::{Fista, SparseRecovery};
+use crowdwifi_sparsesolve::{ActiveSet, Fista, SparseRecovery};
 use std::hint::black_box;
 
 /// Deterministic ±1/√M Bernoulli sensing matrix.
@@ -50,8 +49,8 @@ fn solver_scaling(c: &mut Criterion) {
             let solver = Fista::default();
             b.iter(|| black_box(solver.recover(&a, &y).unwrap()));
         });
-        group.bench_with_input(BenchmarkId::new("admm-lasso", n), &n, |b, _| {
-            let solver = AdmmLasso::default();
+        group.bench_with_input(BenchmarkId::new("active_set", n), &n, |b, _| {
+            let solver = ActiveSet::default();
             b.iter(|| black_box(solver.recover(&a, &y).unwrap()));
         });
         group.bench_with_input(BenchmarkId::new("omp", n), &n, |b, _| {

@@ -123,15 +123,13 @@ fn main() {
         );
     }
 
-    // FISTA in place of the default exact active-set solver, with the
-    // pipeline's acceleration layer: the same l1 program solved to the
-    // proximal-gradient path's tolerance.
+    // Plain FISTA in place of the default exact active-set solver: the
+    // same l1 program solved to the proximal-gradient path's tolerance.
     let cfg = base_config();
     let fista = OnlineCs::new(cfg, model)
         .expect("valid config")
         .with_recovery(
             CsRecovery::new(model, cfg.radio_range, cfg.detection_floor_dbm)
-                .with_accel(cfg.accel)
                 .with_solver(CsRecovery::fallback_fista()),
         );
     run("solver = FISTA", &fista);

@@ -23,9 +23,7 @@
 //! | `pipeline.solver_iterations` | counter | total solver work: active-set pivots plus FISTA iterations (fallback or pinned) |
 //! | `pipeline.solver_unconverged` | counter | solves left uncertified after any fallback (FISTA stopped at its iteration cap) |
 //! | `pipeline.solver_fallbacks` | counter | active-set solves that ran out of pivots and were re-solved on FISTA |
-//! | `pipeline.screened_cols` | counter | columns removed by gap-safe screening |
-//! | `pipeline.iterations_saved` | counter | iteration-budget headroom from early stops |
-//! | `pipeline.warm_seeded` | counter | solves seeded from a previous window |
+//! | `pipeline.iterations_saved` | counter | iteration-budget headroom from early-converged FISTA solves |
 //! | `pipeline.consolidation_merges` | counter | estimates merged into an existing location |
 //! | `pipeline.consolidation_new` | counter | estimates that opened a new location |
 //! | `pipeline.round_seconds` | timer | wall-clock per processed round |
@@ -66,9 +64,7 @@ pub struct PipelineInstruments {
     solver_iterations: Counter,
     solver_unconverged: Counter,
     solver_fallbacks: Counter,
-    screened_cols: Counter,
     iterations_saved: Counter,
-    warm_seeded: Counter,
     merges: Counter,
     new_estimates: Counter,
     round_time: Histogram,
@@ -94,9 +90,7 @@ impl PipelineInstruments {
             solver_iterations: registry.counter("pipeline.solver_iterations"),
             solver_unconverged: registry.counter("pipeline.solver_unconverged"),
             solver_fallbacks: registry.counter("pipeline.solver_fallbacks"),
-            screened_cols: registry.counter("pipeline.screened_cols"),
             iterations_saved: registry.counter("pipeline.iterations_saved"),
-            warm_seeded: registry.counter("pipeline.warm_seeded"),
             merges: registry.counter("pipeline.consolidation_merges"),
             new_estimates: registry.counter("pipeline.consolidation_new"),
             round_time: registry.timer("pipeline.round_seconds"),
@@ -143,9 +137,7 @@ impl PipelineInstruments {
         self.solver_iterations.add(stats.solver_iterations);
         self.solver_unconverged.add(stats.unconverged);
         self.solver_fallbacks.add(stats.fallbacks);
-        self.screened_cols.add(stats.screened_cols);
         self.iterations_saved.add(stats.iterations_saved);
-        self.warm_seeded.add(stats.warm_seeded);
     }
 
     /// Records one round's stage breakdown: the workspace preparation
@@ -199,9 +191,7 @@ mod tests {
             solver_iterations: 600,
             unconverged: 1,
             fallbacks: 2,
-            screened_cols: 42,
             iterations_saved: 120,
-            warm_seeded: 3,
         };
         inst.record_round(Some(&est), &stats);
         inst.record_round(None, &SensingStats::default());
@@ -223,9 +213,7 @@ mod tests {
         assert_eq!(snap.counters["pipeline.solver_iterations"], 600);
         assert_eq!(snap.counters["pipeline.solver_unconverged"], 1);
         assert_eq!(snap.counters["pipeline.solver_fallbacks"], 2);
-        assert_eq!(snap.counters["pipeline.screened_cols"], 42);
         assert_eq!(snap.counters["pipeline.iterations_saved"], 120);
-        assert_eq!(snap.counters["pipeline.warm_seeded"], 3);
         assert_eq!(snap.counters["pipeline.consolidation_merges"], 1);
         assert_eq!(snap.counters["pipeline.consolidation_new"], 2);
         assert_eq!(snap.histograms["pipeline.round_winner_k"].count, 1);

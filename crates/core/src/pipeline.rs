@@ -10,7 +10,7 @@
 use crate::assign::ClusterAssigner;
 use crate::consolidate::{ApEstimate, Consolidator};
 use crate::obs::PipelineInstruments;
-use crate::recovery::{CsRecovery, SensingStats, SolverAccel, WarmStartCache};
+use crate::recovery::{CsRecovery, SensingStats};
 use crate::select::{estimate_round, RoundEstimate};
 use crate::window::{windows_over, SlidingWindow, WindowConfig};
 use crate::{CoreError, Result};
@@ -52,14 +52,6 @@ pub struct OnlineCsConfig {
     /// deterministic order, so any thread count produces byte-identical
     /// estimates.
     pub threads: usize,
-    /// Solver-acceleration switches for the per-group FISTA solves —
-    /// the active set's fallback, or all solves with FISTA pinned
-    /// (default: all on; see [`SolverAccel`] and DESIGN.md). With
-    /// `warm_start` enabled and a solver that takes seeds (pinned FISTA,
-    /// not the default active set) the
-    /// *window* loop runs serially so windows chain in drive order —
-    /// hypothesis fan-out inside each window still uses `threads`.
-    pub accel: SolverAccel,
 }
 
 impl Default for OnlineCsConfig {
@@ -76,7 +68,6 @@ impl Default for OnlineCsConfig {
             detection_floor_dbm: -95.0,
             global_refine: true,
             threads: 0,
-            accel: SolverAccel::enabled(),
         }
     }
 }
@@ -114,15 +105,6 @@ impl OnlineCsConfig {
                 reason: format!("must be non-negative, got {}", self.merge_radius),
             });
         }
-        if !(self.accel.gap_rel >= 0.0) || !self.accel.gap_rel.is_finite() {
-            return Err(CoreError::InvalidConfig {
-                field: "accel.gap_rel",
-                reason: format!(
-                    "must be non-negative and finite, got {}",
-                    self.accel.gap_rel
-                ),
-            });
-        }
         Ok(())
     }
 }
@@ -150,8 +132,7 @@ impl OnlineCs {
         config.validate()?;
         let gmm = GmmModel::new(pathloss, config.sigma_factor)?;
         let assigner = ClusterAssigner::new(pathloss);
-        let recovery = CsRecovery::new(pathloss, config.radio_range, config.detection_floor_dbm)
-            .with_accel(config.accel);
+        let recovery = CsRecovery::new(pathloss, config.radio_range, config.detection_floor_dbm);
         Ok(OnlineCs {
             config,
             gmm,
@@ -159,19 +140,6 @@ impl OnlineCs {
             recovery,
             instruments: PipelineInstruments::global(),
         })
-    }
-
-    /// Overrides the window-factorization strategy of the inner
-    /// recovery engine (see
-    /// [`CsRecovery::with_fused_factorization`]); `true` (the default)
-    /// whitens each group's sensing matrix from its small Gram matrix
-    /// (pivoted Cholesky plus one CholeskyQR pass, no SVD), `false`
-    /// runs Gram–Schmidt plus an SVD pseudo-inverse. An A/B hook for the
-    /// throughput bench's `kernel_accel` section — both settings pose
-    /// the same ℓ1 program and recover the same support.
-    pub fn with_fused_factorization(mut self, fused: bool) -> Self {
-        self.recovery = self.recovery.with_fused_factorization(fused);
-        self
     }
 
     /// The configuration in force.
@@ -201,17 +169,13 @@ impl OnlineCs {
     /// Propagates recovery failures; an un-formable grid (empty round)
     /// yields `Ok(None)`.
     pub fn process_round(&self, round: &[RssReading]) -> Result<Option<RoundEstimate>> {
-        Ok(self.process_round_stats(round, None)?.0)
+        Ok(self.process_round_stats(round)?.0)
     }
 
     /// [`OnlineCs::process_round`] plus the window's [`SensingStats`].
-    /// When `warm` is given, the solves are seeded from it and it is
-    /// refilled with this window's solutions afterwards (the cross-window
-    /// warm-start chain).
     fn process_round_stats(
         &self,
         round: &[RssReading],
-        warm: Option<&mut WarmStartCache>,
     ) -> Result<(Option<RoundEstimate>, SensingStats)> {
         if round.is_empty() {
             return Ok((None, SensingStats::default()));
@@ -220,10 +184,7 @@ impl OnlineCs {
         let grid =
             Grid::from_reference_points(&positions, self.config.radio_range, self.config.lattice)?;
         let prepare_start = std::time::Instant::now();
-        let sensing = match warm.as_deref() {
-            Some(w) => self.recovery.prepare_window_seeded(&grid, round, w),
-            None => self.recovery.prepare_window(&grid, round),
-        };
+        let sensing = self.recovery.prepare_window(&grid, round);
         let prepare = prepare_start.elapsed();
         let span = self.instruments.round_span();
         let est = estimate_round(
@@ -242,9 +203,6 @@ impl OnlineCs {
         self.instruments.record_round(est.as_ref(), &stats);
         self.instruments
             .record_stages(prepare, &sensing.stage_times());
-        if let Some(w) = warm {
-            w.absorb(&grid, &sensing);
-        }
         Ok((est, stats))
     }
 
@@ -272,24 +230,9 @@ impl OnlineCs {
         // is safe: the per-round hypothesis fan-out draws from the same
         // global thread budget and runs inline once it is exhausted.
         let windows: Vec<Vec<RssReading>> = windows_over(readings, self.config.window)?;
-        let processed = if self.recovery.uses_warm_start() {
-            // Warm starts chain window w's solutions into window w+1's
-            // initial iterates, which only makes sense in drive order:
-            // run the window loop serially (the per-window hypothesis
-            // fan-out inside `estimate_round` still parallelizes). The
-            // seedless active set skips the chain and keeps windows
-            // parallel.
-            let mut warm = WarmStartCache::new();
-            let mut out = Vec::with_capacity(windows.len());
-            for round in &windows {
-                out.push(self.process_round_stats(round, Some(&mut warm))?);
-            }
-            out
-        } else {
-            crate::par::try_par_map(&windows, self.config.threads, |_, round| {
-                self.process_round_stats(round, None)
-            })?
-        };
+        let processed = crate::par::try_par_map(&windows, self.config.threads, |_, round| {
+            self.process_round_stats(round)
+        })?;
         let mut rounds = Vec::new();
         let mut sensing = SensingStats::default();
         for (est, stats) in processed {
@@ -346,7 +289,6 @@ impl OnlineCs {
             window: SlidingWindow::new(self.config.window)?,
             consolidator: Consolidator::new(self.config.merge_radius),
             history: Vec::new(),
-            warm: WarmStartCache::new(),
         })
     }
 }
@@ -422,8 +364,8 @@ pub struct PipelineReport {
     /// The BIC-winning hypothesis of every round, in order.
     pub rounds: Vec<RoundEstimate>,
     /// Drive-total memo/solver statistics summed over every window —
-    /// the accounting behind the `solver_accel` bench section
-    /// (iterations, screened columns, warm-seeded solves).
+    /// the accounting behind the `solver_work` bench section (solves,
+    /// iterations, fallbacks).
     pub sensing: SensingStats,
 }
 
@@ -434,21 +376,12 @@ pub struct OnlineCsSession<'a> {
     window: SlidingWindow,
     consolidator: Consolidator,
     history: Vec<RssReading>,
-    /// Cross-window warm-start chain (mirrors the batch path exactly:
-    /// the session's round sequence is the same as `windows_over`'s).
-    warm: WarmStartCache,
 }
 
 impl OnlineCsSession<'_> {
-    /// Runs one completed round through the pipeline, threading the
-    /// warm-start chain when enabled.
+    /// Runs one completed round through the pipeline.
     fn process(&mut self, round: &[RssReading]) -> Result<()> {
-        let warm = self
-            .pipeline
-            .recovery
-            .uses_warm_start()
-            .then_some(&mut self.warm);
-        if let Some(est) = self.pipeline.process_round_stats(round, warm)?.0 {
+        if let Some(est) = self.pipeline.process_round_stats(round)?.0 {
             self.pipeline
                 .consolidate_estimate(&mut self.consolidator, &est);
         }
@@ -595,6 +528,22 @@ mod tests {
         assert_eq!(a.final_aps, b.final_aps);
         assert_eq!(a.all_estimates, b.all_estimates);
         assert_eq!(a.rounds, b.rounds);
+
+        // Pinned FISTA fans windows out exactly like the default solver.
+        let fista = |pipeline: OnlineCs| {
+            let cfg = *pipeline.config();
+            pipeline.with_recovery(
+                CsRecovery::new(model(), cfg.radio_range, cfg.detection_floor_dbm)
+                    .with_solver(CsRecovery::fallback_fista()),
+            )
+        };
+        let a = fista(serial).run_detailed(&readings).unwrap();
+        let b = fista(parallel).run_detailed(&readings).unwrap();
+        assert!(!a.rounds.is_empty(), "pinned FISTA produced no rounds");
+        assert!(a.sensing.solver_iterations > 0);
+        assert_eq!(a.final_aps, b.final_aps);
+        assert_eq!(a.all_estimates, b.all_estimates);
+        assert_eq!(a.rounds, b.rounds);
     }
 
     #[test]
@@ -639,50 +588,6 @@ mod tests {
         let streamed = session.finish().unwrap();
         assert_eq!(batch.len(), streamed.len());
         assert!(batch[0].position.distance(streamed[0].position) < 1e-9);
-    }
-
-    #[test]
-    fn accelerated_run_matches_baseline_and_saves_iterations() {
-        let ap = Point::new(60.0, 24.0);
-        let readings = drive_past(&[ap], 40, 3.0);
-        let baseline_cfg = OnlineCsConfig {
-            accel: SolverAccel::disabled(),
-            ..small_config()
-        };
-        let accel_cfg = OnlineCsConfig {
-            accel: SolverAccel::enabled(),
-            ..small_config()
-        };
-        // FISTA pinned on both legs: the acceleration layer is what is
-        // measured, and it only acts on the proximal-gradient path.
-        let fista = |cfg: OnlineCsConfig| {
-            OnlineCs::new(cfg, model()).unwrap().with_recovery(
-                CsRecovery::new(model(), cfg.radio_range, cfg.detection_floor_dbm)
-                    .with_accel(cfg.accel)
-                    .with_solver(CsRecovery::fallback_fista()),
-            )
-        };
-        let base = fista(baseline_cfg).run_detailed(&readings).unwrap();
-        let fast = fista(accel_cfg).run_detailed(&readings).unwrap();
-        // Same estimate, found with a smaller iteration bill.
-        assert_eq!(base.final_aps.len(), fast.final_aps.len());
-        for (b, f) in base.final_aps.iter().zip(&fast.final_aps) {
-            assert!(
-                b.position.distance(f.position) < 1.0,
-                "accelerated AP drifted {:.3} m",
-                b.position.distance(f.position)
-            );
-        }
-        assert!(base.sensing.solver_iterations > 0);
-        assert!(
-            fast.sensing.solver_iterations < base.sensing.solver_iterations,
-            "accel {} >= baseline {}",
-            fast.sensing.solver_iterations,
-            base.sensing.solver_iterations
-        );
-        assert!(fast.sensing.warm_seeded > 0, "no solve was warm-seeded");
-        assert_eq!(base.sensing.warm_seeded, 0);
-        assert_eq!(base.sensing.screened_cols, 0);
     }
 
     #[test]

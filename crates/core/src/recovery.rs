@@ -20,17 +20,18 @@
 //! The orthogonalization follows Proposition 1: with `Q` an orthonormal
 //! basis of `A`'s row space and `y'` chosen so that `Qᵀ y' = A† y`, the
 //! transformed system `y' = Q θ + ε'` has orthonormal rows, restoring
-//! the incoherence ℓ1 recovery needs (and, as a bonus, giving the
-//! proximal solver a unit Lipschitz constant). The default route builds
-//! `Q` and `y'` from a pivoted Cholesky of the small `m × m` Gram matrix
-//! `A Aᵀ` plus one CholeskyQR re-orthogonalization pass
-//! ([`crowdwifi_linalg::whiten`]) — no per-group SVD.
+//! the incoherence ℓ1 recovery needs. `Q` and `y'` come from a pivoted
+//! Cholesky of the small `m × m` Gram matrix `A Aᵀ` plus one CholeskyQR
+//! re-orthogonalization pass ([`crowdwifi_linalg::whiten`]) — no
+//! per-group SVD.
+//!
+//! Each group is solved by the exact active set ([`ActiveSet`]); a solve
+//! it cannot certify is re-solved by plain FISTA
+//! ([`CsRecovery::fallback_fista`]).
 
 use crate::{CoreError, Result};
 use crowdwifi_channel::{PathLossModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
-use crowdwifi_linalg::qr::orth;
-use crowdwifi_linalg::svd::pseudo_inverse;
 use crowdwifi_linalg::whiten::whiten;
 use crowdwifi_linalg::Matrix;
 use crowdwifi_sparsesolve::{
@@ -67,12 +68,9 @@ pub struct SensingStats {
     /// Active-set solves that exhausted their pivot budget and were
     /// re-solved on the FISTA path.
     pub fallbacks: u64,
-    /// Columns eliminated by gap-safe screening across all solves.
-    pub screened_cols: u64,
-    /// Iteration-budget headroom left by early-converged solves.
+    /// Iteration-budget headroom left by early-converged FISTA solves
+    /// (the active set reports none).
     pub iterations_saved: u64,
-    /// Solves seeded from a previous window's warm-start field.
-    pub warm_seeded: u64,
 }
 
 impl SensingStats {
@@ -85,9 +83,7 @@ impl SensingStats {
         self.solver_iterations += other.solver_iterations;
         self.unconverged += other.unconverged;
         self.fallbacks += other.fallbacks;
-        self.screened_cols += other.screened_cols;
         self.iterations_saved += other.iterations_saved;
-        self.warm_seeded += other.warm_seeded;
     }
 }
 
@@ -105,158 +101,6 @@ pub struct StageTimes {
     pub debias: Duration,
     /// Candidate-mode extraction (memo misses only).
     pub modes: Duration,
-}
-
-/// Solver-acceleration switches threaded from [`crate::OnlineCsConfig`]
-/// down to the per-group FISTA solves — the fallback of the default
-/// active-set solver, or every solve when FISTA is selected with
-/// [`CsRecovery::with_solver`] (see DESIGN.md, "Solver acceleration").
-///
-/// All features preserve the recovered support: gap-safe screening only
-/// discards columns that are provably zero in every optimum, the
-/// duality-gap stop bounds suboptimality explicitly, warm starts change
-/// the initial iterate but not the fixed point, and the Gram/fixed-
-/// Lipschitz paths are exact algebraic rewrites.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolverAccel {
-    /// Re-check gap-safe screening as the duality gap tightens.
-    pub screening: bool,
-    /// Relative duality-gap stopping tolerance (`0` disables the gap
-    /// stop and keeps the solver's own stopping rule).
-    pub gap_rel: f64,
-    /// Precompute Gram products (`ΦᵀΦ`, `Φᵀy`) and use the fused
-    /// Gram-residual gradient update.
-    pub gram: bool,
-    /// Seed each window's solves from the previous window's solution
-    /// field. Forces the window loop serial (windows must be solved in
-    /// drive order to chain); per-window hypothesis fan-out is
-    /// unaffected.
-    pub warm_start: bool,
-}
-
-impl SolverAccel {
-    /// Every acceleration feature on — the pipeline default.
-    ///
-    /// `gap_rel = 1e-3` certifies each solve to 0.1 % relative
-    /// suboptimality, far inside what the matched-filter debias
-    /// tolerates (the recovered support is unchanged; see the
-    /// pipeline-level equivalence tests and `tests/solver_accel.rs`).
-    pub fn enabled() -> Self {
-        SolverAccel {
-            screening: true,
-            gap_rel: 1e-3,
-            gram: true,
-            warm_start: true,
-        }
-    }
-
-    /// Every acceleration feature off (the pre-acceleration hot path,
-    /// kept as the benchmark baseline and the conservative fallback).
-    pub fn disabled() -> Self {
-        SolverAccel {
-            screening: false,
-            gap_rel: 0.0,
-            gram: false,
-            warm_start: false,
-        }
-    }
-
-    /// Whether any feature is on.
-    pub fn is_active(&self) -> bool {
-        self.screening || self.gap_rel > 0.0 || self.gram || self.warm_start
-    }
-}
-
-impl Default for SolverAccel {
-    fn default() -> Self {
-        Self::enabled()
-    }
-}
-
-/// Cross-window warm-start state: a sparse snapshot of the previous
-/// window's solved ℓ1 fields, re-projected onto the next window's grid.
-///
-/// Consecutive 75 %-overlapping windows solve nearly the same recovery
-/// problems, but each window builds its own lattice from its own
-/// reference points, so solutions cannot be copied index-for-index.
-/// [`WarmStartCache::absorb`] folds every memoized *raw* solver field of
-/// a finished window (elementwise max — order-independent, hence
-/// deterministic despite hash-map iteration) and keeps the dominant
-/// entries as `(position, value)` pairs; [`WarmStartCache::project`]
-/// snaps them onto the next grid via nearest-lattice lookup.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStartCache {
-    entries: Vec<(Point, f64)>,
-}
-
-/// Keep at most this many warm-start entries per window (by value).
-const WARM_MAX_ENTRIES: usize = 512;
-/// Drop warm entries below this fraction of the window's peak value.
-const WARM_REL_CUTOFF: f64 = 1e-3;
-
-impl WarmStartCache {
-    /// An empty cache (the first window always cold-starts).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Number of retained `(position, value)` entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Replaces the cache with the dominant solved coefficients of a
-    /// finished window (elementwise max over every memoized raw field).
-    /// A window that solved nothing clears the cache: stale seeds from
-    /// two windows back would describe APs the vehicle already passed.
-    pub fn absorb(&mut self, grid: &Grid, sensing: &WindowSensing) {
-        self.entries.clear();
-        let Some(field) = sensing.raw_field_max() else {
-            return;
-        };
-        let peak = field.iter().cloned().fold(0.0_f64, f64::max);
-        if peak <= 0.0 {
-            return;
-        }
-        let cutoff = peak * WARM_REL_CUTOFF;
-        for (j, &v) in field.iter().enumerate() {
-            if v >= cutoff {
-                self.entries.push((grid.point(j), v));
-            }
-        }
-        if self.entries.len() > WARM_MAX_ENTRIES {
-            // Deterministic order: by value descending, grid order on ties.
-            self.entries
-                .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            self.entries.truncate(WARM_MAX_ENTRIES);
-        }
-    }
-
-    /// Projects the cached field onto `grid` (length `grid.len()`),
-    /// taking the max when two entries snap to the same lattice point
-    /// and dropping entries that fall outside the grid. Returns `None`
-    /// when nothing lands on the grid.
-    pub fn project(&self, grid: &Grid) -> Option<Vec<f64>> {
-        if self.entries.is_empty() || grid.is_empty() {
-            return None;
-        }
-        let reach = grid.cell_diagonal();
-        let mut field = vec![0.0_f64; grid.len()];
-        let mut any = false;
-        for &(p, v) in &self.entries {
-            let j = grid.nearest_index(p);
-            if grid.point(j).distance(p) <= reach {
-                field[j] = field[j].max(v);
-                any = true;
-            }
-        }
-        any.then_some(field)
-    }
 }
 
 /// Memoized candidate-mode extractions, keyed by reading-index set and
@@ -294,11 +138,9 @@ pub struct WindowSensing {
     sig: Matrix,
     /// Floor-shifted observed RSS per reading.
     shifted_rss: Vec<f64>,
-    /// Warm-start field projected onto this window's grid (set by
-    /// [`CsRecovery::prepare_window_seeded`]; `None` cold-starts).
-    warm_field: Option<Vec<f64>>,
-    /// Completed group recoveries keyed by sorted reading-index set.
-    memo: Mutex<HashMap<Vec<usize>, MemoEntry>>,
+    /// Completed group recoveries (the debiased grid indicators handed
+    /// to hypothesis scoring) keyed by sorted reading-index set.
+    memo: Mutex<HashMap<Vec<usize>, Arc<Vec<f64>>>>,
     /// Memoized candidate-mode extractions keyed by reading-index set
     /// and threshold bits (modes are fully determined by both, since
     /// the recovered indicator itself is memoized by index set).
@@ -315,24 +157,11 @@ pub struct WindowSensing {
     unconverged: AtomicU64,
     /// Active-set solves re-run on the FISTA fallback.
     fallbacks: AtomicU64,
-    /// Columns eliminated by gap-safe screening.
-    screened_cols: AtomicU64,
     /// Iteration-budget headroom left by early stops.
     iterations_saved: AtomicU64,
-    /// Solves seeded from the warm-start field.
-    warm_seeded: AtomicU64,
     /// Nanoseconds per [`StageTimes`] stage: factorize, solve, debias,
     /// modes.
     stage_ns: [AtomicU64; 4],
-}
-
-/// One memoized group recovery: the debiased grid indicator handed to
-/// hypothesis scoring, plus the raw (pre-debias, normalized-column) ℓ1
-/// solution the next window's warm starts are built from.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    theta: Arc<Vec<f64>>,
-    raw: Arc<Vec<f64>>,
 }
 
 impl WindowSensing {
@@ -394,9 +223,7 @@ impl WindowSensing {
             solver_iterations: self.solver_iterations.load(Ordering::Relaxed),
             unconverged: self.unconverged.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            screened_cols: self.screened_cols.load(Ordering::Relaxed),
             iterations_saved: self.iterations_saved.load(Ordering::Relaxed),
-            warm_seeded: self.warm_seeded.load(Ordering::Relaxed),
         }
     }
 
@@ -415,33 +242,6 @@ impl WindowSensing {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         self.stage_ns[stage].fetch_add(ns, Ordering::Relaxed);
     }
-
-    /// Whether this window was prepared with a warm-start field.
-    pub fn is_seeded(&self) -> bool {
-        self.warm_field.is_some()
-    }
-
-    /// Elementwise max of every memoized raw solver field, or `None`
-    /// when no group has been solved. Max-folding is order-independent,
-    /// so the result is deterministic despite hash-map iteration.
-    fn raw_field_max(&self) -> Option<Vec<f64>> {
-        let memo = self
-            .memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out: Option<Vec<f64>> = None;
-        for entry in memo.values() {
-            match &mut out {
-                None => out = Some(entry.raw.as_ref().clone()),
-                Some(acc) => {
-                    for (a, &r) in acc.iter_mut().zip(entry.raw.iter()) {
-                        *a = a.max(r);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Orthogonalized ℓ1 recovery of one AP's grid indicator.
@@ -452,8 +252,6 @@ pub struct CsRecovery {
     radio_range: f64,
     solver: AnySolver,
     orthogonalize: bool,
-    fused_factorization: bool,
-    accel: SolverAccel,
 }
 
 impl CsRecovery {
@@ -469,58 +267,20 @@ impl CsRecovery {
             radio_range,
             solver: AnySolver::from(ActiveSet::default()),
             orthogonalize: true,
-            fused_factorization: true,
-            accel: SolverAccel::disabled(),
         }
     }
 
     /// The pipeline's FISTA configuration (400 iterations, relative-change
-    /// tolerance `1e-7`): the fallback for active-set solves that run out
-    /// of pivots, and the solver to pass to [`CsRecovery::with_solver`]
-    /// when an experiment needs the proximal-gradient path itself (the
-    /// solver-acceleration tests and benches).
+    /// tolerance `1e-7`, `λ` from the active set's `LAMBDA_REL`): the
+    /// fallback for active-set solves that run out of pivots, and the
+    /// solver to pass to [`CsRecovery::with_solver`] when an experiment
+    /// needs the proximal-gradient path itself (the `solver = FISTA`
+    /// ablation, the solver-work bench and tests).
     pub fn fallback_fista() -> Fista {
         Fista::default()
             .with_max_iterations(400)
             .with_tolerance(1e-7)
             .expect("fallback tolerance is valid")
-    }
-
-    /// Selects how the Proposition-1 operator is built (default: fused).
-    ///
-    /// The fused path whitens the normalized sensing matrix from its
-    /// small `m × m` Gram matrix ([`crowdwifi_linalg::whiten`]): a
-    /// pivoted Cholesky with the `√ε·σ_max` rank rule in squared form,
-    /// `Q = C⁻¹ A_S` on the pivot rows, `y'` the least-squares solution
-    /// of `L z = y`, and one CholeskyQR pass that brings `Q`'s rows
-    /// orthonormal to round-off. The unfused path pays a Gram–Schmidt
-    /// orthogonalization *plus* an SVD for `A†` *plus* an
-    /// `r × pruned-N × m` matmul for `T = Q A†`. Both produce an
-    /// orthonormal row basis of the same row space, so the ℓ1 program
-    /// (and its recovered support) is the same; only the basis rotation
-    /// — and hence the exact float path — differs. The unfused path is
-    /// kept for the kernel-acceleration bench baseline and the
-    /// support-equivalence tests.
-    pub fn with_fused_factorization(mut self, fused: bool) -> Self {
-        self.fused_factorization = fused;
-        self
-    }
-
-    /// Whether the fused Gram-whitening factorization is active.
-    pub fn fused_factorization(&self) -> bool {
-        self.fused_factorization
-    }
-
-    /// Sets the solver-acceleration configuration (default: all off —
-    /// the pipeline opts in via [`crate::OnlineCsConfig::accel`]).
-    pub fn with_accel(mut self, accel: SolverAccel) -> Self {
-        self.accel = accel;
-        self
-    }
-
-    /// The active acceleration configuration.
-    pub fn accel(&self) -> SolverAccel {
-        self.accel
     }
 
     /// Replaces the ℓ1 solver (default: the exact [`ActiveSet`], falling
@@ -531,14 +291,6 @@ impl CsRecovery {
     pub fn with_solver(mut self, solver: impl Into<AnySolver>) -> Self {
         self.solver = solver.into();
         self
-    }
-
-    /// Whether group solves consume a cross-window warm-start seed:
-    /// warm starts are on and the solver takes seeds. The seedless
-    /// active set (the default) does not, so pipelines skip building
-    /// the warm-start chain for it.
-    pub(crate) fn uses_warm_start(&self) -> bool {
-        self.accel.warm_start && !matches!(self.solver, AnySolver::ActiveSet(_))
     }
 
     /// The configured solver's name (for logs and ablation tables).
@@ -619,7 +371,7 @@ impl CsRecovery {
             .iter()
             .map(|&r| (r - self.floor_dbm).max(0.0))
             .collect();
-        Ok(self.solve_pruned(&cols, &y, &candidates, n, None)?.theta)
+        Ok(self.solve_pruned(&cols, &y, &candidates, n)?.theta)
     }
 
     /// Precomputes the window-wide distance and signature matrices (and
@@ -657,7 +409,6 @@ impl CsRecovery {
             reach_words,
             sig,
             shifted_rss,
-            warm_field: None,
             memo: Mutex::new(HashMap::new()),
             modes_memo: Mutex::new(HashMap::new()),
             lookups: AtomicU64::new(0),
@@ -666,28 +417,9 @@ impl CsRecovery {
             solver_iterations: AtomicU64::new(0),
             unconverged: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
-            screened_cols: AtomicU64::new(0),
             iterations_saved: AtomicU64::new(0),
-            warm_seeded: AtomicU64::new(0),
             stage_ns: Default::default(),
         }
-    }
-
-    /// [`CsRecovery::prepare_window`] plus a warm-start seed: the
-    /// previous window's [`WarmStartCache`] is projected onto this
-    /// window's grid and every group solve starts from the projected
-    /// field restricted to its candidate columns. Warm starts change
-    /// only the iteration count, not the fixed point the solver
-    /// converges to.
-    pub fn prepare_window_seeded(
-        &self,
-        grid: &Grid,
-        readings: &[RssReading],
-        warm: &WarmStartCache,
-    ) -> WindowSensing {
-        let mut sensing = self.prepare_window(grid, readings);
-        sensing.warm_field = warm.project(grid);
-        sensing
     }
 
     /// Recovers the grid indicator of one hypothesized AP from the
@@ -718,7 +450,7 @@ impl CsRecovery {
             .get(idx)
         {
             sensing.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit.theta.clone());
+            return Ok(hit.clone());
         }
 
         let n = sensing.grid_len();
@@ -734,8 +466,8 @@ impl CsRecovery {
             .filter(|(_, col)| col.iter().zip(&group).all(|(&c, &g)| c & g == g))
             .map(|(j, _)| j)
             .collect();
-        let (theta, raw, solve_stats) = if candidates.is_empty() {
-            (vec![0.0; n], vec![0.0; n], None)
+        let (theta, solve_stats) = if candidates.is_empty() {
+            (vec![0.0; n], None)
         } else {
             let mut cols = Vec::with_capacity(candidates.len() * idx.len());
             for &j in &candidates {
@@ -745,12 +477,7 @@ impl CsRecovery {
             let cols = Matrix::from_vec(candidates.len(), idx.len(), cols)
                 .expect("one entry per (candidate, reading)");
             let y: Vec<f64> = idx.iter().map(|&i| sensing.shifted_rss[i]).collect();
-            let warm = if self.accel.warm_start {
-                sensing.warm_field.as_deref()
-            } else {
-                None
-            };
-            let solve = self.solve_pruned(&cols, &y, &candidates, n, warm)?;
+            let solve = self.solve_pruned(&cols, &y, &candidates, n)?;
             for (stage, elapsed) in solve.stage_times.into_iter().enumerate() {
                 sensing.add_stage_time(stage, elapsed);
             }
@@ -758,19 +485,13 @@ impl CsRecovery {
                 solve.iterations,
                 solve.converged,
                 solve.fallback,
-                solve.screened_cols,
                 solve.iterations_saved,
-                solve.warm_used,
             );
-            (solve.theta, solve.raw, Some(stats))
-        };
-        let entry = MemoEntry {
-            theta: Arc::new(theta),
-            raw: Arc::new(raw),
+            (solve.theta, Some(stats))
         };
         // Two workers can race past the memo check and solve the same
         // group; the solves are identical (recovery is a pure function
-        // of the index set, and the warm field is fixed per window), so
+        // of the index set), so
         // only the insertion winner records its stats — that keeps the
         // drive-level iteration totals schedule-independent. The loser
         // counts as a hit: its caller is served from the memo.
@@ -781,12 +502,10 @@ impl CsRecovery {
         match memo.entry(idx.to_vec()) {
             std::collections::hash_map::Entry::Occupied(hit) => {
                 sensing.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(hit.get().theta.clone())
+                Ok(hit.get().clone())
             }
             std::collections::hash_map::Entry::Vacant(slot) => {
-                if let Some((iterations, converged, fallback, screened, saved, warm_used)) =
-                    solve_stats
-                {
+                if let Some((iterations, converged, fallback, saved)) = solve_stats {
                     sensing.solves.fetch_add(1, Ordering::Relaxed);
                     sensing
                         .solver_iterations
@@ -798,17 +517,11 @@ impl CsRecovery {
                         sensing.fallbacks.fetch_add(1, Ordering::Relaxed);
                     }
                     sensing
-                        .screened_cols
-                        .fetch_add(screened as u64, Ordering::Relaxed);
-                    sensing
                         .iterations_saved
                         .fetch_add(saved as u64, Ordering::Relaxed);
-                    if warm_used {
-                        sensing.warm_seeded.fetch_add(1, Ordering::Relaxed);
-                    }
                 }
-                let theta = entry.theta.clone();
-                slot.insert(entry);
+                let theta = Arc::new(theta);
+                slot.insert(theta.clone());
                 Ok(theta)
             }
         }
@@ -852,42 +565,6 @@ impl CsRecovery {
         Ok(out)
     }
 
-    /// Applies the active [`SolverAccel`] switches to `solver`,
-    /// returning `None` when it should run unchanged (acceleration off,
-    /// or a solver family with no accelerated path). `orthonormal` marks
-    /// the Proposition-1 branch, where `Q` has orthonormal rows and the
-    /// proximal Lipschitz constant is exactly 1 — pinning it skips the
-    /// power iteration every solve would otherwise spend estimating it.
-    fn accel_solver(&self, solver: &AnySolver, orthonormal: bool) -> Option<AnySolver> {
-        if !self.accel.is_active() {
-            return None;
-        }
-        match solver {
-            AnySolver::Fista(f) => {
-                let mut f = f
-                    .clone()
-                    .with_screening(self.accel.screening)
-                    .with_gram(self.accel.gram);
-                if self.accel.gap_rel > 0.0 {
-                    f = f.with_gap_tolerance(self.accel.gap_rel).ok()?;
-                }
-                if orthonormal {
-                    f = f.with_fixed_lipschitz(1.0).ok()?;
-                }
-                Some(AnySolver::Fista(f))
-            }
-            AnySolver::AdmmLasso(s) if self.accel.gap_rel > 0.0 => s
-                .clone()
-                .with_gap_tolerance(self.accel.gap_rel)
-                .ok()
-                .map(AnySolver::AdmmLasso),
-            // The active set is exact; OMP / IRLS / basis pursuit have no
-            // screened or gap-stopped path. Warm starts still flow
-            // through the workspace to the families that take them.
-            _ => None,
-        }
-    }
-
     /// The system the ℓ1 solver sees for the column-normalized `a`: the
     /// Proposition-1 operator and observation, or `(a, y)` itself when
     /// orthogonalization is off.
@@ -895,71 +572,43 @@ impl CsRecovery {
         if !self.orthogonalize {
             return Ok((a, y.to_vec()));
         }
-        if self.fused_factorization {
-            // Fused Proposition 1: whiten A from its m × m Gram matrix —
-            // pivoted Cholesky under the √ε·σ_max rank rule (squared:
-            // pivots above ε·λ_max(AAᵀ)), Q = C⁻¹ A_S on the pivot rows,
-            // y' = L⁺ y, then one CholeskyQR pass so Q's rows are
-            // orthonormal to round-off. Keeping noise-level directions
-            // would divide y' by them and inflate ‖Qᵀy'‖∞ — and with it
-            // the relative ℓ1 weight λ — enough to shrink away
-            // genuinely weak APs.
-            let w = whiten(&a, y).map_err(|e| CoreError::Solver(e.to_string()))?;
-            return Ok((w.q, w.y));
-        }
-        // Unfused Proposition 1: Q = orth(Aᵀ)ᵀ, T = Q A†, y' = T y — the
-        // historical route, kept as the bench baseline for the fused
-        // factorization.
-        let q = orth(&a.transpose()).transpose(); // r × pruned-N
-        let pinv = pseudo_inverse(&a).map_err(|e| CoreError::Solver(e.to_string()))?;
-        let y_prime = q.matmul(&pinv).matvec(y); // T = Q A† is r × m
-        Ok((q, y_prime))
+        // Proposition 1 by whitening A from its m × m Gram matrix —
+        // pivoted Cholesky under the √ε·σ_max rank rule (squared: pivots
+        // above ε·λ_max(AAᵀ)), Q = C⁻¹ A_S on the pivot rows, y' = L⁺ y,
+        // then one CholeskyQR pass so Q's rows are orthonormal to
+        // round-off. Keeping noise-level directions would divide y' by
+        // them and inflate ‖Qᵀy'‖∞ — and with it the relative ℓ1 weight
+        // λ — enough to shrink away genuinely weak APs.
+        let w = whiten(&a, y).map_err(|e| CoreError::Solver(e.to_string()))?;
+        Ok((w.q, w.y))
     }
 
     /// Normalizes, (optionally) orthogonalizes, solves and debiases the
     /// pruned system; scatters back to the full `n`-length grid. Shared
     /// by the direct and workspace recovery paths. `cols` holds the
     /// pruned sensing matrix column-contiguously (row `jc` is the
-    /// signature of candidate `jc` over the group's readings). `warm` is
-    /// a full-grid raw solver field from the previous window; its
-    /// restriction to the candidate columns seeds the solve when it
-    /// carries any mass.
+    /// signature of candidate `jc` over the group's readings).
     fn solve_pruned(
         &self,
         cols: &Matrix,
         y: &[f64],
         candidates: &[usize],
         n: usize,
-        warm: Option<&[f64]>,
     ) -> Result<GroupSolve> {
         let started = Instant::now();
         let (sumsq, norms, a) = normalize_columns(cols);
-
-        // Warm-start seed: the previous window's raw solution restricted
-        // to this group's candidates. Both solver branches work in the
-        // same coordinate space (one unknown per candidate column), so
-        // the restriction is a plain gather.
-        let seed: Option<Vec<f64>> = warm
-            .map(|field| candidates.iter().map(|&j| field[j]).collect::<Vec<f64>>())
-            .filter(|x0| x0.iter().any(|&v| v > 0.0));
         let (op, rhs) = self.prop1_operator(a, y)?;
         let factorized = Instant::now();
-        let solve = |solver: &AnySolver| {
-            let accel = self.accel_solver(solver, self.orthogonalize);
-            solve_seeded(accel.as_ref().unwrap_or(solver), &op, &rhs, seed.as_deref())
+        // One workspace per solve keeps the iterative solvers'
+        // per-iteration vectors (x/z/gradients) in reused buffers instead
+        // of fresh heap allocations every step.
+        let solve = |solver: &AnySolver| -> Result<Recovery> {
+            Ok(solver.recover_with(&op, &rhs, &mut SolverWorkspace::new())?)
         };
-        let (recovery, warm_used, fallback) = settle(&self.solver, solve(&self.solver)?, || {
+        let (recovery, fallback) = settle(&self.solver, solve(&self.solver)?, || {
             solve(&AnySolver::from(Self::fallback_fista()))
         })?;
         let solved = Instant::now();
-
-        // Raw solver field on the full grid — the warm-start seed for
-        // the next window's solves (pre-debias so reseeding stays in
-        // solver coordinates).
-        let mut raw = vec![0.0; n];
-        for (jc, &j) in candidates.iter().enumerate() {
-            raw[j] = recovery.solution[jc];
-        }
 
         // Un-scale the pruned solution.
         let mut pruned: Vec<f64> = recovery
@@ -1010,32 +659,24 @@ impl CsRecovery {
         let debiased = Instant::now();
         Ok(GroupSolve {
             theta,
-            raw,
             iterations: recovery.iterations,
             converged: recovery.converged,
             fallback,
-            screened_cols: recovery.screened_cols,
             iterations_saved: recovery.iterations_saved,
-            warm_used,
             stage_times: [factorized - started, solved - factorized, debiased - solved],
         })
     }
 }
 
 /// Result of one pruned group solve: the scattered indicator plus the
-/// solver's convergence and acceleration diagnostics (fed into
-/// [`SensingStats`]).
+/// solver's convergence diagnostics (fed into [`SensingStats`]).
 struct GroupSolve {
     theta: Vec<f64>,
-    /// Raw (pre-debias) solver solution scattered to the full grid.
-    raw: Vec<f64>,
     iterations: usize,
     converged: bool,
     /// Whether the active set gave up and FISTA produced the solution.
     fallback: bool,
-    screened_cols: usize,
     iterations_saved: usize,
-    warm_used: bool,
     /// Wall time of the factorize, solve and debias stages.
     stage_times: [Duration; 3],
 }
@@ -1097,47 +738,21 @@ fn matched_filter_scores(cols: &Matrix, sumsq: &[f64], y: &[f64]) -> Vec<(usize,
 
 /// Accepts `solver`'s `first` solve, or — when an active set could not
 /// certify it — the FISTA fallback computed by `refit`, whose iterations
-/// then include the spent pivots. Both solves come as (recovery, seed
-/// used); returns the kept recovery, whether any seed was used, and
-/// whether the fallback ran.
+/// then include the spent pivots. Returns the kept recovery and whether
+/// the fallback ran.
 fn settle(
     solver: &AnySolver,
-    first: (Recovery, bool),
-    refit: impl FnOnce() -> Result<(Recovery, bool)>,
-) -> Result<(Recovery, bool, bool)> {
-    let (mut recovery, mut warm_used) = first;
+    first: Recovery,
+    refit: impl FnOnce() -> Result<Recovery>,
+) -> Result<(Recovery, bool)> {
+    let mut recovery = first;
     let fallback = !recovery.converged && matches!(solver, AnySolver::ActiveSet(_));
     if fallback {
         let pivots = recovery.iterations;
-        let (fista, seeded) = refit()?;
-        recovery = fista;
+        recovery = refit()?;
         recovery.iterations += pivots;
-        warm_used |= seeded;
     }
-    Ok((recovery, warm_used, fallback))
-}
-
-/// Runs one solve in a fresh workspace, handing the warm-start `seed` to
-/// every family but the (seedless) active set. Returns the recovery and
-/// whether the seed was used.
-fn solve_seeded(
-    solver: &AnySolver,
-    op: &Matrix,
-    rhs: &[f64],
-    seed: Option<&[f64]>,
-) -> Result<(Recovery, bool)> {
-    // One workspace per solve keeps the iterative solvers' per-iteration
-    // vectors (x/z/gradients) in reused buffers instead of fresh heap
-    // allocations every step.
-    let mut ws = SolverWorkspace::new();
-    let seeded = match seed {
-        Some(x0) if !matches!(solver, AnySolver::ActiveSet(_)) => {
-            ws.set_warm_start(x0);
-            true
-        }
-        _ => false,
-    };
-    Ok((solver.recover_with(op, rhs, &mut ws)?, seeded))
+    Ok((recovery, fallback))
 }
 
 #[cfg(test)]
@@ -1345,48 +960,11 @@ mod tests {
         assert!(engine.recover_group(&sensing, &[5]).is_err());
     }
 
-    /// Fused (one-SVD) and unfused (Gram–Schmidt + pseudo-inverse)
-    /// factorizations build different orthonormal bases of the same row
-    /// space; the ℓ1 program is invariant under that rotation, so the
-    /// recovered peak and support must agree.
-    #[test]
-    fn fused_factorization_preserves_support() {
-        let grid = grid_100();
-        let ap_idx = grid.nearest_index(Point::new(45.0, 45.0));
-        let ap = grid.point(ap_idx);
-        let positions = l_route();
-        let rss = clean_rss(ap, &positions);
-        let fused = engine().recover_single_ap(&grid, &positions, &rss).unwrap();
-        let unfused = engine()
-            .with_fused_factorization(false)
-            .recover_single_ap(&grid, &positions, &rss)
-            .unwrap();
-        let peak = |t: &[f64]| {
-            (0..t.len())
-                .max_by(|&a, &b| t[a].partial_cmp(&t[b]).unwrap())
-                .unwrap()
-        };
-        assert_eq!(peak(&fused), ap_idx);
-        assert_eq!(peak(&unfused), ap_idx);
-        let support = |t: &[f64]| {
-            let m = t.iter().cloned().fold(0.0_f64, f64::max);
-            (0..t.len()).filter(|&j| t[j] > 0.3 * m).collect::<Vec<_>>()
-        };
-        assert_eq!(support(&fused), support(&unfused));
-        // And under the full acceleration stack, too.
-        let fused_accel = engine()
-            .with_accel(SolverAccel::enabled())
-            .recover_single_ap(&grid, &positions, &rss)
-            .unwrap();
-        assert_eq!(support(&fused_accel), support(&fused));
-    }
-
     /// Twelve readings 1 m apart along a straight road with centimetre
     /// jitter: the group's signatures are nearly colinear and its
     /// spectrum decays into round-off. The Proposition-1 operator must still have
-    /// orthonormal rows — FISTA's accelerated path pins its Lipschitz
-    /// constant to 1 on that assumption, and the ℓ1 program is only
-    /// rotation-invariant for an orthonormal basis.
+    /// orthonormal rows — the ℓ1 program is only rotation-invariant for
+    /// an orthonormal basis.
     #[test]
     fn near_colinear_group_has_an_orthonormal_operator() {
         let grid = grid_100();
@@ -1518,96 +1096,12 @@ mod tests {
         assert!(engine.recover_groups(&sensing, &[vec![99]]).is_err());
     }
 
-    #[test]
-    fn accelerated_solves_preserve_the_recovered_peak() {
-        let grid = grid_100();
-        let ap_idx = grid.nearest_index(Point::new(45.0, 45.0));
-        let ap = grid.point(ap_idx);
-        let positions = l_route();
-        let rss = clean_rss(ap, &positions);
-        let baseline = engine().recover_single_ap(&grid, &positions, &rss).unwrap();
-        let accel = engine()
-            .with_accel(SolverAccel::enabled())
-            .recover_single_ap(&grid, &positions, &rss)
-            .unwrap();
-        let peak = |t: &[f64]| {
-            (0..t.len())
-                .max_by(|&a, &b| t[a].partial_cmp(&t[b]).unwrap())
-                .unwrap()
-        };
-        assert_eq!(peak(&baseline), ap_idx);
-        assert_eq!(peak(&accel), ap_idx);
-        // Same support above a loose threshold — screening and the gap
-        // stop must not move mass between grid cells.
-        let support = |t: &[f64]| {
-            let m = t.iter().cloned().fold(0.0_f64, f64::max);
-            (0..t.len()).filter(|&j| t[j] > 0.3 * m).collect::<Vec<_>>()
-        };
-        assert_eq!(support(&baseline), support(&accel));
-    }
-
-    #[test]
-    fn warm_cache_absorbs_and_projects() {
-        let grid = grid_100();
-        let ap = grid.point(grid.nearest_index(Point::new(45.0, 45.0)));
-        let route = l_route();
-        let readings: Vec<crowdwifi_channel::RssReading> = route
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                crowdwifi_channel::RssReading::new(
-                    p,
-                    PathLossModel::uci_campus().mean_rss(p.distance(ap)),
-                    i as f64,
-                )
-            })
-            .collect();
-        // Warm starts seed the FISTA path only: pin it.
-        let engine = engine()
-            .with_accel(SolverAccel::enabled())
-            .with_solver(CsRecovery::fallback_fista());
-        let mut warm = WarmStartCache::new();
-        assert!(warm.is_empty());
-        assert!(warm.project(&grid).is_none());
-
-        // Window 1: cold solves fill the memo; absorb snapshots it.
-        let sensing = engine.prepare_window_seeded(&grid, &readings, &warm);
-        assert!(!sensing.is_seeded());
-        let idx: Vec<usize> = (0..readings.len()).collect();
-        engine.recover_group(&sensing, &idx).unwrap();
-        warm.absorb(&grid, &sensing);
-        assert!(!warm.is_empty());
-        let field = warm.project(&grid).expect("projection lands on grid");
-        assert_eq!(field.len(), grid.len());
-        assert!(field.iter().any(|&v| v > 0.0));
-
-        // Window 2 (same grid here): the seeded solve reports warm use
-        // and reaches the same answer as window 1's cold solve.
-        let seeded = engine.prepare_window_seeded(&grid, &readings, &warm);
-        assert!(seeded.is_seeded());
-        let warm_theta = engine.recover_group(&seeded, &idx).unwrap();
-        let cold_theta = engine.recover_group(&sensing, &idx).unwrap();
-        let stats = seeded.stats();
-        assert_eq!(stats.warm_seeded, 1);
-        let peak = |t: &[f64]| {
-            (0..t.len())
-                .max_by(|&a, &b| t[a].partial_cmp(&t[b]).unwrap())
-                .unwrap()
-        };
-        assert_eq!(peak(&warm_theta), peak(&cold_theta));
-        // A window that solved nothing clears the chain.
-        let empty = engine.prepare_window(&grid, &readings);
-        warm.absorb(&grid, &empty);
-        assert!(warm.is_empty());
-    }
-
     fn recovery(iterations: usize, converged: bool) -> Recovery {
         Recovery {
             solution: vec![0.5, 0.0],
             iterations,
             residual_norm: 0.1,
             converged,
-            screened_cols: 0,
             iterations_saved: 0,
         }
     }
@@ -1619,17 +1113,17 @@ mod tests {
     fn uncertified_active_set_solves_fall_back() {
         let active = AnySolver::from(ActiveSet::default());
         let fista = AnySolver::from(CsRecovery::fallback_fista());
-        let refit = || Ok((recovery(400, false), true));
+        let refit = || Ok(recovery(400, false));
 
-        let (rec, warm, fallback) = settle(&active, (recovery(7, false), false), refit).unwrap();
-        assert!(fallback && warm);
+        let (rec, fallback) = settle(&active, recovery(7, false), refit).unwrap();
+        assert!(fallback);
         assert_eq!(rec, recovery(407, false));
 
-        let unused = || -> Result<(Recovery, bool)> { panic!("no fallback expected") };
-        let (rec, warm, fallback) = settle(&active, (recovery(3, true), false), unused).unwrap();
-        assert!(!fallback && !warm);
+        let unused = || -> Result<Recovery> { panic!("no fallback expected") };
+        let (rec, fallback) = settle(&active, recovery(3, true), unused).unwrap();
+        assert!(!fallback);
         assert_eq!(rec, recovery(3, true));
-        let (rec, _, fallback) = settle(&fista, (recovery(400, false), true), unused).unwrap();
+        let (rec, fallback) = settle(&fista, recovery(400, false), unused).unwrap();
         assert!(!fallback);
         assert_eq!(rec, recovery(400, false));
 
@@ -1649,15 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn only_seeded_solvers_use_the_warm_start_chain() {
-        let accel = SolverAccel::enabled();
-        assert!(!engine().with_accel(accel).uses_warm_start());
-        let fista = engine().with_solver(CsRecovery::fallback_fista());
-        assert!(fista.clone().with_accel(accel).uses_warm_start());
-        assert!(!fista.uses_warm_start());
-    }
-
-    #[test]
     fn stats_merge_sums_every_field() {
         let a = SensingStats {
             lookups: 1,
@@ -1666,9 +1151,7 @@ mod tests {
             solver_iterations: 4,
             unconverged: 5,
             fallbacks: 9,
-            screened_cols: 6,
             iterations_saved: 7,
-            warm_seeded: 8,
         };
         let mut total = a;
         total.merge(&a);
@@ -1681,9 +1164,7 @@ mod tests {
                 solver_iterations: 8,
                 unconverged: 10,
                 fallbacks: 18,
-                screened_cols: 12,
                 iterations_saved: 14,
-                warm_seeded: 16,
             }
         );
     }

@@ -257,10 +257,7 @@ fn recover_group_modes(
 ) -> Result<Option<Vec<Vec<crate::centroid::CentroidEstimate>>>> {
     // Groups are recovered one at a time so a degenerate group aborts
     // the hypothesis *before* solving its remaining siblings: extra
-    // solves would be pure waste, and their memoized fields would leak
-    // into the cross-window warm-start state
-    // ([`crate::recovery::WarmStartCache::absorb`] folds every memoized
-    // field of a finished window). Duplicate groupings across
+    // solves would be pure waste. Duplicate groupings across
     // hypotheses and EM passes still hit the [`WindowSensing`] memo;
     // callers without early-out semantics batch through
     // [`CsRecovery::recover_groups`] instead.

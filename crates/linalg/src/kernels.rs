@@ -1,8 +1,8 @@
 //! Runtime-dispatched compute kernels for the dense hot path.
 //!
 //! Every dense primitive the solvers lean on per iteration — `matvec`,
-//! the transposed accumulate behind `matvec_transposed_into` /
-//! `matvec_transposed_sub_into`, `gram`, `matmul` and the vector
+//! the transposed accumulate behind `matvec_transposed_into`, `matmul`
+//! and the vector
 //! `dot`/`axpy`/`distance` ops — exists here in two variants:
 //!
 //! * [`scalar`] — a verbatim transcription of the original loops. This
@@ -27,9 +27,9 @@
 //! The top-level functions dispatch between the two at runtime: setting
 //! `CROWDWIFI_FORCE_SCALAR=1` in the environment pins the scalar path
 //! (benches and A/B tests can also pin a mode in-process with
-//! [`set_mode`]). Batched multi-RHS forms ([`matvec_batch`],
-//! [`acc_rows_batch`]) stream the matrix once for all right-hand sides
-//! instead of once per vector.
+//! [`set_mode`]). Batched forms ([`matvec_batch`], [`acc_rows_batch`])
+//! stream the matrix once for several vectors instead of once per
+//! vector.
 
 // Index-based loops below mirror the textbook algorithms (and the
 // scalar reference loops they must match bit-for-bit); iterator
@@ -141,36 +141,6 @@ pub mod scalar {
         }
     }
 
-    /// Gram matrix `AᵀA` into a pre-zeroed `cols × cols` buffer: upper
-    /// triangle as rank-1 row updates (zero coefficients skipped), then
-    /// mirrored so both triangles hold identical floats.
-    pub fn gram(rows: usize, cols: usize, a: &[f64], g: &mut [f64]) {
-        let n = cols;
-        for r in 0..rows {
-            let row = &a[r * n..(r + 1) * n];
-            for i in 0..n {
-                let c = row[i];
-                if c == 0.0 {
-                    continue;
-                }
-                let dst = &mut g[i * n..(i + 1) * n];
-                for j in i..n {
-                    dst[j] += c * row[j];
-                }
-            }
-        }
-        mirror_upper(n, g);
-    }
-
-    /// Copies the upper triangle onto the lower one.
-    pub(super) fn mirror_upper(n: usize, g: &mut [f64]) {
-        for i in 0..n {
-            for j in (i + 1)..n {
-                g[j * n + i] = g[i * n + j];
-            }
-        }
-    }
-
     /// Matrix product `A · B` into a pre-zeroed `rows × cols` buffer,
     /// as row-axpy updates that skip zero coefficients of `A`
     /// (`A` is `rows × k`, `B` is `k × cols`).
@@ -199,7 +169,7 @@ pub mod scalar {
 /// memory traffic without reassociating anything — so results match
 /// the scalar path bit for bit, including for ∞ inputs (NaN payload
 /// bits are the one exception; see the module docs). Purely
-/// elementwise kernels (`axpy`, `gram`, `matmul`) keep the slice-zip
+/// elementwise kernels (`axpy`, `matmul`) keep the slice-zip
 /// form: LLVM already vectorizes it, and manual unrolls measured
 /// *slower*.
 pub mod vector {
@@ -341,28 +311,6 @@ pub mod vector {
         }
     }
 
-    /// Gram matrix into a pre-zeroed buffer: same triangular rank-1
-    /// structure as the scalar kernel, with the inner update expressed
-    /// as a slice zip so the bounds checks hoist and the independent
-    /// elements auto-vectorize.
-    pub fn gram(rows: usize, cols: usize, a: &[f64], g: &mut [f64]) {
-        let n = cols;
-        for r in 0..rows {
-            let row = &a[r * n..(r + 1) * n];
-            for i in 0..n {
-                let c = row[i];
-                if c == 0.0 {
-                    continue;
-                }
-                let dst = &mut g[i * n + i..(i + 1) * n];
-                for (d, &x) in dst.iter_mut().zip(&row[i..]) {
-                    *d += c * x;
-                }
-            }
-        }
-        super::scalar::mirror_upper(n, g);
-    }
-
     /// Matrix product into a pre-zeroed buffer: same zero-skip row-axpy
     /// structure as the scalar kernel, with the destination row slice
     /// hoisted out of the inner loop.
@@ -442,15 +390,6 @@ pub fn acc_rows(cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
         vector::acc_rows(cols, a, v, out)
     } else {
         scalar::acc_rows(cols, a, v, out)
-    }
-}
-
-/// Dispatched Gram matrix into a pre-zeroed `cols × cols` buffer.
-pub fn gram(rows: usize, cols: usize, a: &[f64], g: &mut [f64]) {
-    if vectorized() {
-        vector::gram(rows, cols, a, g)
-    } else {
-        scalar::gram(rows, cols, a, g)
     }
 }
 

@@ -10,8 +10,8 @@
 //!   and the transformed observation — from the small Gram matrix, with
 //!   no SVD,
 //! * singular value decomposition and the Moore–Penrose pseudo-inverse
-//!   ([`svd`]), used by the unfused orth + pseudo-inverse reference
-//!   route and the baselines,
+//!   ([`svd`]), used by the basis-pursuit reference solver and the
+//!   baselines,
 //! * LU/Cholesky solvers ([`solve`]) used by the ADMM basis-pursuit solver,
 //! * a matrix-free conjugate-gradient solver ([`cg`]) for city-scale
 //!   grids where factoring is too expensive,

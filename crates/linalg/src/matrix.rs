@@ -367,40 +367,6 @@ impl Matrix {
         kernels::acc_rows_batch(self.rows, self.cols, &self.data, vs, outs);
     }
 
-    /// Gram matrix `selfᵀ * self` (`cols × cols`, symmetric).
-    ///
-    /// Built as a sum of rank-1 updates over the rows, filling only the
-    /// upper triangle and mirroring it, so the cost is `rows·cols²/2`
-    /// multiply-adds — half of a generic `transpose().matmul(self)` —
-    /// and the result is exactly symmetric (the mirrored entries are
-    /// the same floats, not re-derived sums).
-    pub fn gram(&self) -> Matrix {
-        let n = self.cols;
-        let mut g = Matrix::zeros(n, n);
-        kernels::gram(self.rows, n, &self.data, &mut g.data);
-        g
-    }
-
-    /// Fused `selfᵀ * v − c` into a caller-provided buffer, skipping
-    /// zero entries of `v`.
-    ///
-    /// This is the Gram-residual update of the accelerated solvers:
-    /// with `self = G = AᵀA` (symmetric) and `c = Aᵀy`, it evaluates
-    /// the gradient `∇½‖Ax−y‖² = Gx − c` in one pass, touching only
-    /// the Gram rows whose coefficient is nonzero — after soft
-    /// thresholding the iterate is sparse, so most rows are skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.rows()` or `c.len() != self.cols()`.
-    pub fn matvec_transposed_sub_into(&self, v: &[f64], c: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(v.len(), self.rows, "matvec_transposed_sub shape mismatch");
-        assert_eq!(c.len(), self.cols, "matvec_transposed_sub rhs mismatch");
-        out.clear();
-        out.extend(c.iter().map(|&x| -x));
-        kernels::acc_rows(self.cols, &self.data, v, out);
-    }
-
     /// Element-wise sum `self + other`.
     ///
     /// # Panics
@@ -572,40 +538,6 @@ mod tests {
         let a = Matrix::from_fn(3, 2, |r, c| (2 * r + 3 * c) as f64);
         let v = [1.0, 0.5, -1.0];
         assert_eq!(a.matvec_transposed(&v), a.transpose().matvec(&v));
-    }
-
-    #[test]
-    fn gram_matches_transpose_matmul() {
-        let a = Matrix::from_fn(4, 3, |r, c| ((r * 5 + c * 3) % 7) as f64 - 3.0);
-        let g = a.gram();
-        let reference = a.transpose().matmul(&a);
-        assert!(g.approx_eq(&reference, 1e-12));
-        // Exact symmetry: mirrored entries are identical floats.
-        for i in 0..3 {
-            for j in 0..3 {
-                assert_eq!(g.get(i, j), g.get(j, i));
-            }
-        }
-    }
-
-    #[test]
-    fn matvec_transposed_sub_is_fused_gradient() {
-        let a = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64 * 0.25 - 1.0);
-        let g = a.gram();
-        let v = [0.5, 0.0, -1.5, 0.0]; // sparse iterate: zero rows skipped
-        let c = [1.0, -2.0, 0.5, 3.0];
-        let mut out = Vec::new();
-        g.matvec_transposed_sub_into(&v, &c, &mut out);
-        // G is symmetric, so Gᵀv − c == Gv − c.
-        let reference: Vec<f64> = g
-            .matvec(&v)
-            .iter()
-            .zip(&c)
-            .map(|(gv, ci)| gv - ci)
-            .collect();
-        for (o, r) in out.iter().zip(&reference) {
-            assert!((o - r).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Singular value decomposition and the Moore–Penrose pseudo-inverse.
 //!
-//! The paper's Proposition 1 orthogonalization computes `T = Q A†` with
-//! `A† ` the pseudo-inverse of the sensing matrix `A = ΦΨ`; this module
-//! provides that `A†` for the unfused reference route. The default
-//! recovery path whitens from the Gram matrix instead
+//! The paper's Proposition 1 orthogonalization is written as
+//! `T = Q A†` with `A†` the pseudo-inverse of the sensing matrix
+//! `A = ΦΨ`. The recovery path whitens from the Gram matrix instead
 //! ([`crate::whiten`]), because vectors read off a Gram
-//! eigendecomposition are only orthonormal to about `ε·σ_max/σ`.
+//! eigendecomposition are only orthonormal to about `ε·σ_max/σ`; this
+//! module serves the basis-pursuit solver and the MDS baseline.
 //!
 //! The SVD is built from the symmetric eigendecomposition of the smaller
 //! Gram matrix (`AᵀA` or `AAᵀ`), which is accurate enough for the

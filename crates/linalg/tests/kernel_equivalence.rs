@@ -158,16 +158,6 @@ proptest! {
     }
 
     #[test]
-    fn gram_matches_bitwise(m in matrix()) {
-        let (rows, cols, a) = m;
-        let mut gs = vec![0.0; cols * cols];
-        let mut gv = vec![0.0; cols * cols];
-        scalar::gram(rows, cols, &a, &mut gs);
-        vector::gram(rows, cols, &a, &mut gv);
-        prop_assert_eq!(bits(&gs), bits(&gv), "gram diverged on {}x{}", rows, cols);
-    }
-
-    #[test]
     fn matmul_matches_bitwise(
         case in (0usize..7, 0usize..7, 0usize..7).prop_flat_map(|(rows, k, cols)| {
             (

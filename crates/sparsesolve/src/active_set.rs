@@ -51,7 +51,7 @@
 // triangular solves; iterator rewrites obscure them.
 #![allow(clippy::needless_range_loop)]
 
-use crate::{validate_problem, Recovery, Result, SolverWorkspace, SparseRecovery};
+use crate::{validate_problem, Recovery, Result, SparseRecovery};
 use crowdwifi_linalg::vector;
 use crowdwifi_linalg::Matrix;
 
@@ -105,7 +105,6 @@ impl SparseRecovery for ActiveSet {
                 iterations: 0,
                 residual_norm: vector::norm2(y),
                 converged: finite,
-                screened_cols: 0,
                 iterations_saved: 0,
             });
         }
@@ -117,16 +116,8 @@ impl SparseRecovery for ActiveSet {
             solution: solve.x,
             iterations: solve.pivots,
             converged,
-            screened_cols: 0,
             iterations_saved: 0,
         })
-    }
-
-    fn recover_with(&self, a: &Matrix, y: &[f64], ws: &mut SolverWorkspace) -> Result<Recovery> {
-        // No warm-start support: a pending seed is discarded, as the
-        // workspace contract requires.
-        ws.clear_warm_start();
-        self.recover(a, y)
     }
 
     fn name(&self) -> &'static str {
@@ -511,6 +502,21 @@ mod tests {
         assert_eq!(supp, vec![4, 33, 50]);
     }
 
+    /// Both solvers pose the same LASSO (`λ` from [`LAMBDA_REL`]), so a
+    /// default FISTA run must land next to the exact solution.
+    #[test]
+    fn active_set_and_fista_agree() {
+        let a = bernoulli_matrix(20, 40, 9);
+        let mut theta = vec![0.0; 40];
+        theta[7] = 1.0;
+        theta[22] = 1.0;
+        let y = a.matvec(&theta);
+        let f = Fista::default().recover(&a, &y).unwrap();
+        let s = ActiveSet::default().recover(&a, &y).unwrap();
+        let d = vector::distance(&f.solution, &s.solution);
+        assert!(d < 1e-2, "solver disagreement {d}");
+    }
+
     #[test]
     fn zero_inputs_certify_the_zero_solution() {
         let a = bernoulli_matrix(6, 12, 3);
@@ -577,17 +583,6 @@ mod tests {
         assert!(solve.x.iter().all(|&v| v >= 0.0));
         let mut solve = Solve::new(&a, &y, a.matvec_transposed(&y), LAMBDA_REL * b_max);
         assert!(solve.run(KKT_TOLERANCE * b_max, 3 * 20 + 10));
-    }
-
-    #[test]
-    fn workspace_seed_is_discarded() {
-        let a = bernoulli_matrix(8, 16, 5);
-        let y = a.matvec(&[1.0; 16]);
-        let mut ws = SolverWorkspace::new();
-        ws.set_warm_start(&[1.0; 16]);
-        let with = ActiveSet::default().recover_with(&a, &y, &mut ws).unwrap();
-        assert!(!ws.has_warm_start());
-        assert_eq!(with, ActiveSet::default().recover(&a, &y).unwrap());
     }
 
     #[test]

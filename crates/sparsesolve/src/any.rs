@@ -5,7 +5,7 @@
 //! trait object would not be).
 
 use crate::active_set::ActiveSet;
-use crate::admm::{AdmmLasso, BasisPursuit};
+use crate::admm::BasisPursuit;
 use crate::fista::Fista;
 use crate::irls::Irls;
 use crate::omp::Omp;
@@ -39,8 +39,6 @@ pub enum AnySolver {
     ActiveSet(ActiveSet),
     /// Proximal-gradient LASSO (ISTA/FISTA).
     Fista(Fista),
-    /// ADMM LASSO.
-    AdmmLasso(AdmmLasso),
     /// ADMM equality-constrained basis pursuit.
     BasisPursuit(BasisPursuit),
     /// Orthogonal matching pursuit.
@@ -58,11 +56,6 @@ impl AnySolver {
     /// FISTA with its default configuration.
     pub fn default_fista() -> Self {
         AnySolver::Fista(Fista::default())
-    }
-
-    /// ADMM LASSO with its default configuration.
-    pub fn default_admm() -> Self {
-        AnySolver::AdmmLasso(AdmmLasso::default())
     }
 
     /// OMP selecting at most 4 atoms (a sensible per-AP budget).
@@ -87,58 +80,19 @@ fn record_solve(name: &'static str, result: &Result<Recovery>) {
     }
     reg.counter(&format!("sparsesolve.{name}.solves")).inc();
     match result {
-        Ok(rec) => record_recovery(reg, name, rec),
-        Err(_) => {
-            reg.counter(&format!("sparsesolve.{name}.errors")).inc();
-        }
-    }
-}
-
-/// The per-[`Recovery`] portion of [`record_solve`], shared with the
-/// batched path (which records one outcome per right-hand side).
-fn record_recovery(reg: &crowdwifi_obs::Registry, name: &'static str, rec: &Recovery) {
-    reg.histogram(
-        &format!("sparsesolve.{name}.iterations"),
-        crowdwifi_obs::ITERATION_BOUNDS,
-    )
-    .observe(rec.iterations as f64);
-    if !rec.converged {
-        reg.counter(&format!("sparsesolve.{name}.unconverged"))
-            .inc();
-    }
-    // Acceleration accounting: columns removed by gap-safe
-    // screening and iteration-budget headroom from early stops.
-    reg.counter(&format!("sparsesolve.{name}.screened_cols"))
-        .add(rec.screened_cols as u64);
-    reg.counter(&format!("sparsesolve.{name}.iterations_saved"))
-        .add(rec.iterations_saved as u64);
-}
-
-/// Records one batched multi-RHS solve: per-column outcomes under the
-/// solver-family keys (so batched and solo solves aggregate together)
-/// plus `sparsesolve.kernel.*` counters tracking how much work the
-/// batched entry point absorbs and which kernel dispatch served it.
-fn record_multi(name: &'static str, rhs: usize, result: &Result<Vec<Recovery>>) {
-    let reg = crowdwifi_obs::global();
-    if !reg.is_enabled() {
-        return;
-    }
-    reg.counter("sparsesolve.kernel.batches").inc();
-    reg.counter("sparsesolve.kernel.batched_rhs")
-        .add(rhs as u64);
-    let mode = if crowdwifi_linalg::kernels::vectorized() {
-        "sparsesolve.kernel.vectorized_batches"
-    } else {
-        "sparsesolve.kernel.scalar_batches"
-    };
-    reg.counter(mode).inc();
-    match result {
-        Ok(recs) => {
-            reg.counter(&format!("sparsesolve.{name}.solves"))
-                .add(recs.len() as u64);
-            for rec in recs {
-                record_recovery(reg, name, rec);
+        Ok(rec) => {
+            reg.histogram(
+                &format!("sparsesolve.{name}.iterations"),
+                crowdwifi_obs::ITERATION_BOUNDS,
+            )
+            .observe(rec.iterations as f64);
+            if !rec.converged {
+                reg.counter(&format!("sparsesolve.{name}.unconverged"))
+                    .inc();
             }
+            // Iteration-budget headroom from early stops.
+            reg.counter(&format!("sparsesolve.{name}.iterations_saved"))
+                .add(rec.iterations_saved as u64);
         }
         Err(_) => {
             reg.counter(&format!("sparsesolve.{name}.errors")).inc();
@@ -151,7 +105,6 @@ impl SparseRecovery for AnySolver {
         let result = match self {
             AnySolver::ActiveSet(s) => s.recover(a, y),
             AnySolver::Fista(s) => s.recover(a, y),
-            AnySolver::AdmmLasso(s) => s.recover(a, y),
             AnySolver::BasisPursuit(s) => s.recover(a, y),
             AnySolver::Omp(s) => s.recover(a, y),
             AnySolver::Irls(s) => s.recover(a, y),
@@ -164,7 +117,6 @@ impl SparseRecovery for AnySolver {
         let result = match self {
             AnySolver::ActiveSet(s) => s.recover_with(a, y, ws),
             AnySolver::Fista(s) => s.recover_with(a, y, ws),
-            AnySolver::AdmmLasso(s) => s.recover_with(a, y, ws),
             AnySolver::BasisPursuit(s) => s.recover_with(a, y, ws),
             AnySolver::Omp(s) => s.recover_with(a, y, ws),
             AnySolver::Irls(s) => s.recover_with(a, y, ws),
@@ -173,29 +125,10 @@ impl SparseRecovery for AnySolver {
         result
     }
 
-    fn recover_multi(
-        &self,
-        a: &Matrix,
-        ys: &[Vec<f64>],
-        ws: &mut SolverWorkspace,
-    ) -> Result<Vec<Recovery>> {
-        let result = match self {
-            AnySolver::ActiveSet(s) => s.recover_multi(a, ys, ws),
-            AnySolver::Fista(s) => s.recover_multi(a, ys, ws),
-            AnySolver::AdmmLasso(s) => s.recover_multi(a, ys, ws),
-            AnySolver::BasisPursuit(s) => s.recover_multi(a, ys, ws),
-            AnySolver::Omp(s) => s.recover_multi(a, ys, ws),
-            AnySolver::Irls(s) => s.recover_multi(a, ys, ws),
-        };
-        record_multi(self.name(), ys.len(), &result);
-        result
-    }
-
     fn name(&self) -> &'static str {
         match self {
             AnySolver::ActiveSet(s) => s.name(),
             AnySolver::Fista(s) => s.name(),
-            AnySolver::AdmmLasso(s) => s.name(),
             AnySolver::BasisPursuit(s) => s.name(),
             AnySolver::Omp(s) => s.name(),
             AnySolver::Irls(s) => s.name(),
@@ -212,12 +145,6 @@ impl From<ActiveSet> for AnySolver {
 impl From<Fista> for AnySolver {
     fn from(s: Fista) -> Self {
         AnySolver::Fista(s)
-    }
-}
-
-impl From<AdmmLasso> for AnySolver {
-    fn from(s: AdmmLasso) -> Self {
-        AnySolver::AdmmLasso(s)
     }
 }
 
@@ -269,7 +196,6 @@ mod tests {
         for solver in [
             AnySolver::default_active_set(),
             AnySolver::default_fista(),
-            AnySolver::default_admm(),
             AnySolver::from(BasisPursuit::default()),
             AnySolver::default_omp(),
             AnySolver::default_irls(),
@@ -311,7 +237,6 @@ mod tests {
         let names = [
             AnySolver::default_active_set().name(),
             AnySolver::default_fista().name(),
-            AnySolver::default_admm().name(),
             AnySolver::from(BasisPursuit::default()).name(),
             AnySolver::default_omp().name(),
             AnySolver::default_irls().name(),

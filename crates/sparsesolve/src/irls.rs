@@ -146,7 +146,6 @@ impl SparseRecovery for Irls {
             iterations,
             residual_norm,
             converged,
-            screened_cols: 0,
             iterations_saved: if converged {
                 self.max_iterations - iterations
             } else {

@@ -17,8 +17,8 @@
 //! * [`fista`] — proximal-gradient LASSO (`min ½‖Aθ − y‖² + λ‖θ‖₁`), in
 //!   plain ISTA and accelerated FISTA variants. The pipeline's fallback
 //!   when the active set runs out of pivots.
-//! * [`admm`] — ADMM solvers for both the LASSO and the equality-
-//!   constrained basis-pursuit program.
+//! * [`admm`] — ADMM for the equality-constrained basis-pursuit
+//!   program, the reference the other families are tested against.
 //! * [`omp`] — orthogonal matching pursuit, a greedy baseline that is also
 //!   used to sanity-check the convex solvers in tests,
 //! * [`irls`] — iteratively reweighted least squares, a fourth family
@@ -50,7 +50,6 @@ pub mod fista;
 pub mod irls;
 pub mod omp;
 pub mod prox;
-mod screen;
 pub mod workspace;
 
 pub use active_set::ActiveSet;
@@ -124,9 +123,6 @@ pub struct Recovery {
     pub residual_norm: f64,
     /// Whether the stopping tolerance was reached before the iteration cap.
     pub converged: bool,
-    /// Columns provably excluded from every optimal support by gap-safe
-    /// screening. Zero for solvers (or configurations) without screening.
-    pub screened_cols: usize,
     /// Iteration-budget headroom left by early stopping: `cap − iterations`
     /// for converged solves of the iterative families, zero otherwise.
     pub iterations_saved: usize,
@@ -178,38 +174,6 @@ pub trait SparseRecovery {
     fn recover_with(&self, a: &Matrix, y: &[f64], ws: &mut SolverWorkspace) -> Result<Recovery> {
         let _ = ws;
         self.recover(a, y)
-    }
-
-    /// Recovers one sparse vector per right-hand side in `ys`, all
-    /// sharing the sensing matrix `a` — the batched entry point for
-    /// call sites that solve many programs against one operator (the
-    /// CS pipeline's per-window group solves, the SVD-application step
-    /// of the orthogonalization).
-    ///
-    /// Each returned [`Recovery`] is **bit-identical** to what a
-    /// standalone [`SparseRecovery::recover_with`] on that column would
-    /// produce from a cold start; batching only amortizes the work the
-    /// columns share (Lipschitz estimation, Gram/Cholesky
-    /// factorizations, matrix traversals). Because a warm-start seed is
-    /// inherently per-column, any pending seed in `ws` is cleared
-    /// before the batch so every column starts cold.
-    ///
-    /// The default implementation is the per-column loop; solvers with
-    /// shareable per-operator work (`Fista`, `AdmmLasso`,
-    /// `BasisPursuit`) override it.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`SparseRecovery::recover_with`],
-    /// applied to every column.
-    fn recover_multi(
-        &self,
-        a: &Matrix,
-        ys: &[Vec<f64>],
-        ws: &mut SolverWorkspace,
-    ) -> Result<Vec<Recovery>> {
-        ws.clear_warm_start();
-        ys.iter().map(|y| self.recover_with(a, y, ws)).collect()
     }
 
     /// Short human-readable solver name (used in benches and logs).
@@ -287,7 +251,6 @@ mod tests {
             iterations: 1,
             residual_norm: 0.0,
             converged: true,
-            screened_cols: 0,
             iterations_saved: 0,
         };
         assert_eq!(r.support(0.5), vec![1, 3]);

@@ -126,9 +126,8 @@ impl SparseRecovery for Omp {
             residual_norm,
             converged: residual_norm <= self.residual_tolerance * ynorm.max(1e-300)
                 || selected.len() == budget,
-            // OMP is budget-driven, not tolerance-driven: neither
-            // screening nor early-stopping headroom applies.
-            screened_cols: 0,
+            // OMP is budget-driven, not tolerance-driven: no
+            // early-stopping headroom applies.
             iterations_saved: 0,
         })
     }

@@ -2,7 +2,7 @@
 
 /// Reusable buffers for [`crate::SparseRecovery::recover_with`].
 ///
-/// The iterative solvers (FISTA/ISTA, ADMM LASSO, basis pursuit, IRLS)
+/// The iterative solvers (FISTA/ISTA, basis pursuit, IRLS)
 /// keep several solution-sized vectors alive across iterations;
 /// historically each iteration *cloned* them — FISTA alone allocated
 /// four fresh vectors per step, ~8000 heap allocations for a default
@@ -15,9 +15,7 @@
 /// never observes stale data from a previous one. Routing a solver
 /// through a workspace changes *where* intermediates live, never the
 /// arithmetic: `recover` and `recover_with` return bit-identical
-/// [`crate::Recovery`] values — unless a warm-start seed is pending
-/// (see [`SolverWorkspace::set_warm_start`]), which deliberately
-/// changes the iterate *path* (never the optimum being approximated).
+/// [`crate::Recovery`] values.
 ///
 /// Buffer roles are loose by design — `x`/`x_alt` double as the
 /// current/next iterate swap pair, `m_scratch`/`m_scratch2` hold
@@ -42,10 +40,6 @@ pub struct SolverWorkspace {
     pub(crate) m_scratch: Vec<f64>,
     /// Second measurement-length scratch (residuals).
     pub(crate) m_scratch2: Vec<f64>,
-    /// Pending warm-start seed (see [`SolverWorkspace::set_warm_start`]).
-    warm: Vec<f64>,
-    /// Whether `warm` holds a seed for the next solve.
-    warm_set: bool,
 }
 
 impl SolverWorkspace {
@@ -53,53 +47,13 @@ impl SolverWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Seeds the *next* warm-start-capable solve (`Fista`, `AdmmLasso`)
-    /// from `x0` instead of the zero vector — the cross-window reuse
-    /// hook of the CS pipeline, where 75% reading overlap makes the
-    /// previous window's solution an excellent starting iterate.
-    ///
-    /// The seed is consumed by exactly one solve and then cleared. A
-    /// seed whose length does not match the problem's column count, or
-    /// a solver without warm-start support, discards it silently; the
-    /// solve then starts cold as usual. Non-finite seed entries are
-    /// treated as zero by the consumers.
-    pub fn set_warm_start(&mut self, x0: &[f64]) {
-        self.warm.clear();
-        self.warm.extend_from_slice(x0);
-        self.warm_set = true;
-    }
-
-    /// Whether a warm-start seed is pending for the next solve.
-    pub fn has_warm_start(&self) -> bool {
-        self.warm_set
-    }
-
-    /// Drops any pending warm-start seed (batched solves always start
-    /// cold — a seed is inherently per-column).
-    pub(crate) fn clear_warm_start(&mut self) {
-        self.warm_set = false;
-    }
-
-    /// Consumes the pending seed if it matches a problem with `n`
-    /// columns. Always clears the pending flag.
-    pub(crate) fn take_warm_start(&mut self, n: usize) -> Option<Vec<f64>> {
-        if !self.warm_set {
-            return None;
-        }
-        self.warm_set = false;
-        if self.warm.len() == n {
-            Some(std::mem::take(&mut self.warm))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admm::{AdmmLasso, BasisPursuit};
+    use crate::active_set::ActiveSet;
+    use crate::admm::BasisPursuit;
     use crate::fista::{Acceleration, Fista};
     use crate::irls::Irls;
     use crate::omp::Omp;
@@ -137,9 +91,9 @@ mod tests {
     #[test]
     fn reused_workspace_is_bit_identical_to_fresh_recover() {
         let solvers = [
+            AnySolver::ActiveSet(ActiveSet::default()),
             AnySolver::Fista(Fista::default()),
             AnySolver::Fista(Fista::default().with_acceleration(Acceleration::None)),
-            AnySolver::AdmmLasso(AdmmLasso::default()),
             AnySolver::BasisPursuit(BasisPursuit::default()),
             AnySolver::Irls(Irls::default()),
             AnySolver::Omp(Omp::new(4)),
@@ -169,54 +123,6 @@ mod tests {
                     solver.name()
                 );
                 assert_eq!(fresh.converged, reused.converged, "{}", solver.name());
-            }
-        }
-    }
-
-    /// The batched contract, for every family through the `AnySolver`
-    /// dispatch: `recover_multi` on a shared (dirty) workspace returns,
-    /// per column, exactly the `Recovery` of a fresh cold `recover`.
-    #[test]
-    fn recover_multi_is_bit_identical_per_column() {
-        let solvers = [
-            AnySolver::Fista(Fista::default()),
-            AnySolver::Fista(Fista::default().with_acceleration(Acceleration::None)),
-            AnySolver::AdmmLasso(AdmmLasso::default()),
-            AnySolver::BasisPursuit(BasisPursuit::default()),
-            AnySolver::Irls(Irls::default()),
-            AnySolver::Omp(Omp::new(4)),
-        ];
-        let (a, _) = problem(20, 44, 9, &[]);
-        let ys: Vec<Vec<f64>> = [vec![3, 17], vec![8, 40], vec![25]]
-            .iter()
-            .map(|support| {
-                let mut theta = vec![0.0; 44];
-                for &j in support {
-                    theta[j] = 1.0;
-                }
-                a.matvec(&theta)
-            })
-            .collect();
-        for solver in &solvers {
-            let mut ws = SolverWorkspace::new();
-            let multi = solver.recover_multi(&a, &ys, &mut ws).unwrap();
-            assert_eq!(multi.len(), ys.len());
-            for (y, rec) in ys.iter().zip(&multi) {
-                let solo = solver.recover(&a, y).unwrap();
-                assert_eq!(
-                    rec.solution,
-                    solo.solution,
-                    "{} batched solution drifted",
-                    solver.name()
-                );
-                assert_eq!(rec.iterations, solo.iterations, "{}", solver.name());
-                assert_eq!(
-                    rec.residual_norm.to_bits(),
-                    solo.residual_norm.to_bits(),
-                    "{} residual drifted",
-                    solver.name()
-                );
-                assert_eq!(rec.converged, solo.converged, "{}", solver.name());
             }
         }
     }

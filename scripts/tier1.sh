@@ -47,17 +47,13 @@ CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-linalg --test properties \
 # byte-identical deterministic projections on every backend, proven
 # independent of the kernel path.
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test transport_equivalence
-# The l1 solvers must never change what is recovered: gap-safe
-# screening has to land on the same minimizer as the plain solve, every
-# certified active-set solve must be feasible, satisfy KKT and match a
-# long FISTA run's objective (property tests), the accelerated campus
-# drive must keep the unaccelerated support while cutting >=30% of total
-# FISTA iterations, and the default active-set drive must be as accurate
-# as pinned FISTA. The active-set property covers both the raw problem
-# and its whitened Proposition-1 form. The solver invariants may not
-# depend on which kernel path computed them.
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
-    screening_preserves_support_and_solution
+# The l1 solvers must never change what is recovered: every certified
+# active-set solve must be feasible, satisfy KKT and match a long FISTA
+# run's objective (property test, on both the raw problem and its
+# whitened Proposition-1 form), and the default active-set campus drive
+# must be as accurate as plain FISTA pinned in its place, for an order
+# of magnitude less solver work. The solver invariants may not depend on
+# which kernel path computed them.
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
     active_set_certifies_the_nonnegative_lasso
 CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test solver_accel

@@ -40,9 +40,13 @@ impl GeoMap {
     /// in canonical order — the candidate list a vehicle's handoff
     /// policy consumes.
     ///
-    /// The cell walk samples the polyline at half-bucket steps, unions
-    /// the covering cells of each sample's corridor box, then probes
-    /// each touched shard's current generation once.
+    /// The cell walk cuts the polyline into pieces of at most half a
+    /// bucket, unions the covering cells of each piece's bounding box
+    /// padded by `half_width`, then probes each touched shard's current
+    /// generation once. Every point within `half_width` of a piece lies
+    /// in that padded box, so the walk reaches every cell the exact
+    /// corridor touches — also where a diagonal path clips the corner
+    /// of a bucket between two sample points.
     pub fn aps_ahead(&self, path: &[Point], half_width: f64) -> Vec<MapAp> {
         if path.is_empty() || !half_width.is_finite() || half_width < 0.0 {
             return Vec::new();
@@ -54,10 +58,10 @@ impl GeoMap {
 
         // 1. Prefix walk: collect the bucket cells the corridor sweeps.
         let mut cells: BTreeSet<u64> = BTreeSet::new();
-        let mut cover = |p: Point| {
+        let mut cover = |p: Point, q: Point| {
             let Ok(bbox) = Rect::new(
-                Point::new(p.x - half_width, p.y - half_width),
-                Point::new(p.x + half_width, p.y + half_width),
+                Point::new(p.x.min(q.x) - half_width, p.y.min(q.y) - half_width),
+                Point::new(p.x.max(q.x) + half_width, p.y.max(q.y) + half_width),
             ) else {
                 return;
             };
@@ -65,7 +69,7 @@ impl GeoMap {
                 cells.insert(cell.code);
             }
         };
-        cover(path[0]);
+        cover(path[0], path[0]);
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
             let len = a.distance(b);
@@ -73,8 +77,11 @@ impl GeoMap {
                 continue;
             }
             let samples = (len / step).ceil().max(1.0) as usize;
+            let mut from = a;
             for i in 1..=samples {
-                cover(a.lerp(b, i as f64 / samples as f64));
+                let to = a.lerp(b, i as f64 / samples as f64);
+                cover(from, to);
+                from = to;
             }
         }
 
@@ -180,6 +187,19 @@ mod tests {
         let ahead = m.aps_ahead(&route, 20.0);
         assert_eq!(ahead.len(), 1);
         assert_eq!(ahead[0].position.y, 395.0);
+    }
+
+    #[test]
+    fn narrow_corridor_reaches_a_bucket_clipped_at_its_corner() {
+        let m = map();
+        // The diagonal route crosses x = 32 at y = 30 and y = 32 at
+        // x = 34, clipping the corner of bucket [32, 64) × [0, 32) that
+        // neither end point falls in. The AP lies on the route there.
+        m.absorb_estimates(1, &[est(33.0, 31.0, 2.0)]);
+        let route = [Point::new(29.0, 27.0), Point::new(37.0, 35.0)];
+        let ahead = m.aps_ahead(&route, 0.5);
+        assert_eq!(ahead.len(), 1);
+        assert_eq!(ahead[0].position, Point::new(33.0, 31.0));
     }
 
     #[test]

@@ -62,6 +62,26 @@ fn schedule(seed: u64, rounds: usize, aps: usize) -> Vec<Vec<ApEstimate>> {
         .collect()
 }
 
+/// Distance from `p` to the polyline `path` (a single point is a disc
+/// centre), computed independently of the map's corridor code.
+fn distance_to_path(p: Point, path: &[Point]) -> f64 {
+    if let [only] = path {
+        return p.distance(*only);
+    }
+    path.windows(2)
+        .map(|w| {
+            let (a, b) = (w[0], w[1]);
+            let (dx, dy) = (b.x - a.x, b.y - a.y);
+            let len2 = dx * dx + dy * dy;
+            if len2 <= 0.0 {
+                return p.distance(a);
+            }
+            let t = (((p.x - a.x) * dx + (p.y - a.y) * dy) / len2).clamp(0.0, 1.0);
+            p.distance(Point::new(a.x + t * dx, a.y + t * dy))
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 fn run_schedule(map: &GeoMap, batches: &[Vec<ApEstimate>]) {
     for (round, batch) in batches.iter().enumerate() {
         map.absorb_estimates((round as u64 + 1) * ROUND_MICROS, batch);
@@ -203,5 +223,26 @@ proptest! {
         });
         brute.sort_by(canonical_order);
         prop_assert_eq!(map.query_radius(center, radius), brute);
+    }
+
+    #[test]
+    fn aps_ahead_agrees_with_brute_force(
+        seed in 0u64..1000,
+        shard_level in 0u8..=3,
+        path in proptest::collection::vec((0.0..2048.0f64, 0.0..2048.0f64), 1..6),
+        half_width in 0.0..400.0f64,
+    ) {
+        let batches = schedule(seed, 4, 40);
+        let map = GeoMap::new(cfg(shard_level)).unwrap();
+        run_schedule(&map, &batches);
+        let path: Vec<Point> = path.into_iter().map(|(x, y)| Point::new(x, y)).collect();
+        let mut brute = Vec::new();
+        map.for_each_near(Point::new(1024.0, 1024.0), 1e9, |ap| {
+            if ap.credit > map.config().min_credit && distance_to_path(ap.position, &path) <= half_width {
+                brute.push(*ap);
+            }
+        });
+        brute.sort_by(canonical_order);
+        prop_assert_eq!(map.aps_ahead(&path, half_width), brute);
     }
 }

@@ -13,8 +13,6 @@
 //!   ([`svd`]), used by the basis-pursuit reference solver and the
 //!   baselines,
 //! * LU/Cholesky solvers ([`solve`]) used by the ADMM basis-pursuit solver,
-//! * a matrix-free conjugate-gradient solver ([`cg`]) for city-scale
-//!   grids where factoring is too expensive,
 //! * runtime-dispatched unrolled kernels ([`kernels`]) behind the hot
 //!   `Matrix`/[`vector`] operations — bit-identical to the reference
 //!   loops, with `CROWDWIFI_FORCE_SCALAR=1` pinning the scalar path.
@@ -36,7 +34,6 @@
 
 #![deny(missing_docs)]
 
-pub mod cg;
 pub mod eigen;
 pub mod kernels;
 pub mod matrix;

@@ -1,4 +1,4 @@
-//! Householder QR decomposition, least squares and orthonormal bases.
+//! Householder QR decomposition and least squares.
 
 // Index-based loops below mirror the textbook algorithms; iterator
 // rewrites obscure the math.
@@ -176,63 +176,6 @@ impl QrDecomposition {
     }
 }
 
-/// Returns a matrix whose columns are an orthonormal basis of the column
-/// space of `a` — the `orth(·)` operator of Proposition 1 in the paper.
-///
-/// Uses modified Gram–Schmidt with one reorthogonalization pass; columns
-/// whose residual norm falls below a relative tolerance are dropped, so the
-/// result has exactly `rank(a)` columns.
-///
-/// # Example
-///
-/// ```
-/// use crowdwifi_linalg::{Matrix, qr::orth};
-///
-/// // Second column is a multiple of the first: rank 1.
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-/// let q = orth(&a);
-/// assert_eq!(q.cols(), 1);
-/// ```
-pub fn orth(a: &Matrix) -> Matrix {
-    let m = a.rows();
-    let n = a.cols();
-    let scale = a.max_abs();
-    if scale == 0.0 {
-        return Matrix::zeros(m, 0);
-    }
-    let tol = RANK_TOL * scale * (m.max(n) as f64);
-
-    let mut basis: Vec<Vec<f64>> = Vec::new();
-    for c in 0..n {
-        let mut v = a.col(c);
-        // Two Gram–Schmidt passes for numerical robustness.
-        for _ in 0..2 {
-            for q in &basis {
-                let proj = vector::dot(q, &v);
-                vector::axpy(-proj, q, &mut v);
-            }
-        }
-        let nv = vector::norm2(&v);
-        if nv > tol {
-            for x in v.iter_mut() {
-                *x /= nv;
-            }
-            basis.push(v);
-        }
-        if basis.len() == m {
-            break;
-        }
-    }
-
-    let mut q = Matrix::zeros(m, basis.len());
-    for (c, col) in basis.iter().enumerate() {
-        for (r, &x) in col.iter().enumerate() {
-            q.set(r, c, x);
-        }
-    }
-    q
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,20 +236,5 @@ mod tests {
             QrDecomposition::new(&a).solve_least_squares(&[1.0, 1.0]),
             Err(LinalgError::Singular)
         );
-    }
-
-    #[test]
-    fn orth_full_rank_spans_input() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 1.0], &[1.0, 0.0]]);
-        let q = orth(&a);
-        assert_eq!(q.cols(), 2);
-        // Columns of a must be reproducible from q: a = q (qᵀ a).
-        let proj = q.matmul(&q.transpose().matmul(&a));
-        assert!(proj.approx_eq(&a, 1e-9));
-    }
-
-    #[test]
-    fn orth_zero_matrix_is_empty() {
-        assert_eq!(orth(&Matrix::zeros(3, 2)).cols(), 0);
     }
 }

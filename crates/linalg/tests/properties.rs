@@ -1,7 +1,6 @@
 //! Property-based tests for the linear-algebra kernels.
 
 use crowdwifi_linalg::kernels::{self, Mode};
-use crowdwifi_linalg::qr::orth;
 use crowdwifi_linalg::solve::{Cholesky, Lu};
 use crowdwifi_linalg::svd::pseudo_inverse;
 use crowdwifi_linalg::whiten::{whiten, Whitened};
@@ -68,16 +67,6 @@ proptest! {
         // A A† A = A always holds, full rank or not.
         let back = m.matmul(&p).matmul(&m);
         prop_assert!(back.approx_eq(&m, 1e-5 * (1.0 + m.max_abs())));
-    }
-
-    #[test]
-    fn orth_columns_are_orthonormal(m in (1usize..6, 1usize..6).prop_flat_map(|(r, c)| matrix(r, c))) {
-        let q = orth(&m);
-        let qtq = q.transpose().matmul(&q);
-        prop_assert!(qtq.approx_eq(&Matrix::identity(q.cols()), 1e-8));
-        // Q spans col(A): projecting A onto span(Q) reproduces A.
-        let proj = q.matmul(&q.transpose().matmul(&m));
-        prop_assert!(proj.approx_eq(&m, 1e-6 * (1.0 + m.max_abs())));
     }
 
     #[test]

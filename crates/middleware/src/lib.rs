@@ -11,22 +11,25 @@
 //!   tasks on a bipartite graph, infers vehicle reliabilities with
 //!   iterative message passing, and fuses uploads into fine-grained AP
 //!   estimates ([`server`]);
-//! * **user-vehicles** download the fused AP list for their route
-//!   ([`server::CrowdServer::download`]).
+//! * **user-vehicles** download the APs ahead of their route from the
+//!   geo-sharded AP map ([`crowdwifi_geomap::GeoMap::aps_ahead`]), which
+//!   [`mapsink::GeoMapSink`] feeds from each closed round's fused
+//!   output.
 //!
 //! The round/campaign machinery is layered sans-I/O style:
 //!
 //! * [`protocol`] holds the pure server-side state machine
 //!   ([`protocol::ServerCore`]): timestamped events in, actions out, no
-//!   threads, no channels, no wall clock. Campaign AP state is sharded
-//!   by road segment ([`protocol::ShardedDatabase`]).
+//!   threads, no channels, no wall clock. The durable campaign's
+//!   round-close snapshot state is sharded by road segment
+//!   ([`protocol::ShardedDatabase`]).
 //! * [`transport`] supplies the I/O: the original threaded runtime
 //!   ([`transport::ThreadTransport`]) and a single-threaded
 //!   deterministic simulator with a virtual clock
 //!   ([`transport::SimTransport`]). Same seed + fault plan → the same
 //!   deterministic round report on either backend.
-//! * [`platform`] keeps the original façade API, delegating to the
-//!   threaded transport.
+//! * [`platform`] re-exports the round configuration and report types
+//!   from [`protocol`].
 //!
 //! Rounds are fault-tolerant: per-vehicle deadlines with bounded
 //! retries, reassignment of tasks orphaned by dead vehicles, and
@@ -50,12 +53,10 @@ pub mod segment;
 pub mod server;
 pub mod store;
 pub mod transport;
-pub mod user;
 pub mod vehicle;
 pub mod wire;
 
 pub use server::CrowdServer;
-pub use user::UserVehicle;
 pub use vehicle::CrowdVehicle;
 
 /// Errors produced by the middleware.

@@ -1,4 +1,5 @@
-//! The crowdsourcing platform façade: the original one-call API over
+//! The crowdsourcing platform's round types — configuration, fault
+//! tolerance, per-vehicle fates and round reports — re-exported from
 //! the layered [`crate::protocol`] / [`crate::transport`] stack.
 //!
 //! The paper's whole premise is that crowd-vehicles cannot be trusted
@@ -15,105 +16,35 @@
 //! rounds exactly like vehicles that label badly.
 //!
 //! Faults are injected — deterministically, from a seeded
-//! [`FaultPlan`] — rather than awaited, so every degraded-round path is
+//! [`crate::fault::FaultPlan`] — rather than awaited, so every degraded-round path is
 //! replayable byte-for-byte in tests.
 //!
-//! All of that logic now lives in the pure [`crate::protocol::ServerCore`]
-//! state machine; this module re-exports the round/report types from
-//! [`crate::protocol`] and runs rounds on the concurrent
-//! [`ThreadTransport`] — the in-process stand-in for the web platform of
-//! §5.5. To pick a backend explicitly (e.g. the deterministic
-//! [`crate::transport::SimTransport`]), use the [`crate::transport`] API
-//! directly.
+//! All of that logic lives in the pure [`crate::protocol::ServerCore`]
+//! state machine; this module re-exports its round/report types. Rounds
+//! run on a [`crate::transport::Transport`] backend: the concurrent
+//! [`crate::transport::ThreadTransport`] (the in-process stand-in for
+//! the web platform of §5.5), the deterministic
+//! [`crate::transport::SimTransport`] or the batched
+//! [`crate::transport::FleetTransport`]. Campaigns run through
+//! [`crate::transport::run_campaign_with_faults_into`] and
+//! [`crate::transport::run_durable_campaign_into`].
 
 pub use crate::protocol::{
     quorum_required, validate_config, FateRecord, FaultTolerance, PlatformConfig, PlatformReport,
     RoundHealth, RoundPhase, VehicleFate,
 };
 
-use crate::fault::FaultPlan;
-use crate::segment::SegmentMap;
-use crate::transport::{run_campaign_with_faults_on, ThreadTransport, Transport};
-use crate::vehicle::CrowdVehicle;
-use crate::Result;
-use crowdwifi_channel::RssReading;
-
-/// Runs one crowdsensing round on the threaded backend: sense/upload,
-/// pattern generation, task assignment, labeling, truth inference and
-/// fusion, with the fault-tolerance machinery described in the module
-/// docs.
-///
-/// # Errors
-///
-/// Rejects invalid configurations; fails with
-/// [`crate::MiddlewareError::QuorumLost`] when too few vehicles survive;
-/// propagates assignment and inference failures.
-pub fn run_round(
-    segments: SegmentMap,
-    fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-    config: PlatformConfig,
-) -> Result<PlatformReport> {
-    ThreadTransport.run_round(segments, fleet, config)
-}
-
-/// [`run_round`] under a deterministic [`FaultPlan`]: scheduled vehicle
-/// crashes/stalls plus seeded link noise.
-///
-/// # Errors
-///
-/// As [`run_round`]; additionally rejects invalid fault plans.
-pub fn run_round_with_faults(
-    segments: SegmentMap,
-    fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-    config: PlatformConfig,
-    plan: &FaultPlan,
-) -> Result<PlatformReport> {
-    ThreadTransport.run_round_with_faults(segments, fleet, config, plan)
-}
-
-/// Runs several crowdsourcing rounds back-to-back with reliability
-/// smoothing: each round re-senses, re-labels and re-infers; the
-/// reported per-vehicle reliability is an exponential moving average
-/// across rounds (`smoothing` weighs the newest round), so a spammer
-/// cannot whitewash itself with one lucky round.
-///
-/// # Errors
-///
-/// Propagates single-round failures; requires at least one round.
-pub fn run_campaign(
-    segments: SegmentMap,
-    rounds: Vec<Vec<(CrowdVehicle, Vec<RssReading>)>>,
-    config: PlatformConfig,
-    smoothing: f64,
-) -> Result<Vec<PlatformReport>> {
-    run_campaign_with_faults(segments, rounds, config, smoothing, &[])
-}
-
-/// [`run_campaign`] with a per-round [`FaultPlan`] schedule: round `i`
-/// runs under `plans[i]` (or no faults when `plans` is shorter).
-///
-/// # Errors
-///
-/// As [`run_campaign`].
-pub fn run_campaign_with_faults(
-    segments: SegmentMap,
-    rounds: Vec<Vec<(CrowdVehicle, Vec<RssReading>)>>,
-    config: PlatformConfig,
-    smoothing: f64,
-    plans: &[FaultPlan],
-) -> Result<Vec<PlatformReport>> {
-    run_campaign_with_faults_on(&ThreadTransport, segments, rounds, config, smoothing, plans)
-        .map(|outcome| outcome.reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPoint;
+    use crate::fault::{FaultPlan, FaultPoint};
     use crate::messages::VehicleId;
+    use crate::segment::SegmentMap;
+    use crate::transport::{run_campaign_with_faults_into, NoSink, ThreadTransport, Transport};
+    use crate::vehicle::CrowdVehicle;
     use crate::vehicle::{Behavior, VehicleExit};
     use crate::MiddlewareError;
-    use crowdwifi_channel::PathLossModel;
+    use crowdwifi_channel::{PathLossModel, RssReading};
     use crowdwifi_core::{OnlineCs, OnlineCsConfig};
     use crowdwifi_geo::{Point, Rect};
     use std::time::Duration;
@@ -178,15 +109,16 @@ mod tests {
 
     #[test]
     fn full_round_with_spammers_converges_to_truth() {
-        let report = run_round(
-            segments(),
-            fleet_with_spammer(5, 4),
-            PlatformConfig {
-                workers_per_task: 4,
-                ..PlatformConfig::default()
-            },
-        )
-        .unwrap();
+        let report = ThreadTransport
+            .run_round(
+                segments(),
+                fleet_with_spammer(5, 4),
+                PlatformConfig {
+                    workers_per_task: 4,
+                    ..PlatformConfig::default()
+                },
+            )
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Complete);
         assert!(report.dead_vehicles().is_empty());
         for fate in report.fates.values() {
@@ -223,7 +155,8 @@ mod tests {
 
     #[test]
     fn campaign_reliability_is_smoothed_across_rounds() {
-        let reports = run_campaign(
+        let reports = run_campaign_with_faults_into(
+            &ThreadTransport,
             segments(),
             vec![fleet_with_spammer(5, 4), fleet_with_spammer(5, 4)],
             PlatformConfig {
@@ -231,8 +164,11 @@ mod tests {
                 ..PlatformConfig::default()
             },
             0.5,
+            &[],
+            &mut NoSink,
         )
-        .unwrap();
+        .unwrap()
+        .reports;
         assert_eq!(reports.len(), 2);
         // With α = 0.5 from a 0.5 prior, round-1 reliabilities stay
         // within 0.25 of the prior; round 2 can move further.
@@ -257,7 +193,9 @@ mod tests {
         for r in fleet[1].1.iter_mut() {
             *r = RssReading::new(Point::new(f64::NAN, f64::NAN), r.rss_dbm, r.time);
         }
-        let report = run_round(segments(), fleet, PlatformConfig::default()).unwrap();
+        let report = ThreadTransport
+            .run_round(segments(), fleet, PlatformConfig::default())
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
         assert_eq!(report.dead_vehicles(), vec![VehicleId(1)]);
         let fate = &report.fates[&VehicleId(1)].fate;
@@ -286,7 +224,9 @@ mod tests {
             }
         }
         // 1 of 3 survivors < ceil(0.5 * 3) = 2 required.
-        let err = run_round(segments(), fleet, PlatformConfig::default()).unwrap_err();
+        let err = ThreadTransport
+            .run_round(segments(), fleet, PlatformConfig::default())
+            .unwrap_err();
         assert_eq!(
             err,
             MiddlewareError::QuorumLost {
@@ -300,17 +240,18 @@ mod tests {
     #[test]
     fn crashed_vehicle_times_out_and_round_degrades() {
         let plan = FaultPlan::none().crash(VehicleId(2), FaultPoint::Upload);
-        let report = run_round_with_faults(
-            segments(),
-            fleet_with_spammer(4, u32::MAX),
-            PlatformConfig {
-                workers_per_task: 3,
-                tolerance: snappy_tolerance(),
-                ..PlatformConfig::default()
-            },
-            &plan,
-        )
-        .unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(
+                segments(),
+                fleet_with_spammer(4, u32::MAX),
+                PlatformConfig {
+                    workers_per_task: 3,
+                    tolerance: snappy_tolerance(),
+                    ..PlatformConfig::default()
+                },
+                &plan,
+            )
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
         assert_eq!(report.dead_vehicles(), vec![VehicleId(2)]);
         let record = &report.fates[&VehicleId(2)];
@@ -323,17 +264,18 @@ mod tests {
     #[test]
     fn straggler_tasks_are_reassigned() {
         let plan = FaultPlan::none().stall(VehicleId(1), FaultPoint::Answer);
-        let report = run_round_with_faults(
-            segments(),
-            fleet_with_spammer(5, u32::MAX),
-            PlatformConfig {
-                workers_per_task: 3,
-                tolerance: snappy_tolerance(),
-                ..PlatformConfig::default()
-            },
-            &plan,
-        )
-        .unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(
+                segments(),
+                fleet_with_spammer(5, u32::MAX),
+                PlatformConfig {
+                    workers_per_task: 3,
+                    tolerance: snappy_tolerance(),
+                    ..PlatformConfig::default()
+                },
+                &plan,
+            )
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
         assert_eq!(report.dead_vehicles(), vec![VehicleId(1)]);
         assert_eq!(
@@ -350,15 +292,16 @@ mod tests {
     #[test]
     fn metrics_snapshot_is_byte_identical_across_same_seed_runs() {
         let run = || {
-            run_round(
-                segments(),
-                fleet_with_spammer(3, u32::MAX),
-                PlatformConfig {
-                    workers_per_task: 3,
-                    ..PlatformConfig::default()
-                },
-            )
-            .unwrap()
+            ThreadTransport
+                .run_round(
+                    segments(),
+                    fleet_with_spammer(3, u32::MAX),
+                    PlatformConfig {
+                        workers_per_task: 3,
+                        ..PlatformConfig::default()
+                    },
+                )
+                .unwrap()
         };
         let (a, b) = (run(), run());
         // Wall-clock phase timers differ run to run; everything else —
@@ -397,17 +340,18 @@ mod tests {
     #[test]
     fn dead_vehicle_shows_up_in_round_metrics() {
         let plan = FaultPlan::none().crash(VehicleId(2), FaultPoint::Upload);
-        let report = run_round_with_faults(
-            segments(),
-            fleet_with_spammer(4, u32::MAX),
-            PlatformConfig {
-                workers_per_task: 3,
-                tolerance: snappy_tolerance(),
-                ..PlatformConfig::default()
-            },
-            &plan,
-        )
-        .unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(
+                segments(),
+                fleet_with_spammer(4, u32::MAX),
+                PlatformConfig {
+                    workers_per_task: 3,
+                    tolerance: snappy_tolerance(),
+                    ..PlatformConfig::default()
+                },
+                &plan,
+            )
+            .unwrap();
         let m = &report.metrics;
         assert_eq!(m.counters["platform.fates.timed_out"], 1);
         assert_eq!(m.counters["platform.fates.completed"], 3);
@@ -429,16 +373,17 @@ mod tests {
         // Duplicate-only noise: the protocol ignores duplicates, so the
         // round still completes cleanly while the tally observes them.
         let plan = FaultPlan::noisy(5, 0.0, 0.5, 0.0);
-        let report = run_round_with_faults(
-            segments(),
-            fleet_with_spammer(3, u32::MAX),
-            PlatformConfig {
-                workers_per_task: 3,
-                ..PlatformConfig::default()
-            },
-            &plan,
-        )
-        .unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(
+                segments(),
+                fleet_with_spammer(3, u32::MAX),
+                PlatformConfig {
+                    workers_per_task: 3,
+                    ..PlatformConfig::default()
+                },
+                &plan,
+            )
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Complete);
         let m = &report.metrics;
         assert!(m.counters["platform.faults.duplicated"] > 0);
@@ -493,7 +438,9 @@ mod tests {
             },
         ];
         for bad in cases {
-            let err = run_round(segments(), fleet_with_spammer(3, u32::MAX), bad).unwrap_err();
+            let err = ThreadTransport
+                .run_round(segments(), fleet_with_spammer(3, u32::MAX), bad)
+                .unwrap_err();
             assert!(
                 matches!(err, MiddlewareError::InvalidConfig(_)),
                 "expected InvalidConfig for {bad:?}, got {err:?}"
@@ -514,7 +461,7 @@ mod tests {
             ),
         ];
         assert!(matches!(
-            run_round(segments(), fleet, PlatformConfig::default()),
+            ThreadTransport.run_round(segments(), fleet, PlatformConfig::default()),
             Err(MiddlewareError::InvalidConfig(_))
         ));
     }
@@ -525,6 +472,8 @@ mod tests {
             Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)).unwrap(),
             10.0,
         );
-        assert!(run_round(segments, vec![], PlatformConfig::default()).is_err());
+        assert!(ThreadTransport
+            .run_round(segments, vec![], PlatformConfig::default())
+            .is_err());
     }
 }

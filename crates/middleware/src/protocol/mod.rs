@@ -28,9 +28,10 @@
 //! `platform.*` metrics for free — and same-seed rounds agree across
 //! backends on everything but raw phase timings.
 //!
-//! Campaign state is sharded by road segment (see [`shards`]): fusion
-//! runs per segment inside this one core, and the cross-round
-//! [`shards::ShardedDatabase`] advances each segment independently.
+//! Fusion is sharded by road segment (see [`shards`]): it runs per
+//! segment inside this one core, and the durable campaign's round-close
+//! snapshot state, [`shards::ShardedDatabase`], advances each segment
+//! independently.
 
 pub mod fates;
 pub mod quorum;
@@ -467,7 +468,8 @@ impl ServerCore {
 
     /// Messages from an unregistered link are inert, like garbled
     /// frames from one; an upload claiming another vehicle's identity
-    /// quarantines its sender instead of replacing the victim's upload.
+    /// quarantines its sender instead of replacing the victim's upload,
+    /// and so does an answer batch carrying a label other than ±1.
     fn on_message(&mut self, now: VirtualInstant, from: VehicleId, msg: ToServer) -> Vec<Action> {
         if self.ledger.dead.contains(&from) || !self.server.is_registered(from) {
             return Vec::new(); // late message from a declared-dead vehicle, or a stranger
@@ -496,6 +498,11 @@ impl ServerCore {
                 ToServer::Answers(_) => {}
             },
             Phase::Labeling => match msg {
+                // A label outside {−1, +1} is malformed input, like a
+                // forged upload: it never reaches inference.
+                ToServer::Answers(batch) if batch.iter().any(|a| !matches!(a.label, -1 | 1)) => {
+                    return self.quarantine(now, from);
+                }
                 ToServer::Answers(batch) => {
                     let Some(owed) = self.labeling.outstanding.get_mut(&from) else {
                         return actions; // task-less vehicle or duplicate batch
@@ -746,8 +753,7 @@ impl ServerCore {
         }
         let fused = self
             .server
-            .finalize_sharded(self.config.merge_radius, self.config.spammer_cutoff)
-            .to_vec();
+            .finalize_sharded(self.config.merge_radius, self.config.spammer_cutoff);
         self.observe_phase("platform.phase.inference_seconds", now);
 
         let reassigned_tasks = self.labeling.reassigned;
@@ -856,7 +862,7 @@ impl ServerCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{MappingAnswer, SensingUpload};
+    use crate::messages::{MappingAnswer, MappingTask, SensingUpload};
     use crowdwifi_core::ApEstimate;
     use crowdwifi_geo::{Point, Rect};
     use std::collections::VecDeque;
@@ -911,9 +917,36 @@ mod tests {
         vehicles.map(|v| sent(v, upload(v, 40.0 + f64::from(v))))
     }
 
+    /// `to` answers every task in `tasks` with `label`.
+    fn answers(to: VehicleId, tasks: &[MappingTask], label: i8) -> Event {
+        Event::Message {
+            now: VirtualInstant::from_micros(2),
+            from: to,
+            msg: ToServer::Answers(
+                tasks
+                    .iter()
+                    .map(|task| MappingAnswer {
+                        vehicle: to,
+                        task_id: task.task_id,
+                        label,
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
     /// Starts the round, feeds `events` in order and answers every
     /// assignment with "exists"; returns how the round ended.
     fn run(c: &mut ServerCore, events: impl IntoIterator<Item = Event>) -> Result<PlatformReport> {
+        run_with(c, events, |to, tasks| answers(to, tasks, 1))
+    }
+
+    /// [`run`] with `reply` producing each assigned vehicle's response.
+    fn run_with(
+        c: &mut ServerCore,
+        events: impl IntoIterator<Item = Event>,
+        mut reply: impl FnMut(VehicleId, &[MappingTask]) -> Event,
+    ) -> Result<PlatformReport> {
         let mut queue: VecDeque<Event> = events.into_iter().collect();
         let mut actions = c.start(VirtualInstant::ZERO);
         loop {
@@ -922,20 +955,7 @@ mod tests {
                     Action::Send {
                         to,
                         msg: ToVehicle::Assign(tasks),
-                    } if !tasks.is_empty() => queue.push_back(Event::Message {
-                        now: VirtualInstant::from_micros(2),
-                        from: to,
-                        msg: ToServer::Answers(
-                            tasks
-                                .iter()
-                                .map(|task| MappingAnswer {
-                                    vehicle: to,
-                                    task_id: task.task_id,
-                                    label: 1,
-                                })
-                                .collect(),
-                        ),
-                    }),
+                    } if !tasks.is_empty() => queue.push_back(reply(to, &tasks)),
                     Action::Completed(report) => return Ok(*report),
                     Action::Failed(e) => return Err(e),
                     _ => {}
@@ -1014,6 +1034,39 @@ mod tests {
             format!("{:?}", garbled_report.fused)
         );
         assert_eq!(forged.state_digest(), garbled.state_digest());
+    }
+
+    #[test]
+    fn answer_labels_outside_plus_minus_one_quarantine_the_sender() {
+        // Vehicle 0 answers every task with an out-of-range label. The
+        // round must end exactly as if vehicle 0 had sent garbage at
+        // the same point.
+        let mut garbled = core5();
+        let garbled_report = run_with(&mut garbled, own_uploads(0..5), |to, tasks| {
+            if to == VehicleId(0) {
+                Event::Garbled {
+                    now: VirtualInstant::from_micros(2),
+                    from: to,
+                }
+            } else {
+                answers(to, tasks, 1)
+            }
+        })
+        .expect("round completes");
+        for bad in [0, 2, -2, i8::MIN] {
+            let mut mislabelled = core5();
+            let report = run_with(&mut mislabelled, own_uploads(0..5), |to, tasks| {
+                answers(to, tasks, if to == VehicleId(0) { bad } else { 1 })
+            })
+            .expect("one mislabelled batch must not fail the round");
+            assert_eq!(report.fates[&VehicleId(0)].fate, VehicleFate::Quarantined);
+            assert!(!report.fused.is_empty());
+            assert_eq!(
+                format!("{:?}", report.fused),
+                format!("{:?}", garbled_report.fused)
+            );
+            assert_eq!(mislabelled.state_digest(), garbled.state_digest());
+        }
     }
 
     #[test]

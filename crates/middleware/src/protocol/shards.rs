@@ -8,9 +8,11 @@
 //! * [`fuse_sharded`] runs reliability-weighted fusion *per segment*
 //!   instead of over the whole map — each shard's fusion reads only its
 //!   own estimates, which is the shape a multi-shard server needs;
-//! * [`ShardedDatabase`] is the cross-round campaign state: each round
-//!   replaces only the shards it actually covered, so independent
-//!   segments advance at their own pace across a campaign.
+//! * [`ShardedDatabase`] is the durable campaign's round-close snapshot
+//!   state: each round replaces only the shards it actually covered, so
+//!   independent segments advance at their own pace across a campaign.
+//!   It is not a read path — user-vehicles download APs from the
+//!   geo-sharded AP map.
 
 use crate::messages::{codec_err, wire_capacity};
 use crate::messages::{SensingUpload, VehicleId};
@@ -73,13 +75,15 @@ pub struct ShardState {
     pub round: usize,
 }
 
-/// The campaign's fused AP database, sharded by road segment.
+/// The campaign's fused AP state, sharded by road segment: what a
+/// durable campaign writes to its [`crate::durability::SnapshotStore`]
+/// at every round close and recovers from after a crash.
 ///
 /// Each round only replaces the shards it actually produced estimates
 /// for; segments the round never covered keep the state of whichever
 /// earlier round last saw them. Independent segments therefore advance
-/// across the campaign at their own pace — exactly the property a
-/// horizontally sharded crowd-server relies on.
+/// across the campaign at their own pace. It serves no AP downloads:
+/// user-vehicles query the geo-sharded AP map instead.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedDatabase {
     shards: BTreeMap<SegmentId, ShardState>,
@@ -120,24 +124,6 @@ impl ShardedDatabase {
     /// The state of one shard, if any round has covered it.
     pub fn shard(&self, segment: SegmentId) -> Option<&ShardState> {
         self.shards.get(&segment)
-    }
-
-    /// All fused APs, concatenated in segment-id order.
-    pub fn all(&self) -> Vec<FusedAp> {
-        self.shards
-            .values()
-            .flat_map(|s| s.fused.iter().copied())
-            .collect()
-    }
-
-    /// Fused APs within `radius` of `position` (a user-vehicle
-    /// download served from the sharded database).
-    pub fn lookup(&self, position: Point, radius: f64) -> Vec<FusedAp> {
-        self.shards
-            .values()
-            .flat_map(|s| s.fused.iter().copied())
-            .filter(|ap| ap.position.distance(position) <= radius)
-            .collect()
     }
 }
 
@@ -272,8 +258,6 @@ mod tests {
         assert_eq!(first.fused[0].support, 2.0);
         let last = db.shard(m.segment_of(Point::new(250.0, 50.0))).unwrap();
         assert_eq!(last.round, 0, "uncovered shard keeps its old state");
-        assert_eq!(db.all().len(), 2);
-        assert_eq!(db.lookup(Point::new(250.0, 50.0), 20.0).len(), 1);
-        assert!(db.lookup(Point::new(150.0, 50.0), 5.0).is_empty());
+        assert_eq!(db.len(), 2);
     }
 }

@@ -91,16 +91,6 @@ impl SegmentMap {
         );
         Rect::new(min, max).expect("segment bounds are ordered")
     }
-
-    /// Segments within `radius` of `p` (coarse: by segment-center
-    /// distance plus half a diagonal).
-    pub fn segments_near(&self, p: Point, radius: f64) -> Vec<SegmentId> {
-        let slack = self.segment_size * std::f64::consts::SQRT_2 / 2.0;
-        (0..self.len() as u32)
-            .map(SegmentId)
-            .filter(|&id| self.bounds(id).center().distance(p) <= radius + slack)
-            .collect()
-    }
 }
 
 impl WireMessage for SegmentMap {
@@ -170,15 +160,5 @@ mod tests {
         assert_eq!(id, SegmentId(0));
         let id2 = m.segment_of(Point::new(900.0, 900.0));
         assert_eq!(id2, SegmentId(5));
-    }
-
-    #[test]
-    fn segments_near_returns_neighborhood() {
-        let m = map();
-        let near = m.segments_near(Point::new(150.0, 90.0), 120.0);
-        assert!(near.len() >= 2);
-        assert!(near.len() <= m.len());
-        let far = m.segments_near(Point::new(-500.0, -500.0), 10.0);
-        assert!(far.is_empty());
     }
 }

@@ -5,7 +5,7 @@ use crate::messages::{MappingAnswer, MappingTask, Pattern, SensingUpload, Vehicl
 use crate::segment::SegmentMap;
 use crate::{MiddlewareError, Result};
 use crowdwifi_crowd::em::EmAggregator;
-use crowdwifi_crowd::fusion::{fuse_submissions, FusedAp, Submission};
+use crowdwifi_crowd::fusion::FusedAp;
 use crowdwifi_crowd::graph::BipartiteAssignment;
 use crowdwifi_crowd::LabelMatrix;
 use crowdwifi_geo::Point;
@@ -46,7 +46,6 @@ pub struct CrowdServer {
     patterns: Vec<Pattern>,
     answers: Vec<MappingAnswer>,
     reliabilities: BTreeMap<VehicleId, f64>,
-    fused: Vec<FusedAp>,
     /// EMA factor blending each round's inferred reliability into the
     /// long-run estimate (1.0 = use the latest round only).
     reliability_smoothing: f64,
@@ -64,7 +63,6 @@ impl CrowdServer {
             patterns: Vec::new(),
             answers: Vec::new(),
             reliabilities: BTreeMap::new(),
-            fused: Vec::new(),
             reliability_smoothing: 1.0,
         }
     }
@@ -375,59 +373,21 @@ impl CrowdServer {
     }
 
     /// Fuses all uploads into fine-grained AP estimates, weighting each
-    /// vehicle by its inferred reliability (§5.4). Vehicles with
-    /// reliability ≤ `spammer_cutoff` are ignored.
-    pub fn finalize(&mut self, merge_radius: f64, spammer_cutoff: f64) -> &[FusedAp] {
-        let submissions: Vec<Submission> = self
-            .uploads
-            .values()
-            .map(|up| {
-                let reliability = self
-                    .reliabilities
-                    .get(&up.vehicle)
-                    .copied()
-                    .unwrap_or(0.5)
-                    .clamp(0.0, 1.0);
-                Submission::new(
-                    up.estimates.iter().map(|e| e.position).collect(),
-                    reliability,
-                )
-            })
-            .collect();
-        self.fused = fuse_submissions(&submissions, merge_radius, spammer_cutoff, 0.0);
-        &self.fused
-    }
-
-    /// Shard-aware variant of [`CrowdServer::finalize`]: fusion runs
+    /// vehicle by its inferred reliability (§5.4); vehicles with
+    /// reliability ≤ `spammer_cutoff` are ignored. Fusion runs
     /// independently per road segment (see
     /// [`crate::protocol::shards::fuse_sharded`]) and the results are
-    /// concatenated in segment-id order. Clusters never straddle a
-    /// segment boundary, which is what lets shards advance — and
-    /// eventually be hosted — independently.
-    pub fn finalize_sharded(&mut self, merge_radius: f64, spammer_cutoff: f64) -> &[FusedAp] {
-        self.fused = crate::protocol::shards::fuse_sharded(
+    /// concatenated in segment-id order, so clusters never straddle a
+    /// segment boundary. User-vehicles download the result from the
+    /// geo-sharded AP map it is fed into.
+    pub fn finalize_sharded(&self, merge_radius: f64, spammer_cutoff: f64) -> Vec<FusedAp> {
+        crate::protocol::shards::fuse_sharded(
             &self.segments,
             self.uploads.values(),
             &self.reliabilities,
             merge_radius,
             spammer_cutoff,
-        );
-        &self.fused
-    }
-
-    /// The fused AP database (empty before [`CrowdServer::finalize`]).
-    pub fn fused(&self) -> &[FusedAp] {
-        &self.fused
-    }
-
-    /// Serves a user-vehicle download: fused APs within `radius` of
-    /// `position`.
-    pub fn download(&self, position: Point, radius: f64) -> Vec<FusedAp> {
-        self.fused
-            .iter()
-            .copied()
-            .filter(|ap| ap.position.distance(position) <= radius)
-            .collect()
+        )
     }
 }
 
@@ -588,16 +548,13 @@ mod tests {
             "honest {honest_avg:.2} vs spammers {spam_avg:.2}"
         );
         // Fusion lands near the truth.
-        let fused = s.finalize(25.0, 0.3);
+        let fused = s.finalize_sharded(25.0, 0.3);
         assert!(!fused.is_empty());
         let best = fused
             .iter()
             .map(|f| f.position.distance(truth))
             .fold(f64::INFINITY, f64::min);
         assert!(best < 10.0, "fused estimate {best:.1} m off");
-        // Download honors the radius.
-        assert!(!s.download(truth, 50.0).is_empty());
-        assert!(s.download(Point::new(290.0, 10.0), 10.0).is_empty());
     }
 
     #[test]

@@ -169,7 +169,7 @@ pub trait RoundSink {
     fn round_closed(&mut self, round: usize, report: &PlatformReport);
 }
 
-/// The do-nothing sink the plain campaign entry points use.
+/// The do-nothing sink for callers with no round observer.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoSink;
 
@@ -180,54 +180,16 @@ impl RoundSink for NoSink {
 /// Runs several crowdsourcing rounds back-to-back on `transport` with
 /// reliability smoothing: each round re-senses, re-labels and
 /// re-infers; per-vehicle reliability is the EMA across rounds, so a
-/// spammer cannot whitewash itself with one lucky round. Each round's
-/// fused output is folded into the sharded campaign database.
+/// spammer cannot whitewash itself with one lucky round. Round `i` runs
+/// under `plans[i]` (or no faults when `plans` is shorter). Each
+/// round's fused output is folded into the sharded campaign database,
+/// then `sink` observes the round close — the wiring point that makes
+/// the geo-sharded AP map the sink of any transport's round closes.
 ///
 /// # Errors
 ///
-/// Propagates single-round failures; requires at least one round.
-pub fn run_campaign_on<T: Transport + ?Sized>(
-    transport: &T,
-    segments: SegmentMap,
-    rounds: Vec<Vec<(CrowdVehicle, Vec<RssReading>)>>,
-    config: PlatformConfig,
-    smoothing: f64,
-) -> Result<CampaignOutcome> {
-    run_campaign_with_faults_on(transport, segments, rounds, config, smoothing, &[])
-}
-
-/// [`run_campaign_on`] with a per-round [`FaultPlan`] schedule: round
-/// `i` runs under `plans[i]` (or no faults when `plans` is shorter).
-///
-/// # Errors
-///
-/// As [`run_campaign_on`].
-pub fn run_campaign_with_faults_on<T: Transport + ?Sized>(
-    transport: &T,
-    segments: SegmentMap,
-    rounds: Vec<Vec<(CrowdVehicle, Vec<RssReading>)>>,
-    config: PlatformConfig,
-    smoothing: f64,
-    plans: &[FaultPlan],
-) -> Result<CampaignOutcome> {
-    run_campaign_with_faults_into(
-        transport,
-        segments,
-        rounds,
-        config,
-        smoothing,
-        plans,
-        &mut NoSink,
-    )
-}
-
-/// [`run_campaign_with_faults_on`] with a [`RoundSink`] observing each
-/// round close — the wiring point that makes the geo-sharded AP map
-/// the sink of [`FleetTransport`] (or any transport's) round closes.
-///
-/// # Errors
-///
-/// As [`run_campaign_on`].
+/// Propagates single-round failures; requires at least one round and a
+/// `smoothing` factor in `[0, 1]`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_with_faults_into<T: Transport + ?Sized>(
     transport: &T,
@@ -238,76 +200,24 @@ pub fn run_campaign_with_faults_into<T: Transport + ?Sized>(
     plans: &[FaultPlan],
     sink: &mut dyn RoundSink,
 ) -> Result<CampaignOutcome> {
-    if rounds.is_empty() {
-        return Err(MiddlewareError::InvalidConfig(
-            "campaign needs at least one round".to_string(),
-        ));
-    }
-    if !(0.0..=1.0).contains(&smoothing) || !smoothing.is_finite() {
-        return Err(MiddlewareError::InvalidConfig(format!(
-            "smoothing must lie in [0, 1], got {smoothing}"
-        )));
-    }
-    let none = FaultPlan::none();
-    let mut long_run: BTreeMap<VehicleId, f64> = BTreeMap::new();
-    let mut reports = Vec::with_capacity(rounds.len());
-    let mut database = ShardedDatabase::new();
-    for (i, fleet) in rounds.into_iter().enumerate() {
-        let mut round_config = config;
-        round_config.seed = config.seed.wrapping_add(i as u64 * 1000);
-        let plan = plans.get(i).unwrap_or(&none);
-        let mut report =
-            transport.run_round_with_faults(segments.clone(), fleet, round_config, plan)?;
-        smooth_reliabilities(&mut report, &mut long_run, smoothing);
-        database.absorb(i, &segments, &report.fused);
-        sink.round_closed(i, &report);
-        reports.push(report);
-    }
-    Ok(CampaignOutcome { reports, database })
+    run_campaign(
+        transport, segments, rounds, config, smoothing, plans, None, sink,
+    )
 }
 
-/// [`run_campaign_with_faults_on`] over the durable round driver:
+/// [`run_campaign_with_faults_into`] over the durable round driver:
 /// every round write-ahead logs into `wal` (surviving injected
 /// [`crate::fault::ServerFault`] crashes), and each round close writes
 /// a [`SnapshotStore`] snapshot of the campaign database and compacts
 /// the log — the snapshot owns everything up to its round, so the WAL
 /// only ever carries the round in flight. Round `i`'s snapshot write
-/// is torn when `plans[i].snapshot_torn(i)` says so.
+/// is torn when `plans[i].snapshot_torn(i)` says so. `sink` observes
+/// each round close after the snapshot write and WAL compaction.
 ///
 /// # Errors
 ///
-/// As [`run_campaign_with_faults_on`], plus
+/// As [`run_campaign_with_faults_into`], plus
 /// [`MiddlewareError::Durability`] on log or snapshot I/O failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_durable_campaign_on<T: Transport + ?Sized>(
-    transport: &T,
-    segments: SegmentMap,
-    rounds: Vec<Vec<(CrowdVehicle, Vec<RssReading>)>>,
-    config: PlatformConfig,
-    smoothing: f64,
-    plans: &[FaultPlan],
-    wal: &mut dyn LogSink,
-    snapshots: &mut SnapshotStore,
-) -> Result<CampaignOutcome> {
-    run_durable_campaign_into(
-        transport,
-        segments,
-        rounds,
-        config,
-        smoothing,
-        plans,
-        wal,
-        snapshots,
-        &mut NoSink,
-    )
-}
-
-/// [`run_durable_campaign_on`] with a [`RoundSink`] observing each
-/// round close, after the snapshot write and WAL compaction.
-///
-/// # Errors
-///
-/// As [`run_durable_campaign_on`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_durable_campaign_into<T: Transport + ?Sized>(
     transport: &T,
@@ -320,6 +230,32 @@ pub fn run_durable_campaign_into<T: Transport + ?Sized>(
     snapshots: &mut SnapshotStore,
     sink: &mut dyn RoundSink,
 ) -> Result<CampaignOutcome> {
+    run_campaign(
+        transport,
+        segments,
+        rounds,
+        config,
+        smoothing,
+        plans,
+        Some((wal, snapshots)),
+        sink,
+    )
+}
+
+/// The one campaign loop behind both entry points. With `durable` set,
+/// rounds run on the durable driver and every round close snapshots the
+/// database and compacts the WAL before `sink` sees it.
+#[allow(clippy::too_many_arguments)]
+fn run_campaign<T: Transport + ?Sized>(
+    transport: &T,
+    segments: SegmentMap,
+    rounds: Vec<Vec<(CrowdVehicle, Vec<RssReading>)>>,
+    config: PlatformConfig,
+    smoothing: f64,
+    plans: &[FaultPlan],
+    mut durable: Option<(&mut dyn LogSink, &mut SnapshotStore)>,
+    sink: &mut dyn RoundSink,
+) -> Result<CampaignOutcome> {
     if rounds.is_empty() {
         return Err(MiddlewareError::InvalidConfig(
             "campaign needs at least one round".to_string(),
@@ -338,14 +274,20 @@ pub fn run_durable_campaign_into<T: Transport + ?Sized>(
         let mut round_config = config;
         round_config.seed = config.seed.wrapping_add(i as u64 * 1000);
         let plan = plans.get(i).unwrap_or(&none);
-        let mut report =
-            transport.run_round_durable(segments.clone(), fleet, round_config, plan, &mut *wal)?;
+        let mut report = match &mut durable {
+            Some((wal, _)) => {
+                transport.run_round_durable(segments.clone(), fleet, round_config, plan, *wal)?
+            }
+            None => transport.run_round_with_faults(segments.clone(), fleet, round_config, plan)?,
+        };
         smooth_reliabilities(&mut report, &mut long_run, smoothing);
         database.absorb(i, &segments, &report.fused);
-        // Round close: snapshot the database, then compact the WAL —
-        // the snapshot now owns everything this round contributed.
-        snapshots.write(i, &database, plan.snapshot_torn(i as u64))?;
-        wal.reset(&[])?;
+        if let Some((wal, snapshots)) = &mut durable {
+            // Round close: snapshot the database, then compact the WAL —
+            // the snapshot now owns everything this round contributed.
+            snapshots.write(i, &database, plan.snapshot_torn(i as u64))?;
+            wal.reset(&[])?;
+        }
         sink.round_closed(i, &report);
         reports.push(report);
     }

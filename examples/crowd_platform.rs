@@ -1,6 +1,7 @@
 //! The three-party crowdsensing platform (§3, §5.5): crowd-vehicles
 //! sense and label, the crowd-server infers reliabilities and fuses, a
-//! user-vehicle downloads the result.
+//! user-vehicle downloads the APs ahead of its route from the
+//! geo-sharded AP map the round feeds.
 //!
 //! The server is a sans-I/O state machine, so the same rounds run on
 //! either pluggable transport backend:
@@ -30,12 +31,15 @@
 use crowdwifi::channel::{PathLossModel, RssReading};
 use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi::geo::{Point, Rect};
+use crowdwifi::geomap::{GeoMap, MapConfig};
 use crowdwifi::middleware::fault::{FaultPlan, FaultPoint};
+use crowdwifi::middleware::mapsink::GeoMapSink;
 use crowdwifi::middleware::messages::VehicleId;
 use crowdwifi::middleware::platform::{FaultTolerance, PlatformConfig, RoundHealth};
 use crowdwifi::middleware::segment::SegmentMap;
-use crowdwifi::middleware::transport::{SimTransport, ThreadTransport, Transport};
+use crowdwifi::middleware::transport::{RoundSink, SimTransport, ThreadTransport, Transport};
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Fading-free staggered drive past the two "roadside" APs.
@@ -64,10 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let backend_name = if sim { "sim" } else { "threaded" };
 
     let truth = [Point::new(60.0, 30.0), Point::new(220.0, 30.0)];
-    let segments = SegmentMap::new(
-        Rect::new(Point::new(0.0, -20.0), Point::new(300.0, 80.0))?,
-        150.0,
-    );
+    let area = Rect::new(Point::new(0.0, -20.0), Point::new(300.0, 80.0))?;
+    let segments = SegmentMap::new(area, 150.0);
 
     // The simulator never sleeps, so smoke runs can afford the same
     // protocol under much tighter wall-clock-free deadlines.
@@ -132,20 +134,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ap.position, ap.support, ap.contributors
             );
         }
+    }
 
-        // A user-vehicle about to enter the road segment asks for APs
-        // ahead.
-        let user_position = Point::new(100.0, 0.0);
-        let nearby: Vec<_> = report
-            .fused
-            .iter()
-            .filter(|ap| ap.position.distance(user_position) <= 150.0)
-            .collect();
+    // The round close feeds the geo-sharded AP map; a user-vehicle about
+    // to drive the road downloads the APs within 50 m of its route.
+    let map = Arc::new(GeoMap::new(MapConfig::new(area))?);
+    GeoMapSink::new(Arc::clone(&map), Duration::from_secs(60)).round_closed(0, &report);
+    let route = [Point::new(0.0, 0.0), Point::new(300.0, 0.0)];
+    let ahead = map.aps_ahead(&route, 50.0);
+    if !smoke {
         println!(
-            "\nuser-vehicle at {user_position}: {} APs within 150 m available \
-             for opportunistic access",
-            nearby.len()
+            "\nuser-vehicle driving {} -> {}: {} APs within 50 m of its route \
+             available for opportunistic access",
+            route[0],
+            route[1],
+            ahead.len()
         );
+        for ap in &ahead {
+            println!("  {} credit {:.1}", ap.position, ap.credit);
+        }
     }
 
     // Round 2: same road, hostile weather. vehicle1 crashes before it
@@ -175,6 +182,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // CI budget mode: assert the essentials and report one line.
         assert_eq!(report.health, RoundHealth::Complete, "clean round degraded");
         assert!(!report.fused.is_empty(), "clean round fused nothing");
+        assert_eq!(
+            ahead.len(),
+            report.fused.len(),
+            "user-vehicle download missed fused APs along the road"
+        );
         assert_eq!(
             degraded.health,
             RoundHealth::Degraded,

@@ -10,6 +10,11 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release --workspace
 cargo build --release --examples
+# loopbench is its own cargo workspace, so the workspace build above
+# never compiles it: build it here so a change to any API it imports
+# fails tier-1 rather than the benchmark run. `--locked` also rejects
+# any dependency change that would rewrite loopbench/Cargo.lock.
+cargo build --release --offline --locked --manifest-path loopbench/Cargo.toml
 
 # The sans-I/O protocol core must stay pure: no threads (spawned
 # directly or through the `par_map` pool), channels or wall clocks —

@@ -21,8 +21,8 @@
 //! | [`crowd`] | `crowdwifi-crowd` | bipartite crowdsourcing + iterative inference (§5) |
 //! | [`baselines`] | `crowdwifi-baselines` | LGMM, MDS and Skyhook comparators |
 //! | [`handoff`] | `crowdwifi-handoff` | BRR/AllAP policies, sessions, transfers (§6.3) |
-//! | [`geomap`] | `crowdwifi-geomap` | geo-sharded global AP map: lock-light reads, TTL eviction, snapshots |
-//! | [`middleware`] | `crowdwifi-middleware` | crowd-server / vehicle / user roles, fault-tolerant rounds (§3, §5.5) |
+//! | [`geomap`] | `crowdwifi-geomap` | geo-sharded global AP map: user-vehicle route downloads, lock-light reads, TTL eviction, snapshots |
+//! | [`middleware`] | `crowdwifi-middleware` | crowd-server / crowd-vehicle roles, fault-tolerant rounds, round sink into the map (§3, §5.5) |
 //!
 //! # Quickstart
 //!

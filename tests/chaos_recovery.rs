@@ -29,7 +29,7 @@ use crowdwifi::middleware::platform::{FaultTolerance, PlatformConfig, PlatformRe
 use crowdwifi::middleware::protocol::ServerCore;
 use crowdwifi::middleware::segment::SegmentMap;
 use crowdwifi::middleware::transport::{
-    run_campaign_on, run_durable_campaign_on, SimTransport, Transport,
+    run_campaign_with_faults_into, run_durable_campaign_into, NoSink, SimTransport, Transport,
 };
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
 use crowdwifi::obs::Registry;
@@ -266,8 +266,16 @@ fn seeded_crash_sweep_recovers_every_schedule() {
 #[test]
 fn durable_campaign_survives_torn_snapshots_and_mid_round_crashes() {
     let rounds = || vec![fleet(3), fleet(3), fleet(3)];
-    let reference = run_campaign_on(&SimTransport, segments(), rounds(), config(), 0.5)
-        .expect("reference campaign");
+    let reference = run_campaign_with_faults_into(
+        &SimTransport,
+        segments(),
+        rounds(),
+        config(),
+        0.5,
+        &[],
+        &mut NoSink,
+    )
+    .expect("reference campaign");
 
     // Round 1's snapshot write is torn, and round 1 also crashes the
     // server mid-round.
@@ -280,7 +288,7 @@ fn durable_campaign_survives_torn_snapshots_and_mid_round_crashes() {
     ];
     let mut wal = MemorySink::new();
     let mut snapshots = SnapshotStore::in_memory();
-    let outcome = run_durable_campaign_on(
+    let outcome = run_durable_campaign_into(
         &SimTransport,
         segments(),
         rounds(),
@@ -289,6 +297,7 @@ fn durable_campaign_survives_torn_snapshots_and_mid_round_crashes() {
         &plans,
         &mut wal,
         &mut snapshots,
+        &mut NoSink,
     )
     .expect("durable campaign");
 
@@ -325,7 +334,7 @@ fn torn_final_snapshot_falls_back_to_previous_slot() {
     let plans = [FaultPlan::none(), FaultPlan::none().torn_snapshot(1)];
     let mut wal = MemorySink::new();
     let mut snapshots = SnapshotStore::in_memory();
-    run_durable_campaign_on(
+    run_durable_campaign_into(
         &SimTransport,
         segments(),
         rounds(),
@@ -334,6 +343,7 @@ fn torn_final_snapshot_falls_back_to_previous_slot() {
         &plans,
         &mut wal,
         &mut snapshots,
+        &mut NoSink,
     )
     .expect("durable campaign");
 

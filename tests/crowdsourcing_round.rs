@@ -10,8 +10,9 @@ use crowdwifi::crowd::worker::SpammerHammerPrior;
 use crowdwifi::crowd::{bit_error_rate, LabelMatrix};
 use crowdwifi::geo::{Point, Rect};
 use crowdwifi::middleware::messages::VehicleId;
-use crowdwifi::middleware::platform::{run_round, PlatformConfig};
+use crowdwifi::middleware::platform::PlatformConfig;
 use crowdwifi::middleware::segment::SegmentMap;
+use crowdwifi::middleware::transport::{ThreadTransport, Transport};
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -75,15 +76,16 @@ fn threaded_platform_round_flags_spammer_and_finds_aps() {
             drive(v as f64 * 0.5, &truth),
         ));
     }
-    let report = run_round(
-        segments,
-        fleet,
-        PlatformConfig {
-            workers_per_task: 4,
-            ..PlatformConfig::default()
-        },
-    )
-    .unwrap();
+    let report = ThreadTransport
+        .run_round(
+            segments,
+            fleet,
+            PlatformConfig {
+                workers_per_task: 4,
+                ..PlatformConfig::default()
+            },
+        )
+        .unwrap();
 
     // Both APs present in the fused database.
     for t in truth {

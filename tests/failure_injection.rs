@@ -152,10 +152,10 @@ mod platform_faults {
     use crowdwifi::middleware::fault::{FaultPlan, FaultPoint};
     use crowdwifi::middleware::messages::VehicleId;
     use crowdwifi::middleware::platform::{
-        run_round_with_faults, FaultTolerance, PlatformConfig, PlatformReport, RoundHealth,
-        VehicleFate,
+        FaultTolerance, PlatformConfig, PlatformReport, RoundHealth, VehicleFate,
     };
     use crowdwifi::middleware::segment::SegmentMap;
+    use crowdwifi::middleware::transport::{ThreadTransport, Transport};
     use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
     use std::time::Duration;
 
@@ -228,7 +228,9 @@ mod platform_faults {
     #[test]
     fn crashed_vehicle_degrades_round() {
         let plan = FaultPlan::none().crash(VehicleId(1), FaultPoint::Sense);
-        let report = run_round_with_faults(segments(), fleet(4), config(), &plan).unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(segments(), fleet(4), config(), &plan)
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
         assert_eq!(report.dead_vehicles(), vec![VehicleId(1)]);
         assert_finite(&report);
@@ -237,7 +239,9 @@ mod platform_faults {
     #[test]
     fn straggler_past_deadline_gets_tasks_reassigned() {
         let plan = FaultPlan::none().stall(VehicleId(2), FaultPoint::Answer);
-        let report = run_round_with_faults(segments(), fleet(5), config(), &plan).unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(segments(), fleet(5), config(), &plan)
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
         assert_eq!(report.dead_vehicles(), vec![VehicleId(2)]);
         assert!(
@@ -251,7 +255,9 @@ mod platform_faults {
     #[test]
     fn ten_percent_message_drop_still_completes() {
         let plan = FaultPlan::noisy(11, 0.10, 0.0, 0.0);
-        let report = run_round_with_faults(segments(), fleet(5), config(), &plan).unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(segments(), fleet(5), config(), &plan)
+            .unwrap();
         // Whether a retry was needed depends on which messages the
         // schedule hit; the round must complete with sane output either
         // way, and no vehicle may die — retries recover every drop.
@@ -268,7 +274,9 @@ mod platform_faults {
             let plan = FaultPlan::noisy(7, 0.10, 0.0, 0.0)
                 .crash(VehicleId(1), FaultPoint::Upload)
                 .stall(VehicleId(2), FaultPoint::Answer);
-            run_round_with_faults(segments(), fleet(5), config(), &plan).unwrap()
+            ThreadTransport
+                .run_round_with_faults(segments(), fleet(5), config(), &plan)
+                .unwrap()
         };
         let first = run();
         assert_eq!(first.health, RoundHealth::Degraded);
@@ -302,8 +310,9 @@ mod platform_faults {
 
     #[test]
     fn zero_fault_round_is_complete_and_clean() {
-        let report =
-            run_round_with_faults(segments(), fleet(4), config(), &FaultPlan::none()).unwrap();
+        let report = ThreadTransport
+            .run_round_with_faults(segments(), fleet(4), config(), &FaultPlan::none())
+            .unwrap();
         assert_eq!(report.health, RoundHealth::Complete);
         assert!(report.dead_vehicles().is_empty());
         assert_eq!(report.reassigned_tasks, 0);
@@ -321,7 +330,9 @@ mod platform_faults {
         let plan = FaultPlan::none()
             .crash(VehicleId(0), FaultPoint::Sense)
             .crash(VehicleId(2), FaultPoint::Sense);
-        let err = run_round_with_faults(segments(), fleet(3), config(), &plan).unwrap_err();
+        let err = ThreadTransport
+            .run_round_with_faults(segments(), fleet(3), config(), &plan)
+            .unwrap_err();
         assert_eq!(
             err,
             MiddlewareError::QuorumLost {
@@ -356,18 +367,20 @@ mod platform_faults {
                 ..config()
             },
         ] {
-            let err =
-                run_round_with_faults(segments(), fleet(3), bad, &FaultPlan::none()).unwrap_err();
+            let err = ThreadTransport
+                .run_round_with_faults(segments(), fleet(3), bad, &FaultPlan::none())
+                .unwrap_err();
             assert!(matches!(err, MiddlewareError::InvalidConfig(_)), "{err:?}");
         }
         // Bad fault plans are rejected too.
-        let err = run_round_with_faults(
-            segments(),
-            fleet(3),
-            config(),
-            &FaultPlan::noisy(0, 0.7, 0.7, 0.0),
-        )
-        .unwrap_err();
+        let err = ThreadTransport
+            .run_round_with_faults(
+                segments(),
+                fleet(3),
+                config(),
+                &FaultPlan::noisy(0, 0.7, 0.7, 0.0),
+            )
+            .unwrap_err();
         assert!(matches!(err, MiddlewareError::InvalidConfig(_)));
     }
 }

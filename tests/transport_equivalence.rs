@@ -14,7 +14,7 @@ use crowdwifi::middleware::messages::VehicleId;
 use crowdwifi::middleware::platform::{FaultTolerance, PlatformConfig};
 use crowdwifi::middleware::segment::SegmentMap;
 use crowdwifi::middleware::transport::{
-    run_campaign_with_faults_on, sim_round_with_digest, FleetTransport, SimTransport,
+    run_campaign_with_faults_into, sim_round_with_digest, FleetTransport, NoSink, SimTransport,
     ThreadTransport, Transport,
 };
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
@@ -330,18 +330,26 @@ fn campaign_database_is_backend_equivalent() {
         FaultPlan::none(),
         FaultPlan::none().crash(VehicleId(3), FaultPoint::Upload),
     ];
-    let threaded = run_campaign_with_faults_on(
+    let threaded = run_campaign_with_faults_into(
         &ThreadTransport,
         segments(),
         rounds(),
         config(),
         0.5,
         &plans,
+        &mut NoSink,
     )
     .expect("threaded campaign");
-    let simulated =
-        run_campaign_with_faults_on(&SimTransport, segments(), rounds(), config(), 0.5, &plans)
-            .expect("simulated campaign");
+    let simulated = run_campaign_with_faults_into(
+        &SimTransport,
+        segments(),
+        rounds(),
+        config(),
+        0.5,
+        &plans,
+        &mut NoSink,
+    )
+    .expect("simulated campaign");
     assert_eq!(threaded.reports.len(), simulated.reports.len());
     for (t, s) in threaded.reports.iter().zip(&simulated.reports) {
         assert_eq!(

@@ -19,10 +19,9 @@
 //!    active set and once with plain FISTA pinned (the active set's
 //!    fallback), recording both ℓ1 work totals (pivots vs iterations)
 //!    and asserting both recover the same number of APs.
-//! 5. **Kernel dispatch** — the FISTA-pinned drive, on one worker
-//!    thread, on the scalar (seed-exact) kernels vs the row-blocked
-//!    vectorized kernels, both legs on the Proposition-1 whitening, with
-//!    support preservation asserted.
+//! 5. **Kernels** — FISTA's per-iteration kernel pair (`matvec` then
+//!    `acc_rows`) on section 3's operator, with the scalar reference
+//!    kernels vs the shipped row-blocked kernels, bit-identity asserted.
 //!
 //! Writes `BENCH_pipeline.json` at the repo root, including the machine
 //! topology so single-core runs read honestly (the thread sweep cannot
@@ -40,7 +39,7 @@ use crowdwifi_core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi_core::recovery::CsRecovery;
 use crowdwifi_core::window::WindowConfig;
 use crowdwifi_geo::{Grid, Point};
-use crowdwifi_linalg::kernels::{self, Mode};
+use crowdwifi_linalg::kernels::{self, scalar};
 use crowdwifi_linalg::vector;
 use crowdwifi_linalg::Matrix;
 use crowdwifi_sparsesolve::prox::soft_threshold_nonneg_vec;
@@ -323,15 +322,11 @@ fn main() {
     // --- 4. Solver work: exact active set vs pinned plain FISTA. ---
     // One drive through the full pipeline per solver. The headline
     // number is machine-independent: the active set's total pivots over
-    // the FISTA leg's total iterations across every group solve. The
-    // FISTA pipeline runs on one worker so section 5 times the kernels
-    // alone: fanned out over SMT siblings, both legs share one core's
-    // vector units and the ratio measures the contention instead.
-    let fista_cfg = OnlineCsConfig { threads: 1, ..cfg };
-    let fista_pipe = OnlineCs::new(fista_cfg, model)
+    // the FISTA leg's total iterations across every group solve.
+    let fista_pipe = OnlineCs::new(cfg, model)
         .expect("valid config")
         .with_recovery(
-            CsRecovery::new(model, fista_cfg.radio_range, fista_cfg.detection_floor_dbm)
+            CsRecovery::new(model, cfg.radio_range, cfg.detection_floor_dbm)
                 .with_solver(CsRecovery::fallback_fista()),
         );
     let exact_report = OnlineCs::new(cfg, model)
@@ -356,61 +351,61 @@ fn main() {
         fista.unconverged,
     );
 
-    // --- 5. Vectorized vs scalar kernels on the FISTA-pinned drive. ---
-    // Same single-worker drive, same Proposition-1 whitening, two kernel
-    // dispatch paths: the scalar (seed-exact) reference vs the
-    // row-blocked unrolled kernels. FISTA is pinned because its
-    // matrix–vector products are where the kernels matter; the active
-    // set's solves are too short to separate the two paths. The kernels
-    // are bit-identical by construction, so both legs must recover the
-    // same AP set — asserted, then recorded as kernel_support_identical.
-    // The legs alternate rep by rep, so load from other tenants of a
-    // shared machine drifts into both means alike.
-    let kernel_reps: usize = if smoke { 2 } else { 3 };
-    let run_in = |mode: Mode| {
-        kernels::set_mode(Some(mode));
-        let report = fista_pipe.run_detailed(&readings).expect("FISTA run");
-        kernels::set_mode(None);
-        report
+    // --- 5. Shipped kernels vs the scalar reference. ---
+    // FISTA's per-iteration kernel pair on section 3's operator: `A z`
+    // (`matvec`), then `Aᵀ(A z)` accumulated onto a zeroed buffer
+    // (`acc_rows`), once with `kernels::scalar` and once with the
+    // shipped row-blocked kernels. The two are bit-identical by
+    // construction: asserted (NaN-canonicalized), then recorded as
+    // kernel_bit_identical. Each rep times a batch of pairs per leg and
+    // the legs alternate rep by rep, so load from other tenants of a
+    // shared machine drifts into both alike; the speedup is the median
+    // of the per-rep ratios.
+    type Kernel = fn(usize, &[f64], &[f64], &mut [f64]);
+    let z = a.matvec_transposed(&y);
+    let (mut az, mut grad) = (vec![0.0; m], vec![0.0; n]);
+    let kernel_pair = |matvec: Kernel, acc_rows: Kernel, az: &mut [f64], grad: &mut [f64]| {
+        matvec(n, a.as_slice(), &z, az);
+        grad.fill(0.0);
+        acc_rows(n, a.as_slice(), az, grad);
+        std::hint::black_box((az, grad));
     };
-    let scalar_report = run_in(Mode::Scalar);
-    let vector_report = run_in(Mode::Vectorized);
-    let (mut scalar_wall, mut vector_wall) = (0.0, 0.0);
-    for _ in 0..kernel_reps {
-        for (mode, wall) in [
-            (Mode::Scalar, &mut scalar_wall),
-            (Mode::Vectorized, &mut vector_wall),
-        ] {
-            kernels::set_mode(Some(mode));
-            *wall += time(
-                || drop(fista_pipe.run_detailed(&readings).expect("FISTA run")),
-                1,
-            ) / kernel_reps as f64;
-        }
-    }
-    kernels::set_mode(None);
+    let canon = |v: &[f64]| -> Vec<u64> {
+        v.iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    };
+    kernel_pair(scalar::matvec, scalar::acc_rows, &mut az, &mut grad);
+    let scalar_out = (canon(&az), canon(&grad));
+    kernel_pair(kernels::matvec, kernels::acc_rows, &mut az, &mut grad);
     assert_eq!(
-        scalar_report.final_aps.len(),
-        vector_report.final_aps.len(),
-        "kernel path changed the number of recovered APs"
+        scalar_out,
+        (canon(&az), canon(&grad)),
+        "shipped kernels diverged from the scalar reference"
     );
-    for b in &scalar_report.final_aps {
-        let d = vector_report
-            .final_aps
-            .iter()
-            .map(|a| a.position.distance(b.position))
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            d < 8.0,
-            "scalar-kernel AP at {} has no vectorized counterpart ({d:.1} m)",
-            b.position
+    let (kernel_reps, pairs_per_rep): (usize, usize) = if smoke { (21, 1000) } else { (51, 2000) };
+    let (mut scalar_us, mut kernel_us, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..kernel_reps {
+        let s = time(
+            || kernel_pair(scalar::matvec, scalar::acc_rows, &mut az, &mut grad),
+            pairs_per_rep,
         );
+        let k = time(
+            || kernel_pair(kernels::matvec, kernels::acc_rows, &mut az, &mut grad),
+            pairs_per_rep,
+        );
+        scalar_us.push(s * 1e6);
+        kernel_us.push(k * 1e6);
+        ratios.push(s / k);
     }
-    let kernel_speedup = scalar_wall / vector_wall;
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (scalar_us, kernel_us) = (median(&mut scalar_us), median(&mut kernel_us));
+    let kernel_speedup = median(&mut ratios);
     println!(
-        "kernel dispatch: scalar {:.1} ms vs vectorized {:.1} ms ({kernel_speedup:.2}x), support identical",
-        scalar_wall * 1e3,
-        vector_wall * 1e3,
+        "kernels {m}x{n} matvec+acc_rows: scalar {scalar_us:.2} us vs shipped {kernel_us:.2} us per pair (median ratio {kernel_speedup:.2}x over {kernel_reps} reps), bit-identical"
     );
 
     // --- Emit BENCH_pipeline.json at the repo root. ---
@@ -424,7 +419,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 8,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_work\": {{\"active_set_pivots\": {}, \"fista_iterations\": {}, \"active_set_iteration_ratio\": {work_ratio:.3}, \"active_set_solves\": {}, \"fista_solves\": {}, \"active_set_fallbacks\": {}, \"active_set_unconverged\": {}, \"fista_unconverged\": {}, \"aps\": {}, \"ap_count_identical\": true}},\n  \"kernel_accel\": {{\"kernel_scalar_ms\": {:.1}, \"kernel_vectorized_ms\": {:.1}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_support_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_work and kernel_accel are machine-independent algorithmic measurements. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times the FISTA-pinned drive on one worker thread on the scalar reference kernels vs the row-blocked vectorized kernels, both legs on the pivoted-Cholesky Proposition-1 whitening: the kernels are bit-identical to the scalar reference, and kernel_support_identical records the in-bench assertion that both legs recover the same AP set.\"\n}}\n",
+        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 9,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_work\": {{\"active_set_pivots\": {}, \"fista_iterations\": {}, \"active_set_iteration_ratio\": {work_ratio:.3}, \"active_set_solves\": {}, \"fista_solves\": {}, \"active_set_fallbacks\": {}, \"active_set_unconverged\": {}, \"fista_unconverged\": {}, \"aps\": {}, \"ap_count_identical\": true}},\n  \"kernel_accel\": {{\"matrix\": \"{m}x{n}\", \"reps\": {kernel_reps}, \"pairs_per_rep\": {pairs_per_rep}, \"kernel_scalar_us\": {scalar_us:.3}, \"kernel_vectorized_us\": {kernel_us:.3}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_bit_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_work and kernel_accel are machine-independent algorithmic measurements. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating the legs rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized).\"\n}}\n",
         readings.len(),
         cfg.window.size,
         cfg.window.step,
@@ -446,8 +441,6 @@ fn main() {
         exact.unconverged,
         fista.unconverged,
         exact_report.final_aps.len(),
-        scalar_wall * 1e3,
-        vector_wall * 1e3,
     );
     let out_path = bench_out_path("BENCH_pipeline.json");
     std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");

@@ -997,12 +997,11 @@ mod tests {
     }
 
     /// The column-contiguous norms and matched-filter scores reproduce,
-    /// bit for bit and on both kernel paths, the strided-column
-    /// formulas they replace (`col_norm2`, `col_sumsq`, `col_dot` and
-    /// an explicit residual through `vector::norm2`).
+    /// bit for bit, the strided-column formulas they replace
+    /// (`col_norm2`, `col_sumsq`, `col_dot` and an explicit residual
+    /// through `vector::norm2`).
     #[test]
     fn contiguous_debias_scores_match_the_strided_formulas() {
-        use crowdwifi_linalg::kernels::{self, Mode};
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
         let mut unit = || {
             state ^= state << 13;
@@ -1028,36 +1027,32 @@ mod tests {
             let (sumsq, norms, a) = normalize_columns(&cols);
             let scores = matched_filter_scores(&cols, &sumsq, &y);
             let a_raw = cols.transpose();
-            for mode in [Mode::Scalar, Mode::Vectorized] {
-                kernels::set_mode(Some(mode));
-                let ynorm = crowdwifi_linalg::vector::norm2(&y).max(1e-12);
-                let mut want = Vec::new();
-                for (j, &norm) in norms.iter().enumerate() {
-                    assert_eq!(norm.to_bits(), a_raw.col_norm2(j).max(1e-12).to_bits());
-                    for i in 0..m {
-                        let v = a_raw.get(i, j) / norm;
-                        assert_eq!(a.get(i, j).to_bits(), v.to_bits());
-                    }
-                    let cc = a_raw.col_sumsq(j);
-                    if cc <= 0.0 {
-                        continue;
-                    }
-                    let cj = (a_raw.col_dot(j, &y) / cc).max(0.0);
-                    let res: Vec<f64> = y
-                        .iter()
-                        .zip(a_raw.col_iter(j))
-                        .map(|(yy, aa)| yy - cj * aa)
-                        .collect();
-                    want.push((j, cj, crowdwifi_linalg::vector::norm2(&res) / ynorm));
+            let ynorm = crowdwifi_linalg::vector::norm2(&y).max(1e-12);
+            let mut want = Vec::new();
+            for (j, &norm) in norms.iter().enumerate() {
+                assert_eq!(norm.to_bits(), a_raw.col_norm2(j).max(1e-12).to_bits());
+                for i in 0..m {
+                    let v = a_raw.get(i, j) / norm;
+                    assert_eq!(a.get(i, j).to_bits(), v.to_bits());
                 }
-                kernels::set_mode(None);
-                let bits = |v: &[(usize, f64, f64)]| -> Vec<(usize, u64, u64)> {
-                    v.iter()
-                        .map(|&(j, c, r)| (j, c.to_bits(), r.to_bits()))
-                        .collect()
-                };
-                assert_eq!(bits(&scores), bits(&want), "{m}x{n} in {mode:?}");
+                let cc = a_raw.col_sumsq(j);
+                if cc <= 0.0 {
+                    continue;
+                }
+                let cj = (a_raw.col_dot(j, &y) / cc).max(0.0);
+                let res: Vec<f64> = y
+                    .iter()
+                    .zip(a_raw.col_iter(j))
+                    .map(|(yy, aa)| yy - cj * aa)
+                    .collect();
+                want.push((j, cj, crowdwifi_linalg::vector::norm2(&res) / ynorm));
             }
+            let bits = |v: &[(usize, f64, f64)]| -> Vec<(usize, u64, u64)> {
+                v.iter()
+                    .map(|&(j, c, r)| (j, c.to_bits(), r.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&scores), bits(&want), "{m}x{n}");
         }
     }
 

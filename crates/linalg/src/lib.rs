@@ -13,9 +13,9 @@
 //!   ([`svd`]), used by the basis-pursuit reference solver and the
 //!   baselines,
 //! * LU/Cholesky solvers ([`solve`]) used by the ADMM basis-pursuit solver,
-//! * runtime-dispatched unrolled kernels ([`kernels`]) behind the hot
-//!   `Matrix`/[`vector`] operations — bit-identical to the reference
-//!   loops, with `CROWDWIFI_FORCE_SCALAR=1` pinning the scalar path.
+//! * row-blocked unrolled kernels ([`kernels`]) behind the hot
+//!   `Matrix`/[`vector`] operations — bit-identical to the scalar
+//!   reference loops kept beside them for the tests.
 //!
 //! Everything is hand-rolled on `f64` — the problem sizes in the paper
 //! (grids of `N ≤ ~1000` points, windows of `M ≤ ~200` measurements) are

@@ -207,7 +207,7 @@ impl Matrix {
     /// Panics if out of bounds or `v.len() != self.rows()`.
     pub fn col_dot(&self, c: usize, v: &[f64]) -> f64 {
         assert_eq!(v.len(), self.rows, "col_dot length mismatch");
-        // -0.0 is `dot`'s fold identity; see `kernels::vector::dot`.
+        // -0.0 is `dot`'s fold identity; see `kernels::dot`.
         let mut acc = -0.0;
         for (x, &y) in self.col_iter(c).zip(v) {
             acc += x * y;
@@ -222,7 +222,7 @@ impl Matrix {
     ///
     /// Panics if out of bounds.
     pub fn col_sumsq(&self, c: usize) -> f64 {
-        // -0.0 is `dot`'s fold identity; see `kernels::vector::dot`.
+        // -0.0 is `dot`'s fold identity; see `kernels::dot`.
         let mut acc = -0.0;
         for x in self.col_iter(c) {
             acc += x * x;
@@ -309,20 +309,6 @@ impl Matrix {
         kernels::matvec(self.cols, &self.data, v, out);
     }
 
-    /// Batched [`Matrix::matvec_into`]: `outs[j] = self · vs[j]` for
-    /// every right-hand side in one pass over the matrix rows (each row
-    /// is loaded once and dotted against all of `vs`), instead of one
-    /// full traversal per vector. Each output is bit-identical to the
-    /// corresponding single-vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `vs[j].len() != self.cols()` or
-    /// `outs.len() != vs.len()`.
-    pub fn matvec_batch_into(&self, vs: &[Vec<f64>], outs: &mut [Vec<f64>]) {
-        kernels::matvec_batch(self.rows, self.cols, &self.data, vs, outs);
-    }
-
     /// Transposed matrix–vector product `selfᵀ * v`.
     ///
     /// # Panics
@@ -347,24 +333,6 @@ impl Matrix {
         out.clear();
         out.resize(self.cols, 0.0);
         kernels::acc_rows(self.cols, &self.data, v, out);
-    }
-
-    /// Batched [`Matrix::matvec_transposed_into`]: `outs[j] = selfᵀ ·
-    /// vs[j]` for every right-hand side in one pass over the matrix
-    /// rows. The per-column zero-coefficient skip and accumulation
-    /// order match the single-vector form, so each output is
-    /// bit-identical to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `vs[j].len() != self.rows()` or
-    /// `outs.len() != vs.len()`.
-    pub fn matvec_transposed_batch_into(&self, vs: &[Vec<f64>], outs: &mut [Vec<f64>]) {
-        for out in outs.iter_mut() {
-            out.clear();
-            out.resize(self.cols, 0.0);
-        }
-        kernels::acc_rows_batch(self.rows, self.cols, &self.data, vs, outs);
     }
 
     /// Element-wise sum `self + other`.

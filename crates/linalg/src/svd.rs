@@ -76,25 +76,23 @@ impl Svd {
 
         let small_vecs = eig.eigenvectors().select_cols(&(0..p).collect::<Vec<_>>());
         // Columns above the rank tolerance get a singular vector on the
-        // other side; the rest are zeroed. The back-multiplication
-        // (`A V` or `Aᵀ U`) runs as one batched pass over `a` for all
-        // kept columns — bit-identical per column to the one-vector
-        // products it replaces.
-        let keep: Vec<usize> = (0..p).filter(|&j| singular_values[j] > tol).collect();
-        for j in 0..p {
-            if singular_values[j] <= tol {
-                singular_values[j] = 0.0;
+        // other side (`A V / σ` or `Aᵀ U / σ`); the rest are zeroed.
+        for s in singular_values.iter_mut() {
+            if *s <= tol {
+                *s = 0.0;
             }
         }
-        let mut outs: Vec<Vec<f64>> = vec![Vec::new(); keep.len()];
+        let mut col = Vec::new();
         let (u, v) = if tall {
             // V from the eigenvectors of AᵀA; U = A V / σ.
             let v = small_vecs;
             let mut u = Matrix::zeros(m, p);
-            let vs: Vec<Vec<f64>> = keep.iter().map(|&j| v.col(j)).collect();
-            a.matvec_batch_into(&vs, &mut outs);
-            for (&j, col) in keep.iter().zip(&outs) {
-                let s = singular_values[j];
+            for (j, &s) in singular_values
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s > tol)
+            {
+                a.matvec_into(&v.col(j), &mut col);
                 for (r, &x) in col.iter().enumerate() {
                     u.set(r, j, x / s);
                 }
@@ -104,10 +102,12 @@ impl Svd {
             // U from the eigenvectors of AAᵀ; V = Aᵀ U / σ.
             let u = small_vecs;
             let mut v = Matrix::zeros(n, p);
-            let us: Vec<Vec<f64>> = keep.iter().map(|&j| u.col(j)).collect();
-            a.matvec_transposed_batch_into(&us, &mut outs);
-            for (&j, col) in keep.iter().zip(&outs) {
-                let s = singular_values[j];
+            for (j, &s) in singular_values
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s > tol)
+            {
+                a.matvec_transposed_into(&u.col(j), &mut col);
                 for (r, &x) in col.iter().enumerate() {
                     v.set(r, j, x / s);
                 }

@@ -31,9 +31,7 @@
 //! passes are skipped.
 //!
 //! The cost is two `m × n` Gram products and two triangular solves on
-//! `r × n` rows — no eigensolver, no back-multiplication — and every
-//! loop is plain, undispatched code, so the result is bit-identical in
-//! both kernel modes.
+//! `r × n` rows — no eigensolver, no back-multiplication.
 
 // Index-based loops below mirror the textbook algorithms; iterator
 // rewrites obscure the math.
@@ -184,8 +182,9 @@ fn gram_rows(rows: &[&[f64]]) -> Vec<f64> {
 /// Dot product with four independent partial sums (element `e` lands
 /// in sum `e mod 4`; the sums combine pairwise, then the tail adds in
 /// order), so the reduction is throughput- rather than latency-bound.
-/// The order is fixed, not dispatched, so results do not depend on the
-/// kernel mode.
+/// It reassociates the sum, so it stays private to the whitening rather
+/// than joining [`crate::kernels`], whose contract is the scalar
+/// left-to-right order.
 fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
     let (ca, cb) = (a.chunks_exact(4), b.chunks_exact(4));
     let (ra, rb) = (ca.remainder(), cb.remainder());

@@ -1,14 +1,14 @@
-//! Property tests pinning the vectorized kernels to the scalar
-//! reference **bit for bit**.
+//! Property tests pinning the shipped kernels to the scalar reference
+//! **bit for bit**.
 //!
-//! The dispatch contract of `crowdwifi_linalg::kernels` is that the
-//! unrolled path is a pure layout optimization: per output element it
-//! performs the same floating-point operations in the same order as the
-//! scalar twin. These properties exercise that claim across the shapes
-//! the closed-form unit tests cannot enumerate — empty matrices, odd
-//! tail lengths (`n % 4 != 0`), and non-finite inputs (NaN propagation
-//! is order-sensitive, so bitwise equality here is strictly stronger
-//! than approximate equality on finite data).
+//! The contract of `crowdwifi_linalg::kernels` is that each row-blocked
+//! kernel is a pure layout optimization of its `kernels::scalar` twin:
+//! per output element it performs the same floating-point operations in
+//! the same order. These properties are the proof of that claim, across
+//! the shapes the closed-form unit tests cannot enumerate — empty
+//! matrices, odd tail lengths (`n % 4 != 0`), and non-finite inputs
+//! (NaN propagation is order-sensitive, so bitwise equality here is
+//! strictly stronger than approximate equality on finite data).
 //!
 //! Comparisons use `f64::to_bits` so `-0.0` vs `0.0` differences are
 //! caught — with one relaxation: every NaN is canonicalized to a single
@@ -19,7 +19,7 @@
 //! it on. The properties therefore assert: identical values everywhere,
 //! identical signed-zero and infinity bits, and NaN-iff-NaN.
 
-use crowdwifi_linalg::kernels::{self, scalar, vector};
+use crowdwifi_linalg::kernels::{self, scalar};
 use proptest::prelude::*;
 
 /// An element strategy that mixes ordinary magnitudes with the awkward
@@ -78,7 +78,7 @@ proptest! {
         let (a, b) = pair;
         prop_assert_eq!(
             canon(scalar::dot(&a, &b)),
-            canon(vector::dot(&a, &b)),
+            canon(kernels::dot(&a, &b)),
             "dot diverged on len {}", a.len()
         );
     }
@@ -95,7 +95,7 @@ proptest! {
         let (a, b) = pair;
         prop_assert_eq!(
             canon(scalar::distance_sq(&a, &b)),
-            canon(vector::distance_sq(&a, &b)),
+            canon(kernels::distance_sq(&a, &b)),
             "distance_sq diverged on len {}", a.len()
         );
     }
@@ -114,7 +114,7 @@ proptest! {
         let mut ys = y0.clone();
         let mut yv = y0;
         scalar::axpy(alpha, &x, &mut ys);
-        vector::axpy(alpha, &x, &mut yv);
+        kernels::axpy(alpha, &x, &mut yv);
         prop_assert_eq!(bits(&ys), bits(&yv), "axpy diverged on len {}", x.len());
     }
 
@@ -133,7 +133,7 @@ proptest! {
         let mut os = vec![0.0; rows];
         let mut ov = vec![0.0; rows];
         scalar::matvec(cols, &a, &v, &mut os);
-        vector::matvec(cols, &a, &v, &mut ov);
+        kernels::matvec(cols, &a, &v, &mut ov);
         prop_assert_eq!(bits(&os), bits(&ov), "matvec diverged on {}x{}", rows, cols);
     }
 
@@ -153,7 +153,7 @@ proptest! {
         let mut os = out0.clone();
         let mut ov = out0;
         scalar::acc_rows(cols, &a, &v, &mut os);
-        vector::acc_rows(cols, &a, &v, &mut ov);
+        kernels::acc_rows(cols, &a, &v, &mut ov);
         prop_assert_eq!(bits(&os), bits(&ov), "acc_rows diverged on {}x{}", rows, cols);
     }
 
@@ -173,71 +173,10 @@ proptest! {
         let mut os = vec![0.0; rows * cols];
         let mut ov = vec![0.0; rows * cols];
         scalar::matmul(rows, k, cols, &a, &b, &mut os);
-        vector::matmul(rows, k, cols, &a, &b, &mut ov);
+        kernels::matmul(rows, k, cols, &a, &b, &mut ov);
         prop_assert_eq!(
             bits(&os), bits(&ov),
             "matmul diverged on {}x{}x{}", rows, k, cols
         );
-    }
-
-    // The batch entry points promise per-column bit-identity with the
-    // one-vector kernels *under whichever dispatch mode is active* —
-    // asserted here without touching the global mode, so the property
-    // holds for both paths when tier-1 re-runs this suite under
-    // `CROWDWIFI_FORCE_SCALAR=1`.
-
-    #[test]
-    fn matvec_batch_matches_singles_bitwise(
-        case in matrix().prop_flat_map(|(rows, cols, a)| {
-            (
-                Just(rows),
-                Just(cols),
-                Just(a),
-                proptest::collection::vec(
-                    proptest::collection::vec(wild(), cols),
-                    0..4,
-                ),
-            )
-        })
-    ) {
-        let (rows, cols, a, vs) = case;
-        let mut outs: Vec<Vec<f64>> = vec![Vec::new(); vs.len()];
-        kernels::matvec_batch(rows, cols, &a, &vs, &mut outs);
-        for (v, out) in vs.iter().zip(&outs) {
-            let mut solo = vec![0.0; rows];
-            kernels::matvec(cols, &a, v, &mut solo);
-            prop_assert_eq!(
-                bits(out), bits(&solo),
-                "matvec_batch column diverged on {}x{}", rows, cols
-            );
-        }
-    }
-
-    #[test]
-    fn acc_rows_batch_matches_singles_bitwise(
-        case in matrix().prop_flat_map(|(rows, cols, a)| {
-            (
-                Just(rows),
-                Just(cols),
-                Just(a),
-                proptest::collection::vec(
-                    proptest::collection::vec(wild(), rows),
-                    0..4,
-                ),
-                proptest::collection::vec(wild(), cols),
-            )
-        })
-    ) {
-        let (rows, cols, a, vs, out0) = case;
-        let mut outs: Vec<Vec<f64>> = vec![out0.clone(); vs.len()];
-        kernels::acc_rows_batch(rows, cols, &a, &vs, &mut outs);
-        for (v, out) in vs.iter().zip(&outs) {
-            let mut solo = out0.clone();
-            kernels::acc_rows(cols, &a, v, &mut solo);
-            prop_assert_eq!(
-                bits(out), bits(&solo),
-                "acc_rows_batch column diverged on {}x{}", rows, cols
-            );
-        }
     }
 }

@@ -469,12 +469,15 @@ impl ServerCore {
     /// Messages from an unregistered link are inert, like garbled
     /// frames from one; an upload claiming another vehicle's identity
     /// quarantines its sender instead of replacing the victim's upload,
-    /// and so does an answer batch carrying a label other than ±1.
+    /// and so does an upload carrying a non-finite position or credit,
+    /// or an answer batch carrying a label other than ±1.
     fn on_message(&mut self, now: VirtualInstant, from: VehicleId, msg: ToServer) -> Vec<Action> {
         if self.ledger.dead.contains(&from) || !self.server.is_registered(from) {
             return Vec::new(); // late message from a declared-dead vehicle, or a stranger
         }
-        if matches!(&msg, ToServer::Upload(up) if up.vehicle != from) {
+        if matches!(&msg, ToServer::Upload(up) if up.vehicle != from
+            || up.estimates.iter().any(|e| !(e.position.is_finite() && e.credit.is_finite())))
+        {
             return self.quarantine(now, from);
         }
         let mut actions = Vec::new();
@@ -1066,6 +1069,54 @@ mod tests {
                 format!("{:?}", garbled_report.fused)
             );
             assert_eq!(mislabelled.state_digest(), garbled.state_digest());
+        }
+    }
+
+    #[test]
+    fn upload_with_a_non_finite_estimate_quarantines_the_sender() {
+        // Vehicle 0 uploads one non-finite estimate beside a valid one.
+        // The round must end exactly as if vehicle 0 had sent garbage
+        // at the same point.
+        let mut garbled = core5();
+        let events = [Event::Garbled {
+            now: VirtualInstant::from_micros(1),
+            from: VehicleId(0),
+        }]
+        .into_iter()
+        .chain(own_uploads(1..5));
+        let garbled_report = run(&mut garbled, events).expect("round completes");
+        let bad_estimates = [
+            ApEstimate {
+                position: Point::new(f64::NAN, f64::NAN),
+                credit: 2.0,
+            },
+            ApEstimate {
+                position: Point::new(f64::INFINITY, 30.0),
+                credit: 2.0,
+            },
+            ApEstimate {
+                position: Point::new(40.0, f64::NEG_INFINITY),
+                credit: 2.0,
+            },
+            ApEstimate {
+                position: Point::new(40.0, 30.0),
+                credit: f64::NAN,
+            },
+        ];
+        for bad in bad_estimates {
+            let mut up = upload(0, 40.0);
+            up.estimates.push(bad);
+            let mut c = core5();
+            let events = [sent(0, up)].into_iter().chain(own_uploads(1..5));
+            let report =
+                run(&mut c, events).expect("one non-finite upload must not fail the round");
+            assert_eq!(report.fates[&VehicleId(0)].fate, VehicleFate::Quarantined);
+            assert!(!report.fused.is_empty());
+            assert_eq!(
+                format!("{:?}", report.fused),
+                format!("{:?}", garbled_report.fused)
+            );
+            assert_eq!(c.state_digest(), garbled.state_digest());
         }
     }
 

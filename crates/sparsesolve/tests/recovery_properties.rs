@@ -2,7 +2,6 @@
 //! k-sparse signals from random Bernoulli measurements when the sampling
 //! bound M = O(k log(N/k)) is comfortably satisfied.
 
-use crowdwifi_linalg::kernels::{self, Mode};
 use crowdwifi_linalg::whiten::whiten;
 use crowdwifi_linalg::{vector, Matrix};
 use crowdwifi_sparsesolve::active_set::{ActiveSet, KKT_TOLERANCE, LAMBDA_REL};
@@ -10,7 +9,7 @@ use crowdwifi_sparsesolve::admm::BasisPursuit;
 use crowdwifi_sparsesolve::fista::Fista;
 use crowdwifi_sparsesolve::irls::Irls;
 use crowdwifi_sparsesolve::omp::Omp;
-use crowdwifi_sparsesolve::{Recovery, SparseRecovery};
+use crowdwifi_sparsesolve::SparseRecovery;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rand::prelude::*;
@@ -89,23 +88,12 @@ fn objective_and_gap(a: &Matrix, y: &[f64], x: &[f64], lambda: f64) -> (f64, f64
     (primal, (primal - dual).max(0.0))
 }
 
-/// The active-set solve of `(a, y)` with the kernels pinned to `mode`.
-fn solve_in_mode(mode: Mode, a: &Matrix, y: &[f64]) -> Recovery {
-    kernels::set_mode(Some(mode));
-    let rec = ActiveSet::default().recover(a, y).unwrap();
-    kernels::set_mode(None);
-    rec
-}
-
 /// The active-set certification contract on one problem: deterministic
-/// across runs and kernel modes, feasible, KKT-stationary when it
-/// reports convergence, and within both duality gaps of a long FISTA
-/// run's objective.
+/// across runs, feasible, KKT-stationary when it reports convergence,
+/// and within both duality gaps of a long FISTA run's objective.
 fn assert_certified(a: &Matrix, y: &[f64]) -> Result<(), TestCaseError> {
     let rec = ActiveSet::default().recover(a, y).unwrap();
     prop_assert_eq!(&rec, &ActiveSet::default().recover(a, y).unwrap());
-    prop_assert_eq!(&rec, &solve_in_mode(Mode::Scalar, a, y));
-    prop_assert_eq!(&rec, &solve_in_mode(Mode::Vectorized, a, y));
     prop_assert!(rec.solution.iter().all(|&v| v >= 0.0 && v.is_finite()));
     if rec.converged {
         let b_max = vector::norm_inf(&a.matvec_transposed(y));
@@ -250,10 +238,10 @@ proptest! {
         // Every certified solve must be feasible, satisfy KKT within the
         // solver's tolerance, match a long FISTA run's objective within
         // the two solutions' duality gaps, and repeat bit for bit across
-        // runs and kernel dispatch modes — on the raw problem and on its
-        // Proposition-1 whitened form (orthonormal rows, signed
-        // entries), which is what the recovery pipeline solves. One case
-        // in five is a single-row problem.
+        // runs — on the raw problem and on its Proposition-1 whitened
+        // form (orthonormal rows, signed entries), which is what the
+        // recovery pipeline solves. One case in five is a single-row
+        // problem.
         let r = r_pick.saturating_sub(8).max(1);
         let (a, y) = nonneg_problem(seed, r, n, dups, zeros);
         assert_certified(&a, &y)?;

@@ -30,55 +30,29 @@ fi
 # clean round plus a degraded (crash + stall + lossy links) round.
 ./target/release/examples/crowd_platform --smoke
 
-# The workspace run covers every suite under the default kernel
-# dispatch: the fault-injection, cross-backend equivalence, chaos,
-# solver, wire-codec and geomap contracts all run here once.
+# The workspace run covers every suite once. Among their contracts:
+# - each linalg kernel matches its scalar reference loop bit for bit
+#   across shapes, ragged tails and non-finite inputs
+#   (kernel_equivalence);
+# - the Proposition-1 whitening gives orthonormal rows spanning the
+#   sensing matrix's row space, with Qᵀy' = A⁺y where the spectrum has
+#   a gap (properties);
+# - every certified active-set solve is feasible, satisfies KKT and
+#   matches a long FISTA run's objective, on the raw problem and its
+#   whitened form (recovery_properties), and the default campus drive
+#   is as accurate as plain FISTA for an order of magnitude less solver
+#   work (solver_accel);
+# - same seed and fault plan give byte-identical deterministic
+#   projections on every transport (transport_equivalence), and the
+#   durable campaign survives the chaos schedules (chaos_recovery);
+# - the wire codec round-trips every message variant (NaN bit-exact)
+#   and quarantines corrupted frames (wire_roundtrip);
+# - the geo-sharded AP map keeps its geohash, eviction, recovery and
+#   map-fed BRR handoff contracts (geohash_properties, map_properties,
+#   geomap_stack).
 cargo test -q --workspace
 # Doc tests explicitly, so a future test filter can never drop them.
 cargo test -q --workspace --doc
-# The suites whose contracts must hold on both kernel dispatch paths
-# run again with the scalar kernels pinned.
-# The vectorized kernels must match the scalar reference bit for bit
-# across shapes, ragged tails and non-finite inputs, so the batch entry
-# points are pinned on each path.
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-linalg --test kernel_equivalence
-# The Proposition-1 whitening (pivoted Cholesky + CholeskyQR) must give
-# orthonormal rows spanning the sensing matrix's row space, with
-# Qᵀy' = A⁺y where the spectrum has a gap, and the same bits on both
-# kernel paths.
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-linalg --test properties \
-    whitened_operator_is_an_orthonormal_prop1_basis
-# Cross-backend determinism: same seed + fault plan must produce
-# byte-identical deterministic projections on every backend, proven
-# independent of the kernel path.
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test transport_equivalence
-# The l1 solvers must never change what is recovered: every certified
-# active-set solve must be feasible, satisfy KKT and match a long FISTA
-# run's objective (property test, on both the raw problem and its
-# whitened Proposition-1 form), and the default active-set campus drive
-# must be as accurate as plain FISTA pinned in its place, for an order
-# of magnitude less solver work. The solver invariants may not depend on
-# which kernel path computed them.
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-sparsesolve --test recovery_properties \
-    active_set_certifies_the_nonnegative_lasso
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test solver_accel
-# The wire codec's contracts: proptest round-trips over every message
-# variant (NaN bit-exact), the adversarial corrupted-frame corpus
-# landing in quarantine, and malformed maps, logs and snapshots being
-# rejected. Frame bytes are part of the cross-backend digest, so they
-# may not depend on the kernel path.
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-middleware --test wire_roundtrip
-# The geo-sharded AP map's contracts: geohash encode/decode/neighbor
-# round-trips (property suite), TTL-eviction determinism under a seeded
-# clock, snapshot→compact→recover byte-identity, and the full-stack
-# suite (campaign rounds draining into the map through the round sink,
-# map-fed BRR handoff identical to the static-list baseline, store/map
-# intern-table agreement). The map consumes fused campaign output,
-# which is part of the cross-backend digest, so its contracts may not
-# depend on the kernel path.
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-geomap --test geohash_properties
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q -p crowdwifi-geomap --test map_properties
-CROWDWIFI_FORCE_SCALAR=1 cargo test -q --test geomap_stack
 # The observability layer ships a compile-out mode; it must stay green
 # with recording compiled to nothing.
 cargo test -q -p crowdwifi-obs --no-default-features

@@ -5,7 +5,9 @@
 //! 1. **Thread sweep** — readings/sec of [`OnlineCs::run`] at 1/2/4/8
 //!    configured threads, asserting along the way that every thread
 //!    count produces the identical estimate set (the deterministic-
-//!    parallelism contract).
+//!    parallelism contract). One more single-thread run records into a
+//!    local registry: its `pipeline.*_seconds` stage timers, summed
+//!    over the run's wall time, give `stage_coverage`.
 //! 2. **Shared window factorization** — one round's hypothesis groups
 //!    recovered the seed way (`recover_single_ap`: rebuild the sensing
 //!    matrix per group) vs the shared way (`prepare_window` once +
@@ -209,6 +211,46 @@ fn main() {
         sweep.push((threads, rps));
     }
     let base_rps = sweep[0].1;
+
+    // Stage coverage: one single-thread run on a local registry. With
+    // one thread the stage timers are wall time, so their sum over the
+    // run's wall time is the share of the run the split accounts for.
+    const STAGES: [&str; 9] = [
+        "prepare",
+        "gather",
+        "factorize",
+        "solve",
+        "debias",
+        "modes",
+        "score",
+        "refine",
+        "polish",
+    ];
+    let registry = crowdwifi_obs::Registry::new();
+    let staged = OnlineCs::new(OnlineCsConfig { threads: 1, ..cfg }, model)
+        .expect("valid config")
+        .with_registry(&registry);
+    let stage_wall = time(|| drop(staged.run(&readings).expect("staged run")), 1);
+    let snapshot = registry.snapshot();
+    let stage_secs: Vec<(&str, f64)> = STAGES
+        .iter()
+        .map(|&stage| {
+            (
+                stage,
+                snapshot.histograms[&format!("pipeline.{stage}_seconds")].sum,
+            )
+        })
+        .collect();
+    let stage_coverage = stage_secs.iter().map(|&(_, secs)| secs).sum::<f64>() / stage_wall;
+    println!(
+        "stage split (1 thread, {:.1} ms): {}; coverage {stage_coverage:.3}",
+        stage_wall * 1e3,
+        stage_secs
+            .iter()
+            .map(|(stage, secs)| format!("{stage} {:.1} ms", secs * 1e3))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
 
     // --- 2. Shared window factorization vs per-group rebuild. ---
     // The groups are the real hypothesis fan-out of one round: every
@@ -418,12 +460,18 @@ fn main() {
             )
         })
         .collect();
+    let stages_json: Vec<String> = stage_secs
+        .iter()
+        .map(|(stage, secs)| format!("\"{stage}_ms\": {:.3}", secs * 1e3))
+        .collect();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 9,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_work\": {{\"active_set_pivots\": {}, \"fista_iterations\": {}, \"active_set_iteration_ratio\": {work_ratio:.3}, \"active_set_solves\": {}, \"fista_solves\": {}, \"active_set_fallbacks\": {}, \"active_set_unconverged\": {}, \"fista_unconverged\": {}, \"aps\": {}, \"ap_count_identical\": true}},\n  \"kernel_accel\": {{\"matrix\": \"{m}x{n}\", \"reps\": {kernel_reps}, \"pairs_per_rep\": {pairs_per_rep}, \"kernel_scalar_us\": {scalar_us:.3}, \"kernel_vectorized_us\": {kernel_us:.3}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_bit_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_work and kernel_accel are machine-independent algorithmic measurements. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating the legs rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized).\"\n}}\n",
+        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 10,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"stages\": {{\"threads\": 1, \"wall_ms\": {:.3}, {}, \"stage_coverage\": {stage_coverage:.3}}},\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_work\": {{\"active_set_pivots\": {}, \"fista_iterations\": {}, \"active_set_iteration_ratio\": {work_ratio:.3}, \"active_set_solves\": {}, \"fista_solves\": {}, \"active_set_fallbacks\": {}, \"active_set_unconverged\": {}, \"fista_unconverged\": {}, \"aps\": {}, \"ap_count_identical\": true}},\n  \"kernel_accel\": {{\"matrix\": \"{m}x{n}\", \"reps\": {kernel_reps}, \"pairs_per_rep\": {pairs_per_rep}, \"kernel_scalar_us\": {scalar_us:.3}, \"kernel_vectorized_us\": {kernel_us:.3}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_bit_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_work and kernel_accel are machine-independent algorithmic measurements. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating the legs rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized). stages is one single-thread run of the drive recording into a local registry: each pipeline.*_seconds stage timer's total in milliseconds, and stage_coverage, their sum over the run's wall time.\"\n}}\n",
         readings.len(),
         cfg.window.size,
         cfg.window.step,
         sweep_json.join(",\n"),
+        stage_wall * 1e3,
+        stages_json.join(", "),
         groups.len(),
         direct_secs * 1e3,
         shared_secs * 1e3,

@@ -79,19 +79,25 @@ impl GmmModel {
             return f64::NEG_INFINITY;
         }
         let mut total = 0.0;
+        // Per-reading scratch, allocated once per call.
+        let mut dists: Vec<f64> = Vec::with_capacity(aps.len());
+        let mut weights: Vec<f64> = Vec::with_capacity(aps.len());
+        let mut log_terms: Vec<f64> = Vec::with_capacity(aps.len());
         for &(pos, rss) in readings {
-            let dists: Vec<f64> = aps.iter().map(|ap| pos.distance(*ap)).collect();
+            dists.clear();
+            dists.extend(aps.iter().map(|ap| pos.distance(*ap)));
             // Myopic softmax weights over −d_ij (max-subtracted for
             // numerical stability; the normalization cancels the shift).
             let dmin = dists.iter().cloned().fold(f64::INFINITY, f64::min);
-            let mut weights: Vec<f64> = dists.iter().map(|d| (-(d - dmin)).exp()).collect();
+            weights.clear();
+            weights.extend(dists.iter().map(|d| (-(d - dmin)).exp()));
             let wsum: f64 = weights.iter().sum();
             for w in weights.iter_mut() {
                 *w /= wsum;
             }
 
             // Mixture density via log-sum-exp.
-            let mut log_terms: Vec<f64> = Vec::with_capacity(aps.len());
+            log_terms.clear();
             for (j, &d) in dists.iter().enumerate() {
                 let mu = self.pathloss.mean_rss(d);
                 let sigma = (self.sigma_factor * mu.abs()).max(1e-6);

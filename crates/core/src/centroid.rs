@@ -4,6 +4,7 @@
 //! over the grid points neighboring the true AP. Eq. (3) compensates by
 //! taking the coefficient-weighted centroid of the dominant entries.
 
+use crate::recovery::GridSupport;
 use crowdwifi_geo::{point::weighted_centroid, Grid, Point};
 
 /// Result of centroid processing for one AP hypothesis.
@@ -87,40 +88,59 @@ pub fn centroid_of_dominant(
 /// `link_radius` of each other (transitively). Returns at most
 /// `max_modes` modes.
 ///
+/// `theta` is the sparse recovered indicator: every grid point outside
+/// its support has `θ = 0`, so the maximum, the dominant set and the
+/// modes come from the support alone.
+///
 /// # Panics
 ///
-/// Panics under the same conditions as [`centroid_of_dominant`].
+/// Panics if the support's indices and weights differ in length, its
+/// indices are not strictly ascending or reach past the grid, or
+/// `rel_threshold ∉ (0, 1]`.
 pub fn candidate_modes(
-    theta: &[f64],
+    theta: &GridSupport,
     grid: &Grid,
     rel_threshold: f64,
     link_radius: f64,
     max_modes: usize,
 ) -> Vec<CentroidEstimate> {
-    assert_eq!(theta.len(), grid.len(), "theta/grid size mismatch");
+    assert_eq!(
+        theta.indices.len(),
+        theta.weights.len(),
+        "support/weight length mismatch"
+    );
+    assert!(
+        theta.indices.windows(2).all(|w| w[0] < w[1])
+            && theta.indices.last().is_none_or(|&n| n < grid.len()),
+        "support indices must be strictly ascending grid indices"
+    );
     assert!(
         rel_threshold > 0.0 && rel_threshold <= 1.0,
         "rel_threshold must be in (0, 1]"
     );
-    let max = theta.iter().cloned().fold(0.0_f64, f64::max);
+    let max = theta.weights.iter().cloned().fold(0.0_f64, f64::max);
     if max <= 0.0 || max_modes == 0 {
         return Vec::new();
     }
     let zeta = rel_threshold * max;
-    let dominant: Vec<usize> = (0..theta.len()).filter(|&n| theta[n] >= zeta).collect();
+    let (dominant, dom_w): (Vec<usize>, Vec<f64>) = theta
+        .indices
+        .iter()
+        .zip(&theta.weights)
+        .filter(|&(_, &w)| w >= zeta)
+        .map(|(&n, &w)| (n, w))
+        .unzip();
     let dom_pts: Vec<Point> = dominant.iter().map(|&n| grid.point(n)).collect();
-    // Grid index → position in `dominant` (`usize::MAX` when not
-    // dominant), so linking probes only lattice neighbours.
-    let mut slot = vec![usize::MAX; theta.len()];
-    for (i, &n) in dominant.iter().enumerate() {
-        slot[n] = i;
-    }
 
     // Union-find over dominant points linked within `link_radius`. Only
-    // the lattice offsets of `link_offsets` can pass the distance test,
-    // and they are probed in grid-index order, so the linked pairs
-    // `(i, j > i)` are visited in exactly the order of an all-pairs
-    // scan and the components come out identical.
+    // the lattice offsets of `link_offsets` can pass the distance test;
+    // they point to later grid cells and are probed in grid-index
+    // order, so the linked pairs `(i, j > i)` are visited in exactly the
+    // order of an all-pairs scan and the components come out identical.
+    // A probed cell is looked up in the sorted dominant indices with one
+    // cursor per offset: an offset's in-grid targets ascend with `i`, so
+    // its cursor only moves forward (a merge walk, linear in the
+    // dominant set per offset).
     let mut parent: Vec<usize> = (0..dominant.len()).collect();
     fn find(parent: &mut Vec<usize>, i: usize) -> usize {
         if parent[i] != i {
@@ -131,15 +151,23 @@ pub fn candidate_modes(
     }
     let (nx, ny) = (grid.nx() as isize, grid.ny() as isize);
     let offsets = link_offsets(grid.lattice(), link_radius, nx.max(ny));
+    let mut cursors = vec![0_usize; offsets.len()];
     for (i, &n) in dominant.iter().enumerate() {
         let (cx, cy) = ((n % grid.nx()) as isize, (n / grid.nx()) as isize);
-        for &(dx, dy) in &offsets {
+        for (&(dx, dy), cursor) in offsets.iter().zip(cursors.iter_mut()) {
             let (x, y) = (cx + dx, cy + dy);
             if x < 0 || x >= nx || y >= ny {
                 continue;
             }
-            let j = slot[(y * nx + x) as usize];
-            if j != usize::MAX && dom_pts[i].distance(dom_pts[j]) <= link_radius {
+            let target = (y * nx + x) as usize;
+            while *cursor < dominant.len() && dominant[*cursor] < target {
+                *cursor += 1;
+            }
+            let j = *cursor;
+            if j < dominant.len()
+                && dominant[j] == target
+                && dom_pts[i].distance(dom_pts[j]) <= link_radius
+            {
                 let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
                 if ri != rj {
                     parent[ri] = rj;
@@ -152,11 +180,11 @@ pub fn candidate_modes(
     // equal-mass modes never reorder between runs).
     let mut by_root: std::collections::BTreeMap<usize, (Vec<Point>, Vec<f64>)> =
         std::collections::BTreeMap::new();
-    for (i, &n) in dominant.iter().enumerate() {
+    for i in 0..dominant.len() {
         let root = find(&mut parent, i);
         let entry = by_root.entry(root).or_default();
         entry.0.push(dom_pts[i]);
-        entry.1.push(theta[n]);
+        entry.1.push(dom_w[i]);
     }
     let mut modes: Vec<CentroidEstimate> = by_root
         .values()
@@ -265,6 +293,14 @@ mod tests {
         centroid_of_dominant(&vec![0.0; g.len()], &g, 0.0);
     }
 
+    /// The whole dense `θ` as a support (zeros included).
+    fn full_support(theta: &[f64]) -> GridSupport {
+        GridSupport {
+            indices: (0..theta.len()).collect(),
+            weights: theta.to_vec(),
+        }
+    }
+
     #[test]
     fn modes_separate_bimodal_mass() {
         let g = grid(); // 4×4 cells, 10 m lattice, centers (5,5)..(35,35)
@@ -273,7 +309,13 @@ mod tests {
         theta[0] = 1.0; // (5, 5)
         theta[1] = 0.8; // (15, 5)
         theta[15] = 0.9; // (35, 35)
-        let modes = candidate_modes(&theta, &g, 0.3, 12.0, 3);
+        let modes = candidate_modes(&full_support(&theta), &g, 0.3, 12.0, 3);
+        // The nonzero entries alone give the same modes.
+        let sparse = GridSupport {
+            indices: vec![0, 1, 15],
+            weights: vec![1.0, 0.8, 0.9],
+        };
+        assert_eq!(candidate_modes(&sparse, &g, 0.3, 12.0, 3), modes);
         assert_eq!(modes.len(), 2);
         // Strongest mode first (mass 1.8 > 0.9).
         assert!((modes[0].mass - 1.8).abs() < 1e-12);
@@ -290,9 +332,21 @@ mod tests {
         theta[0] = 1.0;
         theta[5] = 1.0;
         theta[15] = 1.0;
-        let modes = candidate_modes(&theta, &g, 0.3, 5.0, 2);
+        let modes = candidate_modes(&full_support(&theta), &g, 0.3, 5.0, 2);
         assert_eq!(modes.len(), 2);
-        assert!(candidate_modes(&vec![0.0; g.len()], &g, 0.3, 5.0, 3).is_empty());
+        let zeros = full_support(&vec![0.0; g.len()]);
+        assert!(candidate_modes(&zeros, &g, 0.3, 5.0, 3).is_empty());
+        assert!(candidate_modes(&GridSupport::default(), &g, 0.3, 5.0, 3).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unsorted_support_panics() {
+        let support = GridSupport {
+            indices: vec![3, 1],
+            weights: vec![1.0, 1.0],
+        };
+        candidate_modes(&support, &grid(), 0.3, 12.0, 3);
     }
 
     /// The all-pairs linking the lattice-local probe replaces.
@@ -347,7 +401,17 @@ mod tests {
             let link = [16.0, 8.0, 11.3, 24.5, 0.0][case % 5];
             let max = theta.iter().cloned().fold(0.0_f64, f64::max);
             let expected = all_pairs_components(&theta, &g, 0.3 * max, link);
-            let modes = candidate_modes(&theta, &g, 0.3, link, usize::MAX);
+            let modes = candidate_modes(&full_support(&theta), &g, 0.3, link, usize::MAX);
+            // The nonzero entries alone (a sparse recovery's support).
+            let nonzero = GridSupport {
+                indices: (0..theta.len()).filter(|&n| theta[n] != 0.0).collect(),
+                weights: theta.iter().copied().filter(|&w| w != 0.0).collect(),
+            };
+            assert_eq!(
+                candidate_modes(&nonzero, &g, 0.3, link, usize::MAX),
+                modes,
+                "case {case}"
+            );
             assert_eq!(modes.len(), expected.len(), "case {case}");
             let mut want: Vec<CentroidEstimate> = expected
                 .iter()

@@ -70,7 +70,7 @@ pub mod window;
 
 pub use consolidate::ApEstimate;
 pub use pipeline::{OnlineCs, OnlineCsConfig};
-pub use recovery::{SensingStats, StageTimes};
+pub use recovery::{GridSupport, SensingStats, StageTimes};
 
 /// Errors produced by the online CS pipeline.
 #[derive(Debug, Clone, PartialEq)]

@@ -24,27 +24,37 @@
 //! | `pipeline.solver_unconverged` | counter | solves left uncertified after any fallback (FISTA stopped at its iteration cap) |
 //! | `pipeline.solver_fallbacks` | counter | active-set solves that ran out of pivots and were re-solved on FISTA |
 //! | `pipeline.iterations_saved` | counter | iteration-budget headroom from early-converged FISTA solves |
+//! | `pipeline.signature_evals` | counter | path-loss signatures evaluated on first read by group gathers |
 //! | `pipeline.consolidation_merges` | counter | estimates merged into an existing location |
 //! | `pipeline.consolidation_new` | counter | estimates that opened a new location |
 //! | `pipeline.round_seconds` | timer | wall-clock per processed round |
-//! | `pipeline.prepare_seconds` | timer | per round: building the window's sensing workspace (distances, signatures, reach bitsets) |
+//! | `pipeline.prepare_seconds` | timer | per round: building the window's sensing workspace (each reading's lattice-box walk for its reach bitset, and the signature slot layout; no path-loss evaluation) |
+//! | `pipeline.gather_seconds` | timer | per round: candidate scan plus signature gather of every group solved, first-read path-loss evaluations included |
 //! | `pipeline.factorize_seconds` | timer | per round: column normalization plus the Proposition-1 whitening of every group solved |
 //! | `pipeline.solve_seconds` | timer | per round: the ℓ1 solves of every group, fallbacks included |
-//! | `pipeline.debias_seconds` | timer | per round: matched-filter debias and grid scatter of every group solved |
+//! | `pipeline.debias_seconds` | timer | per round: matched-filter debias of every group solved |
 //! | `pipeline.modes_seconds` | timer | per round: candidate-mode extraction (mode-memo misses) |
+//! | `pipeline.score_seconds` | timer | per round: mode-combination BIC scoring plus the EM re-assignment of readings |
+//! | `pipeline.refine_seconds` | timer | per run: the global BIC selection (`refine::global_bic_selection`) |
+//! | `pipeline.polish_seconds` | timer | per run: whole-drive position polish (`refine::polish_positions`) |
 //!
-//! The four recovery-stage timers sum the time of every thread that
-//! worked on the round, so with a parallel hypothesis fan-out they are
-//! CPU time and can exceed `round_seconds`. Hypothesis scoring, global
-//! refinement and position polishing are not split out yet.
+//! The gather-to-score timers sum the time of every thread that worked
+//! on the round, so with a parallel hypothesis fan-out they are CPU
+//! time and can exceed `round_seconds`. With one thread the stage
+//! timers together cover the run's wall time but for grid formation,
+//! hypothesis generation, consolidation and bookkeeping.
 //!
-//! Memo hits/solves are exact totals but scheduling-dependent with more
-//! than one worker thread (see [`crate::recovery::SensingStats`]); pin
-//! `threads: 1` when a byte-identical snapshot matters.
+//! Memo hits/solves and signature evaluations are exact totals but
+//! scheduling-dependent with more than one worker thread (two workers
+//! can race to solve the same group or to fill the same signature; see
+//! [`crate::recovery::SensingStats`]); pin `threads: 1` when a
+//! byte-identical snapshot matters.
 
 use crate::recovery::{SensingStats, StageTimes};
 use crate::select::RoundEstimate;
 use crowdwifi_obs::{Counter, Histogram, Registry};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Bucket bounds for the per-round BIC-winning AP count.
 const WINNER_K_BOUNDS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0];
@@ -65,14 +75,19 @@ pub struct PipelineInstruments {
     solver_unconverged: Counter,
     solver_fallbacks: Counter,
     iterations_saved: Counter,
+    signature_evals: Counter,
     merges: Counter,
     new_estimates: Counter,
     round_time: Histogram,
     prepare_time: Histogram,
+    gather_time: Histogram,
     factorize_time: Histogram,
     solve_time: Histogram,
     debias_time: Histogram,
     modes_time: Histogram,
+    score_time: Histogram,
+    refine_time: Histogram,
+    polish_time: Histogram,
 }
 
 impl PipelineInstruments {
@@ -91,26 +106,32 @@ impl PipelineInstruments {
             solver_unconverged: registry.counter("pipeline.solver_unconverged"),
             solver_fallbacks: registry.counter("pipeline.solver_fallbacks"),
             iterations_saved: registry.counter("pipeline.iterations_saved"),
+            signature_evals: registry.counter("pipeline.signature_evals"),
             merges: registry.counter("pipeline.consolidation_merges"),
             new_estimates: registry.counter("pipeline.consolidation_new"),
             round_time: registry.timer("pipeline.round_seconds"),
             prepare_time: registry.timer("pipeline.prepare_seconds"),
+            gather_time: registry.timer("pipeline.gather_seconds"),
             factorize_time: registry.timer("pipeline.factorize_seconds"),
             solve_time: registry.timer("pipeline.solve_seconds"),
             debias_time: registry.timer("pipeline.debias_seconds"),
             modes_time: registry.timer("pipeline.modes_seconds"),
+            score_time: registry.timer("pipeline.score_seconds"),
+            refine_time: registry.timer("pipeline.refine_seconds"),
+            polish_time: registry.timer("pipeline.polish_seconds"),
         }
     }
 
     /// Binds all pipeline metrics in the process-wide
     /// [`crowdwifi_obs::global`] registry (the default for
     /// [`crate::OnlineCs`]). The handles are looked up once per process
-    /// and cloned after that: the global registry's cells live as long
-    /// as the process, and fleets build one estimator per vehicle.
-    pub fn global() -> Self {
-        static GLOBAL: std::sync::OnceLock<PipelineInstruments> = std::sync::OnceLock::new();
+    /// and shared after that: the global registry's cells live as long
+    /// as the process, and fleets build one estimator per vehicle, each
+    /// holding one pointer instead of a copy of every handle.
+    pub fn global() -> Arc<Self> {
+        static GLOBAL: OnceLock<Arc<PipelineInstruments>> = OnceLock::new();
         GLOBAL
-            .get_or_init(|| Self::from_registry(crowdwifi_obs::global()))
+            .get_or_init(|| Arc::new(Self::from_registry(crowdwifi_obs::global())))
             .clone()
     }
 
@@ -138,16 +159,26 @@ impl PipelineInstruments {
         self.solver_unconverged.add(stats.unconverged);
         self.solver_fallbacks.add(stats.fallbacks);
         self.iterations_saved.add(stats.iterations_saved);
+        self.signature_evals.add(stats.signature_evals);
     }
 
     /// Records one round's stage breakdown: the workspace preparation
-    /// time plus the window's accumulated recovery-stage times.
-    pub(crate) fn record_stages(&self, prepare: std::time::Duration, stages: &StageTimes) {
+    /// time plus the window's accumulated stage times.
+    pub(crate) fn record_stages(&self, prepare: Duration, stages: &StageTimes) {
         self.prepare_time.observe_duration(prepare);
+        self.gather_time.observe_duration(stages.gather);
         self.factorize_time.observe_duration(stages.factorize);
         self.solve_time.observe_duration(stages.solve);
         self.debias_time.observe_duration(stages.debias);
         self.modes_time.observe_duration(stages.modes);
+        self.score_time.observe_duration(stages.score);
+    }
+
+    /// Records one run's whole-drive refinement: the global BIC
+    /// selection time and the position-polish time.
+    pub(crate) fn record_refinement(&self, refine: Duration, polish: Duration) {
+        self.refine_time.observe_duration(refine);
+        self.polish_time.observe_duration(polish);
     }
 
     /// Records one consolidation step: `merged` locations folded into
@@ -160,7 +191,7 @@ impl PipelineInstruments {
 
 impl Default for PipelineInstruments {
     fn default() -> Self {
-        Self::global()
+        Self::global().as_ref().clone()
     }
 }
 
@@ -192,18 +223,22 @@ mod tests {
             unconverged: 1,
             fallbacks: 2,
             iterations_saved: 120,
+            signature_evals: 77,
         };
         inst.record_round(Some(&est), &stats);
         inst.record_round(None, &SensingStats::default());
         inst.record_consolidation(1, 3);
-        let ms = std::time::Duration::from_millis;
+        let ms = Duration::from_millis;
         let stages = StageTimes {
+            gather: ms(6),
             factorize: ms(4),
             solve: ms(3),
             debias: ms(2),
             modes: ms(1),
+            score: ms(7),
         };
         inst.record_stages(ms(5), &stages);
+        inst.record_refinement(ms(8), ms(9));
         let snap = reg.snapshot();
         assert_eq!(snap.counters["pipeline.windows_processed"], 2);
         assert_eq!(snap.counters["pipeline.windows_empty"], 1);
@@ -214,15 +249,20 @@ mod tests {
         assert_eq!(snap.counters["pipeline.solver_unconverged"], 1);
         assert_eq!(snap.counters["pipeline.solver_fallbacks"], 2);
         assert_eq!(snap.counters["pipeline.iterations_saved"], 120);
+        assert_eq!(snap.counters["pipeline.signature_evals"], 77);
         assert_eq!(snap.counters["pipeline.consolidation_merges"], 1);
         assert_eq!(snap.counters["pipeline.consolidation_new"], 2);
         assert_eq!(snap.histograms["pipeline.round_winner_k"].count, 1);
         for (stage, secs) in [
             ("prepare", 0.005),
+            ("gather", 0.006),
             ("factorize", 0.004),
             ("solve", 0.003),
             ("debias", 0.002),
             ("modes", 0.001),
+            ("score", 0.007),
+            ("refine", 0.008),
+            ("polish", 0.009),
         ] {
             let h = &snap.histograms[&format!("pipeline.{stage}_seconds")];
             assert_eq!(h.count, 1, "{stage}");

@@ -16,6 +16,8 @@ use crate::window::{windows_over, SlidingWindow, WindowConfig};
 use crate::{CoreError, Result};
 use crowdwifi_channel::{GmmModel, PathLossModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Configuration of the online CS pipeline.
 ///
@@ -118,7 +120,7 @@ pub struct OnlineCs {
     gmm: GmmModel,
     assigner: ClusterAssigner,
     recovery: CsRecovery,
-    instruments: PipelineInstruments,
+    instruments: Arc<PipelineInstruments>,
 }
 
 impl OnlineCs {
@@ -158,7 +160,7 @@ impl OnlineCs {
     /// process-wide [`crowdwifi_obs::global`] registry — e.g. a local
     /// [`crowdwifi_obs::Registry`] whose snapshot covers exactly one run.
     pub fn with_registry(mut self, registry: &crowdwifi_obs::Registry) -> Self {
-        self.instruments = PipelineInstruments::from_registry(registry);
+        self.instruments = Arc::new(PipelineInstruments::from_registry(registry));
         self
     }
 
@@ -183,7 +185,7 @@ impl OnlineCs {
         let positions: Vec<Point> = round.iter().map(|r| r.position).collect();
         let grid =
             Grid::from_reference_points(&positions, self.config.radio_range, self.config.lattice)?;
-        let prepare_start = std::time::Instant::now();
+        let prepare_start = Instant::now();
         let sensing = self.recovery.prepare_window(&grid, round);
         let prepare = prepare_start.elapsed();
         let span = self.instruments.round_span();
@@ -245,15 +247,7 @@ impl OnlineCs {
         let final_aps = if self.config.global_refine {
             // Global refinement sees *all* candidates, including
             // single-credit ones a weak AP may only have earned once.
-            let selected =
-                crate::refine::global_bic_selection(readings, consolidator.estimates(), &self.gmm);
-            crate::refine::polish_positions(
-                readings,
-                &selected,
-                &self.recovery,
-                self.config.lattice,
-                2,
-            )
+            self.refine(readings, consolidator.estimates(), 2)
         } else {
             consolidator.filtered(self.config.min_credit)
         };
@@ -263,6 +257,30 @@ impl OnlineCs {
             rounds,
             sensing,
         })
+    }
+
+    /// Whole-drive refinement: the global BIC selection over
+    /// `candidates`, then `passes` position-polish passes, each timed
+    /// into its stage metric.
+    fn refine(
+        &self,
+        readings: &[RssReading],
+        candidates: &[ApEstimate],
+        passes: usize,
+    ) -> Vec<ApEstimate> {
+        let refining = Instant::now();
+        let selected = crate::refine::global_bic_selection(readings, candidates, &self.gmm);
+        let polishing = Instant::now();
+        let polished = crate::refine::polish_positions(
+            readings,
+            &selected,
+            &self.recovery,
+            self.config.lattice,
+            passes,
+        );
+        self.instruments
+            .record_refinement(polishing - refining, polishing.elapsed());
+        polished
     }
 
     /// Folds one round's winner (plus reduced-credit alternates) into
@@ -341,17 +359,9 @@ pub fn ensemble_run(
     let windowed = OnlineCs::new(windowed_config, pathloss)?;
     let mut candidates = batch.run_detailed(readings)?.all_estimates;
     candidates.extend(windowed.run_detailed(readings)?.all_estimates);
-
-    let gmm = GmmModel::new(pathloss, base.sigma_factor)?;
-    let selected = crate::refine::global_bic_selection(readings, &candidates, &gmm);
-    let recovery = CsRecovery::new(pathloss, base.radio_range, base.detection_floor_dbm);
-    Ok(crate::refine::polish_positions(
-        readings,
-        &selected,
-        &recovery,
-        base.lattice,
-        4,
-    ))
+    // The batch estimator shares `base`'s channel model, radio range,
+    // detection floor and lattice, which is all the refinement reads.
+    Ok(batch.refine(readings, &candidates, 4))
 }
 
 /// Output of [`OnlineCs::run_detailed`].
@@ -418,18 +428,9 @@ impl OnlineCsSession<'_> {
             self.process(&round)?;
         }
         if self.pipeline.config.global_refine {
-            let selected = crate::refine::global_bic_selection(
-                &self.history,
-                self.consolidator.estimates(),
-                &self.pipeline.gmm,
-            );
-            return Ok(crate::refine::polish_positions(
-                &self.history,
-                &selected,
-                &self.pipeline.recovery,
-                self.pipeline.config.lattice,
-                2,
-            ));
+            return Ok(self
+                .pipeline
+                .refine(&self.history, self.consolidator.estimates(), 2));
         }
         Ok(self.consolidator.filtered(self.pipeline.config.min_credit))
     }

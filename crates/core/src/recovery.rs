@@ -28,6 +28,10 @@
 //! Each group is solved by the exact active set ([`ActiveSet`]); a solve
 //! it cannot certify is re-solved by plain FISTA
 //! ([`CsRecovery::fallback_fista`]).
+//!
+//! A recovered `θ` stays sparse ([`GridSupport`]): its candidate
+//! columns, which are the only grid points pruning leaves in play, with
+//! their debiased weights.
 
 use crate::{CoreError, Result};
 use crowdwifi_channel::{PathLossModel, RssReading};
@@ -71,6 +75,11 @@ pub struct SensingStats {
     /// Iteration-budget headroom left by early-converged FISTA solves
     /// (the active set reports none).
     pub iterations_saved: u64,
+    /// Path-loss signatures evaluated by group gathers (first reads of
+    /// a (grid point, reading) pair). Two workers can race to fill the
+    /// same pair, so like `hits` this is only run-reproducible with one
+    /// worker thread.
+    pub signature_evals: u64,
 }
 
 impl SensingStats {
@@ -84,24 +93,85 @@ impl SensingStats {
         self.unconverged += other.unconverged;
         self.fallbacks += other.fallbacks;
         self.iterations_saved += other.iterations_saved;
+        self.signature_evals += other.signature_evals;
     }
 }
 
 /// Cumulative wall time one [`WindowSensing`] workspace spent in each
-/// stage of its group recoveries, read with
+/// stage of its hypothesis evaluation, read with
 /// [`WindowSensing::stage_times`]. Summed over every thread that
-/// recovered a group of the window, so it is CPU time, not elapsed time.
+/// worked on the window, so it is CPU time, not elapsed time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimes {
+    /// Candidate scan plus the signature gather of every group solved,
+    /// first-read path-loss evaluations included.
+    pub gather: Duration,
     /// Column normalization plus the Proposition-1 factorization.
     pub factorize: Duration,
     /// The ℓ1 solves, including any FISTA fallback.
     pub solve: Duration,
-    /// Matched-filter debias and the scatter back to the grid.
+    /// Matched-filter debias.
     pub debias: Duration,
     /// Candidate-mode extraction (memo misses only).
     pub modes: Duration,
+    /// Hypothesis scoring: mode-combination BIC scoring plus the EM
+    /// re-assignment of readings.
+    pub score: Duration,
 }
+
+/// The stages of [`StageTimes`], indexing `WindowSensing::stage_ns`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    Factorize,
+    Solve,
+    Debias,
+    Modes,
+    Gather,
+    Score,
+}
+
+/// A recovered grid indicator `θ` kept sparse: the candidate grid
+/// points of one group solve with their debiased weights. Every grid
+/// point outside `indices` has `θ = 0` (pruning ruled it out). An empty
+/// support is the inconsistent-hypothesis result: no grid point is in
+/// radio range of every reading.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GridSupport {
+    /// Candidate linear grid indices, strictly ascending.
+    pub indices: Vec<usize>,
+    /// Debiased weight of each candidate, aligned with `indices`.
+    pub weights: Vec<f64>,
+}
+
+impl GridSupport {
+    /// Scatters the support into a dense `θ` over an `n`-point grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is `>= n`.
+    pub fn to_dense(&self, n: usize) -> Vec<f64> {
+        let mut theta = vec![0.0; n];
+        for (&j, &w) in self.indices.iter().zip(&self.weights) {
+            theta[j] = w;
+        }
+        theta
+    }
+}
+
+/// Model RSS from `grid_point` heard at `position`, shifted to the
+/// detection floor's origin.
+fn shifted_model_rss(
+    pathloss: &PathLossModel,
+    floor_dbm: f64,
+    position: Point,
+    grid_point: Point,
+) -> f64 {
+    (pathloss.mean_rss(position.distance(grid_point)) - floor_dbm).max(0.0)
+}
+
+/// Slot value of a signature no gather has read yet. A shifted model
+/// RSS is `max(·, 0.0)` of a finite value, so it is never NaN.
+const UNSET: u64 = f64::NAN.to_bits();
 
 /// Memoized candidate-mode extractions, keyed by reading-index set and
 /// the relative-threshold bits.
@@ -110,37 +180,51 @@ type ModesMemo = HashMap<(Vec<usize>, u64), Vec<crate::centroid::CentroidEstimat
 /// Precomputed per-window sensing state shared by every hypothesis.
 ///
 /// One sliding-window round scores dozens of (k, assignment) hypotheses,
-/// and each hypothesis re-derives the same physics: distances from
-/// every reading to every grid point, and the path-loss signature
-/// matrix built from them. [`CsRecovery::prepare_window`] computes both
-/// once; [`CsRecovery::recover_group`] then assembles a group's pruned
-/// sensing matrix by *indexing* instead of re-evaluating the model, and
-/// memoizes whole group recoveries by their reading-index set (the same
-/// grouping recurs across hypothesized k values and EM refinement
-/// passes).
+/// and each hypothesis re-derives the same physics: which grid points
+/// are in radio range of which readings, and the path-loss signatures
+/// of those pairs. [`CsRecovery::prepare_window`] finds the in-range
+/// pairs once, walking only each reading's lattice box, and lays out
+/// one signature slot per pair; [`CsRecovery::recover_group`] then
+/// assembles a group's pruned sensing matrix from the slots, evaluating
+/// the model only the first time any group reads a pair, and memoizes
+/// whole group recoveries by their reading-index set (the same grouping
+/// recurs across hypothesized k values and EM refinement passes).
 ///
-/// The memo is behind a [`Mutex`] so concurrent hypothesis evaluation
-/// can share it; recovery is a pure function of the index set, so the
-/// cache stays deterministic regardless of which thread fills an entry
-/// first.
+/// The memo is behind a [`Mutex`] and the slots are atomics, so
+/// concurrent hypothesis evaluation can share the workspace; a
+/// signature and a recovery are pure functions of their inputs, so
+/// racing fills write identical bits and the workspace stays
+/// deterministic regardless of which thread fills an entry first.
 #[derive(Debug)]
 pub struct WindowSensing {
+    /// The preparing engine's path-loss model, detection floor and
+    /// radio range: the reach bitsets were built with them, so every
+    /// gather fills slots and bounds candidates with them too.
+    pathloss: PathLossModel,
+    floor_dbm: f64,
+    radio_range: f64,
+    /// The window's grid.
+    grid: Grid,
+    /// Position per reading.
+    positions: Vec<Point>,
     /// Per grid point, a bitset over readings (`reach_words` words per
     /// column): bit `i` of column `j` is set when grid point `j` lies
     /// within radio range of reading `i`.
     reach: Vec<u64>,
     /// Words per column of `reach`.
     reach_words: usize,
-    /// `n × m` floor-shifted model RSS, one row per grid point (row `j`
-    /// is column `j` of the window's sensing matrix), evaluated only
-    /// where the grid point is within radio range of the reading (zero
-    /// elsewhere — pruning never reads those entries).
-    sig: Matrix,
+    /// Column `j` owns `signatures[offsets[j]..offsets[j + 1]]`, one slot
+    /// per reading it reaches, in reading order (`n + 1` entries).
+    offsets: Vec<usize>,
+    /// Floor-shifted model RSS of every in-range (grid point, reading)
+    /// pair as `f64` bits, [`UNSET`] until a group gather first reads
+    /// it.
+    signatures: Vec<AtomicU64>,
     /// Floor-shifted observed RSS per reading.
     shifted_rss: Vec<f64>,
-    /// Completed group recoveries (the debiased grid indicators handed
-    /// to hypothesis scoring) keyed by sorted reading-index set.
-    memo: Mutex<HashMap<Vec<usize>, Arc<Vec<f64>>>>,
+    /// Completed group recoveries (the sparse debiased indicators handed
+    /// to hypothesis scoring) keyed by reading-index set.
+    memo: Mutex<HashMap<Vec<usize>, Arc<GridSupport>>>,
     /// Memoized candidate-mode extractions keyed by reading-index set
     /// and threshold bits (modes are fully determined by both, since
     /// the recovered indicator itself is memoized by index set).
@@ -159,20 +243,38 @@ pub struct WindowSensing {
     fallbacks: AtomicU64,
     /// Iteration-budget headroom left by early stops.
     iterations_saved: AtomicU64,
-    /// Nanoseconds per [`StageTimes`] stage: factorize, solve, debias,
-    /// modes.
-    stage_ns: [AtomicU64; 4],
+    /// Signatures evaluated on first read.
+    signature_evals: AtomicU64,
+    /// Nanoseconds per [`StageTimes`] stage, indexed by [`Stage`].
+    stage_ns: [AtomicU64; 6],
 }
 
 impl WindowSensing {
     /// Number of readings this workspace was prepared for.
     pub fn readings(&self) -> usize {
-        self.sig.cols()
+        self.positions.len()
     }
 
     /// Number of grid points this workspace was prepared for.
     pub fn grid_len(&self) -> usize {
-        self.sig.rows()
+        self.grid.len()
+    }
+
+    /// Number of in-range (grid point, reading) pairs: the signature
+    /// slots a group gather can read.
+    pub fn in_range_pairs(&self) -> usize {
+        self.signatures.len()
+    }
+
+    /// The reach bitset of grid column `j`.
+    fn reach_of(&self, j: usize) -> &[u64] {
+        &self.reach[j * self.reach_words..(j + 1) * self.reach_words]
+    }
+
+    /// The signature slots of grid column `j`: one per reading it
+    /// reaches, in reading order.
+    fn slots_of(&self, j: usize) -> &[AtomicU64] {
+        &self.signatures[self.offsets[j]..self.offsets[j + 1]]
     }
 
     /// Number of distinct group recoveries cached so far.
@@ -206,7 +308,7 @@ impl WindowSensing {
         }
         let start = Instant::now();
         let modes = compute();
-        self.add_stage_time(3, start.elapsed());
+        self.add_stage_time(Stage::Modes, start.elapsed());
         self.modes_memo
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -224,23 +326,26 @@ impl WindowSensing {
             unconverged: self.unconverged.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             iterations_saved: self.iterations_saved.load(Ordering::Relaxed),
+            signature_evals: self.signature_evals.load(Ordering::Relaxed),
         }
     }
 
-    /// Cumulative per-stage recovery time (see [`StageTimes`]).
+    /// Cumulative per-stage time (see [`StageTimes`]).
     pub fn stage_times(&self) -> StageTimes {
-        let ns = |i: usize| Duration::from_nanos(self.stage_ns[i].load(Ordering::Relaxed));
+        let ns = |s: Stage| Duration::from_nanos(self.stage_ns[s as usize].load(Ordering::Relaxed));
         StageTimes {
-            factorize: ns(0),
-            solve: ns(1),
-            debias: ns(2),
-            modes: ns(3),
+            gather: ns(Stage::Gather),
+            factorize: ns(Stage::Factorize),
+            solve: ns(Stage::Solve),
+            debias: ns(Stage::Debias),
+            modes: ns(Stage::Modes),
+            score: ns(Stage::Score),
         }
     }
 
-    fn add_stage_time(&self, stage: usize, elapsed: Duration) {
+    pub(crate) fn add_stage_time(&self, stage: Stage, elapsed: Duration) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.stage_ns[stage].fetch_add(ns, Ordering::Relaxed);
+        self.stage_ns[stage as usize].fetch_add(ns, Ordering::Relaxed);
     }
 }
 
@@ -315,13 +420,9 @@ impl CsRecovery {
         self.radio_range
     }
 
-    /// Model RSS (shifted) from grid point `j` heard at `position`.
-    fn shifted_model_rss(&self, position: Point, grid_point: Point) -> f64 {
-        (self.pathloss.mean_rss(position.distance(grid_point)) - self.floor_dbm).max(0.0)
-    }
-
-    /// Recovers the grid indicator `θ` (length `grid.len()`) of a single
-    /// hypothesized AP from the readings assigned to it.
+    /// Recovers the grid indicator `θ` of a single hypothesized AP from
+    /// the readings assigned to it, as its candidate support (empty when
+    /// no grid point is in range of every reading).
     ///
     /// # Errors
     ///
@@ -333,7 +434,7 @@ impl CsRecovery {
         grid: &Grid,
         positions: &[Point],
         rss_dbm: &[f64],
-    ) -> Result<Vec<f64>> {
+    ) -> Result<GridSupport> {
         if positions.is_empty() || positions.len() != rss_dbm.len() {
             return Err(CoreError::InvalidConfig {
                 field: "readings",
@@ -344,70 +445,86 @@ impl CsRecovery {
                 ),
             });
         }
-        let n = grid.len();
-
         // Column pruning: the AP must be within radio range of every
-        // position that heard it.
-        let candidates: Vec<usize> = (0..n)
-            .filter(|&j| {
-                let gp = grid.point(j);
-                positions.iter().all(|p| p.distance(gp) <= self.radio_range)
-            })
+        // position that heard it, so only the first position's lattice
+        // box can hold candidates.
+        let candidates: Vec<usize> = grid
+            .index_box(positions[0], self.radio_range)
+            .iter()
+            .filter(|&(_, gp)| positions.iter().all(|p| p.distance(gp) <= self.radio_range))
+            .map(|(j, _)| j)
             .collect();
         if candidates.is_empty() {
             // Inconsistent hypothesis (no grid point can explain all
-            // readings): return the zero vector, the caller's BIC will
-            // discard it.
-            return Ok(vec![0.0; n]);
+            // readings): return the empty support, the caller's BIC
+            // will discard it.
+            return Ok(GridSupport::default());
         }
 
         // A over the pruned columns, one row per column; y shifted to
         // the same origin.
         let m = positions.len();
         let cols = Matrix::from_fn(candidates.len(), m, |jc, i| {
-            self.shifted_model_rss(positions[i], grid.point(candidates[jc]))
+            shifted_model_rss(
+                &self.pathloss,
+                self.floor_dbm,
+                positions[i],
+                grid.point(candidates[jc]),
+            )
         });
         let y: Vec<f64> = rss_dbm
             .iter()
             .map(|&r| (r - self.floor_dbm).max(0.0))
             .collect();
-        Ok(self.solve_pruned(&cols, &y, &candidates, n)?.theta)
+        let weights = self.solve_pruned(&cols, &y)?.weights;
+        Ok(GridSupport {
+            indices: candidates,
+            weights,
+        })
     }
 
-    /// Precomputes the window-wide distance and signature matrices (and
-    /// the shifted observation vector) shared by every hypothesis of one
-    /// round. See [`WindowSensing`].
+    /// Prepares the window-wide sensing workspace shared by every
+    /// hypothesis of one round. See [`WindowSensing`].
     ///
-    /// The path-loss model is evaluated only for (reading, grid point)
-    /// pairs within radio range — column pruning discards every other
-    /// entry before a solve — and each grid point's reach over the
-    /// readings is kept as a bitset, so a group's candidate columns cost
-    /// one masked comparison per column.
+    /// Each reading's reach is found by walking only its lattice box
+    /// ([`Grid::index_box`]) and kept as a bitset per grid point, so a
+    /// group's candidate columns cost one masked comparison per column.
+    /// No path-loss value is evaluated here: every in-range pair gets a
+    /// signature slot that the first group gather to read it fills.
     pub fn prepare_window(&self, grid: &Grid, readings: &[RssReading]) -> WindowSensing {
         let m = readings.len();
         let n = grid.len();
         let reach_words = m.div_ceil(64);
         let mut reach = vec![0_u64; n * reach_words];
-        let mut sig = Matrix::zeros(n, m);
+        // Per-column pair counts, shifted by one so the prefix sum below
+        // turns them into slot offsets in place.
+        let mut offsets = vec![0_usize; n + 1];
         for (i, reading) in readings.iter().enumerate() {
-            for j in 0..n {
-                let d = reading.position.distance(grid.point(j));
-                if d <= self.radio_range {
-                    // The same distance and model call as the direct
-                    // path, so a workspace recovery is bit-identical.
-                    sig.set(j, i, (self.pathloss.mean_rss(d) - self.floor_dbm).max(0.0));
+            for (j, gp) in grid.index_box(reading.position, self.radio_range).iter() {
+                if reading.position.distance(gp) <= self.radio_range {
                     reach[j * reach_words + i / 64] |= 1 << (i % 64);
+                    offsets[j + 1] += 1;
                 }
             }
         }
+        for j in 0..n {
+            offsets[j + 1] += offsets[j];
+        }
+        let signatures = (0..offsets[n]).map(|_| AtomicU64::new(UNSET)).collect();
         let shifted_rss = readings
             .iter()
             .map(|r| (r.rss_dbm - self.floor_dbm).max(0.0))
             .collect();
         WindowSensing {
+            pathloss: self.pathloss,
+            floor_dbm: self.floor_dbm,
+            radio_range: self.radio_range,
+            grid: grid.clone(),
+            positions: readings.iter().map(|r| r.position).collect(),
             reach,
             reach_words,
-            sig,
+            offsets,
+            signatures,
             shifted_rss,
             memo: Mutex::new(HashMap::new()),
             modes_memo: Mutex::new(HashMap::new()),
@@ -418,23 +535,31 @@ impl CsRecovery {
             unconverged: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             iterations_saved: AtomicU64::new(0),
+            signature_evals: AtomicU64::new(0),
             stage_ns: Default::default(),
         }
     }
 
     /// Recovers the grid indicator of one hypothesized AP from the
     /// readings at `idx` (indices into the window `sensing` was prepared
-    /// for), reusing the precomputed signature matrix and memoizing the
-    /// result by index set.
+    /// for), reading the window's signature slots and memoizing the
+    /// result by index set. Reach, candidates and signatures follow the
+    /// model of the engine that prepared `sensing`; this engine supplies
+    /// the solver.
     ///
-    /// Produces exactly the same `θ` as [`CsRecovery::recover_single_ap`]
-    /// called on the corresponding position/RSS subsets.
+    /// Produces exactly the same support as
+    /// [`CsRecovery::recover_single_ap`] called on the corresponding
+    /// position/RSS subsets, whatever order groups are recovered in.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for an empty or out-of-range
     /// index set, and solver/linalg failures otherwise.
-    pub fn recover_group(&self, sensing: &WindowSensing, idx: &[usize]) -> Result<Arc<Vec<f64>>> {
+    pub fn recover_group(
+        &self,
+        sensing: &WindowSensing,
+        idx: &[usize],
+    ) -> Result<Arc<GridSupport>> {
         let m_all = sensing.readings();
         if idx.is_empty() || idx.iter().any(|&i| i >= m_all) {
             return Err(CoreError::InvalidConfig {
@@ -453,41 +578,82 @@ impl CsRecovery {
             return Ok(hit.clone());
         }
 
-        let n = sensing.grid_len();
-        let words = sensing.reach_words;
-        let mut group = vec![0_u64; words];
+        let gather_start = Instant::now();
+        let mut group = vec![0_u64; sensing.reach_words];
         for &i in idx {
             group[i / 64] |= 1 << (i % 64);
         }
-        let candidates: Vec<usize> = sensing
-            .reach
-            .chunks_exact(words)
-            .enumerate()
-            .filter(|(_, col)| col.iter().zip(&group).all(|(&c, &g)| c & g == g))
-            .map(|(j, _)| j)
-            .collect();
-        let (theta, solve_stats) = if candidates.is_empty() {
-            (vec![0.0; n], None)
-        } else {
-            let mut cols = Vec::with_capacity(candidates.len() * idx.len());
-            for &j in &candidates {
-                let sig = sensing.sig.row(j);
-                cols.extend(idx.iter().map(|&i| sig[i]));
+        // Every candidate reaches the group's first reading, so only
+        // that reading's lattice box can hold one; rows and columns are
+        // walked in ascending grid-index order.
+        let boxed = sensing
+            .grid
+            .index_box(sensing.positions[idx[0]], sensing.radio_range);
+        let nx = sensing.grid.nx();
+        let mut candidates = Vec::with_capacity(boxed.len());
+        for y in boxed.rows() {
+            for j in y * nx + boxed.cols().start..y * nx + boxed.cols().end {
+                let col = sensing.reach_of(j);
+                if col.iter().zip(&group).all(|(&c, &g)| c & g == g) {
+                    candidates.push(j);
+                }
             }
+        }
+        let (theta, solve_stats) = if candidates.is_empty() {
+            sensing.add_stage_time(Stage::Gather, gather_start.elapsed());
+            (GridSupport::default(), None)
+        } else {
+            // A slot's position in its column is the reading's rank
+            // among the readings the column reaches: the set bits of
+            // the column's bitset below the reading's bit.
+            let lanes: Vec<(usize, u64)> = idx
+                .iter()
+                .map(|&i| (i / 64, (1_u64 << (i % 64)) - 1))
+                .collect();
+            let mut cols = Vec::with_capacity(candidates.len() * idx.len());
+            let mut evals = 0;
+            for &j in &candidates {
+                let (col, slots) = (sensing.reach_of(j), sensing.slots_of(j));
+                let mut gp = None;
+                for (&i, &(word, below)) in idx.iter().zip(&lanes) {
+                    let before: u32 = col[..word].iter().map(|c| c.count_ones()).sum();
+                    let slot = &slots[(before + (col[word] & below).count_ones()) as usize];
+                    let mut v = f64::from_bits(slot.load(Ordering::Relaxed));
+                    if v.is_nan() {
+                        let gp = *gp.get_or_insert_with(|| sensing.grid.point(j));
+                        v = shifted_model_rss(
+                            &sensing.pathloss,
+                            sensing.floor_dbm,
+                            sensing.positions[i],
+                            gp,
+                        );
+                        slot.store(v.to_bits(), Ordering::Relaxed);
+                        evals += 1;
+                    }
+                    cols.push(v);
+                }
+            }
+            sensing.signature_evals.fetch_add(evals, Ordering::Relaxed);
             let cols = Matrix::from_vec(candidates.len(), idx.len(), cols)
                 .expect("one entry per (candidate, reading)");
             let y: Vec<f64> = idx.iter().map(|&i| sensing.shifted_rss[i]).collect();
-            let solve = self.solve_pruned(&cols, &y, &candidates, n)?;
-            for (stage, elapsed) in solve.stage_times.into_iter().enumerate() {
-                sensing.add_stage_time(stage, elapsed);
-            }
+            sensing.add_stage_time(Stage::Gather, gather_start.elapsed());
+            let solve = self.solve_pruned(&cols, &y)?;
+            let [factorize, solve_time, debias] = solve.stage_times;
+            sensing.add_stage_time(Stage::Factorize, factorize);
+            sensing.add_stage_time(Stage::Solve, solve_time);
+            sensing.add_stage_time(Stage::Debias, debias);
             let stats = (
                 solve.iterations,
                 solve.converged,
                 solve.fallback,
                 solve.iterations_saved,
             );
-            (solve.theta, Some(stats))
+            let theta = GridSupport {
+                indices: candidates,
+                weights: solve.weights,
+            };
+            (theta, Some(stats))
         };
         // Two workers can race past the memo check and solve the same
         // group; the solves are identical (recovery is a pure function
@@ -527,44 +693,6 @@ impl CsRecovery {
         }
     }
 
-    /// Recovers a whole window's worth of hypothesis groups — the
-    /// batched counterpart of [`CsRecovery::recover_group`], returning
-    /// one indicator per input group, aligned with `groups`.
-    ///
-    /// A hypothesis fan-out repeats the same reading-index set across
-    /// k values and EM passes, so the batch is deduplicated first:
-    /// each distinct set is solved (or served from the window memo)
-    /// exactly once and its `Arc` is cloned into every duplicate slot.
-    /// Results are identical to calling `recover_group` per slot — the
-    /// memo already guarantees one solve per distinct set — but the
-    /// dedup keeps a parallel fan-out from racing duplicate solves of
-    /// the same group within one batch.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`CsRecovery::recover_group`], applied
-    /// to every group.
-    pub fn recover_groups(
-        &self,
-        sensing: &WindowSensing,
-        groups: &[Vec<usize>],
-    ) -> Result<Vec<Arc<Vec<f64>>>> {
-        let mut solved: HashMap<&[usize], Arc<Vec<f64>>> = HashMap::with_capacity(groups.len());
-        let mut out = Vec::with_capacity(groups.len());
-        for idx in groups {
-            let theta = match solved.get(idx.as_slice()) {
-                Some(hit) => hit.clone(),
-                None => {
-                    let theta = self.recover_group(sensing, idx)?;
-                    solved.insert(idx.as_slice(), theta.clone());
-                    theta
-                }
-            };
-            out.push(theta);
-        }
-        Ok(out)
-    }
-
     /// The system the ℓ1 solver sees for the column-normalized `a`: the
     /// Proposition-1 operator and observation, or `(a, y)` itself when
     /// orthogonalization is off.
@@ -584,17 +712,11 @@ impl CsRecovery {
     }
 
     /// Normalizes, (optionally) orthogonalizes, solves and debiases the
-    /// pruned system; scatters back to the full `n`-length grid. Shared
+    /// pruned system, returning one weight per candidate column. Shared
     /// by the direct and workspace recovery paths. `cols` holds the
     /// pruned sensing matrix column-contiguously (row `jc` is the
     /// signature of candidate `jc` over the group's readings).
-    fn solve_pruned(
-        &self,
-        cols: &Matrix,
-        y: &[f64],
-        candidates: &[usize],
-        n: usize,
-    ) -> Result<GroupSolve> {
+    fn solve_pruned(&self, cols: &Matrix, y: &[f64]) -> Result<GroupSolve> {
         let started = Instant::now();
         let (sumsq, norms, a) = normalize_columns(cols);
         let (op, rhs) = self.prop1_operator(a, y)?;
@@ -651,14 +773,9 @@ impl CsRecovery {
             }
         }
 
-        // Scatter back to the full grid.
-        let mut theta = vec![0.0; n];
-        for (jc, &j) in candidates.iter().enumerate() {
-            theta[j] = pruned[jc];
-        }
         let debiased = Instant::now();
         Ok(GroupSolve {
-            theta,
+            weights: pruned,
             iterations: recovery.iterations,
             converged: recovery.converged,
             fallback,
@@ -668,10 +785,11 @@ impl CsRecovery {
     }
 }
 
-/// Result of one pruned group solve: the scattered indicator plus the
-/// solver's convergence diagnostics (fed into [`SensingStats`]).
+/// Result of one pruned group solve: the debiased weight per candidate
+/// column plus the solver's convergence diagnostics (fed into
+/// [`SensingStats`]).
 struct GroupSolve {
-    theta: Vec<f64>,
+    weights: Vec<f64>,
     iterations: usize,
     converged: bool,
     /// Whether the active set gave up and FISTA produced the solution.
@@ -795,7 +913,10 @@ mod tests {
         let ap = grid.point(ap_idx);
         let positions = l_route();
         let rss = clean_rss(ap, &positions);
-        let theta = engine().recover_single_ap(&grid, &positions, &rss).unwrap();
+        let theta = engine()
+            .recover_single_ap(&grid, &positions, &rss)
+            .unwrap()
+            .to_dense(grid.len());
         // Dominant coefficient on the true grid point.
         let best = (0..theta.len())
             .max_by(|&a, &b| theta[a].partial_cmp(&theta[b]).unwrap())
@@ -809,7 +930,10 @@ mod tests {
         let ap = Point::new(43.0, 47.0); // intentionally off-lattice
         let positions = l_route();
         let rss = clean_rss(ap, &positions);
-        let theta = engine().recover_single_ap(&grid, &positions, &rss).unwrap();
+        let theta = engine()
+            .recover_single_ap(&grid, &positions, &rss)
+            .unwrap()
+            .to_dense(grid.len());
         let best = (0..theta.len())
             .max_by(|&a, &b| theta[a].partial_cmp(&theta[b]).unwrap())
             .unwrap();
@@ -831,7 +955,7 @@ mod tests {
         let theta = engine
             .recover_single_ap(&grid, &positions, &[-60.0, -60.0])
             .unwrap();
-        assert!(theta.iter().all(|&x| x == 0.0));
+        assert_eq!(theta, GridSupport::default());
     }
 
     #[test]
@@ -846,7 +970,7 @@ mod tests {
             .without_orthogonalization()
             .recover_single_ap(&grid, &positions, &rss)
             .unwrap();
-        assert!(plain.iter().any(|&x| x > 0.0));
+        assert!(plain.weights.iter().any(|&x| x > 0.0));
     }
 
     #[test]
@@ -938,12 +1062,25 @@ mod tests {
             vec![3],
         ];
         let sensing = assert_workspace_matches_direct(&engine, &grid, &readings, &groups);
-        let in_range = sensing.reach.iter().map(|w| w.count_ones()).sum::<u32>();
+        let in_range = sensing.reach.iter().map(|w| w.count_ones()).sum::<u32>() as usize;
         let pairs = readings.len() * grid.len();
-        assert!(
-            (in_range as usize) * 4 < pairs,
-            "{in_range} of {pairs} pairs in range"
-        );
+        assert!(in_range * 4 < pairs, "{in_range} of {pairs} pairs in range");
+        // One slot per in-range pair, each evaluated at most once.
+        assert_eq!(sensing.in_range_pairs(), in_range);
+        let evals = sensing.stats().signature_evals as usize;
+        assert!(evals > 0 && evals <= in_range, "{evals} evaluations");
+        // A memo hit evaluates nothing.
+        engine.recover_group(&sensing, &groups[1]).unwrap();
+        assert_eq!(sensing.stats().signature_evals as usize, evals);
+
+        // Slots and candidate boxes follow the model the workspace was
+        // prepared with, whichever engine recovers a group.
+        let other = CsRecovery::new(PathLossModel::uci_campus(), 40.0, -80.0);
+        let fresh = engine.prepare_window(&grid, &readings);
+        for idx in &groups {
+            let shared = other.recover_group(&fresh, idx).unwrap();
+            assert_eq!(*sensing.memo.lock().unwrap().get(idx).unwrap(), shared);
+        }
     }
 
     #[test]
@@ -982,7 +1119,12 @@ mod tests {
             })
             .collect();
         let cols = Matrix::from_fn(candidates.len(), positions.len(), |jc, i| {
-            engine.shifted_model_rss(positions[i], grid.point(candidates[jc]))
+            shifted_model_rss(
+                &engine.pathloss,
+                engine.floor_dbm,
+                positions[i],
+                grid.point(candidates[jc]),
+            )
         });
         let y: Vec<f64> = rss.iter().map(|&r| (r + 95.0).max(0.0)).collect();
         let (_, _, a) = normalize_columns(&cols);
@@ -1056,41 +1198,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recover_groups_aligns_and_dedups() {
-        let grid = grid_100();
-        let ap = grid.point(grid.nearest_index(Point::new(45.0, 45.0)));
-        let route = l_route();
-        let readings: Vec<crowdwifi_channel::RssReading> = route
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                crowdwifi_channel::RssReading::new(
-                    p,
-                    PathLossModel::uci_campus().mean_rss(p.distance(ap)),
-                    i as f64,
-                )
-            })
-            .collect();
-        let engine = engine();
-        let sensing = engine.prepare_window(&grid, &readings);
-        let g_all: Vec<usize> = (0..readings.len()).collect();
-        let g_prefix: Vec<usize> = (0..4).collect();
-        // The duplicate of `g_all` must be served from the batch dedup
-        // (same Arc), and each slot must match the per-group path.
-        let batch = vec![g_all.clone(), g_prefix.clone(), g_all.clone()];
-        let thetas = engine.recover_groups(&sensing, &batch).unwrap();
-        assert_eq!(thetas.len(), 3);
-        assert!(Arc::ptr_eq(&thetas[0], &thetas[2]));
-        assert_eq!(sensing.cached_groups(), 2);
-        for (idx, theta) in batch.iter().zip(&thetas) {
-            let single = engine.recover_group(&sensing, idx).unwrap();
-            assert_eq!(**theta, *single, "group {idx:?} diverged");
-        }
-        // Error propagation: one bad group fails the batch.
-        assert!(engine.recover_groups(&sensing, &[vec![99]]).is_err());
-    }
-
     fn recovery(iterations: usize, converged: bool) -> Recovery {
         Recovery {
             solution: vec![0.5, 0.0],
@@ -1147,6 +1254,7 @@ mod tests {
             unconverged: 5,
             fallbacks: 9,
             iterations_saved: 7,
+            signature_evals: 11,
         };
         let mut total = a;
         total.merge(&a);
@@ -1160,6 +1268,7 @@ mod tests {
                 unconverged: 10,
                 fallbacks: 18,
                 iterations_saved: 14,
+                signature_evals: 22,
             }
         );
     }
@@ -1173,7 +1282,7 @@ mod tests {
         let theta = engine().recover_single_ap(&grid, &p, &rss).unwrap();
         // With one measurement the solution is underdetermined but must
         // be finite and non-negative.
-        assert!(theta.iter().all(|&x| x.is_finite() && x >= 0.0));
-        assert!(theta.iter().any(|&x| x > 0.0));
+        assert!(theta.weights.iter().all(|&x| x.is_finite() && x >= 0.0));
+        assert!(theta.weights.iter().any(|&x| x > 0.0));
     }
 }

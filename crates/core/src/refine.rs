@@ -182,10 +182,10 @@ pub fn polish_positions(
             ) else {
                 continue;
             };
-            let Ok(theta) = recovery.recover_single_ap(&grid, &positions, &rss) else {
+            let Ok(support) = recovery.recover_single_ap(&grid, &positions, &rss) else {
                 continue;
             };
-            let modes = crate::centroid::candidate_modes(&theta, &grid, 0.3, 2.0 * lattice, 3);
+            let modes = crate::centroid::candidate_modes(&support, &grid, 0.3, 2.0 * lattice, 3);
             // Take the mode nearest the current estimate (the global
             // selection already chose the side; don't flip it).
             if let Some(best) = modes.iter().min_by(|a, b| {

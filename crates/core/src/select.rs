@@ -7,11 +7,12 @@
 //! maximizing hypothesis wins the round.
 
 use crate::assign::{Assigner, Assignment};
-use crate::recovery::{CsRecovery, WindowSensing};
+use crate::recovery::{CsRecovery, Stage, WindowSensing};
 use crate::Result;
 use crowdwifi_channel::bic::{bic, free_params_for_ap_count};
 use crowdwifi_channel::{GmmModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
+use std::time::Instant;
 
 /// The winning hypothesis of one sliding-window round.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,8 +49,9 @@ pub struct RoundEstimate {
 /// tie-breaks and all) is identical to a single-threaded run. All
 /// hypotheses share the caller-provided [`WindowSensing`] workspace
 /// (from [`CsRecovery::prepare_window`] over the same grid and
-/// readings): the window's signature matrix is derived once and
-/// per-group recoveries are memoized across hypotheses. The caller
+/// readings): each in-range signature is evaluated at most once per
+/// window and per-group recoveries are memoized across hypotheses. The
+/// caller
 /// keeps the workspace, so it can read the accumulated
 /// [`WindowSensing::stats`] afterwards.
 ///
@@ -126,6 +128,8 @@ pub fn estimate_round(
 /// readings across APs at group boundaries), returning every pass's
 /// candidate in order. The chain never looks at other hypotheses'
 /// results, which is what makes the hypothesis fan-out parallel-safe.
+/// Scoring and re-assignment time is added to the workspace's score
+/// stage.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_hypothesis(
     readings: &[RssReading],
@@ -153,7 +157,10 @@ fn evaluate_hypothesis(
         else {
             break;
         };
-        let Some(mut candidate) = best_mode_combination(&group_modes, data, gmm, grid, m) else {
+        let scoring = Instant::now();
+        let best = best_mode_combination(&group_modes, data, gmm, grid, m);
+        sensing.add_stage_time(Stage::Score, scoring.elapsed());
+        let Some(mut candidate) = best else {
             break;
         };
 
@@ -161,7 +168,9 @@ fn evaluate_hypothesis(
         candidate.alternates = group_modes.iter().flatten().map(|m| m.position).collect();
         candidates.push(candidate);
 
+        let reassigning = Instant::now();
         let new_labels = reassign_by_fit(readings, &constellation, gmm);
+        sensing.add_stage_time(Stage::Score, reassigning.elapsed());
         if new_labels == labels {
             break;
         }
@@ -258,9 +267,7 @@ fn recover_group_modes(
     // Groups are recovered one at a time so a degenerate group aborts
     // the hypothesis *before* solving its remaining siblings: extra
     // solves would be pure waste. Duplicate groupings across
-    // hypotheses and EM passes still hit the [`WindowSensing`] memo;
-    // callers without early-out semantics batch through
-    // [`CsRecovery::recover_groups`] instead.
+    // hypotheses and EM passes still hit the [`WindowSensing`] memo.
     let mut groups = Vec::with_capacity(k);
     for ap in 0..k {
         let idx: Vec<usize> = labels
@@ -274,9 +281,9 @@ fn recover_group_modes(
             continue;
         }
         let theta = recovery.recover_group(sensing, &idx)?;
-        // Mode extraction scans the whole grid; groupings recur across
-        // hypotheses and EM passes just like the recoveries themselves,
-        // so the modes are memoized alongside them.
+        // Groupings recur across hypotheses and EM passes just like the
+        // recoveries themselves, so the modes are memoized alongside
+        // them.
         let modes = sensing.modes_or_compute(&idx, rel_threshold, || {
             crate::centroid::candidate_modes(&theta, grid, rel_threshold, 2.0 * grid.lattice(), 3)
         });

@@ -8,6 +8,7 @@ use crate::point::Point;
 use crate::rect::Rect;
 use crate::{GeoError, Result};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A regular lattice over a rectangular driving area.
 ///
@@ -112,8 +113,11 @@ impl Grid {
     /// Panics if `idx >= len()`.
     pub fn point(&self, idx: usize) -> Point {
         assert!(idx < self.len(), "grid index out of bounds");
-        let i = idx % self.nx;
-        let j = idx / self.nx;
+        self.lattice_point(idx % self.nx, idx / self.nx)
+    }
+
+    /// Coordinate of the point in lattice column `i`, row `j`.
+    fn lattice_point(&self, i: usize, j: usize) -> Point {
         Point::new(
             self.bounds.min().x + (i as f64 + 0.5) * self.lattice,
             self.bounds.min().y + (j as f64 + 0.5) * self.lattice,
@@ -131,6 +135,54 @@ impl Grid {
         j * self.nx + i
     }
 
+    /// The index box holding every grid point within `radius` of
+    /// `center`: the lattice columns and rows whose points can pass a
+    /// `distance <= radius` test, widened by one cell on each side so
+    /// coordinate round-off can never exclude a point, and clamped to
+    /// the grid. The box is empty for a center farther than `radius`
+    /// (plus that cell) outside the grid; a NaN bound keeps the whole
+    /// axis. Callers still apply their own distance test to every index
+    /// the box yields.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use crowdwifi_geo::{Grid, Point, Rect};
+    ///
+    /// let grid = Grid::new(Rect::new(Point::new(0.0, 0.0), Point::new(80.0, 80.0))?, 8.0)?;
+    /// let center = Point::new(40.0, 40.0);
+    /// let boxed = grid.index_box(center, 12.0);
+    /// let within: Vec<usize> = (0..grid.len())
+    ///     .filter(|&j| grid.point(j).distance(center) <= 12.0)
+    ///     .collect();
+    /// let walked: Vec<usize> = boxed.iter().map(|(j, _)| j).collect();
+    /// assert!(within.iter().all(|j| walked.contains(j)));
+    /// assert!(boxed.len() < grid.len());
+    /// assert!(grid.index_box(Point::new(500.0, 40.0), 12.0).is_empty());
+    /// # Ok::<(), crowdwifi_geo::GeoError>(())
+    /// ```
+    pub fn index_box(&self, center: Point, radius: f64) -> IndexBox<'_> {
+        // Point k of an axis sits at min + (k + ½)·ℓ, so it is within
+        // `radius` of c on that axis only for
+        // k ∈ [(c − r − min)/ℓ − ½, (c + r − min)/ℓ − ½].
+        let axis = |c: f64, min: f64, count: usize| -> Range<usize> {
+            let lo = ((c - radius - min) / self.lattice - 0.5).floor() - 1.0;
+            let hi = ((c + radius - min) / self.lattice - 0.5).ceil() + 1.0;
+            let last = (count - 1) as f64;
+            if hi < 0.0 || lo > last {
+                return 0..0;
+            }
+            let lo = if lo > 0.0 { lo as usize } else { 0 };
+            let hi = if hi < last { hi as usize } else { count - 1 };
+            lo..hi + 1
+        };
+        IndexBox {
+            grid: self,
+            cols: axis(center.x, self.bounds.min().x, self.nx),
+            rows: axis(center.y, self.bounds.min().y, self.ny),
+        }
+    }
+
     /// Iterates over all grid points in linear-index order.
     pub fn iter(&self) -> GridIter<'_> {
         GridIter { grid: self, idx: 0 }
@@ -140,6 +192,47 @@ impl Grid {
     /// diameter" used to normalize localization error.
     pub fn cell_diagonal(&self) -> f64 {
         self.lattice * std::f64::consts::SQRT_2
+    }
+}
+
+/// A rectangular block of lattice indices; see [`Grid::index_box`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexBox<'a> {
+    grid: &'a Grid,
+    cols: Range<usize>,
+    rows: Range<usize>,
+}
+
+impl<'a> IndexBox<'a> {
+    /// Lattice columns (x indices) of the box.
+    pub fn cols(&self) -> Range<usize> {
+        self.cols.clone()
+    }
+
+    /// Lattice rows (y indices) of the box.
+    pub fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// Number of grid points in the box.
+    pub fn len(&self) -> usize {
+        self.cols.len() * self.rows.len()
+    }
+
+    /// Whether the box holds no grid point.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The box's grid points as `(linear index, coordinate)` in
+    /// ascending index order; each coordinate equals
+    /// [`Grid::point`] of its index.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Point)> + 'a {
+        let (grid, cols) = (self.grid, self.cols.clone());
+        self.rows().flat_map(move |y| {
+            cols.clone()
+                .map(move |x| (y * grid.nx + x, grid.lattice_point(x, y)))
+        })
     }
 }
 
@@ -230,6 +323,51 @@ mod tests {
         assert!(Grid::new(rect(1.0, 1.0), 0.0).is_err());
         assert!(Grid::new(rect(1.0, 1.0), -2.0).is_err());
         assert!(Grid::new(rect(1.0, 1.0), f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn index_box_covers_the_disk_in_ascending_order() {
+        let g = Grid::new(
+            Rect::new(Point::new(-37.3, 12.9), Point::new(62.7, 92.9)).unwrap(),
+            7.5,
+        )
+        .unwrap();
+        for (c, r) in [
+            (Point::new(10.0, 50.0), 20.0),
+            (Point::new(-37.3, 12.9), 30.0),
+            (Point::new(-60.0, 50.0), 25.0),
+            (Point::new(0.0, 0.0), 0.0),
+            (Point::new(12.0, 40.0), 1e4),
+        ] {
+            let boxed = g.index_box(c, r);
+            let got: Vec<usize> = boxed
+                .iter()
+                .map(|(j, p)| {
+                    assert_eq!(p, g.point(j));
+                    j
+                })
+                .collect();
+            assert_eq!(got.len(), boxed.len());
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "not ascending");
+            for j in 0..g.len() {
+                if g.point(j).distance(c) <= r {
+                    assert!(
+                        got.binary_search(&j).is_ok(),
+                        "{j} within {r} of {c} missed"
+                    );
+                }
+            }
+        }
+        assert_eq!(g.index_box(Point::new(12.0, 40.0), 1e4).len(), g.len());
+        // Far outside, and a negative radius: empty.
+        assert!(g.index_box(Point::new(500.0, 50.0), 100.0).is_empty());
+        assert!(g.index_box(Point::new(10.0, -400.0), 100.0).is_empty());
+        assert_eq!(g.index_box(Point::new(10.0, 50.0), -50.0).iter().count(), 0);
+        // NaN keeps the whole grid (conservative).
+        assert_eq!(
+            g.index_box(Point::new(f64::NAN, 50.0), 10.0).cols(),
+            0..g.nx()
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod point;
 pub mod rect;
 pub mod trajectory;
 
-pub use grid::Grid;
+pub use grid::{Grid, IndexBox};
 pub use point::Point;
 pub use rect::Rect;
 pub use trajectory::{Trajectory, Waypoint};

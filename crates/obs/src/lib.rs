@@ -14,7 +14,9 @@
 //! * [`Counter`], [`Gauge`], [`Histogram`] — cheap handles recording
 //!   through relaxed atomics. Histograms have **fixed bucket
 //!   boundaries** chosen at registration and accumulate their sum in
-//!   integer micro-units, so concurrent recording stays exactly
+//!   integer units (micro-units for values, nanoseconds for timers,
+//!   so sub-microsecond spans still add up), so concurrent recording
+//!   stays exactly
 //!   commutative: totals are identical regardless of thread
 //!   interleaving.
 //! * [`Span`] — a span-style timer started with

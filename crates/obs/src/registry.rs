@@ -14,11 +14,16 @@ pub const OBS_ENV: &str = "CROWDWIFI_OBS";
 /// dropped, counted in [`Snapshot::events_dropped`]).
 const EVENT_CAP: usize = 256;
 
-/// Scale factor turning histogram observations into the integer
+/// Scale factor turning value-histogram observations into the integer
 /// micro-units their sums accumulate in. Integer accumulation keeps
 /// concurrent sums exactly commutative (float addition is not
 /// associative, so a float sum would depend on thread interleaving).
 const MICRO: f64 = 1e6;
+
+/// Scale factor of timing histograms, whose sums accumulate integer
+/// nanoseconds: a microsecond unit would round every sub-microsecond
+/// span to nothing.
+const NANO: f64 = 1e9;
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -36,7 +41,8 @@ struct Inner {
 }
 
 /// Atomic storage of one histogram: per-bucket counts plus the total
-/// count and the micro-unit sum.
+/// count and the integer sum (micro-units for values, nanoseconds for
+/// timings).
 #[derive(Debug)]
 struct HistogramCell {
     /// Strictly increasing, finite upper bucket bounds; observations
@@ -46,9 +52,10 @@ struct HistogramCell {
     /// `bounds.len() + 1` buckets (the last is the overflow bucket).
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
-    sum_micro: AtomicU64,
+    /// Sum of observations in units of `1 / scale()`.
+    sum_units: AtomicU64,
     /// Whether this histogram records wall-clock durations (stripped by
-    /// [`Snapshot::deterministic`]).
+    /// [`Snapshot::deterministic`]); timing sums are in nanoseconds.
     timing: bool,
 }
 
@@ -64,8 +71,17 @@ impl HistogramCell {
             bounds,
             buckets,
             count: AtomicU64::new(0),
-            sum_micro: AtomicU64::new(0),
+            sum_units: AtomicU64::new(0),
             timing,
+        }
+    }
+
+    /// Sum units per observed unit.
+    fn scale(&self) -> f64 {
+        if self.timing {
+            NANO
+        } else {
+            MICRO
         }
     }
 
@@ -86,8 +102,8 @@ impl HistogramCell {
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         // Saturate rather than wrap on pathological magnitudes.
-        let micro = (v * MICRO).round().min(u64::MAX as f64) as u64;
-        self.sum_micro.fetch_add(micro, Ordering::Relaxed);
+        let units = (v * self.scale()).round().min(u64::MAX as f64) as u64;
+        self.sum_units.fetch_add(units, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -99,7 +115,7 @@ impl HistogramCell {
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
             count: self.count.load(Ordering::Relaxed),
-            sum: self.sum_micro.load(Ordering::Relaxed) as f64 / MICRO,
+            sum: self.sum_units.load(Ordering::Relaxed) as f64 / self.scale(),
             timing: self.timing,
         }
     }
@@ -363,7 +379,8 @@ impl Histogram {
         }
     }
 
-    /// Records a duration in seconds.
+    /// Records a duration in seconds. A timing histogram sums whole
+    /// nanoseconds, so sub-microsecond spans still add up.
     #[inline]
     pub fn observe_duration(&self, d: std::time::Duration) {
         self.observe(d.as_secs_f64());
@@ -515,6 +532,19 @@ mod tests {
         assert_eq!(s.histograms["t"].count, 2);
         assert!(s.histograms["t"].timing);
         assert!(d >= std::time::Duration::ZERO);
+    }
+
+    #[test]
+    #[cfg_attr(not(feature = "record"), ignore = "recording compiled out")]
+    fn timer_sums_sub_microsecond_durations() {
+        let reg = Registry::new();
+        let t = reg.timer("t");
+        for _ in 0..1000 {
+            t.observe_duration(std::time::Duration::from_nanos(400));
+        }
+        let s = reg.snapshot();
+        assert_eq!(s.histograms["t"].count, 1000);
+        assert_eq!(s.histograms["t"].sum, 4e-4);
     }
 
     #[test]

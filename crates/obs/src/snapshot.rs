@@ -13,7 +13,8 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
-    /// Sum of observations (accumulated in exact micro-units).
+    /// Sum of observations (accumulated in exact micro-units, or
+    /// nanoseconds for a timing histogram; seconds for timers).
     pub sum: f64,
     /// Whether this histogram records wall-clock durations.
     pub timing: bool,

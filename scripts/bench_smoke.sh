@@ -128,6 +128,11 @@ if ! grep -q '"kernel_bit_identical": true' "$P"; then
 else
     echo "  ok: kernel accel bit-identical"
 fi
+# The estimator's stage timers (prepare, gather, factorize, solve,
+# debias, modes, score, refine, polish) must account for the run: on one
+# thread their sum over the drive's wall time leaves only grid
+# formation, hypothesis generation and consolidation untimed.
+gate "pipeline stage coverage" "$(num "$P" stage_coverage)" ">=" 0.95
 # Enabled recording budget is 2% of pipeline time; the smoke gate
 # allows noise on top of it. The disabled path must stay a few atomic
 # loads (nanoseconds), since it is compiled into every hot loop.

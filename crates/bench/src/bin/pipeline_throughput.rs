@@ -16,7 +16,9 @@
 //! 3. **Solver workspace** — the seed's FISTA loop (per-iteration
 //!    `clone`s, reproduced verbatim from the seed commit below) vs the
 //!    current allocation-lean `recover_with` on a reused
-//!    [`SolverWorkspace`], verified to produce identical iterates.
+//!    [`SolverWorkspace`], verified to produce identical iterates. The
+//!    legs alternate rep by rep; the speedup is the median per-rep
+//!    ratio.
 //! 4. **Solver work** — the full drive once with the default exact
 //!    active set and once with plain FISTA pinned (the active set's
 //!    fallback), recording both ℓ1 work totals (pivots vs iterations)
@@ -34,7 +36,7 @@
 //! `BENCH_SMOKE=1` cuts repetitions for CI's regression gate;
 //! `BENCH_OUT_DIR` redirects the JSON away from the repo root.
 
-use crowdwifi_bench::{bench_out_path, smoke_mode};
+use crowdwifi_bench::{bench_out_path, paired_median, smoke_mode, time};
 use crowdwifi_core::assign::{Assigner, ClusterAssigner};
 use crowdwifi_core::par;
 use crowdwifi_core::pipeline::{OnlineCs, OnlineCsConfig};
@@ -49,16 +51,6 @@ use crowdwifi_sparsesolve::{Fista, SolverWorkspace, SparseRecovery};
 use crowdwifi_vanet_sim::{mobility, RssCollector, Scenario};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Instant;
-
-/// Mean seconds per call of `f` over `reps` calls (caller warms up).
-fn time<F: FnMut()>(mut f: F, reps: usize) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_secs_f64() / reps as f64
-}
 
 /// The seed commit's `spectral_norm_sq` (power iteration), reproduced
 /// so [`seed_fista_solve`] computes the exact same step size as the
@@ -348,15 +340,20 @@ fn main() {
     );
     assert_eq!(seed_iters, current.iterations);
     assert_eq!(seed_converged, current.converged);
-    let solve_reps: usize = if smoke { 50 } else { 200 };
-    let seed_secs = time(|| drop(seed_fista_solve(&a, &y)), solve_reps);
-    let lean_secs = time(
-        || drop(solver.recover_with(&a, &y, &mut ws).expect("solve")),
-        solve_reps,
+    let (ws_reps, solves_per_rep): (usize, usize) = if smoke { (31, 5) } else { (61, 5) };
+    let ws = paired_median(
+        ws_reps,
+        || time(|| drop(seed_fista_solve(&a, &y)), solves_per_rep),
+        || {
+            time(
+                || drop(solver.recover_with(&a, &y, &mut ws).expect("solve")),
+                solves_per_rep,
+            )
+        },
     );
-    let ws_speedup = seed_secs / lean_secs;
+    let (seed_secs, lean_secs, ws_speedup) = (ws.a_secs, ws.b_secs, ws.ratio);
     println!(
-        "  fista {m}x{n}, {seed_iters} iters: seed (clone-per-iteration) {:.0} us vs workspace {:.0} us per solve: {ws_speedup:.2}x",
+        "  fista {m}x{n}, {seed_iters} iters: seed (clone-per-iteration) {:.0} us vs workspace {:.0} us per solve: {ws_speedup:.2}x (median ratio over {ws_reps} reps)",
         seed_secs * 1e6,
         lean_secs * 1e6
     );
@@ -399,10 +396,7 @@ fn main() {
     // (`acc_rows`), once with `kernels::scalar` and once with the
     // shipped row-blocked kernels. The two are bit-identical by
     // construction: asserted (NaN-canonicalized), then recorded as
-    // kernel_bit_identical. Each rep times a batch of pairs per leg and
-    // the legs alternate rep by rep, so load from other tenants of a
-    // shared machine drifts into both alike; the speedup is the median
-    // of the per-rep ratios.
+    // kernel_bit_identical. Each rep times a batch of pairs per leg.
     type Kernel = fn(usize, &[f64], &[f64], &mut [f64]);
     let z = a.matvec_transposed(&y);
     let (mut az, mut grad) = (vec![0.0; m], vec![0.0; n]);
@@ -426,26 +420,24 @@ fn main() {
         "shipped kernels diverged from the scalar reference"
     );
     let (kernel_reps, pairs_per_rep): (usize, usize) = if smoke { (21, 1000) } else { (51, 2000) };
-    let (mut scalar_us, mut kernel_us, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..kernel_reps {
-        let s = time(
-            || kernel_pair(scalar::matvec, scalar::acc_rows, &mut az, &mut grad),
-            pairs_per_rep,
-        );
-        let k = time(
-            || kernel_pair(kernels::matvec, kernels::acc_rows, &mut az, &mut grad),
-            pairs_per_rep,
-        );
-        scalar_us.push(s * 1e6);
-        kernel_us.push(k * 1e6);
-        ratios.push(s / k);
-    }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let (scalar_us, kernel_us) = (median(&mut scalar_us), median(&mut kernel_us));
-    let kernel_speedup = median(&mut ratios);
+    let (mut az_k, mut grad_k) = (az.clone(), grad.clone());
+    let kernel = paired_median(
+        kernel_reps,
+        || {
+            time(
+                || kernel_pair(scalar::matvec, scalar::acc_rows, &mut az, &mut grad),
+                pairs_per_rep,
+            )
+        },
+        || {
+            time(
+                || kernel_pair(kernels::matvec, kernels::acc_rows, &mut az_k, &mut grad_k),
+                pairs_per_rep,
+            )
+        },
+    );
+    let (scalar_us, kernel_us) = (kernel.a_secs * 1e6, kernel.b_secs * 1e6);
+    let kernel_speedup = kernel.ratio;
     println!(
         "kernels {m}x{n} matvec+acc_rows: scalar {scalar_us:.2} us vs shipped {kernel_us:.2} us per pair (median ratio {kernel_speedup:.2}x over {kernel_reps} reps), bit-identical"
     );
@@ -465,7 +457,7 @@ fn main() {
         .map(|(stage, secs)| format!("\"{stage}_ms\": {:.3}", secs * 1e3))
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 10,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"stages\": {{\"threads\": 1, \"wall_ms\": {:.3}, {}, \"stage_coverage\": {stage_coverage:.3}}},\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_work\": {{\"active_set_pivots\": {}, \"fista_iterations\": {}, \"active_set_iteration_ratio\": {work_ratio:.3}, \"active_set_solves\": {}, \"fista_solves\": {}, \"active_set_fallbacks\": {}, \"active_set_unconverged\": {}, \"fista_unconverged\": {}, \"aps\": {}, \"ap_count_identical\": true}},\n  \"kernel_accel\": {{\"matrix\": \"{m}x{n}\", \"reps\": {kernel_reps}, \"pairs_per_rep\": {pairs_per_rep}, \"kernel_scalar_us\": {scalar_us:.3}, \"kernel_vectorized_us\": {kernel_us:.3}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_bit_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_work and kernel_accel are machine-independent algorithmic measurements. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating the legs rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized). stages is one single-thread run of the drive recording into a local registry: each pipeline.*_seconds stage timer's total in milliseconds, and stage_coverage, their sum over the run's wall time.\"\n}}\n",
+        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 11,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"stages\": {{\"threads\": 1, \"wall_ms\": {:.3}, {}, \"stage_coverage\": {stage_coverage:.3}}},\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"reps\": {ws_reps}, \"solves_per_rep\": {solves_per_rep}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_work\": {{\"active_set_pivots\": {}, \"fista_iterations\": {}, \"active_set_iteration_ratio\": {work_ratio:.3}, \"active_set_solves\": {}, \"fista_solves\": {}, \"active_set_fallbacks\": {}, \"active_set_unconverged\": {}, \"fista_unconverged\": {}, \"aps\": {}, \"ap_count_identical\": true}},\n  \"kernel_accel\": {{\"matrix\": \"{m}x{n}\", \"reps\": {kernel_reps}, \"pairs_per_rep\": {pairs_per_rep}, \"kernel_scalar_us\": {scalar_us:.3}, \"kernel_vectorized_us\": {kernel_us:.3}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_bit_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_work and kernel_accel are machine-independent algorithmic measurements. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions; solver_workspace times a batch of solves per leg per rep, alternating which leg runs first: seed_clone_per_iter_us and workspace_us are median microseconds per solve, speedup is the median per-rep ratio. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating which leg runs first rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized). stages is one single-thread run of the drive recording into a local registry: each pipeline.*_seconds stage timer's total in milliseconds, and stage_coverage, their sum over the run's wall time.\"\n}}\n",
         readings.len(),
         cfg.window.size,
         cfg.window.step,

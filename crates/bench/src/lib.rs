@@ -114,9 +114,85 @@ pub fn bench_out_path(file: &str) -> std::path::PathBuf {
     }
 }
 
+/// Mean seconds per call of `f` over `reps` calls (caller warms up).
+pub fn time<F: FnMut()>(mut f: F, reps: usize) -> f64 {
+    let start = std::time::Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    start.elapsed().as_secs_f64() / reps as f64
+}
+
+/// A two-leg wall-clock comparison from [`paired_median`].
+#[derive(Debug, Clone, Copy)]
+pub struct Paired {
+    /// Median seconds of leg `a` over the reps.
+    pub a_secs: f64,
+    /// Median seconds of leg `b` over the reps.
+    pub b_secs: f64,
+    /// Median of the per-rep ratios `a / b`.
+    pub ratio: f64,
+}
+
+/// Times two legs over `reps` reps; each leg runs its workload once and
+/// returns its own seconds. The leg that runs first alternates rep by
+/// rep, so neither leg is always the one that follows the other.
+/// Load from other tenants of a shared machine lands on both legs
+/// alike. The headline is the median of the per-rep ratios, which one
+/// slow rep cannot move.
+pub fn paired_median(
+    reps: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> Paired {
+    assert!(reps > 0, "paired_median needs at least one rep");
+    let (mut a_secs, mut b_secs, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let (x, y) = if rep % 2 == 0 {
+            let x = a();
+            (x, b())
+        } else {
+            let y = b();
+            (a(), y)
+        };
+        a_secs.push(x);
+        b_secs.push(y);
+        ratios.push(x / y);
+    }
+    let median = |v: &mut Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    Paired {
+        a_secs: median(&mut a_secs),
+        b_secs: median(&mut b_secs),
+        ratio: median(&mut ratios),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paired_median_alternates_legs_and_takes_the_middle_ratio() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut a_times = [1.0, 9.0, 3.0].into_iter();
+        let mut b_times = [1.0, 1.0, 1.0].into_iter();
+        let p = paired_median(
+            3,
+            || {
+                order.borrow_mut().push('a');
+                a_times.next().unwrap()
+            },
+            || {
+                order.borrow_mut().push('b');
+                b_times.next().unwrap()
+            },
+        );
+        assert_eq!(order.into_inner(), ['a', 'b', 'b', 'a', 'a', 'b']);
+        assert_eq!((p.a_secs, p.b_secs, p.ratio), (3.0, 1.0, 3.0));
+    }
 
     #[test]
     fn lookup_errors_basic() {

@@ -11,22 +11,19 @@
 //! * [`map`] — the sharded store: credit-based consolidation on ingest
 //!   (the §4.3.6 math), TTL + transient eviction, and a lock-light
 //!   generation-published read path (readers never wait on ingest).
+//!   An entry's id is the geohash code of the position that founded it.
 //! * [`corridor`] — trajectory-corridor queries over the map.
 //! * [`snapshot`] — CRC-framed snapshots and compaction, in the same
 //!   framing idiom as the middleware durability layer.
-//! * [`intern`] — the AP-identifier intern table shared with
-//!   `middleware::store`, so the two sides never disagree on ids.
 
 #![deny(missing_docs)]
 
 pub mod corridor;
 pub mod geohash;
-pub mod intern;
 pub mod map;
 pub mod snapshot;
 
 pub use geohash::{GeoCell, World, MAX_LEVEL};
-pub use intern::{grid_key, shared_interner, Interner, SharedInterner};
 pub use map::{canonical_order, EvictStats, GeoMap, IngestStats, MapAp, MapConfig, MapStats};
 pub use snapshot::crc32;
 

@@ -16,12 +16,11 @@
 //! Ingest folds each estimate into the nearest existing entry within
 //! the merge radius using the credit-weighted average of
 //! `crowdwifi_core::consolidate` (§4.3.6); unmatched estimates open new
-//! entries named by the shared [`grid_key`]
-//! scheme. Time is an explicit microsecond clock supplied by the
-//! caller, so TTL eviction is deterministic under a seeded clock.
+//! entries whose id is the geohash code of their founding position
+//! (see [`MapAp::id`]). Time is an explicit microsecond clock supplied
+//! by the caller, so TTL eviction is deterministic under a seeded clock.
 
 use crate::geohash::{GeoCell, World, MAX_LEVEL};
-use crate::intern::{grid_key, shared_interner, SharedInterner};
 use crate::{MapError, Result};
 use crowdwifi_core::ApEstimate;
 use crowdwifi_geo::{Point, Rect};
@@ -34,8 +33,11 @@ use std::sync::{Arc, Mutex, RwLock};
 /// One stored AP: identity, consolidated state, and freshness stamps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapAp {
-    /// Interned id of the founding grid key (shared with the
-    /// observation store's intern table when constructed with one).
+    /// The Morton code of the position that opened the entry, at
+    /// geohash level 16 (16 bits per axis). Merges and shard
+    /// migrations keep it, so it depends only on the founding
+    /// estimate, never on shard layout or ingest interleaving. Entries
+    /// founded in the same level-16 cell share an id.
     pub id: u32,
     /// Credit-weighted consolidated position.
     pub position: Point,
@@ -117,9 +119,6 @@ pub struct MapConfig {
     /// The spurious-credit floor (paper default 1: a location seen only
     /// once is not a real AP). Queries also filter at this floor.
     pub min_credit: f64,
-    /// Grid resolution of founding keys handed to the intern table
-    /// (10 m matches `middleware::store`).
-    pub key_resolution: f64,
 }
 
 impl MapConfig {
@@ -134,7 +133,6 @@ impl MapConfig {
             ttl_micros: 86_400_000_000,
             transient_grace_micros: 3_600_000_000,
             min_credit: 1.0,
-            key_resolution: 10.0,
         }
     }
 
@@ -154,9 +152,6 @@ impl MapConfig {
         }
         if !(self.merge_radius >= 0.0 && self.merge_radius.is_finite()) {
             return bad("merge_radius must be non-negative and finite".into());
-        }
-        if !(self.key_resolution > 0.0 && self.key_resolution.is_finite()) {
-            return bad("key_resolution must be positive and finite".into());
         }
         if !self.min_credit.is_finite() {
             return bad("min_credit must be finite".into());
@@ -252,6 +247,9 @@ impl IngestItem {
     }
 }
 
+/// Geohash level of entry ids: 16 bits per axis fill a `u32` code.
+const ID_LEVEL: u8 = 16;
+
 /// Redirect budget for border estimates chasing a nearer entry that
 /// keeps landing in another shard.
 const MAX_HOPS: u8 = 4;
@@ -271,29 +269,17 @@ pub struct GeoMap {
     cfg: MapConfig,
     world: World,
     pub(crate) shards: Vec<Shard>,
-    interner: SharedInterner,
     generation: AtomicU64,
 }
 
 impl GeoMap {
-    /// Creates an empty map with its own intern table.
+    /// Creates an empty map.
     ///
     /// # Errors
     ///
     /// Returns [`MapError::InvalidConfig`] for degenerate worlds, bad
     /// level pairs, or non-finite radii.
     pub fn new(cfg: MapConfig) -> Result<Self> {
-        GeoMap::with_interner(cfg, shared_interner())
-    }
-
-    /// Creates an empty map that interns founding keys into `interner`
-    /// — share the handle with an `ObsStore` so both sides agree on
-    /// ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::InvalidConfig`] as [`GeoMap::new`] does.
-    pub fn with_interner(cfg: MapConfig, interner: SharedInterner) -> Result<Self> {
         cfg.validate()?;
         let shard_count = 1usize << (2 * cfg.shard_level);
         let shards = (0..shard_count)
@@ -306,7 +292,6 @@ impl GeoMap {
             world: World::new(cfg.world),
             cfg,
             shards,
-            interner,
             generation: AtomicU64::new(0),
         })
     }
@@ -324,11 +309,6 @@ impl GeoMap {
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// A handle to the intern table founding keys go through.
-    pub fn interner_handle(&self) -> SharedInterner {
-        Arc::clone(&self.interner)
     }
 
     /// The shard index of a bucket-cell code.
@@ -376,9 +356,9 @@ impl GeoMap {
     /// Folds one batch of drive estimates into the map at clock `now`
     /// (microseconds): each estimate merges credit-weighted into the
     /// nearest existing entry within the merge radius, or opens a new
-    /// entry under its [`grid_key`]. Shards are updated in index order;
-    /// each publishes exactly one new generation per batch that touches
-    /// it.
+    /// entry with its founding cell as id. Shards are updated in index
+    /// order; each publishes exactly one new generation per batch that
+    /// touches it.
     pub fn absorb_estimates(&self, now_micros: u64, estimates: &[ApEstimate]) -> IngestStats {
         let mut stats = IngestStats::default();
         let mut by_shard: Vec<Vec<IngestItem>> = Vec::new();
@@ -511,14 +491,8 @@ impl GeoMap {
                     let entry = match item {
                         IngestItem::Est { .. } => {
                             opened_n += 1;
-                            let key = grid_key(pos, self.cfg.key_resolution);
-                            let id = self
-                                .interner
-                                .lock()
-                                .expect("interner poisoned")
-                                .intern(&key);
                             MapAp {
-                                id,
+                                id: self.world.encode(pos, ID_LEVEL).code as u32,
                                 position: pos,
                                 credit,
                                 first_seen_micros: now,

@@ -2,7 +2,7 @@
 //!
 //! Same framed-CRC idiom as `middleware::durability`: every frame is
 //! `[len: u32 LE][crc32(payload): u32 LE][payload]`. Frame 0 is the
-//! header (magic, config, intern table); every following frame is one
+//! header (magic, version, config); every following frame is one
 //! non-empty shard with its buckets in sorted-code order and entries in
 //! stored order. Unlike the durability WAL, a snapshot is not a log —
 //! a torn tail or a CRC mismatch is corruption and recovery fails
@@ -12,7 +12,6 @@
 //! recovered map reproduces the input bytes exactly, which is what the
 //! `snapshot → compact → recover` test pins down.
 
-use crate::intern::shared_interner;
 use crate::map::{EvictStats, GeoMap, MapAp, MapConfig};
 use crate::{MapError, Result};
 use crowdwifi_geo::{Point, Rect};
@@ -20,8 +19,11 @@ use std::sync::Arc;
 
 /// Snapshot magic bytes.
 const MAGIC: &[u8; 4] = b"GMAP";
-/// Snapshot format version.
-const VERSION: u32 = 1;
+/// Snapshot format version; `recover` rejects every other version.
+const VERSION: u32 = 2;
+
+/// Encoded size of one entry: id, x, y, credit, first and last seen.
+const ENTRY_BYTES: usize = 4 + 8 * 5;
 
 /// IEEE CRC32 lookup table (polynomial `0xEDB88320`), built at compile
 /// time.
@@ -131,8 +133,12 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
     fn done(&self) -> bool {
-        self.at == self.bytes.len()
+        self.remaining() == 0
     }
 }
 
@@ -141,7 +147,7 @@ fn push_f64(out: &mut Vec<u8>, v: f64) {
 }
 
 impl GeoMap {
-    /// Serializes the map (config, intern table, every shard's current
+    /// Serializes the map (config and every shard's current
     /// generation) into a framed snapshot. Deterministic: buckets are
     /// emitted in sorted-code order and entries in stored order, so
     /// equal maps produce equal bytes.
@@ -162,17 +168,6 @@ impl GeoMap {
         header.extend_from_slice(&cfg.ttl_micros.to_le_bytes());
         header.extend_from_slice(&cfg.transient_grace_micros.to_le_bytes());
         push_f64(&mut header, cfg.min_credit);
-        push_f64(&mut header, cfg.key_resolution);
-        {
-            let interner = self.interner_handle();
-            let interner = interner.lock().expect("interner poisoned");
-            let names = interner.names();
-            header.extend_from_slice(&(names.len() as u32).to_le_bytes());
-            for name in names {
-                header.extend_from_slice(&(name.len() as u32).to_le_bytes());
-                header.extend_from_slice(name.as_bytes());
-            }
-        }
         push_frame(&mut out, &header);
 
         for (s, shard) in self.shards.iter().enumerate() {
@@ -237,24 +232,12 @@ impl GeoMap {
             ttl_micros: r.u64()?,
             transient_grace_micros: r.u64()?,
             min_credit: r.f64()?,
-            key_resolution: r.f64()?,
         };
-        let interner = shared_interner();
-        {
-            let mut table = interner.lock().expect("interner poisoned");
-            let count = r.u32()?;
-            for _ in 0..count {
-                let len = r.u32()? as usize;
-                let name = std::str::from_utf8(r.take(len)?)
-                    .map_err(|_| MapError::Corrupt("non-utf8 interned name".into()))?;
-                table.intern(name);
-            }
-        }
         if !r.done() {
             return Err(MapError::Corrupt("trailing header bytes".into()));
         }
 
-        let map = GeoMap::with_interner(cfg, interner)?;
+        let map = GeoMap::new(cfg)?;
         for frame in shard_frames {
             let mut r = Reader::new(frame);
             let s = r.u32()? as usize;
@@ -274,6 +257,13 @@ impl GeoMap {
                     )));
                 }
                 let n = r.u32()?;
+                // The count sizes an allocation, so it must fit the
+                // bytes actually left in the frame.
+                if (n as usize).saturating_mul(ENTRY_BYTES) > r.remaining() {
+                    return Err(MapError::Corrupt(format!(
+                        "bucket {code:#x} claims {n} entries past the frame end"
+                    )));
+                }
                 let mut bucket: Vec<MapAp> = Vec::with_capacity(n as usize);
                 for _ in 0..n {
                     bucket.push(MapAp {
@@ -381,6 +371,28 @@ mod tests {
         let mut bad = map.snapshot();
         bad[8] = b'X';
         assert!(matches!(GeoMap::recover(&bad), Err(MapError::Corrupt(_))));
+        // A CRC-valid header of format version 1.
+        let mut old = map.snapshot();
+        old[12..16].copy_from_slice(&1u32.to_le_bytes());
+        let len = u32::from_le_bytes(old[..4].try_into().unwrap()) as usize;
+        let crc = crc32(&old[8..8 + len]);
+        old[4..8].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(GeoMap::recover(&old), Err(MapError::Corrupt(_))));
+    }
+
+    #[test]
+    fn oversized_bucket_count_is_corrupt_not_an_allocation() {
+        let world = Rect::new(Point::new(0.0, 0.0), Point::new(64.0, 64.0)).unwrap();
+        let mut bytes = GeoMap::new(MapConfig::new(world)).unwrap().snapshot();
+        // A CRC-valid shard frame: shard 0, one bucket (code 0) that
+        // claims u32::MAX entries with none following.
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&0u32.to_le_bytes());
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        push_frame(&mut bytes, &frame);
+        assert!(matches!(GeoMap::recover(&bytes), Err(MapError::Corrupt(_))));
     }
 
     #[test]

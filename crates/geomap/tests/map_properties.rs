@@ -119,6 +119,25 @@ fn single_shard_map_matches_the_reference_consolidator() {
 }
 
 #[test]
+fn entry_ids_do_not_depend_on_shard_layout() {
+    for seed in [3u64, 17, 99] {
+        let batches = schedule(seed, 6, 40);
+        let served = |shard_level: u8| {
+            let map = GeoMap::new(cfg(shard_level)).unwrap();
+            run_schedule(&map, &batches);
+            map.query_radius(Point::new(1024.0, 1024.0), 2048.0)
+        };
+        let flat = served(0);
+        assert!(!flat.is_empty());
+        assert_eq!(
+            flat,
+            served(3),
+            "served entries, ids included, differ across shard layouts (seed {seed})"
+        );
+    }
+}
+
+#[test]
 fn ttl_eviction_is_deterministic_under_a_seeded_clock() {
     // Two maps fed the identical seeded schedule evict identically and
     // end up byte-identical — the virtual clock is the only time

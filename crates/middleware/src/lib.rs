@@ -24,10 +24,12 @@
 //!   round-close snapshot state is sharded by road segment
 //!   ([`protocol::ShardedDatabase`]).
 //! * [`transport`] supplies the I/O: the original threaded runtime
-//!   ([`transport::ThreadTransport`]) and a single-threaded
-//!   deterministic simulator with a virtual clock
-//!   ([`transport::SimTransport`]). Same seed + fault plan → the same
-//!   deterministic round report on either backend.
+//!   ([`transport::ThreadTransport`]), a single-threaded deterministic
+//!   simulator with a virtual clock ([`transport::SimTransport`]), and
+//!   the fleet-scale engine that batches vehicle sessions over a
+//!   bounded worker pool on the same virtual clock
+//!   ([`transport::FleetTransport`]). Same seed + fault plan → the
+//!   same deterministic round report on every backend.
 //! * [`platform`] re-exports the round configuration and report types
 //!   from [`protocol`].
 //!
@@ -51,7 +53,6 @@ pub mod platform;
 pub mod protocol;
 pub mod segment;
 pub mod server;
-pub mod store;
 pub mod transport;
 pub mod vehicle;
 pub mod wire;

@@ -1,21 +1,21 @@
 #!/usr/bin/env bash
-# Bench smoke gate (CI's second job): runs the pipeline-throughput and
-# observability benches in reduced smoke mode, writes their JSON into
-# $BENCH_OUT_DIR (default: bench-artifacts/), and fails on regression
-# past the thresholds committed below. The determinism contracts
+# Bench smoke gate (CI's second job): runs the benches in reduced smoke
+# mode, writes their JSON into $BENCH_OUT_DIR (default:
+# bench-artifacts/), and fails on regression past the thresholds
+# committed below. The determinism contracts
 # (thread sweep produces identical estimates, seed solver baseline is
 # bit-identical) are asserted inside the benches themselves.
 #
 # Thresholds are deliberately looser than the committed full-run
-# numbers in BENCH_pipeline.json / BENCH_obs.json: smoke repetitions on
+# numbers in the committed BENCH_*.json files: smoke repetitions on
 # a shared CI core are noisy, and the gate is for *regressions* (an
 # algorithmic win disappearing), not for benchmarking the runner.
 #
 # An optional first argument filters which benches run (and which gates
 # apply): "core" runs the pipeline/obs/platform benches, "fleet" runs
 # only the fleet-scale round bench (CI's fleet-smoke job), "wire" runs
-# only the binary-codec + columnar-store bench, "all" (the default)
-# runs everything.
+# only the binary wire codec bench, "map" runs only the geo-sharded AP
+# map bench, "all" (the default) runs everything.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +56,7 @@ if [ "$run_fleet" -eq 1 ]; then
     ./target/release/fleet_rounds
 fi
 if [ "$run_wire" -eq 1 ]; then
-    ./target/release/wire_store
+    ./target/release/wire_codec
 fi
 if [ "$run_map" -eq 1 ]; then
     ./target/release/ap_map
@@ -102,6 +102,10 @@ if [ "$run_core" -eq 1 ]; then
 # rebuild.
 gate "shared-window cold speedup" "$(num "$P" cold_speedup)" ">=" 0.90
 gate "memoized replay speedup" "$(num "$P" memoized_speedup)" ">=" 5
+# The workspace speedup, like the kernel and WAL numbers below, is the
+# median of per-rep ratios with the leg that runs first alternating rep
+# by rep: a slow patch on a shared core lands on both legs of a rep, and
+# one bad rep cannot move the median.
 gate "solver workspace speedup" "$(num "$P" speedup)" ">=" 1.02
 # The exact active set's headline win is machine-independent: over the
 # seed campus drive its total pivots must stay at most a tenth of the
@@ -134,7 +138,8 @@ fi
 # formation, hypothesis generation and consolidation untimed.
 gate "pipeline stage coverage" "$(num "$P" stage_coverage)" ">=" 0.95
 # Enabled recording budget is 2% of pipeline time; the smoke gate
-# allows noise on top of it. The disabled path must stay a few atomic
+# allows noise on top of it (the percentage is a median of per-rep
+# ratios, legs alternating, like the workspace and WAL gates). The disabled path must stay a few atomic
 # loads (nanoseconds), since it is compiled into every hot loop.
 gate "obs enabled overhead pct" "$(num "$O" overhead_pct)" "<=" 10
 gate "obs disabled counter ns" "$(num "$O" disabled_ns)" "<=" 50

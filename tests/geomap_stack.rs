@@ -1,23 +1,19 @@
 //! The geo-sharded AP map wired through the full stack: campaign
-//! rounds drain into the map via [`GeoMapSink`], the map's corridor
-//! query feeds the handoff policies, and the intern table is shared
-//! with the observation store so the two layers never disagree on AP
-//! identifiers.
+//! rounds drain into the map via [`GeoMapSink`], and the map's corridor
+//! query feeds the handoff policies.
 
 use crowdwifi::channel::{PathLossModel, RssReading};
 use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi::core::ApEstimate;
 use crowdwifi::geo::{Point, Rect};
-use crowdwifi::geomap::{grid_key, shared_interner, GeoMap, MapConfig};
+use crowdwifi::geomap::{GeoMap, MapConfig};
 use crowdwifi::handoff::connectivity::{simulate, ConnectivityConfig, Policy};
 use crowdwifi::handoff::db::ApDatabase;
 use crowdwifi::middleware::fault::FaultPlan;
 use crowdwifi::middleware::mapsink::GeoMapSink;
-use crowdwifi::middleware::messages::{SensingUpload, VehicleId};
+use crowdwifi::middleware::messages::VehicleId;
 use crowdwifi::middleware::platform::{FaultTolerance, PlatformConfig};
-use crowdwifi::middleware::protocol::VirtualInstant;
 use crowdwifi::middleware::segment::SegmentMap;
-use crowdwifi::middleware::store::{ObsStore, KEY_RESOLUTION_M};
 use crowdwifi::middleware::transport::{run_campaign_with_faults_into, FleetTransport};
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
 use crowdwifi::sim::mobility::vanlan_round;
@@ -176,55 +172,4 @@ fn map_fed_brr_is_identical_to_the_static_list_baseline() {
             "{policy} trace diverged between map-fed and static databases"
         );
     }
-}
-
-#[test]
-fn store_and_map_agree_on_interned_identifiers() {
-    let interner = shared_interner();
-    let mut store = ObsStore::with_shared_interner(Arc::clone(&interner));
-    let map = GeoMap::with_interner(
-        MapConfig::new(Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)).unwrap()),
-        Arc::clone(&interner),
-    )
-    .unwrap();
-
-    // The same upload flows into both layers.
-    let positions = [
-        Point::new(105.0, 205.0),
-        Point::new(455.0, 755.0),
-        Point::new(901.0, 99.0),
-    ];
-    let estimates: Vec<ApEstimate> = positions
-        .iter()
-        .map(|&position| ApEstimate {
-            position,
-            credit: 2.0,
-        })
-        .collect();
-    store.absorb_upload(
-        VirtualInstant::from_micros(5),
-        &SensingUpload {
-            vehicle: VehicleId(0),
-            estimates: estimates.clone(),
-        },
-    );
-    map.absorb_estimates(10, &estimates);
-
-    // Every map entry's id resolves through the store to the same grid
-    // key the store filed the observation under.
-    let entries = map.query_radius(Point::new(500.0, 500.0), 1000.0);
-    assert_eq!(entries.len(), positions.len());
-    for entry in &entries {
-        let key = grid_key(entry.position, KEY_RESOLUTION_M);
-        let store_id = store.intern(&key);
-        assert_eq!(
-            store_id.0, entry.id,
-            "store and map disagree on the id for {key}"
-        );
-    }
-    assert_eq!(
-        interner.lock().unwrap().len(),
-        positions.len(),
-        "shared table grew duplicate names"
-    );
 }

@@ -14,52 +14,19 @@ use crowdwifi_geo::Point;
 
 /// The fingerprint localizer.
 #[derive(Debug, Clone)]
-pub struct Skyhook {
-    /// Use only the strongest `top_n` scans per AP (Place Lab's ranking
-    /// step); `usize::MAX` uses all scans.
-    top_n: usize,
-    /// RSS-to-weight exponent: weight = (rss − floor)^exponent.
-    exponent: f64,
-    /// Detection floor (weight origin) in dBm.
-    floor_dbm: f64,
-}
+pub struct Skyhook;
 
-impl Default for Skyhook {
-    fn default() -> Self {
-        Skyhook {
-            top_n: 20,
-            exponent: 2.0,
-            floor_dbm: -95.0,
-        }
-    }
-}
+/// Use only the strongest `TOP_N` scans per AP (Place Lab's ranking
+/// step).
+const TOP_N: usize = 20;
+
+/// RSS-to-weight exponent: weight = (rss − floor)^exponent.
+const EXPONENT: f64 = 2.0;
+
+/// Detection floor (weight origin) in dBm.
+const FLOOR_DBM: f64 = -95.0;
 
 impl Skyhook {
-    /// Creates a localizer with the default Place-Lab-like parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the per-AP strongest-scan cutoff.
-    pub fn with_top_n(mut self, top_n: usize) -> Self {
-        self.top_n = top_n.max(1);
-        self
-    }
-
-    /// Sets the RSS weighting exponent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if non-finite or negative.
-    pub fn with_exponent(mut self, exponent: f64) -> Self {
-        assert!(
-            exponent >= 0.0 && exponent.is_finite(),
-            "exponent must be non-negative"
-        );
-        self.exponent = exponent;
-        self
-    }
-
     fn locate_one(&self, readings: &[RssReading]) -> Option<Point> {
         // Rank by RSS, strongest first.
         let mut sorted: Vec<&RssReading> = readings.iter().collect();
@@ -68,11 +35,11 @@ impl Skyhook {
                 .partial_cmp(&a.rss_dbm)
                 .expect("finite RSS values")
         });
-        sorted.truncate(self.top_n);
+        sorted.truncate(TOP_N);
         let points: Vec<Point> = sorted.iter().map(|r| r.position).collect();
         let weights: Vec<f64> = sorted
             .iter()
-            .map(|r| (r.rss_dbm - self.floor_dbm).max(0.0).powf(self.exponent))
+            .map(|r| (r.rss_dbm - FLOOR_DBM).max(0.0).powf(EXPONENT))
             .collect();
         weighted_centroid(&points, &weights)
     }
@@ -114,7 +81,7 @@ mod tests {
         let ap = Point::new(50.0, 10.0);
         let xs: Vec<f64> = (0..21).map(|i| 5.0 * i as f64).collect();
         let readings = drive(ap, ApId(0), &xs, 0.0);
-        let est = Skyhook::default().localize(&readings);
+        let est = Skyhook.localize(&readings);
         assert_eq!(est.count(), 1);
         // Fingerprinting cannot leave the scan line: y stays 0, but x
         // should be near the AP's x.
@@ -131,25 +98,31 @@ mod tests {
             &[70.0, 80.0, 90.0],
             0.0,
         ));
-        let est = Skyhook::default().localize(&readings);
+        let est = Skyhook.localize(&readings);
         assert_eq!(est.count(), 2);
     }
 
     #[test]
     fn empty_and_untagged_inputs() {
-        assert_eq!(Skyhook::default().localize(&[]).count(), 0);
+        assert_eq!(Skyhook.localize(&[]).count(), 0);
         let untagged = [RssReading::new(Point::new(0.0, 0.0), -60.0, 0.0)];
-        assert_eq!(Skyhook::default().localize(&untagged).count(), 0);
+        assert_eq!(Skyhook.localize(&untagged).count(), 0);
     }
 
     #[test]
     fn top_n_limits_the_fingerprint() {
+        // 20 scans around the AP plus 16 weaker ones far to the east:
+        // only the strongest 20 enter the centroid, so the far scans
+        // change nothing.
         let ap = Point::new(0.0, 5.0);
-        // Many far scans plus a few near ones: with top_n = 2 only the
-        // near scans matter.
-        let xs: Vec<f64> = (-10..=10).map(|i| 10.0 * i as f64).collect();
-        let readings = drive(ap, ApId(0), &xs, 0.0);
-        let tight = Skyhook::default().with_top_n(2).localize(&readings);
-        assert!(tight.positions[0].x.abs() < 11.0);
+        let near: Vec<f64> = (0..20).map(|i| i as f64 - 9.5).collect();
+        let far: Vec<f64> = (0..16).map(|i| 50.0 + 10.0 * i as f64).collect();
+        let all: Vec<f64> = near.iter().chain(&far).copied().collect();
+        let locate = |xs: &[f64]| Skyhook.localize(&drive(ap, ApId(0), xs, 0.0)).positions;
+        assert_eq!(locate(&all), locate(&near));
+        assert!(locate(&all)[0].x.abs() < 1e-9);
+        // One near scan fewer: the strongest far scan takes the 20th
+        // slot and pulls the centroid east.
+        assert!(locate(&all[1..])[0].x > locate(&near[1..])[0].x + 1.0);
     }
 }

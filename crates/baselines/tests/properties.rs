@@ -38,7 +38,7 @@ proptest! {
         n in 20usize..60,
     ) {
         let readings = drive(&[ap1, ap1 + gap], n);
-        let est = Skyhook::default().localize(&readings);
+        let est = Skyhook.localize(&readings);
         let scan_bbox = Rect::bounding(
             &readings.iter().map(|r| r.position).collect::<Vec<_>>()
         ).unwrap().expanded(1e-9);
@@ -81,7 +81,7 @@ proptest! {
     fn all_baselines_tolerate_tiny_inputs(n in 0usize..3) {
         let readings = drive(&[50.0], n);
         for localizer in [
-            &Skyhook::default() as &dyn ApLocalizer,
+            &Skyhook as &dyn ApLocalizer,
             &MdsLocalizer::new(PathLossModel::uci_campus(), 3),
             &Lgmm::new(PathLossModel::uci_campus(), 10.0, 100.0, 3),
         ] {

@@ -91,7 +91,7 @@ fn run_point(k: usize, m_measurements: usize) -> PointResult {
         let readings = scattered_readings(&scenario, m_measurements, &mut rng);
 
         let cw = crowdwifi_estimate(&scenario, &readings, k);
-        let sky = Skyhook::default().localize(&readings).positions;
+        let sky = Skyhook.localize(&readings).positions;
         let lg = Lgmm::new(*scenario.pathloss(), LATTICE, 100.0, (k + 5).min(20))
             .localize(&readings)
             .positions;

@@ -119,7 +119,7 @@ fn main() {
     let route = mobility::testbed_passes(scenario.area(), 4, 20.0);
     let readings =
         RssCollector::new(&scenario).collect_along(&route, route.duration() / 60.0, &mut rng);
-    let sky = Skyhook::default().localize(&readings).positions;
+    let sky = Skyhook.localize(&readings).positions;
     let es = lookup_errors(&truth, &sky, LATTICE);
     println!(
         "Skyhook on the same area: k_est = {}, avg error = {} m",

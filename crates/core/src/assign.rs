@@ -144,26 +144,20 @@ impl Assigner for ExhaustiveAssigner {
 #[derive(Debug, Clone)]
 pub struct ClusterAssigner {
     pathloss: PathLossModel,
-    range_weight: f64,
-    kmeans_iterations: usize,
 }
+
+/// Weight `w` of the RSS-derived range feature relative to the spatial
+/// coordinates.
+const RANGE_WEIGHT: f64 = 0.5;
+
+/// Lloyd iterations per k-means run.
+const KMEANS_ITERATIONS: usize = 25;
 
 impl ClusterAssigner {
     /// Creates a cluster assigner using `pathloss` to convert RSS to an
     /// estimated range feature.
     pub fn new(pathloss: PathLossModel) -> Self {
-        ClusterAssigner {
-            pathloss,
-            range_weight: 0.5,
-            kmeans_iterations: 25,
-        }
-    }
-
-    /// Sets the weight of the RSS-derived range feature relative to the
-    /// spatial coordinates (default 0.5).
-    pub fn with_range_weight(mut self, w: f64) -> Self {
-        self.range_weight = w.max(0.0);
-        self
+        ClusterAssigner { pathloss }
     }
 
     fn features(&self, readings: &[RssReading]) -> Vec<[f64; 3]> {
@@ -171,7 +165,7 @@ impl ClusterAssigner {
             .iter()
             .map(|r| {
                 let d = self.pathloss.distance_for_rss(r.rss_dbm);
-                [r.position.x, r.position.y, self.range_weight * d]
+                [r.position.x, r.position.y, RANGE_WEIGHT * d]
             })
             .collect()
     }
@@ -215,7 +209,7 @@ impl ClusterAssigner {
         }
 
         let mut labels = vec![0usize; n];
-        for _ in 0..self.kmeans_iterations {
+        for _ in 0..KMEANS_ITERATIONS {
             let mut changed = false;
             for (i, f) in feats.iter().enumerate() {
                 let best = (0..k)

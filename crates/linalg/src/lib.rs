@@ -10,9 +10,9 @@
 //!   and the transformed observation — from the small Gram matrix, with
 //!   no SVD,
 //! * singular value decomposition and the Moore–Penrose pseudo-inverse
-//!   ([`svd`]), used by the basis-pursuit reference solver and the
-//!   baselines,
-//! * LU/Cholesky solvers ([`solve`]) used by the ADMM basis-pursuit solver,
+//!   ([`svd`]), used by the MDS baseline and as the whitening tests'
+//!   `A⁺` oracle,
+//! * LU/Cholesky solvers ([`solve`]); IRLS uses the LU,
 //! * row-blocked unrolled kernels ([`kernels`]) behind the hot
 //!   `Matrix`/[`vector`] operations — bit-identical to the scalar
 //!   reference loops kept beside them for the tests.

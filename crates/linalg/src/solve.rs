@@ -1,7 +1,7 @@
 //! Direct solvers: LU with partial pivoting and Cholesky.
 //!
-//! The ADMM basis-pursuit solver factors `(AᵀA + ρI)` once per problem and
-//! back-substitutes every iteration — Cholesky makes that cheap.
+//! IRLS factors its weighted Gram matrix `A D Aᵀ` with LU every
+//! iteration.
 
 // Index-based loops below mirror the textbook algorithms; iterator
 // rewrites obscure the math.

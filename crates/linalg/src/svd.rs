@@ -5,7 +5,7 @@
 //! `A = ΦΨ`. The recovery path whitens from the Gram matrix instead
 //! ([`crate::whiten`]), because vectors read off a Gram
 //! eigendecomposition are only orthonormal to about `ε·σ_max/σ`; this
-//! module serves the basis-pursuit solver and the MDS baseline.
+//! module serves the MDS baseline and the whitening tests' `A⁺` oracle.
 //!
 //! The SVD is built from the symmetric eigendecomposition of the smaller
 //! Gram matrix (`AᵀA` or `AAᵀ`), which is accurate enough for the

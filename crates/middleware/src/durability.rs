@@ -444,31 +444,6 @@ pub fn read_wal(bytes: &[u8]) -> Result<WalReplay> {
     })
 }
 
-/// Rebuilds a server from a log sink alone: read (tolerating a torn
-/// tail), then snapshot-free replay via
-/// [`ServerCore::recover`](crate::protocol::ServerCore::recover).
-/// Returns the recovered core, the surviving actions the driver must
-/// re-perform (timers to re-arm, possibly a terminal action), and the
-/// replay itself.
-///
-/// # Errors
-///
-/// As [`read_wal`] and `ServerCore::recover`.
-pub fn recover_round(
-    sink: &mut dyn LogSink,
-    registry: Registry,
-) -> Result<(ServerCore, Vec<Action>, WalReplay)> {
-    let replay = read_wal(&sink.contents()?)?;
-    let (core, actions) = ServerCore::recover(
-        replay.header.segments.clone(),
-        &replay.header.fleet,
-        replay.header.config,
-        registry,
-        &replay.events,
-    )?;
-    Ok((core, actions, replay))
-}
-
 // ---------------------------------------------------------------------
 // Snapshot store
 // ---------------------------------------------------------------------

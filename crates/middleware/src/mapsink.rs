@@ -4,15 +4,14 @@
 //! estimates (support standing in as consolidation credit, exactly as
 //! the sharded campaign database treats them) are absorbed into a
 //! [`GeoMap`], stamped with a virtual clock derived from the round
-//! index. Optionally the sink runs the map's TTL/transient eviction
-//! every `k` rounds, so a long campaign keeps the map pruned without
-//! any wall-clock dependency — the round index *is* the clock, which
-//! keeps map contents a deterministic function of the campaign.
+//! index. The round index *is* the clock, with no wall-clock
+//! dependency, which keeps map contents a deterministic function of the
+//! campaign. Eviction is the map owner's call ([`GeoMap::evict`]).
 
 use crate::protocol::PlatformReport;
 use crate::transport::RoundSink;
 use crowdwifi_core::ApEstimate;
-use crowdwifi_geomap::{EvictStats, GeoMap, IngestStats};
+use crowdwifi_geomap::{GeoMap, IngestStats};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -21,32 +20,21 @@ use std::time::Duration;
 pub struct GeoMapSink {
     map: Arc<GeoMap>,
     round_period_micros: u64,
-    evict_every: usize,
     rounds_closed: usize,
     ingested: IngestStats,
-    last_evict: Option<EvictStats>,
 }
 
 impl GeoMapSink {
     /// A sink writing into `map`, advancing the map clock by
     /// `round_period` per closed round (round `i` closes at
-    /// `(i + 1) × round_period`). No periodic eviction.
+    /// `(i + 1) × round_period`).
     pub fn new(map: Arc<GeoMap>, round_period: Duration) -> Self {
         GeoMapSink {
             map,
             round_period_micros: round_period.as_micros().min(u128::from(u64::MAX)) as u64,
-            evict_every: 0,
             rounds_closed: 0,
             ingested: IngestStats::default(),
-            last_evict: None,
         }
-    }
-
-    /// Also sweeps the map's eviction pass after every `rounds` closed
-    /// rounds (0 disables).
-    pub fn with_eviction_every(mut self, rounds: usize) -> Self {
-        self.evict_every = rounds;
-        self
     }
 
     /// The map clock value (microseconds) at which round `round`
@@ -69,11 +57,6 @@ impl GeoMapSink {
     pub fn ingested(&self) -> IngestStats {
         self.ingested
     }
-
-    /// Counters of the most recent periodic eviction sweep, if any ran.
-    pub fn last_evict(&self) -> Option<EvictStats> {
-        self.last_evict
-    }
 }
 
 impl RoundSink for GeoMapSink {
@@ -92,9 +75,6 @@ impl RoundSink for GeoMapSink {
         self.ingested.opened += stats.opened;
         self.ingested.rejected += stats.rejected;
         self.rounds_closed += 1;
-        if self.evict_every > 0 && self.rounds_closed.is_multiple_of(self.evict_every) {
-            self.last_evict = Some(self.map.evict(now));
-        }
     }
 }
 
@@ -148,28 +128,5 @@ mod tests {
         assert_eq!(hits[0].credit, 4.0);
         assert_eq!(hits[0].first_seen_micros, 60_000_000);
         assert_eq!(hits[0].last_seen_micros, 120_000_000);
-    }
-
-    #[test]
-    fn periodic_eviction_runs_on_the_round_clock() {
-        let world = Rect::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)).unwrap();
-        let mut cfg = MapConfig::new(world);
-        cfg.ttl_micros = 90_000_000; // 1.5 rounds
-        let map = Arc::new(GeoMap::new(cfg).unwrap());
-        let mut sink =
-            GeoMapSink::new(Arc::clone(&map), Duration::from_secs(60)).with_eviction_every(2);
-        sink.round_closed(0, &report(vec![fused(100.0, 100.0, 2.0)]));
-        assert!(sink.last_evict().is_none());
-        // Round 1 closes at 120 s; the round-0 entry (last seen 60 s)
-        // is only 60 s old — kept.
-        sink.round_closed(1, &report(vec![fused(500.0, 500.0, 2.0)]));
-        assert_eq!(sink.last_evict().unwrap().remaining, 2);
-        // Round 3 closes at 240 s; both entries are now stale.
-        sink.round_closed(2, &report(Vec::new()));
-        sink.round_closed(3, &report(Vec::new()));
-        let sweep = sink.last_evict().unwrap();
-        assert_eq!(sweep.expired, 2);
-        assert_eq!(sweep.remaining, 0);
-        assert!(map.is_empty());
     }
 }

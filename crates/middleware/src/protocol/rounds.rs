@@ -57,7 +57,8 @@ pub struct PlatformConfig {
     /// Vehicles at or below this inferred reliability are excluded from
     /// fusion.
     pub spammer_cutoff: f64,
-    /// Base RNG seed; vehicle `i` uses `seed + i + 1`.
+    /// Base RNG seed; vehicle `i` uses `seed + i + 1`, wrapping at
+    /// `u64::MAX`.
     pub seed: u64,
     /// Deadlines, retries and the completion quorum.
     pub tolerance: FaultTolerance,

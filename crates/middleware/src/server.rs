@@ -46,9 +46,6 @@ pub struct CrowdServer {
     patterns: Vec<Pattern>,
     answers: Vec<MappingAnswer>,
     reliabilities: BTreeMap<VehicleId, f64>,
-    /// EMA factor blending each round's inferred reliability into the
-    /// long-run estimate (1.0 = use the latest round only).
-    reliability_smoothing: f64,
 }
 
 impl CrowdServer {
@@ -63,25 +60,7 @@ impl CrowdServer {
             patterns: Vec::new(),
             answers: Vec::new(),
             reliabilities: BTreeMap::new(),
-            reliability_smoothing: 1.0,
         }
-    }
-
-    /// Sets the reliability EMA factor `α ∈ (0, 1]`: across repeated
-    /// crowdsourcing rounds a vehicle's long-run reliability becomes
-    /// `α·round + (1−α)·previous`, so one lucky round cannot whitewash a
-    /// spammer. The default `α = 1` keeps the paper's per-round behavior.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1]`.
-    pub fn with_reliability_smoothing(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha > 0.0 && alpha <= 1.0,
-            "smoothing factor must lie in (0, 1]"
-        );
-        self.reliability_smoothing = alpha;
-        self
     }
 
     /// The segment map in force.
@@ -334,11 +313,8 @@ impl CrowdServer {
         let result = EmAggregator::default().run(&matrix);
 
         let reliability = &result.reliabilities;
-        let alpha = self.reliability_smoothing;
         for (i, &v) in self.vehicles.iter().enumerate() {
-            let previous = self.reliabilities.get(&v).copied().unwrap_or(0.5);
-            self.reliabilities
-                .insert(v, alpha * reliability[i] + (1.0 - alpha) * previous);
+            self.reliabilities.insert(v, reliability[i]);
         }
 
         // A task that lost all of its labels (every assigned vehicle
@@ -576,45 +552,6 @@ mod tests {
         // Opting back in restores eligibility.
         s.set_participation(VehicleId(3), true);
         assert!(s.assign_tasks(4, &mut rng).is_ok());
-    }
-
-    #[test]
-    fn reliability_smoothing_blends_rounds() {
-        let mut s = server().with_reliability_smoothing(0.5);
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        for v in 0..4 {
-            s.register(VehicleId(v));
-        }
-        s.receive_upload(upload(0, &[(50.0, 50.0)])).unwrap();
-        s.generate_patterns(2, &mut rng);
-        let tasks = s.assign_tasks(3, &mut rng).unwrap();
-        let mut answers = Vec::new();
-        for (&vehicle, list) in &tasks {
-            for task in list {
-                // Everyone answers "exists" only for the single-AP
-                // pattern near (50, 50).
-                let label = if task.pattern.aps.len() == 1
-                    && task.pattern.aps[0].distance(Point::new(50.0, 50.0)) <= 20.0
-                {
-                    1
-                } else {
-                    -1
-                };
-                answers.push(MappingAnswer {
-                    vehicle,
-                    task_id: task.task_id,
-                    label,
-                });
-            }
-        }
-        s.receive_answers(answers);
-        let outcome = s.infer(&mut rng).unwrap();
-        // With α = 0.5 and a 0.5 prior, one round can move a vehicle at
-        // most halfway toward its round estimate.
-        for (_, &q) in outcome.reliabilities.iter() {
-            assert!((0.0..=1.0).contains(&q));
-            assert!((q - 0.5).abs() <= 0.5 * 0.5 + 1e-9, "over-moved: {q}");
-        }
     }
 
     #[test]

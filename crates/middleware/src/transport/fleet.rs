@@ -33,7 +33,7 @@
 //! to `fleet_drive`.
 
 use super::sim::{apply, Downlink, QueueSink, ServerQueue, Uplink};
-use super::{panic_message, seal_report, EventHost, Transport};
+use super::{panic_message, seal_report, vehicle_seed, EventHost, Transport};
 use crate::durability::{DurableRound, LogSink};
 use crate::fault::{FaultPlan, FaultTally, LinkDirection};
 use crate::messages::{ToServer, ToVehicle, VehicleId};
@@ -371,7 +371,7 @@ fn fleet_drive<H: EventHost>(
                 exit: None,
             },
             ComputeCell {
-                core: VehicleCore::new(vehicle, config.seed + i as u64 + 1, plan.misbehavior(id)),
+                core: VehicleCore::new(vehicle, vehicle_seed(config.seed, i), plan.misbehavior(id)),
                 readings,
                 pending: Vec::new(),
                 staged: Vec::new(),
@@ -517,6 +517,65 @@ fn fleet_drive<H: EventHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPoint;
+    use crate::transport::sim_round_with_digest;
+    use crate::vehicle::Behavior;
+    use crowdwifi_channel::PathLossModel;
+    use crowdwifi_core::{OnlineCs, OnlineCsConfig};
+    use crowdwifi_geo::{Point, Rect};
+
+    /// Five vehicles on staggered drives past two roadside APs.
+    fn fleet() -> Vec<(CrowdVehicle, Vec<RssReading>)> {
+        let model = PathLossModel::uci_campus();
+        (0..5u32)
+            .map(|v| {
+                let readings = (0..50)
+                    .map(|i| {
+                        let lane = if (i / 5) % 2 == 0 { 0.0 } else { 12.0 };
+                        let p = Point::new(6.0 * i as f64, v as f64 * 0.5 + lane);
+                        let ap = Point::new(if p.x < 140.0 { 60.0 } else { 220.0 }, 30.0);
+                        RssReading::new(p, model.mean_rss(p.distance(ap)), i as f64)
+                    })
+                    .collect();
+                let estimator = OnlineCs::new(OnlineCsConfig::default(), model).unwrap();
+                let vehicle = CrowdVehicle::new(VehicleId(v), estimator, Behavior::Honest);
+                (vehicle, readings)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_chunking_matches_the_simulator_byte_for_byte() {
+        // Built directly, so the worker counts skip `clamp_workers`:
+        // 3 and 5 workers split five vehicles into several chunks even
+        // on a one- or two-core machine.
+        let segments = SegmentMap::new(
+            Rect::new(Point::new(0.0, -20.0), Point::new(300.0, 80.0)).unwrap(),
+            150.0,
+        );
+        let config = PlatformConfig {
+            workers_per_task: 3,
+            ..PlatformConfig::default()
+        };
+        let plan = FaultPlan::noisy(29, 0.05, 0.05, 0.05).crash(VehicleId(1), FaultPoint::Upload);
+        let (sim, sim_digest) =
+            sim_round_with_digest(segments.clone(), fleet(), config, &plan).unwrap();
+        for workers in [1, 2, 3, 5] {
+            let (report, digest) = FleetTransport { workers }
+                .run_round_with_digest(segments.clone(), fleet(), config, &plan)
+                .unwrap();
+            assert_eq!(digest, sim_digest, "digest diverged at {workers} workers");
+            assert_eq!(
+                format!("{:?}", report.deterministic()),
+                format!("{:?}", sim.deterministic()),
+                "projection diverged at {workers} workers"
+            );
+            assert_eq!(
+                report.exits, sim.exits,
+                "exits diverged at {workers} workers"
+            );
+        }
+    }
 
     #[test]
     fn worker_clamp_mirrors_thread_budget() {

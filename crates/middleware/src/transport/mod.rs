@@ -294,6 +294,12 @@ fn run_campaign<T: Transport + ?Sized>(
     Ok(CampaignOutcome { reports, database })
 }
 
+/// The RNG seed of the `i`-th vehicle in a round seeded with `base`:
+/// `base + i + 1`, wrapping, so every base seed is valid.
+pub(crate) fn vehicle_seed(base: u64, i: usize) -> u64 {
+    base.wrapping_add(i as u64).wrapping_add(1)
+}
+
 /// Extracts a readable message from a caught panic payload.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

@@ -16,7 +16,7 @@ use crate::protocol::{
     Action, Event, PlatformConfig, PlatformReport, ServerCore, TimerId, VirtualInstant,
 };
 use crate::segment::SegmentMap;
-use crate::transport::{panic_message, seal_report, EventHost, Transport};
+use crate::transport::{panic_message, seal_report, vehicle_seed, EventHost, Transport};
 use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleExit, VehicleStep};
 use crate::wire::{WireDigest, WireMessage};
 use crate::{MiddlewareError, Result};
@@ -246,7 +246,7 @@ fn sim_drive<H: EventHost>(
         vehicles.insert(
             id,
             SimVehicle {
-                core: VehicleCore::new(vehicle, config.seed + i as u64 + 1, plan.misbehavior(id)),
+                core: VehicleCore::new(vehicle, vehicle_seed(config.seed, i), plan.misbehavior(id)),
                 readings,
                 inbox,
                 uplink: Some(uplink),

@@ -10,7 +10,7 @@ use crate::protocol::{
     Action, Event, PlatformConfig, PlatformReport, ServerCore, TimerId, VirtualInstant,
 };
 use crate::segment::SegmentMap;
-use crate::transport::{panic_message, seal_report, EventHost, Transport};
+use crate::transport::{panic_message, seal_report, vehicle_seed, EventHost, Transport};
 use crate::vehicle::{run_protocol, CrowdVehicle, VehicleCore, VehicleExit};
 use crate::wire::WireMessage;
 use crate::Result;
@@ -132,7 +132,7 @@ fn thread_drive_round<H: EventHost>(
             );
             let rx = vehicle_rxs[&id].clone();
             let script = plan.misbehavior(id);
-            let seed = config.seed + i as u64 + 1;
+            let seed = vehicle_seed(config.seed, i);
             let segments = &segments;
             let exits = &exits;
             scope.spawn(move || {

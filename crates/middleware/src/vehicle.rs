@@ -28,10 +28,11 @@ pub struct CrowdVehicle {
     estimator: OnlineCs,
     behavior: Behavior,
     estimates: Vec<ApEstimate>,
-    /// A pattern AP "matches" one of the vehicle's own estimates within
-    /// this distance (meters).
-    match_tolerance: f64,
 }
+
+/// A pattern AP "matches" one of the vehicle's own estimates within
+/// this distance (meters).
+const MATCH_TOLERANCE_M: f64 = 25.0;
 
 impl CrowdVehicle {
     /// Creates a vehicle with the given estimator and behavior.
@@ -41,14 +42,7 @@ impl CrowdVehicle {
             estimator,
             behavior,
             estimates: Vec::new(),
-            match_tolerance: 25.0,
         }
-    }
-
-    /// Sets the pattern-match tolerance in meters (default 25 m).
-    pub fn with_match_tolerance(mut self, tolerance: f64) -> Self {
-        self.match_tolerance = tolerance.max(0.0);
-        self
     }
 
     /// The vehicle's identifier.
@@ -126,9 +120,10 @@ impl CrowdVehicle {
         // Greedy matching within tolerance.
         let mut used = vec![false; own_in_segment.len()];
         for pattern_ap in &task.pattern.aps {
-            let found = own_in_segment.iter().enumerate().find(|(i, e)| {
-                !used[*i] && e.position.distance(*pattern_ap) <= self.match_tolerance
-            });
+            let found = own_in_segment
+                .iter()
+                .enumerate()
+                .find(|(i, e)| !used[*i] && e.position.distance(*pattern_ap) <= MATCH_TOLERANCE_M);
             match found {
                 Some((i, _)) => used[i] = true,
                 None => return -1,

@@ -24,7 +24,7 @@
 //!
 //! * unsigned integers (ids, counts, lengths, microsecond timestamps)
 //!   travel as LEB128 varints;
-//! * `i8` labels as one sign-extended byte, `i16` as two LE bytes;
+//! * `i8` labels as one sign-extended byte;
 //! * `f64` as the LEB128 varint of its **byte-swapped** IEEE-754 bit
 //!   pattern. Real-world coordinates (lattice nodes, credits, segment
 //!   sizes) have mostly-zero low mantissa bytes, so byte-swapping puts
@@ -134,11 +134,6 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// Appends an `i8` as one byte.
 pub fn put_i8(out: &mut Vec<u8>, v: i8) {
     out.push(v as u8);
-}
-
-/// Appends an `i16` as two little-endian bytes.
-pub fn put_i16(out: &mut Vec<u8>, v: i16) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends an `f64` as the varint of its byte-swapped bit pattern (see
@@ -316,13 +311,6 @@ impl<'a> WireReader<'a> {
     /// Reads one sign-extended byte.
     pub fn i8(&mut self) -> Result<i8> {
         Ok(self.byte()? as i8)
-    }
-
-    /// Reads a two-byte little-endian `i16`.
-    pub fn i16(&mut self) -> Result<i16> {
-        let lo = self.byte()?;
-        let hi = self.byte()?;
-        Ok(i16::from_le_bytes([lo, hi]))
     }
 
     /// Reads an `f64` written by [`put_f64`] (bit-exact, NaN payloads

@@ -5,7 +5,6 @@
 //! trait object would not be).
 
 use crate::active_set::ActiveSet;
-use crate::admm::BasisPursuit;
 use crate::fista::Fista;
 use crate::irls::Irls;
 use crate::omp::Omp;
@@ -39,8 +38,6 @@ pub enum AnySolver {
     ActiveSet(ActiveSet),
     /// Proximal-gradient LASSO (ISTA/FISTA).
     Fista(Fista),
-    /// ADMM equality-constrained basis pursuit.
-    BasisPursuit(BasisPursuit),
     /// Orthogonal matching pursuit.
     Omp(Omp),
     /// Iteratively reweighted least squares.
@@ -105,7 +102,6 @@ impl SparseRecovery for AnySolver {
         let result = match self {
             AnySolver::ActiveSet(s) => s.recover(a, y),
             AnySolver::Fista(s) => s.recover(a, y),
-            AnySolver::BasisPursuit(s) => s.recover(a, y),
             AnySolver::Omp(s) => s.recover(a, y),
             AnySolver::Irls(s) => s.recover(a, y),
         };
@@ -117,7 +113,6 @@ impl SparseRecovery for AnySolver {
         let result = match self {
             AnySolver::ActiveSet(s) => s.recover_with(a, y, ws),
             AnySolver::Fista(s) => s.recover_with(a, y, ws),
-            AnySolver::BasisPursuit(s) => s.recover_with(a, y, ws),
             AnySolver::Omp(s) => s.recover_with(a, y, ws),
             AnySolver::Irls(s) => s.recover_with(a, y, ws),
         };
@@ -129,7 +124,6 @@ impl SparseRecovery for AnySolver {
         match self {
             AnySolver::ActiveSet(s) => s.name(),
             AnySolver::Fista(s) => s.name(),
-            AnySolver::BasisPursuit(s) => s.name(),
             AnySolver::Omp(s) => s.name(),
             AnySolver::Irls(s) => s.name(),
         }
@@ -145,12 +139,6 @@ impl From<ActiveSet> for AnySolver {
 impl From<Fista> for AnySolver {
     fn from(s: Fista) -> Self {
         AnySolver::Fista(s)
-    }
-}
-
-impl From<BasisPursuit> for AnySolver {
-    fn from(s: BasisPursuit) -> Self {
-        AnySolver::BasisPursuit(s)
     }
 }
 
@@ -196,7 +184,6 @@ mod tests {
         for solver in [
             AnySolver::default_active_set(),
             AnySolver::default_fista(),
-            AnySolver::from(BasisPursuit::default()),
             AnySolver::default_omp(),
             AnySolver::default_irls(),
         ] {
@@ -237,7 +224,6 @@ mod tests {
         let names = [
             AnySolver::default_active_set().name(),
             AnySolver::default_fista().name(),
-            AnySolver::from(BasisPursuit::default()).name(),
             AnySolver::default_omp().name(),
             AnySolver::default_irls().name(),
         ];

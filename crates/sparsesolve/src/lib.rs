@@ -17,8 +17,6 @@
 //! * [`fista`] — proximal-gradient LASSO (`min ½‖Aθ − y‖² + λ‖θ‖₁`), in
 //!   plain ISTA and accelerated FISTA variants. The pipeline's fallback
 //!   when the active set runs out of pivots.
-//! * [`admm`] — ADMM for the equality-constrained basis-pursuit
-//!   program, the reference the other families are tested against.
 //! * [`omp`] — orthogonal matching pursuit, a greedy baseline that is also
 //!   used to sanity-check the convex solvers in tests,
 //! * [`irls`] — iteratively reweighted least squares, a fourth family
@@ -44,7 +42,6 @@
 #![deny(missing_docs)]
 
 pub mod active_set;
-pub mod admm;
 pub mod any;
 pub mod fista;
 pub mod irls;

@@ -6,14 +6,14 @@
 //! as an ablation point in the benches (greedy vs ℓ1 inside the CrowdWiFi
 //! pipeline).
 
-use crate::{validate_problem, Recovery, Result, SolverError, SparseRecovery};
+use crate::{validate_problem, Recovery, Result, SparseRecovery};
 use crowdwifi_linalg::vector;
 use crowdwifi_linalg::{Matrix, QrDecomposition};
 
 /// Orthogonal matching pursuit solver.
 ///
 /// Stops when `max_atoms` columns are selected or the residual norm falls
-/// below `residual_tolerance · ‖y‖₂`.
+/// below `1e-6 · ‖y‖₂`.
 ///
 /// # Example
 ///
@@ -29,32 +29,17 @@ use crowdwifi_linalg::{Matrix, QrDecomposition};
 #[derive(Debug, Clone)]
 pub struct Omp {
     max_atoms: usize,
-    residual_tolerance: f64,
 }
+
+/// Relative residual norm `‖r‖₂ / ‖y‖₂` at which OMP stops selecting.
+const RESIDUAL_TOLERANCE: f64 = 1e-6;
 
 impl Omp {
     /// Creates an OMP solver selecting at most `max_atoms` columns.
     pub fn new(max_atoms: usize) -> Self {
         Omp {
             max_atoms: max_atoms.max(1),
-            residual_tolerance: 1e-6,
         }
-    }
-
-    /// Sets the relative residual stopping tolerance (default `1e-6`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::InvalidParameter`] for negative values.
-    pub fn with_residual_tolerance(mut self, tol: f64) -> Result<Self> {
-        if tol < 0.0 {
-            return Err(SolverError::InvalidParameter {
-                name: "residual_tolerance",
-                reason: format!("must be non-negative, got {tol}"),
-            });
-        }
-        self.residual_tolerance = tol;
-        Ok(self)
     }
 }
 
@@ -75,7 +60,7 @@ impl SparseRecovery for Omp {
         let col_norms: Vec<f64> = (0..n).map(|c| vector::norm2(&a.col(c))).collect();
 
         while selected.len() < budget {
-            if vector::norm2(&residual) <= self.residual_tolerance * ynorm.max(1e-300) {
+            if vector::norm2(&residual) <= RESIDUAL_TOLERANCE * ynorm.max(1e-300) {
                 break;
             }
             iterations += 1;
@@ -124,7 +109,7 @@ impl SparseRecovery for Omp {
             solution,
             iterations,
             residual_norm,
-            converged: residual_norm <= self.residual_tolerance * ynorm.max(1e-300)
+            converged: residual_norm <= RESIDUAL_TOLERANCE * ynorm.max(1e-300)
                 || selected.len() == budget,
             // OMP is budget-driven, not tolerance-driven: no
             // early-stopping headroom applies.
@@ -199,10 +184,5 @@ mod tests {
         let rec = Omp::new(4).recover(&a, &[0.0; 8]).unwrap();
         assert!(rec.solution.iter().all(|&x| x == 0.0));
         assert!(rec.converged);
-    }
-
-    #[test]
-    fn rejects_negative_tolerance() {
-        assert!(Omp::new(2).with_residual_tolerance(-1.0).is_err());
     }
 }

@@ -2,7 +2,7 @@
 
 /// Reusable buffers for [`crate::SparseRecovery::recover_with`].
 ///
-/// The iterative solvers (FISTA/ISTA, basis pursuit, IRLS)
+/// The iterative solvers (FISTA/ISTA, IRLS)
 /// keep several solution-sized vectors alive across iterations;
 /// historically each iteration *cloned* them — FISTA alone allocated
 /// four fresh vectors per step, ~8000 heap allocations for a default
@@ -28,10 +28,8 @@ pub struct SolverWorkspace {
     /// Swap partner for `x`: the next iterate or a previous-iterate
     /// snapshot, depending on the solver.
     pub(crate) x_alt: Vec<f64>,
-    /// ADMM splitting variable / FISTA extrapolation point.
+    /// FISTA extrapolation point.
     pub(crate) z: Vec<f64>,
-    /// ADMM scaled dual variable.
-    pub(crate) u: Vec<f64>,
     /// Gradient / correction vector (solution-length).
     pub(crate) grad: Vec<f64>,
     /// Generic solution-length scratch (rhs, weights, snapshots).
@@ -53,7 +51,6 @@ impl SolverWorkspace {
 mod tests {
     use super::*;
     use crate::active_set::ActiveSet;
-    use crate::admm::BasisPursuit;
     use crate::fista::{Acceleration, Fista};
     use crate::irls::Irls;
     use crate::omp::Omp;
@@ -94,7 +91,6 @@ mod tests {
             AnySolver::ActiveSet(ActiveSet::default()),
             AnySolver::Fista(Fista::default()),
             AnySolver::Fista(Fista::default().with_acceleration(Acceleration::None)),
-            AnySolver::BasisPursuit(BasisPursuit::default()),
             AnySolver::Irls(Irls::default()),
             AnySolver::Omp(Omp::new(4)),
         ];

@@ -5,7 +5,6 @@
 use crowdwifi_linalg::whiten::whiten;
 use crowdwifi_linalg::{vector, Matrix};
 use crowdwifi_sparsesolve::active_set::{ActiveSet, KKT_TOLERANCE, LAMBDA_REL};
-use crowdwifi_sparsesolve::admm::BasisPursuit;
 use crowdwifi_sparsesolve::fista::Fista;
 use crowdwifi_sparsesolve::irls::Irls;
 use crowdwifi_sparsesolve::omp::Omp;
@@ -161,16 +160,6 @@ proptest! {
     }
 
     #[test]
-    fn basis_pursuit_exact_in_noiseless_regime(seed in 0u64..1000, k in 1usize..4) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed.wrapping_add(77));
-        let a = gaussian_matrix(&mut rng);
-        let theta = sparse_signal(&mut rng, k, false);
-        let y = a.matvec(&theta);
-        let rec = BasisPursuit::default().recover(&a, &y).unwrap();
-        prop_assert!(vector::distance(&rec.solution, &theta) < 1e-3);
-    }
-
-    #[test]
     fn omp_exact_with_known_sparsity(seed in 0u64..1000, k in 1usize..4) {
         // OMP's exact-recovery guarantee needs comfortable sparsity and
         // non-vanishing coefficients; k <= 3 against M = 24 Gaussian
@@ -214,8 +203,7 @@ proptest! {
         // Random, not-necessarily-consistent measurements.
         let y: Vec<f64> = (0..M).map(|_| rng.random_range(-5.0..5.0)).collect();
         for solver in [&Fista::default() as &dyn SparseRecovery,
-                       &ActiveSet::default(), &Omp::new(6), &BasisPursuit::default(),
-                       &Irls::default()] {
+                       &ActiveSet::default(), &Omp::new(6), &Irls::default()] {
             let rec = solver.recover(&a, &y).unwrap();
             prop_assert!(rec.solution.iter().all(|x| x.is_finite()), "{} produced non-finite", solver.name());
         }

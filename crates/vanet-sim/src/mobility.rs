@@ -72,32 +72,6 @@ pub fn lawnmower_route(area: Rect, spacing: f64, speed_mph: f64) -> Trajectory {
     Trajectory::with_constant_speed(&path, mph_to_mps(speed_mph)).expect("sweep route is valid")
 }
 
-/// A vertical (north–south) lawnmower sweep — the transpose of
-/// [`lawnmower_route`], used to give different crowd-vehicles different
-/// viewing geometry over the same area.
-///
-/// # Panics
-///
-/// Panics if `spacing` or `speed_mph` is not positive.
-pub fn lawnmower_route_vertical(area: Rect, spacing: f64, speed_mph: f64) -> Trajectory {
-    assert!(spacing > 0.0, "spacing must be positive");
-    assert!(speed_mph > 0.0, "speed must be positive");
-    let inset = spacing.min(area.width() / 10.0).min(area.height() / 10.0);
-    let y0 = area.min().y + inset;
-    let y1 = area.max().y - inset;
-    let mut path = Vec::new();
-    let mut x = area.min().x + inset;
-    let mut downward = false;
-    while x <= area.max().x - inset + 1e-9 {
-        let (ya, yb) = if downward { (y1, y0) } else { (y0, y1) };
-        path.push(Point::new(x, ya));
-        path.push(Point::new(x, yb));
-        downward = !downward;
-        x += spacing;
-    }
-    Trajectory::with_constant_speed(&path, mph_to_mps(speed_mph)).expect("sweep route is valid")
-}
-
 /// Straight drive-by passes across the testbed area (§6.2): `passes`
 /// horizontal streets at evenly spaced heights, driven at `speed_mph`
 /// (the experiment used 20, 35 and 45 mph).

@@ -10,7 +10,6 @@
 use crate::collector::RssCollector;
 use crate::mobility::vanlan_round;
 use crate::scenario::Scenario;
-use crowdwifi_channel::noise::ShadowFading;
 use crowdwifi_channel::RssReading;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -126,20 +125,6 @@ impl VanLanTrace {
 pub fn reception_probability(rss_dbm: f64) -> f64 {
     let x = (rss_dbm + 90.0) / 35.0; // 0 at -90, 1 at -55
     x.clamp(0.0, 1.0).powf(1.2)
-}
-
-/// Log-normal-faded RSS helper shared with the handoff crate: mean RSS
-/// from the scenario channel plus one fading draw.
-pub fn faded_rss<R: Rng + ?Sized>(
-    scenario: &Scenario,
-    ap_index: usize,
-    van_position: crowdwifi_geo::Point,
-    rng: &mut R,
-) -> f64 {
-    let ap = &scenario.aps()[ap_index];
-    let d = ap.position.distance(van_position);
-    let fading = ShadowFading::new(scenario.shadow_sigma_db());
-    scenario.pathloss().mean_rss(d) + fading.sample(rng)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`linalg`] | `crowdwifi-linalg` | dense matrices, QR, eigen, SVD, pseudo-inverse, Prop-1 whitening |
-//! | [`sparsesolve`] | `crowdwifi-sparsesolve` | ℓ1 solvers: active set (default), FISTA, OMP, IRLS, ADMM basis pursuit |
+//! | [`sparsesolve`] | `crowdwifi-sparsesolve` | ℓ1 solvers: active set (default), FISTA, OMP, IRLS |
 //! | [`geo`] | `crowdwifi-geo` | points, rectangles, grids, trajectories |
 //! | [`channel`] | `crowdwifi-channel` | path loss, fading, GMM likelihood, BIC |
 //! | [`sim`] | `crowdwifi-vanet-sim` | scenario maps, mobility, RSS trace generation |

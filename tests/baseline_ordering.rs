@@ -58,7 +58,7 @@ fn crowdwifi_beats_lgmm_on_sparse_measurements() {
         let lg = Lgmm::new(*scenario.pathloss(), 8.0, 100.0, 10)
             .localize(&readings)
             .positions;
-        let sky = Skyhook::default().localize(&readings).positions;
+        let sky = Skyhook.localize(&readings).positions;
 
         cw_err += mean_distance_error(&truth, &cw).unwrap_or(100.0);
         lgmm_err += mean_distance_error(&truth, &lg).unwrap_or(100.0);

@@ -75,9 +75,9 @@ fn config() -> PlatformConfig {
 /// Runs one round on both backends and asserts the outcomes are
 /// byte-identical: same error, or same deterministic projection
 /// (everything except wall-clock timings).
-fn assert_round_equivalent(n: u32, plan: &FaultPlan) {
-    let threaded = ThreadTransport.run_round_with_faults(segments(), fleet(n), config(), plan);
-    let simulated = SimTransport.run_round_with_faults(segments(), fleet(n), config(), plan);
+fn assert_round_equivalent(n: u32, plan: &FaultPlan, config: PlatformConfig) {
+    let threaded = ThreadTransport.run_round_with_faults(segments(), fleet(n), config, plan);
+    let simulated = SimTransport.run_round_with_faults(segments(), fleet(n), config, plan);
     match (threaded, simulated) {
         (Ok(threaded), Ok(simulated)) => {
             assert_eq!(
@@ -99,7 +99,7 @@ fn assert_round_equivalent(n: u32, plan: &FaultPlan) {
 
 #[test]
 fn healthy_round_is_backend_equivalent() {
-    assert_round_equivalent(3, &FaultPlan::none());
+    assert_round_equivalent(3, &FaultPlan::none(), config());
 }
 
 #[test]
@@ -107,6 +107,7 @@ fn crashed_vehicle_round_is_backend_equivalent() {
     assert_round_equivalent(
         4,
         &FaultPlan::none().crash(VehicleId(2), FaultPoint::Upload),
+        config(),
     );
 }
 
@@ -115,6 +116,7 @@ fn straggler_round_is_backend_equivalent() {
     assert_round_equivalent(
         5,
         &FaultPlan::none().stall(VehicleId(1), FaultPoint::Answer),
+        config(),
     );
 }
 
@@ -124,7 +126,20 @@ fn noisy_links_round_is_backend_equivalent() {
     // delays reorder. The per-link RNG streams are keyed by (plan seed,
     // vehicle, direction), so both backends inject the same faults at
     // the same points in each link's send sequence.
-    assert_round_equivalent(4, &FaultPlan::noisy(11, 0.08, 0.15, 0.05));
+    assert_round_equivalent(4, &FaultPlan::noisy(11, 0.08, 0.15, 0.05), config());
+}
+
+#[test]
+fn max_seed_round_is_backend_equivalent() {
+    // Vehicle seeds are `seed + i + 1`: at the top of the range they
+    // must wrap on every backend, not overflow.
+    let config = PlatformConfig {
+        seed: u64::MAX,
+        ..config()
+    };
+    let plan = FaultPlan::noisy(11, 0.08, 0.15, 0.05);
+    assert_round_equivalent(4, &plan, config);
+    assert_fleet_round_equivalent(4, &plan, 2, config);
 }
 
 #[test]
@@ -234,12 +249,12 @@ fn clean_durable_round_is_backend_equivalent() {
 /// fleet-scale engine, asserting the issue's contract: byte-identical
 /// server state digests and fused maps on the same seed, plus equal
 /// deterministic projections, metrics and exits.
-fn assert_fleet_round_equivalent(n: u32, plan: &FaultPlan, workers: usize) {
+fn assert_fleet_round_equivalent(n: u32, plan: &FaultPlan, workers: usize, config: PlatformConfig) {
     let (sim_report, sim_digest) =
-        sim_round_with_digest(segments(), fleet(n), config(), plan).expect("sim round");
+        sim_round_with_digest(segments(), fleet(n), config, plan).expect("sim round");
     let engine = FleetTransport::new().with_workers(workers);
     let (fleet_report, fleet_digest) = engine
-        .run_round_with_digest(segments(), fleet(n), config(), plan)
+        .run_round_with_digest(segments(), fleet(n), config, plan)
         .expect("fleet round");
     assert_eq!(
         sim_digest, fleet_digest,
@@ -270,7 +285,7 @@ fn fleet_round_matches_sim_byte_for_byte() {
     let plan = FaultPlan::noisy(17, 0.08, 0.1, 0.05)
         .crash(VehicleId(1), FaultPoint::Upload)
         .stall(VehicleId(3), FaultPoint::Answer);
-    assert_fleet_round_equivalent(6, &plan, 2);
+    assert_fleet_round_equivalent(6, &plan, 2, config());
 }
 
 #[test]
@@ -279,7 +294,7 @@ fn fleet_results_are_invariant_to_worker_count() {
     // so the results cannot depend on how vehicles were batched.
     let plan = FaultPlan::noisy(29, 0.05, 0.05, 0.05);
     for workers in [1, 2, 3] {
-        assert_fleet_round_equivalent(5, &plan, workers);
+        assert_fleet_round_equivalent(5, &plan, workers, config());
     }
 }
 

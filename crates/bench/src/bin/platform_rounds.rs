@@ -1,21 +1,17 @@
 //! Platform round throughput on the virtual-clock simulator backend.
 //!
-//! The sans-I/O split pays off twice: the protocol outcome becomes a
-//! pure function of (fleet, config, fault plan), and a round that takes
-//! wall-clock seconds on the threaded backend (stall timeouts, retry
-//! backoffs are real sleeps there) replays on [`SimTransport`] as fast
-//! as the estimator maths allows. This bench quantifies both:
+//! The sans-I/O split makes the protocol outcome a pure function of
+//! (fleet, config, fault plan), and on [`SimTransport`] deadlines jump
+//! a virtual clock instead of sleeping, so a degraded round replays as
+//! fast as the estimator maths allows. This bench measures:
 //!
 //! 1. **Sim throughput** — rounds/sec for a clean five-vehicle round
 //!    and for a degraded round (crash + stall + 10% message drop) on
 //!    the simulator.
-//! 2. **Sim speedup** — wall time of the same degraded round on the
-//!    threaded backend vs the simulator. Deadlines that sleep vs
-//!    deadlines that jump a virtual clock.
-//! 3. **Determinism contract** — two same-seed sim rounds must produce
+//! 2. **Determinism contract** — two same-seed sim rounds must produce
 //!    byte-identical deterministic projections (asserted, not
 //!    reported).
-//! 4. **Durability cost** — WAL overhead of a clean durable round over
+//! 3. **Durability cost** — WAL overhead of a clean durable round over
 //!    the plain round (budget: 5% of round wall), and recovery replay
 //!    throughput over a synthetic mid-round WAL (floor: 50k
 //!    events/sec).
@@ -35,7 +31,7 @@ use crowdwifi_middleware::messages::{SensingUpload, ToServer, VehicleId};
 use crowdwifi_middleware::platform::{FaultTolerance, PlatformConfig};
 use crowdwifi_middleware::protocol::{Event, ServerCore, VirtualInstant};
 use crowdwifi_middleware::segment::SegmentMap;
-use crowdwifi_middleware::transport::{SimTransport, ThreadTransport, Transport};
+use crowdwifi_middleware::transport::{SimTransport, Transport};
 use crowdwifi_middleware::vehicle::{Behavior, CrowdVehicle};
 use crowdwifi_obs::Registry;
 use std::time::Duration;
@@ -84,8 +80,8 @@ fn config() -> PlatformConfig {
         workers_per_task: 3,
         seed: 7,
         tolerance: FaultTolerance {
-            // Snappy deadlines keep the threaded comparison round short;
-            // the simulator never sleeps either way.
+            // Deadlines are virtual time: they shape the degraded
+            // round's timeline, not its wall time.
             deadline: Duration::from_millis(800),
             retry_backoff: Duration::from_millis(100),
             ..FaultTolerance::default()
@@ -184,18 +180,6 @@ fn main() {
         sim_degraded_secs * 1e3
     );
 
-    // One threaded degraded round for the speedup ratio: its stall
-    // timeout and retry backoffs are real sleeps, so one rep reads
-    // fine — the sleeps dominate scheduling noise.
-    degraded(&ThreadTransport);
-    let thread_reps = if smoke { 1 } else { 2 };
-    let thread_degraded_secs = time(|| degraded(&ThreadTransport), thread_reps);
-    let sim_speedup = thread_degraded_secs / sim_degraded_secs;
-    println!(
-        "  threaded: degraded {:.1} ms/round → sim speedup {sim_speedup:.1}x",
-        thread_degraded_secs * 1e3
-    );
-
     // WAL overhead: the same clean round with every server event
     // appended to an in-memory log (count-batched syncs, the sim's
     // deterministic sink), one round per leg per rep. The budget is 5%
@@ -253,11 +237,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"platform_rounds\",\n  \"schema_version\": 8,\n  \"machine\": {{\"physical_parallelism\": {}, \"smoke\": {smoke}}},\n  \"sim\": {{\"reps\": {reps}, \"clean_ms\": {:.3}, \"degraded_ms\": {:.3}, \"sim_rounds_per_sec\": {sim_rounds_per_sec:.3}}},\n  \"threaded\": {{\"reps\": {thread_reps}, \"degraded_ms\": {:.3}}},\n  \"sim_speedup\": {sim_speedup:.3},\n  \"durability\": {{\n    \"wal_reps\": {wal_reps},\n    \"plain_ms\": {:.3},\n    \"durable_ms\": {:.3},\n    \"wal_overhead_pct\": {wal_overhead_pct:.3},\n    \"wal_overhead_budget_pct\": 5.0,\n    \"replay_reps\": {replay_reps},\n    \"replay_events\": {replayed_events},\n    \"replay_ms\": {:.4},\n    \"recovery_replay_events_per_sec\": {recovery_replay_events_per_sec:.0},\n    \"recovery_replay_floor_per_sec\": 50000\n  }},\n  \"notes\": \"clean round = 5 honest vehicles over a 2-AP drive; degraded adds one crash, one stall and 10% message drop. sim_speedup compares the degraded round's wall time on the threaded backend (timeouts and backoffs are real sleeps) against the virtual-clock simulator, at an 800 ms phase deadline — longer production deadlines widen the ratio. Determinism (same seed, byte-identical deterministic projection) is asserted before measuring. durability.wal_overhead_pct is the median over wal_reps of the per-rep durable/plain wall-time ratio, minus one, where each rep runs the plain clean round and the same round with a write-ahead log on the in-memory sink (count-batched syncs), alternating which runs first; plain_ms and durable_ms are the legs\' median wall times; the appends cost microseconds against a round dominated by estimator maths, so the percentage hovers around zero (residual noise, possibly negative) and CI gates it at 5%. recovery_replay_events_per_sec decodes a synthetic 64-vehicle mid-round WAL and rebuilds the server by replay; the floor is 50k events/sec.\"\n}}\n",
+        "{{\n  \"bench\": \"platform_rounds\",\n  \"schema_version\": 9,\n  \"machine\": {{\"physical_parallelism\": {}, \"smoke\": {smoke}}},\n  \"sim\": {{\"reps\": {reps}, \"clean_ms\": {:.3}, \"degraded_ms\": {:.3}, \"sim_rounds_per_sec\": {sim_rounds_per_sec:.3}}},\n  \"durability\": {{\n    \"wal_reps\": {wal_reps},\n    \"plain_ms\": {:.3},\n    \"durable_ms\": {:.3},\n    \"wal_overhead_pct\": {wal_overhead_pct:.3},\n    \"wal_overhead_budget_pct\": 5.0,\n    \"replay_reps\": {replay_reps},\n    \"replay_events\": {replayed_events},\n    \"replay_ms\": {:.4},\n    \"recovery_replay_events_per_sec\": {recovery_replay_events_per_sec:.0},\n    \"recovery_replay_floor_per_sec\": 50000\n  }},\n  \"notes\": \"clean round = 5 honest vehicles over a 2-AP drive; degraded adds one crash, one stall and 10% message drop; both run on the virtual-clock simulator, so deadlines and backoffs cost no wall time. Determinism (same seed, byte-identical deterministic projection) is asserted before measuring. durability.wal_overhead_pct is the median over wal_reps of the per-rep durable/plain wall-time ratio, minus one, where each rep runs the plain clean round and the same round with a write-ahead log on the in-memory sink (count-batched syncs), alternating which runs first; plain_ms and durable_ms are the legs\' median wall times; the appends cost microseconds against a round dominated by estimator maths, so the percentage hovers around zero (residual noise, possibly negative) and CI gates it at 5%. recovery_replay_events_per_sec decodes a synthetic 64-vehicle mid-round WAL and rebuilds the server by replay; the floor is 50k events/sec.\"\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         sim_clean_secs * 1e3,
         sim_degraded_secs * 1e3,
-        thread_degraded_secs * 1e3,
         plain_secs * 1e3,
         durable_secs * 1e3,
         replay_secs * 1e3,

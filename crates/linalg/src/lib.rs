@@ -12,7 +12,7 @@
 //! * singular value decomposition and the Moore–Penrose pseudo-inverse
 //!   ([`svd`]), used by the MDS baseline and as the whitening tests'
 //!   `A⁺` oracle,
-//! * LU/Cholesky solvers ([`solve`]); IRLS uses the LU,
+//! * an LU solver ([`solve`]), used by IRLS,
 //! * row-blocked unrolled kernels ([`kernels`]) behind the hot
 //!   `Matrix`/[`vector`] operations — bit-identical to the scalar
 //!   reference loops kept beside them for the tests.
@@ -61,8 +61,6 @@ pub enum LinalgError {
     /// The matrix is singular (or numerically so) and cannot be factored
     /// or inverted.
     Singular,
-    /// The matrix is not positive definite (Cholesky only).
-    NotPositiveDefinite,
     /// An iterative kernel failed to converge within its iteration budget.
     NoConvergence {
         /// Number of iterations performed before giving up.
@@ -79,7 +77,6 @@ impl std::fmt::Display for LinalgError {
                 write!(f, "shape mismatch: expected {expected}, found {found}")
             }
             LinalgError::Singular => write!(f, "matrix is singular"),
-            LinalgError::NotPositiveDefinite => write!(f, "matrix is not positive definite"),
             LinalgError::NoConvergence { iterations } => {
                 write!(f, "no convergence after {iterations} iterations")
             }

@@ -1,4 +1,4 @@
-//! Direct solvers: LU with partial pivoting and Cholesky.
+//! Direct solver: LU with partial pivoting.
 //!
 //! IRLS factors its weighted Gram matrix `A D Aᵀ` with LU every
 //! iteration.
@@ -134,115 +134,6 @@ impl Lu {
     }
 }
 
-/// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
-/// matrix.
-///
-/// # Example
-///
-/// ```
-/// use crowdwifi_linalg::{Matrix, solve::Cholesky};
-///
-/// let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-/// let ch = Cholesky::new(&a).unwrap();
-/// let x = ch.solve(&[8.0, 7.0]).unwrap();
-/// assert!((x[0] - 1.25).abs() < 1e-12 && (x[1] - 1.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Cholesky {
-    l: Matrix,
-}
-
-impl Cholesky {
-    /// Factors symmetric positive-definite `a`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] for non-square input and
-    /// [`LinalgError::NotPositiveDefinite`] when a diagonal pivot is
-    /// non-positive.
-    pub fn new(a: &Matrix) -> Result<Self> {
-        let n = a.rows();
-        if n != a.cols() {
-            return Err(LinalgError::ShapeMismatch {
-                expected: "square matrix".to_string(),
-                found: format!("{}x{}", a.rows(), a.cols()),
-            });
-        }
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a.get(i, j);
-                for k in 0..j {
-                    s -= l.get(i, k) * l.get(j, k);
-                }
-                if i == j {
-                    if s <= 0.0 {
-                        return Err(LinalgError::NotPositiveDefinite);
-                    }
-                    l.set(i, j, s.sqrt());
-                } else {
-                    l.set(i, j, s / l.get(j, j));
-                }
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// The lower-triangular factor `L`.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
-
-    /// Solves `A x = b` via the two triangular solves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b` has the wrong length.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = Vec::new();
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-
-    /// [`Cholesky::solve`] into a caller-provided buffer (cleared and
-    /// resized), avoiding per-call allocation in iterative solvers. The
-    /// `Lᵀ` substitution runs in place over the `L`-solve values (row
-    /// `i` reads only already-transformed `x[j]`, `j > i`, plus its own
-    /// forward value), so the floats match the two-buffer formulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] if `b` has the wrong length.
-    pub fn solve_into(&self, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-        let n = self.l.rows();
-        if b.len() != n {
-            return Err(LinalgError::ShapeMismatch {
-                expected: format!("rhs of length {n}"),
-                found: format!("length {}", b.len()),
-            });
-        }
-        x.clear();
-        x.resize(n, 0.0);
-        // L y = b.
-        for i in 0..n {
-            let mut s = b[i];
-            for j in 0..i {
-                s -= self.l.get(i, j) * x[j];
-            }
-            x[i] = s / self.l.get(i, i);
-        }
-        // Lᵀ x = y.
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= self.l.get(j, i) * x[j];
-            }
-            x[i] = s / self.l.get(i, i);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,32 +162,5 @@ mod tests {
     fn lu_rejects_singular() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
         assert_eq!(Lu::new(&a).unwrap_err(), LinalgError::Singular);
-    }
-
-    #[test]
-    fn cholesky_factor_reconstructs() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0, 0.0], &[2.0, 5.0, 1.0], &[0.0, 1.0, 3.0]]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!(ch.l().matmul(&ch.l().transpose()).approx_eq(&a, 1e-10));
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]); // eigenvalues 3, -1
-        assert_eq!(
-            Cholesky::new(&a).unwrap_err(),
-            LinalgError::NotPositiveDefinite
-        );
-    }
-
-    #[test]
-    fn solvers_agree() {
-        let a = Matrix::from_rows(&[&[5.0, 1.0], &[1.0, 4.0]]);
-        let b = [6.0, 5.0];
-        let x1 = Lu::new(&a).unwrap().solve(&b).unwrap();
-        let x2 = Cholesky::new(&a).unwrap().solve(&b).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            assert!((u - v).abs() < 1e-10);
-        }
     }
 }

@@ -10,20 +10,19 @@
 //! * [`FaultPlan`] describes link-level noise (drop / duplicate / delay
 //!   probabilities) and per-vehicle misbehavior (silent crash or
 //!   permanent stall at a chosen protocol point);
-//! * [`FaultySender`] wraps any [`MessageSink`] — a crossbeam channel
-//!   sender on the threaded backend, an in-memory queue on the
-//!   simulation backend — and applies the plan's noise with a per-link
-//!   [`ChaCha8Rng`], keyed by the plan seed, the vehicle id and the
-//!   link direction. Two runs with the same plan therefore produce the
-//!   same message-level fault sequence regardless of scheduling *and*
-//!   regardless of which transport carries the messages.
+//! * [`FaultySender`] wraps any [`MessageSink`] — the in-memory link
+//!   queues of the simulator and the fleet engine — and applies the
+//!   plan's noise with a per-link [`ChaCha8Rng`], keyed by the plan
+//!   seed, the vehicle id and the link direction. Two runs with the
+//!   same plan therefore produce the same message-level fault sequence
+//!   regardless of scheduling *and* regardless of which transport
+//!   carries the messages.
 //!
 //! A default ([`FaultPlan::none`]) plan is perfectly transparent: no
 //! extra RNG draws, no reordering, zero overhead on the healthy path.
 
 use crate::messages::VehicleId;
 use crate::{MiddlewareError, Result};
-use crossbeam::channel::{SendError, Sender};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -31,19 +30,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Where a [`FaultySender`] puts the messages that survive the fault
-/// layer. Implemented by crossbeam senders (threaded transport) and by
-/// the simulation driver's in-memory queues, so one fault layer serves
-/// every backend.
+/// layer. Implemented by the transports' in-memory link queues, so one
+/// fault layer serves every backend. A sink never disconnects.
 pub trait MessageSink<T> {
-    /// Delivers `msg`, handing it back as `Err(msg)` when the other end
-    /// is gone.
-    fn deliver(&mut self, msg: T) -> std::result::Result<(), T>;
-}
-
-impl<T> MessageSink<T> for Sender<T> {
-    fn deliver(&mut self, msg: T) -> std::result::Result<(), T> {
-        self.send(msg).map_err(|SendError(m)| m)
-    }
+    /// Delivers `msg`.
+    fn deliver(&mut self, msg: T);
 }
 
 /// Shared count of faults a set of [`FaultySender`]s actually injected.
@@ -129,7 +120,7 @@ pub enum FaultPoint {
 /// Scheduled misbehavior of one vehicle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Misbehavior {
-    /// The vehicle thread exits silently — no `Failed` report, no
+    /// The vehicle exits silently — no `Failed` report, no
     /// upload, nothing. The server only notices via its deadline.
     Crash(FaultPoint),
     /// The vehicle stops responding but keeps draining its inbox until
@@ -333,19 +324,10 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Wraps a sender in this plan's noise for one link. Noiseless
-    /// plans produce a zero-overhead pass-through.
-    pub fn sender<T: Clone>(
-        &self,
-        tx: Sender<T>,
-        vehicle: VehicleId,
-        direction: LinkDirection,
-    ) -> FaultySender<T> {
-        self.sender_tallied(tx, vehicle, direction, None)
-    }
-
-    /// [`FaultPlan::sender`] with injected faults counted into `tally`
-    /// (shared across links, so one tally can cover a whole round).
+    /// Wraps a sink in this plan's noise for one link, counting
+    /// injected faults into `tally` (shared across links, so one tally
+    /// can cover a whole round). Noiseless plans produce a
+    /// zero-overhead pass-through.
     pub fn sender_tallied<T: Clone, S: MessageSink<T>>(
         &self,
         tx: S,
@@ -398,34 +380,26 @@ struct LinkNoise<T> {
 /// configured it is a plain pass-through. Held messages are flushed in
 /// order when their countdown expires and, last-resort, when the sender
 /// is dropped (in-flight packets still land after the sender hangs up).
-///
-/// Generic over the underlying [`MessageSink`]; the default is a
-/// crossbeam channel sender, which keeps the threaded transport's
-/// `FaultySender<T>` spelling unchanged.
-pub struct FaultySender<T, S = Sender<T>>
-where
-    S: MessageSink<T>,
-{
+pub struct FaultySender<T, S: MessageSink<T>> {
     tx: S,
     noise: Option<LinkNoise<T>>,
     tally: Option<Arc<FaultTally>>,
 }
 
 impl<T: Clone, S: MessageSink<T>> FaultySender<T, S> {
-    /// Sends `msg` through the fault layer. Returns `Err` only when the
-    /// underlying link is disconnected; injected drops report `Ok`
+    /// Sends `msg` through the fault layer. Injected drops are silent
     /// (the sender cannot tell its packet was lost — that is the
     /// point).
-    pub fn send(&mut self, msg: T) -> std::result::Result<(), SendError<T>> {
+    pub fn send(&mut self, msg: T) {
         let Some(noise) = self.noise.as_mut() else {
-            return self.tx.deliver(msg).map_err(SendError);
+            return self.tx.deliver(msg);
         };
         // Age held messages; flush, in hold order, those whose countdown
         // of later sends has expired.
         let mut still_held = Vec::with_capacity(noise.held.len());
         for (left, held_msg) in noise.held.drain(..) {
             if left <= 1 {
-                self.tx.deliver(held_msg).map_err(SendError)?;
+                self.tx.deliver(held_msg);
             } else {
                 still_held.push((left - 1, held_msg));
             }
@@ -437,14 +411,14 @@ impl<T: Clone, S: MessageSink<T>> FaultySender<T, S> {
             if let Some(t) = &self.tally {
                 t.dropped.fetch_add(1, Ordering::Relaxed);
             }
-            return Ok(());
+            return;
         }
         if u < noise.drop_prob + noise.duplicate_prob {
             if let Some(t) = &self.tally {
                 t.duplicated.fetch_add(1, Ordering::Relaxed);
             }
-            self.tx.deliver(msg.clone()).map_err(SendError)?;
-            return self.tx.deliver(msg).map_err(SendError);
+            self.tx.deliver(msg.clone());
+            return self.tx.deliver(msg);
         }
         if u < noise.drop_prob + noise.duplicate_prob + noise.delay_prob {
             if let Some(t) = &self.tally {
@@ -452,9 +426,9 @@ impl<T: Clone, S: MessageSink<T>> FaultySender<T, S> {
             }
             let k = noise.rng.random_range(1..=noise.max_delay);
             noise.held.push((k, msg));
-            return Ok(());
+            return;
         }
-        self.tx.deliver(msg).map_err(SendError)
+        self.tx.deliver(msg);
     }
 }
 
@@ -462,7 +436,7 @@ impl<T, S: MessageSink<T>> Drop for FaultySender<T, S> {
     fn drop(&mut self) {
         if let Some(noise) = self.noise.as_mut() {
             for (_, msg) in noise.held.drain(..) {
-                let _ = self.tx.deliver(msg);
+                self.tx.deliver(msg);
             }
         }
     }
@@ -471,33 +445,54 @@ impl<T, S: MessageSink<T>> Drop for FaultySender<T, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    fn drain(rx: &channel::Receiver<u32>) -> Vec<u32> {
-        let mut out = Vec::new();
-        while let Some(v) = rx.try_recv() {
-            out.push(v);
+    /// An in-memory sink recording every delivered message in order.
+    struct VecSink(Rc<RefCell<Vec<u32>>>);
+
+    impl MessageSink<u32> for VecSink {
+        fn deliver(&mut self, msg: u32) {
+            self.0.borrow_mut().push(msg);
         }
-        out
+    }
+
+    /// A link of `plan` into a fresh [`VecSink`], plus the sink's log.
+    fn link(
+        plan: &FaultPlan,
+        vehicle: VehicleId,
+        direction: LinkDirection,
+        tally: Option<Arc<FaultTally>>,
+    ) -> (FaultySender<u32, VecSink>, Rc<RefCell<Vec<u32>>>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sender = plan.sender_tallied(VecSink(Rc::clone(&log)), vehicle, direction, tally);
+        (sender, log)
+    }
+
+    fn drain(rx: &Rc<RefCell<Vec<u32>>>) -> Vec<u32> {
+        std::mem::take(&mut *rx.borrow_mut())
     }
 
     #[test]
     fn transparent_plan_passes_everything_through_in_order() {
-        let (tx, rx) = channel::unbounded();
-        let mut s = FaultPlan::none().sender(tx, VehicleId(0), LinkDirection::ToServer);
+        let (mut s, rx) = link(
+            &FaultPlan::none(),
+            VehicleId(0),
+            LinkDirection::ToServer,
+            None,
+        );
         for i in 0..10 {
-            s.send(i).unwrap();
+            s.send(i);
         }
         assert_eq!(drain(&rx), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn drop_probability_one_loses_everything() {
-        let (tx, rx) = channel::unbounded();
-        let mut s =
-            FaultPlan::noisy(1, 1.0, 0.0, 0.0).sender(tx, VehicleId(0), LinkDirection::ToServer);
+        let plan = FaultPlan::noisy(1, 1.0, 0.0, 0.0);
+        let (mut s, rx) = link(&plan, VehicleId(0), LinkDirection::ToServer, None);
         for i in 0..10 {
-            s.send(i).unwrap();
+            s.send(i);
         }
         drop(s);
         assert!(drain(&rx).is_empty());
@@ -505,23 +500,21 @@ mod tests {
 
     #[test]
     fn duplicate_probability_one_doubles_everything() {
-        let (tx, rx) = channel::unbounded();
-        let mut s =
-            FaultPlan::noisy(1, 0.0, 1.0, 0.0).sender(tx, VehicleId(0), LinkDirection::ToServer);
+        let plan = FaultPlan::noisy(1, 0.0, 1.0, 0.0);
+        let (mut s, rx) = link(&plan, VehicleId(0), LinkDirection::ToServer, None);
         for i in 0..5 {
-            s.send(i).unwrap();
+            s.send(i);
         }
         assert_eq!(drain(&rx), vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
     }
 
     #[test]
     fn delayed_messages_reorder_but_are_never_lost() {
-        let (tx, rx) = channel::unbounded();
         let mut plan = FaultPlan::noisy(7, 0.0, 0.0, 0.5);
         plan.max_delay = 2;
-        let mut s = plan.sender(tx, VehicleId(3), LinkDirection::ToVehicle);
+        let (mut s, rx) = link(&plan, VehicleId(3), LinkDirection::ToVehicle, None);
         for i in 0..50 {
-            s.send(i).unwrap();
+            s.send(i);
         }
         drop(s); // flush any still-held tail
         let mut got = drain(&rx);
@@ -537,14 +530,10 @@ mod tests {
     #[test]
     fn same_plan_same_link_is_replayable() {
         let run = || {
-            let (tx, rx) = channel::unbounded();
-            let mut s = FaultPlan::noisy(42, 0.2, 0.1, 0.2).sender(
-                tx,
-                VehicleId(1),
-                LinkDirection::ToServer,
-            );
+            let plan = FaultPlan::noisy(42, 0.2, 0.1, 0.2);
+            let (mut s, rx) = link(&plan, VehicleId(1), LinkDirection::ToServer, None);
             for i in 0..100 {
-                s.send(i).unwrap();
+                s.send(i);
             }
             drop(s);
             drain(&rx)
@@ -579,15 +568,14 @@ mod tests {
     #[test]
     fn tally_counts_injected_faults_exactly() {
         let tally = Arc::new(FaultTally::new());
-        let (tx, rx) = channel::unbounded();
-        let mut s = FaultPlan::noisy(9, 0.3, 0.3, 0.3).sender_tallied(
-            tx,
+        let (mut s, rx) = link(
+            &FaultPlan::noisy(9, 0.3, 0.3, 0.3),
             VehicleId(0),
             LinkDirection::ToServer,
             Some(Arc::clone(&tally)),
         );
         for i in 0..200u32 {
-            s.send(i).unwrap();
+            s.send(i);
         }
         drop(s);
         let delivered = drain(&rx).len() as u64;

@@ -23,13 +23,12 @@
 //!   threads, no channels, no wall clock. The durable campaign's
 //!   round-close snapshot state is sharded by road segment
 //!   ([`protocol::ShardedDatabase`]).
-//! * [`transport`] supplies the I/O: the original threaded runtime
-//!   ([`transport::ThreadTransport`]), a single-threaded deterministic
+//! * [`transport`] supplies the I/O: a single-threaded deterministic
 //!   simulator with a virtual clock ([`transport::SimTransport`]), and
 //!   the fleet-scale engine that batches vehicle sessions over a
 //!   bounded worker pool on the same virtual clock
 //!   ([`transport::FleetTransport`]). Same seed + fault plan → the
-//!   same deterministic round report on every backend.
+//!   same deterministic round report on both backends.
 //! * [`platform`] re-exports the round configuration and report types
 //!   from [`protocol`].
 //!

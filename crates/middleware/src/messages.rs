@@ -64,15 +64,15 @@ pub struct MappingAnswer {
     pub label: i8,
 }
 
-/// Messages from vehicles to the server (used by the threaded
-/// [`crate::platform`]).
+/// Messages from vehicles to the server (the uplink of a
+/// [`crate::transport`] round).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ToServer {
     /// Upload of coarse sensing results.
     Upload(SensingUpload),
     /// Answers to assigned mapping tasks.
     Answers(Vec<MappingAnswer>),
-    /// The vehicle's thread failed (estimator error or caught panic).
+    /// The vehicle's protocol failed (estimator error or caught panic).
     /// Lets the server abort the round immediately instead of waiting
     /// forever for an upload or answer that will never arrive.
     Failed(String),

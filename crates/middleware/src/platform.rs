@@ -21,9 +21,7 @@
 //!
 //! All of that logic lives in the pure [`crate::protocol::ServerCore`]
 //! state machine; this module re-exports its round/report types. Rounds
-//! run on a [`crate::transport::Transport`] backend: the concurrent
-//! [`crate::transport::ThreadTransport`] (the in-process stand-in for
-//! the web platform of §5.5), the deterministic
+//! run on a [`crate::transport::Transport`] backend: the deterministic
 //! [`crate::transport::SimTransport`] or the batched
 //! [`crate::transport::FleetTransport`]. Campaigns run through
 //! [`crate::transport::run_campaign_with_faults_into`] and
@@ -40,7 +38,7 @@ mod tests {
     use crate::fault::{FaultPlan, FaultPoint};
     use crate::messages::VehicleId;
     use crate::segment::SegmentMap;
-    use crate::transport::{run_campaign_with_faults_into, NoSink, ThreadTransport, Transport};
+    use crate::transport::{run_campaign_with_faults_into, NoSink, SimTransport, Transport};
     use crate::vehicle::CrowdVehicle;
     use crate::vehicle::{Behavior, VehicleExit};
     use crate::MiddlewareError;
@@ -95,10 +93,9 @@ mod tests {
             .collect()
     }
 
-    /// One retry with a short backoff, so fault-path tests pay at most
-    /// two deadlines per dead vehicle. The deadline itself stays at the
-    /// 2 s default: five concurrent estimator runs take about a second
-    /// on a single-core box, and healthy vehicles must never miss it.
+    /// One retry with a short backoff, so a dead vehicle is declared
+    /// after at most two deadlines. The deadline stays at the 2 s
+    /// default; on the virtual clock it costs no wall time.
     fn snappy_tolerance() -> FaultTolerance {
         FaultTolerance {
             retry_backoff: Duration::from_millis(100),
@@ -109,7 +106,7 @@ mod tests {
 
     #[test]
     fn full_round_with_spammers_converges_to_truth() {
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round(
                 segments(),
                 fleet_with_spammer(5, 4),
@@ -156,7 +153,7 @@ mod tests {
     #[test]
     fn campaign_reliability_is_smoothed_across_rounds() {
         let reports = run_campaign_with_faults_into(
-            &ThreadTransport,
+            &SimTransport,
             segments(),
             vec![fleet_with_spammer(5, 4), fleet_with_spammer(5, 4)],
             PlatformConfig {
@@ -189,11 +186,11 @@ mod tests {
         // Poison one vehicle's drive: NaN coordinates blow up its
         // estimator mid-sense. The vehicle reports `Failed`; the round
         // must finish degraded on the two survivors instead of erroring
-        // out (pre-fault-tolerance) or deadlocking (pre-scoped-threads).
+        // out or hanging.
         for r in fleet[1].1.iter_mut() {
             *r = RssReading::new(Point::new(f64::NAN, f64::NAN), r.rss_dbm, r.time);
         }
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round(segments(), fleet, PlatformConfig::default())
             .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
@@ -224,7 +221,7 @@ mod tests {
             }
         }
         // 1 of 3 survivors < ceil(0.5 * 3) = 2 required.
-        let err = ThreadTransport
+        let err = SimTransport
             .run_round(segments(), fleet, PlatformConfig::default())
             .unwrap_err();
         assert_eq!(
@@ -240,7 +237,7 @@ mod tests {
     #[test]
     fn crashed_vehicle_times_out_and_round_degrades() {
         let plan = FaultPlan::none().crash(VehicleId(2), FaultPoint::Upload);
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(
                 segments(),
                 fleet_with_spammer(4, u32::MAX),
@@ -264,7 +261,7 @@ mod tests {
     #[test]
     fn straggler_tasks_are_reassigned() {
         let plan = FaultPlan::none().stall(VehicleId(1), FaultPoint::Answer);
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(
                 segments(),
                 fleet_with_spammer(5, u32::MAX),
@@ -292,7 +289,7 @@ mod tests {
     #[test]
     fn metrics_snapshot_is_byte_identical_across_same_seed_runs() {
         let run = || {
-            ThreadTransport
+            SimTransport
                 .run_round(
                     segments(),
                     fleet_with_spammer(3, u32::MAX),
@@ -304,8 +301,8 @@ mod tests {
                 .unwrap()
         };
         let (a, b) = (run(), run());
-        // Wall-clock phase timers differ run to run; everything else —
-        // counters, gauges, events — must not.
+        // The deterministic projection drops the phase timers; all the
+        // rest — counters, gauges, events — must match.
         let (ja, jb) = (
             a.metrics.deterministic().to_json(),
             b.metrics.deterministic().to_json(),
@@ -340,7 +337,7 @@ mod tests {
     #[test]
     fn dead_vehicle_shows_up_in_round_metrics() {
         let plan = FaultPlan::none().crash(VehicleId(2), FaultPoint::Upload);
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(
                 segments(),
                 fleet_with_spammer(4, u32::MAX),
@@ -373,7 +370,7 @@ mod tests {
         // Duplicate-only noise: the protocol ignores duplicates, so the
         // round still completes cleanly while the tally observes them.
         let plan = FaultPlan::noisy(5, 0.0, 0.5, 0.0);
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(
                 segments(),
                 fleet_with_spammer(3, u32::MAX),
@@ -438,7 +435,7 @@ mod tests {
             },
         ];
         for bad in cases {
-            let err = ThreadTransport
+            let err = SimTransport
                 .run_round(segments(), fleet_with_spammer(3, u32::MAX), bad)
                 .unwrap_err();
             assert!(
@@ -461,7 +458,7 @@ mod tests {
             ),
         ];
         assert!(matches!(
-            ThreadTransport.run_round(segments(), fleet, PlatformConfig::default()),
+            SimTransport.run_round(segments(), fleet, PlatformConfig::default()),
             Err(MiddlewareError::InvalidConfig(_))
         ));
     }
@@ -472,7 +469,7 @@ mod tests {
             Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)).unwrap(),
             10.0,
         );
-        assert!(ThreadTransport
+        assert!(SimTransport
             .run_round(segments, vec![], PlatformConfig::default())
             .is_err());
     }

@@ -19,14 +19,13 @@
 //!                                           Failed(error)
 //! ```
 //!
-//! The drivers in [`crate::transport`] are thin: the threaded backend
-//! maps real channel traffic and wall-clock deadlines onto events, the
-//! simulation backend replays the same protocol under a virtual clock
-//! in a single OS thread, and the fleet backend batches vehicle
-//! sessions over a worker pool. Because all protocol decisions live here,
-//! every backend gets deadlines, retries, quorum, reassignment and the
+//! The drivers in [`crate::transport`] are thin: the simulation
+//! backend replays the protocol under a virtual clock in a single OS
+//! thread, and the fleet backend batches vehicle sessions over a worker
+//! pool on the same clock. Because all protocol decisions live here,
+//! both backends get deadlines, retries, quorum, reassignment and the
 //! `platform.*` metrics for free — and same-seed rounds agree across
-//! backends on everything but raw phase timings.
+//! backends byte for byte.
 //!
 //! Fusion is sharded by road segment (see [`shards`]): it runs per
 //! segment inside this one core, and the durable campaign's round-close
@@ -60,8 +59,7 @@ use std::time::Duration;
 
 /// A point on the driver's clock, in microseconds since the round
 /// started. The core never reads a clock; drivers stamp every event
-/// with the current instant — wall-derived on the threaded backend,
-/// purely virtual on the simulator.
+/// with the current virtual instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct VirtualInstant(u64);
 
@@ -560,7 +558,7 @@ impl ServerCore {
                 let spent = self.ledger.retries.entry(v).or_insert(0);
                 if *spent < tolerance.max_retries {
                     *spent += 1;
-                    let extra = tolerance.retry_backoff * *spent;
+                    let extra = tolerance.retry_backoff.saturating_mul(*spent);
                     actions.push(Action::Send {
                         to: v,
                         msg: ToVehicle::RequestUpload,
@@ -580,7 +578,7 @@ impl ServerCore {
                 let spent = self.ledger.retries.entry(v).or_insert(0);
                 if *spent < tolerance.max_retries {
                     *spent += 1;
-                    let extra = tolerance.retry_backoff * *spent;
+                    let extra = tolerance.retry_backoff.saturating_mul(*spent);
                     let tasks: Vec<MappingTask> = self.labeling.outstanding[&v]
                         .iter()
                         .map(|&task_id| MappingTask {
@@ -916,7 +914,7 @@ mod tests {
     }
 
     /// Every vehicle in `vehicles` uploads its own estimate near x = 40.
-    fn own_uploads(vehicles: std::ops::Range<u32>) -> impl Iterator<Item = Event> {
+    fn own_uploads(vehicles: std::ops::Range<u32>) -> impl DoubleEndedIterator<Item = Event> {
         vehicles.map(|v| sent(v, upload(v, 40.0 + f64::from(v))))
     }
 
@@ -948,25 +946,68 @@ mod tests {
     fn run_with(
         c: &mut ServerCore,
         events: impl IntoIterator<Item = Event>,
+        reply: impl FnMut(VehicleId, &[MappingTask]) -> Event,
+    ) -> Result<PlatformReport> {
+        drive(c, events, reply, false)
+    }
+
+    /// The harness loop: replies to one batch of actions are queued in
+    /// action order, or last to first with `reverse_replies`.
+    fn drive(
+        c: &mut ServerCore,
+        events: impl IntoIterator<Item = Event>,
         mut reply: impl FnMut(VehicleId, &[MappingTask]) -> Event,
+        reverse_replies: bool,
     ) -> Result<PlatformReport> {
         let mut queue: VecDeque<Event> = events.into_iter().collect();
         let mut actions = c.start(VirtualInstant::ZERO);
         loop {
+            let mut replies = Vec::new();
             for action in actions {
                 match action {
                     Action::Send {
                         to,
                         msg: ToVehicle::Assign(tasks),
-                    } if !tasks.is_empty() => queue.push_back(reply(to, &tasks)),
+                    } if !tasks.is_empty() => replies.push(reply(to, &tasks)),
                     Action::Completed(report) => return Ok(*report),
                     Action::Failed(e) => return Err(e),
                     _ => {}
                 }
             }
+            if reverse_replies {
+                replies.reverse();
+            }
+            queue.extend(replies);
             let event = queue.pop_front().expect("round left undecided");
             actions = c.handle(event);
         }
+    }
+
+    #[test]
+    fn round_outcome_does_not_depend_on_arrival_order() {
+        // A transport may deliver uploads and answers in any order. The
+        // report and the deterministic metrics must not notice. (The
+        // state digest is not compared: it records answers in arrival
+        // order.)
+        let mut forward = core5();
+        let forward = run(&mut forward, own_uploads(0..5)).expect("round completes");
+        let mut reversed = core5();
+        let reversed = drive(
+            &mut reversed,
+            own_uploads(0..5).rev(),
+            |to, tasks| answers(to, tasks, 1),
+            true,
+        )
+        .expect("round completes");
+        assert!(!forward.fused.is_empty());
+        assert_eq!(
+            format!("{:?}", forward.deterministic()),
+            format!("{:?}", reversed.deterministic())
+        );
+        assert_eq!(
+            forward.metrics.deterministic().to_json(),
+            reversed.metrics.deterministic().to_json()
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub struct FaultTolerance {
     /// before retrying.
     pub deadline: Duration,
     /// Extra wait added per retry (linear backoff: retry `k` waits
-    /// `deadline + k * retry_backoff`).
+    /// `deadline + k * retry_backoff`). The wait saturates instead of
+    /// overflowing, so any backoff is accepted.
     pub retry_backoff: Duration,
     /// Retries per vehicle per phase before it is declared dead.
     pub max_retries: u32,
@@ -190,10 +191,9 @@ impl PlatformReport {
     }
 
     /// The transport-independent projection of this report: everything
-    /// except timing histograms, which measure driver-dependent clock
-    /// spans (wall time on the thread backend, virtual time on the sim
-    /// backend). Two same-seed rounds of the same fleet, config and
-    /// fault plan produce identical projections on every backend.
+    /// except timing histograms, which measure clock spans. Two
+    /// same-seed rounds of the same fleet, config and fault plan
+    /// produce identical projections on every backend.
     pub fn deterministic(&self) -> PlatformReport {
         PlatformReport {
             metrics: self.metrics.deterministic(),

@@ -281,8 +281,9 @@ impl CrowdServer {
             .enumerate()
             .map(|(i, &v)| (v, i))
             .collect();
-        // Canonicalize: answers arrive in thread-scheduling order (and,
-        // under fault injection, duplicated or reordered). Keep the
+        // Canonicalize: answers arrive in whatever order the transport
+        // delivers them (and, under fault injection, duplicated or
+        // reordered). Keep the
         // first answer per (task, vehicle) and sort, so inference — and
         // the floating-point sums inside EM — see a deterministic edge
         // list regardless of arrival interleaving.

@@ -25,8 +25,7 @@
 //! the simulator: only at quiescence, straight to the earliest armed
 //! deadline.
 //!
-//! The server side is the same [`ServerCore`] every other backend
-//! drives, fusing per road segment in-line at round close; a durable
+//! The server side is the same [`ServerCore`] the simulator drives, fusing per road segment in-line at round close; a durable
 //! round wraps it in a [`DurableRound`]. The worker pool parallelises
 //! the vehicle side only; the core stays single-threaded. Plain and
 //! durable rounds run the same loop and differ only in the host handed
@@ -267,7 +266,7 @@ impl LinkCell {
             VehicleStep::Continue(msgs) => {
                 if let Some(uplink) = self.uplink.as_mut() {
                     for m in msgs {
-                        let _ = uplink.send((self.id, m.to_frame()));
+                        uplink.send((self.id, m.to_frame()));
                     }
                 }
             }
@@ -282,7 +281,7 @@ impl LinkCell {
     fn fail(&mut self, reason: String, active: &mut bool) {
         if let Some(uplink) = self.uplink.as_mut() {
             let frame = ToServer::Failed(reason.clone()).to_frame();
-            let _ = uplink.send((self.id, frame));
+            uplink.send((self.id, frame));
         }
         self.exit = Some(VehicleExit::Failed(reason));
         self.uplink = None;
@@ -340,7 +339,7 @@ fn fleet_drive<H: EventHost>(
     wire: &mut WireDigest,
 ) -> Result<PlatformReport> {
     let server_queue: ServerQueue = Rc::new(RefCell::new(VecDeque::new()));
-    // Seeds follow fleet order (matching every other backend); the
+    // Seeds follow fleet order (matching the simulator); the
     // session arrays are then sorted into vehicle-id order, the order
     // ticks absorb in.
     let mut sessions: Vec<(LinkCell, ComputeCell)> = Vec::with_capacity(fleet.len());

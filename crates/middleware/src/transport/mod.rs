@@ -1,38 +1,31 @@
 //! Pluggable transports driving the sans-I/O [`crate::protocol`] core.
 //!
-//! A transport owns everything the core refuses to: channels, clocks,
-//! scheduling, and the vehicle side of each link. Three backends ship:
+//! A transport owns everything the core refuses to: queues, the clock,
+//! scheduling, and the vehicle side of each link. Two backends ship,
+//! both on one virtual clock — deadlines fire by advancing virtual
+//! time, never by sleeping, so a multi-second degraded round replays in
+//! milliseconds:
 //!
-//! * [`ThreadTransport`] — the original runtime: one scoped OS thread
-//!   per vehicle, crossbeam channels, wall-clock deadlines. Faithful to
-//!   the paper's "many independent devices" shape and exercises real
-//!   concurrency.
-//! * [`SimTransport`] — a single-threaded deterministic simulator with
-//!   a virtual clock: deadlines fire by advancing virtual time, never
-//!   by sleeping. A multi-second degraded round replays in
-//!   milliseconds, which is what makes fault-matrix testing and
-//!   rounds/sec benchmarking practical.
+//! * [`SimTransport`] — a single-threaded deterministic simulator, the
+//!   reference the fleet engine is compared against.
 //! * [`FleetTransport`] — the fleet-scale engine: vehicle sessions are
 //!   batched state machines multiplexed over a clamped worker pool
-//!   (not one thread or inline drain per vehicle). Same virtual clock,
-//!   same fault layer, byte-identical same-seed rounds to
-//!   [`SimTransport`] at 10k–100k vehicles.
+//!   (not one thread or inline drain per vehicle). Same fault layer,
+//!   byte-identical same-seed rounds to [`SimTransport`] at 10k–100k
+//!   vehicles.
 //!
-//! All backends wrap every link in the same [`crate::fault`] layer and
+//! Both backends wrap every link in the same [`crate::fault`] layer and
 //! drive the same [`ServerCore`] (bare, or inside the durability
 //! layer's crash-injecting host), so a given seed + fault plan yields
-//! the same [`PlatformReport::deterministic`] projection on any of
-//! them. [`SimTransport`] stays as the independent reference: with the
-//! core shared, comparing it against [`FleetTransport`] isolates
-//! exactly the fleet engine's batched vehicle loop.
+//! the same [`PlatformReport::deterministic`] projection on either.
+//! With the core shared, comparing the two isolates exactly the fleet
+//! engine's batched vehicle loop.
 
 mod fleet;
 mod sim;
-mod thread;
 
 pub use fleet::FleetTransport;
 pub use sim::{sim_round_with_digest, SimTransport};
-pub use thread::ThreadTransport;
 
 use crate::durability::{LogSink, SnapshotStore};
 use crate::fault::{FaultPlan, FaultTally};

@@ -1,12 +1,11 @@
 //! The deterministic single-threaded simulation transport.
 //!
-//! Everything the threaded backend does with OS threads and wall-clock
-//! waits happens here on one thread with a virtual clock: messages move
-//! through in-memory queues, and when the round quiesces the clock
-//! jumps straight to the earliest armed deadline. A degraded round that
-//! takes multiple real seconds on [`super::ThreadTransport`] (timeouts,
-//! retry backoff) replays here in microseconds, with a bit-identical
-//! [`PlatformReport::deterministic`] projection.
+//! The whole fleet runs on one thread with a virtual clock: messages
+//! move through in-memory queues, and when the round quiesces the clock
+//! jumps straight to the earliest armed deadline. A degraded round with
+//! multi-second timeouts and retry backoff replays in microseconds.
+//! This is the reference backend: [`super::FleetTransport`] must match
+//! its [`PlatformReport::deterministic`] projection byte for byte.
 
 use crate::durability::{DurableRound, LogSink};
 use crate::fault::FaultPlan;
@@ -29,11 +28,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 /// The virtual-clock backend: vehicles are stepped inline, links are
-/// in-memory queues behind the same [`crate::fault`] layer as the
-/// threaded runtime, and time advances only when every queue is empty —
-/// directly to the earliest armed deadline, never by sleeping. One run
-/// is one deterministic replay: fleet order, queue order and per-link
-/// fault RNG streams are all fixed by the seeds.
+/// in-memory queues behind the [`crate::fault`] layer, and time
+/// advances only when every queue is empty — directly to the earliest
+/// armed deadline, never by sleeping. One run is one deterministic
+/// replay: fleet order, queue order and per-link fault RNG streams are
+/// all fixed by the seeds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimTransport;
 
@@ -78,9 +77,8 @@ impl Transport for SimTransport {
 pub(super) struct QueueSink<T>(pub(super) Rc<RefCell<VecDeque<T>>>);
 
 impl<T> MessageSink<T> for QueueSink<T> {
-    fn deliver(&mut self, msg: T) -> std::result::Result<(), T> {
+    fn deliver(&mut self, msg: T) {
         self.0.borrow_mut().push_back(msg);
-        Ok(())
     }
 }
 
@@ -94,8 +92,7 @@ pub(super) type ServerQueue = Rc<RefCell<VecDeque<(VehicleId, Vec<u8>)>>>;
 
 /// One simulated vehicle: its pure state machine, its inbox queue, and
 /// its (noisy) uplink. The uplink is dropped the moment the vehicle
-/// exits, flushing any delayed messages — exactly when the threaded
-/// vehicle's sender would go out of scope.
+/// exits, flushing any delayed messages.
 struct SimVehicle {
     core: VehicleCore,
     readings: Vec<RssReading>,
@@ -122,7 +119,7 @@ impl SimVehicle {
                 if let Some(uplink) = self.uplink.as_mut() {
                     let id = self.core.id();
                     for m in msgs {
-                        let _ = uplink.send((id, m.to_frame()));
+                        uplink.send((id, m.to_frame()));
                     }
                 }
             }
@@ -133,20 +130,19 @@ impl SimVehicle {
         }
     }
 
-    /// Mirrors the threaded backend's error path: report the failure to
-    /// the server, then exit.
+    /// The vehicle's error path: report the failure to the server, then
+    /// exit.
     fn fail(&mut self, reason: String) {
         if let Some(uplink) = self.uplink.as_mut() {
             let frame = ToServer::Failed(reason.clone()).to_frame();
-            let _ = uplink.send((self.core.id(), frame));
+            uplink.send((self.core.id(), frame));
         }
         self.exit = Some(VehicleExit::Failed(reason));
         self.uplink = None;
     }
 
     /// Delivers every queued inbox message; exited vehicles absorb
-    /// theirs silently (the threaded keepalive receiver does the same).
-    /// Returns whether anything was delivered.
+    /// theirs silently. Returns whether anything was delivered.
     fn drain_inbox(&mut self, segments: &SegmentMap) -> bool {
         let mut progressed = false;
         loop {
@@ -157,7 +153,7 @@ impl SimVehicle {
                 continue;
             }
             // A frame the fault layer garbled fails the vehicle with
-            // the decode error, exactly like the threaded receive loop.
+            // the decode error.
             let step = match ToVehicle::from_frame(&bytes) {
                 Ok(msg) => {
                     let core = &mut self.core;
@@ -224,7 +220,7 @@ fn sim_drive<H: EventHost>(
     let server_queue: ServerQueue = Rc::new(RefCell::new(VecDeque::new()));
     let mut vehicles: BTreeMap<VehicleId, SimVehicle> = BTreeMap::new();
     let mut downlinks: BTreeMap<VehicleId, Downlink> = BTreeMap::new();
-    // Seeds follow fleet order, matching the threaded spawn loop.
+    // Seeds follow fleet order.
     for (i, (vehicle, readings)) in fleet.into_iter().enumerate() {
         let id = vehicle.id();
         let inbox = Rc::new(RefCell::new(VecDeque::new()));
@@ -354,8 +350,8 @@ fn sim_drive<H: EventHost>(
     let report = outcome.expect("round outcome decided")?;
 
     // Round complete: flush delayed downlink traffic and deliver it, so
-    // every vehicle sees its `Done` (the threaded backend's link drop
-    // does the same), then let survivors classify the hang-up.
+    // every vehicle sees its `Done`, then let survivors classify the
+    // hang-up.
     drop(downlinks);
     for v in vehicles.values_mut() {
         v.drain_inbox(&segments);
@@ -384,7 +380,7 @@ pub(super) fn apply(
         match action {
             Action::Send { to, msg } => {
                 if let Some(link) = downlinks.get_mut(&to) {
-                    let _ = link.send(msg.to_frame());
+                    link.send(msg.to_frame());
                 }
             }
             Action::SetTimer { timer, deadline } => {

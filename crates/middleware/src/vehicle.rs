@@ -1,11 +1,9 @@
 //! The crowd-vehicle client.
 
-use crate::fault::{FaultPoint, FaultySender, Misbehavior};
+use crate::fault::{FaultPoint, Misbehavior};
 use crate::messages::{MappingAnswer, MappingTask, SensingUpload, ToServer, ToVehicle, VehicleId};
 use crate::segment::SegmentMap;
-use crate::wire::WireMessage;
 use crate::Result;
-use crossbeam::channel;
 use crowdwifi_channel::RssReading;
 use crowdwifi_core::{ApEstimate, OnlineCs};
 use rand::{Rng, SeedableRng};
@@ -136,7 +134,7 @@ impl CrowdVehicle {
 /// How one vehicle's round ended, from the vehicle's own perspective.
 /// Complements the server-side fate in degraded-round postmortems: the
 /// server knows *that* a vehicle went quiet, the exit records *why* the
-/// thread stopped.
+/// vehicle stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VehicleExit {
     /// Received `Done`: a full, clean round.
@@ -144,7 +142,7 @@ pub enum VehicleExit {
     /// The server sent `Abort(reason)`: it deliberately abandoned the
     /// round and said why.
     Aborted(String),
-    /// The channel closed with no `Done` and no `Abort`: the server
+    /// The link closed with no `Done` and no `Abort`: the server
     /// hung up unexpectedly (crashed, or dropped this vehicle after its
     /// deadline while messages were still in flight).
     Disconnected,
@@ -261,64 +259,6 @@ impl VehicleCore {
             VehicleExit::Stalled
         } else {
             VehicleExit::Disconnected
-        }
-    }
-}
-
-/// Drives a [`VehicleCore`] over real channels: one vehicle's side of
-/// the threaded round. Sense + upload, then serve assignment and
-/// upload-retry requests until `Done` or `Abort`.
-///
-/// Every exit path is classified (see [`VehicleExit`]); a closed
-/// channel is [`VehicleExit::Disconnected`], *not* an error — the
-/// server already knows why it hung up, and the platform reports the
-/// vehicle-side view alongside the server-side fate.
-///
-/// The channels carry binary frames, so the uplink bytes the fault
-/// layer perturbs are the same bytes every backend would put on a real
-/// socket; a garbled downlink frame fails the vehicle with the decode
-/// error (the caller reports it as [`ToServer::Failed`]).
-///
-/// # Errors
-///
-/// Propagates estimator failures from sensing and downlink decode
-/// failures; the caller reports them to the server as
-/// [`ToServer::Failed`].
-pub(crate) fn run_protocol(
-    core: &mut VehicleCore,
-    readings: &[RssReading],
-    segments: &SegmentMap,
-    to_server: &mut FaultySender<(VehicleId, Vec<u8>)>,
-    rx: &channel::Receiver<Vec<u8>>,
-) -> Result<VehicleExit> {
-    let id = core.id();
-    let dispatch =
-        |msgs: Vec<ToServer>, to_server: &mut FaultySender<(VehicleId, Vec<u8>)>| -> bool {
-            msgs.into_iter()
-                .all(|m| to_server.send((id, m.to_frame())).is_ok())
-        };
-    match core.start(readings)? {
-        VehicleStep::Exit(exit) => return Ok(exit),
-        VehicleStep::Continue(msgs) => {
-            if !dispatch(msgs, to_server) {
-                return Ok(VehicleExit::Disconnected);
-            }
-        }
-    }
-    loop {
-        match rx.recv() {
-            Ok(bytes) => {
-                let msg = ToVehicle::from_frame(&bytes)?;
-                match core.on_message(msg, segments) {
-                    VehicleStep::Exit(exit) => return Ok(exit),
-                    VehicleStep::Continue(msgs) => {
-                        if !dispatch(msgs, to_server) {
-                            return Ok(VehicleExit::Disconnected);
-                        }
-                    }
-                }
-            }
-            Err(_) => return Ok(core.on_disconnect()),
         }
     }
 }

@@ -18,9 +18,8 @@ use std::sync::Arc;
 struct VecSink(Rc<RefCell<Vec<u32>>>);
 
 impl MessageSink<u32> for VecSink {
-    fn deliver(&mut self, msg: u32) -> std::result::Result<(), u32> {
+    fn deliver(&mut self, msg: u32) {
         self.0.borrow_mut().push(msg);
-        Ok(())
     }
 }
 
@@ -41,7 +40,7 @@ fn run_link(
         Some(Arc::clone(&tally)),
     );
     for &msg in stream {
-        let _ = sender.send(msg);
+        sender.send(msg);
     }
     // Dropping the sender flushes messages held back for delayed
     // delivery — part of the deterministic schedule.

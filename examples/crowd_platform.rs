@@ -3,13 +3,9 @@
 //! user-vehicle downloads the APs ahead of its route from the
 //! geo-sharded AP map the round feeds.
 //!
-//! The server is a sans-I/O state machine, so the same rounds run on
-//! either pluggable transport backend:
-//!
-//! * threaded (default) — one OS thread per vehicle, wall-clock
-//!   deadlines; the paper's "many independent devices" shape.
-//! * `--sim` — single-threaded virtual-clock simulator; a multi-second
-//!   degraded round replays in milliseconds.
+//! The server is a sans-I/O state machine; the rounds run on the
+//! single-threaded virtual-clock simulator, so a degraded round with
+//! multi-second deadlines replays in milliseconds.
 //!
 //! Round 1: one of the five vehicles is a spammer; watch its inferred
 //! reliability sink and its influence disappear from the fused map.
@@ -20,13 +16,12 @@
 //! on the survivors.
 //!
 //! ```sh
-//! cargo run --release --example crowd_platform            # threaded
-//! cargo run --release --example crowd_platform -- --sim   # simulator
+//! cargo run --release --example crowd_platform
 //! cargo run --release --example crowd_platform -- --smoke # CI budget
 //! ```
 //!
-//! `--smoke` runs both rounds on the simulator with tight deadlines and
-//! prints a one-line verdict — the mode `scripts/tier1.sh` exercises.
+//! `--smoke` runs both rounds with a short retry backoff and prints a
+//! one-line verdict — the mode `scripts/tier1.sh` exercises.
 
 use crowdwifi::channel::{PathLossModel, RssReading};
 use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig};
@@ -37,7 +32,7 @@ use crowdwifi::middleware::mapsink::GeoMapSink;
 use crowdwifi::middleware::messages::VehicleId;
 use crowdwifi::middleware::platform::{FaultTolerance, PlatformConfig, RoundHealth};
 use crowdwifi::middleware::segment::SegmentMap;
-use crowdwifi::middleware::transport::{RoundSink, SimTransport, ThreadTransport, Transport};
+use crowdwifi::middleware::transport::{RoundSink, SimTransport, Transport};
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,18 +56,14 @@ fn drive(lane_offset: f64, aps: &[Point]) -> Vec<RssReading> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let sim = smoke || args.iter().any(|a| a == "--sim");
-    let backend: &dyn Transport = if sim { &SimTransport } else { &ThreadTransport };
-    let backend_name = if sim { "sim" } else { "threaded" };
+    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
 
     let truth = [Point::new(60.0, 30.0), Point::new(220.0, 30.0)];
     let area = Rect::new(Point::new(0.0, -20.0), Point::new(300.0, 80.0))?;
     let segments = SegmentMap::new(area, 150.0);
 
-    // The simulator never sleeps, so smoke runs can afford the same
-    // protocol under much tighter wall-clock-free deadlines.
+    // Smoke runs use a shorter retry backoff; on the virtual clock that
+    // changes the round's timeline, not its wall time.
     let tolerance = if smoke {
         FaultTolerance {
             retry_backoff: Duration::from_millis(50),
@@ -103,10 +94,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if !smoke {
         println!(
             "running one crowdsensing round with 4 honest vehicles + 1 spammer \
-             on the {backend_name} backend..."
+             on the sim backend..."
         );
     }
-    let report = backend.run_round(
+    let report = SimTransport.run_round(
         segments.clone(),
         mk_fleet(&truth)?,
         PlatformConfig {
@@ -167,7 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\nrunning a second round under an injected fault schedule");
         println!("(vehicle1 crashes, vehicle2 stalls, 10% message drop)...");
     }
-    let degraded = backend.run_round_with_faults(
+    let degraded = SimTransport.run_round_with_faults(
         segments,
         mk_fleet(&truth)?,
         PlatformConfig {
@@ -194,7 +185,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             degraded.health
         );
         println!(
-            "smoke ok: {backend_name} backend, clean round fused {} APs, \
+            "smoke ok: sim backend, clean round fused {} APs, \
              degraded round survived with {} fates recorded",
             report.fused.len(),
             degraded.fates.len()

@@ -145,10 +145,8 @@ gate "obs enabled overhead pct" "$(num "$O" overhead_pct)" "<=" 10
 gate "obs disabled counter ns" "$(num "$O" disabled_ns)" "<=" 50
 gate "obs enabled counter ns" "$(num "$O" enabled_ns)" "<=" 500
 # The virtual-clock simulator must stay usable for fault-matrix testing:
-# clean rounds at interactive rates, and meaningfully faster than the
-# threaded backend on a degraded round whose timeouts really sleep.
+# clean rounds at interactive rates.
 gate "sim platform rounds/sec" "$(num "$R" sim_rounds_per_sec)" ">=" 0.2
-gate "sim vs threaded speedup" "$(num "$R" sim_speedup)" ">=" 1.5
 # Durability budgets: the write-ahead log must stay invisible next to
 # the estimator maths that dominates a round (the measured percentage
 # hovers around zero and can go negative with scheduler noise), and

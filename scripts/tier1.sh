@@ -18,11 +18,19 @@ cargo build --release --offline --locked --manifest-path loopbench/Cargo.toml
 
 # The sans-I/O protocol core must stay pure: no threads (spawned
 # directly or through the `par_map` pool), channels or wall clocks —
-# those belong to the transport drivers. Grep keeps this honest because
-# the compiler can't.
+# the fleet engine's worker pool belongs to the transport layer. Grep
+# keeps this honest because the compiler can't.
 if grep -RnE 'std::thread|par_map|crossbeam|Instant::now|std::time::Instant|thread::sleep|SystemTime' \
     crates/middleware/src/protocol/; then
     echo "tier1: FAILED — I/O or wall-clock primitive in the sans-I/O protocol core" >&2
+    exit 1
+fi
+# The whole middleware runs on one virtual clock: both transports jump
+# it to the next deadline instead of sleeping, and links are in-memory
+# queues. No channel or wall-clock primitive belongs anywhere in it.
+if grep -RnE 'crossbeam|Instant::now|std::time::Instant|thread::sleep|SystemTime|recv_timeout' \
+    crates/middleware/src/; then
+    echo "tier1: FAILED — channel or wall-clock primitive in the middleware" >&2
     exit 1
 fi
 
@@ -43,7 +51,8 @@ fi
 #   is as accurate as plain FISTA for an order of magnitude less solver
 #   work (solver_accel);
 # - same seed and fault plan give byte-identical deterministic
-#   projections on every transport (transport_equivalence), and the
+#   projections on the simulator and the fleet engine
+#   (transport_equivalence), and the
 #   durable campaign survives the chaos schedules (chaos_recovery);
 # - the wire codec round-trips every message variant (NaN bit-exact)
 #   and quarantines corrupted frames (wire_roundtrip);

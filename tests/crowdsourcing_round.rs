@@ -12,7 +12,7 @@ use crowdwifi::geo::{Point, Rect};
 use crowdwifi::middleware::messages::VehicleId;
 use crowdwifi::middleware::platform::PlatformConfig;
 use crowdwifi::middleware::segment::SegmentMap;
-use crowdwifi::middleware::transport::{ThreadTransport, Transport};
+use crowdwifi::middleware::transport::{SimTransport, Transport};
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -76,7 +76,7 @@ fn threaded_platform_round_flags_spammer_and_finds_aps() {
             drive(v as f64 * 0.5, &truth),
         ));
     }
-    let report = ThreadTransport
+    let report = SimTransport
         .run_round(
             segments,
             fleet,

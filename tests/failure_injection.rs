@@ -1,7 +1,7 @@
 //! Failure injection: hostile, degenerate and malformed inputs must be
 //! rejected cleanly or absorbed without panics or non-finite outputs —
-//! and the threaded platform must survive crashing, stalling and lossy
-//! vehicles, completing rounds degraded instead of hanging or erroring.
+//! and the platform must survive crashing, stalling and lossy vehicles,
+//! completing rounds degraded instead of hanging or erroring.
 
 use crowdwifi::channel::RssReading;
 use crowdwifi::core::pipeline::{ensemble_run, OnlineCs, OnlineCsConfig};
@@ -155,7 +155,7 @@ mod platform_faults {
         FaultTolerance, PlatformConfig, PlatformReport, RoundHealth, VehicleFate,
     };
     use crowdwifi::middleware::segment::SegmentMap;
-    use crowdwifi::middleware::transport::{ThreadTransport, Transport};
+    use crowdwifi::middleware::transport::{SimTransport, Transport};
     use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
     use std::time::Duration;
 
@@ -198,10 +198,9 @@ mod platform_faults {
             .collect()
     }
 
-    /// One retry, short backoff: a dead vehicle costs about two
-    /// deadlines instead of three. The 2 s deadline itself is kept —
-    /// concurrent estimator runs need about a second on one core, and a
-    /// healthy vehicle must never miss it.
+    /// One retry, short backoff: a dead vehicle is declared after about
+    /// two deadlines instead of three. The deadline stays at the 2 s
+    /// default; on the virtual clock it costs no wall time.
     fn config() -> PlatformConfig {
         PlatformConfig {
             workers_per_task: 3,
@@ -228,7 +227,7 @@ mod platform_faults {
     #[test]
     fn crashed_vehicle_degrades_round() {
         let plan = FaultPlan::none().crash(VehicleId(1), FaultPoint::Sense);
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(segments(), fleet(4), config(), &plan)
             .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
@@ -239,7 +238,7 @@ mod platform_faults {
     #[test]
     fn straggler_past_deadline_gets_tasks_reassigned() {
         let plan = FaultPlan::none().stall(VehicleId(2), FaultPoint::Answer);
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(segments(), fleet(5), config(), &plan)
             .unwrap();
         assert_eq!(report.health, RoundHealth::Degraded);
@@ -255,7 +254,7 @@ mod platform_faults {
     #[test]
     fn ten_percent_message_drop_still_completes() {
         let plan = FaultPlan::noisy(11, 0.10, 0.0, 0.0);
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(segments(), fleet(5), config(), &plan)
             .unwrap();
         // Whether a retry was needed depends on which messages the
@@ -274,7 +273,7 @@ mod platform_faults {
             let plan = FaultPlan::noisy(7, 0.10, 0.0, 0.0)
                 .crash(VehicleId(1), FaultPoint::Upload)
                 .stall(VehicleId(2), FaultPoint::Answer);
-            ThreadTransport
+            SimTransport
                 .run_round_with_faults(segments(), fleet(5), config(), &plan)
                 .unwrap()
         };
@@ -294,9 +293,9 @@ mod platform_faults {
 
         // Same seed, same plan: the full report — fates, retry counts,
         // reassignments, reliabilities, fused floats — must replay
-        // byte-for-byte. The embedded metrics snapshot carries
-        // wall-clock phase timers, so compare its deterministic
-        // projection and strip it from the Debug comparison.
+        // byte-for-byte. Compare the embedded metrics snapshot's
+        // deterministic projection, which drops the phase timers, and
+        // strip the timers from the Debug comparison too.
         let mut second = run();
         assert_eq!(
             first.metrics.deterministic().to_json(),
@@ -310,7 +309,7 @@ mod platform_faults {
 
     #[test]
     fn zero_fault_round_is_complete_and_clean() {
-        let report = ThreadTransport
+        let report = SimTransport
             .run_round_with_faults(segments(), fleet(4), config(), &FaultPlan::none())
             .unwrap();
         assert_eq!(report.health, RoundHealth::Complete);
@@ -330,7 +329,7 @@ mod platform_faults {
         let plan = FaultPlan::none()
             .crash(VehicleId(0), FaultPoint::Sense)
             .crash(VehicleId(2), FaultPoint::Sense);
-        let err = ThreadTransport
+        let err = SimTransport
             .run_round_with_faults(segments(), fleet(3), config(), &plan)
             .unwrap_err();
         assert_eq!(
@@ -367,13 +366,13 @@ mod platform_faults {
                 ..config()
             },
         ] {
-            let err = ThreadTransport
+            let err = SimTransport
                 .run_round_with_faults(segments(), fleet(3), bad, &FaultPlan::none())
                 .unwrap_err();
             assert!(matches!(err, MiddlewareError::InvalidConfig(_)), "{err:?}");
         }
         // Bad fault plans are rejected too.
-        let err = ThreadTransport
+        let err = SimTransport
             .run_round_with_faults(
                 segments(),
                 fleet(3),

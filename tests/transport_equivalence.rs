@@ -1,9 +1,10 @@
 //! Cross-backend determinism: the same seed and fault plan must yield
-//! byte-identical deterministic round projections whether the round runs
-//! on the concurrent threaded transport or on the virtual-clock
-//! simulator. This is the payoff of the sans-I/O split — the protocol
-//! outcome is a pure function of (fleet, config, plan), with the
-//! transport contributing scheduling and wall time only.
+//! byte-identical rounds whether they run on the virtual-clock
+//! simulator or on the batched fleet engine. This is the payoff of the
+//! sans-I/O split — the protocol outcome is a pure function of (fleet,
+//! config, plan), with the transport contributing scheduling only. The
+//! simulator is the independent reference; the fleet engine must match
+//! it at every worker count.
 
 use crowdwifi::channel::{PathLossModel, RssReading};
 use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig};
@@ -11,14 +12,19 @@ use crowdwifi::geo::{Point, Rect};
 use crowdwifi::middleware::durability::MemorySink;
 use crowdwifi::middleware::fault::{FaultPlan, FaultPoint};
 use crowdwifi::middleware::messages::VehicleId;
-use crowdwifi::middleware::platform::{FaultTolerance, PlatformConfig};
+use crowdwifi::middleware::platform::{
+    FateRecord, FaultTolerance, PlatformConfig, PlatformReport, RoundHealth, RoundPhase,
+    VehicleFate,
+};
 use crowdwifi::middleware::segment::SegmentMap;
 use crowdwifi::middleware::transport::{
     run_campaign_with_faults_into, sim_round_with_digest, FleetTransport, NoSink, SimTransport,
-    ThreadTransport, Transport,
+    Transport,
 };
-use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
+use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle, VehicleExit};
 use std::time::Duration;
+
+type Fleet = Vec<(CrowdVehicle, Vec<RssReading>)>;
 
 /// Fading-free staggered drive past two roadside APs.
 fn drive(lane_offset: f64) -> Vec<RssReading> {
@@ -46,7 +52,7 @@ fn segments() -> SegmentMap {
     )
 }
 
-fn fleet(n: u32) -> Vec<(CrowdVehicle, Vec<RssReading>)> {
+fn fleet(n: u32) -> Fleet {
     (0..n)
         .map(|v| {
             let estimator =
@@ -72,189 +78,20 @@ fn config() -> PlatformConfig {
     }
 }
 
-/// Runs one round on both backends and asserts the outcomes are
-/// byte-identical: same error, or same deterministic projection
-/// (everything except wall-clock timings).
-fn assert_round_equivalent(n: u32, plan: &FaultPlan, config: PlatformConfig) {
-    let threaded = ThreadTransport.run_round_with_faults(segments(), fleet(n), config, plan);
-    let simulated = SimTransport.run_round_with_faults(segments(), fleet(n), config, plan);
-    match (threaded, simulated) {
-        (Ok(threaded), Ok(simulated)) => {
-            assert_eq!(
-                format!("{:?}", threaded.deterministic()),
-                format!("{:?}", simulated.deterministic()),
-                "deterministic projections diverged for plan {plan:?}"
-            );
-            assert_eq!(
-                threaded.metrics.deterministic().to_json(),
-                simulated.metrics.deterministic().to_json(),
-                "deterministic metrics diverged for plan {plan:?}"
-            );
-            assert_eq!(threaded.exits, simulated.exits, "vehicle exits diverged");
-        }
-        (Err(threaded), Err(simulated)) => assert_eq!(threaded, simulated),
-        (t, s) => panic!("backends disagree on round outcome: threaded {t:?} vs sim {s:?}"),
-    }
-}
-
-#[test]
-fn healthy_round_is_backend_equivalent() {
-    assert_round_equivalent(3, &FaultPlan::none(), config());
-}
-
-#[test]
-fn crashed_vehicle_round_is_backend_equivalent() {
-    assert_round_equivalent(
-        4,
-        &FaultPlan::none().crash(VehicleId(2), FaultPoint::Upload),
-        config(),
-    );
-}
-
-#[test]
-fn straggler_round_is_backend_equivalent() {
-    assert_round_equivalent(
-        5,
-        &FaultPlan::none().stall(VehicleId(1), FaultPoint::Answer),
-        config(),
-    );
-}
-
-#[test]
-fn noisy_links_round_is_backend_equivalent() {
-    // Mixed message noise: drops force retries, duplicates are ignored,
-    // delays reorder. The per-link RNG streams are keyed by (plan seed,
-    // vehicle, direction), so both backends inject the same faults at
-    // the same points in each link's send sequence.
-    assert_round_equivalent(4, &FaultPlan::noisy(11, 0.08, 0.15, 0.05), config());
-}
-
-#[test]
-fn max_seed_round_is_backend_equivalent() {
-    // Vehicle seeds are `seed + i + 1`: at the top of the range they
-    // must wrap on every backend, not overflow.
-    let config = PlatformConfig {
-        seed: u64::MAX,
-        ..config()
-    };
-    let plan = FaultPlan::noisy(11, 0.08, 0.15, 0.05);
-    assert_round_equivalent(4, &plan, config);
-    assert_fleet_round_equivalent(4, &plan, 2, config);
-}
-
-#[test]
-fn quorum_loss_fails_identically_on_both_backends() {
-    let plan = FaultPlan::none()
-        .crash(VehicleId(0), FaultPoint::Sense)
-        .crash(VehicleId(1), FaultPoint::Upload);
-    let threaded = ThreadTransport
-        .run_round_with_faults(segments(), fleet(3), config(), &plan)
-        .expect_err("quorum must fail");
-    let simulated = SimTransport
-        .run_round_with_faults(segments(), fleet(3), config(), &plan)
-        .expect_err("quorum must fail");
-    assert_eq!(threaded, simulated);
-}
-
-#[test]
-fn injected_fault_tallies_are_backend_equivalent() {
-    // The observed fault totals land in the sealed report's metrics
-    // under the same names with the same values on both backends —
-    // the fault layer is keyed by per-link RNG streams, not by
-    // scheduling.
-    let plan = FaultPlan::noisy(13, 0.12, 0.08, 0.04)
-        .crash(VehicleId(1), FaultPoint::Upload)
-        .stall(VehicleId(3), FaultPoint::Answer);
-    let threaded = ThreadTransport
-        .run_round_with_faults(segments(), fleet(5), config(), &plan)
-        .expect("threaded round");
-    let simulated = SimTransport
-        .run_round_with_faults(segments(), fleet(5), config(), &plan)
-        .expect("simulated round");
-    for name in [
-        "platform.faults.dropped",
-        "platform.faults.duplicated",
-        "platform.faults.delayed",
-        "platform.faults.server_crashes",
-        "platform.faults.torn_wal_tails",
-    ] {
-        assert_eq!(
-            threaded.metrics.counters.get(name),
-            simulated.metrics.counters.get(name),
-            "injected-fault counter {name} diverged across backends"
-        );
-    }
-    // The schedule injected message noise, so something was counted.
-    assert!(
-        threaded
-            .metrics
-            .counters
-            .get("platform.faults.dropped")
-            .copied()
-            .unwrap_or(0)
-            > 0,
-        "noise plan injected nothing — test is vacuous"
-    );
-}
-
-#[test]
-fn clean_durable_round_is_backend_equivalent() {
-    // With no injected crashes the WAL is a pure transcript, and its
-    // count-based fsync batching makes even the durability counters
-    // backend-identical: same events handled, same appends, same
-    // batches, zero recoveries.
-    let mut thread_wal = MemorySink::new();
-    let threaded = ThreadTransport
-        .run_round_durable(
-            segments(),
-            fleet(3),
-            config(),
-            &FaultPlan::none(),
-            &mut thread_wal,
-        )
-        .expect("threaded durable round");
-    let mut sim_wal = MemorySink::new();
-    let simulated = SimTransport
-        .run_round_durable(
-            segments(),
-            fleet(3),
-            config(),
-            &FaultPlan::none(),
-            &mut sim_wal,
-        )
-        .expect("simulated durable round");
-    assert_eq!(
-        format!("{:?}", threaded.deterministic()),
-        format!("{:?}", simulated.deterministic()),
-        "durable deterministic projections diverged"
-    );
-    assert_eq!(
-        threaded.metrics.deterministic().to_json(),
-        simulated.metrics.deterministic().to_json(),
-        "durable deterministic metrics diverged (durability.* included)"
-    );
-    for name in ["durability.appends", "durability.fsync_batches"] {
-        assert!(
-            threaded.metrics.counters.get(name).copied().unwrap_or(0) > 0,
-            "{name} missing from durable round metrics"
-        );
-    }
-    assert_eq!(
-        threaded.metrics.counters.get("durability.recoveries"),
-        Some(&0)
-    );
-}
-
-/// Runs one faulted round on the virtual-clock simulator and on the
-/// fleet-scale engine, asserting the issue's contract: byte-identical
-/// server state digests and fused maps on the same seed, plus equal
-/// deterministic projections, metrics and exits.
-fn assert_fleet_round_equivalent(n: u32, plan: &FaultPlan, workers: usize, config: PlatformConfig) {
+/// Runs one faulted round on the virtual-clock simulator and on
+/// `engine`, asserting byte-identical server state digests and fused
+/// maps on the same seed, plus equal deterministic projections, metrics
+/// and exits. Returns the simulator's report for further checks.
+fn assert_fleet_round_equivalent(
+    mk_fleet: impl Fn() -> Fleet,
+    plan: &FaultPlan,
+    engine: FleetTransport,
+    config: PlatformConfig,
+) -> PlatformReport {
     let (sim_report, sim_digest) =
-        sim_round_with_digest(segments(), fleet(n), config, plan).expect("sim round");
-    let engine = FleetTransport::new().with_workers(workers);
+        sim_round_with_digest(segments(), mk_fleet(), config, plan).expect("sim round");
     let (fleet_report, fleet_digest) = engine
-        .run_round_with_digest(segments(), fleet(n), config, plan)
+        .run_round_with_digest(segments(), mk_fleet(), config, plan)
         .expect("fleet round");
     assert_eq!(
         sim_digest, fleet_digest,
@@ -276,16 +113,239 @@ fn assert_fleet_round_equivalent(n: u32, plan: &FaultPlan, workers: usize, confi
         "deterministic metrics diverged for plan {plan:?}"
     );
     assert_eq!(sim_report.exits, fleet_report.exits, "exits diverged");
+    sim_report
+}
+
+#[test]
+fn healthy_round_is_backend_equivalent() {
+    assert_fleet_round_equivalent(
+        || fleet(3),
+        &FaultPlan::none(),
+        FleetTransport::new(),
+        config(),
+    );
+}
+
+#[test]
+fn crashed_vehicle_round_is_backend_equivalent() {
+    assert_fleet_round_equivalent(
+        || fleet(4),
+        &FaultPlan::none().crash(VehicleId(2), FaultPoint::Upload),
+        FleetTransport::new(),
+        config(),
+    );
+}
+
+#[test]
+fn straggler_round_is_backend_equivalent() {
+    assert_fleet_round_equivalent(
+        || fleet(5),
+        &FaultPlan::none().stall(VehicleId(1), FaultPoint::Answer),
+        FleetTransport::new(),
+        config(),
+    );
+}
+
+#[test]
+fn noisy_links_round_is_backend_equivalent() {
+    // Mixed message noise: drops force retries, duplicates are ignored,
+    // delays reorder. The per-link RNG streams are keyed by (plan seed,
+    // vehicle, direction), so both backends inject the same faults at
+    // the same points in each link's send sequence.
+    assert_fleet_round_equivalent(
+        || fleet(4),
+        &FaultPlan::noisy(11, 0.08, 0.15, 0.05),
+        FleetTransport::new(),
+        config(),
+    );
+}
+
+#[test]
+fn max_seed_round_is_backend_equivalent() {
+    // Vehicle seeds are `seed + i + 1`: at the top of the range they
+    // must wrap on every backend, not overflow.
+    let config = PlatformConfig {
+        seed: u64::MAX,
+        ..config()
+    };
+    let plan = FaultPlan::noisy(11, 0.08, 0.15, 0.05);
+    assert_fleet_round_equivalent(|| fleet(4), &plan, FleetTransport::new(), config);
+    assert_fleet_round_equivalent(
+        || fleet(4),
+        &plan,
+        FleetTransport::new().with_workers(2),
+        config,
+    );
+}
+
+#[test]
+fn saturating_retry_backoff_round_is_backend_equivalent() {
+    // `validate_config` accepts any backoff, so the k-th retry's extra
+    // wait must saturate rather than overflow: the straggler's second
+    // labeling retry waits "forever" and the round still degrades.
+    let config = PlatformConfig {
+        tolerance: FaultTolerance {
+            retry_backoff: Duration::MAX,
+            max_retries: 2,
+            ..config().tolerance
+        },
+        ..config()
+    };
+    let plan = FaultPlan::none().stall(VehicleId(1), FaultPoint::Answer);
+    let report = assert_fleet_round_equivalent(|| fleet(5), &plan, FleetTransport::new(), config);
+    assert_eq!(report.health, RoundHealth::Degraded);
+    assert_eq!(
+        report.fates[&VehicleId(1)],
+        FateRecord {
+            fate: VehicleFate::TimedOut(RoundPhase::Labeling),
+            retries: 2
+        }
+    );
+}
+
+#[test]
+fn failing_vehicle_round_is_backend_equivalent() {
+    // Vehicle 1's drive is poisoned with NaN coordinates, so its
+    // estimator fails mid-sense: the fleet engine must report the
+    // failure upstream exactly like the simulator, at any worker count.
+    let poisoned = || {
+        let mut fleet = fleet(3);
+        for r in fleet[1].1.iter_mut() {
+            *r = RssReading::new(Point::new(f64::NAN, f64::NAN), r.rss_dbm, r.time);
+        }
+        fleet
+    };
+    for workers in [1, 2] {
+        let engine = FleetTransport::new().with_workers(workers);
+        let report = assert_fleet_round_equivalent(poisoned, &FaultPlan::none(), engine, config());
+        assert!(
+            matches!(&report.exits[&VehicleId(1)], VehicleExit::Failed(_)),
+            "unexpected exit {:?}",
+            report.exits[&VehicleId(1)]
+        );
+        let fate = &report.fates[&VehicleId(1)].fate;
+        assert!(
+            matches!(fate, VehicleFate::Reported(_)),
+            "unexpected fate {fate:?}"
+        );
+    }
+}
+
+#[test]
+fn quorum_loss_fails_identically_on_both_backends() {
+    let plan = FaultPlan::none()
+        .crash(VehicleId(0), FaultPoint::Sense)
+        .crash(VehicleId(1), FaultPoint::Upload);
+    let fleeted = FleetTransport::new()
+        .run_round_with_faults(segments(), fleet(3), config(), &plan)
+        .expect_err("quorum must fail");
+    let simulated = SimTransport
+        .run_round_with_faults(segments(), fleet(3), config(), &plan)
+        .expect_err("quorum must fail");
+    assert_eq!(fleeted, simulated);
+}
+
+#[test]
+fn injected_fault_tallies_are_backend_equivalent() {
+    // The observed fault totals land in the sealed report's metrics
+    // under the same names with the same values on both backends —
+    // the fault layer is keyed by per-link RNG streams, not by
+    // scheduling.
+    let plan = FaultPlan::noisy(13, 0.12, 0.08, 0.04)
+        .crash(VehicleId(1), FaultPoint::Upload)
+        .stall(VehicleId(3), FaultPoint::Answer);
+    let fleeted = FleetTransport::new()
+        .run_round_with_faults(segments(), fleet(5), config(), &plan)
+        .expect("fleet round");
+    let simulated = SimTransport
+        .run_round_with_faults(segments(), fleet(5), config(), &plan)
+        .expect("simulated round");
+    for name in [
+        "platform.faults.dropped",
+        "platform.faults.duplicated",
+        "platform.faults.delayed",
+        "platform.faults.server_crashes",
+        "platform.faults.torn_wal_tails",
+    ] {
+        assert_eq!(
+            fleeted.metrics.counters.get(name),
+            simulated.metrics.counters.get(name),
+            "injected-fault counter {name} diverged across backends"
+        );
+    }
+    // The schedule injected message noise, so something was counted.
+    assert!(
+        fleeted
+            .metrics
+            .counters
+            .get("platform.faults.dropped")
+            .copied()
+            .unwrap_or(0)
+            > 0,
+        "noise plan injected nothing — test is vacuous"
+    );
+}
+
+#[test]
+fn clean_durable_round_is_backend_equivalent() {
+    // With no injected crashes the WAL is a pure transcript, and its
+    // count-based fsync batching makes even the durability counters
+    // backend-identical: same events handled, same appends, same
+    // batches, zero recoveries.
+    let mut fleet_wal = MemorySink::new();
+    let fleeted = FleetTransport::new()
+        .run_round_durable(
+            segments(),
+            fleet(3),
+            config(),
+            &FaultPlan::none(),
+            &mut fleet_wal,
+        )
+        .expect("fleet durable round");
+    let mut sim_wal = MemorySink::new();
+    let simulated = SimTransport
+        .run_round_durable(
+            segments(),
+            fleet(3),
+            config(),
+            &FaultPlan::none(),
+            &mut sim_wal,
+        )
+        .expect("simulated durable round");
+    assert_eq!(
+        format!("{:?}", fleeted.deterministic()),
+        format!("{:?}", simulated.deterministic()),
+        "durable deterministic projections diverged"
+    );
+    assert_eq!(
+        fleeted.metrics.deterministic().to_json(),
+        simulated.metrics.deterministic().to_json(),
+        "durable deterministic metrics diverged (durability.* included)"
+    );
+    for name in ["durability.appends", "durability.fsync_batches"] {
+        assert!(
+            fleeted.metrics.counters.get(name).copied().unwrap_or(0) > 0,
+            "{name} missing from durable round metrics"
+        );
+    }
+    assert_eq!(
+        fleeted.metrics.counters.get("durability.recoveries"),
+        Some(&0)
+    );
 }
 
 #[test]
 fn fleet_round_matches_sim_byte_for_byte() {
-    // Faults on: message noise plus a crash and a straggler, the same
-    // classes the sim-vs-threaded suite exercises.
+    // Faults on: message noise plus a crash and a straggler.
     let plan = FaultPlan::noisy(17, 0.08, 0.1, 0.05)
         .crash(VehicleId(1), FaultPoint::Upload)
         .stall(VehicleId(3), FaultPoint::Answer);
-    assert_fleet_round_equivalent(6, &plan, 2, config());
+    assert_fleet_round_equivalent(
+        || fleet(6),
+        &plan,
+        FleetTransport::new().with_workers(2),
+        config(),
+    );
 }
 
 #[test]
@@ -294,7 +354,8 @@ fn fleet_results_are_invariant_to_worker_count() {
     // so the results cannot depend on how vehicles were batched.
     let plan = FaultPlan::noisy(29, 0.05, 0.05, 0.05);
     for workers in [1, 2, 3] {
-        assert_fleet_round_equivalent(5, &plan, workers, config());
+        let engine = FleetTransport::new().with_workers(workers);
+        assert_fleet_round_equivalent(|| fleet(5), &plan, engine, config());
     }
 }
 
@@ -345,8 +406,8 @@ fn campaign_database_is_backend_equivalent() {
         FaultPlan::none(),
         FaultPlan::none().crash(VehicleId(3), FaultPoint::Upload),
     ];
-    let threaded = run_campaign_with_faults_into(
-        &ThreadTransport,
+    let fleeted = run_campaign_with_faults_into(
+        &FleetTransport::new(),
         segments(),
         rounds(),
         config(),
@@ -354,7 +415,7 @@ fn campaign_database_is_backend_equivalent() {
         &plans,
         &mut NoSink,
     )
-    .expect("threaded campaign");
+    .expect("fleet campaign");
     let simulated = run_campaign_with_faults_into(
         &SimTransport,
         segments(),
@@ -365,17 +426,17 @@ fn campaign_database_is_backend_equivalent() {
         &mut NoSink,
     )
     .expect("simulated campaign");
-    assert_eq!(threaded.reports.len(), simulated.reports.len());
-    for (t, s) in threaded.reports.iter().zip(&simulated.reports) {
+    assert_eq!(fleeted.reports.len(), simulated.reports.len());
+    for (f, s) in fleeted.reports.iter().zip(&simulated.reports) {
         assert_eq!(
-            format!("{:?}", t.deterministic()),
+            format!("{:?}", f.deterministic()),
             format!("{:?}", s.deterministic())
         );
     }
     assert_eq!(
-        format!("{:?}", threaded.database),
+        format!("{:?}", fleeted.database),
         format!("{:?}", simulated.database),
         "sharded campaign databases diverged"
     );
-    assert!(!threaded.database.is_empty());
+    assert!(!fleeted.database.is_empty());
 }

@@ -1,5 +1,5 @@
 //! Ablation study over CrowdWiFi's design choices (accuracy, not speed —
-//! the timing side lives in the Criterion benches).
+//! the timing side lives in `pipeline_throughput`).
 //!
 //! Each row disables or varies one component of the pipeline on the
 //! same UCI drive and reports counting / localization error:
@@ -9,7 +9,7 @@
 //! * sliding-window size,
 //! * consolidation merge radius.
 
-use crowdwifi_bench::{fmt_opt, lookup_errors, print_table, Row};
+use crowdwifi_bench::{campus_config, fmt_opt, lookup_errors, print_table, Row};
 use crowdwifi_core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi_core::recovery::CsRecovery;
 use crowdwifi_core::window::WindowConfig;
@@ -17,20 +17,6 @@ use crowdwifi_geo::{Grid, Point};
 use crowdwifi_vanet_sim::{mobility, RssCollector, Scenario};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-
-fn base_config() -> OnlineCsConfig {
-    OnlineCsConfig {
-        window: WindowConfig {
-            size: 40,
-            step: 10,
-            ttl: f64::INFINITY,
-        },
-        lattice: 8.0,
-        sigma_factor: 0.04,
-        merge_radius: 20.0,
-        ..OnlineCsConfig::default()
-    }
-}
 
 fn main() {
     let scenario = Scenario::uci_campus();
@@ -84,11 +70,11 @@ fn main() {
     let model = *scenario.pathloss();
 
     // Baseline.
-    let full = OnlineCs::new(base_config(), model).expect("valid config");
+    let full = OnlineCs::new(campus_config(), model).expect("valid config");
     run("full pipeline", &full);
 
     // No Proposition-1 orthogonalization.
-    let cfg = base_config();
+    let cfg = campus_config();
     let no_orth = OnlineCs::new(cfg, model)
         .expect("valid config")
         .with_recovery(
@@ -100,7 +86,7 @@ fn main() {
     // No global refinement (paper's plain credit filter).
     let cfg = OnlineCsConfig {
         global_refine: false,
-        ..base_config()
+        ..campus_config()
     };
     run(
         "credit filter only",
@@ -115,7 +101,7 @@ fn main() {
                 step: 10,
                 ttl: f64::INFINITY,
             },
-            ..base_config()
+            ..campus_config()
         };
         run(
             &format!("window = {size}"),
@@ -125,7 +111,7 @@ fn main() {
 
     // Plain FISTA in place of the default exact active-set solver: the
     // same l1 program solved to the proximal-gradient path's tolerance.
-    let cfg = base_config();
+    let cfg = campus_config();
     let fista = OnlineCs::new(cfg, model)
         .expect("valid config")
         .with_recovery(
@@ -146,7 +132,7 @@ fn main() {
             crowdwifi_sparsesolve::AnySolver::default_irls(),
         ),
     ] {
-        let cfg = base_config();
+        let cfg = campus_config();
         let variant = OnlineCs::new(cfg, model)
             .expect("valid config")
             .with_recovery(
@@ -160,7 +146,7 @@ fn main() {
     for mr in [8.0, 40.0] {
         let cfg = OnlineCsConfig {
             merge_radius: mr,
-            ..base_config()
+            ..campus_config()
         };
         run(
             &format!("merge radius = {mr} m"),

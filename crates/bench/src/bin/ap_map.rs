@@ -26,7 +26,7 @@
 //! Writes `BENCH_map.json` at the repo root (or `$BENCH_OUT_DIR`).
 //! Run with `cargo run -p crowdwifi-bench --release --bin ap_map`.
 
-use crowdwifi_bench::{bench_out_path, smoke_mode};
+use crowdwifi_bench::{num, obj, smoke_mode, Report};
 use crowdwifi_core::ApEstimate;
 use crowdwifi_geo::{Point, Rect};
 use crowdwifi_geomap::{GeoMap, MapConfig};
@@ -204,22 +204,11 @@ fn main() {
     }
     let merge_rate = estimates.len() as f64 / start.elapsed().as_secs_f64();
     let stats = map.stats();
-    println!(
-        "  ingest: build {:.2} Mest/s ({stored} stored, {} shards, {} buckets), re-observe {:.2} Mest/s",
-        build_rate / 1e6,
-        map.shard_count(),
-        stats.buckets,
-        merge_rate / 1e6,
-    );
 
     // --- Lookups: ingest off, then with a concurrent writer -----------
     let centers = query_centers(roads, slots, 65_536);
     run_lookups(&map, &centers, batches / 8); // warm-up
     let (off_rate, off_p50, off_p99) = run_lookups(&map, &centers, batches);
-    println!(
-        "  lookups (ingest off): {:.2} M/s, p50 {off_p50:.3} µs, p99 {off_p99:.3} µs",
-        off_rate / 1e6
-    );
 
     // The writer is a fixed-rate load generator: it re-ingests the
     // estimate stream in chunks paced to INGEST_TARGET_PER_SEC (a heavy
@@ -260,11 +249,6 @@ fn main() {
         (rate, p50, p99, ingest_rate)
     });
     let p99_ratio = on_p99 / off_p99.max(1e-9);
-    println!(
-        "  lookups (ingest on):  {:.2} M/s, p50 {on_p50:.3} µs, p99 {on_p99:.3} µs ({p99_ratio:.2}x off), writer {:.2} Mest/s",
-        on_rate / 1e6,
-        concurrent_ingest_rate / 1e6,
-    );
 
     // --- Eviction: refresh half, sweep the rest -----------------------
     let last_pass = passes.load(Ordering::Relaxed) + 2;
@@ -278,16 +262,9 @@ fn main() {
     let sweep = map.evict(t_refresh + ttl);
     let sweep_secs = start.elapsed().as_secs_f64();
     let sweep_rate = before as f64 / sweep_secs;
-    println!(
-        "  eviction: {} of {before} expired in {sweep_secs:.3} s ({:.2} Mentries/s), {} remain",
-        sweep.expired,
-        sweep_rate / 1e6,
-        sweep.remaining,
-    );
 
     // --- Handoff: map-fed BRR vs static list --------------------------
     let brr_identical = brr_identity_holds();
-    println!("  handoff: map-fed BRR identical to static baseline: {brr_identical}");
 
     let min_stored = if smoke { 200_000 } else { 1_000_000 };
     assert!(
@@ -308,17 +285,56 @@ fn main() {
     );
     assert!(brr_identical, "map-fed BRR diverged from the static list");
 
-    let json = format!(
-        "{{\n  \"bench\": \"ap_map\",\n  \"schema_version\": 7,\n  \"machine\": {{\"physical_parallelism\": {}, \"smoke\": {smoke}}},\n  \"map\": {{\n    \"stored_aps\": {stored},\n    \"shards\": {},\n    \"buckets\": {},\n    \"bucket_edge_m\": {:.1},\n    \"world_edge_m\": {WORLD_M:.0},\n    \"lookup_radius_m\": {LOOKUP_RADIUS_M:.0}\n  }},\n  \"ingest\": {{\n    \"build_estimates_per_sec\": {build_rate:.0},\n    \"reobserve_estimates_per_sec\": {merge_rate:.0},\n    \"concurrent_ingest_estimates_per_sec\": {concurrent_ingest_rate:.0},\n    \"concurrent_ingest_target_per_sec\": 250000\n  }},\n  \"lookup\": {{\n    \"latency_batch\": {LAT_BATCH},\n    \"batches\": {batches},\n    \"lookups_per_sec_ingest_off\": {off_rate:.0},\n    \"p50_us_ingest_off\": {off_p50:.4},\n    \"p99_us_ingest_off\": {off_p99:.4},\n    \"lookups_per_sec_with_ingest\": {on_rate:.0},\n    \"p50_us_with_ingest\": {on_p50:.4},\n    \"p99_us_with_ingest\": {on_p99:.4},\n    \"p99_ratio_on_off\": {p99_ratio:.4},\n    \"target_lookups_per_sec_with_ingest\": 1000000,\n    \"target_p99_us_with_ingest\": 10.0,\n    \"target_p99_ratio_on_off\": 2.0\n  }},\n  \"eviction\": {{\n    \"entries_before\": {before},\n    \"expired\": {},\n    \"transient\": {},\n    \"remaining\": {},\n    \"sweep_secs\": {sweep_secs:.4},\n    \"sweep_entries_per_sec\": {sweep_rate:.0}\n  }},\n  \"handoff\": {{\"brr_identical\": {brr_identical}}},\n  \"notes\": \"The map stores a deterministic metro-scale road grid of consolidated AP entries (merge radius keeps neighbors distinct at the grid spacing). Lookups are allocation-free count_near radius probes along drive-shaped query streams (256 consecutive jittered positions per road drive, drives starting on random roads — the spatial pattern of user-vehicles polling along their routes); the read path clones each touched shard's published generation Arc under an O(1) read lock, so a concurrent writer re-ingesting the full estimate stream (merge-heavy consolidation plus generation republish per batch) never blocks readers. The concurrent writer is paced at a fixed 250k-estimates/s arrival rate — a load generator modeling transports draining round closes — with full-speed ingest throughput reported separately by the build and re-observe rows. Latency is sampled per 64-lookup batch — one clock read per batch — so on a single-core box a scheduler preemption poisons well under 1% of samples and the p99 reflects the read path, not the timeslice. The eviction sweep refreshes every other estimate at a late timestamp and then evicts at refresh+TTL, expiring exactly the unrefreshed entries in one full-map generation rebuild. brr_identical re-runs the VanLan BRR policy fed from the map's corridor query (aps_ahead) against the canonically-ordered static ground-truth list on the same seed and requires identical connectivity traces end to end.\"\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        map.shard_count(),
-        stats.buckets,
-        bucket_edge,
-        sweep.expired,
-        sweep.transient,
-        sweep.remaining,
-    );
-    let out_path = bench_out_path("BENCH_map.json");
-    std::fs::write(&out_path, &json).expect("write BENCH_map.json");
-    println!("wrote {}", out_path.display());
+    Report::new("ap_map", 7)
+        .field(
+            "map",
+            obj([
+                ("stored_aps", stored.into()),
+                ("shards", map.shard_count().into()),
+                ("buckets", stats.buckets.into()),
+                ("bucket_edge_m", num(bucket_edge, 1)),
+                ("world_edge_m", num(WORLD_M, 0)),
+                ("lookup_radius_m", num(LOOKUP_RADIUS_M, 0)),
+            ]),
+        )
+        .field(
+            "ingest",
+            obj([
+                ("build_estimates_per_sec", num(build_rate, 0)),
+                ("reobserve_estimates_per_sec", num(merge_rate, 0)),
+                ("concurrent_ingest_estimates_per_sec", num(concurrent_ingest_rate, 0)),
+                ("concurrent_ingest_target_per_sec", 250_000u64.into()),
+            ]),
+        )
+        .field(
+            "lookup",
+            obj([
+                ("latency_batch", LAT_BATCH.into()),
+                ("batches", batches.into()),
+                ("lookups_per_sec_ingest_off", num(off_rate, 0)),
+                ("p50_us_ingest_off", num(off_p50, 4)),
+                ("p99_us_ingest_off", num(off_p99, 4)),
+                ("lookups_per_sec_with_ingest", num(on_rate, 0)),
+                ("p50_us_with_ingest", num(on_p50, 4)),
+                ("p99_us_with_ingest", num(on_p99, 4)),
+                ("p99_ratio_on_off", num(p99_ratio, 4)),
+                ("target_lookups_per_sec_with_ingest", 1_000_000u64.into()),
+                ("target_p99_us_with_ingest", num(10.0, 1)),
+                ("target_p99_ratio_on_off", num(2.0, 1)),
+            ]),
+        )
+        .field(
+            "eviction",
+            obj([
+                ("entries_before", before.into()),
+                ("expired", sweep.expired.into()),
+                ("transient", sweep.transient.into()),
+                ("remaining", sweep.remaining.into()),
+                ("sweep_secs", num(sweep_secs, 4)),
+                ("sweep_entries_per_sec", num(sweep_rate, 0)),
+            ]),
+        )
+        .field("handoff", obj([("brr_identical", brr_identical.into())]))
+        .notes("The map stores a deterministic metro-scale road grid of consolidated AP entries (merge radius keeps neighbors distinct at the grid spacing). Lookups are allocation-free count_near radius probes along drive-shaped query streams (256 consecutive jittered positions per road drive, drives starting on random roads — the spatial pattern of user-vehicles polling along their routes); the read path clones each touched shard's published generation Arc under an O(1) read lock, so a concurrent writer re-ingesting the full estimate stream (merge-heavy consolidation plus generation republish per batch) never blocks readers. The concurrent writer is paced at a fixed 250k-estimates/s arrival rate — a load generator modeling transports draining round closes — with full-speed ingest throughput reported separately by the build and re-observe rows. Latency is sampled per 64-lookup batch — one clock read per batch — so on a single-core box a scheduler preemption poisons well under 1% of samples and the p99 reflects the read path, not the timeslice. The eviction sweep refreshes every other estimate at a late timestamp and then evicts at refresh+TTL, expiring exactly the unrefreshed entries in one full-map generation rebuild. brr_identical re-runs the VanLan BRR policy fed from the map's corridor query (aps_ahead) against the canonically-ordered static ground-truth list on the same seed and requires identical connectivity traces end to end.")
+        .write("BENCH_map.json");
 }

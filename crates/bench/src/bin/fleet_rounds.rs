@@ -21,7 +21,7 @@
 //! Writes `BENCH_fleet.json` at the repo root (or `$BENCH_OUT_DIR`).
 //! Run with `cargo run -p crowdwifi-bench --release --bin fleet_rounds`.
 
-use crowdwifi_bench::{bench_out_path, smoke_mode};
+use crowdwifi_bench::{num, obj, smoke_mode, Json, Report};
 use crowdwifi_channel::{PathLossModel, RssReading};
 use crowdwifi_core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi_core::window::WindowConfig;
@@ -160,7 +160,6 @@ fn main() {
         format!("{:?}", fleet_report.fused),
         "fused maps diverged"
     );
-    println!("  equivalence: {eq_n}-vehicle fleet round matches sim byte-for-byte");
 
     let mut rows = Vec::new();
     let mut headline = f64::INFINITY;
@@ -181,20 +180,21 @@ fn main() {
             .values()
             .filter(|e| !matches!(e, crowdwifi_middleware::vehicle::VehicleExit::Completed))
             .count();
-        println!(
-            "  {n} vehicles: {wall_secs:.2} s wall, {fused} fused APs, {failed} non-clean exits → {vrph:.0} vehicle-rounds/hour"
-        );
-        rows.push(format!(
-            "    {{\"vehicles\": {n}, \"wall_secs\": {wall_secs:.3}, \"vehicle_rounds_per_hour\": {vrph:.0}, \"fused_aps\": {fused}, \"non_clean_exits\": {failed}}}"
-        ));
+        rows.push(obj([
+            ("vehicles", n.into()),
+            ("wall_secs", num(wall_secs, 3)),
+            ("vehicle_rounds_per_hour", num(vrph, 0)),
+            ("fused_aps", fused.into()),
+            ("non_clean_exits", failed.into()),
+        ]));
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"fleet_rounds\",\n  \"schema_version\": 8,\n  \"machine\": {{\"physical_parallelism\": {}, \"worker_budget\": {worker_budget}, \"smoke\": {smoke}}},\n  \"equivalence\": {{\"vehicles\": {eq_n}, \"digest_match\": true}},\n  \"rows\": [\n{}\n  ],\n  \"headline_vehicle_rounds_per_hour\": {headline:.0},\n  \"target_vehicle_rounds_per_hour\": 1000000,\n  \"notes\": \"Each row is one full crowdsensing round on FleetTransport with faults on (1% drop, 0.5% duplication, one crash and one stall per 2048 vehicles): sensing, upload, labeling with retries and reassignment, per-segment fusion, reliability scoring. vehicle_rounds_per_hour = vehicles / wall_secs * 3600; headline is the worst row. Vehicles run a deliberately cheap estimator (one 12-sample window, 10 m lattice, 60 m radio range, no global refine, single-threaded solves) so the number measures the round engine — event batching, timer machinery — not estimator maths. machine.worker_budget is the transport's worker-pool size after clamping to detected parallelism (CROWDWIFI_THREADS rules). Before timing, a 200-vehicle round is asserted byte-identical (state digest and fused map) between FleetTransport and the reference SimTransport on the same seed and plan.\"\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rows.join(",\n"),
-    );
-    let out_path = bench_out_path("BENCH_fleet.json");
-    std::fs::write(&out_path, &json).expect("write BENCH_fleet.json");
-    println!("wrote {}", out_path.display());
+    Report::new("fleet_rounds", 8)
+        .worker_budget(worker_budget)
+        .field("equivalence", obj([("vehicles", eq_n.into()), ("digest_match", true.into())]))
+        .field("rows", Json::Arr(rows))
+        .field("headline_vehicle_rounds_per_hour", num(headline, 0))
+        .field("target_vehicle_rounds_per_hour", 1_000_000u64)
+        .notes("Each row is one full crowdsensing round on FleetTransport with faults on (1% drop, 0.5% duplication, one crash and one stall per 2048 vehicles): sensing, upload, labeling with retries and reassignment, per-segment fusion, reliability scoring. vehicle_rounds_per_hour = vehicles / wall_secs * 3600; headline is the worst row. Vehicles run a deliberately cheap estimator (one 12-sample window, 10 m lattice, 60 m radio range, no global refine, single-threaded solves) so the number measures the round engine — event batching, timer machinery — not estimator maths. machine.worker_budget is the transport's worker-pool size after clamping to detected parallelism (CROWDWIFI_THREADS rules). Before timing, a 200-vehicle round is asserted byte-identical (state digest and fused map) between FleetTransport and the reference SimTransport on the same seed and plan.")
+        .write("BENCH_fleet.json");
 }

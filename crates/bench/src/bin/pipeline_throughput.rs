@@ -2,12 +2,9 @@
 //!
 //! Five measurements on one seeded UCI drive:
 //!
-//! 1. **Thread sweep** — readings/sec of [`OnlineCs::run`] at 1/2/4/8
-//!    configured threads, asserting along the way that every thread
-//!    count produces the identical estimate set (the deterministic-
-//!    parallelism contract). One more single-thread run records into a
-//!    local registry: its `pipeline.*_seconds` stage timers, summed
-//!    over the run's wall time, give `stage_coverage`.
+//! 1. **Stage split** — one single-thread run of [`OnlineCs::run`]
+//!    recording into a local registry: its `pipeline.*_seconds` stage
+//!    timers, summed over the run's wall time, give `stage_coverage`.
 //! 2. **Shared window factorization** — one round's hypothesis groups
 //!    recovered the seed way (`recover_single_ap`: rebuild the sensing
 //!    matrix per group) vs the shared way (`prepare_window` once +
@@ -27,30 +24,28 @@
 //!    `acc_rows`) on section 3's operator, with the scalar reference
 //!    kernels vs the shipped row-blocked kernels, bit-identity asserted.
 //!
-//! Writes `BENCH_pipeline.json` at the repo root, including the machine
-//! topology so single-core runs read honestly (the thread sweep cannot
-//! beat 1× without real cores; the algorithmic measurements are the
-//! machine-independent gains over the seed implementation).
+//! Every measurement is single-threaded or machine-independent, so the
+//! numbers read the same on a 1–2-core machine as on a big one; that
+//! parallel runs give the serial estimates is a unit test of the
+//! pipeline (`parallel_and_serial_runs_are_identical`), not a timing.
+//! Writes `BENCH_pipeline.json` at the repo root.
 //!
 //! Run with `cargo run -p crowdwifi-bench --release --bin pipeline_throughput`.
 //! `BENCH_SMOKE=1` cuts repetitions for CI's regression gate;
 //! `BENCH_OUT_DIR` redirects the JSON away from the repo root.
 
-use crowdwifi_bench::{bench_out_path, paired_median, smoke_mode, time};
+use crowdwifi_bench::{
+    campus_config, campus_drive, num, obj, paired_median, smoke_mode, time, Report,
+};
 use crowdwifi_core::assign::{Assigner, ClusterAssigner};
-use crowdwifi_core::par;
 use crowdwifi_core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi_core::recovery::CsRecovery;
-use crowdwifi_core::window::WindowConfig;
 use crowdwifi_geo::{Grid, Point};
 use crowdwifi_linalg::kernels::{self, scalar};
 use crowdwifi_linalg::vector;
 use crowdwifi_linalg::Matrix;
 use crowdwifi_sparsesolve::prox::soft_threshold_nonneg_vec;
 use crowdwifi_sparsesolve::{Fista, SolverWorkspace, SparseRecovery};
-use crowdwifi_vanet_sim::{mobility, RssCollector, Scenario};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// The seed commit's `spectral_norm_sq` (power iteration), reproduced
 /// so [`seed_fista_solve`] computes the exact same step size as the
@@ -136,74 +131,20 @@ fn bernoulli_matrix(m: usize, n: usize, seed: u64) -> Matrix {
 }
 
 fn main() {
-    // Ask for an 8-worker budget so the sweep exercises the parallel
-    // code path on big machines; the env request is clamped to the
-    // detected parallelism (an oversubscribed 1-core box regresses the
-    // pipeline instead of parallelizing it), and the JSON records both
-    // the physical topology and the budget actually granted.
-    std::env::set_var(par::THREADS_ENV, "8");
-    let physical = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let budget = par::resolve_threads(0);
     let smoke = smoke_mode();
+
+    let (readings, model) = campus_drive();
+    let cfg = campus_config();
+
     println!(
-        "physical parallelism: {physical}, worker budget: {budget}{}",
-        if smoke { ", smoke mode" } else { "" }
-    );
-
-    let scenario = Scenario::uci_campus();
-    let grid = Grid::new(scenario.area(), 8.0).expect("static grid");
-    let scenario = scenario.snapped_to_grid(&grid);
-    let route = mobility::uci_loop_route_with(1, 25.0);
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
-    let readings =
-        RssCollector::new(&scenario).collect_along(&route, route.duration() / 361.0, &mut rng);
-    let model = *scenario.pathloss();
-
-    let cfg = OnlineCsConfig {
-        window: WindowConfig {
-            size: 40,
-            step: 10,
-            ttl: f64::INFINITY,
-        },
-        lattice: 8.0,
-        sigma_factor: 0.04,
-        merge_radius: 20.0,
-        ..OnlineCsConfig::default()
-    };
-
-    // --- 1. Thread sweep over the full pipeline. ---
-    println!(
-        "thread sweep: {} readings, window {}x{} ...",
+        "pipeline throughput: {} readings, window {}x{}{} ...",
         readings.len(),
         cfg.window.size,
-        cfg.window.step
+        cfg.window.step,
+        if smoke { " (smoke)" } else { "" }
     );
-    let sweep_reps: usize = if smoke { 1 } else { 3 };
-    let thread_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4, 8] };
-    let mut sweep: Vec<(usize, f64)> = Vec::new();
-    let mut reference: Option<Vec<(f64, f64)>> = None;
-    for &threads in thread_counts {
-        let pipeline =
-            OnlineCs::new(OnlineCsConfig { threads, ..cfg }, model).expect("valid config");
-        let mut out = Vec::new();
-        pipeline.run(&readings).expect("warmup run");
-        let secs = time(
-            || out = pipeline.run(&readings).expect("pipeline run"),
-            sweep_reps,
-        );
-        // The deterministic-parallelism contract, checked end to end.
-        let fingerprint: Vec<(f64, f64)> =
-            out.iter().map(|e| (e.position.x, e.position.y)).collect();
-        match &reference {
-            None => reference = Some(fingerprint),
-            Some(r) => assert_eq!(r, &fingerprint, "threads={threads} changed the estimates"),
-        }
-        let rps = readings.len() as f64 / secs;
-        println!("  threads={threads}: {rps:.0} readings/s ({secs:.3} s/run)");
-        sweep.push((threads, rps));
-    }
-    let base_rps = sweep[0].1;
 
+    // --- 1. Stage split. ---
     // Stage coverage: one single-thread run on a local registry. With
     // one thread the stage timers are wall time, so their sum over the
     // run's wall time is the share of the run the split accounts for.
@@ -218,31 +159,29 @@ fn main() {
         "refine",
         "polish",
     ];
+    let serial = OnlineCsConfig { threads: 1, ..cfg };
+    OnlineCs::new(serial, model)
+        .expect("valid config")
+        .run(&readings)
+        .expect("warmup run");
     let registry = crowdwifi_obs::Registry::new();
-    let staged = OnlineCs::new(OnlineCsConfig { threads: 1, ..cfg }, model)
+    let staged = OnlineCs::new(serial, model)
         .expect("valid config")
         .with_registry(&registry);
     let stage_wall = time(|| drop(staged.run(&readings).expect("staged run")), 1);
     let snapshot = registry.snapshot();
-    let stage_secs: Vec<(&str, f64)> = STAGES
-        .iter()
-        .map(|&stage| {
-            (
-                stage,
-                snapshot.histograms[&format!("pipeline.{stage}_seconds")].sum,
-            )
-        })
-        .collect();
-    let stage_coverage = stage_secs.iter().map(|&(_, secs)| secs).sum::<f64>() / stage_wall;
-    println!(
-        "stage split (1 thread, {:.1} ms): {}; coverage {stage_coverage:.3}",
-        stage_wall * 1e3,
-        stage_secs
-            .iter()
-            .map(|(stage, secs)| format!("{stage} {:.1} ms", secs * 1e3))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let mut stages = vec![
+        ("threads".to_string(), 1usize.into()),
+        ("wall_ms".to_string(), num(stage_wall * 1e3, 3)),
+    ];
+    let mut staged_secs = 0.0;
+    for stage in STAGES {
+        let secs = snapshot.histograms[&format!("pipeline.{stage}_seconds")].sum;
+        staged_secs += secs;
+        stages.push((format!("{stage}_ms"), num(secs * 1e3, 3)));
+    }
+    let stage_coverage = staged_secs / stage_wall;
+    stages.push(("stage_coverage".to_string(), num(stage_coverage, 3)));
 
     // --- 2. Shared window factorization vs per-group rebuild. ---
     // The groups are the real hypothesis fan-out of one round: every
@@ -268,11 +207,6 @@ fn main() {
         .iter()
         .collect::<std::collections::BTreeSet<_>>()
         .len();
-    println!(
-        "shared-window: {} group recoveries per round ({} distinct) ...",
-        groups.len(),
-        distinct
-    );
     let group_reps: usize = if smoke { 2 } else { 5 };
     let direct_secs = time(
         || {
@@ -313,12 +247,6 @@ fn main() {
     );
     let shared_speedup = direct_secs / shared_secs;
     let warm_speedup = direct_secs / warm_secs;
-    println!(
-        "  per-group rebuild {:.1} ms vs shared cold {:.1} ms ({shared_speedup:.2}x) vs memoized replay {:.3} ms ({warm_speedup:.0}x)",
-        direct_secs * 1e3,
-        shared_secs * 1e3,
-        warm_secs * 1e3
-    );
 
     // --- 3. Allocation-lean solver vs the seed's per-iteration clones. ---
     let (m, n) = (24, 160);
@@ -352,11 +280,6 @@ fn main() {
         },
     );
     let (seed_secs, lean_secs, ws_speedup) = (ws.a_secs, ws.b_secs, ws.ratio);
-    println!(
-        "  fista {m}x{n}, {seed_iters} iters: seed (clone-per-iteration) {:.0} us vs workspace {:.0} us per solve: {ws_speedup:.2}x (median ratio over {ws_reps} reps)",
-        seed_secs * 1e6,
-        lean_secs * 1e6
-    );
 
     // --- 4. Solver work: exact active set vs pinned plain FISTA. ---
     // One drive through the full pipeline per solver. The headline
@@ -380,15 +303,6 @@ fn main() {
     );
     let (exact, fista) = (exact_report.sensing, fista_report.sensing);
     let work_ratio = exact.solver_iterations as f64 / (fista.solver_iterations as f64).max(1.0);
-    println!(
-        "solver work: {} active-set pivots vs {} FISTA iterations ({work_ratio:.3}), {} vs {} solves, {} fallbacks, {} FISTA unconverged",
-        exact.solver_iterations,
-        fista.solver_iterations,
-        exact.solves,
-        fista.solves,
-        exact.fallbacks,
-        fista.unconverged,
-    );
 
     // --- 5. Shipped kernels vs the scalar reference. ---
     // FISTA's per-iteration kernel pair on section 3's operator: `A z`
@@ -438,51 +352,70 @@ fn main() {
     );
     let (scalar_us, kernel_us) = (kernel.a_secs * 1e6, kernel.b_secs * 1e6);
     let kernel_speedup = kernel.ratio;
-    println!(
-        "kernels {m}x{n} matvec+acc_rows: scalar {scalar_us:.2} us vs shipped {kernel_us:.2} us per pair (median ratio {kernel_speedup:.2}x over {kernel_reps} reps), bit-identical"
-    );
 
-    // --- Emit BENCH_pipeline.json at the repo root. ---
-    let sweep_json: Vec<String> = sweep
-        .iter()
-        .map(|&(t, rps)| {
-            format!(
-                "    {{\"threads\": {t}, \"readings_per_sec\": {rps:.1}, \"speedup_vs_1\": {:.3}}}",
-                rps / base_rps
-            )
-        })
-        .collect();
-    let stages_json: Vec<String> = stage_secs
-        .iter()
-        .map(|(stage, secs)| format!("\"{stage}_ms\": {:.3}", secs * 1e3))
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"pipeline_throughput\",\n  \"schema_version\": 11,\n  \"machine\": {{\"physical_parallelism\": {physical}, \"worker_budget\": {budget}, \"smoke\": {smoke}}},\n  \"drive\": {{\"readings\": {}, \"window_size\": {}, \"window_step\": {}}},\n  \"thread_sweep\": [\n{}\n  ],\n  \"stages\": {{\"threads\": 1, \"wall_ms\": {:.3}, {}, \"stage_coverage\": {stage_coverage:.3}}},\n  \"shared_window\": {{\"groups_per_round\": {}, \"distinct_groups\": {distinct}, \"per_group_rebuild_ms\": {:.3}, \"shared_cold_ms\": {:.3}, \"memoized_replay_ms\": {:.4}, \"cold_speedup\": {:.3}, \"memoized_speedup\": {:.1}}},\n  \"solver_workspace\": {{\"matrix\": \"{m}x{n}\", \"iterations\": {seed_iters}, \"reps\": {ws_reps}, \"solves_per_rep\": {solves_per_rep}, \"seed_clone_per_iter_us\": {:.1}, \"workspace_us\": {:.1}, \"speedup\": {:.3}, \"bit_identical\": true}},\n  \"solver_work\": {{\"active_set_pivots\": {}, \"fista_iterations\": {}, \"active_set_iteration_ratio\": {work_ratio:.3}, \"active_set_solves\": {}, \"fista_solves\": {}, \"active_set_fallbacks\": {}, \"active_set_unconverged\": {}, \"fista_unconverged\": {}, \"aps\": {}, \"ap_count_identical\": true}},\n  \"kernel_accel\": {{\"matrix\": \"{m}x{n}\", \"reps\": {kernel_reps}, \"pairs_per_rep\": {pairs_per_rep}, \"kernel_scalar_us\": {scalar_us:.3}, \"kernel_vectorized_us\": {kernel_us:.3}, \"kernel_wall_speedup\": {kernel_speedup:.3}, \"kernel_bit_identical\": true}},\n  \"notes\": \"Thread-sweep speedups are bounded by physical_parallelism (a 1-core machine cannot exceed 1x regardless of the configured thread count; the CROWDWIFI_THREADS request is clamped to the detected parallelism and worker_budget records the granted value); shared_window, solver_workspace, solver_work and kernel_accel are machine-independent algorithmic measurements. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions; solver_workspace times a batch of solves per leg per rep, alternating which leg runs first: seed_clone_per_iter_us and workspace_us are median microseconds per solve, speedup is the median per-rep ratio. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating which leg runs first rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized). stages is one single-thread run of the drive recording into a local registry: each pipeline.*_seconds stage timer's total in milliseconds, and stage_coverage, their sum over the run's wall time.\"\n}}\n",
-        readings.len(),
-        cfg.window.size,
-        cfg.window.step,
-        sweep_json.join(",\n"),
-        stage_wall * 1e3,
-        stages_json.join(", "),
-        groups.len(),
-        direct_secs * 1e3,
-        shared_secs * 1e3,
-        warm_secs * 1e3,
-        shared_speedup,
-        warm_speedup,
-        seed_secs * 1e6,
-        lean_secs * 1e6,
-        ws_speedup,
-        exact.solver_iterations,
-        fista.solver_iterations,
-        exact.solves,
-        fista.solves,
-        exact.fallbacks,
-        exact.unconverged,
-        fista.unconverged,
-        exact_report.final_aps.len(),
-    );
-    let out_path = bench_out_path("BENCH_pipeline.json");
-    std::fs::write(&out_path, &json).expect("write BENCH_pipeline.json");
-    println!("wrote {}", out_path.display());
+    let matrix = format!("{m}x{n}");
+    Report::new("pipeline_throughput", 12)
+        .field(
+            "drive",
+            obj([
+                ("readings", readings.len().into()),
+                ("window_size", cfg.window.size.into()),
+                ("window_step", cfg.window.step.into()),
+            ]),
+        )
+        .field("stages", obj(stages))
+        .field(
+            "shared_window",
+            obj([
+                ("groups_per_round", groups.len().into()),
+                ("distinct_groups", distinct.into()),
+                ("per_group_rebuild_ms", num(direct_secs * 1e3, 3)),
+                ("shared_cold_ms", num(shared_secs * 1e3, 3)),
+                ("memoized_replay_ms", num(warm_secs * 1e3, 4)),
+                ("cold_speedup", num(shared_speedup, 3)),
+                ("memoized_speedup", num(warm_speedup, 1)),
+            ]),
+        )
+        .field(
+            "solver_workspace",
+            obj([
+                ("matrix", matrix.as_str().into()),
+                ("iterations", seed_iters.into()),
+                ("reps", ws_reps.into()),
+                ("solves_per_rep", solves_per_rep.into()),
+                ("seed_clone_per_iter_us", num(seed_secs * 1e6, 1)),
+                ("workspace_us", num(lean_secs * 1e6, 1)),
+                ("speedup", num(ws_speedup, 3)),
+                ("bit_identical", true.into()),
+            ]),
+        )
+        .field(
+            "solver_work",
+            obj([
+                ("active_set_pivots", exact.solver_iterations.into()),
+                ("fista_iterations", fista.solver_iterations.into()),
+                ("active_set_iteration_ratio", num(work_ratio, 3)),
+                ("active_set_solves", exact.solves.into()),
+                ("fista_solves", fista.solves.into()),
+                ("active_set_fallbacks", exact.fallbacks.into()),
+                ("active_set_unconverged", exact.unconverged.into()),
+                ("fista_unconverged", fista.unconverged.into()),
+                ("aps", exact_report.final_aps.len().into()),
+                ("ap_count_identical", true.into()),
+            ]),
+        )
+        .field(
+            "kernel_accel",
+            obj([
+                ("matrix", matrix.as_str().into()),
+                ("reps", kernel_reps.into()),
+                ("pairs_per_rep", pairs_per_rep.into()),
+                ("kernel_scalar_us", num(scalar_us, 3)),
+                ("kernel_vectorized_us", num(kernel_us, 3)),
+                ("kernel_wall_speedup", num(kernel_speedup, 3)),
+                ("kernel_bit_identical", true.into()),
+            ]),
+        )
+        .notes("Every measurement is single-threaded or machine-independent: stages, shared_window, solver_workspace, solver_work and kernel_accel read the same on a 1-2-core machine as on a big one. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions; solver_workspace times a batch of solves per leg per rep, alternating which leg runs first: seed_clone_per_iter_us and workspace_us are median microseconds per solve, speedup is the median per-rep ratio. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating which leg runs first rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized). stages is one single-thread run of the drive, after one warmup run, recording into a local registry: each pipeline.*_seconds stage timer's total in milliseconds, and stage_coverage, their sum over the run's wall time.")
+        .write("BENCH_pipeline.json");
 }

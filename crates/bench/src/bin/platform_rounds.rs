@@ -20,7 +20,7 @@
 //! `BENCH_SMOKE=1` cuts repetitions for CI.
 //! Run with `cargo run -p crowdwifi-bench --release --bin platform_rounds`.
 
-use crowdwifi_bench::{bench_out_path, paired_median, smoke_mode, time};
+use crowdwifi_bench::{num, obj, paired_median, smoke_mode, time, Report};
 use crowdwifi_channel::{PathLossModel, RssReading};
 use crowdwifi_core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi_core::ApEstimate;
@@ -174,11 +174,6 @@ fn main() {
     let sim_clean_secs = time(|| clean(&SimTransport), reps);
     let sim_degraded_secs = time(|| degraded(&SimTransport), reps);
     let sim_rounds_per_sec = 1.0 / sim_clean_secs;
-    println!(
-        "  sim: clean {:.1} ms/round ({sim_rounds_per_sec:.1} rounds/sec), degraded {:.1} ms/round",
-        sim_clean_secs * 1e3,
-        sim_degraded_secs * 1e3
-    );
 
     // WAL overhead: the same clean round with every server event
     // appended to an in-memory log (count-batched syncs, the sim's
@@ -202,11 +197,6 @@ fn main() {
     );
     let (durable_secs, plain_secs) = (wal.a_secs, wal.b_secs);
     let wal_overhead_pct = (wal.ratio - 1.0) * 100.0;
-    println!(
-        "  durability: plain {:.1} ms, durable {:.1} ms → WAL overhead {wal_overhead_pct:.2}%",
-        plain_secs * 1e3,
-        durable_secs * 1e3
-    );
 
     // Recovery replay throughput: decode a mid-round WAL and rebuild
     // the server by replaying it. The log holds one upload short of
@@ -231,21 +221,32 @@ fn main() {
         replay_reps,
     );
     let recovery_replay_events_per_sec = replayed_events as f64 / replay_secs;
-    println!(
-        "  durability: recovery replays {replayed_events} events in {:.2} ms → {recovery_replay_events_per_sec:.0} events/sec",
-        replay_secs * 1e3
-    );
 
-    let json = format!(
-        "{{\n  \"bench\": \"platform_rounds\",\n  \"schema_version\": 9,\n  \"machine\": {{\"physical_parallelism\": {}, \"smoke\": {smoke}}},\n  \"sim\": {{\"reps\": {reps}, \"clean_ms\": {:.3}, \"degraded_ms\": {:.3}, \"sim_rounds_per_sec\": {sim_rounds_per_sec:.3}}},\n  \"durability\": {{\n    \"wal_reps\": {wal_reps},\n    \"plain_ms\": {:.3},\n    \"durable_ms\": {:.3},\n    \"wal_overhead_pct\": {wal_overhead_pct:.3},\n    \"wal_overhead_budget_pct\": 5.0,\n    \"replay_reps\": {replay_reps},\n    \"replay_events\": {replayed_events},\n    \"replay_ms\": {:.4},\n    \"recovery_replay_events_per_sec\": {recovery_replay_events_per_sec:.0},\n    \"recovery_replay_floor_per_sec\": 50000\n  }},\n  \"notes\": \"clean round = 5 honest vehicles over a 2-AP drive; degraded adds one crash, one stall and 10% message drop; both run on the virtual-clock simulator, so deadlines and backoffs cost no wall time. Determinism (same seed, byte-identical deterministic projection) is asserted before measuring. durability.wal_overhead_pct is the median over wal_reps of the per-rep durable/plain wall-time ratio, minus one, where each rep runs the plain clean round and the same round with a write-ahead log on the in-memory sink (count-batched syncs), alternating which runs first; plain_ms and durable_ms are the legs\' median wall times; the appends cost microseconds against a round dominated by estimator maths, so the percentage hovers around zero (residual noise, possibly negative) and CI gates it at 5%. recovery_replay_events_per_sec decodes a synthetic 64-vehicle mid-round WAL and rebuilds the server by replay; the floor is 50k events/sec.\"\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        sim_clean_secs * 1e3,
-        sim_degraded_secs * 1e3,
-        plain_secs * 1e3,
-        durable_secs * 1e3,
-        replay_secs * 1e3,
-    );
-    let out_path = bench_out_path("BENCH_platform.json");
-    std::fs::write(&out_path, &json).expect("write BENCH_platform.json");
-    println!("wrote {}", out_path.display());
+    Report::new("platform_rounds", 9)
+        .field(
+            "sim",
+            obj([
+                ("reps", reps.into()),
+                ("clean_ms", num(sim_clean_secs * 1e3, 3)),
+                ("degraded_ms", num(sim_degraded_secs * 1e3, 3)),
+                ("sim_rounds_per_sec", num(sim_rounds_per_sec, 3)),
+            ]),
+        )
+        .field(
+            "durability",
+            obj([
+                ("wal_reps", wal_reps.into()),
+                ("plain_ms", num(plain_secs * 1e3, 3)),
+                ("durable_ms", num(durable_secs * 1e3, 3)),
+                ("wal_overhead_pct", num(wal_overhead_pct, 3)),
+                ("wal_overhead_budget_pct", num(5.0, 1)),
+                ("replay_reps", replay_reps.into()),
+                ("replay_events", replayed_events.into()),
+                ("replay_ms", num(replay_secs * 1e3, 4)),
+                ("recovery_replay_events_per_sec", num(recovery_replay_events_per_sec, 0)),
+                ("recovery_replay_floor_per_sec", 50_000u64.into()),
+            ]),
+        )
+        .notes("clean round = 5 honest vehicles over a 2-AP drive; degraded adds one crash, one stall and 10% message drop; both run on the virtual-clock simulator, so deadlines and backoffs cost no wall time. Determinism (same seed, byte-identical deterministic projection) is asserted before measuring. durability.wal_overhead_pct is the median over wal_reps of the per-rep durable/plain wall-time ratio, minus one, where each rep runs the plain clean round and the same round with a write-ahead log on the in-memory sink (count-batched syncs), alternating which runs first; plain_ms and durable_ms are the legs' median wall times; the appends cost microseconds against a round dominated by estimator maths, so the percentage hovers around zero (residual noise, possibly negative) and CI gates it at 5%. recovery_replay_events_per_sec decodes a synthetic 64-vehicle mid-round WAL and rebuilds the server by replay; the floor is 50k events/sec.")
+        .write("BENCH_platform.json");
 }

@@ -8,7 +8,7 @@
 //! Writes `BENCH_wire.json` at the repo root (or `$BENCH_OUT_DIR`).
 //! Run with `cargo run -p crowdwifi-bench --release --bin wire_codec`.
 
-use crowdwifi_bench::{bench_out_path, smoke_mode};
+use crowdwifi_bench::{num, obj, smoke_mode, Report};
 use crowdwifi_core::ApEstimate;
 use crowdwifi_geo::Point;
 use crowdwifi_middleware::messages::{
@@ -146,7 +146,6 @@ fn main() {
     let binary_payload = binary_framed - 8 * msgs.len() as u64;
     let payload_per_msg = binary_payload as f64 / msgs.len() as f64;
     let framed_per_msg = binary_framed as f64 / msgs.len() as f64;
-    println!("  bytes/message: {payload_per_msg:.2} payload ({framed_per_msg:.2} framed)");
 
     // --- Codec: encode+decode throughput -----------------------------
     // Warm up once, then take the best of three trials each — the
@@ -155,7 +154,6 @@ fn main() {
     let binary_mps = (0..3)
         .map(|_| binary_throughput(&msgs, reps))
         .fold(0.0f64, f64::max);
-    println!("  encode+decode: {:.2} Mmsg/s", binary_mps / 1e6);
 
     assert!(
         payload_per_msg <= TARGET_PAYLOAD_BYTES,
@@ -166,11 +164,18 @@ fn main() {
         "{binary_mps:.0} msgs/s missed the ≥{TARGET_MSGS_PER_SEC} target"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"wire_codec\",\n  \"schema_version\": 9,\n  \"machine\": {{\"physical_parallelism\": {}, \"smoke\": {smoke}}},\n  \"codec\": {{\n    \"corpus_messages\": {corpus_n},\n    \"binary_payload_bytes_per_message\": {payload_per_msg:.2},\n    \"binary_framed_bytes_per_message\": {framed_per_msg:.2},\n    \"target_payload_bytes_per_message\": {TARGET_PAYLOAD_BYTES},\n    \"binary_msgs_per_sec\": {binary_mps:.0},\n    \"target_msgs_per_sec\": {TARGET_MSGS_PER_SEC:.0}\n  }},\n  \"notes\": \"Codec rows measure the length-prefixed CRC32 binary framing on a deterministic 20k-message corpus shaped like real round traffic (60% lattice-position uploads, 20% assignments, 15% answer batches, 5% control). Payload bytes exclude the 8-byte len+CRC header, framed bytes include it; the payload target holds because f64s are varint-packed byte-swapped, so lattice coordinates cost 2-4 bytes. Throughput is single-threaded frame-to-message round trips, best of three trials: full framing (len+CRC backfill on encode, CRC validation on decode, scratch buffer reused) exactly as the transports and WAL ship them.\"\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    );
-    let out_path = bench_out_path("BENCH_wire.json");
-    std::fs::write(&out_path, &json).expect("write BENCH_wire.json");
-    println!("wrote {}", out_path.display());
+    Report::new("wire_codec", 9)
+        .field(
+            "codec",
+            obj([
+                ("corpus_messages", corpus_n.into()),
+                ("binary_payload_bytes_per_message", num(payload_per_msg, 2)),
+                ("binary_framed_bytes_per_message", num(framed_per_msg, 2)),
+                ("target_payload_bytes_per_message", num(TARGET_PAYLOAD_BYTES, 2)),
+                ("binary_msgs_per_sec", num(binary_mps, 0)),
+                ("target_msgs_per_sec", num(TARGET_MSGS_PER_SEC, 0)),
+            ]),
+        )
+        .notes("Codec rows measure the length-prefixed CRC32 binary framing on a deterministic 20k-message corpus shaped like real round traffic (60% lattice-position uploads, 20% assignments, 15% answer batches, 5% control). Payload bytes exclude the 8-byte len+CRC header, framed bytes include it; the payload target holds because f64s are varint-packed byte-swapped, so lattice coordinates cost 2-4 bytes. Throughput is single-threaded frame-to-message round trips, best of three trials: full framing (len+CRC backfill on encode, CRC validation on decode, scratch buffer reused) exactly as the transports and WAL ship them.")
+        .write("BENCH_wire.json");
 }

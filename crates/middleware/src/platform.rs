@@ -433,6 +433,14 @@ mod tests {
                 },
                 ..base
             },
+            // Under the virtual clock's 1 µs tick.
+            PlatformConfig {
+                tolerance: FaultTolerance {
+                    deadline: Duration::from_nanos(500),
+                    ..base.tolerance
+                },
+                ..base
+            },
         ];
         for bad in cases {
             let err = SimTransport

@@ -83,11 +83,14 @@ impl VirtualInstant {
     }
 }
 
+/// Whole microseconds later, saturating at the last representable
+/// instant (sub-microsecond remainders are dropped).
 impl Add<Duration> for VirtualInstant {
     type Output = VirtualInstant;
 
     fn add(self, rhs: Duration) -> VirtualInstant {
-        VirtualInstant(self.0.saturating_add(rhs.as_micros() as u64))
+        let micros = u64::try_from(rhs.as_micros()).unwrap_or(u64::MAX);
+        VirtualInstant(self.0.saturating_add(micros))
     }
 }
 
@@ -1289,5 +1292,18 @@ mod tests {
             ),
             Err(MiddlewareError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn clock_addition_saturates() {
+        let now = VirtualInstant::from_micros(5);
+        let end = VirtualInstant::from_micros(u64::MAX);
+        let past_u64_micros = Duration::from_micros(u64::MAX) + Duration::from_micros(1);
+        assert_eq!(now + past_u64_micros, end);
+        assert_eq!(now + Duration::MAX, end);
+        assert_eq!(
+            now + Duration::from_nanos(1_500),
+            VirtualInstant::from_micros(6)
+        );
     }
 }

@@ -21,7 +21,7 @@ pub(crate) const DEAD_RELIABILITY_FACTOR: f64 = 0.5;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultTolerance {
     /// How long the server waits for a vehicle's upload or answers
-    /// before retrying.
+    /// before retrying; at least 1 µs, the virtual clock's tick.
     pub deadline: Duration,
     /// Extra wait added per retry (linear backoff: retry `k` waits
     /// `deadline + k * retry_backoff`). The wait saturates instead of
@@ -86,8 +86,8 @@ impl WireMessage for PlatformConfig {
         wire::put_f64(out, self.merge_radius);
         wire::put_f64(out, self.spammer_cutoff);
         wire::put_varint(out, self.seed);
-        wire::put_varint(out, self.tolerance.deadline.as_micros() as u64);
-        wire::put_varint(out, self.tolerance.retry_backoff.as_micros() as u64);
+        wire::put_duration(out, self.tolerance.deadline);
+        wire::put_duration(out, self.tolerance.retry_backoff);
         wire::put_varint(out, u64::from(self.tolerance.max_retries));
         wire::put_f64(out, self.tolerance.quorum);
     }
@@ -108,8 +108,8 @@ impl WireMessage for PlatformConfig {
             spammer_cutoff: r.f64()?,
             seed: r.varint()?,
             tolerance: FaultTolerance {
-                deadline: Duration::from_micros(r.varint()?),
-                retry_backoff: Duration::from_micros(r.varint()?),
+                deadline: r.duration()?,
+                retry_backoff: r.duration()?,
                 max_retries: r.u32()?,
                 quorum: r.f64()?,
             },
@@ -138,8 +138,11 @@ pub fn validate_config(config: &PlatformConfig) -> Result<()> {
         ));
     }
     let t = &config.tolerance;
-    if t.deadline.is_zero() {
-        return reject("tolerance.deadline must be non-zero".to_string());
+    if t.deadline < Duration::from_micros(1) {
+        return reject(format!(
+            "tolerance.deadline must be at least 1 µs, the virtual clock's tick; got {:?}",
+            t.deadline
+        ));
     }
     if !t.quorum.is_finite() || t.quorum <= 0.0 || t.quorum > 1.0 {
         return reject(format!(

@@ -42,6 +42,7 @@
 use crate::messages::codec_err;
 use crate::Result;
 use crowdwifi_geo::Point;
+use std::time::Duration;
 
 /// Version byte opening every payload. Version 1 was a retired text
 /// codec, so this encoding starts at 2.
@@ -141,6 +142,13 @@ pub fn put_i8(out: &mut Vec<u8>, v: i8) {
 #[inline]
 pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_varint(out, v.to_bits().swap_bytes());
+}
+
+/// Appends a `Duration` exactly, as varints of its whole seconds and
+/// its sub-second nanoseconds.
+pub fn put_duration(out: &mut Vec<u8>, d: Duration) {
+    put_varint(out, d.as_secs());
+    put_varint(out, u64::from(d.subsec_nanos()));
 }
 
 /// Appends a string as a varint byte length plus raw UTF-8.
@@ -306,6 +314,17 @@ impl<'a> WireReader<'a> {
     /// Reads a varint and narrows it to `usize`.
     pub fn usize(&mut self) -> Result<usize> {
         usize::try_from(self.varint()?).map_err(|_| codec_err("varint overflows usize"))
+    }
+
+    /// Reads a `Duration` written by [`put_duration`], rejecting a
+    /// nanosecond part of a second or more.
+    pub fn duration(&mut self) -> Result<Duration> {
+        let secs = self.varint()?;
+        let nanos = self.u32()?;
+        if nanos >= 1_000_000_000 {
+            return Err(codec_err(format!("duration nanos {nanos} ≥ 1e9")));
+        }
+        Ok(Duration::new(secs, nanos))
     }
 
     /// Reads one sign-extended byte.

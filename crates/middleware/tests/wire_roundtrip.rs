@@ -14,8 +14,8 @@ use crowdwifi_middleware::messages::{
     MappingAnswer, MappingTask, Pattern, SensingUpload, ToServer, ToVehicle, VehicleId,
 };
 use crowdwifi_middleware::protocol::{
-    Action, Event, PlatformConfig, ServerCore, ShardedDatabase, TimerId, VehicleFate,
-    VirtualInstant,
+    Action, Event, FaultTolerance, PlatformConfig, ServerCore, ShardedDatabase, TimerId,
+    VehicleFate, VirtualInstant,
 };
 use crowdwifi_middleware::segment::{SegmentId, SegmentMap};
 use crowdwifi_middleware::wire::{self, WireMessage};
@@ -23,6 +23,7 @@ use crowdwifi_middleware::MiddlewareError;
 use crowdwifi_obs::Registry;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Bit-pattern-exact equality via the canonical encoding: two messages
 /// are "the same on the wire" iff they re-encode identically. This is
@@ -222,6 +223,49 @@ fn empty_task_assignment_roundtrips() {
         vehicle: VehicleId(0),
         estimates: Vec::new(),
     }));
+}
+
+/// The WAL header's deadline and backoff round-trip exactly, from the
+/// longest `Duration` down to sub-microsecond parts.
+#[test]
+fn config_durations_roundtrip_exactly() {
+    for d in [
+        Duration::MAX,
+        Duration::from_secs(1 << 50),
+        Duration::from_nanos(1_500),
+    ] {
+        let config = PlatformConfig {
+            tolerance: FaultTolerance {
+                deadline: d,
+                retry_backoff: d,
+                ..FaultTolerance::default()
+            },
+            ..PlatformConfig::default()
+        };
+        assert_eq!(
+            PlatformConfig::from_frame(&config.to_frame()).unwrap(),
+            config
+        );
+    }
+
+    // A nanosecond part of a whole second or more is not a duration.
+    let frame = frame_of(|out| {
+        wire::put_header(out, wire::TAG_CONFIG);
+        wire::put_varint(out, 2);
+        wire::put_varint(out, 5);
+        wire::put_f64(out, 25.0);
+        wire::put_f64(out, 0.3);
+        wire::put_varint(out, 0);
+        wire::put_varint(out, 2);
+        wire::put_varint(out, 1_000_000_000);
+        wire::put_duration(out, Duration::ZERO);
+        wire::put_varint(out, 2);
+        wire::put_f64(out, 0.5);
+    });
+    assert!(matches!(
+        PlatformConfig::from_frame(&frame),
+        Err(MiddlewareError::Codec(_))
+    ));
 }
 
 #[test]

@@ -2,9 +2,11 @@
 # Bench smoke gate (CI's second job): runs the benches in reduced smoke
 # mode, writes their JSON into $BENCH_OUT_DIR (default:
 # bench-artifacts/), and fails on regression past the thresholds
-# committed below. The determinism contracts
-# (thread sweep produces identical estimates, seed solver baseline is
-# bit-identical) are asserted inside the benches themselves.
+# committed below. The determinism contracts (seed solver baseline and
+# shipped kernels are bit-identical, the fleet engine matches the
+# simulator byte for byte) are asserted inside the benches themselves.
+# The "core" set also runs the end-to-end loop (loopbench) briefly on
+# both of its benchmark workloads and fails unless each run checks out.
 #
 # Thresholds are deliberately looser than the committed full-run
 # numbers in the committed BENCH_*.json files: smoke repetitions on
@@ -12,7 +14,7 @@
 # algorithmic win disappearing), not for benchmarking the runner.
 #
 # An optional first argument filters which benches run (and which gates
-# apply): "core" runs the pipeline/obs/platform benches, "fleet" runs
+# apply): "core" runs the pipeline/obs/platform benches and loopbench, "fleet" runs
 # only the fleet-scale round bench (CI's fleet-smoke job), "wire" runs
 # only the binary wire codec bench, "map" runs only the geo-sharded AP
 # map bench, "all" (the default) runs everything.
@@ -51,6 +53,16 @@ if [ "$run_core" -eq 1 ]; then
     ./target/release/pipeline_throughput
     ./target/release/obs_overhead
     ./target/release/platform_rounds
+    # loopbench is its own cargo workspace; --locked fails on any
+    # dependency change that would rewrite its Cargo.lock. A run that
+    # does not check out exits non-zero, so keep going and let the gate
+    # below report it.
+    for workload in metro_campaign fleet_round; do
+        cargo run -q --release --offline --locked --manifest-path loopbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+            >"$BENCH_OUT_DIR/loopbench_$workload.json" || true
+        cat "$BENCH_OUT_DIR/loopbench_$workload.json"
+    done
 fi
 if [ "$run_fleet" -eq 1 ]; then
     ./target/release/fleet_rounds
@@ -154,6 +166,18 @@ gate "sim platform rounds/sec" "$(num "$R" sim_rounds_per_sec)" ">=" 0.2
 # can fill one.
 gate "WAL overhead pct" "$(num "$R" wal_overhead_pct)" "<=" 5
 gate "recovery replay events/sec" "$(num "$R" recovery_replay_events_per_sec)" ">=" 50000
+# The end-to-end loop checks its own outputs (fleet engine byte-identical
+# to the simulator, sink-fed map equal to a replay, every true AP served,
+# BRR handoff runs, every metric finite) and must lose no operation.
+for workload in metro_campaign fleet_round; do
+    L="$BENCH_OUT_DIR/loopbench_$workload.json"
+    if grep -q '"correct": true' "$L" && grep -q '"failed": 0,' "$L"; then
+        echo "  ok: loopbench $workload correct, 0 failed"
+    else
+        echo "FAIL: loopbench $workload not correct or lost operations" >&2
+        fail=1
+    fi
+done
 fi
 
 if [ "$run_fleet" -eq 1 ]; then

@@ -111,18 +111,6 @@ pub trait Strategy {
     {
         FlatMap { inner: self, f }
     }
-
-    /// Discards generated values failing `pred` (resamples, bounded).
-    fn prop_filter<F: Fn(&Self::Value) -> bool>(
-        self,
-        _reason: &'static str,
-        pred: F,
-    ) -> Filter<Self, F>
-    where
-        Self: Sized,
-    {
-        Filter { inner: self, pred }
-    }
 }
 
 impl<S: Strategy + ?Sized> Strategy for &S {
@@ -158,25 +146,6 @@ impl<S: Strategy, S2: Strategy, F: Fn(S::Value) -> S2> Strategy for FlatMap<S, F
     }
 }
 
-/// See [`Strategy::prop_filter`].
-pub struct Filter<S, F> {
-    inner: S,
-    pred: F,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-    fn sample(&self, rng: &mut TestRng) -> S::Value {
-        for _ in 0..1_000 {
-            let v = self.inner.sample(rng);
-            if (self.pred)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter rejected 1000 consecutive samples");
-    }
-}
-
 /// A strategy producing one fixed value.
 #[derive(Debug, Clone)]
 pub struct Just<T>(pub T);
@@ -198,13 +167,6 @@ impl Strategy for Range<f64> {
         } else {
             v
         }
-    }
-}
-
-impl Strategy for Range<f32> {
-    type Value = f32;
-    fn sample(&self, rng: &mut TestRng) -> f32 {
-        (self.start as f64..self.end as f64).sample(rng) as f32
     }
 }
 
@@ -388,21 +350,12 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Inequality assertion inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($lhs:expr, $rhs:expr $(,)?) => {{
-        let (lhs, rhs) = (&$lhs, &$rhs);
-        $crate::prop_assert!(lhs != rhs, "assertion failed: `{:?}` == `{:?}`", lhs, rhs);
-    }};
-}
-
 /// The conventional convenience import.
 pub mod prelude {
     pub use crate::collection;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, proptest, Just, ProptestConfig, Strategy,
-        TestCaseError, TestRng,
+        any, prop_assert, prop_assert_eq, proptest, Just, ProptestConfig, Strategy, TestCaseError,
+        TestRng,
     };
 }
 

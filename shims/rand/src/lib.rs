@@ -1,7 +1,7 @@
 //! Offline shim for the `rand` crate.
 //!
 //! Implements the API subset the CrowdWiFi workspace uses — `RngCore`,
-//! `Rng`/`RngExt`, `SeedableRng`, uniform `random_range` over float and
+//! `Rng`, `SeedableRng`, uniform `random_range` over float and
 //! integer ranges, `random_bool`, and `seq::SliceRandom::shuffle` — on
 //! top of a single `next_u64` primitive. The uniform-sampling
 //! conventions match `rand` (53-bit floats in `[0, 1)`, widening-multiply
@@ -14,11 +14,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Returns the next 64 uniformly random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next 32 uniformly random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -45,12 +40,6 @@ pub trait Rng: RngCore {
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
-
-/// Extension alias kept for source compatibility with callers that
-/// import both `Rng` and `RngExt`.
-pub trait RngExt: Rng {}
-
-impl<R: Rng + ?Sized> RngExt for R {}
 
 /// Seedable construction, from a bare `u64`.
 pub trait SeedableRng: Sized {
@@ -79,19 +68,6 @@ impl SampleRange<f64> for Range<f64> {
         if v >= self.end {
             self.start
                 .max(self.end - (self.end - self.start) * f64::EPSILON)
-        } else {
-            v
-        }
-    }
-}
-
-impl SampleRange<f32> for Range<f32> {
-    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f32 {
-        assert!(self.start < self.end, "empty f32 sample range");
-        let u = unit_f64(rng.next_u64()) as f32;
-        let v = self.start + u * (self.end - self.start);
-        if v >= self.end {
-            self.start
         } else {
             v
         }
@@ -129,7 +105,7 @@ macro_rules! int_sample_range {
 
 int_sample_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-/// Slice shuffling and selection.
+/// Slice shuffling.
 pub mod seq {
     use super::Rng;
 
@@ -140,9 +116,6 @@ pub mod seq {
 
         /// Shuffles the slice in place.
         fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R);
-
-        /// Returns a uniformly chosen element, or `None` when empty.
-        fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&Self::Item>;
     }
 
     impl<T> SliceRandom for [T] {
@@ -154,21 +127,13 @@ pub mod seq {
                 self.swap(i, j);
             }
         }
-
-        fn choose<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&T> {
-            if self.is_empty() {
-                None
-            } else {
-                Some(&self[super::uniform_below(&mut *rng, self.len() as u64) as usize])
-            }
-        }
     }
 }
 
 /// The conventional convenience import.
 pub mod prelude {
     pub use super::seq::SliceRandom;
-    pub use super::{Rng, RngCore, RngExt, SampleRange, SeedableRng};
+    pub use super::{Rng, RngCore, SampleRange, SeedableRng};
 }
 
 #[cfg(test)]

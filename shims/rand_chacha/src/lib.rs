@@ -105,10 +105,6 @@ impl RngCore for ChaCha8Rng {
         let hi = self.next_word() as u64;
         lo | (hi << 32)
     }
-
-    fn next_u32(&mut self) -> u32 {
-        self.next_word()
-    }
 }
 
 #[cfg(test)]

@@ -169,6 +169,25 @@ fn brr_identity_holds() -> bool {
     from_map == from_static
 }
 
+/// The `notes` paragraph of `BENCH_map.json`.
+const NOTES: &str = "The map stores a deterministic metro-scale road grid of consolidated AP \
+    entries (merge radius keeps neighbors distinct at the grid spacing). Lookups are \
+    allocation-free count_near radius probes along drive-shaped query streams (256 consecutive \
+    jittered positions per road drive, drives starting on random roads — the spatial pattern of \
+    user-vehicles polling along their routes); the read path clones each touched shard's \
+    published generation Arc under an O(1) read lock, so a concurrent writer re-ingesting the \
+    full estimate stream (merge-heavy consolidation plus generation republish per batch) never \
+    blocks readers. The concurrent writer is paced at a fixed 250k-estimates/s arrival rate — a \
+    load generator modeling transports draining round closes — with full-speed ingest throughput \
+    reported separately by the build and re-observe rows. Latency is sampled per 64-lookup batch \
+    — one clock read per batch — so on a single-core box a scheduler preemption poisons well \
+    under 1% of samples and the p99 reflects the read path, not the timeslice. The eviction sweep \
+    refreshes every other estimate at a late timestamp and then evicts at refresh+TTL, expiring \
+    exactly the unrefreshed entries in one full-map generation rebuild. brr_identical re-runs the \
+    VanLan BRR policy fed from the map's corridor query (aps_ahead) against the \
+    canonically-ordered static ground-truth list on the same seed and requires identical \
+    connectivity traces end to end.";
+
 fn main() {
     let smoke = smoke_mode();
     let (roads, slots) = if smoke { (64, 2_000) } else { (128, 4_800) };
@@ -302,7 +321,10 @@ fn main() {
             obj([
                 ("build_estimates_per_sec", num(build_rate, 0)),
                 ("reobserve_estimates_per_sec", num(merge_rate, 0)),
-                ("concurrent_ingest_estimates_per_sec", num(concurrent_ingest_rate, 0)),
+                (
+                    "concurrent_ingest_estimates_per_sec",
+                    num(concurrent_ingest_rate, 0),
+                ),
                 ("concurrent_ingest_target_per_sec", 250_000u64.into()),
             ]),
         )
@@ -335,6 +357,6 @@ fn main() {
             ]),
         )
         .field("handoff", obj([("brr_identical", brr_identical.into())]))
-        .notes("The map stores a deterministic metro-scale road grid of consolidated AP entries (merge radius keeps neighbors distinct at the grid spacing). Lookups are allocation-free count_near radius probes along drive-shaped query streams (256 consecutive jittered positions per road drive, drives starting on random roads — the spatial pattern of user-vehicles polling along their routes); the read path clones each touched shard's published generation Arc under an O(1) read lock, so a concurrent writer re-ingesting the full estimate stream (merge-heavy consolidation plus generation republish per batch) never blocks readers. The concurrent writer is paced at a fixed 250k-estimates/s arrival rate — a load generator modeling transports draining round closes — with full-speed ingest throughput reported separately by the build and re-observe rows. Latency is sampled per 64-lookup batch — one clock read per batch — so on a single-core box a scheduler preemption poisons well under 1% of samples and the p99 reflects the read path, not the timeslice. The eviction sweep refreshes every other estimate at a late timestamp and then evicts at refresh+TTL, expiring exactly the unrefreshed entries in one full-map generation rebuild. brr_identical re-runs the VanLan BRR policy fed from the map's corridor query (aps_ahead) against the canonically-ordered static ground-truth list on the same seed and requires identical connectivity traces end to end.")
+        .notes(NOTES)
         .write("BENCH_map.json");
 }

@@ -130,6 +130,18 @@ fn fleet_plan(n: u32) -> FaultPlan {
     plan
 }
 
+/// The `notes` paragraph of `BENCH_fleet.json`.
+const NOTES: &str = "Each row is one full crowdsensing round on FleetTransport with faults on (1% \
+    drop, 0.5% duplication, one crash and one stall per 2048 vehicles): sensing, upload, labeling \
+    with retries and reassignment, per-segment fusion, reliability scoring. \
+    vehicle_rounds_per_hour = vehicles / wall_secs * 3600; headline is the worst row. Vehicles \
+    run a deliberately cheap estimator (one 12-sample window, 10 m lattice, 60 m radio range, no \
+    global refine, single-threaded solves) so the number measures the round engine — event \
+    batching, timer machinery — not estimator maths. machine.worker_budget is the transport's \
+    worker-pool size after clamping to detected parallelism (CROWDWIFI_THREADS rules). Before \
+    timing, a 200-vehicle round is asserted byte-identical (state digest and fused map) between \
+    FleetTransport and the reference SimTransport on the same seed and plan.";
+
 fn main() {
     let smoke = smoke_mode();
     let sizes: &[u32] = if smoke {
@@ -191,10 +203,13 @@ fn main() {
 
     Report::new("fleet_rounds", 8)
         .worker_budget(worker_budget)
-        .field("equivalence", obj([("vehicles", eq_n.into()), ("digest_match", true.into())]))
+        .field(
+            "equivalence",
+            obj([("vehicles", eq_n.into()), ("digest_match", true.into())]),
+        )
         .field("rows", Json::Arr(rows))
         .field("headline_vehicle_rounds_per_hour", num(headline, 0))
         .field("target_vehicle_rounds_per_hour", 1_000_000u64)
-        .notes("Each row is one full crowdsensing round on FleetTransport with faults on (1% drop, 0.5% duplication, one crash and one stall per 2048 vehicles): sensing, upload, labeling with retries and reassignment, per-segment fusion, reliability scoring. vehicle_rounds_per_hour = vehicles / wall_secs * 3600; headline is the worst row. Vehicles run a deliberately cheap estimator (one 12-sample window, 10 m lattice, 60 m radio range, no global refine, single-threaded solves) so the number measures the round engine — event batching, timer machinery — not estimator maths. machine.worker_budget is the transport's worker-pool size after clamping to detected parallelism (CROWDWIFI_THREADS rules). Before timing, a 200-vehicle round is asserted byte-identical (state digest and fused map) between FleetTransport and the reference SimTransport on the same seed and plan.")
+        .notes(NOTES)
         .write("BENCH_fleet.json");
 }

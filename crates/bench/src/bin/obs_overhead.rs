@@ -44,6 +44,15 @@ fn counter_ns(reg: &Registry, iters: u64) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / iters as f64
 }
 
+/// The `notes` paragraph of `BENCH_obs.json`.
+const NOTES: &str = "overhead_pct is the median over reps of the per-rep enabled/no-op wall-time \
+    ratio, minus one: each rep runs OnlineCs::run once with an enabled local registry and once \
+    with the default disabled global registry, on one core, alternating which runs first; noop_ms \
+    and enabled_ms are the legs' median wall times. Single runs swing by tens of percent on a \
+    shared machine, so CI gates it loosely while the budget stays 2%. The compile-out \
+    configuration (--no-default-features) removes recording entirely and is covered by the tier-1 \
+    gate, not measured here.";
+
 fn main() {
     if !crowdwifi_obs::RECORDING {
         eprintln!("recording compiled out; nothing to measure");
@@ -123,7 +132,10 @@ fn main() {
                 ("enabled_ns", num(enabled_ns, 3)),
             ]),
         )
-        .field("pipeline_counters", obj(snap.counters.iter().map(|(k, &v)| (k.as_str(), v.into()))))
-        .notes("overhead_pct is the median over reps of the per-rep enabled/no-op wall-time ratio, minus one: each rep runs OnlineCs::run once with an enabled local registry and once with the default disabled global registry, on one core, alternating which runs first; noop_ms and enabled_ms are the legs' median wall times. Single runs swing by tens of percent on a shared machine, so CI gates it loosely while the budget stays 2%. The compile-out configuration (--no-default-features) removes recording entirely and is covered by the tier-1 gate, not measured here.")
+        .field(
+            "pipeline_counters",
+            obj(snap.counters.iter().map(|(k, &v)| (k.as_str(), v.into()))),
+        )
+        .notes(NOTES)
         .write("BENCH_obs.json");
 }

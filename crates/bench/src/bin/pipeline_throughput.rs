@@ -130,6 +130,25 @@ fn bernoulli_matrix(m: usize, n: usize, seed: u64) -> Matrix {
     })
 }
 
+/// The `notes` paragraph of `BENCH_pipeline.json`.
+const NOTES: &str = "Every measurement is single-threaded or machine-independent: stages, \
+    shared_window, solver_workspace, solver_work and kernel_accel read the same on a 1-2-core \
+    machine as on a big one. The seed FISTA baseline is reproduced verbatim in this bench and \
+    asserted to yield bit-identical solutions; solver_workspace times a batch of solves per leg \
+    per rep, alternating which leg runs first: seed_clone_per_iter_us and workspace_us are median \
+    microseconds per solve, speedup is the median per-rep ratio. solver_work runs the drive once \
+    with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance \
+    1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over \
+    total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs \
+    recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, \
+    then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the \
+    shipped row-blocked kernels, alternating which leg runs first rep by rep: kernel_scalar_us \
+    and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median \
+    per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce \
+    the same bits (NaN-canonicalized). stages is one single-thread run of the drive, after one \
+    warmup run, recording into a local registry: each pipeline.*_seconds stage timer's total in \
+    milliseconds, and stage_coverage, their sum over the run's wall time.";
+
 fn main() {
     let smoke = smoke_mode();
 
@@ -416,6 +435,6 @@ fn main() {
                 ("kernel_bit_identical", true.into()),
             ]),
         )
-        .notes("Every measurement is single-threaded or machine-independent: stages, shared_window, solver_workspace, solver_work and kernel_accel read the same on a 1-2-core machine as on a big one. The seed FISTA baseline is reproduced verbatim in this bench and asserted to yield bit-identical solutions; solver_workspace times a batch of solves per leg per rep, alternating which leg runs first: seed_clone_per_iter_us and workspace_us are median microseconds per solve, speedup is the median per-rep ratio. solver_work runs the drive once with the default exact active set and once with plain FISTA pinned (400 iterations, tolerance 1e-7, the active set's fallback): active_set_iteration_ratio is total active-set pivots over total FISTA iterations, and ap_count_identical records the in-bench assertion that both runs recover the same number of APs. kernel_accel times FISTA's per-iteration kernel pair (matvec, then acc_rows) on the solver_workspace operator with the scalar reference kernels vs the shipped row-blocked kernels, alternating which leg runs first rep by rep: kernel_scalar_us and kernel_vectorized_us are median microseconds per pair, kernel_wall_speedup is the median per-rep ratio, and kernel_bit_identical records the in-bench assertion that both legs produce the same bits (NaN-canonicalized). stages is one single-thread run of the drive, after one warmup run, recording into a local registry: each pipeline.*_seconds stage timer's total in milliseconds, and stage_coverage, their sum over the run's wall time.")
+        .notes(NOTES)
         .write("BENCH_pipeline.json");
 }

@@ -131,6 +131,16 @@ fn binary_throughput(msgs: &[Msg], reps: usize) -> f64 {
     (reps * msgs.len()) as f64 / start.elapsed().as_secs_f64()
 }
 
+/// The `notes` paragraph of `BENCH_wire.json`.
+const NOTES: &str = "Codec rows measure the length-prefixed CRC32 binary framing on a \
+    deterministic 20k-message corpus shaped like real round traffic (60% lattice-position \
+    uploads, 20% assignments, 15% answer batches, 5% control). Payload bytes exclude the 8-byte \
+    len+CRC header, framed bytes include it; the payload target holds because f64s are \
+    varint-packed byte-swapped, so lattice coordinates cost 2-4 bytes. Throughput is \
+    single-threaded frame-to-message round trips, best of three trials: full framing (len+CRC \
+    backfill on encode, CRC validation on decode, scratch buffer reused) exactly as the \
+    transports and WAL ship them.";
+
 fn main() {
     let smoke = smoke_mode();
     let corpus_n = 20_000;
@@ -171,11 +181,14 @@ fn main() {
                 ("corpus_messages", corpus_n.into()),
                 ("binary_payload_bytes_per_message", num(payload_per_msg, 2)),
                 ("binary_framed_bytes_per_message", num(framed_per_msg, 2)),
-                ("target_payload_bytes_per_message", num(TARGET_PAYLOAD_BYTES, 2)),
+                (
+                    "target_payload_bytes_per_message",
+                    num(TARGET_PAYLOAD_BYTES, 2),
+                ),
                 ("binary_msgs_per_sec", num(binary_mps, 0)),
                 ("target_msgs_per_sec", num(TARGET_MSGS_PER_SEC, 0)),
             ]),
         )
-        .notes("Codec rows measure the length-prefixed CRC32 binary framing on a deterministic 20k-message corpus shaped like real round traffic (60% lattice-position uploads, 20% assignments, 15% answer batches, 5% control). Payload bytes exclude the 8-byte len+CRC header, framed bytes include it; the payload target holds because f64s are varint-packed byte-swapped, so lattice coordinates cost 2-4 bytes. Throughput is single-threaded frame-to-message round trips, best of three trials: full framing (len+CRC backfill on encode, CRC validation on decode, scratch buffer reused) exactly as the transports and WAL ship them.")
+        .notes(NOTES)
         .write("BENCH_wire.json");
 }

@@ -60,9 +60,7 @@ pub use crate::wire::crc32;
 /// Frames `payload` as `[len: u32 LE][crc32(payload): u32 LE][payload]`.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
+    wire::frame_into(&mut frame, |out| out.extend_from_slice(payload));
     frame
 }
 
@@ -780,6 +778,10 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_tolerate_torn_tails() {
+        // Layout: `[len u32 LE][crc32 u32 LE][payload]`.
+        let header = [5u32.to_le_bytes(), crc32(b"alpha").to_le_bytes()].concat();
+        assert_eq!(encode_frame(b"alpha"), [&header[..], b"alpha"].concat());
+
         let mut log = encode_frame(b"alpha");
         log.extend_from_slice(&encode_frame(b"beta"));
         log.extend_from_slice(&encode_frame(b"gamma"));

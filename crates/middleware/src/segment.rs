@@ -33,14 +33,18 @@ impl SegmentMap {
     ///
     /// # Panics
     ///
-    /// Panics if `segment_size` is not positive and finite.
+    /// Panics if `segment_size` is not positive and finite, or if the
+    /// grid has more segments than a `u32` [`SegmentId`] can address.
     pub fn new(area: Rect, segment_size: f64) -> Self {
         assert!(
             segment_size > 0.0 && segment_size.is_finite(),
             "segment_size must be positive and finite"
         );
-        let nx = ((area.width() / segment_size).ceil() as u32).max(1);
-        let ny = ((area.height() / segment_size).ceil() as u32).max(1);
+        let (nx, ny) = grid(area, segment_size);
+        assert!(
+            nx.checked_mul(ny).is_some(),
+            "segment grid {nx}x{ny} overflows u32"
+        );
         SegmentMap {
             area,
             segment_size,
@@ -116,16 +120,21 @@ impl WireMessage for SegmentMap {
             return Err(codec_err(format!("bad segment size {segment_size}")));
         }
         // Segment ids are `u32`, so a grid with more cells than that
-        // cannot be addressed (and `len` would overflow).
-        let map = SegmentMap::new(area, segment_size);
-        if map.nx.checked_mul(map.ny).is_none() {
-            return Err(codec_err(format!(
-                "segment grid {}x{} overflows u32",
-                map.nx, map.ny
-            )));
+        // cannot be addressed; reject it before `new` would panic.
+        let (nx, ny) = grid(area, segment_size);
+        if nx.checked_mul(ny).is_none() {
+            return Err(codec_err(format!("segment grid {nx}x{ny} overflows u32")));
         }
-        Ok(map)
+        Ok(SegmentMap::new(area, segment_size))
     }
+}
+
+/// Columns and rows of `segment_size` squares covering `area`, each at
+/// least one (saturating at `u32::MAX`).
+fn grid(area: Rect, segment_size: f64) -> (u32, u32) {
+    let nx = ((area.width() / segment_size).ceil() as u32).max(1);
+    let ny = ((area.height() / segment_size).ceil() as u32).max(1);
+    (nx, ny)
 }
 
 #[cfg(test)]
@@ -160,5 +169,15 @@ mod tests {
         assert_eq!(id, SegmentId(0));
         let id2 = m.segment_of(Point::new(900.0, 900.0));
         assert_eq!(id2, SegmentId(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u32")]
+    fn grid_wider_than_segment_ids_panics() {
+        // 10^6 x 10^6 one-meter segments: 10^12 ids do not fit a u32.
+        // (Decoding such a grid is a codec error instead; see
+        // `wire_roundtrip::oversized_segment_grids_are_rejected`.)
+        let area = Rect::new(Point::new(0.0, 0.0), Point::new(1e6, 1e6)).unwrap();
+        let _ = SegmentMap::new(area, 1.0);
     }
 }

@@ -1,56 +1,43 @@
-//! The batched event-loop transport for fleet-scale rounds.
+//! The batched-stepping transport for fleet-scale rounds.
 //!
-//! [`FleetTransport`] multiplexes tens of thousands of simulated
-//! vehicle sessions over a small worker pool instead of one OS thread
-//! (or one inline drain) per vehicle. Each vehicle is a session state
-//! machine split in two:
+//! [`FleetTransport`] runs the same virtual-clock event loop as the
+//! simulator ([`super::drive`]) and differs only in how vehicle
+//! sessions step: not one vehicle at a time, but in batches fanned out
+//! over a small worker pool. Each session is split in two:
 //!
-//! * a **link half** on the driver thread — inbox queue, faulty uplink,
+//! * its [`Link`] on the driver thread — inbox queue, faulty uplink,
 //!   recorded exit — which is where all `Rc`-backed queue plumbing and
 //!   all fault-RNG consumption happens, keeping per-link fault streams
-//!   in exactly the order the single-threaded simulator produces; and
+//!   in exactly the order the simulator produces; and
 //! * a **compute half** (the [`VehicleCore`] plus its staged step
 //!   outcomes), which is `Send` and is fanned out across the worker
 //!   pool in contiguous chunks each tick.
 //!
-//! A tick drains the server queue into the [`EventHost`], delivers
-//! inbox traffic into per-vehicle pending batches, runs the compute
-//! batch on the pool, then absorbs the staged outcomes **in vehicle-id
-//! order** on the driver thread. Because absorption — the only place
-//! uplink sends and exits happen — is serial and id-ordered, the server
-//! sees the exact event sequence [`SimTransport`](super::SimTransport)
-//! generates, and a same-seed round is byte-identical across the two
-//! backends (state digest, fused map and deterministic projection
-//! alike) for any worker count. Virtual time advances exactly as in
-//! the simulator: only at quiescence, straight to the earliest armed
-//! deadline.
-//!
-//! The server side is the same [`ServerCore`] the simulator drives, fusing per road segment in-line at round close; a durable
-//! round wraps it in a [`DurableRound`]. The worker pool parallelises
-//! the vehicle side only; the core stays single-threaded. Plain and
-//! durable rounds run the same loop and differ only in the host handed
-//! to `fleet_drive`.
+//! A tick delivers every queued inbox frame into per-vehicle pending
+//! batches, runs the compute batch on the pool, then absorbs the staged
+//! outcomes **in vehicle-id order** on the driver thread. Because
+//! absorption — the only place uplink sends and exits happen — is
+//! serial and id-ordered, the server sees the exact event sequence
+//! [`SimTransport`](super::SimTransport) generates, and a same-seed
+//! round is byte-identical across the two backends (state digest, fused
+//! map and deterministic projection alike) for any worker count. The
+//! worker pool parallelises the vehicle side only; the server core
+//! stays single-threaded.
 
-use super::sim::{apply, Downlink, QueueSink, ServerQueue, Uplink};
-use super::{panic_message, seal_report, vehicle_seed, EventHost, Transport};
-use crate::durability::{DurableRound, LogSink};
-use crate::fault::{FaultPlan, FaultTally, LinkDirection};
-use crate::messages::{ToServer, ToVehicle, VehicleId};
-use crate::protocol::{Event, PlatformConfig, PlatformReport, ServerCore, TimerId, VirtualInstant};
+use super::drive::{self, step_frame, step_start, Link, Sessions, StepOutcome, Vehicle};
+use super::Transport;
+use crate::durability::LogSink;
+use crate::fault::FaultPlan;
+use crate::messages::VehicleId;
+use crate::protocol::{PlatformConfig, PlatformReport};
 use crate::segment::SegmentMap;
 use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleExit, VehicleStep};
-use crate::wire::{WireDigest, WireMessage};
-use crate::{MiddlewareError, Result};
+use crate::Result;
 use crowdwifi_channel::RssReading;
-use crowdwifi_obs::Registry;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
-/// The fleet-scale backend: a batched event loop over a clamped worker
-/// pool driving a [`ServerCore`].
+/// The fleet-scale backend: the shared event loop with vehicle sessions
+/// stepped in batches over a clamped worker pool.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetTransport {
     workers: usize,
@@ -82,9 +69,9 @@ impl FleetTransport {
     }
 
     /// Runs one faulted round and returns the report plus the core's
-    /// final [`state_digest`](ServerCore::state_digest) extended with a
-    /// [`WireDigest`] over the binary uplink frames, for byte-for-byte
-    /// comparison against
+    /// final [`state_digest`](crate::protocol::ServerCore::state_digest)
+    /// extended with a [`WireDigest`](crate::wire::WireDigest) over the
+    /// binary uplink frames, for byte-for-byte comparison against
     /// [`sim_round_with_digest`](super::sim_round_with_digest).
     ///
     /// # Errors
@@ -97,23 +84,8 @@ impl FleetTransport {
         config: PlatformConfig,
         plan: &FaultPlan,
     ) -> Result<(PlatformReport, String)> {
-        let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
-        let mut core = ServerCore::new(segments.clone(), &ids, config, Registry::new())?;
-        plan.validate()?;
-        let tally = Arc::new(FaultTally::new());
-        let mut wire = WireDigest::new();
-        let report = fleet_drive(
-            &mut core,
-            segments,
-            fleet,
-            config,
-            plan,
-            tally,
-            self.workers,
-            &mut wire,
-        )?;
-        let digest = format!("{} | {}", core.state_digest(), wire.render());
-        Ok((report, digest))
+        let batched = |links, vehicles| Batched::new(links, vehicles, self.workers);
+        drive::round_with_digest(segments, fleet, config, plan, batched)
     }
 }
 
@@ -142,33 +114,13 @@ impl Transport for FleetTransport {
         plan: &FaultPlan,
         wal: &mut dyn LogSink,
     ) -> Result<PlatformReport> {
-        let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
-        plan.validate()?;
-        let tally = Arc::new(FaultTally::new());
-        let mut host = DurableRound::new(
-            segments.clone(),
-            &ids,
-            config,
-            plan,
-            wal,
-            Arc::clone(&tally),
-        )?;
-        let mut wire = WireDigest::new();
-        fleet_drive(
-            &mut host,
-            segments,
-            fleet,
-            config,
-            plan,
-            tally,
-            self.workers,
-            &mut wire,
-        )
+        let batched = |links, vehicles| Batched::new(links, vehicles, self.workers);
+        drive::round_durable(segments, fleet, config, plan, wal, batched)
     }
 }
 
 /// Resolves a requested worker count exactly the way the compute
-/// pipeline resolves `CROWDWIFI_THREADS` (PR 6): `0` defers to
+/// pipeline resolves `CROWDWIFI_THREADS`: `0` defers to
 /// [`crowdwifi_core::par::resolve_threads`] (env override included,
 /// already clamped), and an explicit request is clamped to the detected
 /// parallelism.
@@ -180,112 +132,114 @@ fn clamp_workers(requested: usize) -> usize {
     requested.min(detected.max(1))
 }
 
-/// A step outcome staged by the compute half, exactly what the
-/// simulator's inline step produces: the vehicle's `Result`, or the
-/// payload of a caught panic.
-type StepOutcome = std::result::Result<Result<VehicleStep>, Box<dyn std::any::Any + Send>>;
-
 /// The `Send` compute half of one vehicle session: the pure state
-/// machine, its pending downlink batch and the outcomes it staged this
-/// tick. Workers touch nothing else.
+/// machine, the drive it has yet to sense, its pending downlink batch
+/// and the outcomes it staged this tick. Workers touch nothing else.
 struct ComputeCell {
     core: VehicleCore,
-    readings: Vec<RssReading>,
+    /// `Some` until the start step has run.
+    readings: Option<Vec<RssReading>>,
     pending: Vec<Vec<u8>>,
     staged: Vec<StepOutcome>,
-    start_pending: bool,
-    /// Mirrors "no exit recorded yet" from the link half; an inactive
-    /// cell absorbs pending messages silently, like the simulator's
-    /// post-exit inbox drain.
-    active: bool,
 }
 
 impl ComputeCell {
-    /// Runs this cell's share of the tick: the initial `start` if still
-    /// owed, then every pending message in order. After an exit (or
-    /// failure, or panic) is staged, the remaining batch is absorbed
-    /// silently — the same messages the simulator's drain would skip.
+    /// Runs this cell's share of the tick: the start step if still
+    /// owed, then every pending frame in order. Once an exit (or
+    /// failure, or panic) is staged, the rest of the batch is absorbed
+    /// silently — the frames the inline stepping would skip.
     fn step(&mut self, segments: &SegmentMap) {
-        if self.start_pending {
-            self.start_pending = false;
-            if self.active {
-                let core = &mut self.core;
-                let readings = std::mem::take(&mut self.readings);
-                self.staged
-                    .push(catch_unwind(AssertUnwindSafe(|| core.start(&readings))));
-            }
+        if let Some(readings) = self.readings.take() {
+            self.staged.push(step_start(&mut self.core, &readings));
         }
-        if !self.active {
-            self.pending.clear();
-            return;
-        }
-        let mut exited = self
-            .staged
-            .last()
-            .is_some_and(|out| !matches!(out, Ok(Ok(VehicleStep::Continue(_)))));
-        for bytes in std::mem::take(&mut self.pending) {
-            if exited {
-                continue;
+        let mut running = self.staged.last().is_none_or(continues);
+        for frame in std::mem::take(&mut self.pending) {
+            if running {
+                let out = step_frame(&mut self.core, &frame, segments);
+                running = continues(&out);
+                self.staged.push(out);
             }
-            // A garbled downlink frame stages the decode error, which
-            // the link half reports as `ToServer::Failed` — identical
-            // to the simulator's inline drain.
-            let out = match ToVehicle::from_frame(&bytes) {
-                Ok(msg) => {
-                    let core = &mut self.core;
-                    catch_unwind(AssertUnwindSafe(|| Ok(core.on_message(msg, segments))))
-                }
-                Err(e) => Ok(Err(e)),
-            };
-            exited = !matches!(out, Ok(Ok(VehicleStep::Continue(_))));
-            self.staged.push(out);
         }
     }
 }
 
-/// The link half of one vehicle session; driver-thread only (the inbox
-/// and uplink queues are `Rc`-shared with the fault layer).
-struct LinkCell {
-    id: VehicleId,
-    inbox: Rc<RefCell<VecDeque<Vec<u8>>>>,
-    uplink: Option<Uplink>,
-    exit: Option<VehicleExit>,
+/// Whether a step leaves the vehicle running.
+fn continues(outcome: &StepOutcome) -> bool {
+    matches!(outcome, Ok(Ok(VehicleStep::Continue(_))))
 }
 
-impl LinkCell {
-    /// Folds one staged outcome into the session lifecycle, mirroring
-    /// the simulator's `absorb`/`fail` pair: continues dispatch uplink
-    /// messages, exits close the uplink, failures report then exit.
-    fn absorb(&mut self, outcome: StepOutcome, active: &mut bool) {
-        let step = match outcome {
-            Ok(Ok(step)) => step,
-            Ok(Err(e)) => return self.fail(e.to_string(), active),
-            Err(payload) => return self.fail(format!("panic: {}", panic_message(payload)), active),
-        };
-        match step {
-            VehicleStep::Continue(msgs) => {
-                if let Some(uplink) = self.uplink.as_mut() {
-                    for m in msgs {
-                        uplink.send((self.id, m.to_frame()));
-                    }
-                }
-            }
-            VehicleStep::Exit(exit) => {
-                self.exit = Some(exit);
-                self.uplink = None;
-                *active = false;
-            }
+/// The fleet engine's stepping: deliver every queued frame, run one
+/// [`compute_batch`] over the worker pool, absorb in vehicle-id order.
+pub(super) struct Batched {
+    links: Vec<Link>,
+    cells: Vec<ComputeCell>,
+    workers: usize,
+}
+
+impl Batched {
+    pub(super) fn new(links: Vec<Link>, vehicles: Vec<Vehicle>, workers: usize) -> Self {
+        let cells = vehicles
+            .into_iter()
+            .map(|(core, readings)| ComputeCell {
+                core,
+                readings: Some(readings),
+                pending: Vec::new(),
+                staged: Vec::new(),
+            })
+            .collect();
+        Batched {
+            links,
+            cells,
+            workers,
         }
     }
 
-    fn fail(&mut self, reason: String, active: &mut bool) {
-        if let Some(uplink) = self.uplink.as_mut() {
-            let frame = ToServer::Failed(reason.clone()).to_frame();
-            uplink.send((self.id, frame));
+    /// Steps every cell on the pool, then absorbs the staged outcomes
+    /// in vehicle-id order on the driver thread — the only place uplink
+    /// sends and exits happen, which is what pins the server-side event
+    /// order to the simulator's.
+    fn tick(&mut self, segments: &SegmentMap) {
+        compute_batch(&mut self.cells, segments, self.workers);
+        for (link, cell) in self.links.iter_mut().zip(&mut self.cells) {
+            for outcome in cell.staged.drain(..) {
+                link.absorb(outcome);
+            }
         }
-        self.exit = Some(VehicleExit::Failed(reason));
-        self.uplink = None;
-        *active = false;
+    }
+}
+
+impl Sessions for Batched {
+    fn start(&mut self, segments: &SegmentMap) {
+        self.tick(segments);
+    }
+
+    fn pump(&mut self, segments: &SegmentMap) -> bool {
+        let mut delivered = false;
+        for (link, cell) in self.links.iter_mut().zip(&mut self.cells) {
+            while let Some(frame) = link.next_frame() {
+                delivered = true;
+                if !link.exited() {
+                    cell.pending.push(frame);
+                }
+            }
+        }
+        if delivered {
+            self.tick(segments);
+        }
+        delivered
+    }
+
+    fn links(&self) -> &[Link] {
+        &self.links
+    }
+
+    fn exits(self) -> BTreeMap<VehicleId, VehicleExit> {
+        let cores = self.cells.iter().map(|c| &c.core);
+        self.links
+            .into_iter()
+            .zip(cores)
+            .map(|(l, c)| l.finish(c))
+            .collect()
     }
 }
 
@@ -311,206 +265,6 @@ fn compute_batch(cells: &mut [ComputeCell], segments: &SegmentMap, workers: usiz
             });
         }
     });
-}
-
-/// Absorbs every staged outcome in vehicle-id order on the driver
-/// thread — the only place uplink sends and exits happen, which is what
-/// pins the server-side event order to the simulator's.
-fn absorb_batch(links: &mut [LinkCell], cells: &mut [ComputeCell]) {
-    for (link, cell) in links.iter_mut().zip(cells.iter_mut()) {
-        for outcome in cell.staged.drain(..) {
-            link.absorb(outcome, &mut cell.active);
-        }
-    }
-}
-
-/// The fleet event loop, generic over the server-shaped host exactly
-/// like the simulator's driver; see the [module docs](self) for the
-/// tick structure and the equivalence argument.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn fleet_drive<H: EventHost>(
-    host: &mut H,
-    segments: SegmentMap,
-    fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-    config: PlatformConfig,
-    plan: &FaultPlan,
-    tally: Arc<FaultTally>,
-    workers: usize,
-    wire: &mut WireDigest,
-) -> Result<PlatformReport> {
-    let server_queue: ServerQueue = Rc::new(RefCell::new(VecDeque::new()));
-    // Seeds follow fleet order (matching the simulator); the
-    // session arrays are then sorted into vehicle-id order, the order
-    // ticks absorb in.
-    let mut sessions: Vec<(LinkCell, ComputeCell)> = Vec::with_capacity(fleet.len());
-    let mut downlinks: BTreeMap<VehicleId, Downlink> = BTreeMap::new();
-    for (i, (vehicle, readings)) in fleet.into_iter().enumerate() {
-        let id = vehicle.id();
-        let inbox = Rc::new(RefCell::new(VecDeque::new()));
-        downlinks.insert(
-            id,
-            plan.sender_tallied(
-                QueueSink(Rc::clone(&inbox)),
-                id,
-                LinkDirection::ToVehicle,
-                Some(Arc::clone(&tally)),
-            ),
-        );
-        let uplink = plan.sender_tallied(
-            QueueSink(Rc::clone(&server_queue)),
-            id,
-            LinkDirection::ToServer,
-            Some(Arc::clone(&tally)),
-        );
-        sessions.push((
-            LinkCell {
-                id,
-                inbox,
-                uplink: Some(uplink),
-                exit: None,
-            },
-            ComputeCell {
-                core: VehicleCore::new(vehicle, vehicle_seed(config.seed, i), plan.misbehavior(id)),
-                readings,
-                pending: Vec::new(),
-                staged: Vec::new(),
-                start_pending: true,
-                active: true,
-            },
-        ));
-    }
-    sessions.sort_by_key(|(link, _)| link.id);
-    let (mut links, mut cells): (Vec<LinkCell>, Vec<ComputeCell>) = sessions.into_iter().unzip();
-
-    let mut now = VirtualInstant::ZERO;
-    let mut timers: BTreeMap<TimerId, VirtualInstant> = BTreeMap::new();
-    let mut outcome: Option<Result<PlatformReport>> = None;
-
-    apply(host.begin()?, &mut downlinks, &mut timers, &mut outcome);
-
-    // Every vehicle runs its drive "at once" (virtual time zero): one
-    // batched start tick.
-    compute_batch(&mut cells, &segments, workers);
-    absorb_batch(&mut links, &mut cells);
-
-    loop {
-        // Pump until every queue is empty: server traffic in queue
-        // order, then one delivery + compute + absorb tick.
-        loop {
-            let mut progressed = false;
-            loop {
-                let next = server_queue.borrow_mut().pop_front();
-                let Some((from, bytes)) = next else { break };
-                progressed = true;
-                wire.absorb(&bytes);
-                apply(
-                    host.handle(Event::uplink(now, from, &bytes))?,
-                    &mut downlinks,
-                    &mut timers,
-                    &mut outcome,
-                );
-            }
-            let mut delivered = false;
-            for (link, cell) in links.iter_mut().zip(cells.iter_mut()) {
-                loop {
-                    let msg = link.inbox.borrow_mut().pop_front();
-                    let Some(msg) = msg else { break };
-                    delivered = true;
-                    cell.pending.push(msg);
-                }
-            }
-            if delivered {
-                progressed = true;
-                compute_batch(&mut cells, &segments, workers);
-                absorb_batch(&mut links, &mut cells);
-            }
-            if !progressed {
-                break;
-            }
-        }
-
-        if outcome.is_some() {
-            break;
-        }
-
-        // Quiescent: all links gone means the server sees a disconnect
-        // (retried a bounded number of times for crash-eating durable
-        // hosts); otherwise jump the clock to the earliest deadline.
-        if links.iter().all(|link| link.uplink.is_none()) {
-            for attempt in 0.. {
-                apply(
-                    host.handle(Event::LinksClosed { now })?,
-                    &mut downlinks,
-                    &mut timers,
-                    &mut outcome,
-                );
-                if outcome.is_some() {
-                    break;
-                }
-                if attempt >= 8 {
-                    return Err(MiddlewareError::Crowd(
-                        "simulation stalled: links closed but round undecided".to_string(),
-                    ));
-                }
-            }
-            continue;
-        }
-        let Some(&next) = timers.values().min() else {
-            return Err(MiddlewareError::Crowd(
-                "simulation stalled: no traffic and no armed deadlines".to_string(),
-            ));
-        };
-        if next > now {
-            now = next;
-        }
-        let mut due: Vec<(VirtualInstant, TimerId)> = timers
-            .iter()
-            .filter(|&(_, &at)| at <= now)
-            .map(|(&t, &at)| (at, t))
-            .collect();
-        due.sort_unstable();
-        for (_, timer) in due {
-            timers.remove(&timer);
-            if outcome.is_some() {
-                continue;
-            }
-            apply(
-                host.handle(Event::TimerFired { now, timer })?,
-                &mut downlinks,
-                &mut timers,
-                &mut outcome,
-            );
-        }
-    }
-
-    let report = outcome.expect("round outcome decided")?;
-
-    // Round complete: dropping the downlinks flushes delayed traffic
-    // into the inboxes; one final tick lets every vehicle see its
-    // `Done`, then survivors classify the hang-up.
-    drop(downlinks);
-    for (link, cell) in links.iter_mut().zip(cells.iter_mut()) {
-        loop {
-            let msg = link.inbox.borrow_mut().pop_front();
-            let Some(msg) = msg else { break };
-            cell.pending.push(msg);
-        }
-    }
-    compute_batch(&mut cells, &segments, workers);
-    absorb_batch(&mut links, &mut cells);
-    let exits: BTreeMap<VehicleId, VehicleExit> = links
-        .iter_mut()
-        .zip(cells.iter_mut())
-        .map(|(link, cell)| {
-            let exit = link
-                .exit
-                .take()
-                .unwrap_or_else(|| cell.core.on_disconnect());
-            (link.id, exit)
-        })
-        .collect();
-    host.finish()?;
-    Ok(seal_report(report, exits, &host.registry(), &tally))
 }
 
 #[cfg(test)]

@@ -6,21 +6,23 @@
 //! time, never by sleeping, so a multi-second degraded round replays in
 //! milliseconds:
 //!
-//! * [`SimTransport`] — a single-threaded deterministic simulator, the
-//!   reference the fleet engine is compared against.
-//! * [`FleetTransport`] — the fleet-scale engine: vehicle sessions are
-//!   batched state machines multiplexed over a clamped worker pool
-//!   (not one thread or inline drain per vehicle). Same fault layer,
-//!   byte-identical same-seed rounds to [`SimTransport`] at 10k–100k
-//!   vehicles.
+//! * [`SimTransport`] — the reference: each vehicle, in id order, steps
+//!   each queued message and sends its uplink before taking the next.
+//! * [`FleetTransport`] — the fleet-scale engine: every queued message
+//!   is delivered first, then the vehicle sessions step as one batch
+//!   over a clamped worker pool and their outcomes are absorbed in id
+//!   order. Byte-identical same-seed rounds to [`SimTransport`] at
+//!   10k–100k vehicles.
 //!
-//! Both backends wrap every link in the same [`crate::fault`] layer and
-//! drive the same [`ServerCore`] (bare, or inside the durability
-//! layer's crash-injecting host), so a given seed + fault plan yields
-//! the same [`PlatformReport::deterministic`] projection on either.
-//! With the core shared, comparing the two isolates exactly the fleet
-//! engine's batched vehicle loop.
+//! Both are one event loop (the private `drive` module): the same
+//! [`crate::fault`] layer on every link, the same session setup, clock
+//! and report sealing, driving the same [`ServerCore`] (bare, or inside
+//! the durability layer's crash-injecting host). They differ only in
+//! how vehicle sessions step, so a given seed + fault plan yields the
+//! same [`PlatformReport::deterministic`] projection on either, and
+//! comparing the two isolates exactly the batched stepping.
 
+mod drive;
 mod fleet;
 mod sim;
 
@@ -28,20 +30,20 @@ pub use fleet::FleetTransport;
 pub use sim::{sim_round_with_digest, SimTransport};
 
 use crate::durability::{LogSink, SnapshotStore};
-use crate::fault::{FaultPlan, FaultTally};
+use crate::fault::FaultPlan;
 use crate::protocol::rounds::smooth_reliabilities;
 use crate::protocol::{Action, Event, PlatformConfig, PlatformReport, ServerCore, ShardedDatabase};
 use crate::segment::SegmentMap;
-use crate::vehicle::{CrowdVehicle, VehicleExit};
+use crate::vehicle::CrowdVehicle;
 use crate::{messages::VehicleId, MiddlewareError, Result};
 use crowdwifi_channel::RssReading;
 use crowdwifi_obs::Registry;
 use std::collections::BTreeMap;
 
-/// The server-shaped thing a backend's event loop drives: a bare
+/// The server-shaped thing the round driver's event loop drives: a bare
 /// [`ServerCore`], or the durability layer's crash-injecting
-/// [`crate::durability`] host wrapping one. Backends are generic over
-/// this, so the plain and durable round drivers are one loop.
+/// [`crate::durability`] host wrapping one. The driver is generic over
+/// this, so plain and durable rounds run one loop.
 pub(crate) trait EventHost {
     /// Starts the round (arms the initial deadlines).
     ///
@@ -285,50 +287,4 @@ fn run_campaign<T: Transport + ?Sized>(
         reports.push(report);
     }
     Ok(CampaignOutcome { reports, database })
-}
-
-/// The RNG seed of the `i`-th vehicle in a round seeded with `base`:
-/// `base + i + 1`, wrapping, so every base seed is valid.
-pub(crate) fn vehicle_seed(base: u64, i: usize) -> u64 {
-    base.wrapping_add(i as u64).wrapping_add(1)
-}
-
-/// Extracts a readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Common end-of-round sealing shared by the backends: record the
-/// vehicle-side exits, fold the observed fault totals into the round's
-/// counters, and embed the final metric snapshot.
-pub(crate) fn seal_report(
-    mut report: PlatformReport,
-    exits: BTreeMap<VehicleId, VehicleExit>,
-    registry: &Registry,
-    tally: &FaultTally,
-) -> PlatformReport {
-    report.exits = exits;
-    registry
-        .counter("platform.faults.dropped")
-        .add(tally.dropped());
-    registry
-        .counter("platform.faults.duplicated")
-        .add(tally.duplicated());
-    registry
-        .counter("platform.faults.delayed")
-        .add(tally.delayed());
-    registry
-        .counter("platform.faults.server_crashes")
-        .add(tally.server_crashes());
-    registry
-        .counter("platform.faults.torn_wal_tails")
-        .add(tally.torn_wal_tails());
-    report.metrics = registry.snapshot();
-    report
 }

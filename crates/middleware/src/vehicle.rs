@@ -189,10 +189,6 @@ impl VehicleCore {
         }
     }
 
-    pub(crate) fn id(&self) -> VehicleId {
-        self.vehicle.id()
-    }
-
     /// Fires a scheduled misbehavior if `point` matches the script. A
     /// stall leaves the vehicle "running" — it keeps absorbing downlink
     /// messages without ever responding — so the server only learns of

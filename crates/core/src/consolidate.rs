@@ -6,6 +6,7 @@
 //! to credit, credits summed. When collection ends, estimates with at
 //! most `min_credit` credits are filtered out as spurious.
 
+use crowdwifi_geo::merge::{credit_mean, nearest_within};
 use crowdwifi_geo::Point;
 use serde::{Deserialize, Serialize};
 
@@ -59,11 +60,6 @@ impl Consolidator {
         }
     }
 
-    /// The merge radius in meters.
-    pub fn merge_radius(&self) -> f64 {
-        self.merge_radius
-    }
-
     /// Ingests one round's estimated locations, granting one credit each
     /// and merging with aligned prior estimates. Returns how many of the
     /// locations merged into an existing estimate (the rest opened new
@@ -75,34 +71,23 @@ impl Consolidator {
             .count()
     }
 
-    /// Ingests a single location with an explicit credit grant (used by
-    /// the offline crowdsourcing fusion, where a crowd-vehicle's vote is
-    /// weighted by its reliability). Returns `true` when the location
-    /// merged into an existing estimate, `false` when it opened a new
-    /// one or was rejected (non-positive credit / non-finite position).
+    /// Ingests a single location with an explicit credit grant by the
+    /// shared [`crowdwifi_geo::merge`] rule (server fusion folds each
+    /// crowd-vehicle's vote the same way, weighted by its reliability).
+    /// Returns `true` when the location merged into an existing
+    /// estimate, `false` when it opened a new one or was rejected
+    /// (non-positive credit / non-finite position).
     pub fn merge_one(&mut self, location: Point, credit: f64) -> bool {
         if credit <= 0.0 || !location.is_finite() {
             return false;
         }
-        // Nearest existing estimate within the merge radius.
-        let nearest = self
-            .estimates
-            .iter_mut()
-            .filter(|e| e.position.distance(location) <= self.merge_radius)
-            .min_by(|a, b| {
-                a.position
-                    .distance(location)
-                    .partial_cmp(&b.position.distance(location))
-                    .expect("finite distances")
-            });
-        match nearest {
-            Some(existing) => {
-                let total = existing.credit + credit;
-                existing.position = Point::new(
-                    (existing.position.x * existing.credit + location.x * credit) / total,
-                    (existing.position.y * existing.credit + location.y * credit) / total,
-                );
-                existing.credit = total;
+        let candidates = self.estimates.iter().map(|e| e.position).enumerate();
+        match nearest_within(location, self.merge_radius, candidates) {
+            Some(i) => {
+                let existing = &mut self.estimates[i];
+                existing.position =
+                    credit_mean(existing.position, existing.credit, location, credit);
+                existing.credit += credit;
                 true
             }
             None => {
@@ -129,11 +114,6 @@ impl Consolidator {
             .filter(|e| e.credit > min_credit)
             .copied()
             .collect()
-    }
-
-    /// Clears all accumulated estimates.
-    pub fn clear(&mut self) {
-        self.estimates.clear();
     }
 }
 
@@ -200,14 +180,6 @@ mod tests {
             c.merge_round(&[Point::new(1.0, 0.0), Point::new(80.0, 0.0)]),
             1
         );
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut c = Consolidator::new(5.0);
-        c.merge_round(&[Point::new(0.0, 0.0)]);
-        c.clear();
-        assert!(c.estimates().is_empty());
     }
 
     #[test]

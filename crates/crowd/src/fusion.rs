@@ -7,6 +7,7 @@
 //! inferred reliability, edging the merged estimate toward the true
 //! location.
 
+use crowdwifi_geo::merge::{credit_mean, nearest_within};
 use crowdwifi_geo::Point;
 use serde::{Deserialize, Serialize};
 
@@ -48,9 +49,11 @@ pub struct FusedAp {
     pub contributors: usize,
 }
 
-/// Fuses submissions by reliability-weighted centroid: estimates from
-/// different vehicles within `merge_radius` of each other merge into
-/// one AP, positioned at `Σ q_v·p_v / Σ q_v`.
+/// Fuses submissions by reliability-weighted centroid: in submission
+/// order, each estimate folds into the nearest fused AP within
+/// `merge_radius` by the [`crowdwifi_geo::merge`] rule, with its
+/// vehicle's reliability as credit, so a fused AP sits at its members'
+/// centroid `Σ q_v·p_v / Σ q_v`, kept as a running mean.
 ///
 /// Vehicles with reliability ≤ `min_reliability` are ignored entirely
 /// (spammer cutoff); fused APs supported by less than `min_support`
@@ -69,15 +72,7 @@ pub fn fuse_submissions(
         merge_radius >= 0.0 && merge_radius.is_finite(),
         "merge_radius must be non-negative and finite"
     );
-    #[derive(Debug)]
-    struct Cluster {
-        wx: f64,
-        wy: f64,
-        w: f64,
-        contributors: usize,
-    }
-    let mut clusters: Vec<Cluster> = Vec::new();
-
+    let mut fused: Vec<FusedAp> = Vec::new();
     for sub in submissions {
         if sub.reliability <= min_reliability {
             continue;
@@ -86,41 +81,24 @@ pub fn fuse_submissions(
             if !p.is_finite() {
                 continue;
             }
-            // Nearest existing cluster within the merge radius.
-            let nearest = clusters
-                .iter_mut()
-                .map(|c| {
-                    let cp = Point::new(c.wx / c.w, c.wy / c.w);
-                    (cp.distance(p), c)
-                })
-                .filter(|(d, _)| *d <= merge_radius)
-                .min_by(|(a, _), (b, _)| a.partial_cmp(b).expect("finite distances"));
-            match nearest {
-                Some((_, c)) => {
-                    c.wx += sub.reliability * p.x;
-                    c.wy += sub.reliability * p.y;
-                    c.w += sub.reliability;
+            let candidates = fused.iter().map(|c| c.position).enumerate();
+            match nearest_within(p, merge_radius, candidates) {
+                Some(i) => {
+                    let c = &mut fused[i];
+                    c.position = credit_mean(c.position, c.support, p, sub.reliability);
+                    c.support += sub.reliability;
                     c.contributors += 1;
                 }
-                None => clusters.push(Cluster {
-                    wx: sub.reliability * p.x,
-                    wy: sub.reliability * p.y,
-                    w: sub.reliability,
+                None => fused.push(FusedAp {
+                    position: p,
+                    support: sub.reliability,
                     contributors: 1,
                 }),
             }
         }
     }
-
-    clusters
-        .into_iter()
-        .filter(|c| c.w >= min_support)
-        .map(|c| FusedAp {
-            position: Point::new(c.wx / c.w, c.wy / c.w),
-            support: c.w,
-            contributors: c.contributors,
-        })
-        .collect()
+    fused.retain(|c| c.support >= min_support);
+    fused
 }
 
 #[cfg(test)]

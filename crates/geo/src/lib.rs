@@ -8,7 +8,9 @@
 //! * [`Point`] — planar position in meters (local ENU frame),
 //! * [`Rect`] — axis-aligned bounding boxes,
 //! * [`Grid`] — the driving grid with index ↔ coordinate mapping,
-//! * [`Trajectory`] — timed vehicle paths that the simulator samples.
+//! * [`Trajectory`] — timed vehicle paths that the simulator samples,
+//! * [`merge`] — the credit-weighted merge rule of §4.3.6 that every
+//!   consolidating layer folds estimates with.
 //!
 //! # Example
 //!
@@ -29,6 +31,7 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 
 pub mod grid;
+pub mod merge;
 pub mod point;
 pub mod rect;
 pub mod trajectory;

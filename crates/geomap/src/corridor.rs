@@ -95,11 +95,7 @@ impl GeoMap {
         }
         let mut out: Vec<MapAp> = Vec::new();
         for (s, codes) in by_shard {
-            let generation = self.shards[s]
-                .current
-                .read()
-                .expect("shard lock poisoned")
-                .clone();
+            let generation = self.published(s);
             for code in codes {
                 let Some(bucket) = generation.buckets.get(&code) else {
                     continue;

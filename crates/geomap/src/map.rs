@@ -8,21 +8,24 @@
 //! * **readers** clone the shard's current `Arc` under a read lock held
 //!   O(1) and probe the immutable generation — they never wait for an
 //!   ingest batch, only for the pointer swap;
-//! * **writers** serialize on a per-shard writer mutex, build the next
-//!   generation off-lock (copy-on-write: the bucket table is cloned
-//!   cheaply as `Arc` handles, only touched buckets are deep-cloned),
-//!   then publish it with one pointer store.
+//! * **writers** serialize on the map's one writer mutex, build the
+//!   next generation of each shard they change off-lock (copy-on-write:
+//!   the bucket table is cloned cheaply as `Arc` handles, only touched
+//!   buckets are deep-cloned), then publish it with one pointer store.
 //!
-//! Ingest folds each estimate into the nearest existing entry within
-//! the merge radius using the credit-weighted average of
-//! `crowdwifi_core::consolidate` (§4.3.6); unmatched estimates open new
-//! entries whose id is the geohash code of their founding position
-//! (see [`MapAp::id`]). Time is an explicit microsecond clock supplied
-//! by the caller, so TTL eviction is deterministic under a seeded clock.
+//! Ingest folds each estimate, in input order, into the nearest
+//! existing entry within the merge radius by the credit-weighted rule
+//! of [`crowdwifi_geo::merge`] (§4.3.6), exactly as the per-vehicle
+//! `Consolidator` does, whatever the shard layout; unmatched estimates
+//! open new entries whose id is the geohash code of their founding
+//! position (see [`MapAp::id`]). Time is an explicit microsecond clock
+//! supplied by the caller, so TTL eviction is deterministic under a
+//! seeded clock.
 
 use crate::geohash::{GeoCell, World, MAX_LEVEL};
 use crate::{MapError, Result};
 use crowdwifi_core::ApEstimate;
+use crowdwifi_geo::merge::{credit_mean, nearest_within};
 use crowdwifi_geo::{Point, Rect};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -92,8 +95,8 @@ pub struct MapStats {
     pub buckets: u64,
     /// Shard count (fixed at construction).
     pub shards: usize,
-    /// Generations published so far (one per ingest/evict batch per
-    /// shard).
+    /// Generations published so far: one per shard an ingest batch
+    /// writes, and one per shard per eviction sweep.
     pub generation: u64,
 }
 
@@ -109,7 +112,7 @@ pub struct MapConfig {
     /// `shard_level`.
     pub bucket_level: u8,
     /// Estimates within this distance of an existing entry merge into
-    /// it (credit-weighted), mirroring `consolidate::Consolidator`.
+    /// it by the credit-weighted [`crowdwifi_geo::merge`] rule.
     pub merge_radius: f64,
     /// Entries not refreshed for this long are evicted as stale.
     pub ttl_micros: u64,
@@ -192,7 +195,7 @@ impl Hasher for CellHasher {
 pub(crate) type BuildCellHasher = BuildHasherDefault<CellHasher>;
 
 /// One immutable published generation of a shard.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct ShardGen {
     /// Bucket table keyed by bucket-cell code. Values are `Arc` so a
     /// generation clone shares untouched buckets with its predecessor.
@@ -201,66 +204,8 @@ pub(crate) struct ShardGen {
     pub(crate) aps: u64,
 }
 
-/// One shard: the published generation plus the writer serialization
-/// lock. The `RwLock` only ever guards the `Arc` swap, never the build.
-#[derive(Debug)]
-pub(crate) struct Shard {
-    pub(crate) current: RwLock<Arc<ShardGen>>,
-    writer: Mutex<()>,
-}
-
-/// Work items an ingest batch routes to a shard: fresh estimates, or
-/// entries migrating in because consolidation moved them across a
-/// shard boundary. `hops` bounds re-routing so pathological border
-/// dances terminate.
-enum IngestItem {
-    Est { pos: Point, credit: f64, hops: u8 },
-    Mig { ap: MapAp, hops: u8 },
-}
-
-impl IngestItem {
-    fn pos_credit(&self) -> (Point, f64) {
-        match self {
-            IngestItem::Est { pos, credit, .. } => (*pos, *credit),
-            IngestItem::Mig { ap, .. } => (ap.position, ap.credit),
-        }
-    }
-
-    fn hops(&self) -> u8 {
-        match self {
-            IngestItem::Est { hops, .. } | IngestItem::Mig { hops, .. } => *hops,
-        }
-    }
-
-    fn rerouted(&self) -> Self {
-        match self {
-            IngestItem::Est { pos, credit, hops } => IngestItem::Est {
-                pos: *pos,
-                credit: *credit,
-                hops: hops.saturating_add(1),
-            },
-            IngestItem::Mig { ap, hops } => IngestItem::Mig {
-                ap: *ap,
-                hops: hops.saturating_add(1),
-            },
-        }
-    }
-}
-
 /// Geohash level of entry ids: 16 bits per axis fill a `u32` code.
 const ID_LEVEL: u8 = 16;
-
-/// Redirect budget for border estimates chasing a nearer entry that
-/// keeps landing in another shard.
-const MAX_HOPS: u8 = 4;
-
-/// Where the nearest merge candidate for an estimate lives.
-enum Candidate {
-    /// In the shard being written: `(bucket_code, index)`.
-    Local(u64, usize),
-    /// In another shard's published generation.
-    Remote(usize),
-}
 
 /// The geo-sharded, generation-published global AP map. See the
 /// [module docs](self) for the concurrency scheme.
@@ -268,7 +213,11 @@ enum Candidate {
 pub struct GeoMap {
     cfg: MapConfig,
     world: World,
-    pub(crate) shards: Vec<Shard>,
+    /// Each shard's published generation. The `RwLock` only ever
+    /// guards the `Arc` swap, never the build.
+    pub(crate) shards: Vec<RwLock<Arc<ShardGen>>>,
+    /// Serializes writers (ingest batches and eviction sweeps).
+    writer: Mutex<()>,
     generation: AtomicU64,
 }
 
@@ -283,15 +232,13 @@ impl GeoMap {
         cfg.validate()?;
         let shard_count = 1usize << (2 * cfg.shard_level);
         let shards = (0..shard_count)
-            .map(|_| Shard {
-                current: RwLock::new(Arc::new(ShardGen::default())),
-                writer: Mutex::new(()),
-            })
+            .map(|_| RwLock::new(Arc::new(ShardGen::default())))
             .collect();
         Ok(GeoMap {
             world: World::new(cfg.world),
             cfg,
             shards,
+            writer: Mutex::new(()),
             generation: AtomicU64::new(0),
         })
     }
@@ -323,12 +270,14 @@ impl GeoMap {
         self.world.encode(p, self.cfg.bucket_level)
     }
 
+    /// The published generation of shard `s`.
+    pub(crate) fn published(&self, s: usize) -> Arc<ShardGen> {
+        self.shards[s].read().expect("shard lock poisoned").clone()
+    }
+
     /// Total stored entries (sums the shard generations).
     pub fn len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.current.read().expect("shard lock poisoned").aps)
-            .sum()
+        (0..self.shards.len()).map(|s| self.published(s).aps).sum()
     }
 
     /// Whether no entries are stored.
@@ -340,8 +289,8 @@ impl GeoMap {
     pub fn stats(&self) -> MapStats {
         let mut aps = 0;
         let mut buckets = 0;
-        for s in &self.shards {
-            let g = s.current.read().expect("shard lock poisoned").clone();
+        for s in 0..self.shards.len() {
+            let g = self.published(s);
             aps += g.aps;
             buckets += g.buckets.len() as u64;
         }
@@ -354,220 +303,61 @@ impl GeoMap {
     }
 
     /// Folds one batch of drive estimates into the map at clock `now`
-    /// (microseconds): each estimate merges credit-weighted into the
-    /// nearest existing entry within the merge radius, or opens a new
-    /// entry with its founding cell as id. Shards are updated in index
-    /// order; each publishes exactly one new generation per batch that
-    /// touches it.
+    /// (microseconds), in input order: each estimate merges
+    /// credit-weighted into the nearest existing entry within the merge
+    /// radius, or opens a new entry with its founding cell as id. A
+    /// merge that moves an entry into another bucket or shard moves it
+    /// there without merging it again. Each shard the batch writes
+    /// publishes exactly one new generation, in shard index order.
     pub fn absorb_estimates(&self, now_micros: u64, estimates: &[ApEstimate]) -> IngestStats {
+        let _writer = self.writer.lock().expect("map writer poisoned");
         let mut stats = IngestStats::default();
-        let mut by_shard: Vec<Vec<IngestItem>> = Vec::new();
-        by_shard.resize_with(self.shards.len(), Vec::new);
+        let mut work = Working {
+            map: self,
+            shards: vec![None; self.shards.len()],
+            loaded: Vec::new(),
+        };
         for e in estimates {
             if e.credit <= 0.0 || !e.position.is_finite() {
                 stats.rejected += 1;
                 continue;
             }
-            let shard = self.shard_of_code(self.bucket_of(e.position).code);
-            by_shard[shard].push(IngestItem::Est {
-                pos: e.position,
-                credit: e.credit,
-                hops: 0,
-            });
-        }
-        // Border estimates whose nearest entry lives in another shard
-        // are re-routed there; consolidation that moves a merged entry
-        // across a border emits a migrant the same way. Re-routing is
-        // hop-bounded and migrant merges strictly shrink the entry
-        // count, so this drains.
-        loop {
-            let mut moved = false;
-            let mut next: Vec<Vec<IngestItem>> = Vec::new();
-            next.resize_with(self.shards.len(), Vec::new);
-            for (s, group) in by_shard.iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                let (merged, opened, routed) = self.absorb_into_shard(s, now_micros, group);
-                stats.merged += merged;
-                stats.opened += opened;
-                for (target, item) in routed {
-                    moved = true;
-                    next[target].push(item);
-                }
+            let Some((code, i)) = work.nearest(e.position) else {
+                stats.opened += 1;
+                let ap = MapAp {
+                    id: self.world.encode(e.position, ID_LEVEL).code as u32,
+                    position: e.position,
+                    credit: e.credit,
+                    first_seen_micros: now_micros,
+                    last_seen_micros: now_micros,
+                };
+                work.insert(self.bucket_of(e.position).code, ap);
+                continue;
+            };
+            stats.merged += 1;
+            let shard = work.shard_mut(self.shard_of_code(code));
+            let bucket = Arc::make_mut(shard.buckets.get_mut(&code).expect("candidate bucket"));
+            let old = bucket[i];
+            let ap = MapAp {
+                position: credit_mean(old.position, old.credit, e.position, e.credit),
+                credit: old.credit + e.credit,
+                last_seen_micros: old.last_seen_micros.max(now_micros),
+                ..old
+            };
+            let new_code = self.bucket_of(ap.position).code;
+            if new_code == code {
+                bucket[i] = ap;
+                continue;
             }
-            if !moved {
-                break;
+            bucket.remove(i);
+            if bucket.is_empty() {
+                shard.buckets.remove(&code);
             }
-            by_shard = next;
+            shard.aps -= 1;
+            work.insert(new_code, ap);
         }
+        work.publish();
         stats
-    }
-
-    /// Applies one shard's work items and publishes the next
-    /// generation. Returns `(merged, opened, rerouted_items)` where the
-    /// rerouted items carry their target shard.
-    fn absorb_into_shard(
-        &self,
-        s: usize,
-        now: u64,
-        items: &[IngestItem],
-    ) -> (u64, u64, Vec<(usize, IngestItem)>) {
-        let shard = &self.shards[s];
-        let _writer = shard.writer.lock().expect("shard writer poisoned");
-        let cur = shard.current.read().expect("shard lock poisoned").clone();
-        let mut buckets = cur.buckets.clone();
-        let mut aps = cur.aps;
-        let mut merged_n = 0;
-        let mut opened_n = 0;
-        let mut routed: Vec<(usize, IngestItem)> = Vec::new();
-        for item in items {
-            let (pos, credit) = item.pos_credit();
-            // Past the hop budget the candidate search stays local: a
-            // border duplicate beats unbounded shard chasing.
-            let remote_ok = item.hops() < MAX_HOPS;
-            match self.nearest_candidate(&buckets, s, pos, remote_ok) {
-                Some(Candidate::Remote(target)) => {
-                    routed.push((target, item.rerouted()));
-                }
-                Some(Candidate::Local(code, i)) => {
-                    let bucket = Arc::make_mut(buckets.get_mut(&code).expect("candidate bucket"));
-                    let old = bucket[i];
-                    let total = old.credit + credit;
-                    let position = Point::new(
-                        (old.position.x * old.credit + pos.x * credit) / total,
-                        (old.position.y * old.credit + pos.y * credit) / total,
-                    );
-                    let updated = match item {
-                        IngestItem::Est { .. } => MapAp {
-                            id: old.id,
-                            position,
-                            credit: total,
-                            first_seen_micros: old.first_seen_micros,
-                            last_seen_micros: old.last_seen_micros.max(now),
-                        },
-                        IngestItem::Mig { ap, .. } => MapAp {
-                            id: old.id,
-                            position,
-                            credit: total,
-                            first_seen_micros: old.first_seen_micros.min(ap.first_seen_micros),
-                            last_seen_micros: old.last_seen_micros.max(ap.last_seen_micros),
-                        },
-                    };
-                    merged_n += 1;
-                    let new_code = self.bucket_of(position).code;
-                    if new_code == code {
-                        bucket[i] = updated;
-                    } else {
-                        bucket.remove(i);
-                        if bucket.is_empty() {
-                            buckets.remove(&code);
-                        }
-                        if self.shard_of_code(new_code) == s {
-                            Arc::make_mut(buckets.entry(new_code).or_default()).push(updated);
-                        } else {
-                            aps -= 1;
-                            let target = self.shard_of_code(new_code);
-                            routed.push((
-                                target,
-                                IngestItem::Mig {
-                                    ap: updated,
-                                    hops: 0,
-                                },
-                            ));
-                        }
-                    }
-                }
-                None => {
-                    let code = self.bucket_of(pos).code;
-                    let owner = self.shard_of_code(code);
-                    if owner != s {
-                        // A rerouted item whose candidate vanished: its
-                        // home bucket belongs to another shard, so it
-                        // must open (or merge) there, never here.
-                        routed.push((owner, item.rerouted()));
-                        continue;
-                    }
-                    let entry = match item {
-                        IngestItem::Est { .. } => {
-                            opened_n += 1;
-                            MapAp {
-                                id: self.world.encode(pos, ID_LEVEL).code as u32,
-                                position: pos,
-                                credit,
-                                first_seen_micros: now,
-                                last_seen_micros: now,
-                            }
-                        }
-                        IngestItem::Mig { ap, .. } => *ap,
-                    };
-                    Arc::make_mut(buckets.entry(code).or_default()).push(entry);
-                    aps += 1;
-                }
-            }
-        }
-        self.publish(shard, ShardGen { buckets, aps });
-        (merged_n, opened_n, routed)
-    }
-
-    /// The nearest entry to `pos` within the merge radius across all
-    /// candidate buckets. Local hits index the working table of shard
-    /// `s`; hits in other shards' published generations (only possible
-    /// for border positions, only searched when `remote_ok`) report the
-    /// owning shard for re-routing.
-    fn nearest_candidate(
-        &self,
-        buckets: &HashMap<u64, Arc<Bucket>, BuildCellHasher>,
-        s: usize,
-        pos: Point,
-        remote_ok: bool,
-    ) -> Option<Candidate> {
-        let r = self.cfg.merge_radius;
-        let bbox = Rect::new(
-            Point::new(pos.x - r, pos.y - r),
-            Point::new(pos.x + r, pos.y + r),
-        )
-        .expect("merge bbox is well-formed");
-        let mut best: Option<(Candidate, f64)> = None;
-        let mut remote: Option<(usize, Arc<ShardGen>)> = None;
-        for cell in self.world.cells_covering(bbox, self.cfg.bucket_level) {
-            let owner = self.shard_of_code(cell.code);
-            if owner == s {
-                let Some(bucket) = buckets.get(&cell.code) else {
-                    continue;
-                };
-                for (i, ap) in bucket.iter().enumerate() {
-                    let d = ap.position.distance(pos);
-                    if d <= r && best.as_ref().is_none_or(|(_, bd)| d < *bd) {
-                        best = Some((Candidate::Local(cell.code, i), d));
-                    }
-                }
-            } else {
-                if !remote_ok {
-                    continue;
-                }
-                let cached = matches!(&remote, Some((o, _)) if *o == owner);
-                if !cached {
-                    let g = self.shards[owner]
-                        .current
-                        .read()
-                        .expect("shard lock poisoned")
-                        .clone();
-                    remote = Some((owner, g));
-                }
-                let (_, g) = remote.as_ref().expect("cached remote generation");
-                let Some(bucket) = g.buckets.get(&cell.code) else {
-                    continue;
-                };
-                for ap in bucket.iter() {
-                    let d = ap.position.distance(pos);
-                    if d <= r && best.as_ref().is_none_or(|(_, bd)| d < *bd) {
-                        best = Some((Candidate::Remote(owner), d));
-                    }
-                }
-            }
-        }
-        best.map(|(c, _)| c)
     }
 
     /// Drops stale entries (TTL lapsed since `last_seen`) and transient
@@ -576,9 +366,9 @@ impl GeoMap {
     /// function of the stored entries and `now_micros`.
     pub fn evict(&self, now_micros: u64) -> EvictStats {
         let mut stats = EvictStats::default();
-        for shard in &self.shards {
-            let _writer = shard.writer.lock().expect("shard writer poisoned");
-            let cur = shard.current.read().expect("shard lock poisoned").clone();
+        let _writer = self.writer.lock().expect("map writer poisoned");
+        for s in 0..self.shards.len() {
+            let cur = self.published(s);
             let mut buckets: HashMap<u64, Arc<Bucket>, BuildCellHasher> =
                 HashMap::with_capacity_and_hasher(cur.buckets.len(), BuildCellHasher::default());
             let mut aps = 0u64;
@@ -602,15 +392,15 @@ impl GeoMap {
                 }
             }
             stats.remaining += aps;
-            self.publish(shard, ShardGen { buckets, aps });
+            self.publish(s, Arc::new(ShardGen { buckets, aps }));
         }
         stats
     }
 
-    /// Swaps in the next generation of `shard`. The write lock guards
+    /// Swaps in the next generation of shard `s`. The write lock guards
     /// only this pointer store.
-    fn publish(&self, shard: &Shard, next: ShardGen) {
-        *shard.current.write().expect("shard lock poisoned") = Arc::new(next);
+    fn publish(&self, s: usize, next: Arc<ShardGen>) {
+        *self.shards[s].write().expect("shard lock poisoned") = next;
         self.generation.fetch_add(1, AtomicOrdering::Release);
     }
 
@@ -638,12 +428,7 @@ impl GeoMap {
                 let s = self.shard_of_code(cell.code);
                 let hit = matches!(&cached, Some((cs, _)) if *cs == s);
                 if !hit {
-                    let g = self.shards[s]
-                        .current
-                        .read()
-                        .expect("shard lock poisoned")
-                        .clone();
-                    cached = Some((s, g));
+                    cached = Some((s, self.published(s)));
                 }
                 let (_, g) = cached.as_ref().expect("cached generation");
                 let Some(bucket) = g.buckets.get(&cell.code) else {
@@ -678,6 +463,75 @@ impl GeoMap {
         });
         out.sort_by(canonical_order);
         out
+    }
+}
+
+/// One ingest batch's view of the shards. A shard the batch reads
+/// holds its published generation; the first write turns that into a
+/// private working copy (`Arc::make_mut`), which [`Working::publish`]
+/// swaps in. The map's writer lock keeps the published generations
+/// fixed meanwhile.
+struct Working<'m> {
+    map: &'m GeoMap,
+    shards: Vec<Option<Arc<ShardGen>>>,
+    loaded: Vec<usize>,
+}
+
+impl Working<'_> {
+    fn shard(&mut self, s: usize) -> &mut Arc<ShardGen> {
+        let slot = &mut self.shards[s];
+        if slot.is_none() {
+            self.loaded.push(s);
+        }
+        slot.get_or_insert_with(|| self.map.published(s))
+    }
+
+    fn shard_mut(&mut self, s: usize) -> &mut ShardGen {
+        Arc::make_mut(self.shard(s))
+    }
+
+    /// The `(bucket code, index)` of the entry nearest to `pos` within
+    /// the merge radius, searching every bucket the radius overlaps.
+    fn nearest(&mut self, pos: Point) -> Option<(u64, usize)> {
+        let map = self.map;
+        let r = map.cfg.merge_radius;
+        let bbox = Rect::new(
+            Point::new(pos.x - r, pos.y - r),
+            Point::new(pos.x + r, pos.y + r),
+        )
+        .expect("merge bbox is well-formed");
+        let cells = map.world.cells_covering(bbox, map.cfg.bucket_level);
+        for cell in &cells {
+            self.shard(map.shard_of_code(cell.code));
+        }
+        let shards = &self.shards;
+        let candidates = cells.iter().flat_map(|cell| {
+            let shard = shards[map.shard_of_code(cell.code)].as_deref();
+            let bucket = shard.expect("loaded shard").buckets.get(&cell.code);
+            let entries = bucket.map_or(&[][..], |b| b.as_slice()).iter();
+            entries
+                .enumerate()
+                .map(move |(i, ap)| ((cell.code, i), ap.position))
+        });
+        nearest_within(pos, r, candidates)
+    }
+
+    /// Appends `ap` to the bucket `code`, in whichever shard owns it.
+    fn insert(&mut self, code: u64, ap: MapAp) {
+        let shard = self.shard_mut(self.map.shard_of_code(code));
+        Arc::make_mut(shard.buckets.entry(code).or_default()).push(ap);
+        shard.aps += 1;
+    }
+
+    /// Publishes every shard the batch wrote, in index order.
+    fn publish(mut self) {
+        self.loaded.sort_unstable();
+        for &s in &self.loaded {
+            let next = self.shards[s].take().expect("loaded shard");
+            if !Arc::ptr_eq(&next, &self.map.published(s)) {
+                self.map.publish(s, next);
+            }
+        }
     }
 }
 
@@ -824,10 +678,39 @@ mod tests {
     }
 
     #[test]
+    fn a_merge_dragged_across_a_shard_border_does_not_merge_again() {
+        // (512.4, 100) is nearest to (504, 100); the heavy merge drags
+        // that entry across the 512 m border, within 10 m of (521, 100).
+        // Like the consolidator, the map must not merge it again, with
+        // or without a shard border there.
+        let entries = |shard_level: u8| {
+            let mut cfg = small_cfg();
+            cfg.shard_level = shard_level;
+            let map = GeoMap::new(cfg).unwrap();
+            map.absorb_estimates(1, &[est(504.0, 100.0, 1.0), est(521.0, 100.0, 1.0)]);
+            let s = map.absorb_estimates(2, &[est(512.4, 100.0, 100.0)]);
+            assert_eq!((s.merged, s.opened), (1, 0));
+            let mut got = Vec::new();
+            map.for_each_near(Point::new(512.0, 100.0), 50.0, |ap| {
+                got.push((ap.position.x, ap.position.y, ap.credit));
+            });
+            got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            got
+        };
+        let flat = entries(0);
+        assert_eq!(flat.len(), 2);
+        assert_eq!(flat, entries(1));
+    }
+
+    #[test]
     fn generations_advance_on_publish() {
         let map = GeoMap::new(small_cfg()).unwrap();
         let g0 = map.stats().generation;
-        map.absorb_estimates(1, &[est(100.0, 100.0, 2.0)]);
-        assert!(map.stats().generation > g0);
+        map.absorb_estimates(1, &[est(508.0, 100.0, 2.0)]);
+        assert_eq!(map.stats().generation, g0 + 1);
+        // (515, 100) lies in the right shard but merges into the entry
+        // in the left one: only the shard it writes publishes.
+        map.absorb_estimates(2, &[est(515.0, 100.0, 2.0)]);
+        assert_eq!(map.stats().generation, g0 + 2);
     }
 }

@@ -170,8 +170,8 @@ impl GeoMap {
         push_f64(&mut header, cfg.min_credit);
         push_frame(&mut out, &header);
 
-        for (s, shard) in self.shards.iter().enumerate() {
-            let generation = shard.current.read().expect("shard lock poisoned").clone();
+        for s in 0..self.shards.len() {
+            let generation = self.published(s);
             if generation.buckets.is_empty() {
                 continue;
             }
@@ -246,8 +246,7 @@ impl GeoMap {
             }
             let bucket_count = r.u32()?;
             let shard = &map.shards[s];
-            let mut generation =
-                std::mem::take(&mut *shard.current.write().expect("shard lock poisoned"));
+            let mut generation = std::mem::take(&mut *shard.write().expect("shard lock poisoned"));
             let inner = Arc::get_mut(&mut generation).expect("fresh map generation is unshared");
             for _ in 0..bucket_count {
                 let code = r.u64()?;
@@ -282,7 +281,7 @@ impl GeoMap {
             if !r.done() {
                 return Err(MapError::Corrupt("trailing shard bytes".into()));
             }
-            *shard.current.write().expect("shard lock poisoned") = generation;
+            *shard.write().expect("shard lock poisoned") = generation;
         }
         Ok(map)
     }

@@ -88,13 +88,17 @@ fn run_schedule(map: &GeoMap, batches: &[Vec<ApEstimate>]) {
     }
 }
 
+/// Ingest is the §4.3.6 fold in input order, and a merge that moves an
+/// entry across a shard border never merges it again, so every shard
+/// layout replays the reference consolidator exactly. The 400-AP
+/// schedules are dense enough that merges drag entries across shard
+/// borders next to other entries.
 #[test]
 fn single_shard_map_matches_the_reference_consolidator() {
-    for seed in [3u64, 17, 99] {
-        let batches = schedule(seed, 6, 40);
-        let map = GeoMap::new(cfg(0)).unwrap();
-        run_schedule(&map, &batches);
-        let mut reference = Consolidator::new(map.config().merge_radius);
+    let sparse = [3u64, 17, 99].map(|seed| (seed, 40));
+    for (seed, aps) in sparse.into_iter().chain((0..8).map(|seed| (seed, 400))) {
+        let batches = schedule(seed, 6, aps);
+        let mut reference = Consolidator::new(cfg(0).merge_radius);
         for batch in &batches {
             for e in batch {
                 reference.merge_one(e.position, e.credit);
@@ -106,15 +110,19 @@ fn single_shard_map_matches_the_reference_consolidator() {
             .map(|e| (e.position.x, e.position.y, e.credit))
             .collect();
         expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut got: Vec<(f64, f64, f64)> = Vec::new();
-        map.for_each_near(Point::new(1024.0, 1024.0), 1e9, |ap| {
-            got.push((ap.position.x, ap.position.y, ap.credit));
-        });
-        got.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert_eq!(
-            got, expect,
-            "map with one shard must replay §4.3.6 consolidation exactly (seed {seed})"
-        );
+        for shard_level in 0..=3 {
+            let map = GeoMap::new(cfg(shard_level)).unwrap();
+            run_schedule(&map, &batches);
+            let mut got: Vec<(f64, f64, f64)> = Vec::new();
+            map.for_each_near(Point::new(1024.0, 1024.0), 1e9, |ap| {
+                got.push((ap.position.x, ap.position.y, ap.credit));
+            });
+            got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            assert_eq!(
+                got, expect,
+                "map must replay §4.3.6 consolidation exactly (seed {seed}, {aps} APs, shard level {shard_level})"
+            );
+        }
     }
 }
 

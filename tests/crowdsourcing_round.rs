@@ -2,8 +2,10 @@
 //! crowdsourcing layer, spanning core, crowd and middleware.
 
 use crowdwifi::channel::{PathLossModel, RssReading};
+use crowdwifi::core::consolidate::Consolidator;
 use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi::crowd::aggregate::majority_vote;
+use crowdwifi::crowd::fusion::{fuse_submissions, Submission};
 use crowdwifi::crowd::graph::BipartiteAssignment;
 use crowdwifi::crowd::inference::IterativeInference;
 use crowdwifi::crowd::worker::SpammerHammerPrior;
@@ -14,7 +16,7 @@ use crowdwifi::middleware::platform::PlatformConfig;
 use crowdwifi::middleware::segment::SegmentMap;
 use crowdwifi::middleware::transport::{SimTransport, Transport};
 use crowdwifi::middleware::vehicle::{Behavior, CrowdVehicle};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 #[test]
@@ -35,6 +37,50 @@ fn iterative_inference_beats_majority_voting_at_scale() {
         kos_total < mv_total * 0.5,
         "iterative inference ({kos_total:.3}) should roughly halve MV error ({mv_total:.3})"
     );
+}
+
+#[test]
+fn fusion_is_the_consolidator_fold_weighted_by_reliability() {
+    // Server fusion and the per-vehicle consolidator share one merge
+    // rule: fusing submissions equals feeding each estimate, in
+    // submission order, to a consolidator with the vehicle's
+    // reliability as credit — bit for bit.
+    for seed in 0..200u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let aps: Vec<Point> = (0..4)
+            .map(|_| Point::new(rng.random_range(0.0..200.0), rng.random_range(0.0..60.0)))
+            .collect();
+        let mut subs = Vec::new();
+        for _ in 0..rng.random_range(2..10) {
+            let mut seen = Vec::new();
+            for ap in &aps {
+                if rng.random_range(0.0..1.0) < 0.7 {
+                    let jitter =
+                        Point::new(rng.random_range(-8.0..8.0), rng.random_range(-8.0..8.0));
+                    seen.push(Point::new(ap.x + jitter.x, ap.y + jitter.y));
+                }
+            }
+            subs.push(Submission::new(seen, rng.random_range(0.0..1.0)));
+        }
+        let radius = 12.0;
+        let mut reference = Consolidator::new(radius);
+        for sub in &subs {
+            for &p in &sub.ap_positions {
+                reference.merge_one(p, sub.reliability);
+            }
+        }
+        let bits = |p: Point, c: f64| (p.x.to_bits(), p.y.to_bits(), c.to_bits());
+        let fused: Vec<_> = fuse_submissions(&subs, radius, 0.0, 0.0)
+            .iter()
+            .map(|f| bits(f.position, f.support))
+            .collect();
+        let expect: Vec<_> = reference
+            .estimates()
+            .iter()
+            .map(|e| bits(e.position, e.credit))
+            .collect();
+        assert_eq!(fused, expect, "seed {seed}");
+    }
 }
 
 /// Fading-free staggered drive past two APs for the platform test.

@@ -46,6 +46,9 @@ const WORLD_M: f64 = 65_536.0;
 const LOOKUP_RADIUS_M: f64 = 60.0;
 /// Lookups per latency sample; one `Instant` read per batch.
 const LAT_BATCH: usize = 64;
+/// Timed ingest passes, each on a fresh map; the ingest rows report
+/// the median pass.
+const INGEST_PASSES: usize = 5;
 
 /// Deterministic road-grid AP layout: `roads` streets per direction,
 /// `slots` APs along each, horizontal and vertical offset from each
@@ -179,7 +182,8 @@ const NOTES: &str = "The map stores a deterministic metro-scale road grid of con
     full estimate stream (merge-heavy consolidation plus generation republish per batch) never \
     blocks readers. The concurrent writer is paced at a fixed 250k-estimates/s arrival rate — a \
     load generator modeling transports draining round closes — with full-speed ingest throughput \
-    reported separately by the build and re-observe rows. Latency is sampled per 64-lookup batch \
+    reported separately by the build and re-observe rows, each the median of timed_passes passes on \
+    fresh maps. Latency is sampled per 64-lookup batch \
     — one clock read per batch — so on a single-core box a scheduler preemption poisons well \
     under 1% of samples and the p99 reflects the read path, not the timeslice. The eviction sweep \
     refreshes every other estimate at a late timestamp and then evicts at refresh+TTL, expiring \
@@ -208,20 +212,32 @@ fn main() {
     );
 
     // --- Ingest: founding build, then a merge-heavy re-observation ----
-    let map = GeoMap::new(cfg).expect("map config");
+    // One timed pass swings ±15% run to run on a shared machine, so
+    // each row is the median of INGEST_PASSES passes on fresh maps; the
+    // last map built serves the lookup phase.
     let t_base = 1_000_000u64;
-    let start = Instant::now();
-    for chunk in estimates.chunks(8_192) {
-        map.absorb_estimates(t_base, chunk);
+    let ingest = |map: &GeoMap, now: u64| {
+        let start = Instant::now();
+        for chunk in estimates.chunks(8_192) {
+            map.absorb_estimates(now, chunk);
+        }
+        estimates.len() as f64 / start.elapsed().as_secs_f64()
+    };
+    let mut map = GeoMap::new(cfg).expect("map config");
+    let (mut build_rates, mut merge_rates) = (Vec::new(), Vec::new());
+    for pass in 0..INGEST_PASSES {
+        if pass > 0 {
+            map = GeoMap::new(cfg).expect("map config");
+        }
+        build_rates.push(ingest(&map, t_base));
+        merge_rates.push(ingest(&map, t_base + 1_000));
     }
-    let build_secs = start.elapsed().as_secs_f64();
-    let build_rate = estimates.len() as f64 / build_secs;
+    let median = |mut rates: Vec<f64>| {
+        rates.sort_by(f64::total_cmp);
+        rates[rates.len() / 2]
+    };
+    let (build_rate, merge_rate) = (median(build_rates), median(merge_rates));
     let stored = map.len();
-    let start = Instant::now();
-    for chunk in estimates.chunks(8_192) {
-        map.absorb_estimates(t_base + 1_000, chunk);
-    }
-    let merge_rate = estimates.len() as f64 / start.elapsed().as_secs_f64();
     let stats = map.stats();
 
     // --- Lookups: ingest off, then with a concurrent writer -----------
@@ -304,7 +320,7 @@ fn main() {
     );
     assert!(brr_identical, "map-fed BRR diverged from the static list");
 
-    Report::new("ap_map", 7)
+    Report::new("ap_map", 8)
         .field(
             "map",
             obj([
@@ -319,6 +335,7 @@ fn main() {
         .field(
             "ingest",
             obj([
+                ("timed_passes", INGEST_PASSES.into()),
                 ("build_estimates_per_sec", num(build_rate, 0)),
                 ("reobserve_estimates_per_sec", num(merge_rate, 0)),
                 (

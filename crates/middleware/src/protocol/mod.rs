@@ -682,7 +682,7 @@ impl ServerCore {
         self.server
             .generate_patterns(self.config.bootstrap_patterns, &mut self.rng);
         let alive = self.ledger.alive(&self.server);
-        let assignments = match self
+        let mut assignments = match self
             .server
             .assign_tasks(self.config.workers_per_task.min(alive.len()), &mut self.rng)
         {
@@ -694,7 +694,7 @@ impl ServerCore {
         };
         let deadline = self.config.tolerance.deadline;
         for &v in &alive {
-            let tasks = assignments.get(&v).cloned().unwrap_or_default();
+            let tasks = assignments.remove(&v).unwrap_or_default();
             if !tasks.is_empty() {
                 self.labeling
                     .outstanding

@@ -1,14 +1,18 @@
 //! The one round driver both transports share.
 //!
 //! Everything about a round except how vehicle sessions step lives
-//! here: the queue-backed links behind the [`crate::fault`] layer, the
-//! vehicle end of each link, session setup, the virtual-clock event
-//! loop around an [`EventHost`], and report sealing. A backend supplies
-//! only a [`Sessions`] implementation — the simulator steps vehicles
-//! inline, the fleet engine in batches over a worker pool — so the
-//! sim-vs-fleet digest comparison isolates exactly that stepping.
+//! here: the links behind the [`crate::fault`] layer and their vehicle
+//! ends, session setup, the virtual-clock event loop around an
+//! [`EventHost`], and report sealing. A backend supplies only a
+//! [`Sessions`] implementation, so the sim-vs-fleet digest comparison
+//! isolates exactly that stepping.
 //!
-//! Time advances only when every queue is empty, directly to the
+//! There is one queue each way: uplinks push `(sender, frame)` into
+//! the server's, downlinks `(recipient, frame)` into the fleet's, which
+//! the loop drains whole into [`Sessions::pump`]. Only
+//! [`round_with_digest`] renders the server's state digest.
+//!
+//! Time advances only when both queues are empty, directly to the
 //! earliest armed deadline, never by sleeping. Fleet order, queue order
 //! and per-link fault RNG streams are all fixed by the seeds, so one
 //! run is one deterministic replay.
@@ -27,26 +31,29 @@ use crate::{MiddlewareError, Result};
 use crowdwifi_channel::RssReading;
 use crowdwifi_obs::Registry;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
 
 /// A [`MessageSink`] backed by a shared in-memory queue: the stand-in
 /// for a network link. Never disconnects.
-struct QueueSink<T>(Rc<RefCell<VecDeque<T>>>);
+struct QueueSink<T>(Rc<RefCell<Vec<T>>>);
 
 impl<T> MessageSink<T> for QueueSink<T> {
     fn deliver(&mut self, msg: T) {
-        self.0.borrow_mut().push_back(msg);
+        self.0.borrow_mut().push(msg);
     }
 }
+
+/// A raw binary frame tagged with the vehicle at the link's far end
+/// (the sender of an uplink frame, the recipient of a downlink one).
+pub(super) type Frame = (VehicleId, Vec<u8>);
 
 // The links carry raw binary frames, not typed messages: encoding
 // happens at the sender, decoding at the receiver, so the bytes the
 // fault layer drops, duplicates and delays are the real wire bytes.
-type Uplink = FaultySender<(VehicleId, Vec<u8>), QueueSink<(VehicleId, Vec<u8>)>>;
-type Downlink = FaultySender<Vec<u8>, QueueSink<Vec<u8>>>;
+type LinkSender = FaultySender<Frame, QueueSink<Frame>>;
 
 /// What one vehicle step produced: the state machine's `Result`, or
 /// the payload of a caught panic.
@@ -70,23 +77,25 @@ pub(super) fn step_frame(
     }
 }
 
-/// The vehicle end of one link: its inbox queue, its (noisy) uplink and
-/// its recorded exit. The uplink is dropped the moment the vehicle
-/// exits, flushing any delayed messages. Driver-thread only: the queues
-/// are `Rc`-shared with the fault layer.
+/// The vehicle end of one link: its (noisy) uplink and its recorded
+/// exit. The uplink is dropped the moment the vehicle exits, flushing
+/// any delayed messages. The driver owns these, in vehicle-id order,
+/// on its thread: the server's queue is `Rc`-shared with the fault
+/// layer.
 pub(super) struct Link {
     id: VehicleId,
-    inbox: Rc<RefCell<VecDeque<Vec<u8>>>>,
-    uplink: Option<Uplink>,
+    uplink: Option<LinkSender>,
     exit: Option<VehicleExit>,
 }
 
-impl Link {
-    /// Pops the next downlink frame queued for this vehicle.
-    pub(super) fn next_frame(&self) -> Option<Vec<u8>> {
-        self.inbox.borrow_mut().pop_front()
-    }
+/// The position of vehicle `id` in the id-ordered `links`.
+pub(super) fn session_of(links: &[Link], id: VehicleId) -> usize {
+    links
+        .binary_search_by_key(&id, |link| link.id)
+        .expect("downlink frames go to vehicles of the round")
+}
 
+impl Link {
     /// Whether the vehicle has exited (and its uplink closed).
     pub(super) fn exited(&self) -> bool {
         self.exit.is_some()
@@ -129,7 +138,7 @@ impl Link {
 
     /// How the vehicle's round ended: its recorded exit, or else how a
     /// still-running `core` classifies the hang-up.
-    pub(super) fn finish(self, core: &VehicleCore) -> (VehicleId, VehicleExit) {
+    fn finish(self, core: &VehicleCore) -> (VehicleId, VehicleExit) {
         let exit = self.exit.unwrap_or_else(|| core.on_disconnect());
         (self.id, exit)
     }
@@ -139,45 +148,57 @@ impl Link {
 /// the compute side of a session, whose link end is a [`Link`].
 pub(super) type Vehicle = (VehicleCore, Vec<RssReading>);
 
-/// How a backend steps its vehicle sessions — the only thing the two
-/// transports do differently. Sessions are held in vehicle-id order,
-/// and every uplink send happens on the driver thread in that order,
-/// so a backend is free in how it computes steps but not in the event
-/// sequence the server sees.
+/// How a backend steps its vehicles — the only thing the two
+/// transports do differently. Vehicles are held in the order of the
+/// id-sorted `links`, and every uplink send happens on the driver
+/// thread in that order, so a backend is free in how it computes steps
+/// but not in the event sequence the server sees.
 pub(super) trait Sessions {
     /// Runs every vehicle's drive "at once" (virtual time zero).
-    fn start(&mut self, segments: &SegmentMap);
+    fn start(&mut self, links: &mut [Link], segments: &SegmentMap);
 
-    /// Steps every vehicle through its queued downlink frames (an
-    /// exited vehicle absorbs its silently). Returns whether any frame
-    /// was taken off an inbox.
-    fn pump(&mut self, segments: &SegmentMap) -> bool;
+    /// Steps every vehicle through its frames in `frames`, the drained
+    /// downlink queue in send order (an exited vehicle absorbs its
+    /// silently).
+    fn pump(&mut self, links: &mut [Link], frames: Vec<Frame>, segments: &SegmentMap);
 
-    /// The link ends, in vehicle-id order.
-    fn links(&self) -> &[Link];
-
-    /// Every vehicle's exit, once the round is over.
-    fn exits(self) -> BTreeMap<VehicleId, VehicleExit>;
+    /// The state machine of the `i`-th vehicle.
+    fn core(&self, i: usize) -> &VehicleCore;
 }
 
 /// Runs one round on a bare [`ServerCore`] and returns the report
-/// together with the core's final
-/// [`state_digest`](ServerCore::state_digest), extended with a
-/// [`WireDigest`] over the binary uplink frames the server received.
-pub(super) fn round_with_digest<S: Sessions>(
+/// with the final core and a [`WireDigest`] over the binary uplink
+/// frames the server received.
+pub(super) fn round<S: Sessions>(
     segments: SegmentMap,
     fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
     config: PlatformConfig,
     plan: &FaultPlan,
-    open: impl FnOnce(Vec<Link>, Vec<Vehicle>) -> S,
-) -> Result<(PlatformReport, String)> {
+    open: impl FnOnce(Vec<Vehicle>) -> S,
+) -> Result<(PlatformReport, ServerCore, WireDigest)> {
     let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
     let mut core = ServerCore::new(segments.clone(), &ids, config, Registry::new())?;
     plan.validate()?;
     let tally = Arc::new(FaultTally::new());
     let (report, wire) = drive(&mut core, segments, fleet, config.seed, plan, tally, open)?;
-    let digest = format!("{} | {}", core.state_digest(), wire.render());
-    Ok((report, digest))
+    Ok((report, core, wire))
+}
+
+/// [`round`] plus the equivalence digest: the core's final
+/// [`state_digest`](ServerCore::state_digest), extended with the
+/// rendered [`WireDigest`].
+pub(super) fn round_with_digest<S: Sessions>(
+    segments: SegmentMap,
+    fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
+    config: PlatformConfig,
+    plan: &FaultPlan,
+    open: impl FnOnce(Vec<Vehicle>) -> S,
+) -> Result<(PlatformReport, String)> {
+    let (report, core, wire) = round(segments, fleet, config, plan, open)?;
+    Ok((
+        report,
+        format!("{} | {}", core.state_digest(), wire.render()),
+    ))
 }
 
 /// Runs one crash-consistent round: the server is a [`DurableRound`]
@@ -188,7 +209,7 @@ pub(super) fn round_durable<S: Sessions>(
     config: PlatformConfig,
     plan: &FaultPlan,
     wal: &mut dyn LogSink,
-    open: impl FnOnce(Vec<Link>, Vec<Vehicle>) -> S,
+    open: impl FnOnce(Vec<Vehicle>) -> S,
 ) -> Result<PlatformReport> {
     let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
     plan.validate()?;
@@ -208,7 +229,7 @@ pub(super) fn round_durable<S: Sessions>(
 /// deadlines and, once decided, the round's outcome.
 #[derive(Default)]
 struct ServerEnd {
-    downlinks: BTreeMap<VehicleId, Downlink>,
+    downlinks: BTreeMap<VehicleId, LinkSender>,
     timers: BTreeMap<TimerId, VirtualInstant>,
     outcome: Option<Result<PlatformReport>>,
 }
@@ -221,7 +242,7 @@ impl ServerEnd {
             match action {
                 Action::Send { to, msg } => {
                     if let Some(link) = self.downlinks.get_mut(&to) {
-                        link.send(msg.to_frame());
+                        link.send((to, msg.to_frame()));
                     }
                 }
                 Action::SetTimer { timer, deadline } => {
@@ -236,7 +257,7 @@ impl ServerEnd {
 
 /// The event loop, generic over the server-shaped host so plain and
 /// durable (crash-injecting) rounds share it, and over the sessions
-/// `open` builds from the id-ordered fleet. Every uplink frame the
+/// `open` builds from the id-ordered vehicles. Every uplink frame the
 /// server receives is absorbed into the returned [`WireDigest`] before
 /// it is decoded, so the digest covers the raw bytes in arrival order.
 fn drive<H: EventHost, S: Sessions>(
@@ -246,24 +267,23 @@ fn drive<H: EventHost, S: Sessions>(
     seed: u64,
     plan: &FaultPlan,
     tally: Arc<FaultTally>,
-    open: impl FnOnce(Vec<Link>, Vec<Vehicle>) -> S,
+    open: impl FnOnce(Vec<Vehicle>) -> S,
 ) -> Result<(PlatformReport, WireDigest)> {
-    let server_queue = Rc::new(RefCell::new(VecDeque::new()));
+    let server_queue = Rc::new(RefCell::new(Vec::new()));
+    let fleet_queue = Rc::new(RefCell::new(Vec::new()));
     let mut server = ServerEnd::default();
     // Seeds follow fleet order; sessions then run in vehicle-id order.
     let mut sessions = Vec::with_capacity(fleet.len());
     for (i, (vehicle, readings)) in fleet.into_iter().enumerate() {
         let id = vehicle.id();
-        let inbox = Rc::new(RefCell::new(VecDeque::new()));
         let tallied = || Some(Arc::clone(&tally));
-        let downlink = QueueSink(Rc::clone(&inbox));
+        let downlink = QueueSink(Rc::clone(&fleet_queue));
         let downlink = plan.sender_tallied(downlink, id, LinkDirection::ToVehicle, tallied());
         server.downlinks.insert(id, downlink);
         let uplink = QueueSink(Rc::clone(&server_queue));
         let uplink = plan.sender_tallied(uplink, id, LinkDirection::ToServer, tallied());
         let link = Link {
             id,
-            inbox,
             uplink: Some(uplink),
             exit: None,
         };
@@ -271,30 +291,29 @@ fn drive<H: EventHost, S: Sessions>(
         sessions.push((link, (core, readings)));
     }
     sessions.sort_by_key(|(link, _)| link.id);
-    let (links, vehicles) = sessions.into_iter().unzip();
-    let mut sessions = open(links, vehicles);
+    let (mut links, vehicles): (Vec<Link>, _) = sessions.into_iter().unzip();
+    let mut sessions = open(vehicles);
 
     let mut now = VirtualInstant::ZERO;
     let mut wire = WireDigest::new();
     server.apply(host.begin()?);
-    sessions.start(&segments);
+    sessions.start(&mut links, &segments);
 
     loop {
-        // Pump until every queue is empty: uplink traffic reaches the
-        // host in queue order, then the sessions step their inboxes.
+        // Pump until both queues are empty: uplink traffic reaches the
+        // host in queue order, then the sessions step the downlinks.
         loop {
-            let mut progressed = false;
-            loop {
-                let next = server_queue.borrow_mut().pop_front();
-                let Some((from, bytes)) = next else { break };
-                progressed = true;
+            let uplinks = server_queue.take();
+            let progressed = !uplinks.is_empty();
+            for (from, bytes) in uplinks {
                 wire.absorb(&bytes);
                 server.apply(host.handle(Event::uplink(now, from, &bytes))?);
             }
-            progressed |= sessions.pump(&segments);
-            if !progressed {
+            let frames = fleet_queue.take();
+            if !progressed && frames.is_empty() {
                 break;
             }
+            sessions.pump(&mut links, frames, &segments);
         }
 
         if server.outcome.is_some() {
@@ -303,7 +322,7 @@ fn drive<H: EventHost, S: Sessions>(
 
         // Quiescent. If every uplink is closed the server would see a
         // disconnect; otherwise jump the clock to the next deadline.
-        if sessions.links().iter().all(Link::exited) {
+        if links.iter().all(Link::exited) {
             // A crash-injecting host may consume the disconnect event
             // itself (the crash eats it), so retry a bounded number of
             // times — like a supervisor restarting the process and the
@@ -347,11 +366,14 @@ fn drive<H: EventHost, S: Sessions>(
     let report = server.outcome.take().expect("round outcome decided")?;
 
     // Round complete: dropping the downlinks flushes delayed traffic
-    // into the inboxes; one last pump lets every vehicle see its
-    // `Done`, then survivors classify the hang-up.
+    // into the queue; one last pump lets every vehicle see its `Done`,
+    // then survivors classify the hang-up.
     drop(server);
-    sessions.pump(&segments);
-    let exits = sessions.exits();
+    sessions.pump(&mut links, fleet_queue.take(), &segments);
+    let exits = links.into_iter().enumerate();
+    let exits = exits
+        .map(|(i, link)| link.finish(sessions.core(i)))
+        .collect();
     host.finish()?;
     Ok((seal_report(report, exits, &host.registry(), &tally), wire))
 }
@@ -437,10 +459,10 @@ mod tests {
             let tally = Arc::new(FaultTally::new());
             let host = &mut Undecided;
             let result = if batched {
-                let batched = |links, vehicles| Batched::new(links, vehicles, 2);
+                let batched = |vehicles| Batched::new(vehicles, 2);
                 drive(host, segments, fleet, 1, plan, tally, batched).map(drop)
             } else {
-                drive(host, segments, fleet, 1, plan, tally, Inline::new).map(drop)
+                drive(host, segments, fleet, 1, plan, tally, Inline).map(drop)
             };
             match result {
                 Err(MiddlewareError::Crowd(msg)) => msg,

@@ -1,40 +1,32 @@
 //! The batched-stepping transport for fleet-scale rounds.
 //!
-//! [`FleetTransport`] runs the same virtual-clock event loop as the
-//! simulator ([`super::drive`]) and differs only in how vehicle
-//! sessions step: not one vehicle at a time, but in batches fanned out
-//! over a small worker pool. Each session is split in two:
+//! [`FleetTransport`] runs the simulator's event loop
+//! ([`super::drive`]) and differs only in how vehicles step. Each
+//! session is split in two: its [`Link`] (faulty uplink, recorded exit)
+//! stays with the driver, where every fault-RNG draw happens, and its
+//! `Send` compute half (the [`VehicleCore`], its pending frames and its
+//! staged outcomes) steps on a small worker pool in contiguous chunks.
 //!
-//! * its [`Link`] on the driver thread — inbox queue, faulty uplink,
-//!   recorded exit — which is where all `Rc`-backed queue plumbing and
-//!   all fault-RNG consumption happens, keeping per-link fault streams
-//!   in exactly the order the simulator produces; and
-//! * a **compute half** (the [`VehicleCore`] plus its staged step
-//!   outcomes), which is `Send` and is fanned out across the worker
-//!   pool in contiguous chunks each tick.
-//!
-//! A tick delivers every queued inbox frame into per-vehicle pending
-//! batches, runs the compute batch on the pool, then absorbs the staged
-//! outcomes **in vehicle-id order** on the driver thread. Because
-//! absorption — the only place uplink sends and exits happen — is
-//! serial and id-ordered, the server sees the exact event sequence
-//! [`SimTransport`](super::SimTransport) generates, and a same-seed
-//! round is byte-identical across the two backends (state digest, fused
-//! map and deterministic projection alike) for any worker count. The
-//! worker pool parallelises the vehicle side only; the server core
-//! stays single-threaded.
+//! A tick routes the drained downlink queue into the pending batches,
+//! steps every cell on the pool, then absorbs the staged outcomes **in
+//! vehicle-id order** on the driver thread — the only place uplink
+//! sends and exits happen. The server thus sees the exact event
+//! sequence [`SimTransport`](super::SimTransport) generates, and a
+//! same-seed round is byte-identical across the two backends for any
+//! worker count. Only [`FleetTransport::run_round_with_digest`] builds
+//! the equivalence digest; [`Transport`] rounds skip it.
 
-use super::drive::{self, step_frame, step_start, Link, Sessions, StepOutcome, Vehicle};
+use super::drive::{
+    self, session_of, step_frame, step_start, Frame, Link, Sessions, StepOutcome, Vehicle,
+};
 use super::Transport;
 use crate::durability::LogSink;
 use crate::fault::FaultPlan;
-use crate::messages::VehicleId;
 use crate::protocol::{PlatformConfig, PlatformReport};
 use crate::segment::SegmentMap;
-use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleExit, VehicleStep};
+use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleStep};
 use crate::Result;
 use crowdwifi_channel::RssReading;
-use std::collections::BTreeMap;
 
 /// The fleet-scale backend: the shared event loop with vehicle sessions
 /// stepped in batches over a clamped worker pool.
@@ -84,7 +76,7 @@ impl FleetTransport {
         config: PlatformConfig,
         plan: &FaultPlan,
     ) -> Result<(PlatformReport, String)> {
-        let batched = |links, vehicles| Batched::new(links, vehicles, self.workers);
+        let batched = |vehicles| Batched::new(vehicles, self.workers);
         drive::round_with_digest(segments, fleet, config, plan, batched)
     }
 }
@@ -103,7 +95,8 @@ impl Transport for FleetTransport {
         config: PlatformConfig,
         plan: &FaultPlan,
     ) -> Result<PlatformReport> {
-        Ok(self.run_round_with_digest(segments, fleet, config, plan)?.0)
+        let batched = |vehicles| Batched::new(vehicles, self.workers);
+        Ok(drive::round(segments, fleet, config, plan, batched)?.0)
     }
 
     fn run_round_durable(
@@ -114,7 +107,7 @@ impl Transport for FleetTransport {
         plan: &FaultPlan,
         wal: &mut dyn LogSink,
     ) -> Result<PlatformReport> {
-        let batched = |links, vehicles| Batched::new(links, vehicles, self.workers);
+        let batched = |vehicles| Batched::new(vehicles, self.workers);
         drive::round_durable(segments, fleet, config, plan, wal, batched)
     }
 }
@@ -168,16 +161,16 @@ fn continues(outcome: &StepOutcome) -> bool {
     matches!(outcome, Ok(Ok(VehicleStep::Continue(_))))
 }
 
-/// The fleet engine's stepping: deliver every queued frame, run one
-/// [`compute_batch`] over the worker pool, absorb in vehicle-id order.
+/// The fleet engine's stepping: route every drained frame to its
+/// cell, run one [`compute_batch`] over the worker pool, absorb in
+/// vehicle-id order.
 pub(super) struct Batched {
-    links: Vec<Link>,
     cells: Vec<ComputeCell>,
     workers: usize,
 }
 
 impl Batched {
-    pub(super) fn new(links: Vec<Link>, vehicles: Vec<Vehicle>, workers: usize) -> Self {
+    pub(super) fn new(vehicles: Vec<Vehicle>, workers: usize) -> Self {
         let cells = vehicles
             .into_iter()
             .map(|(core, readings)| ComputeCell {
@@ -187,20 +180,16 @@ impl Batched {
                 staged: Vec::new(),
             })
             .collect();
-        Batched {
-            links,
-            cells,
-            workers,
-        }
+        Batched { cells, workers }
     }
 
     /// Steps every cell on the pool, then absorbs the staged outcomes
     /// in vehicle-id order on the driver thread — the only place uplink
     /// sends and exits happen, which is what pins the server-side event
     /// order to the simulator's.
-    fn tick(&mut self, segments: &SegmentMap) {
+    fn tick(&mut self, links: &mut [Link], segments: &SegmentMap) {
         compute_batch(&mut self.cells, segments, self.workers);
-        for (link, cell) in self.links.iter_mut().zip(&mut self.cells) {
+        for (link, cell) in links.iter_mut().zip(&mut self.cells) {
             for outcome in cell.staged.drain(..) {
                 link.absorb(outcome);
             }
@@ -209,37 +198,25 @@ impl Batched {
 }
 
 impl Sessions for Batched {
-    fn start(&mut self, segments: &SegmentMap) {
-        self.tick(segments);
+    fn start(&mut self, links: &mut [Link], segments: &SegmentMap) {
+        self.tick(links, segments);
     }
 
-    fn pump(&mut self, segments: &SegmentMap) -> bool {
-        let mut delivered = false;
-        for (link, cell) in self.links.iter_mut().zip(&mut self.cells) {
-            while let Some(frame) = link.next_frame() {
-                delivered = true;
-                if !link.exited() {
-                    cell.pending.push(frame);
-                }
+    fn pump(&mut self, links: &mut [Link], frames: Vec<Frame>, segments: &SegmentMap) {
+        if frames.is_empty() {
+            return;
+        }
+        for (id, frame) in frames {
+            let i = session_of(links, id);
+            if !links[i].exited() {
+                self.cells[i].pending.push(frame);
             }
         }
-        if delivered {
-            self.tick(segments);
-        }
-        delivered
+        self.tick(links, segments);
     }
 
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    fn exits(self) -> BTreeMap<VehicleId, VehicleExit> {
-        let cores = self.cells.iter().map(|c| &c.core);
-        self.links
-            .into_iter()
-            .zip(cores)
-            .map(|(l, c)| l.finish(c))
-            .collect()
+    fn core(&self, i: usize) -> &VehicleCore {
+        &self.cells[i].core
     }
 }
 
@@ -271,6 +248,7 @@ fn compute_batch(cells: &mut [ComputeCell], segments: &SegmentMap, workers: usiz
 mod tests {
     use super::*;
     use crate::fault::FaultPoint;
+    use crate::messages::VehicleId;
     use crate::transport::sim_round_with_digest;
     use crate::vehicle::Behavior;
     use crowdwifi_channel::PathLossModel;

@@ -8,19 +8,19 @@
 //!
 //! * [`SimTransport`] — the reference: each vehicle, in id order, steps
 //!   each queued message and sends its uplink before taking the next.
-//! * [`FleetTransport`] — the fleet-scale engine: every queued message
-//!   is delivered first, then the vehicle sessions step as one batch
-//!   over a clamped worker pool and their outcomes are absorbed in id
-//!   order. Byte-identical same-seed rounds to [`SimTransport`] at
-//!   10k–100k vehicles.
+//! * [`FleetTransport`] — the fleet-scale engine: the queued messages
+//!   are delivered first, then the vehicles step as one batch over a
+//!   clamped worker pool and their outcomes are absorbed in id order.
 //!
-//! Both are one event loop (the private `drive` module): the same
-//! [`crate::fault`] layer on every link, the same session setup, clock
-//! and report sealing, driving the same [`ServerCore`] (bare, or inside
-//! the durability layer's crash-injecting host). They differ only in
-//! how vehicle sessions step, so a given seed + fault plan yields the
-//! same [`PlatformReport::deterministic`] projection on either, and
-//! comparing the two isolates exactly the batched stepping.
+//! Both are one event loop (the private `drive` module) with one queue
+//! each way — uplink frames to the server, downlink frames to the
+//! fleet — behind the same [`crate::fault`] layer on every link,
+//! driving the same [`ServerCore`] (bare, or inside the durability
+//! layer's crash-injecting host). So a given seed + fault plan yields
+//! the same [`PlatformReport::deterministic`] projection on either.
+//! Only [`sim_round_with_digest`] and
+//! [`FleetTransport::run_round_with_digest`] build the equivalence
+//! digest; [`Transport`] rounds never pay for it.
 
 mod drive;
 mod fleet;

@@ -2,17 +2,15 @@
 //! reference backend, whose [`PlatformReport::deterministic`]
 //! projection [`super::FleetTransport`] must match byte for byte.
 
-use super::drive::{self, step_frame, step_start, Link, Sessions, Vehicle};
+use super::drive::{self, session_of, step_frame, step_start, Frame, Link, Sessions, Vehicle};
 use crate::durability::LogSink;
 use crate::fault::FaultPlan;
-use crate::messages::VehicleId;
 use crate::protocol::{PlatformConfig, PlatformReport};
 use crate::segment::SegmentMap;
 use crate::transport::Transport;
-use crate::vehicle::{CrowdVehicle, VehicleExit};
+use crate::vehicle::{CrowdVehicle, VehicleCore};
 use crate::Result;
 use crowdwifi_channel::RssReading;
-use std::collections::BTreeMap;
 
 /// The virtual-clock simulator: the whole fleet is stepped inline on
 /// the driver thread, links are in-memory queues behind the
@@ -33,7 +31,7 @@ impl Transport for SimTransport {
         config: PlatformConfig,
         plan: &FaultPlan,
     ) -> Result<PlatformReport> {
-        Ok(sim_round_with_digest(segments, fleet, config, plan)?.0)
+        Ok(drive::round(segments, fleet, config, plan, Inline)?.0)
     }
 
     fn run_round_durable(
@@ -44,7 +42,7 @@ impl Transport for SimTransport {
         plan: &FaultPlan,
         wal: &mut dyn LogSink,
     ) -> Result<PlatformReport> {
-        drive::round_durable(segments, fleet, config, plan, wal, Inline::new)
+        drive::round_durable(segments, fleet, config, plan, wal, Inline)
     }
 }
 
@@ -65,52 +63,32 @@ pub fn sim_round_with_digest(
     config: PlatformConfig,
     plan: &FaultPlan,
 ) -> Result<(PlatformReport, String)> {
-    drive::round_with_digest(segments, fleet, config, plan, Inline::new)
+    drive::round_with_digest(segments, fleet, config, plan, Inline)
 }
 
 /// The reference stepping: each vehicle, in id order, steps each queued
 /// message and sends its uplink before taking the next.
-pub(super) struct Inline {
-    links: Vec<Link>,
-    vehicles: Vec<Vehicle>,
-}
-
-impl Inline {
-    pub(super) fn new(links: Vec<Link>, vehicles: Vec<Vehicle>) -> Self {
-        Inline { links, vehicles }
-    }
-}
+pub(super) struct Inline(pub(super) Vec<Vehicle>);
 
 impl Sessions for Inline {
-    fn start(&mut self, _segments: &SegmentMap) {
-        for (link, (core, readings)) in self.links.iter_mut().zip(&mut self.vehicles) {
+    fn start(&mut self, links: &mut [Link], _segments: &SegmentMap) {
+        for (link, (core, readings)) in links.iter_mut().zip(&mut self.0) {
             link.absorb(step_start(core, &std::mem::take(readings)));
         }
     }
 
-    fn pump(&mut self, segments: &SegmentMap) -> bool {
-        let mut progressed = false;
-        for (link, (core, _)) in self.links.iter_mut().zip(&mut self.vehicles) {
-            while let Some(frame) = link.next_frame() {
-                progressed = true;
-                if !link.exited() {
-                    link.absorb(step_frame(core, &frame, segments));
-                }
+    fn pump(&mut self, links: &mut [Link], mut frames: Vec<Frame>, segments: &SegmentMap) {
+        // Stable: each vehicle keeps its frames in send order.
+        frames.sort_by_key(|&(id, _)| id);
+        for (id, frame) in frames {
+            let i = session_of(links, id);
+            if !links[i].exited() {
+                links[i].absorb(step_frame(&mut self.0[i].0, &frame, segments));
             }
         }
-        progressed
     }
 
-    fn links(&self) -> &[Link] {
-        &self.links
-    }
-
-    fn exits(self) -> BTreeMap<VehicleId, VehicleExit> {
-        let cores = self.vehicles.iter().map(|(core, _)| core);
-        self.links
-            .into_iter()
-            .zip(cores)
-            .map(|(l, c)| l.finish(c))
-            .collect()
+    fn core(&self, i: usize) -> &VehicleCore {
+        &self.0[i].0
     }
 }

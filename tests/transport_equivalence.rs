@@ -53,12 +53,16 @@ fn segments() -> SegmentMap {
 }
 
 fn fleet(n: u32) -> Fleet {
+    fleet_of(n, |_| Behavior::Honest)
+}
+
+fn fleet_of(n: u32, behavior: impl Fn(u32) -> Behavior) -> Fleet {
     (0..n)
         .map(|v| {
             let estimator =
                 OnlineCs::new(OnlineCsConfig::default(), PathLossModel::uci_campus()).unwrap();
             (
-                CrowdVehicle::new(VehicleId(v), estimator, Behavior::Honest),
+                CrowdVehicle::new(VehicleId(v), estimator, behavior(v)),
                 drive(v as f64 * 0.5),
             )
         })
@@ -158,6 +162,81 @@ fn noisy_links_round_is_backend_equivalent() {
         FleetTransport::new(),
         config(),
     );
+}
+
+#[test]
+fn delay_heavy_round_is_backend_equivalent() {
+    // A third of all frames are held back past up to five later sends
+    // on their link, so a vehicle's held frame and the one that frees
+    // it leave the shared downlink queue in one drain, among other
+    // vehicles' frames: each vehicle must still see its own in send
+    // order. Spammers answer from their RNG, so two task batches
+    // answered in swapped order change the uplink bytes.
+    let mut plan = FaultPlan::noisy(3, 0.03, 0.03, 0.35).crash(VehicleId(2), FaultPoint::Upload);
+    plan.max_delay = 5;
+    let config = PlatformConfig {
+        tolerance: FaultTolerance {
+            max_retries: 4,
+            ..config().tolerance
+        },
+        ..config()
+    };
+    let spammer_every_third = |v| {
+        if v % 3 == 0 {
+            Behavior::Spammer
+        } else {
+            Behavior::Honest
+        }
+    };
+    let mixed = || fleet_of(12, spammer_every_third);
+    for workers in [1, 2] {
+        let engine = FleetTransport::new().with_workers(workers);
+        let report = assert_fleet_round_equivalent(mixed, &plan, engine, config);
+        let delayed = report.metrics.counters.get("platform.faults.delayed");
+        assert!(
+            delayed.copied().unwrap_or(0) >= 10,
+            "delay plan held back only {delayed:?} frames — test is vacuous"
+        );
+    }
+}
+
+#[test]
+fn production_rounds_match_the_digest_rounds() {
+    // `run_round_with_faults` skips the equivalence digest; the round
+    // itself must be the one `*_round_with_digest` reports, on both
+    // backends.
+    let plan = FaultPlan::noisy(17, 0.08, 0.1, 0.05)
+        .crash(VehicleId(1), FaultPoint::Upload)
+        .stall(VehicleId(3), FaultPoint::Answer);
+    let fleet_engine = FleetTransport::new().with_workers(2);
+    let runs = [
+        (
+            SimTransport.run_round_with_faults(segments(), fleet(6), config(), &plan),
+            sim_round_with_digest(segments(), fleet(6), config(), &plan).map(|r| r.0),
+        ),
+        (
+            fleet_engine.run_round_with_faults(segments(), fleet(6), config(), &plan),
+            fleet_engine
+                .run_round_with_digest(segments(), fleet(6), config(), &plan)
+                .map(|r| r.0),
+        ),
+    ];
+    for (plain, digested) in runs {
+        let (plain, digested) = (plain.expect("plain round"), digested.expect("digest round"));
+        assert_eq!(
+            format!("{:?}", plain.deterministic()),
+            format!("{:?}", digested.deterministic())
+        );
+        assert_eq!(plain.exits, digested.exits);
+        let bits = |r: &PlatformReport| -> Vec<[u64; 3]> {
+            r.fused
+                .iter()
+                .map(|ap| [ap.position.x, ap.position.y, ap.support].map(f64::to_bits))
+                .collect()
+        };
+        assert_eq!(bits(&plain), bits(&digested), "fused maps differ bitwise");
+        assert!(!plain.fused.is_empty(), "no fused APs — test is vacuous");
+    }
 }
 
 #[test]

@@ -17,7 +17,9 @@
 //!   real crash loses — then replays the surviving events. Because the
 //!   protocol core is a deterministic state machine, the replayed
 //!   server is byte-identical ([`ServerCore::state_digest`]) to one
-//!   that never crashed;
+//!   that never crashed — its per-vehicle deadlines included, so the
+//!   driver has no timers to re-arm, and a deadline whose
+//!   [`Event::Deadline`] a crash swallowed is simply still due;
 //! * at round close the campaign driver writes a [`SnapshotStore`]
 //!   snapshot of the [`ShardedDatabase`] (alternating between two
 //!   slots, so a torn snapshot write can never destroy the previous
@@ -630,10 +632,10 @@ impl<'a> DurableRound<'a> {
     }
 
     /// Kills the live server and rebuilds it from the (possibly
-    /// damaged) log. The recovered state replaces `self.core`; the
-    /// replay's surviving actions are handed back for the driver to
-    /// re-perform. With `expected_digest` set, recovery is verified
-    /// byte-identical to the never-crashed server.
+    /// damaged) log. The recovered state — armed deadlines included —
+    /// replaces `self.core`; a terminal action the replay reached is
+    /// handed back for the driver. With `expected_digest` set, recovery
+    /// is verified byte-identical to the never-crashed server.
     fn crash_and_recover(
         &mut self,
         damage: Option<TailDamage>,
@@ -663,7 +665,7 @@ impl<'a> DurableRound<'a> {
         // A restarted process starts with a fresh metrics registry:
         // replay re-records the protocol counters from scratch, so
         // keeping the old registry would double-count them.
-        let (core, actions) = ServerCore::recover(
+        let (core, terminal) = ServerCore::recover(
             self.header.segments.clone(),
             &self.header.fleet,
             self.header.config,
@@ -678,15 +680,11 @@ impl<'a> DurableRound<'a> {
             }
         }
         self.core = core;
-        Ok(actions)
+        Ok(terminal.into_iter().collect())
     }
 }
 
 impl EventHost for DurableRound<'_> {
-    fn begin(&mut self) -> Result<Vec<Action>> {
-        Ok(self.core.start(VirtualInstant::ZERO))
-    }
-
     fn handle(&mut self, event: Event) -> Result<Vec<Action>> {
         let idx = self.seen;
         self.seen += 1;
@@ -727,6 +725,10 @@ impl EventHost for DurableRound<'_> {
                 self.crash_and_recover(Some(TailDamage::FlipLastByte), None)
             }
         }
+    }
+
+    fn next_deadline(&self) -> Option<VirtualInstant> {
+        self.core.next_deadline()
     }
 
     fn finish(&mut self) -> Result<()> {
@@ -835,12 +837,8 @@ mod tests {
             Event::LinksClosed {
                 now: VirtualInstant::from_micros(5),
             },
-            Event::TimerFired {
+            Event::Deadline {
                 now: VirtualInstant::from_micros(9),
-                timer: crate::protocol::TimerId {
-                    vehicle: VehicleId(3),
-                    generation: 2,
-                },
             },
             Event::Message {
                 now: VirtualInstant::from_micros(11),

@@ -187,7 +187,11 @@ pub struct FaultPlan {
     pub duplicate_prob: f64,
     /// Probability that a message is held back and delivered after up
     /// to [`FaultPlan::max_delay`] later messages on the same link
-    /// (reordering).
+    /// (reordering). Only a later send on that link, or the link
+    /// closing, releases a held message — no clock does. On an idle
+    /// link a delay therefore acts like a drop until the server's retry
+    /// makes the vehicle send again, so a delay-heavy plan needs more
+    /// `max_retries` than a drop rate of the same size.
     pub delay_prob: f64,
     /// Maximum number of later messages a delayed message lets pass.
     pub max_delay: usize,

@@ -14,10 +14,19 @@
 //!                 Event                      Action
 //!   transport ───────────────▶ ServerCore ───────────────▶ transport
 //!   Message{now, from, msg}                 Send{to, msg}
-//!   TimerFired{now, timer}                  SetTimer{timer, deadline}
-//!   LinksClosed{now}                        Completed(report)
-//!                                           Failed(error)
+//!   Deadline{now}                           Completed(report)
+//!   LinksClosed{now}                        Failed(error)
+//!   Garbled{now, from}
+//!                        next_deadline()
+//!   transport ◀─────────────── ServerCore
 //! ```
+//!
+//! The core owns its deadlines: one per vehicle it waits on, armed at
+//! round start (every upload is owed by `deadline`) and re-armed or
+//! released as the round moves. A driver never stores a timer. When its
+//! queues run dry it asks [`ServerCore::next_deadline`], jumps its clock
+//! there and sends one [`Event::Deadline`]; the core expires every
+//! vehicle due by then.
 //!
 //! The drivers in [`crate::transport`] are thin: the simulation
 //! backend replays the protocol under a virtual clock in a single OS
@@ -94,18 +103,6 @@ impl Add<Duration> for VirtualInstant {
     }
 }
 
-/// Identity of one armed deadline. The generation makes stale timers
-/// harmless: re-arming a vehicle's deadline bumps its generation, and
-/// the core ignores fired timers whose generation is not current — so
-/// drivers never need to cancel anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId {
-    /// The vehicle this deadline guards.
-    pub vehicle: VehicleId,
-    /// Arm count for this vehicle; only the newest generation is live.
-    pub generation: u64,
-}
-
 /// A stimulus fed into [`ServerCore::handle`], stamped with the
 /// driver's current instant.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,12 +116,11 @@ pub enum Event {
         /// The message itself.
         msg: ToServer,
     },
-    /// A previously requested timer's deadline passed.
-    TimerFired {
-        /// Driver time at expiry (at or after the timer's deadline).
+    /// The driver's clock reached `now` with no traffic in flight:
+    /// every vehicle whose deadline is at or before `now` expires.
+    Deadline {
+        /// Driver time, at or after [`ServerCore::next_deadline`].
         now: VirtualInstant,
-        /// Which timer fired.
-        timer: TimerId,
     },
     /// Every vehicle link is gone; no further messages can arrive.
     LinksClosed {
@@ -170,11 +166,9 @@ impl WireMessage for Event {
                 // its own decoder consumes exactly its fields.
                 msg.encode_binary(out);
             }
-            Event::TimerFired { now, timer } => {
-                wire::put_header(out, wire::TAG_EVENT_TIMER);
+            Event::Deadline { now } => {
+                wire::put_header(out, wire::TAG_EVENT_DEADLINE);
                 wire::put_varint(out, now.as_micros());
-                wire::put_varint(out, u64::from(timer.vehicle.0));
-                wire::put_varint(out, timer.generation);
             }
             Event::LinksClosed { now } => {
                 wire::put_header(out, wire::TAG_EVENT_LINKS_CLOSED);
@@ -196,12 +190,8 @@ impl WireMessage for Event {
                 let msg = ToServer::decode_body(r)?;
                 Event::Message { now, from, msg }
             }
-            wire::TAG_EVENT_TIMER => Event::TimerFired {
+            wire::TAG_EVENT_DEADLINE => Event::Deadline {
                 now: VirtualInstant::from_micros(r.varint()?),
-                timer: TimerId {
-                    vehicle: VehicleId(r.u32()?),
-                    generation: r.varint()?,
-                },
             },
             wire::TAG_EVENT_LINKS_CLOSED => Event::LinksClosed {
                 now: VirtualInstant::from_micros(r.varint()?),
@@ -225,15 +215,6 @@ pub enum Action {
         to: VehicleId,
         /// The message to deliver.
         msg: ToVehicle,
-    },
-    /// Arrange for [`Event::TimerFired`] with this id once `deadline`
-    /// passes. Timers are never cancelled; superseded generations fire
-    /// and are ignored.
-    SetTimer {
-        /// Identity the fired event must echo back.
-        timer: TimerId,
-        /// When the timer is due.
-        deadline: VirtualInstant,
     },
     /// The round finished. The report's `exits` and `metrics` are still
     /// empty: only the driver knows vehicle-side exits and when every
@@ -262,8 +243,9 @@ pub struct ServerCore {
     ledger: RoundLedger,
     phase: Phase,
     phase_started: VirtualInstant,
-    timer_gen: BTreeMap<VehicleId, u64>,
-    waiting: BTreeSet<VehicleId>,
+    /// When each vehicle the round waits on expires; the key set is
+    /// exactly the vehicles still owing an upload or answers.
+    deadlines: BTreeMap<VehicleId, VirtualInstant>,
     labeling: LabelingState,
     finished: bool,
 }
@@ -271,8 +253,10 @@ pub struct ServerCore {
 impl ServerCore {
     /// Builds the core for one round: validates the config, registers
     /// the fleet (rejecting empty fleets and duplicate ids) and seeds
-    /// the protocol RNG. Metrics land in `registry`, which the driver
-    /// also uses for its own transport-side counters.
+    /// the protocol RNG. The round opens at [`VirtualInstant::ZERO`]:
+    /// every vehicle owes an upload by the configured deadline. Metrics
+    /// land in `registry`, which the driver also uses for its own
+    /// transport-side counters.
     pub fn new(
         segments: SegmentMap,
         fleet: &[VehicleId],
@@ -284,9 +268,10 @@ impl ServerCore {
             return Err(MiddlewareError::InvalidConfig("empty fleet".to_string()));
         }
         let mut server = CrowdServer::new(segments);
-        let mut ids = BTreeSet::new();
+        let mut deadlines = BTreeMap::new();
+        let first = VirtualInstant::ZERO + config.tolerance.deadline;
         for &v in fleet {
-            if !ids.insert(v) {
+            if deadlines.insert(v, first).is_some() {
                 return Err(MiddlewareError::InvalidConfig(format!(
                     "duplicate vehicle id {v}"
                 )));
@@ -301,28 +286,25 @@ impl ServerCore {
             ledger: RoundLedger::new(),
             phase: Phase::Uploads,
             phase_started: VirtualInstant::ZERO,
-            timer_gen: BTreeMap::new(),
-            waiting: BTreeSet::new(),
+            deadlines,
             labeling: LabelingState::default(),
             finished: false,
         })
     }
 
     /// Rebuilds a crashed server from its durable round history: a
-    /// fresh core is built exactly as [`ServerCore::new`] would, started
-    /// at [`VirtualInstant::ZERO`], and the logged events are replayed
-    /// in order. Because the protocol RNG is seeded from the config and
-    /// consumed only at phase transitions, the replayed core is
-    /// byte-identical (see [`ServerCore::state_digest`]) to a server
-    /// that processed the same events without crashing.
+    /// fresh core is built exactly as [`ServerCore::new`] would, and the
+    /// logged events are replayed in order. Because the protocol RNG is
+    /// seeded from the config and consumed only at phase transitions,
+    /// the replayed core is byte-identical (see
+    /// [`ServerCore::state_digest`]) to a server that processed the same
+    /// events without crashing — deadlines included, so a past-due one
+    /// is simply due at the driver's next [`Event::Deadline`].
     ///
-    /// Returns the recovered core together with the replay's surviving
-    /// actions: every `SetTimer` — with its **original** deadline, so
-    /// generation-tagged timers re-arm correctly against the virtual
-    /// clock (a past-due deadline simply fires at the driver's next
-    /// check) — plus any terminal `Completed`/`Failed`. `Send` actions
-    /// are dropped: the crash already lost them, and the deadline/retry
-    /// machinery re-sends whatever still matters.
+    /// Returns the recovered core together with the replay's terminal
+    /// `Completed`/`Failed` action, if the logged events decided the
+    /// round. `Send` actions are dropped: the crash already lost them,
+    /// and the deadline/retry machinery re-sends whatever still matters.
     ///
     /// # Errors
     ///
@@ -333,14 +315,14 @@ impl ServerCore {
         config: PlatformConfig,
         registry: Registry,
         events: &[Event],
-    ) -> Result<(Self, Vec<Action>)> {
+    ) -> Result<(Self, Option<Action>)> {
         let mut core = ServerCore::new(segments, fleet, config, registry)?;
-        let mut survived = core.start(VirtualInstant::ZERO);
+        let mut terminal = None;
         for event in events {
-            survived.extend(core.handle(event.clone()));
+            let mut actions = core.handle(event.clone()).into_iter();
+            terminal = terminal.or(actions.find(|a| !matches!(a, Action::Send { .. })));
         }
-        survived.retain(|a| !matches!(a, Action::Send { .. }));
-        Ok((core, survived))
+        Ok((core, terminal))
     }
 
     /// A deterministic fingerprint of the full protocol state —
@@ -353,14 +335,13 @@ impl ServerCore {
     /// never-crashed one.
     pub fn state_digest(&self) -> String {
         format!(
-            "phase={:?} started={:?} finished={} waiting={:?} gens={:?} rng={:?} \
+            "phase={:?} started={:?} finished={} deadlines={:?} rng={:?} \
              fates={:?} retries={:?} dead={:?} outstanding={:?} answered={:?} \
              reassigned={} lost={} server={:?}",
             self.phase,
             self.phase_started,
             self.finished,
-            self.waiting,
-            self.timer_gen,
+            self.deadlines,
             self.rng,
             self.ledger.fates,
             self.ledger.retries,
@@ -385,16 +366,11 @@ impl ServerCore {
         self.finished
     }
 
-    /// Opens the round at `now`: every vehicle owes an upload by
-    /// `now + deadline`.
-    pub fn start(&mut self, now: VirtualInstant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.phase_started = now;
-        let deadline = self.config.tolerance.deadline;
-        for v in self.server.vehicles().to_vec() {
-            self.arm(v, now + deadline, &mut actions);
-        }
-        actions
+    /// The earliest armed deadline: when the driver, once quiescent,
+    /// must send [`Event::Deadline`]. `None` when no vehicle is owed
+    /// anything.
+    pub fn next_deadline(&self) -> Option<VirtualInstant> {
+        self.deadlines.values().min().copied()
     }
 
     /// Feeds one event through the state machine.
@@ -404,7 +380,7 @@ impl ServerCore {
         }
         match event {
             Event::Message { now, from, msg } => self.on_message(now, from, msg),
-            Event::TimerFired { now, timer } => self.on_timer(now, timer),
+            Event::Deadline { now } => self.on_deadline(now),
             Event::LinksClosed { now } => self.on_links_closed(now),
             Event::Garbled { now, from } => self.quarantine(now, from),
         }
@@ -421,41 +397,32 @@ impl ServerCore {
         }
         self.registry.counter("platform.quarantine").inc();
         let mut actions = Vec::new();
-        self.ledger
-            .mark_dead(&mut self.server, from, VehicleFate::Quarantined);
-        match self.phase {
-            Phase::Uploads => {
-                self.disarm(from);
-                self.maybe_finish_uploads(now, &mut actions);
-            }
-            Phase::Labeling => {
-                self.reassign(now, from, &mut actions);
-                self.maybe_finish_labeling(now, &mut actions);
-            }
-            Phase::Done => {}
-        }
+        self.retire(now, from, VehicleFate::Quarantined, &mut actions);
         actions
     }
 
-    /// Arms (or re-arms) `v`'s deadline; any previously armed timer for
-    /// `v` becomes stale.
-    fn arm(&mut self, v: VehicleId, deadline: VirtualInstant, actions: &mut Vec<Action>) {
-        let generation = self.timer_gen.entry(v).or_insert(0);
-        *generation += 1;
-        self.waiting.insert(v);
-        actions.push(Action::SetTimer {
-            timer: TimerId {
-                vehicle: v,
-                generation: *generation,
-            },
-            deadline,
-        });
-    }
-
-    /// Stops waiting on `v` and invalidates its armed timer.
-    fn disarm(&mut self, v: VehicleId) {
-        self.waiting.remove(&v);
-        *self.timer_gen.entry(v).or_insert(0) += 1;
+    /// Declares `v` dead with `fate` and settles what it owed: during
+    /// uploads the round stops waiting on it, during labeling its
+    /// outstanding tasks are reassigned. Either may close the phase.
+    fn retire(
+        &mut self,
+        now: VirtualInstant,
+        v: VehicleId,
+        fate: VehicleFate,
+        actions: &mut Vec<Action>,
+    ) {
+        self.ledger.mark_dead(&mut self.server, v, fate);
+        match self.phase {
+            Phase::Uploads => {
+                self.deadlines.remove(&v);
+                self.maybe_finish_uploads(now, actions);
+            }
+            Phase::Labeling => {
+                self.reassign(now, v, actions);
+                self.maybe_finish_labeling(now, actions);
+            }
+            Phase::Done => {}
+        }
     }
 
     /// Closes the phase timing span `name` at `now` and reopens the
@@ -488,14 +455,11 @@ impl ServerCore {
                     if let Err(e) = self.server.receive_upload(up) {
                         return self.abort(e);
                     }
-                    self.disarm(from);
+                    self.deadlines.remove(&from);
                     self.maybe_finish_uploads(now, &mut actions);
                 }
                 ToServer::Failed(m) => {
-                    self.ledger
-                        .mark_dead(&mut self.server, from, VehicleFate::Reported(m));
-                    self.disarm(from);
-                    self.maybe_finish_uploads(now, &mut actions);
+                    self.retire(now, from, VehicleFate::Reported(m), &mut actions);
                 }
                 // Answers cannot precede an assignment; a duplicate or
                 // delayed stray is simply ignored.
@@ -526,15 +490,12 @@ impl ServerCore {
                         .is_some_and(|owed| owed.is_empty())
                     {
                         self.labeling.outstanding.remove(&from);
-                        self.disarm(from);
+                        self.deadlines.remove(&from);
                     }
                     self.maybe_finish_labeling(now, &mut actions);
                 }
                 ToServer::Failed(m) => {
-                    self.ledger
-                        .mark_dead(&mut self.server, from, VehicleFate::Reported(m));
-                    self.reassign(now, from, &mut actions);
-                    self.maybe_finish_labeling(now, &mut actions);
+                    self.retire(now, from, VehicleFate::Reported(m), &mut actions);
                 }
                 // A delayed or re-requested upload arriving late; the
                 // first copy already counted.
@@ -545,101 +506,78 @@ impl ServerCore {
         actions
     }
 
-    fn on_timer(&mut self, now: VirtualInstant, timer: TimerId) -> Vec<Action> {
-        let v = timer.vehicle;
-        // Stale generation or a vehicle we stopped waiting on: the
-        // timer was superseded, not cancelled. Ignore it.
-        if !self.waiting.contains(&v)
-            || self.timer_gen.get(&v).copied().unwrap_or(0) != timer.generation
-        {
-            return Vec::new();
-        }
-        let tolerance = self.config.tolerance;
+    /// Expires every vehicle due by `now`, in (deadline, id) order.
+    fn on_deadline(&mut self, now: VirtualInstant) -> Vec<Action> {
+        let mut due: Vec<(VirtualInstant, VehicleId)> = self
+            .deadlines
+            .iter()
+            .filter(|&(_, &at)| at <= now)
+            .map(|(&v, &at)| (at, v))
+            .collect();
+        due.sort_unstable();
         let mut actions = Vec::new();
-        match self.phase {
-            Phase::Uploads => {
-                let spent = self.ledger.retries.entry(v).or_insert(0);
-                if *spent < tolerance.max_retries {
-                    *spent += 1;
-                    let extra = tolerance.retry_backoff.saturating_mul(*spent);
-                    actions.push(Action::Send {
-                        to: v,
-                        msg: ToVehicle::RequestUpload,
-                    });
-                    self.arm(v, now + tolerance.deadline + extra, &mut actions);
-                } else {
-                    self.ledger.mark_dead(
-                        &mut self.server,
-                        v,
-                        VehicleFate::TimedOut(RoundPhase::Upload),
-                    );
-                    self.disarm(v);
-                    self.maybe_finish_uploads(now, &mut actions);
-                }
+        for (_, v) in due {
+            if self.finished {
+                break;
             }
-            Phase::Labeling => {
-                let spent = self.ledger.retries.entry(v).or_insert(0);
-                if *spent < tolerance.max_retries {
-                    *spent += 1;
-                    let extra = tolerance.retry_backoff.saturating_mul(*spent);
-                    let tasks: Vec<MappingTask> = self.labeling.outstanding[&v]
-                        .iter()
-                        .map(|&task_id| MappingTask {
-                            task_id,
-                            pattern: self.server.patterns()[task_id].clone(),
-                        })
-                        .collect();
-                    actions.push(Action::Send {
-                        to: v,
-                        msg: ToVehicle::Assign(tasks),
-                    });
-                    self.arm(v, now + tolerance.deadline + extra, &mut actions);
-                } else {
-                    self.ledger.mark_dead(
-                        &mut self.server,
-                        v,
-                        VehicleFate::TimedOut(RoundPhase::Labeling),
-                    );
-                    self.reassign(now, v, &mut actions);
-                    self.maybe_finish_labeling(now, &mut actions);
-                }
+            // An earlier expiry in this event may have re-armed `v`
+            // (orphans handed to it) or released it.
+            if self.deadlines.get(&v).is_some_and(|&at| at <= now) {
+                self.expire(now, v, &mut actions);
             }
-            Phase::Done => {}
         }
         actions
     }
 
+    /// `v` missed its deadline: retry it with backoff, or declare it
+    /// dead once its retries are spent.
+    fn expire(&mut self, now: VirtualInstant, v: VehicleId, actions: &mut Vec<Action>) {
+        let tolerance = self.config.tolerance;
+        let uploads = self.phase == Phase::Uploads;
+        let spent = self.ledger.retries.entry(v).or_insert(0);
+        if *spent >= tolerance.max_retries {
+            let phase = if uploads {
+                RoundPhase::Upload
+            } else {
+                RoundPhase::Labeling
+            };
+            return self.retire(now, v, VehicleFate::TimedOut(phase), actions);
+        }
+        *spent += 1;
+        let extra = tolerance.retry_backoff.saturating_mul(*spent);
+        let msg = if uploads {
+            ToVehicle::RequestUpload
+        } else {
+            let owed = &self.labeling.outstanding[&v];
+            let patterns = self.server.patterns();
+            ToVehicle::Assign(
+                owed.iter()
+                    .map(|&task_id| MappingTask {
+                        task_id,
+                        pattern: patterns[task_id].clone(),
+                    })
+                    .collect(),
+            )
+        };
+        actions.push(Action::Send { to: v, msg });
+        self.deadlines.insert(v, now + tolerance.deadline + extra);
+    }
+
     fn on_links_closed(&mut self, now: VirtualInstant) -> Vec<Action> {
+        let phase = self.phase;
+        let fate = match phase {
+            Phase::Uploads => VehicleFate::Vanished(RoundPhase::Upload),
+            Phase::Labeling => VehicleFate::Vanished(RoundPhase::Labeling),
+            Phase::Done => return Vec::new(),
+        };
         let mut actions = Vec::new();
-        match self.phase {
-            Phase::Uploads => {
-                for v in self.waiting.iter().copied().collect::<Vec<_>>() {
-                    self.ledger.mark_dead(
-                        &mut self.server,
-                        v,
-                        VehicleFate::Vanished(RoundPhase::Upload),
-                    );
-                    self.disarm(v);
-                }
-                self.maybe_finish_uploads(now, &mut actions);
+        // Reassignment can hand orphans to vehicles that were not
+        // waiting, but their links are just as gone — kill wave after
+        // wave until nobody in this phase is owed anything.
+        while self.phase == phase && !self.deadlines.is_empty() {
+            for v in self.deadlines.keys().copied().collect::<Vec<_>>() {
+                self.retire(now, v, fate.clone(), &mut actions);
             }
-            Phase::Labeling => {
-                // Reassignment can hand orphans to vehicles that were
-                // not waiting, but their links are just as gone — kill
-                // wave after wave until nobody is owed anything.
-                while !self.waiting.is_empty() {
-                    for v in self.waiting.iter().copied().collect::<Vec<_>>() {
-                        self.ledger.mark_dead(
-                            &mut self.server,
-                            v,
-                            VehicleFate::Vanished(RoundPhase::Labeling),
-                        );
-                        self.reassign(now, v, &mut actions);
-                    }
-                }
-                self.maybe_finish_labeling(now, &mut actions);
-            }
-            Phase::Done => {}
         }
         actions
     }
@@ -647,7 +585,7 @@ impl ServerCore {
     /// Declared-dead `v`'s orphans move to the least-loaded survivors;
     /// each recipient gets the batch plus a fresh deadline.
     fn reassign(&mut self, now: VirtualInstant, v: VehicleId, actions: &mut Vec<Action>) {
-        self.disarm(v);
+        self.deadlines.remove(&v);
         let batches = self
             .labeling
             .reassign_orphans(&self.server, &self.ledger, v);
@@ -657,7 +595,7 @@ impl ServerCore {
                 to: w,
                 msg: ToVehicle::Assign(tasks),
             });
-            self.arm(w, now + deadline, actions);
+            self.deadlines.insert(w, now + deadline);
         }
     }
 
@@ -665,7 +603,7 @@ impl ServerCore {
     /// runs assignment: patterns are generated, tasks fanned out to the
     /// survivors, and labeling deadlines armed.
     fn maybe_finish_uploads(&mut self, now: VirtualInstant, actions: &mut Vec<Action>) {
-        if self.phase != Phase::Uploads || !self.waiting.is_empty() {
+        if self.phase != Phase::Uploads || !self.deadlines.is_empty() {
             return;
         }
         self.observe_phase("platform.phase.upload_seconds", now);
@@ -692,7 +630,6 @@ impl ServerCore {
                 return;
             }
         };
-        let deadline = self.config.tolerance.deadline;
         for &v in &alive {
             let tasks = assignments.remove(&v).unwrap_or_default();
             if !tasks.is_empty() {
@@ -707,15 +644,9 @@ impl ServerCore {
         }
         self.observe_phase("platform.phase.assign_seconds", now);
         self.phase = Phase::Labeling;
-        for v in self
-            .labeling
-            .outstanding
-            .keys()
-            .copied()
-            .collect::<Vec<_>>()
-        {
-            self.arm(v, now + deadline, actions);
-        }
+        let due = now + self.config.tolerance.deadline;
+        self.deadlines
+            .extend(self.labeling.outstanding.keys().map(|&v| (v, due)));
         // Degenerate but legal: nobody owes an answer (e.g. everyone
         // who could label is dead but quorum still holds).
         self.maybe_finish_labeling(now, actions);
@@ -724,7 +655,7 @@ impl ServerCore {
     /// If no answers are outstanding, closes phase 3 and runs inference
     /// plus shard-by-shard fusion, emitting the final report.
     fn maybe_finish_labeling(&mut self, now: VirtualInstant, actions: &mut Vec<Action>) {
-        if self.phase != Phase::Labeling || !self.waiting.is_empty() {
+        if self.phase != Phase::Labeling || !self.deadlines.is_empty() {
             return;
         }
         self.observe_phase("platform.phase.labeling_seconds", now);
@@ -939,8 +870,8 @@ mod tests {
         }
     }
 
-    /// Starts the round, feeds `events` in order and answers every
-    /// assignment with "exists"; returns how the round ended.
+    /// Feeds `events` in order and answers every assignment with
+    /// "exists"; returns how the round ended.
     fn run(c: &mut ServerCore, events: impl IntoIterator<Item = Event>) -> Result<PlatformReport> {
         run_with(c, events, |to, tasks| answers(to, tasks, 1))
     }
@@ -963,7 +894,7 @@ mod tests {
         reverse_replies: bool,
     ) -> Result<PlatformReport> {
         let mut queue: VecDeque<Event> = events.into_iter().collect();
-        let mut actions = c.start(VirtualInstant::ZERO);
+        let mut actions = Vec::new();
         loop {
             let mut replies = Vec::new();
             for action in actions {
@@ -1167,7 +1098,6 @@ mod tests {
     #[test]
     fn messages_from_an_unregistered_link_are_inert() {
         let mut c = core5();
-        let _ = c.start(VirtualInstant::ZERO);
         let before = c.state_digest();
         for up in [upload(99, 40.0), upload(1, 40.0)] {
             assert!(c.handle(sent(99, up)).is_empty());
@@ -1176,74 +1106,122 @@ mod tests {
     }
 
     #[test]
-    fn start_arms_one_timer_per_vehicle() {
+    fn new_arms_one_upload_deadline_per_vehicle() {
         let mut c = core(&[0, 1, 2]);
-        let actions = c.start(VirtualInstant::ZERO);
-        let timers: Vec<&Action> = actions
-            .iter()
-            .filter(|a| matches!(a, Action::SetTimer { .. }))
-            .collect();
-        assert_eq!(timers.len(), 3);
-        assert_eq!(actions.len(), 3, "no sends before any event");
+        let deadline = VirtualInstant::ZERO + PlatformConfig::default().tolerance.deadline;
+        assert_eq!(c.next_deadline(), Some(deadline));
+        assert_eq!(c.deadlines.len(), 3);
+        let early = VirtualInstant::from_micros(deadline.as_micros() - 1);
+        assert!(c.handle(Event::Deadline { now: early }).is_empty());
         assert!(!c.is_finished());
     }
 
     #[test]
-    fn stale_timer_generations_are_ignored() {
+    fn released_vehicles_never_expire() {
         let mut c = core(&[0, 1]);
-        let actions = c.start(VirtualInstant::ZERO);
-        let Action::SetTimer { timer, .. } = actions[0] else {
-            panic!("expected timer");
-        };
-        // Vehicle 0 dies by report; its armed timer is now stale.
+        let deadline = c.next_deadline().expect("armed at round start");
+        // Vehicle 0 dies by report; only vehicle 1 is still owed.
         let out = c.handle(Event::Message {
             now: VirtualInstant::from_micros(10),
             from: VehicleId(0),
             msg: ToServer::Failed("engine fire".to_string()),
         });
         assert!(out.is_empty());
-        let out = c.handle(Event::TimerFired {
-            now: VirtualInstant::from_micros(2_000_000),
-            timer,
-        });
-        assert!(out.is_empty(), "superseded timer must be inert");
+        let out = c.handle(Event::Deadline { now: deadline });
+        let retried: Vec<VehicleId> = out
+            .iter()
+            .filter_map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: ToVehicle::RequestUpload,
+                } => Some(*to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retried, vec![VehicleId(1)], "a released vehicle is inert");
     }
 
     #[test]
     fn upload_timeout_retries_with_backoff() {
         let mut c = core(&[0, 1]);
-        let mut actions = c.start(VirtualInstant::ZERO);
-        let Action::SetTimer { timer, deadline } = actions.remove(0) else {
-            panic!("expected timer");
+        let deadline = c.next_deadline().expect("armed at round start");
+        // One event expires both vehicles, in id order: a RequestUpload
+        // retry each and a pushed-back deadline.
+        let out = c.handle(Event::Deadline { now: deadline });
+        let retried: Vec<VehicleId> = out
+            .iter()
+            .map(|a| match a {
+                Action::Send {
+                    to,
+                    msg: ToVehicle::RequestUpload,
+                } => *to,
+                other => panic!("expected a retry, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(retried, vec![VehicleId(0), VehicleId(1)]);
+        let tolerance = PlatformConfig::default().tolerance;
+        let retry_deadline = deadline + tolerance.deadline + tolerance.retry_backoff;
+        assert_eq!(c.next_deadline(), Some(retry_deadline));
+        assert!(c.deadlines.values().all(|&at| at == retry_deadline));
+    }
+
+    #[test]
+    fn an_orphan_handed_to_a_due_vehicle_re_arms_it_instead_of_expiring_it() {
+        // Two vehicles, one label per task and no retries: both owe
+        // answers by the same instant. Vehicle 0 expires first and its
+        // orphans go to vehicle 1, whose fresh deadline must spare it
+        // from the expiry already under way.
+        let ids = [VehicleId(0), VehicleId(1)];
+        let mut config = PlatformConfig {
+            workers_per_task: 1,
+            seed: 5,
+            ..PlatformConfig::default()
         };
-        assert_eq!(timer.vehicle, VehicleId(0));
-        // First expiry: a RequestUpload retry and a pushed-back timer.
-        let out = c.handle(Event::TimerFired {
-            now: deadline,
-            timer,
-        });
-        assert!(matches!(
-            out[0],
-            Action::Send {
-                to: VehicleId(0),
-                msg: ToVehicle::RequestUpload
+        config.tolerance.max_retries = 0;
+        let mut c = ServerCore::new(segments(), &ids, config, Registry::new()).expect("valid");
+        let mut owed = BTreeMap::new();
+        for event in own_uploads(0..2) {
+            for action in c.handle(event) {
+                if let Action::Send {
+                    to,
+                    msg: ToVehicle::Assign(tasks),
+                } = action
+                {
+                    owed.insert(to, tasks);
+                }
             }
-        ));
-        let Action::SetTimer {
-            timer: retry_timer,
-            deadline: retry_deadline,
-        } = out[1]
-        else {
-            panic!("expected re-armed timer");
-        };
-        assert!(retry_deadline > deadline);
-        assert_eq!(retry_timer.generation, timer.generation + 1);
+        }
+        assert!(
+            owed.values().all(|tasks| !tasks.is_empty()) && owed.len() == 2,
+            "both vehicles must owe answers for this test to bite"
+        );
+        let due = c.next_deadline().expect("labeling deadlines armed");
+        assert!(c.deadlines.values().all(|&at| at == due));
+
+        let out = c.handle(Event::Deadline { now: due });
+        let orphans: Vec<usize> = owed[&VehicleId(0)].iter().map(|t| t.task_id).collect();
+        match &out[..] {
+            [Action::Send {
+                to: VehicleId(1),
+                msg: ToVehicle::Assign(tasks),
+            }] => assert_eq!(tasks.iter().map(|t| t.task_id).collect::<Vec<_>>(), orphans),
+            other => panic!("expected only the orphan batch for vehicle 1, got {other:?}"),
+        }
+        assert_eq!(
+            c.ledger.fates[&VehicleId(0)].fate,
+            VehicleFate::TimedOut(RoundPhase::Labeling)
+        );
+        assert!(!c.ledger.dead.contains(&VehicleId(1)));
+        assert_eq!(
+            c.deadlines.get(&VehicleId(1)),
+            Some(&(due + config.tolerance.deadline))
+        );
+        assert!(!c.is_finished());
     }
 
     #[test]
     fn losing_every_link_aborts_on_quorum() {
         let mut c = core(&[0, 1, 2, 3]);
-        let _ = c.start(VirtualInstant::ZERO);
         let out = c.handle(Event::LinksClosed {
             now: VirtualInstant::from_micros(5),
         });

@@ -12,18 +12,18 @@
 //! the loop drains whole into [`Sessions::pump`]. Only
 //! [`round_with_digest`] renders the server's state digest.
 //!
-//! Time advances only when both queues are empty, directly to the
-//! earliest armed deadline, never by sleeping. Fleet order, queue order
-//! and per-link fault RNG streams are all fixed by the seeds, so one
-//! run is one deterministic replay.
+//! The loop keeps no timers: the server owns its deadlines. Time
+//! advances only when both queues are empty, directly to the host's
+//! [`next_deadline`](EventHost::next_deadline), never by sleeping, and
+//! one [`Event::Deadline`] then expires everyone due. Fleet order, queue
+//! order and per-link fault RNG streams are all fixed by the seeds, so
+//! one run is one deterministic replay.
 
 use super::EventHost;
 use crate::durability::{DurableRound, LogSink};
 use crate::fault::{FaultPlan, FaultTally, FaultySender, LinkDirection, MessageSink};
 use crate::messages::{ToServer, ToVehicle, VehicleId};
-use crate::protocol::{
-    Action, Event, PlatformConfig, PlatformReport, ServerCore, TimerId, VirtualInstant,
-};
+use crate::protocol::{Action, Event, PlatformConfig, PlatformReport, ServerCore, VirtualInstant};
 use crate::segment::SegmentMap;
 use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleExit, VehicleStep};
 use crate::wire::{WireDigest, WireMessage};
@@ -225,18 +225,17 @@ pub(super) fn round_durable<S: Sessions>(
     Ok(drive(&mut host, segments, fleet, config.seed, plan, tally, open)?.0)
 }
 
-/// The driver's server end: the (faulty) downlinks, the armed
-/// deadlines and, once decided, the round's outcome.
+/// The driver's server end: the (faulty) downlinks and, once decided,
+/// the round's outcome.
 #[derive(Default)]
 struct ServerEnd {
     downlinks: BTreeMap<VehicleId, LinkSender>,
-    timers: BTreeMap<TimerId, VirtualInstant>,
     outcome: Option<Result<PlatformReport>>,
 }
 
 impl ServerEnd {
     /// Folds one batch of host actions in: sends go to the downlinks,
-    /// timers into the deadline map, terminal actions into `outcome`.
+    /// terminal actions into `outcome`.
     fn apply(&mut self, actions: Vec<Action>) {
         for action in actions {
             match action {
@@ -244,9 +243,6 @@ impl ServerEnd {
                     if let Some(link) = self.downlinks.get_mut(&to) {
                         link.send((to, msg.to_frame()));
                     }
-                }
-                Action::SetTimer { timer, deadline } => {
-                    self.timers.insert(timer, deadline);
                 }
                 Action::Completed(report) => self.outcome = Some(Ok(*report)),
                 Action::Failed(e) => self.outcome = Some(Err(e)),
@@ -296,7 +292,6 @@ fn drive<H: EventHost, S: Sessions>(
 
     let mut now = VirtualInstant::ZERO;
     let mut wire = WireDigest::new();
-    server.apply(host.begin()?);
     sessions.start(&mut links, &segments);
 
     loop {
@@ -340,27 +335,15 @@ fn drive<H: EventHost, S: Sessions>(
             }
             continue;
         }
-        let Some(&next) = server.timers.values().min() else {
+        // A deadline event a crash ate stays due: the recovered server
+        // still reports it, so the next pass re-sends it.
+        let Some(next) = host.next_deadline() else {
             return Err(MiddlewareError::Crowd(
                 "simulation stalled: no traffic and no armed deadlines".to_string(),
             ));
         };
-        if next > now {
-            now = next;
-        }
-        let mut due: Vec<(VirtualInstant, TimerId)> = server
-            .timers
-            .iter()
-            .filter(|&(_, &at)| at <= now)
-            .map(|(&t, &at)| (at, t))
-            .collect();
-        due.sort_unstable();
-        for (_, timer) in due {
-            server.timers.remove(&timer);
-            if server.outcome.is_none() {
-                server.apply(host.handle(Event::TimerFired { now, timer })?);
-            }
-        }
+        now = now.max(next);
+        server.apply(host.handle(Event::Deadline { now })?);
     }
 
     let report = server.outcome.take().expect("round outcome decided")?;
@@ -429,12 +412,12 @@ mod tests {
     struct Undecided;
 
     impl EventHost for Undecided {
-        fn begin(&mut self) -> Result<Vec<Action>> {
+        fn handle(&mut self, _event: Event) -> Result<Vec<Action>> {
             Ok(Vec::new())
         }
 
-        fn handle(&mut self, _event: Event) -> Result<Vec<Action>> {
-            Ok(Vec::new())
+        fn next_deadline(&self) -> Option<VirtualInstant> {
+            None
         }
 
         fn registry(&self) -> Registry {

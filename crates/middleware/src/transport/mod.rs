@@ -1,10 +1,11 @@
 //! Pluggable transports driving the sans-I/O [`crate::protocol`] core.
 //!
 //! A transport owns everything the core refuses to: queues, the clock,
-//! scheduling, and the vehicle side of each link. Two backends ship,
-//! both on one virtual clock — deadlines fire by advancing virtual
-//! time, never by sleeping, so a multi-second degraded round replays in
-//! milliseconds:
+//! scheduling, and the vehicle side of each link. The deadlines are the
+//! core's; a transport only reads the next one. Two backends ship, both
+//! on one virtual clock — deadlines fall due by advancing virtual time
+//! to [`ServerCore::next_deadline`], never by sleeping, so a
+//! multi-second degraded round replays in milliseconds:
 //!
 //! * [`SimTransport`] — the reference: each vehicle, in id order, steps
 //!   each queued message and sends its uplink before taking the next.
@@ -32,7 +33,9 @@ pub use sim::{sim_round_with_digest, SimTransport};
 use crate::durability::{LogSink, SnapshotStore};
 use crate::fault::FaultPlan;
 use crate::protocol::rounds::smooth_reliabilities;
-use crate::protocol::{Action, Event, PlatformConfig, PlatformReport, ServerCore, ShardedDatabase};
+use crate::protocol::{
+    Action, Event, PlatformConfig, PlatformReport, ServerCore, ShardedDatabase, VirtualInstant,
+};
 use crate::segment::SegmentMap;
 use crate::vehicle::CrowdVehicle;
 use crate::{messages::VehicleId, MiddlewareError, Result};
@@ -45,19 +48,16 @@ use std::collections::BTreeMap;
 /// [`crate::durability`] host wrapping one. The driver is generic over
 /// this, so plain and durable rounds run one loop.
 pub(crate) trait EventHost {
-    /// Starts the round (arms the initial deadlines).
-    ///
-    /// # Errors
-    ///
-    /// Durable hosts propagate log I/O failures.
-    fn begin(&mut self) -> Result<Vec<Action>>;
-
     /// Feeds one event through the host.
     ///
     /// # Errors
     ///
     /// Durable hosts propagate log I/O and recovery failures.
     fn handle(&mut self, event: Event) -> Result<Vec<Action>>;
+
+    /// The server's earliest armed deadline
+    /// ([`ServerCore::next_deadline`]).
+    fn next_deadline(&self) -> Option<VirtualInstant>;
 
     /// End-of-round hook (final log sync, durability counters).
     ///
@@ -74,12 +74,12 @@ pub(crate) trait EventHost {
 }
 
 impl EventHost for ServerCore {
-    fn begin(&mut self) -> Result<Vec<Action>> {
-        Ok(self.start(crate::protocol::VirtualInstant::ZERO))
-    }
-
     fn handle(&mut self, event: Event) -> Result<Vec<Action>> {
         Ok(ServerCore::handle(self, event))
+    }
+
+    fn next_deadline(&self) -> Option<VirtualInstant> {
+        ServerCore::next_deadline(self)
     }
 
     fn registry(&self) -> Registry {

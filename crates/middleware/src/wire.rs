@@ -448,8 +448,8 @@ pub const TAG_DONE: u8 = 0x12;
 pub const TAG_ABORT: u8 = 0x13;
 /// [`crate::protocol::Event::Message`].
 pub const TAG_EVENT_MESSAGE: u8 = 0x20;
-/// [`crate::protocol::Event::TimerFired`].
-pub const TAG_EVENT_TIMER: u8 = 0x21;
+/// [`crate::protocol::Event::Deadline`].
+pub const TAG_EVENT_DEADLINE: u8 = 0x21;
 /// [`crate::protocol::Event::LinksClosed`].
 pub const TAG_EVENT_LINKS_CLOSED: u8 = 0x22;
 /// [`crate::protocol::Event::Garbled`].

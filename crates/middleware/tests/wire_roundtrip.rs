@@ -14,8 +14,8 @@ use crowdwifi_middleware::messages::{
     MappingAnswer, MappingTask, Pattern, SensingUpload, ToServer, ToVehicle, VehicleId,
 };
 use crowdwifi_middleware::protocol::{
-    Action, Event, FaultTolerance, PlatformConfig, ServerCore, ShardedDatabase, TimerId,
-    VehicleFate, VirtualInstant,
+    Action, Event, FaultTolerance, PlatformConfig, ServerCore, ShardedDatabase, VehicleFate,
+    VirtualInstant,
 };
 use crowdwifi_middleware::segment::{SegmentId, SegmentMap};
 use crowdwifi_middleware::wire::{self, WireMessage};
@@ -161,10 +161,7 @@ proptest! {
         let reason: String = codepoints.into_iter().map(char_from).collect();
         let events = [
             Event::LinksClosed { now: VirtualInstant::from_micros(now) },
-            Event::TimerFired {
-                now: VirtualInstant::from_micros(now),
-                timer: TimerId { vehicle: VehicleId(vehicle), generation },
-            },
+            Event::Deadline { now: VirtualInstant::from_micros(now) },
             Event::Message {
                 now: VirtualInstant::from_micros(now),
                 from: VehicleId(vehicle),
@@ -190,6 +187,16 @@ proptest! {
             let decoded = Event::from_frame(&frame).expect("decode");
             prop_assert_eq!(&frame, &decoded.to_frame(), "re-encode diverged for {:?}", event);
         }
+        // The retired timer event shared the deadline tag but carried a
+        // vehicle and a timer generation after `now`; a log written in
+        // that format is rejected, not misread.
+        let timer_frame = frame_of(|out| {
+            wire::put_header(out, wire::TAG_EVENT_DEADLINE);
+            wire::put_varint(out, now);
+            wire::put_varint(out, u64::from(vehicle));
+            wire::put_varint(out, generation);
+        });
+        prop_assert!(Event::from_frame(&timer_frame).is_err());
     }
 
     #[test]
@@ -469,7 +476,6 @@ fn corrupted_frames_quarantine_the_sender() {
         registry.clone(),
     )
     .expect("valid core");
-    let _ = core.start(VirtualInstant::ZERO);
 
     let valid = ToServer::Upload(SensingUpload {
         vehicle: VehicleId(2),

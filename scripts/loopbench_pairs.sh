@@ -11,6 +11,11 @@
 # that moved the wrong way by more than the metric's bound (a share of
 # the base median) is flagged `PAST BOUND`; a median that moved by more
 # than the base runs' interquartile range is marked `clear of IQR`.
+# Each run's line also shows its `attempted` operation count. A run
+# that fits more rounds into its time attempts more operations, and
+# `completed_frac` is a ratio over that count, so it moves with the
+# round count alone; it is therefore compared only between runs with
+# equal `attempted`, one row per count both sides reached.
 # Exits 1 when a run fails its output check or reports failed
 # operations, or a median is past its bound.
 #
@@ -37,6 +42,7 @@ metrics = bench["end_to_end"]
 seconds = str(bench["run_seconds"])
 bins = {"base": base, "change": change}
 runs = {"base": [], "change": []}
+attempted = {"base": [], "change": []}
 bad = False
 
 
@@ -59,7 +65,8 @@ for i in range(int(pairs)):
             print(f"pair {i + 1} {side}: correct={result['correct']} failed={result.get('failed')}")
         values = {k: v["value"] for k, v in result["metrics"].items()}
         runs[side].append(values)
-        print(f"pair {i + 1} {side:<6} " + " ".join(
+        attempted[side].append(result["attempted"])
+        print(f"pair {i + 1} {side:<6} attempted={result['attempted']} " + " ".join(
             f"{m['name']}={values[m['name']]:.6g}" for m in metrics), flush=True)
 
 
@@ -68,26 +75,43 @@ def summary(xs):
     return statistics.median(xs), q[0], q[2]
 
 
-print(f"\n{workload} seed {seed}, {pairs} pairs, {seconds} s runs")
-print(f"{'metric':<20} {'base median (q1-q3)':<34} {'change median (q1-q3)':<34} "
-      f"{'won':>6} {'median':>8}")
-for m in metrics:
+def compare(m, label, keep):
+    """Prints one comparison row over the runs `keep(side, i)` selects;
+    returns whether the change's median is past the metric's bound."""
     name, higher = m["name"], m["better"] == "higher"
-    b = [r[name] for r in runs["base"]]
-    c = [r[name] for r in runs["change"]]
+    b = [r[name] for i, r in enumerate(runs["base"]) if keep("base", i)]
+    c = [r[name] for i, r in enumerate(runs["change"]) if keep("change", i)]
     (bm, bq1, bq3), (cm, cq1, cq3) = summary(b), summary(c)
-    won = sum((y > x) if higher else (y < x) for x, y in zip(b, c))
+    both = [i for i in range(len(runs["base"])) if keep("base", i) and keep("change", i)]
+    won = sum((runs["change"][i][name] > runs["base"][i][name]) if higher
+              else (runs["change"][i][name] < runs["base"][i][name]) for i in both)
     rel = (cm - bm) / abs(bm) if bm else 0.0
     worse = -rel if higher else rel
     flags = []
     if worse > m["bound"]:
-        bad = True
         flags.append("PAST BOUND")
     if abs(cm - bm) > bq3 - bq1:
         flags.append("clear of IQR")
-    print(f"{name:<20} {f'{bm:.6g} ({bq1:.6g}-{bq3:.6g})':<34} "
-          f"{f'{cm:.6g} ({cq1:.6g}-{cq3:.6g})':<34} {f'{won}/{len(b)}':>6} "
+    print(f"{label:<20} {f'{bm:.6g} ({bq1:.6g}-{bq3:.6g})':<34} "
+          f"{f'{cm:.6g} ({cq1:.6g}-{cq3:.6g})':<34} {f'{won}/{len(both)}':>6} "
           f"{rel:+8.2%}  {' '.join(flags)}")
+    return worse > m["bound"]
+
+
+print(f"\n{workload} seed {seed}, {pairs} pairs, {seconds} s runs")
+print(f"{'metric':<20} {'base median (q1-q3)':<34} {'change median (q1-q3)':<34} "
+      f"{'won':>6} {'median':>8}")
+for m in metrics:
+    if m["name"] != "completed_frac":
+        bad |= compare(m, m["name"], lambda side, i: True)
+        continue
+    common = sorted(set(attempted["base"]) & set(attempted["change"]))
+    for count in common:
+        bad |= compare(m, f"completed@{count}", lambda side, i: attempted[side][i] == count)
+    alone = {side: sorted(set(a) - set(common)) for side, a in attempted.items()}
+    if not common or any(alone.values()):
+        print(f"{'completed_frac':<20} not compared at attempted counts only one side "
+              f"reached: base {alone['base']}, change {alone['change']}")
 same = [f"{m['name']}={runs['base'][0][m['name']]!r}" for m in metrics
         if len({r[m['name']] for side in runs.values() for r in side}) == 1]
 if same:

@@ -11,10 +11,15 @@
 //! * the round still completes (a server crash is a recoverable event,
 //!   not a round-fatal one);
 //! * recovery happened and was counted;
-//! * whenever no vehicle died, the final fused segment map and the
-//!   inferred reliabilities are byte-identical to the fault-free run —
-//!   no acked contribution lost, no un-acked contribution
-//!   double-counted.
+//! * whenever the crash cost no vehicle its round, the final fused
+//!   segment map and the inferred reliabilities are byte-identical to
+//!   the crash-free run — no acked contribution lost, no un-acked
+//!   contribution double-counted.
+//!
+//! Both run against two baselines: a fault-free round, and a faulted
+//! one (a stalled vehicle, ~10% of frames dropped) whose log holds the
+//! `Deadline` events a clean round never needs, so crashes also land
+//! mid-expiry.
 //!
 //! The sweep size defaults to 32 schedules and can be reduced for
 //! quick CI runs via `CROWDWIFI_CHAOS_SCHEDULES`.
@@ -23,10 +28,10 @@ use crowdwifi::channel::{PathLossModel, RssReading};
 use crowdwifi::core::pipeline::{OnlineCs, OnlineCsConfig};
 use crowdwifi::geo::{Point, Rect};
 use crowdwifi::middleware::durability::{read_wal, LogSink, MemorySink, SnapshotStore};
-use crowdwifi::middleware::fault::{FaultPlan, ServerFault};
+use crowdwifi::middleware::fault::{FaultPlan, FaultPoint, ServerFault};
 use crowdwifi::middleware::messages::VehicleId;
 use crowdwifi::middleware::platform::{FaultTolerance, PlatformConfig, PlatformReport};
-use crowdwifi::middleware::protocol::ServerCore;
+use crowdwifi::middleware::protocol::{Event, ServerCore};
 use crowdwifi::middleware::segment::SegmentMap;
 use crowdwifi::middleware::transport::{
     run_campaign_with_faults_into, run_durable_campaign_into, NoSink, SimTransport, Transport,
@@ -90,15 +95,36 @@ fn counter(report: &PlatformReport, name: &str) -> u64 {
     report.metrics.counters.get(name).copied().unwrap_or(0)
 }
 
-/// One fault-free durable round; also returns the WAL image left
-/// behind (header + every event of the round, uncompacted).
-fn durable_baseline() -> (PlatformReport, Vec<u8>) {
+/// The rounds crash schedules are replayed against, by name, fleet
+/// size and link plan: a fault-free round, which never expires a
+/// deadline, and a faulted one — one vehicle stalls before answering
+/// and ~10% of frames are dropped — which expires several: the stalled
+/// vehicle three times, and seed 7's drops cost two more expiries.
+fn baselines() -> [(&'static str, u32, FaultPlan); 2] {
+    [
+        ("fault-free", 3, FaultPlan::none()),
+        (
+            "faulted",
+            4,
+            FaultPlan::noisy(7, 0.1, 0.0, 0.0).stall(VehicleId(3), FaultPoint::Answer),
+        ),
+    ]
+}
+
+/// One crash-free durable round under `plan`; also returns the WAL
+/// image left behind (header + every event of the round, uncompacted).
+fn durable_baseline(n: u32, plan: &FaultPlan) -> (PlatformReport, Vec<u8>) {
     let mut wal = MemorySink::new();
     let report = SimTransport
-        .run_round_durable(segments(), fleet(3), config(), &FaultPlan::none(), &mut wal)
-        .expect("fault-free durable round");
+        .run_round_durable(segments(), fleet(n), config(), plan, &mut wal)
+        .expect("crash-free durable round");
     let bytes = wal.contents().expect("in-memory contents");
     (report, bytes)
+}
+
+/// Whether `event` is a logged deadline expiry.
+fn is_deadline(event: &Event) -> bool {
+    matches!(event, Event::Deadline { .. })
 }
 
 fn sweep_size() -> u64 {
@@ -114,7 +140,7 @@ fn fault_free_durable_round_matches_plain_round_and_logs_everything() {
     let plain = SimTransport
         .run_round(segments(), fleet(3), config())
         .expect("plain round");
-    let (durable, wal) = durable_baseline();
+    let (durable, wal) = durable_baseline(3, &FaultPlan::none());
 
     // Durability is transparent to the protocol outcome.
     assert_eq!(
@@ -144,23 +170,21 @@ fn fault_free_durable_round_matches_plain_round_and_logs_everything() {
 
 /// Every WAL prefix replays to the exact state the live server had at
 /// that point: the byte-identity half of the crash-recovery contract,
-/// checked at every possible crash position of a real round.
+/// checked at every possible crash position of a real round. Every
+/// logged deadline event must also move the live state: the server
+/// logs no expiry that expires nobody.
 #[test]
 fn every_wal_prefix_recovers_to_the_live_server_state() {
-    let (_, wal) = durable_baseline();
-    let replay = read_wal(&wal).expect("intact WAL");
-    assert!(!replay.events.is_empty(), "round logged no events");
-
-    for k in 0..=replay.events.len() {
-        let prefix = &replay.events[..k];
-        let (recovered, _) = ServerCore::recover(
-            replay.header.segments.clone(),
-            &replay.header.fleet,
-            replay.header.config,
-            Registry::new(),
-            prefix,
-        )
-        .expect("prefix recovery");
+    for (name, n, plan) in baselines() {
+        let (_, wal) = durable_baseline(n, &plan);
+        let replay = read_wal(&wal).expect("intact WAL");
+        assert!(!replay.events.is_empty(), "{name}: round logged no events");
+        if name == "faulted" {
+            assert!(
+                replay.events.iter().any(is_deadline),
+                "{name}: round logged no deadline event"
+            );
+        }
 
         // The reference: a live server stepped through the same
         // events, never crashed, never recovered.
@@ -171,92 +195,129 @@ fn every_wal_prefix_recovers_to_the_live_server_state() {
             Registry::new(),
         )
         .expect("live server");
-        live.start(crowdwifi::middleware::protocol::VirtualInstant::ZERO);
-        for event in prefix {
-            live.handle(event.clone());
+        for k in 0..=replay.events.len() {
+            if let Some(event) = k.checked_sub(1).map(|i| &replay.events[i]) {
+                let before = live.state_digest();
+                live.handle(event.clone());
+                assert!(
+                    !is_deadline(event) || live.state_digest() != before,
+                    "{name}: deadline event {} changed nothing",
+                    k - 1
+                );
+            }
+            let (recovered, _) = ServerCore::recover(
+                replay.header.segments.clone(),
+                &replay.header.fleet,
+                replay.header.config,
+                Registry::new(),
+                &replay.events[..k],
+            )
+            .expect("prefix recovery");
+            assert_eq!(
+                recovered.state_digest(),
+                live.state_digest(),
+                "{name}: replay diverged from live state after {k} events"
+            );
         }
-        assert_eq!(
-            recovered.state_digest(),
-            live.state_digest(),
-            "replay diverged from live state after {k} events"
-        );
     }
 }
 
 /// The seeded crash sweep: schedules cycle through all four server
-/// fault flavors at varying event indices. Every schedule must
+/// fault flavors at varying event indices, every other group of four
+/// aimed at the baseline's deadline events. Every schedule must
 /// complete its round after in-flight recovery, and — whenever the
-/// crash cost no vehicle its round — converge to the exact fault-free
+/// crash cost no vehicle its round — converge to the exact crash-free
 /// fused map and reliabilities.
 #[test]
 fn seeded_crash_sweep_recovers_every_schedule() {
-    let plain = SimTransport
-        .run_round(segments(), fleet(3), config())
-        .expect("plain round");
-    let (_, wal) = durable_baseline();
-    let total_events = read_wal(&wal).expect("intact WAL").events.len() as u64;
-    assert!(total_events > 0);
-
     let schedules = sweep_size();
-    let mut exercised = [false; 4];
-    for s in 0..schedules {
-        let fault = match s % 4 {
-            0 => ServerFault::CrashBeforeAppend,
-            1 => ServerFault::CrashAfterAppend,
-            2 => ServerFault::CrashTruncateTail(3 + (s % 37) as usize),
-            _ => ServerFault::CrashCorruptTail,
-        };
-        exercised[(s % 4) as usize] = true;
-        let idx = (s * 7 + 1) % total_events;
-        let plan = FaultPlan::none().server_crash(idx, fault);
+    for (name, n, baseline) in baselines() {
+        let plain = SimTransport
+            .run_round_with_faults(segments(), fleet(n), config(), &baseline)
+            .expect("crash-free round");
+        let (_, wal) = durable_baseline(n, &baseline);
+        let events = read_wal(&wal).expect("intact WAL").events;
+        let total_events = events.len() as u64;
+        assert!(total_events > 0);
+        let deadlines: Vec<u64> = (0..total_events)
+            .filter(|&i| is_deadline(&events[i as usize]))
+            .collect();
 
-        let mut wal = MemorySink::new();
-        let report = SimTransport
-            .run_round_durable(segments(), fleet(3), config(), &plan, &mut wal)
-            .unwrap_or_else(|e| panic!("schedule {s} ({fault:?} at event {idx}) failed: {e}"));
+        let mut exercised = [false; 4];
+        let mut on_deadline = [false; 4];
+        for s in 0..schedules {
+            let flavor = (s % 4) as usize;
+            let fault = match flavor {
+                0 => ServerFault::CrashBeforeAppend,
+                1 => ServerFault::CrashAfterAppend,
+                2 => ServerFault::CrashTruncateTail(3 + (s % 37) as usize),
+                _ => ServerFault::CrashCorruptTail,
+            };
+            let idx = match deadlines.len() {
+                len if s % 8 >= 4 && len > 0 => deadlines[(s / 8) as usize % len],
+                _ => (s * 7 + 1) % total_events,
+            };
+            exercised[flavor] = true;
+            on_deadline[flavor] |= is_deadline(&events[idx as usize]);
+            let plan = baseline.clone().server_crash(idx, fault);
 
-        assert_eq!(
-            counter(&report, "platform.faults.server_crashes"),
-            1,
-            "schedule {s} did not fire its crash"
-        );
-        assert!(
-            counter(&report, "durability.recoveries") >= 1,
-            "schedule {s} never recovered"
-        );
-        if matches!(
-            fault,
-            ServerFault::CrashTruncateTail(_) | ServerFault::CrashCorruptTail
-        ) {
+            let mut wal = MemorySink::new();
+            let report = SimTransport
+                .run_round_durable(segments(), fleet(n), config(), &plan, &mut wal)
+                .unwrap_or_else(|e| {
+                    panic!("{name} schedule {s} ({fault:?} at event {idx}) failed: {e}")
+                });
+
             assert_eq!(
-                counter(&report, "platform.faults.torn_wal_tails"),
+                counter(&report, "platform.faults.server_crashes"),
                 1,
-                "schedule {s} lost its torn-tail count"
+                "{name} schedule {s} did not fire its crash"
             );
-        }
+            assert!(
+                counter(&report, "durability.recoveries") >= 1,
+                "{name} schedule {s} never recovered"
+            );
+            if matches!(
+                fault,
+                ServerFault::CrashTruncateTail(_) | ServerFault::CrashCorruptTail
+            ) {
+                assert_eq!(
+                    counter(&report, "platform.faults.torn_wal_tails"),
+                    1,
+                    "{name} schedule {s} lost its torn-tail count"
+                );
+            }
 
-        // The crash may cost retries (Degraded health) but, as long as
-        // every vehicle finished, the consolidated segment map and the
-        // inferred reliabilities must be byte-identical to the
-        // fault-free round: nothing acked was lost, nothing un-acked
-        // was double-counted.
-        if report.dead_vehicles().is_empty() {
-            assert_eq!(
-                format!("{:?}", report.fused),
-                format!("{:?}", plain.fused),
-                "schedule {s} ({fault:?} at event {idx}): fused map diverged"
-            );
-            assert_eq!(
-                format!("{:?}", report.outcome.reliabilities),
-                format!("{:?}", plain.outcome.reliabilities),
-                "schedule {s}: reliabilities diverged"
+            // The crash may cost retries (Degraded health) but, as long
+            // as it killed no vehicle, the consolidated segment map and
+            // the inferred reliabilities must be byte-identical to the
+            // crash-free round: nothing acked was lost, nothing un-acked
+            // was double-counted.
+            if report.dead_vehicles() == plain.dead_vehicles() {
+                assert_eq!(
+                    format!("{:?}", report.fused),
+                    format!("{:?}", plain.fused),
+                    "{name} schedule {s} ({fault:?} at event {idx}): fused map diverged"
+                );
+                assert_eq!(
+                    format!("{:?}", report.outcome.reliabilities),
+                    format!("{:?}", plain.outcome.reliabilities),
+                    "{name} schedule {s}: reliabilities diverged"
+                );
+            }
+        }
+        assert!(
+            exercised.iter().all(|&e| e),
+            "sweep too small to cover every ServerFault flavor"
+        );
+        if name == "faulted" {
+            assert!(
+                on_deadline.iter().all(|&d| d),
+                "{name}: some ServerFault flavor never crashed on a deadline event \
+                 ({on_deadline:?}; sweep of {schedules} over deadline events {deadlines:?})"
             );
         }
     }
-    assert!(
-        exercised.iter().all(|&e| e),
-        "sweep too small to cover every ServerFault flavor"
-    );
 }
 
 /// Campaign-level durability: round-close snapshots alternate slots, a

@@ -138,7 +138,7 @@ const NOTES: &str = "Each row is one full crowdsensing round on FleetTransport w
     run a deliberately cheap estimator (one 12-sample window, 10 m lattice, 60 m radio range, no \
     global refine, single-threaded solves) so the number measures the round engine — event \
     batching, timer machinery — not estimator maths. machine.worker_budget is the transport's \
-    worker-pool size after clamping to detected parallelism (CROWDWIFI_THREADS rules). Before \
+    worker-pool size: the machine's detected parallelism (par::resolve_threads). Before \
     timing, a 200-vehicle round is asserted byte-identical (state digest and fused map) between \
     FleetTransport and the reference SimTransport on the same seed and plan.";
 

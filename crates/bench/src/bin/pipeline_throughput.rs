@@ -241,10 +241,10 @@ fn main() {
     );
     let shared_secs = time(
         || {
-            let sensing = recovery.prepare_window(&wgrid, window);
+            let mut sensing = recovery.prepare_window(&wgrid, window);
             for g in &groups {
                 recovery
-                    .recover_group(&sensing, g)
+                    .recover_group(&mut sensing, g)
                     .expect("shared recovery");
             }
         },
@@ -252,14 +252,14 @@ fn main() {
     );
     // Warm replay: the same groupings recur across EM refinement passes
     // and k hypotheses inside a round; the memo serves those from cache.
-    let sensing = recovery.prepare_window(&wgrid, window);
+    let mut sensing = recovery.prepare_window(&wgrid, window);
     for g in &groups {
-        recovery.recover_group(&sensing, g).expect("memo fill");
+        recovery.recover_group(&mut sensing, g).expect("memo fill");
     }
     let warm_secs = time(
         || {
             for g in &groups {
-                recovery.recover_group(&sensing, g).expect("memo hit");
+                recovery.recover_group(&mut sensing, g).expect("memo hit");
             }
         },
         group_reps,

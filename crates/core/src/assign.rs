@@ -14,7 +14,6 @@
 //!   readings from one AP are spatially and temporally bunched.
 
 use crowdwifi_channel::{PathLossModel, RssReading};
-use crowdwifi_geo::Point;
 
 /// One hypothesis: `labels[i] ∈ 0..k` says reading `i` came from
 /// hypothetical AP `labels[i]`.
@@ -355,19 +354,10 @@ fn binomial(n: u64, k: u64) -> u64 {
     result.min(u64::MAX as u128) as u64
 }
 
-/// Convenience: positions of readings grouped under one assignment label
-/// (used by recovery and tests).
-pub fn group_positions(readings: &[RssReading], assignment: &Assignment, ap: usize) -> Vec<Point> {
-    assignment
-        .group(ap)
-        .into_iter()
-        .map(|i| readings[i].position)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crowdwifi_geo::Point;
 
     fn reading_at(x: f64, rss: f64, t: f64) -> RssReading {
         RssReading::new(Point::new(x, 0.0), rss, t)
@@ -498,15 +488,5 @@ mod tests {
         assert!(assigner.candidate_assignments(&readings, 0).is_empty());
         assert!(assigner.candidate_assignments(&readings, 4).is_empty());
         assert!(assigner.candidate_assignments(&[], 1).is_empty());
-    }
-
-    #[test]
-    fn group_positions_extracts_by_label() {
-        let readings: Vec<RssReading> = (0..4)
-            .map(|i| reading_at(i as f64, -60.0, i as f64))
-            .collect();
-        let a = Assignment::new(vec![0, 1, 0, 1], 2).unwrap();
-        let g0 = group_positions(&readings, &a, 0);
-        assert_eq!(g0, vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)]);
     }
 }

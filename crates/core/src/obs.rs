@@ -27,7 +27,7 @@
 //! | `pipeline.signature_evals` | counter | path-loss signatures evaluated on first read by group gathers |
 //! | `pipeline.consolidation_merges` | counter | estimates merged into an existing location |
 //! | `pipeline.consolidation_new` | counter | estimates that opened a new location |
-//! | `pipeline.round_seconds` | timer | wall-clock per processed round |
+//! | `pipeline.round_seconds` | timer | per processed round: wall time of the hypothesis search, summed over the round's blocks |
 //! | `pipeline.prepare_seconds` | timer | per round: building the window's sensing workspace (each reading's lattice-box walk for its reach bitset, and the signature slot layout; no path-loss evaluation) |
 //! | `pipeline.gather_seconds` | timer | per round: candidate scan plus signature gather of every group solved, first-read path-loss evaluations included |
 //! | `pipeline.factorize_seconds` | timer | per round: column normalization plus the Proposition-1 whitening of every group solved |
@@ -38,17 +38,19 @@
 //! | `pipeline.refine_seconds` | timer | per run: the global BIC selection (`refine::global_bic_selection`) |
 //! | `pipeline.polish_seconds` | timer | per run: whole-drive position polish (`refine::polish_positions`) |
 //!
-//! The gather-to-score timers sum the time of every thread that worked
-//! on the round, so with a parallel hypothesis fan-out they are CPU
-//! time and can exceed `round_seconds`. With one thread the stage
-//! timers together cover the run's wall time but for grid formation,
-//! hypothesis generation, consolidation and bookkeeping.
+//! A round is scored in blocks of consecutive AP counts (one block
+//! unless `max_ap_per_window` exceeds four), and each block's
+//! hypotheses run in order on the one thread that owns its workspace.
+//! The per-round timers sum those threads' wall times over the blocks,
+//! so the gather-to-score timers never exceed `round_seconds`. With one
+//! thread the stage timers together cover the run's wall time but for
+//! grid formation, hypothesis generation, consolidation and
+//! bookkeeping.
 //!
-//! Memo hits/solves and signature evaluations are exact totals but
-//! scheduling-dependent with more than one worker thread (two workers
-//! can race to solve the same group or to fill the same signature; see
-//! [`crate::recovery::SensingStats`]); pin `threads: 1` when a
-//! byte-identical snapshot matters.
+//! Memo hits/solves and signature evaluations depend only on the
+//! windows and their blocks (see [`crate::recovery::SensingStats`]), so
+//! they are the same at every thread count; only the timers vary run to
+//! run.
 
 use crate::recovery::{SensingStats, StageTimes};
 use crate::select::RoundEstimate;
@@ -135,14 +137,16 @@ impl PipelineInstruments {
             .clone()
     }
 
-    /// Starts the per-round span timer.
-    pub(crate) fn round_span(&self) -> crowdwifi_obs::Span {
-        self.round_time.start_span()
-    }
-
     /// Records the outcome of one processed round: the winning estimate
-    /// (or its absence) plus the window workspace's memo/solver stats.
-    pub(crate) fn record_round(&self, winner: Option<&RoundEstimate>, stats: &SensingStats) {
+    /// (or its absence), the memo/solver stats of its workspaces and its
+    /// hypothesis-search wall time summed over its blocks.
+    pub(crate) fn record_round(
+        &self,
+        winner: Option<&RoundEstimate>,
+        stats: &SensingStats,
+        search: Duration,
+    ) {
+        self.round_time.observe_duration(search);
         self.windows.inc();
         match winner {
             Some(est) => {
@@ -163,7 +167,8 @@ impl PipelineInstruments {
     }
 
     /// Records one round's stage breakdown: the workspace preparation
-    /// time plus the window's accumulated stage times.
+    /// time plus the window's accumulated stage times, each summed over
+    /// the round's blocks.
     pub(crate) fn record_stages(&self, prepare: Duration, stages: &StageTimes) {
         self.prepare_time.observe_duration(prepare);
         self.gather_time.observe_duration(stages.gather);
@@ -225,10 +230,10 @@ mod tests {
             iterations_saved: 120,
             signature_evals: 77,
         };
-        inst.record_round(Some(&est), &stats);
-        inst.record_round(None, &SensingStats::default());
-        inst.record_consolidation(1, 3);
         let ms = Duration::from_millis;
+        inst.record_round(Some(&est), &stats, ms(10));
+        inst.record_round(None, &SensingStats::default(), ms(1));
+        inst.record_consolidation(1, 3);
         let stages = StageTimes {
             gather: ms(6),
             factorize: ms(4),
@@ -253,6 +258,9 @@ mod tests {
         assert_eq!(snap.counters["pipeline.consolidation_merges"], 1);
         assert_eq!(snap.counters["pipeline.consolidation_new"], 2);
         assert_eq!(snap.histograms["pipeline.round_winner_k"].count, 1);
+        let rounds = &snap.histograms["pipeline.round_seconds"];
+        assert_eq!(rounds.count, 2);
+        assert!((rounds.sum - 0.011).abs() < 1e-12, "round: {}", rounds.sum);
         for (stage, secs) in [
             ("prepare", 0.005),
             ("gather", 0.006),

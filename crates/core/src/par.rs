@@ -4,62 +4,44 @@
 //! the results **in input order**, so any sequential reduction over its
 //! output is byte-identical to running the map serially. Workers pull
 //! items from a shared atomic cursor (good load balance when item costs
-//! vary wildly, as hypothesis fan-outs do), and a panicking worker
+//! vary wildly, as windows do), and a panicking worker
 //! propagates its panic to the caller once every sibling has been
 //! joined — no work is silently lost.
 //!
-//! Thread counts resolve as: explicit request (e.g.
-//! [`crate::OnlineCsConfig::threads`]) > `CROWDWIFI_THREADS` env var
-//! (clamped to the detected parallelism) >
-//! [`std::thread::available_parallelism`]. A process-wide budget caps
-//! the *total* number of extra workers alive at once, so nested
-//! parallel regions (windows in [`crate::OnlineCs::run_detailed`] ×
-//! hypotheses in [`crate::select::estimate_round`]) degrade to inline
-//! execution instead of multiplying thread counts.
+//! Thread counts resolve with [`resolve_threads`]: a request clamped to
+//! [`std::thread::available_parallelism`], `0` meaning all of it. The
+//! estimator has one parallel region, the fan-out of
+//! [`crate::OnlineCs::run_detailed`] over (window, hypothesis block)
+//! pairs; a process-wide budget caps the
+//! *total* number of extra workers alive at once, so concurrent
+//! estimators (several vehicles under the fleet worker pool, say) or
+//! nested maps degrade to inline execution instead of multiplying
+//! thread counts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Environment variable overriding the auto-detected thread count.
-pub const THREADS_ENV: &str = "CROWDWIFI_THREADS";
-
-/// Resolves an effective thread count: `requested` when non-zero, else
-/// the `CROWDWIFI_THREADS` environment variable when set to a positive
-/// integer, else [`std::thread::available_parallelism`].
-///
-/// An *explicit* `requested` is honored verbatim — a caller that asks
-/// for 3 threads gets 3. The env var, by contrast, is a deployment
-/// default that often travels with the config to machines of unknown
-/// size, so it is clamped to the detected parallelism: oversubscribing
-/// a 1-core box with an 8-thread budget measurably regresses the
-/// pipeline (0.949x on the campus-drive bench) without buying any
-/// concurrency.
+/// Resolves an effective thread count: `requested` clamped to the
+/// machine's detected parallelism, with `0` meaning all of it.
+/// Oversubscribing a core with pure compute buys no concurrency, only
+/// scheduling noise.
 pub fn resolve_threads(requested: usize) -> usize {
-    if requested > 0 {
-        return requested;
+    // Read once: `available_parallelism` consults the cgroup limits on
+    // every call, which costs more than estimating a small window, and
+    // every `par_map` call resolves its thread count.
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    let detected =
+        *DETECTED.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    if requested == 0 {
+        detected
+    } else {
+        requested.min(detected)
     }
-    let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return clamp_env_threads(n, detected);
-            }
-        }
-    }
-    detected
-}
-
-/// Clamps an env-sourced thread request to the detected parallelism
-/// (never below 1).
-fn clamp_env_threads(requested: usize, detected: usize) -> usize {
-    requested.min(detected.max(1))
 }
 
 /// Process-wide budget of *extra* (non-caller) worker threads.
 ///
-/// Initialized on first use from [`resolve_threads`]`(0) - 1` and never
-/// re-read, so one process observes one consistent budget regardless of
-/// later env changes.
+/// Initialized on first use from [`resolve_threads`]`(0) - 1`.
 fn extra_budget() -> &'static AtomicUsize {
     static BUDGET: OnceLock<AtomicUsize> = OnceLock::new();
     BUDGET.get_or_init(|| AtomicUsize::new(resolve_threads(0).saturating_sub(1)))
@@ -275,26 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_prefers_explicit_request() {
-        assert_eq!(resolve_threads(3), 3);
-        assert!(resolve_threads(0) >= 1);
-    }
-
-    #[test]
-    fn env_request_is_clamped_to_detected_parallelism() {
-        assert_eq!(clamp_env_threads(8, 1), 1);
-        assert_eq!(clamp_env_threads(8, 4), 4);
-        assert_eq!(clamp_env_threads(2, 16), 2);
-        // Degenerate detection never zeroes the budget.
-        assert_eq!(clamp_env_threads(5, 0), 1);
-    }
-
-    #[test]
-    fn resolved_auto_count_never_exceeds_detection_under_env() {
-        // `resolve_threads(0)` may read `CROWDWIFI_THREADS` from the
-        // ambient environment; whatever it says, the result must not
-        // oversubscribe the machine.
+    fn resolve_clamps_requests_to_detected_parallelism() {
         let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert!(resolve_threads(0) <= detected);
+        assert_eq!(resolve_threads(0), detected);
+        assert_eq!(resolve_threads(usize::MAX), detected);
+        assert_eq!(resolve_threads(1), 1);
     }
 }

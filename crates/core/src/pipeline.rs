@@ -10,14 +10,15 @@
 use crate::assign::ClusterAssigner;
 use crate::consolidate::{ApEstimate, Consolidator};
 use crate::obs::PipelineInstruments;
-use crate::recovery::{CsRecovery, SensingStats};
-use crate::select::{estimate_round, RoundEstimate};
+use crate::recovery::{CsRecovery, SensingStats, StageTimes};
+use crate::select::{estimate_round, RoundEstimate, Scored};
 use crate::window::{windows_over, SlidingWindow, WindowConfig};
 use crate::{CoreError, Result};
 use crowdwifi_channel::{GmmModel, PathLossModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration of the online CS pipeline.
 ///
@@ -48,11 +49,12 @@ pub struct OnlineCsConfig {
     /// candidates at the end of a batch run (see [`crate::refine`]).
     /// When disabled, only the credit filter of §4.3.6 applies.
     pub global_refine: bool,
-    /// Worker threads for round and hypothesis fan-out (`0` = auto:
-    /// `CROWDWIFI_THREADS` env var, else the machine's parallelism; see
-    /// [`crate::par::resolve_threads`]). Results are merged in
-    /// deterministic order, so any thread count produces byte-identical
-    /// estimates.
+    /// Worker threads for the fan-out of a batch run over its windows'
+    /// hypothesis blocks (`0` = all of the machine's parallelism; see
+    /// [`crate::par::resolve_threads`]). Each block's hypotheses run in
+    /// order on one thread, and blocks and windows are merged in input
+    /// order, so any thread count produces byte-identical estimates and
+    /// sensing stats.
     pub threads: usize,
 }
 
@@ -174,7 +176,9 @@ impl OnlineCs {
         Ok(self.process_round_stats(round)?.0)
     }
 
-    /// [`OnlineCs::process_round`] plus the window's [`SensingStats`].
+    /// [`OnlineCs::process_round`] plus the window's [`SensingStats`]:
+    /// the window's hypothesis blocks, scored in order on the calling
+    /// thread.
     fn process_round_stats(
         &self,
         round: &[RssReading],
@@ -182,30 +186,71 @@ impl OnlineCs {
         if round.is_empty() {
             return Ok((None, SensingStats::default()));
         }
+        let blocks = self
+            .k_blocks()
+            .into_iter()
+            .map(|ks| self.score_block(round, ks))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(self.finish_window(blocks))
+    }
+
+    /// A window's hypothesis blocks: the AP counts
+    /// `1..=max_ap_per_window` in runs of [`K_BLOCK`], highest counts
+    /// first. A hypothesis costs more the more APs it has, so a batch
+    /// run starts a window's costliest blocks first and the cheap ones
+    /// fill in behind them.
+    fn k_blocks(&self) -> Vec<RangeInclusive<usize>> {
+        let max_k = self.config.max_ap_per_window;
+        (1..max_k + 1)
+            .step_by(K_BLOCK)
+            .rev()
+            .map(|lo| lo..=(lo + K_BLOCK - 1).min(max_k))
+            .collect()
+    }
+
+    /// Scores one hypothesis block of a non-empty window on a workspace
+    /// of its own: grid formation, workspace preparation, hypothesis
+    /// search.
+    fn score_block(&self, round: &[RssReading], ks: RangeInclusive<usize>) -> Result<Block> {
         let positions: Vec<Point> = round.iter().map(|r| r.position).collect();
         let grid =
             Grid::from_reference_points(&positions, self.config.radio_range, self.config.lattice)?;
         let prepare_start = Instant::now();
-        let sensing = self.recovery.prepare_window(&grid, round);
-        let prepare = prepare_start.elapsed();
-        let span = self.instruments.round_span();
-        let est = estimate_round(
+        let mut sensing = self.recovery.prepare_window(&grid, round);
+        let search_start = Instant::now();
+        let scored = estimate_round(
             round,
             &grid,
             &self.gmm,
             &self.assigner,
             &self.recovery,
-            &sensing,
-            self.config.max_ap_per_window,
+            &mut sensing,
+            ks,
             self.config.rel_threshold,
-            self.config.threads,
         )?;
-        span.finish();
-        let stats = sensing.stats();
-        self.instruments.record_round(est.as_ref(), &stats);
+        Ok(Block {
+            scored,
+            stats: sensing.stats(),
+            stages: sensing.stage_times(),
+            prepare: search_start - prepare_start,
+            search: search_start.elapsed(),
+        })
+    }
+
+    /// Folds a window's blocks (in [`OnlineCs::k_blocks`] order) from the
+    /// lowest AP counts up, records the window's metrics and returns its
+    /// winner and stats.
+    fn finish_window(&self, blocks: Vec<Block>) -> (Option<RoundEstimate>, SensingStats) {
+        let window = blocks
+            .into_iter()
+            .rev()
+            .fold(Block::default(), |window, block| window.then(block));
+        let est = window.scored.winner();
         self.instruments
-            .record_stages(prepare, &sensing.stage_times());
-        Ok((est, stats))
+            .record_round(est.as_ref(), &window.stats, window.search);
+        self.instruments
+            .record_stages(window.prepare, &window.stages);
+        (est, window.stats)
     }
 
     /// Batch entry point: runs the full pipeline over a recorded drive
@@ -225,19 +270,28 @@ impl OnlineCs {
     /// Propagates round-processing failures.
     pub fn run_detailed(&self, readings: &[RssReading]) -> Result<PipelineReport> {
         let mut consolidator = Consolidator::new(self.config.merge_radius);
-        // Rounds are independent until consolidation: process them in
-        // parallel, then merge strictly in window order so the
-        // consolidator sees the exact sequence a serial run produces
-        // (credit accumulation is order-sensitive). Nested parallelism
-        // is safe: the per-round hypothesis fan-out draws from the same
-        // global thread budget and runs inline once it is exhausted.
+        // Windows are independent until consolidation, and so are the
+        // hypothesis blocks of one window: score every (window, block)
+        // pair in parallel, then fold each window's blocks and merge the
+        // windows strictly in order, so the consolidator sees the exact
+        // sequence a serial run produces (credit accumulation is
+        // order-sensitive). This is the estimator's only parallel
+        // region: each block's hypotheses run in order on the worker
+        // that owns its workspace.
         let windows: Vec<Vec<RssReading>> = windows_over(readings, self.config.window)?;
-        let processed = crate::par::try_par_map(&windows, self.config.threads, |_, round| {
-            self.process_round_stats(round)
-        })?;
+        let k_blocks = self.k_blocks();
+        let units: Vec<(&[RssReading], &RangeInclusive<usize>)> = windows
+            .iter()
+            .flat_map(|round| k_blocks.iter().map(move |ks| (round.as_slice(), ks)))
+            .collect();
+        let mut blocks = crate::par::try_par_map(&units, self.config.threads, |_, (round, ks)| {
+            self.score_block(round, (*ks).clone())
+        })?
+        .into_iter();
         let mut rounds = Vec::new();
         let mut sensing = SensingStats::default();
-        for (est, stats) in processed {
+        for _ in &windows {
+            let (est, stats) = self.finish_window(blocks.by_ref().take(k_blocks.len()).collect());
             sensing.merge(&stats);
             if let Some(est) = est {
                 self.consolidate_estimate(&mut consolidator, &est);
@@ -364,6 +418,41 @@ pub fn ensemble_run(
     Ok(batch.refine(readings, &candidates, 4))
 }
 
+/// AP counts per hypothesis block. A window is scored in blocks of
+/// consecutive AP counts, each on its own [`crate::recovery::WindowSensing`]
+/// workspace, and a batch run spreads the blocks over its threads, so a
+/// single wide window (the batch round of [`ensemble_run`]) still uses
+/// every core. Blocks share no memo, and consecutive counts share the
+/// most groups, so a narrower block buys balance with repeated
+/// recoveries. A window with at most this many AP counts (the default
+/// configuration's) is one block, and the split depends on the
+/// configuration only, never on the thread count.
+const K_BLOCK: usize = 4;
+
+/// One hypothesis block's outcome, or a window's total over its blocks.
+#[derive(Debug, Default)]
+struct Block {
+    scored: Scored,
+    stats: SensingStats,
+    stages: StageTimes,
+    /// Workspace preparation time.
+    prepare: Duration,
+    /// Hypothesis-search wall time.
+    search: Duration,
+}
+
+impl Block {
+    /// Folds the window's next block into `self`.
+    fn then(mut self, next: Block) -> Block {
+        self.scored = self.scored.then(next.scored);
+        self.stats.merge(&next.stats);
+        self.stages.merge(&next.stages);
+        self.prepare += next.prepare;
+        self.search += next.search;
+        self
+    }
+}
+
 /// Output of [`OnlineCs::run_detailed`].
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
@@ -482,9 +571,10 @@ mod tests {
         }
     }
 
-    /// The tentpole determinism contract: any `threads` setting yields
-    /// byte-identical output, because rounds and hypotheses are merged
-    /// in input order regardless of completion order. On a single-core
+    /// The determinism contract: any `threads` setting yields
+    /// byte-identical output and sensing stats, because windows are
+    /// merged in input order regardless of completion order and each
+    /// window's hypotheses run in order on one thread. On a single-core
     /// machine the parallel run degrades to inline execution, which
     /// must (and does) take the same code path through the reduction.
     #[test]
@@ -529,6 +619,7 @@ mod tests {
         assert_eq!(a.final_aps, b.final_aps);
         assert_eq!(a.all_estimates, b.all_estimates);
         assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.sensing, b.sensing);
 
         // Pinned FISTA fans windows out exactly like the default solver.
         let fista = |pipeline: OnlineCs| {
@@ -545,6 +636,38 @@ mod tests {
         assert_eq!(a.final_aps, b.final_aps);
         assert_eq!(a.all_estimates, b.all_estimates);
         assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.sensing, b.sensing);
+
+        // One whole-drive window scored in two hypothesis blocks (AP
+        // counts 5..=6 and 1..=4) spreads over the threads, and a
+        // streaming session scores the same blocks in order.
+        let wide = |threads| {
+            let config = OnlineCsConfig {
+                window: WindowConfig {
+                    size: readings.len(),
+                    step: readings.len(),
+                    ttl: f64::INFINITY,
+                },
+                max_ap_per_window: K_BLOCK + 2,
+                threads,
+                ..small_config()
+            };
+            OnlineCs::new(config, model()).unwrap()
+        };
+        let (serial, parallel) = (wide(1), wide(8));
+        assert_eq!(serial.k_blocks(), vec![5..=6, 1..=4]);
+        let a = serial.run_detailed(&readings).unwrap();
+        let b = parallel.run_detailed(&readings).unwrap();
+        assert_eq!(a.rounds.len(), 1);
+        assert_eq!(a.final_aps, b.final_aps);
+        assert_eq!(a.all_estimates, b.all_estimates);
+        assert_eq!(a.rounds, b.rounds);
+        assert_eq!(a.sensing, b.sensing);
+        let mut session = parallel.session().unwrap();
+        for r in &readings {
+            session.push(*r).unwrap();
+        }
+        assert_eq!(session.estimates(), a.all_estimates.as_slice());
     }
 
     #[test]

@@ -42,18 +42,15 @@ use crowdwifi_sparsesolve::{
     ActiveSet, AnySolver, Fista, Recovery, SolverWorkspace, SparseRecovery,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cumulative memo and solver statistics of one [`WindowSensing`]
 /// workspace, read with [`WindowSensing::stats`].
 ///
-/// Counts accumulate through relaxed atomics, so totals are exact under
-/// concurrent hypothesis evaluation — but *which* lookups hit the memo
-/// depends on thread scheduling (two threads can race to first-solve
-/// the same group), so `hits`/`solves` are only run-reproducible with
-/// one worker thread.
+/// A workspace has one owner, which evaluates its hypotheses in order,
+/// so every count is a pure function of the window and the engine: the
+/// same drive gives the same stats whatever the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SensingStats {
     /// Group-recovery requests served (memo hits + solves).
@@ -76,9 +73,7 @@ pub struct SensingStats {
     /// (the active set reports none).
     pub iterations_saved: u64,
     /// Path-loss signatures evaluated by group gathers (first reads of
-    /// a (grid point, reading) pair). Two workers can race to fill the
-    /// same pair, so like `hits` this is only run-reproducible with one
-    /// worker thread.
+    /// a (grid point, reading) pair).
     pub signature_evals: u64,
 }
 
@@ -99,8 +94,8 @@ impl SensingStats {
 
 /// Cumulative wall time one [`WindowSensing`] workspace spent in each
 /// stage of its hypothesis evaluation, read with
-/// [`WindowSensing::stage_times`]. Summed over every thread that
-/// worked on the window, so it is CPU time, not elapsed time.
+/// [`WindowSensing::stage_times`]. The workspace's one owner runs every
+/// stage, so this is that thread's wall time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimes {
     /// Candidate scan plus the signature gather of every group solved,
@@ -119,15 +114,17 @@ pub struct StageTimes {
     pub score: Duration,
 }
 
-/// The stages of [`StageTimes`], indexing `WindowSensing::stage_ns`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Stage {
-    Factorize,
-    Solve,
-    Debias,
-    Modes,
-    Gather,
-    Score,
+impl StageTimes {
+    /// Adds another workspace's stage times into `self` (used by the
+    /// pipeline to total a window scored in several blocks).
+    pub fn merge(&mut self, other: &StageTimes) {
+        self.gather += other.gather;
+        self.factorize += other.factorize;
+        self.solve += other.solve;
+        self.debias += other.debias;
+        self.modes += other.modes;
+        self.score += other.score;
+    }
 }
 
 /// A recovered grid indicator `θ` kept sparse: the candidate grid
@@ -169,10 +166,6 @@ fn shifted_model_rss(
     (pathloss.mean_rss(position.distance(grid_point)) - floor_dbm).max(0.0)
 }
 
-/// Slot value of a signature no gather has read yet. A shifted model
-/// RSS is `max(·, 0.0)` of a finite value, so it is never NaN.
-const UNSET: u64 = f64::NAN.to_bits();
-
 /// Memoized candidate-mode extractions, keyed by reading-index set and
 /// the relative-threshold bits.
 type ModesMemo = HashMap<(Vec<usize>, u64), Vec<crate::centroid::CentroidEstimate>>;
@@ -190,11 +183,11 @@ type ModesMemo = HashMap<(Vec<usize>, u64), Vec<crate::centroid::CentroidEstimat
 /// whole group recoveries by their reading-index set (the same grouping
 /// recurs across hypothesized k values and EM refinement passes).
 ///
-/// The memo is behind a [`Mutex`] and the slots are atomics, so
-/// concurrent hypothesis evaluation can share the workspace; a
-/// signature and a recovery are pure functions of their inputs, so
-/// racing fills write identical bits and the workspace stays
-/// deterministic regardless of which thread fills an entry first.
+/// The workspace has one owner, the thread that scores the window's
+/// hypotheses in order, so the slots, memos and counters are plain
+/// values filled through `&mut`. A signature and a recovery are pure
+/// functions of their inputs, so any recovery order gives the same
+/// supports.
 #[derive(Debug)]
 pub struct WindowSensing {
     /// The preparing engine's path-loss model, detection floor and
@@ -217,47 +210,28 @@ pub struct WindowSensing {
     /// per reading it reaches, in reading order (`n + 1` entries).
     offsets: Vec<usize>,
     /// Floor-shifted model RSS of every in-range (grid point, reading)
-    /// pair as `f64` bits, [`UNSET`] until a group gather first reads
-    /// it.
-    signatures: Vec<AtomicU64>,
+    /// pair, NaN until a group gather first reads it (a shifted model
+    /// RSS is `max(·, 0.0)` of a finite value, so it is never NaN).
+    signatures: Vec<f64>,
     /// Floor-shifted observed RSS per reading.
     shifted_rss: Vec<f64>,
     /// Completed group recoveries (the sparse debiased indicators handed
     /// to hypothesis scoring) keyed by reading-index set.
-    memo: Mutex<HashMap<Vec<usize>, Arc<GridSupport>>>,
+    memo: HashMap<Vec<usize>, Arc<GridSupport>>,
     /// Memoized candidate-mode extractions keyed by reading-index set
     /// and threshold bits (modes are fully determined by both, since
     /// the recovered indicator itself is memoized by index set).
-    modes_memo: Mutex<ModesMemo>,
-    /// Group-recovery requests served.
-    lookups: AtomicU64,
-    /// Requests answered from the memo.
-    hits: AtomicU64,
-    /// Requests that ran the solver.
-    solves: AtomicU64,
-    /// Total solver iterations across all solves.
-    solver_iterations: AtomicU64,
-    /// Solves left uncertified after any fallback.
-    unconverged: AtomicU64,
-    /// Active-set solves re-run on the FISTA fallback.
-    fallbacks: AtomicU64,
-    /// Iteration-budget headroom left by early stops.
-    iterations_saved: AtomicU64,
-    /// Signatures evaluated on first read.
-    signature_evals: AtomicU64,
-    /// Nanoseconds per [`StageTimes`] stage, indexed by [`Stage`].
-    stage_ns: [AtomicU64; 6],
+    modes_memo: ModesMemo,
+    /// Memo and solver counters.
+    stats: SensingStats,
+    /// Wall time per hypothesis-evaluation stage.
+    pub(crate) stage_times: StageTimes,
 }
 
 impl WindowSensing {
     /// Number of readings this workspace was prepared for.
     pub fn readings(&self) -> usize {
         self.positions.len()
-    }
-
-    /// Number of grid points this workspace was prepared for.
-    pub fn grid_len(&self) -> usize {
-        self.grid.len()
     }
 
     /// Number of in-range (grid point, reading) pairs: the signature
@@ -271,81 +245,33 @@ impl WindowSensing {
         &self.reach[j * self.reach_words..(j + 1) * self.reach_words]
     }
 
-    /// The signature slots of grid column `j`: one per reading it
-    /// reaches, in reading order.
-    fn slots_of(&self, j: usize) -> &[AtomicU64] {
-        &self.signatures[self.offsets[j]..self.offsets[j + 1]]
-    }
-
-    /// Number of distinct group recoveries cached so far.
-    pub fn cached_groups(&self) -> usize {
-        self.memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
     /// Returns the memoized candidate modes for a group, running
-    /// `compute` and caching its result on first request. The lock is
-    /// dropped while `compute` runs, so two hypotheses racing on the
-    /// same group may both compute — they produce identical results
-    /// (mode extraction is deterministic in the memoized indicator),
-    /// and last-write-wins is harmless.
+    /// `compute` and caching its result on first request.
     pub fn modes_or_compute(
-        &self,
+        &mut self,
         idx: &[usize],
         rel_threshold: f64,
         compute: impl FnOnce() -> Vec<crate::centroid::CentroidEstimate>,
     ) -> Vec<crate::centroid::CentroidEstimate> {
         let key = (idx.to_vec(), rel_threshold.to_bits());
-        if let Some(modes) = self
-            .modes_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
+        if let Some(modes) = self.modes_memo.get(&key) {
             return modes.clone();
         }
         let start = Instant::now();
         let modes = compute();
-        self.add_stage_time(Stage::Modes, start.elapsed());
-        self.modes_memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(key, modes.clone());
+        self.stage_times.modes += start.elapsed();
+        self.modes_memo.insert(key, modes.clone());
         modes
     }
 
     /// Cumulative memo and solver statistics (see [`SensingStats`]).
     pub fn stats(&self) -> SensingStats {
-        SensingStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            solves: self.solves.load(Ordering::Relaxed),
-            solver_iterations: self.solver_iterations.load(Ordering::Relaxed),
-            unconverged: self.unconverged.load(Ordering::Relaxed),
-            fallbacks: self.fallbacks.load(Ordering::Relaxed),
-            iterations_saved: self.iterations_saved.load(Ordering::Relaxed),
-            signature_evals: self.signature_evals.load(Ordering::Relaxed),
-        }
+        self.stats
     }
 
     /// Cumulative per-stage time (see [`StageTimes`]).
     pub fn stage_times(&self) -> StageTimes {
-        let ns = |s: Stage| Duration::from_nanos(self.stage_ns[s as usize].load(Ordering::Relaxed));
-        StageTimes {
-            gather: ns(Stage::Gather),
-            factorize: ns(Stage::Factorize),
-            solve: ns(Stage::Solve),
-            debias: ns(Stage::Debias),
-            modes: ns(Stage::Modes),
-            score: ns(Stage::Score),
-        }
-    }
-
-    pub(crate) fn add_stage_time(&self, stage: Stage, elapsed: Duration) {
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.stage_ns[stage as usize].fetch_add(ns, Ordering::Relaxed);
+        self.stage_times
     }
 }
 
@@ -396,11 +322,6 @@ impl CsRecovery {
     pub fn with_solver(mut self, solver: impl Into<AnySolver>) -> Self {
         self.solver = solver.into();
         self
-    }
-
-    /// The configured solver's name (for logs and ablation tables).
-    pub fn solver_name(&self) -> &'static str {
-        self.solver.name()
     }
 
     /// Disables the Proposition-1 orthogonalization (ablation switch for
@@ -510,7 +431,7 @@ impl CsRecovery {
         for j in 0..n {
             offsets[j + 1] += offsets[j];
         }
-        let signatures = (0..offsets[n]).map(|_| AtomicU64::new(UNSET)).collect();
+        let signatures = vec![f64::NAN; offsets[n]];
         let shifted_rss = readings
             .iter()
             .map(|r| (r.rss_dbm - self.floor_dbm).max(0.0))
@@ -526,17 +447,10 @@ impl CsRecovery {
             offsets,
             signatures,
             shifted_rss,
-            memo: Mutex::new(HashMap::new()),
-            modes_memo: Mutex::new(HashMap::new()),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            solves: AtomicU64::new(0),
-            solver_iterations: AtomicU64::new(0),
-            unconverged: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            iterations_saved: AtomicU64::new(0),
-            signature_evals: AtomicU64::new(0),
-            stage_ns: Default::default(),
+            memo: HashMap::new(),
+            modes_memo: HashMap::new(),
+            stats: SensingStats::default(),
+            stage_times: StageTimes::default(),
         }
     }
 
@@ -557,7 +471,7 @@ impl CsRecovery {
     /// index set, and solver/linalg failures otherwise.
     pub fn recover_group(
         &self,
-        sensing: &WindowSensing,
+        sensing: &mut WindowSensing,
         idx: &[usize],
     ) -> Result<Arc<GridSupport>> {
         let m_all = sensing.readings();
@@ -567,14 +481,9 @@ impl CsRecovery {
                 reason: format!("need non-empty indices within 0..{m_all}, got {idx:?}"),
             });
         }
-        sensing.lookups.fetch_add(1, Ordering::Relaxed);
-        if let Some(hit) = sensing
-            .memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(idx)
-        {
-            sensing.hits.fetch_add(1, Ordering::Relaxed);
+        sensing.stats.lookups += 1;
+        if let Some(hit) = sensing.memo.get(idx) {
+            sensing.stats.hits += 1;
             return Ok(hit.clone());
         }
 
@@ -599,9 +508,9 @@ impl CsRecovery {
                 }
             }
         }
-        let (theta, solve_stats) = if candidates.is_empty() {
-            sensing.add_stage_time(Stage::Gather, gather_start.elapsed());
-            (GridSupport::default(), None)
+        let theta = if candidates.is_empty() {
+            sensing.stage_times.gather += gather_start.elapsed();
+            GridSupport::default()
         } else {
             // A slot's position in its column is the reading's rank
             // among the readings the column reaches: the set bits of
@@ -611,86 +520,49 @@ impl CsRecovery {
                 .map(|&i| (i / 64, (1_u64 << (i % 64)) - 1))
                 .collect();
             let mut cols = Vec::with_capacity(candidates.len() * idx.len());
-            let mut evals = 0;
             for &j in &candidates {
-                let (col, slots) = (sensing.reach_of(j), sensing.slots_of(j));
+                let col = &sensing.reach[j * sensing.reach_words..(j + 1) * sensing.reach_words];
+                let slots = &mut sensing.signatures[sensing.offsets[j]..sensing.offsets[j + 1]];
                 let mut gp = None;
                 for (&i, &(word, below)) in idx.iter().zip(&lanes) {
                     let before: u32 = col[..word].iter().map(|c| c.count_ones()).sum();
-                    let slot = &slots[(before + (col[word] & below).count_ones()) as usize];
-                    let mut v = f64::from_bits(slot.load(Ordering::Relaxed));
-                    if v.is_nan() {
+                    let slot = &mut slots[(before + (col[word] & below).count_ones()) as usize];
+                    if slot.is_nan() {
                         let gp = *gp.get_or_insert_with(|| sensing.grid.point(j));
-                        v = shifted_model_rss(
+                        *slot = shifted_model_rss(
                             &sensing.pathloss,
                             sensing.floor_dbm,
                             sensing.positions[i],
                             gp,
                         );
-                        slot.store(v.to_bits(), Ordering::Relaxed);
-                        evals += 1;
+                        sensing.stats.signature_evals += 1;
                     }
-                    cols.push(v);
+                    cols.push(*slot);
                 }
             }
-            sensing.signature_evals.fetch_add(evals, Ordering::Relaxed);
             let cols = Matrix::from_vec(candidates.len(), idx.len(), cols)
                 .expect("one entry per (candidate, reading)");
             let y: Vec<f64> = idx.iter().map(|&i| sensing.shifted_rss[i]).collect();
-            sensing.add_stage_time(Stage::Gather, gather_start.elapsed());
+            sensing.stage_times.gather += gather_start.elapsed();
             let solve = self.solve_pruned(&cols, &y)?;
             let [factorize, solve_time, debias] = solve.stage_times;
-            sensing.add_stage_time(Stage::Factorize, factorize);
-            sensing.add_stage_time(Stage::Solve, solve_time);
-            sensing.add_stage_time(Stage::Debias, debias);
-            let stats = (
-                solve.iterations,
-                solve.converged,
-                solve.fallback,
-                solve.iterations_saved,
-            );
-            let theta = GridSupport {
+            sensing.stage_times.factorize += factorize;
+            sensing.stage_times.solve += solve_time;
+            sensing.stage_times.debias += debias;
+            let stats = &mut sensing.stats;
+            stats.solves += 1;
+            stats.solver_iterations += solve.iterations as u64;
+            stats.unconverged += u64::from(!solve.converged);
+            stats.fallbacks += u64::from(solve.fallback);
+            stats.iterations_saved += solve.iterations_saved as u64;
+            GridSupport {
                 indices: candidates,
                 weights: solve.weights,
-            };
-            (theta, Some(stats))
+            }
         };
-        // Two workers can race past the memo check and solve the same
-        // group; the solves are identical (recovery is a pure function
-        // of the index set), so
-        // only the insertion winner records its stats — that keeps the
-        // drive-level iteration totals schedule-independent. The loser
-        // counts as a hit: its caller is served from the memo.
-        let mut memo = sensing
-            .memo
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match memo.entry(idx.to_vec()) {
-            std::collections::hash_map::Entry::Occupied(hit) => {
-                sensing.hits.fetch_add(1, Ordering::Relaxed);
-                Ok(hit.get().clone())
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                if let Some((iterations, converged, fallback, saved)) = solve_stats {
-                    sensing.solves.fetch_add(1, Ordering::Relaxed);
-                    sensing
-                        .solver_iterations
-                        .fetch_add(iterations as u64, Ordering::Relaxed);
-                    if !converged {
-                        sensing.unconverged.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if fallback {
-                        sensing.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    sensing
-                        .iterations_saved
-                        .fetch_add(saved as u64, Ordering::Relaxed);
-                }
-                let theta = Arc::new(theta);
-                slot.insert(theta.clone());
-                Ok(theta)
-            }
-        }
+        let theta = Arc::new(theta);
+        sensing.memo.insert(idx.to_vec(), theta.clone());
+        Ok(theta)
     }
 
     /// The system the ℓ1 solver sees for the column-normalized `a`: the
@@ -1009,12 +881,12 @@ mod tests {
         readings: &[crowdwifi_channel::RssReading],
         groups: &[Vec<usize>],
     ) -> WindowSensing {
-        let sensing = engine.prepare_window(grid, readings);
+        let mut sensing = engine.prepare_window(grid, readings);
         for idx in groups {
             let positions: Vec<Point> = idx.iter().map(|&i| readings[i].position).collect();
             let rss: Vec<f64> = idx.iter().map(|&i| readings[i].rss_dbm).collect();
             let direct = engine.recover_single_ap(grid, &positions, &rss).unwrap();
-            let shared = engine.recover_group(&sensing, idx).unwrap();
+            let shared = engine.recover_group(&mut sensing, idx).unwrap();
             assert_eq!(direct, *shared, "subset {idx:?} diverged");
         }
         sensing
@@ -1032,13 +904,13 @@ mod tests {
             (0..4).collect(),
             (0..readings.len()).step_by(2).collect(),
         ];
-        let sensing = assert_workspace_matches_direct(&engine, &grid, &readings, &groups);
-        assert_eq!(sensing.cached_groups(), groups.len());
+        let mut sensing = assert_workspace_matches_direct(&engine, &grid, &readings, &groups);
+        assert_eq!(sensing.stats().solves, groups.len() as u64);
         // A repeated query is served from the memo (same Arc).
-        let again = engine.recover_group(&sensing, &groups[1]).unwrap();
-        let first = engine.recover_group(&sensing, &groups[1]).unwrap();
+        let again = engine.recover_group(&mut sensing, &groups[1]).unwrap();
+        let first = engine.recover_group(&mut sensing, &groups[1]).unwrap();
         assert!(Arc::ptr_eq(&again, &first));
-        assert_eq!(sensing.cached_groups(), groups.len());
+        assert_eq!(sensing.stats().solves, groups.len() as u64);
     }
 
     /// The range-restricted signatures on a window far wider than the
@@ -1061,7 +933,7 @@ mod tests {
             (60..70).collect(),
             vec![3],
         ];
-        let sensing = assert_workspace_matches_direct(&engine, &grid, &readings, &groups);
+        let mut sensing = assert_workspace_matches_direct(&engine, &grid, &readings, &groups);
         let in_range = sensing.reach.iter().map(|w| w.count_ones()).sum::<u32>() as usize;
         let pairs = readings.len() * grid.len();
         assert!(in_range * 4 < pairs, "{in_range} of {pairs} pairs in range");
@@ -1070,16 +942,16 @@ mod tests {
         let evals = sensing.stats().signature_evals as usize;
         assert!(evals > 0 && evals <= in_range, "{evals} evaluations");
         // A memo hit evaluates nothing.
-        engine.recover_group(&sensing, &groups[1]).unwrap();
+        engine.recover_group(&mut sensing, &groups[1]).unwrap();
         assert_eq!(sensing.stats().signature_evals as usize, evals);
 
         // Slots and candidate boxes follow the model the workspace was
         // prepared with, whichever engine recovers a group.
         let other = CsRecovery::new(PathLossModel::uci_campus(), 40.0, -80.0);
-        let fresh = engine.prepare_window(&grid, &readings);
+        let mut fresh = engine.prepare_window(&grid, &readings);
         for idx in &groups {
-            let shared = other.recover_group(&fresh, idx).unwrap();
-            assert_eq!(*sensing.memo.lock().unwrap().get(idx).unwrap(), shared);
+            let shared = other.recover_group(&mut fresh, idx).unwrap();
+            assert_eq!(sensing.memo[idx], shared);
         }
     }
 
@@ -1092,9 +964,9 @@ mod tests {
             0.0,
         )];
         let engine = engine();
-        let sensing = engine.prepare_window(&grid, &readings);
-        assert!(engine.recover_group(&sensing, &[]).is_err());
-        assert!(engine.recover_group(&sensing, &[5]).is_err());
+        let mut sensing = engine.prepare_window(&grid, &readings);
+        assert!(engine.recover_group(&mut sensing, &[]).is_err());
+        assert!(engine.recover_group(&mut sensing, &[5]).is_err());
     }
 
     /// Twelve readings 1 m apart along a straight road with centimetre
@@ -1235,8 +1107,8 @@ mod tests {
         let readings = readings_along(ap, &l_route());
         let idx: Vec<usize> = (0..readings.len()).collect();
         let default = engine();
-        let sensing = default.prepare_window(&grid, &readings);
-        default.recover_group(&sensing, &idx).unwrap();
+        let mut sensing = default.prepare_window(&grid, &readings);
+        default.recover_group(&mut sensing, &idx).unwrap();
         let stats = sensing.stats();
         assert_eq!(
             (stats.solves, stats.fallbacks, stats.unconverged),

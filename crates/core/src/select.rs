@@ -7,11 +7,12 @@
 //! maximizing hypothesis wins the round.
 
 use crate::assign::{Assigner, Assignment};
-use crate::recovery::{CsRecovery, Stage, WindowSensing};
+use crate::recovery::{CsRecovery, WindowSensing};
 use crate::Result;
 use crowdwifi_channel::bic::{bic, free_params_for_ap_count};
 use crowdwifi_channel::{GmmModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 /// The winning hypothesis of one sliding-window round.
@@ -35,28 +36,67 @@ pub struct RoundEstimate {
     pub hypotheses: usize,
     /// How many candidate constellations were scored across all
     /// hypotheses and EM passes before the BIC reduction picked this
-    /// winner. Deterministic for a given round regardless of the thread
-    /// count.
+    /// winner.
     pub candidates: usize,
 }
 
-/// Scores every hypothesis for one round and returns the BIC maximizer.
+/// What [`estimate_round`] found over its AP-count range: the BIC
+/// winner, when some hypothesis produced a usable constellation, and
+/// the work done to find it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Scored {
+    /// The BIC maximizer; its `hypotheses` and `candidates` fields are
+    /// filled in by [`Scored::winner`].
+    pub best: Option<RoundEstimate>,
+    /// (k, assignment) hypotheses materialized.
+    pub hypotheses: usize,
+    /// Candidate constellations scored.
+    pub candidates: usize,
+}
+
+impl Scored {
+    /// Folds the scoring of the window's next AP-count range into
+    /// `self`. The result is what one [`estimate_round`] over both
+    /// ranges gives: a BIC tie keeps the earlier winner.
+    pub fn then(mut self, next: Scored) -> Scored {
+        if let Some(b) = next.best {
+            if self.best.as_ref().is_none_or(|a| b.bic > a.bic) {
+                self.best = Some(b);
+            }
+        }
+        self.hypotheses += next.hypotheses;
+        self.candidates += next.candidates;
+        self
+    }
+
+    /// The winner, carrying the hypothesis and candidate counts.
+    pub fn winner(self) -> Option<RoundEstimate> {
+        self.best.map(|b| RoundEstimate {
+            hypotheses: self.hypotheses,
+            candidates: self.candidates,
+            ..b
+        })
+    }
+}
+
+/// Scores the hypotheses with AP counts in `ks` for one round.
 ///
-/// The (k, assignment) hypotheses are evaluated in parallel over up to
-/// `threads` OS threads (`0` = auto, see [`crate::par::resolve_threads`])
-/// — each hypothesis's EM refinement chain is independent — and reduced
-/// in the sequential hypothesis order, so the winner (position bytes,
-/// tie-breaks and all) is identical to a single-threaded run. All
-/// hypotheses share the caller-provided [`WindowSensing`] workspace
-/// (from [`CsRecovery::prepare_window`] over the same grid and
-/// readings): each in-range signature is evaluated at most once per
-/// window and per-group recoveries are memoized across hypotheses. The
-/// caller
+/// The (k, assignment) hypotheses are evaluated in order on the calling
+/// thread, and a BIC tie goes to the earliest candidate. All of them
+/// share the caller-provided [`WindowSensing`] workspace (from
+/// [`CsRecovery::prepare_window`] over the same grid and readings):
+/// each in-range signature is evaluated at most once per workspace and
+/// per-group recoveries are memoized across hypotheses. The caller
 /// keeps the workspace, so it can read the accumulated
-/// [`WindowSensing::stats`] afterwards.
+/// [`WindowSensing::stats`] afterwards; they depend only on the window
+/// and `ks`. Scoring disjoint ranges on separate workspaces and folding
+/// them in order with [`Scored::then`] picks the same winner as one
+/// call over their union; the pipeline does that to score a window
+/// with many AP counts on several threads
+/// ([`crate::OnlineCs::run_detailed`]).
 ///
-/// Returns `Ok(None)` when no hypothesis produced a usable constellation
-/// (e.g. every recovery came back empty).
+/// The result's `best` is `None` when no hypothesis produced a usable
+/// constellation (e.g. every recovery came back empty).
 ///
 /// # Errors
 ///
@@ -68,20 +108,20 @@ pub fn estimate_round(
     gmm: &GmmModel,
     assigner: &dyn Assigner,
     recovery: &CsRecovery,
-    sensing: &WindowSensing,
-    max_k: usize,
+    sensing: &mut WindowSensing,
+    ks: RangeInclusive<usize>,
     rel_threshold: f64,
-    threads: usize,
-) -> Result<Option<RoundEstimate>> {
+) -> Result<Scored> {
+    let mut scored = Scored::default();
     if readings.is_empty() {
-        return Ok(None);
+        return Ok(scored);
     }
     let m = readings.len();
     let data: Vec<(Point, f64)> = readings.iter().map(|r| (r.position, r.rss_dbm)).collect();
 
     // Materialize the hypothesis list up front (clustering is cheap
-    // next to recovery); each entry evaluates independently.
-    let hypotheses: Vec<(usize, Assignment)> = (1..=max_k.min(m))
+    // next to recovery).
+    let hypotheses: Vec<(usize, Assignment)> = (*ks.start()..=(*ks.end()).min(m))
         .flat_map(|k| {
             assigner
                 .candidate_assignments(readings, k)
@@ -90,8 +130,8 @@ pub fn estimate_round(
         })
         .collect();
 
-    let evaluated = crate::par::try_par_map(&hypotheses, threads, |_, (k, assignment)| {
-        evaluate_hypothesis(
+    for (k, assignment) in &hypotheses {
+        let candidates = evaluate_hypothesis(
             readings,
             &data,
             grid,
@@ -101,25 +141,16 @@ pub fn estimate_round(
             *k,
             assignment.labels(),
             rel_threshold,
-        )
-    })?;
-
-    // Order-identical reduction: candidates arrive in the same order the
-    // sequential nested loop would have produced them, so the surviving
-    // `best` is byte-identical to a single-threaded run.
-    let mut best: Option<RoundEstimate> = None;
-    let mut scored = 0usize;
-    for candidate in evaluated.into_iter().flatten() {
-        scored += 1;
-        if best.as_ref().is_none_or(|b| candidate.bic > b.bic) {
-            best = Some(candidate);
+        )?;
+        for candidate in candidates {
+            scored.candidates += 1;
+            if scored.best.as_ref().is_none_or(|b| candidate.bic > b.bic) {
+                scored.best = Some(candidate);
+            }
         }
     }
-    if let Some(b) = best.as_mut() {
-        b.hypotheses = hypotheses.len();
-        b.candidates = scored;
-    }
-    Ok(best)
+    scored.hypotheses = hypotheses.len();
+    Ok(scored)
 }
 
 /// Evaluates one (k, assignment) hypothesis: up to two EM-style
@@ -127,9 +158,8 @@ pub fn estimate_round(
 /// best predicts its RSS and re-recover — the initial clustering can mix
 /// readings across APs at group boundaries), returning every pass's
 /// candidate in order. The chain never looks at other hypotheses'
-/// results, which is what makes the hypothesis fan-out parallel-safe.
-/// Scoring and re-assignment time is added to the workspace's score
-/// stage.
+/// results; it shares only the window's memos with them. Scoring and
+/// re-assignment time is added to the workspace's score stage.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_hypothesis(
     readings: &[RssReading],
@@ -137,7 +167,7 @@ fn evaluate_hypothesis(
     grid: &Grid,
     gmm: &GmmModel,
     recovery: &CsRecovery,
-    sensing: &WindowSensing,
+    sensing: &mut WindowSensing,
     k: usize,
     initial_labels: &[usize],
     rel_threshold: f64,
@@ -159,7 +189,7 @@ fn evaluate_hypothesis(
         };
         let scoring = Instant::now();
         let best = best_mode_combination(&group_modes, data, gmm, grid, m);
-        sensing.add_stage_time(Stage::Score, scoring.elapsed());
+        sensing.stage_times.score += scoring.elapsed();
         let Some(mut candidate) = best else {
             break;
         };
@@ -170,7 +200,7 @@ fn evaluate_hypothesis(
 
         let reassigning = Instant::now();
         let new_labels = reassign_by_fit(readings, &constellation, gmm);
-        sensing.add_stage_time(Stage::Score, reassigning.elapsed());
+        sensing.stage_times.score += reassigning.elapsed();
         if new_labels == labels {
             break;
         }
@@ -261,7 +291,7 @@ fn recover_group_modes(
     k: usize,
     grid: &Grid,
     recovery: &CsRecovery,
-    sensing: &WindowSensing,
+    sensing: &mut WindowSensing,
     rel_threshold: f64,
 ) -> Result<Option<Vec<Vec<crate::centroid::CentroidEstimate>>>> {
     // Groups are recovered one at a time so a degenerate group aborts
@@ -398,11 +428,19 @@ mod tests {
         let ap = grid.point(grid.nearest_index(Point::new(50.0, 30.0)));
         let positions: Vec<Point> = (0..12).map(|i| staggered(i, 8.0)).collect();
         let readings = clean_readings(&[ap], &positions);
-        let sensing = recovery.prepare_window(&grid, &readings);
+        let mut sensing = recovery.prepare_window(&grid, &readings);
         let est = estimate_round(
-            &readings, &grid, &gmm, &assigner, &recovery, &sensing, 3, 0.3, 2,
+            &readings,
+            &grid,
+            &gmm,
+            &assigner,
+            &recovery,
+            &mut sensing,
+            1..=3,
+            0.3,
         )
         .unwrap()
+        .winner()
         .expect("a hypothesis must win");
         assert_eq!(est.k, 1, "BIC should pick one AP, got {est:?}");
         assert!(est.aps[0].distance(ap) < 15.0);
@@ -415,6 +453,10 @@ mod tests {
         assert!(stats.solves > 0);
     }
 
+    /// Also checks the block split: disjoint AP-count ranges scored on
+    /// their own workspaces and folded in order pick the winner of one
+    /// call over the union, with the same hypothesis and candidate
+    /// counts.
     #[test]
     fn selects_k2_for_two_separated_aps() {
         let (grid, gmm, assigner, recovery) = setup();
@@ -422,12 +464,21 @@ mod tests {
         let ap2 = grid.point(grid.nearest_index(Point::new(180.0, 30.0)));
         let positions: Vec<Point> = (0..20).map(|i| staggered(i, 10.0)).collect();
         let readings = clean_readings(&[ap1, ap2], &positions);
-        let sensing = recovery.prepare_window(&grid, &readings);
-        let est = estimate_round(
-            &readings, &grid, &gmm, &assigner, &recovery, &sensing, 4, 0.3, 2,
-        )
-        .unwrap()
-        .expect("a hypothesis must win");
+        let score = |ks: RangeInclusive<usize>| {
+            let mut sensing = recovery.prepare_window(&grid, &readings);
+            estimate_round(
+                &readings,
+                &grid,
+                &gmm,
+                &assigner,
+                &recovery,
+                &mut sensing,
+                ks,
+                0.3,
+            )
+            .unwrap()
+        };
+        let est = score(1..=4).winner().expect("a hypothesis must win");
         assert_eq!(est.k, 2, "BIC should pick two APs, got k={}", est.k);
         // Each true AP matched by some estimate within ~1.5 cells.
         for true_ap in [ap1, ap2] {
@@ -438,14 +489,27 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert!(d < 16.0, "true AP {true_ap} unmatched (nearest {d:.1} m)");
         }
+        for split in 1..4 {
+            let folded = score(1..=split).then(score(split + 1..=4)).winner();
+            assert_eq!(folded.as_ref(), Some(&est), "split after k = {split}");
+        }
     }
 
     #[test]
     fn empty_round_yields_none() {
         let (grid, gmm, assigner, recovery) = setup();
-        let sensing = recovery.prepare_window(&grid, &[]);
-        let est =
-            estimate_round(&[], &grid, &gmm, &assigner, &recovery, &sensing, 3, 0.3, 1).unwrap();
-        assert!(est.is_none());
+        let mut sensing = recovery.prepare_window(&grid, &[]);
+        let est = estimate_round(
+            &[],
+            &grid,
+            &gmm,
+            &assigner,
+            &recovery,
+            &mut sensing,
+            1..=3,
+            0.3,
+        )
+        .unwrap();
+        assert!(est.winner().is_none());
     }
 }

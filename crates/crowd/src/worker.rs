@@ -57,11 +57,6 @@ impl WorkerPool {
     pub fn reliabilities(&self) -> &[f64] {
         &self.reliabilities
     }
-
-    /// Average reliability of the pool.
-    pub fn mean_reliability(&self) -> f64 {
-        self.reliabilities.iter().sum::<f64>() / self.reliabilities.len() as f64
-    }
 }
 
 /// The discrete spammer–hammer prior: a vehicle is a *hammer*
@@ -124,11 +119,6 @@ impl SpammerHammerPrior {
         })
     }
 
-    /// Expected reliability `E[q]` under this prior.
-    pub fn expected_reliability(&self) -> f64 {
-        self.hammer_fraction * self.hammer_q + (1.0 - self.hammer_fraction) * self.spammer_q
-    }
-
     /// Draws one reliability.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if rng.random_range(0.0..1.0) < self.hammer_fraction {
@@ -180,11 +170,8 @@ mod tests {
         let hammers = pool.reliabilities().iter().filter(|&&q| q == 1.0).count();
         let frac = hammers as f64 / pool.len() as f64;
         assert!((frac - 0.5).abs() < 0.05, "hammer fraction {frac}");
-        assert!((pool.mean_reliability() - 0.75).abs() < 0.03);
-        assert!(
-            (prior.expected_reliability() - 0.75).abs() < 1e-12,
-            "analytic E[q]"
-        );
+        let mean = pool.reliabilities().iter().sum::<f64>() / pool.len() as f64;
+        assert!((mean - 0.75).abs() < 0.03, "mean reliability {mean}");
     }
 
     #[test]

@@ -245,11 +245,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns its row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -394,20 +389,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |m, &a| m.max(a.abs()))
     }
 
-    /// Returns a new matrix consisting of the selected rows, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn select_rows(&self, indices: &[usize]) -> Matrix {
-        let mut m = Matrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            assert!(src < self.rows, "row index out of bounds");
-            m.data[dst * self.cols..(dst + 1) * self.cols].copy_from_slice(self.row(src));
-        }
-        m
-    }
-
     /// Returns a new matrix consisting of the selected columns, in order.
     ///
     /// # Panics
@@ -509,11 +490,8 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_and_cols() {
+    fn select_cols_in_order() {
         let m = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f64);
-        let rsel = m.select_rows(&[2, 0]);
-        assert_eq!(rsel.row(0), &[6.0, 7.0, 8.0]);
-        assert_eq!(rsel.row(1), &[0.0, 1.0, 2.0]);
         let csel = m.select_cols(&[1]);
         assert_eq!(csel.col(0), vec![1.0, 4.0, 7.0]);
     }

@@ -74,11 +74,6 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
     crate::kernels::distance_sq(a, b).sqrt()
 }
 
-/// Number of entries with absolute value above `tol` (empirical sparsity).
-pub fn support_size(v: &[f64], tol: f64) -> usize {
-    v.iter().filter(|x| x.abs() > tol).count()
-}
-
 /// Indices of entries with absolute value above `tol`, ascending.
 pub fn support(v: &[f64], tol: f64) -> Vec<usize> {
     v.iter()
@@ -113,7 +108,6 @@ mod tests {
     #[test]
     fn support_detection() {
         let v = [0.0, 1e-12, 0.5, -2.0];
-        assert_eq!(support_size(&v, 1e-6), 2);
         assert_eq!(support(&v, 1e-6), vec![2, 3]);
     }
 

@@ -36,21 +36,21 @@ pub struct FleetTransport {
 }
 
 impl FleetTransport {
-    /// A transport with the auto-detected worker budget (the
-    /// `CROWDWIFI_THREADS` resolution rules, clamped to detected
-    /// parallelism).
+    /// A transport with one worker per core of the machine's detected
+    /// parallelism ([`crowdwifi_core::par::resolve_threads`]).
     pub fn new() -> Self {
         FleetTransport {
-            workers: clamp_workers(0),
+            workers: crowdwifi_core::par::resolve_threads(0),
         }
     }
 
-    /// Overrides the worker count. Like `CROWDWIFI_THREADS`, the
-    /// request is clamped to the machine's detected parallelism —
-    /// oversubscribing an event loop whose work units are pure compute
-    /// only adds scheduling noise. `0` restores auto-detection.
+    /// Overrides the worker count. Like the estimator's thread count,
+    /// the request is clamped to the machine's detected parallelism
+    /// ([`crowdwifi_core::par::resolve_threads`]) — oversubscribing an
+    /// event loop whose work units are pure compute only adds
+    /// scheduling noise. `0` restores auto-detection.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = clamp_workers(workers);
+        self.workers = crowdwifi_core::par::resolve_threads(workers);
         self
     }
 
@@ -110,19 +110,6 @@ impl Transport for FleetTransport {
         let batched = |vehicles| Batched::new(vehicles, self.workers);
         drive::round_durable(segments, fleet, config, plan, wal, batched)
     }
-}
-
-/// Resolves a requested worker count exactly the way the compute
-/// pipeline resolves `CROWDWIFI_THREADS`: `0` defers to
-/// [`crowdwifi_core::par::resolve_threads`] (env override included,
-/// already clamped), and an explicit request is clamped to the detected
-/// parallelism.
-fn clamp_workers(requested: usize) -> usize {
-    if requested == 0 {
-        return crowdwifi_core::par::resolve_threads(0);
-    }
-    let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
-    requested.min(detected.max(1))
 }
 
 /// The `Send` compute half of one vehicle session: the pure state
@@ -277,7 +264,7 @@ mod tests {
 
     #[test]
     fn every_chunking_matches_the_simulator_byte_for_byte() {
-        // Built directly, so the worker counts skip `clamp_workers`:
+        // Built directly, so the worker counts skip the clamp:
         // 3 and 5 workers split five vehicles into several chunks even
         // on a one- or two-core machine.
         let segments = SegmentMap::new(
@@ -311,10 +298,10 @@ mod tests {
     #[test]
     fn worker_clamp_mirrors_thread_budget() {
         let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(clamp_workers(usize::MAX), detected);
-        assert!(clamp_workers(0) >= 1);
-        assert_eq!(clamp_workers(1), 1);
+        assert_eq!(FleetTransport::new().worker_budget(), detected);
         let t = FleetTransport::new().with_workers(usize::MAX);
         assert_eq!(t.worker_budget(), detected);
+        assert_eq!(t.with_workers(1).worker_budget(), 1);
+        assert_eq!(t.with_workers(0).worker_budget(), detected);
     }
 }

@@ -1,11 +1,10 @@
-//! ISTA / FISTA proximal-gradient solvers for the LASSO program.
+//! FISTA proximal-gradient solver for the non-negative LASSO program.
 //!
-//! Solves `min_θ ½‖Aθ − y‖₂² + λ‖θ‖₁`, optionally with a `θ ≥ 0`
-//! constraint. FISTA adds Nesterov momentum for an `O(1/k²)` rate, which
-//! matters in the online pipeline where each sliding-window round solves
-//! many small programs.
+//! Solves `min_θ ½‖Aθ − y‖₂² + λ‖θ‖₁` subject to `θ ≥ 0`. Nesterov
+//! momentum gives an `O(1/k²)` rate, which matters in the online
+//! pipeline where each sliding-window round solves many small programs.
 
-use crate::prox::{soft_threshold_nonneg_vec, soft_threshold_vec};
+use crate::prox::soft_threshold_nonneg_vec;
 use crate::{
     spectral_norm_sq, validate_problem, Recovery, Result, SolverError, SolverWorkspace,
     SparseRecovery,
@@ -13,21 +12,10 @@ use crate::{
 use crowdwifi_linalg::vector;
 use crowdwifi_linalg::Matrix;
 
-/// Momentum variant used by [`Fista`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Acceleration {
-    /// Plain ISTA (no momentum).
-    None,
-    /// Nesterov momentum (classic FISTA).
-    #[default]
-    Nesterov,
-}
-
-/// Proximal-gradient LASSO solver.
+/// Accelerated proximal-gradient LASSO solver.
 ///
-/// The default configuration matches what the CrowdWiFi pipeline needs:
-/// accelerated, non-negative (AP indicators cannot be negative) and with a
-/// data-scaled regularization weight.
+/// Non-negative (AP indicators cannot be negative), with a data-scaled
+/// regularization weight.
 ///
 /// # Example
 ///
@@ -47,8 +35,6 @@ pub struct Fista {
     lambda_rel: f64,
     max_iterations: usize,
     tolerance: f64,
-    nonnegative: bool,
-    acceleration: Acceleration,
 }
 
 impl Default for Fista {
@@ -59,8 +45,6 @@ impl Default for Fista {
             lambda_rel: crate::active_set::LAMBDA_REL,
             max_iterations: 2000,
             tolerance: 1e-8,
-            nonnegative: true,
-            acceleration: Acceleration::Nesterov,
         }
     }
 }
@@ -110,18 +94,6 @@ impl Fista {
         }
         self.tolerance = tolerance;
         Ok(self)
-    }
-
-    /// Enables or disables the `θ ≥ 0` constraint (default: enabled).
-    pub fn with_nonnegative(mut self, nonnegative: bool) -> Self {
-        self.nonnegative = nonnegative;
-        self
-    }
-
-    /// Selects the momentum variant (default: Nesterov / FISTA).
-    pub fn with_acceleration(mut self, acceleration: Acceleration) -> Self {
-        self.acceleration = acceleration;
-        self
     }
 }
 
@@ -175,34 +147,22 @@ impl SparseRecovery for Fista {
             ws.x_alt.extend_from_slice(&ws.z);
             vector::axpy(-step, &ws.grad, &mut ws.x_alt);
             // Proximal step.
-            if self.nonnegative {
-                soft_threshold_nonneg_vec(&mut ws.x_alt, step * lambda);
-            } else {
-                soft_threshold_vec(&mut ws.x_alt, step * lambda);
-            }
+            soft_threshold_nonneg_vec(&mut ws.x_alt, step * lambda);
 
             // Relative change stopping rule.
             let delta = vector::distance(&ws.x_alt, &ws.x);
             let scale = vector::norm2(&ws.x_alt).max(1e-12);
 
-            match self.acceleration {
-                Acceleration::Nesterov => {
-                    let t_new = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-                    let beta = (t - 1.0) / t_new;
-                    ws.z.clear();
-                    ws.z.extend(
-                        ws.x_alt
-                            .iter()
-                            .zip(&ws.x)
-                            .map(|(&xn, &xo)| xn + beta * (xn - xo)),
-                    );
-                    t = t_new;
-                }
-                Acceleration::None => {
-                    ws.z.clear();
-                    ws.z.extend_from_slice(&ws.x_alt);
-                }
-            }
+            let t_new = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
+            let beta = (t - 1.0) / t_new;
+            ws.z.clear();
+            ws.z.extend(
+                ws.x_alt
+                    .iter()
+                    .zip(&ws.x)
+                    .map(|(&xn, &xo)| xn + beta * (xn - xo)),
+            );
+            t = t_new;
             // x = x_new without a clone; the stale old-x contents of
             // `x_alt` are fully overwritten next iteration.
             std::mem::swap(&mut ws.x, &mut ws.x_alt);
@@ -230,10 +190,7 @@ impl SparseRecovery for Fista {
     }
 
     fn name(&self) -> &'static str {
-        match self.acceleration {
-            Acceleration::Nesterov => "fista",
-            Acceleration::None => "ista",
-        }
+        "fista"
     }
 }
 
@@ -279,45 +236,6 @@ mod tests {
         let mut sorted = supp.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![5, 40, 61], "support {supp:?}");
-    }
-
-    #[test]
-    fn signed_recovery_needs_unconstrained_mode() {
-        let (m, n) = (24, 48);
-        let a = bernoulli_matrix(m, n, 13);
-        let mut theta = vec![0.0; n];
-        theta[3] = 2.0;
-        theta[30] = -1.5;
-        let y = a.matvec(&theta);
-
-        let rec = Fista::default()
-            .with_nonnegative(false)
-            .with_lambda_rel(0.005)
-            .unwrap()
-            .recover(&a, &y)
-            .unwrap();
-        let mut supp = rec.support(0.3);
-        supp.sort_unstable();
-        assert_eq!(supp, vec![3, 30]);
-        assert!(rec.solution[30] < 0.0);
-    }
-
-    #[test]
-    fn ista_and_fista_agree_on_solution() {
-        let a = bernoulli_matrix(16, 32, 3);
-        let mut theta = vec![0.0; 32];
-        theta[8] = 1.0;
-        let y = a.matvec(&theta);
-        let f = Fista::default().recover(&a, &y).unwrap();
-        let i = Fista::default()
-            .with_acceleration(Acceleration::None)
-            .with_max_iterations(20000)
-            .recover(&a, &y)
-            .unwrap();
-        let d = crowdwifi_linalg::vector::distance(&f.solution, &i.solution);
-        assert!(d < 1e-3, "ISTA/FISTA disagreement: {d}");
-        // FISTA should converge in fewer iterations.
-        assert!(f.iterations <= i.iterations);
     }
 
     #[test]

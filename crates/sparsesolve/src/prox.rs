@@ -1,54 +1,14 @@
-//! Proximal operators shared by the iterative solvers.
+//! The proximal operator of FISTA's non-negative LASSO.
 //!
 //! # Non-finite inputs
 //!
-//! The operators propagate non-finite *arguments* instead of silently
-//! clamping them: a `NaN` coefficient stays `NaN` and `±∞` shrinks to
-//! `±∞` (`+∞` for the non-negative variant; `−∞` projects to `0`,
-//! which is the correct projection onto the non-negative orthant).
-//! Silent clamping — the old behaviour of the comparison chain, where
-//! `NaN` fell through every branch to `0.0` — would hide a divergent
-//! solver iterate as a plausible sparse zero. The *threshold* `t`, by
+//! The operator propagates non-finite *arguments* instead of silently
+//! clamping them: a `NaN` coefficient stays `NaN`, `+∞` stays `+∞` and
+//! `−∞` projects to `0`, which is the correct projection onto the
+//! non-negative orthant. Silent clamping would hide a divergent solver
+//! iterate as a plausible sparse zero. The *threshold* `t`, by
 //! contrast, is solver-computed (`step · λ`); a non-finite or negative
 //! `t` is always a solver bug and is rejected with a `debug_assert`.
-
-/// Scalar soft-thresholding operator
-/// `S_t(x) = sign(x) · max(|x| − t, 0)`, the proximal map of `t‖·‖₁`.
-///
-/// `NaN` and `±∞` values of `x` propagate (see the module docs).
-///
-/// # Panics
-///
-/// Debug builds panic when the threshold `t` is negative or non-finite.
-///
-/// # Example
-///
-/// ```
-/// use crowdwifi_sparsesolve::prox::soft_threshold;
-///
-/// assert_eq!(soft_threshold(3.0, 1.0), 2.0);
-/// assert_eq!(soft_threshold(-3.0, 1.0), -2.0);
-/// assert_eq!(soft_threshold(0.5, 1.0), 0.0);
-/// assert!(soft_threshold(f64::NAN, 1.0).is_nan());
-/// ```
-#[inline]
-pub fn soft_threshold(x: f64, t: f64) -> f64 {
-    debug_assert!(
-        t >= 0.0 && t.is_finite(),
-        "soft_threshold: invalid threshold {t}"
-    );
-    if x > t {
-        x - t
-    } else if x < -t {
-        x + t
-    } else if x.is_nan() {
-        // Explicit propagation: NaN compares false against every
-        // threshold and would otherwise silently clamp to 0.
-        x
-    } else {
-        0.0
-    }
-}
 
 /// Non-negative soft threshold `max(x − t, 0)`; the proximal map of
 /// `t‖·‖₁ + ι_{x ≥ 0}`.
@@ -63,6 +23,17 @@ pub fn soft_threshold(x: f64, t: f64) -> f64 {
 /// # Panics
 ///
 /// Debug builds panic when the threshold `t` is negative or non-finite.
+///
+/// # Example
+///
+/// ```
+/// use crowdwifi_sparsesolve::prox::soft_threshold_nonneg;
+///
+/// assert_eq!(soft_threshold_nonneg(3.0, 1.0), 2.0);
+/// assert_eq!(soft_threshold_nonneg(-3.0, 1.0), 0.0);
+/// assert_eq!(soft_threshold_nonneg(0.5, 1.0), 0.0);
+/// assert!(soft_threshold_nonneg(f64::NAN, 1.0).is_nan());
+/// ```
 #[inline]
 pub fn soft_threshold_nonneg(x: f64, t: f64) -> f64 {
     debug_assert!(
@@ -75,13 +46,6 @@ pub fn soft_threshold_nonneg(x: f64, t: f64) -> f64 {
         return x;
     }
     (x - t).max(0.0)
-}
-
-/// Applies [`soft_threshold`] element-wise in place.
-pub fn soft_threshold_vec(v: &mut [f64], t: f64) {
-    for x in v.iter_mut() {
-        *x = soft_threshold(*x, t);
-    }
 }
 
 /// Applies [`soft_threshold_nonneg`] element-wise in place.
@@ -97,22 +61,14 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn zero_threshold_is_identity() {
-        assert_eq!(soft_threshold(1.5, 0.0), 1.5);
-        assert_eq!(soft_threshold(-1.5, 0.0), -1.5);
-    }
-
-    #[test]
     fn nonneg_clamps_negative_inputs() {
         assert_eq!(soft_threshold_nonneg(-5.0, 1.0), 0.0);
         assert_eq!(soft_threshold_nonneg(5.0, 1.0), 4.0);
+        assert_eq!(soft_threshold_nonneg(1.5, 0.0), 1.5);
     }
 
     #[test]
-    fn vector_variants_match_scalar() {
-        let mut v = [3.0, -0.5, -2.0];
-        soft_threshold_vec(&mut v, 1.0);
-        assert_eq!(v, [2.0, 0.0, -1.0]);
+    fn vector_variant_matches_scalar() {
         let mut w = [3.0, -0.5, -2.0];
         soft_threshold_nonneg_vec(&mut w, 1.0);
         assert_eq!(w, [2.0, 0.0, 0.0]);
@@ -120,24 +76,16 @@ mod tests {
 
     #[test]
     fn nan_inputs_propagate() {
-        assert!(soft_threshold(f64::NAN, 1.0).is_nan());
         assert!(soft_threshold_nonneg(f64::NAN, 1.0).is_nan());
-        let mut v = [1.0, f64::NAN, -3.0];
-        soft_threshold_vec(&mut v, 0.5);
-        assert_eq!(v[0], 0.5);
-        assert!(v[1].is_nan());
-        assert_eq!(v[2], -2.5);
         let mut w = [1.0, f64::NAN];
         soft_threshold_nonneg_vec(&mut w, 0.5);
+        assert_eq!(w[0], 0.5);
         assert!(w[1].is_nan());
     }
 
     #[test]
-    fn infinities_shrink_to_infinities() {
-        assert_eq!(soft_threshold(f64::INFINITY, 1.0), f64::INFINITY);
-        assert_eq!(soft_threshold(f64::NEG_INFINITY, 1.0), f64::NEG_INFINITY);
+    fn infinities_project_onto_the_orthant() {
         assert_eq!(soft_threshold_nonneg(f64::INFINITY, 1.0), f64::INFINITY);
-        // −∞ projects onto the non-negative orthant.
         assert_eq!(soft_threshold_nonneg(f64::NEG_INFINITY, 1.0), 0.0);
     }
 
@@ -145,7 +93,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "invalid threshold")]
     fn negative_threshold_is_rejected_in_debug() {
-        soft_threshold(1.0, -0.5);
+        soft_threshold_nonneg(1.0, -0.5);
     }
 
     #[test]
@@ -158,21 +106,14 @@ mod tests {
     proptest! {
         #[test]
         fn shrinks_toward_zero(x in -100.0..100.0f64, t in 0.0..10.0f64) {
-            let s = soft_threshold(x, t);
-            // Never overshoots zero and never grows magnitude.
-            prop_assert!(s.abs() <= x.abs());
-            prop_assert!(s * x >= 0.0);
-            // Exact shrink amount when outside the dead zone.
-            if x.abs() > t {
-                prop_assert!((s.abs() - (x.abs() - t)).abs() < 1e-12);
+            let s = soft_threshold_nonneg(x, t);
+            prop_assert!(s >= 0.0);
+            // Exact shrink amount above the threshold, zero below it.
+            if x > t {
+                prop_assert!((s - (x - t)).abs() < 1e-12);
             } else {
                 prop_assert_eq!(s, 0.0);
             }
-        }
-
-        #[test]
-        fn nonneg_is_nonneg(x in -100.0..100.0f64, t in 0.0..10.0f64) {
-            prop_assert!(soft_threshold_nonneg(x, t) >= 0.0);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 /// Reusable buffers for [`crate::SparseRecovery::recover_with`].
 ///
-/// The iterative solvers (FISTA/ISTA, IRLS)
+/// The iterative solvers (FISTA, IRLS)
 /// keep several solution-sized vectors alive across iterations;
 /// historically each iteration *cloned* them — FISTA alone allocated
 /// four fresh vectors per step, ~8000 heap allocations for a default
@@ -51,7 +51,7 @@ impl SolverWorkspace {
 mod tests {
     use super::*;
     use crate::active_set::ActiveSet;
-    use crate::fista::{Acceleration, Fista};
+    use crate::fista::Fista;
     use crate::irls::Irls;
     use crate::omp::Omp;
     use crate::{AnySolver, SparseRecovery};
@@ -90,7 +90,6 @@ mod tests {
         let solvers = [
             AnySolver::ActiveSet(ActiveSet::default()),
             AnySolver::Fista(Fista::default()),
-            AnySolver::Fista(Fista::default().with_acceleration(Acceleration::None)),
             AnySolver::Irls(Irls::default()),
             AnySolver::Omp(Omp::new(4)),
         ];

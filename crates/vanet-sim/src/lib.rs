@@ -9,7 +9,7 @@
 //! * [`ap`] — roadside access points,
 //! * [`scenario`] — the four evaluation maps (UCI campus §6.1, random
 //!   250×250 m §6.1, physical testbed §6.2, VanLan §6.3),
-//! * [`mobility`] — route builders (campus loop, lawnmower sweep,
+//! * [`mobility`] — route builders (campus loop,
 //!   straight passes, van rounds),
 //! * [`collector`] — the drive-by RSS collector (one reading at a time,
 //!   source chosen by signal strength, log-normal fading applied),

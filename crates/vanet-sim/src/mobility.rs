@@ -46,32 +46,6 @@ pub fn uci_loop_route_with(laps: usize, speed_mph: f64) -> Trajectory {
     Trajectory::with_constant_speed(&path, mph_to_mps(speed_mph)).expect("static route is valid")
 }
 
-/// A lawnmower (boustrophedon) sweep over `area` with the given row
-/// `spacing`, driven at `speed_mph`. Used for the 250 × 250 m random
-/// scenarios where the whole area must be covered.
-///
-/// # Panics
-///
-/// Panics if `spacing` or `speed_mph` is not positive.
-pub fn lawnmower_route(area: Rect, spacing: f64, speed_mph: f64) -> Trajectory {
-    assert!(spacing > 0.0, "spacing must be positive");
-    assert!(speed_mph > 0.0, "speed must be positive");
-    let inset = spacing.min(area.width() / 10.0).min(area.height() / 10.0);
-    let x0 = area.min().x + inset;
-    let x1 = area.max().x - inset;
-    let mut path = Vec::new();
-    let mut y = area.min().y + inset;
-    let mut leftward = false;
-    while y <= area.max().y - inset + 1e-9 {
-        let (xa, xb) = if leftward { (x1, x0) } else { (x0, x1) };
-        path.push(Point::new(xa, y));
-        path.push(Point::new(xb, y));
-        leftward = !leftward;
-        y += spacing;
-    }
-    Trajectory::with_constant_speed(&path, mph_to_mps(speed_mph)).expect("sweep route is valid")
-}
-
 /// Straight drive-by passes across the testbed area (§6.2): `passes`
 /// horizontal streets at evenly spaced heights, driven at `speed_mph`
 /// (the experiment used 20, 35 and 45 mph).
@@ -164,21 +138,6 @@ mod tests {
         for w in uci_loop_route().waypoints() {
             assert!(area.contains(w.position), "waypoint {w:?} off map");
         }
-    }
-
-    #[test]
-    fn lawnmower_covers_rows() {
-        let area = Rect::new(Point::new(0.0, 0.0), Point::new(250.0, 250.0)).unwrap();
-        let t = lawnmower_route(area, 40.0, 25.0);
-        // All waypoints inside the area.
-        for w in t.waypoints() {
-            assert!(area.contains(w.position));
-        }
-        // Sweep must span most of the vertical extent.
-        let ys: Vec<f64> = t.waypoints().iter().map(|w| w.position.y).collect();
-        let span = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
-            - ys.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(span > 150.0);
     }
 
     #[test]

@@ -33,6 +33,21 @@ if grep -RnE 'crossbeam|Instant::now|std::time::Instant|thread::sleep|SystemTime
     echo "tier1: FAILED — channel or wall-clock primitive in the middleware" >&2
     exit 1
 fi
+# The estimator has one parallel region: pipeline.rs's one fan-out over
+# (window, hypothesis block) pairs on the par.rs pool. Each block's
+# sensing workspace has one owner that scores its hypotheses in order,
+# so no lock, atomic or thread belongs anywhere else in the core, and
+# pipeline.rs holds no second par_map call.
+if grep -RnE 'Mutex|Atomic|std::thread' --exclude=par.rs crates/core/src/ ||
+    grep -RnE 'par_map' --exclude=par.rs --exclude=pipeline.rs crates/core/src/; then
+    echo "tier1: FAILED — shared-state or thread primitive outside the core's window fan-out" >&2
+    exit 1
+fi
+if [ "$(grep -c 'par_map' crates/core/src/pipeline.rs)" -gt 1 ]; then
+    grep -n 'par_map' crates/core/src/pipeline.rs
+    echo "tier1: FAILED — more than one parallel region in the estimator pipeline" >&2
+    exit 1
+fi
 
 # Small-budget end-to-end platform run on the simulator backend: a
 # clean round plus a degraded (crash + stall + lossy links) round.

@@ -586,11 +586,17 @@ impl ServerCore {
     /// each recipient gets the batch plus a fresh deadline.
     fn reassign(&mut self, now: VirtualInstant, v: VehicleId, actions: &mut Vec<Action>) {
         self.deadlines.remove(&v);
-        let batches = self
-            .labeling
-            .reassign_orphans(&self.server, &self.ledger, v);
+        let batches = self.labeling.reassign_orphans(v);
         let deadline = self.config.tolerance.deadline;
+        let patterns = self.server.patterns();
         for (w, tasks) in batches {
+            let tasks = tasks
+                .into_iter()
+                .map(|task_id| MappingTask {
+                    task_id,
+                    pattern: patterns[task_id].clone(),
+                })
+                .collect();
             actions.push(Action::Send {
                 to: w,
                 msg: ToVehicle::Assign(tasks),
@@ -632,11 +638,8 @@ impl ServerCore {
         };
         for &v in &alive {
             let tasks = assignments.remove(&v).unwrap_or_default();
-            if !tasks.is_empty() {
-                self.labeling
-                    .outstanding
-                    .insert(v, tasks.iter().map(|t| t.task_id).collect());
-            }
+            self.labeling
+                .enlist(v, tasks.iter().map(|t| t.task_id).collect());
             actions.push(Action::Send {
                 to: v,
                 msg: ToVehicle::Assign(tasks),
@@ -720,12 +723,9 @@ impl ServerCore {
             .add(reassigned_tasks as u64);
         reg.counter("platform.lost_label_slots")
             .add(lost_label_slots as u64);
+        let mut per_fate: BTreeMap<&str, u64> = BTreeMap::new();
         for (v, record) in &fates {
-            reg.counter(&format!(
-                "platform.fates.{}",
-                fates::fate_label(&record.fate)
-            ))
-            .inc();
+            *per_fate.entry(fates::fate_label(&record.fate)).or_insert(0) += 1;
             if record.fate != VehicleFate::Completed {
                 reg.event(
                     "vehicle.dead",
@@ -739,6 +739,9 @@ impl ServerCore {
                     ],
                 );
             }
+        }
+        for (label, count) in per_fate {
+            reg.counter(&format!("platform.fates.{label}")).add(count);
         }
         let total = self.server.vehicles().len();
         let alive = total - self.ledger.dead.len();

@@ -2,10 +2,9 @@
 //! bookkeeping shared by every transport backend.
 
 use super::fates::{FateRecord, RoundHealth, VehicleFate};
-use super::quorum::RoundLedger;
 use crate::messages::codec_err;
-use crate::messages::{MappingTask, VehicleId};
-use crate::server::{CrowdServer, RoundOutcome};
+use crate::messages::VehicleId;
+use crate::server::RoundOutcome;
 use crate::vehicle::VehicleExit;
 use crate::wire::{self, WireMessage, WireReader};
 use crate::{MiddlewareError, Result};
@@ -214,69 +213,57 @@ pub(crate) struct LabelingState {
     /// (vehicle, task) pairs already answered, so reassignment never
     /// hands a task back to a vehicle whose label is already counted.
     pub(crate) answered: BTreeSet<(VehicleId, usize)>,
+    /// Each alive vehicle's load: labels given plus labels still owed.
+    /// An answer moves a task from owed to given, so only assignment,
+    /// reassignment and death change a load.
+    load: BTreeMap<VehicleId, usize>,
+    /// The same alive vehicles ordered by `(load, id)`: reassignment's
+    /// candidate order.
+    by_load: BTreeSet<(usize, VehicleId)>,
     pub(crate) reassigned: usize,
     pub(crate) lost: usize,
 }
 
 impl LabelingState {
+    /// Opens labeling for alive vehicle `v`, which now owes `tasks`.
+    pub(crate) fn enlist(&mut self, v: VehicleId, tasks: BTreeSet<usize>) {
+        self.load.insert(v, tasks.len());
+        self.by_load.insert((tasks.len(), v));
+        if !tasks.is_empty() {
+            self.outstanding.insert(v, tasks);
+        }
+    }
+
     /// Moves the orphaned tasks of dead `v` to healthy candidates: for
-    /// each orphan, the least-loaded survivor that has neither answered
-    /// nor currently holds the task. Unplaceable orphans count as lost
-    /// label slots. Returns the per-survivor task batches the caller
-    /// must deliver (and arm fresh deadlines for).
-    pub(crate) fn reassign_orphans(
-        &mut self,
-        server: &CrowdServer,
-        ledger: &RoundLedger,
-        v: VehicleId,
-    ) -> BTreeMap<VehicleId, Vec<MappingTask>> {
-        let orphans: Vec<usize> = self
-            .outstanding
-            .remove(&v)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        let mut batches: BTreeMap<VehicleId, Vec<MappingTask>> = BTreeMap::new();
-        if orphans.is_empty() {
-            return batches;
+    /// each orphan, the least-loaded survivor (ties to the lower id)
+    /// that has neither answered nor currently holds the task. That is
+    /// the first eligible entry of the `(load, id)` index, and only the
+    /// task's few holders are ineligible, so a pick costs O(log fleet).
+    /// Unplaceable orphans count as lost label slots. Returns the task
+    /// ids each survivor must be sent (and armed a fresh deadline for).
+    pub(crate) fn reassign_orphans(&mut self, v: VehicleId) -> BTreeMap<VehicleId, Vec<usize>> {
+        if let Some(load) = self.load.remove(&v) {
+            self.by_load.remove(&(load, v));
         }
-        let alive = ledger.alive(server);
-        // Per-vehicle load = labels already given + labels still owed;
-        // picking the min keeps the degraded assignment as close to
-        // γ-balanced as the survivors allow. Done-counts come from one
-        // pass over `answered` rather than a scan per survivor, which
-        // matters when a fleet-scale round loses a vehicle late.
-        let mut done_counts: BTreeMap<VehicleId, usize> = BTreeMap::new();
-        for &(aw, _) in &self.answered {
-            *done_counts.entry(aw).or_insert(0) += 1;
-        }
-        let mut load: BTreeMap<VehicleId, usize> = alive
-            .iter()
-            .map(|&w| {
-                let done = done_counts.get(&w).copied().unwrap_or(0);
-                let owed = self.outstanding.get(&w).map_or(0, |s| s.len());
-                (w, done + owed)
-            })
-            .collect();
+        let orphans = self.outstanding.remove(&v).unwrap_or_default();
+        let mut batches: BTreeMap<VehicleId, Vec<usize>> = BTreeMap::new();
         for task_id in orphans {
-            let candidate = alive
-                .iter()
-                .copied()
-                .filter(|&w| {
-                    !self.answered.contains(&(w, task_id))
-                        && !self
-                            .outstanding
-                            .get(&w)
-                            .is_some_and(|s| s.contains(&task_id))
-                })
-                .min_by_key(|&w| (load[&w], w.0));
+            let eligible = |w: VehicleId| {
+                !self.answered.contains(&(w, task_id))
+                    && !self
+                        .outstanding
+                        .get(&w)
+                        .is_some_and(|s| s.contains(&task_id))
+            };
+            let candidate = self.by_load.iter().map(|&(_, w)| w).find(|&w| eligible(w));
             match candidate {
                 Some(w) => {
                     self.outstanding.entry(w).or_default().insert(task_id);
-                    *load.get_mut(&w).expect("alive vehicle") += 1;
-                    batches.entry(w).or_default().push(MappingTask {
-                        task_id,
-                        pattern: server.patterns()[task_id].clone(),
-                    });
+                    let load = self.load.get_mut(&w).expect("indexed vehicle");
+                    self.by_load.remove(&(*load, w));
+                    *load += 1;
+                    self.by_load.insert((*load, w));
+                    batches.entry(w).or_default().push(task_id);
                     self.reassigned += 1;
                 }
                 // Every survivor already labeled (or holds) this task:
@@ -302,5 +289,117 @@ pub(crate) fn smooth_reliabilities(
         let prev = long_run.get(vehicle).copied().unwrap_or(0.5);
         *q = smoothing * *q + (1.0 - smoothing) * prev;
         long_run.insert(*vehicle, *q);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The survivor scan the index replaced: per orphan, the eligible
+    /// survivor with the least `(load, id)`, loads recounted from the
+    /// ledger.
+    #[derive(Debug, Default)]
+    struct Scan {
+        outstanding: BTreeMap<VehicleId, BTreeSet<usize>>,
+        answered: BTreeSet<(VehicleId, usize)>,
+        alive: BTreeSet<VehicleId>,
+        reassigned: usize,
+        lost: usize,
+    }
+
+    impl Scan {
+        fn reassign_orphans(&mut self, v: VehicleId) -> BTreeMap<VehicleId, Vec<usize>> {
+            self.alive.remove(&v);
+            let orphans = self.outstanding.remove(&v).unwrap_or_default();
+            let mut load: BTreeMap<VehicleId, usize> = self
+                .alive
+                .iter()
+                .map(|&w| {
+                    let done = self.answered.iter().filter(|&&(a, _)| a == w).count();
+                    let owed = self.outstanding.get(&w).map_or(0, BTreeSet::len);
+                    (w, done + owed)
+                })
+                .collect();
+            let mut batches: BTreeMap<VehicleId, Vec<usize>> = BTreeMap::new();
+            for task_id in orphans {
+                let candidate = self
+                    .alive
+                    .iter()
+                    .copied()
+                    .filter(|&w| {
+                        !self.answered.contains(&(w, task_id))
+                            && !self
+                                .outstanding
+                                .get(&w)
+                                .is_some_and(|s| s.contains(&task_id))
+                    })
+                    .min_by_key(|&w| (load[&w], w.0));
+                match candidate {
+                    Some(w) => {
+                        self.outstanding.entry(w).or_default().insert(task_id);
+                        *load.get_mut(&w).unwrap() += 1;
+                        batches.entry(w).or_default().push(task_id);
+                        self.reassigned += 1;
+                    }
+                    None => self.lost += 1,
+                }
+            }
+            batches
+        }
+    }
+
+    /// `w` answers `task` if it owes it, on both ledgers alike.
+    fn answer(
+        outstanding: &mut BTreeMap<VehicleId, BTreeSet<usize>>,
+        answered: &mut BTreeSet<(VehicleId, usize)>,
+        w: VehicleId,
+        task: usize,
+    ) {
+        if let Some(owed) = outstanding.get_mut(&w) {
+            if owed.remove(&task) {
+                answered.insert((w, task));
+            }
+            if owed.is_empty() {
+                outstanding.remove(&w);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn indexed_reassignment_matches_the_survivor_scan(
+            owed in collection::vec(collection::vec(0usize..8, 0..5), 1..12),
+            ops in collection::vec((any::<bool>(), 0usize..12, 0usize..8), 0..40),
+        ) {
+            // Sparse, unordered ids, so id order and fleet order differ.
+            let id = |i: usize| VehicleId(((i * 7 + 3) % 23) as u32);
+            let mut index = LabelingState::default();
+            let mut scan = Scan::default();
+            for (i, tasks) in owed.iter().enumerate() {
+                let tasks: BTreeSet<usize> = tasks.iter().copied().collect();
+                index.enlist(id(i), tasks.clone());
+                scan.alive.insert(id(i));
+                if !tasks.is_empty() {
+                    scan.outstanding.insert(id(i), tasks);
+                }
+            }
+            for (dies, who, task) in ops {
+                let w = id(who % owed.len());
+                if !scan.alive.contains(&w) {
+                    continue;
+                }
+                if dies {
+                    prop_assert_eq!(index.reassign_orphans(w), scan.reassign_orphans(w));
+                } else {
+                    answer(&mut index.outstanding, &mut index.answered, w, task);
+                    answer(&mut scan.outstanding, &mut scan.answered, w, task);
+                }
+                prop_assert_eq!(&index.outstanding, &scan.outstanding);
+                prop_assert_eq!(&index.answered, &scan.answered);
+                prop_assert_eq!((index.reassigned, index.lost), (scan.reassigned, scan.lost));
+            }
+        }
     }
 }

@@ -1,16 +1,23 @@
-//! The one round driver both transports share.
+//! The one round driver both transports share, split in two stages.
 //!
-//! Everything about a round except how vehicle sessions step lives
-//! here: the links behind the [`crate::fault`] layer and their vehicle
-//! ends, session setup, the virtual-clock event loop around an
-//! [`EventHost`], and report sealing. A backend supplies only a
-//! [`Sessions`] implementation, so the sim-vs-fleet digest comparison
-//! isolates exactly that stepping.
+//! **Sensing** is pure: [`Cell::sense`] runs one vehicle's estimator over its
+//! drive and builds its upload (or fires its scheduled crash or stall,
+//! or catches its panic). It touches no link and no server, so it may
+//! run on any thread and ahead of the round that serves it: a campaign
+//! senses round r+1 as a background [`Job`] while round r is served.
+//!
+//! **Serving** is everything else and runs on the caller's thread: the
+//! links behind the [`crate::fault`] layer and their vehicle ends, the
+//! virtual-clock event loop around an [`EventHost`], the pumps, and
+//! report sealing. A backend supplies only its [`Stepping`], so the
+//! sim-vs-fleet digest comparison isolates exactly that.
 //!
 //! There is one queue each way: uplinks push `(sender, frame)` into
 //! the server's, downlinks `(recipient, frame)` into the fleet's, which
-//! the loop drains whole into [`Sessions::pump`]. Only
-//! [`round_with_digest`] renders the server's state digest.
+//! the loop drains whole into the [`Stepping`]'s pump. Sensed uploads reach
+//! the uplinks in vehicle-id order when the round opens, however the
+//! sensing was scheduled. Only [`round_with_digest`] renders the
+//! server's state digest.
 //!
 //! The loop keeps no timers: the server owns its deadlines. Time
 //! advances only when both queues are empty, directly to the host's
@@ -19,7 +26,7 @@
 //! order and per-link fault RNG streams are all fixed by the seeds, so
 //! one run is one deterministic replay.
 
-use super::EventHost;
+use super::{fleet, sim, EventHost};
 use crate::durability::{DurableRound, LogSink};
 use crate::fault::{FaultPlan, FaultTally, FaultySender, LinkDirection, MessageSink};
 use crate::messages::{ToServer, ToVehicle, VehicleId};
@@ -29,12 +36,56 @@ use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleExit, VehicleStep};
 use crate::wire::{WireDigest, WireMessage};
 use crate::{MiddlewareError, Result};
 use crowdwifi_channel::RssReading;
+use crowdwifi_core::par::Job;
 use crowdwifi_obs::Registry;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// How a backend steps its vehicles' downlink traffic — the one thing
+/// the two transports do differently.
+#[derive(Debug, Clone, Copy)]
+pub enum Stepping {
+    /// Each vehicle, in id order, steps each queued message and sends
+    /// its uplink before the next vehicle steps (the simulator).
+    Inline,
+    /// The queued messages are delivered first, then every vehicle
+    /// steps as one batch on this many threads (the fleet engine).
+    Batched(usize),
+}
+
+impl Stepping {
+    /// Threads a batch of this backend's vehicles may use, the caller's
+    /// included.
+    pub(super) fn workers(self) -> usize {
+        match self {
+            Stepping::Inline => 1,
+            Stepping::Batched(workers) => workers,
+        }
+    }
+
+    /// Steps the vehicles through `frames`, the drained downlink queue
+    /// in send order (an exited vehicle absorbs its silently). `cells`
+    /// follow the id-sorted `links`, and every uplink send happens on
+    /// the driver thread in that order, so a backend is free in how it
+    /// computes steps but not in the event sequence the server sees.
+    fn pump(self, links: &mut [Link], cells: &mut [Cell], frames: Vec<Frame>, map: &SegmentMap) {
+        match self {
+            Stepping::Inline => sim::pump(links, cells, frames, map),
+            Stepping::Batched(workers) => fleet::pump(links, cells, frames, map, workers),
+        }
+    }
+}
+
+/// What a transport backend tells the shared driver. It lives in this
+/// private module, so [`super::Transport`] is sealed: only the crate's
+/// backends implement it.
+pub trait Backend {
+    /// How the backend steps its vehicles.
+    fn stepping(&self) -> Stepping;
+}
 
 /// A [`MessageSink`] backed by a shared in-memory queue: the stand-in
 /// for a network link. Never disconnects.
@@ -59,9 +110,67 @@ type LinkSender = FaultySender<Frame, QueueSink<Frame>>;
 /// the payload of a caught panic.
 pub(super) type StepOutcome = std::thread::Result<Result<VehicleStep>>;
 
-/// Runs a vehicle's drive, catching a panic as a failed step.
-pub(super) fn step_start(core: &mut VehicleCore, readings: &[RssReading]) -> StepOutcome {
-    catch_unwind(AssertUnwindSafe(|| core.start(readings)))
+/// The compute half of one vehicle session, whose link end is a
+/// [`Link`]: the pure state machine, the drive it has yet to sense, its
+/// pending downlink frames and the outcomes it staged for the driver.
+/// Sensing and stepping touch nothing else, so cells may be computed on
+/// any thread.
+pub(super) struct Cell {
+    pub(super) core: VehicleCore,
+    readings: Vec<RssReading>,
+    pub(super) pending: Vec<Vec<u8>>,
+    pub(super) staged: Vec<StepOutcome>,
+}
+
+impl Cell {
+    /// Senses: runs the start step over the drive, with a panic caught
+    /// as a failed step, and stages it. Pure — the outcome depends on
+    /// nothing but the vehicle — so it may run ahead of the round that
+    /// serves it.
+    pub(super) fn sense(&mut self) {
+        let readings = std::mem::take(&mut self.readings);
+        let core = &mut self.core;
+        let start = catch_unwind(AssertUnwindSafe(|| core.start(&readings)));
+        self.staged.push(start);
+    }
+}
+
+/// Sets one round's fleet up for sensing: returns the vehicle ids in
+/// fleet order (the server registers them so) and the vehicles' cells
+/// in id order, each seeded by its fleet position and scripted by the
+/// plan. The cells are built as they are consumed, with no
+/// intermediate copy of the fleet.
+pub(super) fn cells(
+    mut fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
+    seed: u64,
+    plan: &FaultPlan,
+) -> (Vec<VehicleId>, impl Iterator<Item = Cell> + '_) {
+    let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
+    let mut seeds: Vec<(VehicleId, u64)> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, &id)| (id, vehicle_seed(seed, i)))
+        .collect();
+    // Both sorts are stable, so even a repeated id keeps its seed.
+    if !seeds.is_sorted_by_key(|&(id, _)| id) {
+        seeds.sort_by_key(|&(id, _)| id);
+        fleet.sort_by_key(|(v, _)| v.id());
+    }
+    let cells = fleet
+        .into_iter()
+        .zip(seeds)
+        .map(|((vehicle, readings), (id, seed))| Cell {
+            core: VehicleCore::new(vehicle, seed, plan.misbehavior(id)),
+            readings,
+            pending: Vec::new(),
+            staged: Vec::new(),
+        });
+    (ids, cells)
+}
+
+/// Senses every cell on `threads` threads, the caller's included.
+pub(super) fn sense_all(cells: impl IntoIterator<Item = Cell>, threads: usize) -> Vec<Cell> {
+    Job::spawn(cells, threads.saturating_sub(1), Cell::sense).join()
 }
 
 /// Decodes one downlink frame and steps the vehicle on it. A frame the
@@ -144,85 +253,60 @@ impl Link {
     }
 }
 
-/// A vehicle's pure state machine and the drive it has yet to sense:
-/// the compute side of a session, whose link end is a [`Link`].
-pub(super) type Vehicle = (VehicleCore, Vec<RssReading>);
-
-/// How a backend steps its vehicles — the only thing the two
-/// transports do differently. Vehicles are held in the order of the
-/// id-sorted `links`, and every uplink send happens on the driver
-/// thread in that order, so a backend is free in how it computes steps
-/// but not in the event sequence the server sees.
-pub(super) trait Sessions {
-    /// Runs every vehicle's drive "at once" (virtual time zero).
-    fn start(&mut self, links: &mut [Link], segments: &SegmentMap);
-
-    /// Steps every vehicle through its frames in `frames`, the drained
-    /// downlink queue in send order (an exited vehicle absorbs its
-    /// silently).
-    fn pump(&mut self, links: &mut [Link], frames: Vec<Frame>, segments: &SegmentMap);
-
-    /// The state machine of the `i`-th vehicle.
-    fn core(&self, i: usize) -> &VehicleCore;
-}
-
-/// Runs one round on a bare [`ServerCore`] and returns the report
-/// with the final core and a [`WireDigest`] over the binary uplink
-/// frames the server received.
-pub(super) fn round<S: Sessions>(
+/// Serves one round of the fleet `ids` on a bare [`ServerCore`] and
+/// returns the report with the final core and a [`WireDigest`] over the
+/// binary uplink frames the server received. `sensed` yields the
+/// id-ordered sensed cells once the config and plan have passed
+/// validation.
+pub(super) fn round(
     segments: SegmentMap,
-    fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
+    ids: &[VehicleId],
     config: PlatformConfig,
     plan: &FaultPlan,
-    open: impl FnOnce(Vec<Vehicle>) -> S,
+    stepping: Stepping,
+    sensed: impl FnOnce() -> Vec<Cell>,
 ) -> Result<(PlatformReport, ServerCore, WireDigest)> {
-    let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
-    let mut core = ServerCore::new(segments.clone(), &ids, config, Registry::new())?;
+    let mut core = ServerCore::new(segments.clone(), ids, config, Registry::new())?;
     plan.validate()?;
     let tally = Arc::new(FaultTally::new());
-    let (report, wire) = drive(&mut core, segments, fleet, config.seed, plan, tally, open)?;
+    let (report, wire) = drive(&mut core, segments, sensed(), plan, tally, stepping)?;
     Ok((report, core, wire))
 }
 
-/// [`round`] plus the equivalence digest: the core's final
-/// [`state_digest`](ServerCore::state_digest), extended with the
-/// rendered [`WireDigest`].
-pub(super) fn round_with_digest<S: Sessions>(
+/// Senses and serves one round, then renders the equivalence digest:
+/// the core's final [`state_digest`](ServerCore::state_digest), extended
+/// with the rendered [`WireDigest`].
+pub(super) fn round_with_digest(
     segments: SegmentMap,
     fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
     config: PlatformConfig,
     plan: &FaultPlan,
-    open: impl FnOnce(Vec<Vehicle>) -> S,
+    stepping: Stepping,
 ) -> Result<(PlatformReport, String)> {
-    let (report, core, wire) = round(segments, fleet, config, plan, open)?;
+    let (ids, cells) = cells(fleet, config.seed, plan);
+    let sensed = || sense_all(cells, stepping.workers());
+    let (report, core, wire) = round(segments, &ids, config, plan, stepping, sensed)?;
     Ok((
         report,
         format!("{} | {}", core.state_digest(), wire.render()),
     ))
 }
 
-/// Runs one crash-consistent round: the server is a [`DurableRound`]
-/// write-ahead logging into `wal`.
-pub(super) fn round_durable<S: Sessions>(
+/// Serves one crash-consistent round: the server is a [`DurableRound`]
+/// write-ahead logging into `wal`. `sensed` as in [`round`].
+pub(super) fn round_durable(
     segments: SegmentMap,
-    fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
+    ids: &[VehicleId],
     config: PlatformConfig,
     plan: &FaultPlan,
     wal: &mut dyn LogSink,
-    open: impl FnOnce(Vec<Vehicle>) -> S,
+    stepping: Stepping,
+    sensed: impl FnOnce() -> Vec<Cell>,
 ) -> Result<PlatformReport> {
-    let ids: Vec<VehicleId> = fleet.iter().map(|(v, _)| v.id()).collect();
     plan.validate()?;
     let tally = Arc::new(FaultTally::new());
-    let mut host = DurableRound::new(
-        segments.clone(),
-        &ids,
-        config,
-        plan,
-        wal,
-        Arc::clone(&tally),
-    )?;
-    Ok(drive(&mut host, segments, fleet, config.seed, plan, tally, open)?.0)
+    let mut host = DurableRound::new(segments.clone(), ids, config, plan, wal, Arc::clone(&tally))?;
+    Ok(drive(&mut host, segments, sensed(), plan, tally, stepping)?.0)
 }
 
 /// The driver's server end: the (faulty) downlinks and, once decided,
@@ -252,47 +336,44 @@ impl ServerEnd {
 }
 
 /// The event loop, generic over the server-shaped host so plain and
-/// durable (crash-injecting) rounds share it, and over the sessions
-/// `open` builds from the id-ordered vehicles. Every uplink frame the
-/// server receives is absorbed into the returned [`WireDigest`] before
-/// it is decoded, so the digest covers the raw bytes in arrival order.
-fn drive<H: EventHost, S: Sessions>(
+/// durable (crash-injecting) rounds share it. The id-ordered sensed
+/// `cells` open the round with their start steps; `stepping` then pumps
+/// their downlink traffic. Every uplink frame the server receives is
+/// absorbed into the returned [`WireDigest`] before it is decoded, so
+/// the digest covers the raw bytes in arrival order.
+fn drive<H: EventHost>(
     host: &mut H,
     segments: SegmentMap,
-    fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-    seed: u64,
+    mut cells: Vec<Cell>,
     plan: &FaultPlan,
     tally: Arc<FaultTally>,
-    open: impl FnOnce(Vec<Vehicle>) -> S,
+    stepping: Stepping,
 ) -> Result<(PlatformReport, WireDigest)> {
     let server_queue = Rc::new(RefCell::new(Vec::new()));
     let fleet_queue = Rc::new(RefCell::new(Vec::new()));
     let mut server = ServerEnd::default();
-    // Seeds follow fleet order; sessions then run in vehicle-id order.
-    let mut sessions = Vec::with_capacity(fleet.len());
-    for (i, (vehicle, readings)) in fleet.into_iter().enumerate() {
-        let id = vehicle.id();
+    let mut links = Vec::with_capacity(cells.len());
+    for cell in &mut cells {
+        let id = cell.core.id();
         let tallied = || Some(Arc::clone(&tally));
         let downlink = QueueSink(Rc::clone(&fleet_queue));
         let downlink = plan.sender_tallied(downlink, id, LinkDirection::ToVehicle, tallied());
         server.downlinks.insert(id, downlink);
         let uplink = QueueSink(Rc::clone(&server_queue));
         let uplink = plan.sender_tallied(uplink, id, LinkDirection::ToServer, tallied());
-        let link = Link {
+        let mut link = Link {
             id,
             uplink: Some(uplink),
             exit: None,
         };
-        let core = VehicleCore::new(vehicle, vehicle_seed(seed, i), plan.misbehavior(id));
-        sessions.push((link, (core, readings)));
+        for start in cell.staged.drain(..) {
+            link.absorb(start);
+        }
+        links.push(link);
     }
-    sessions.sort_by_key(|(link, _)| link.id);
-    let (mut links, vehicles): (Vec<Link>, _) = sessions.into_iter().unzip();
-    let mut sessions = open(vehicles);
 
     let mut now = VirtualInstant::ZERO;
     let mut wire = WireDigest::new();
-    sessions.start(&mut links, &segments);
 
     loop {
         // Pump until both queues are empty: uplink traffic reaches the
@@ -308,7 +389,7 @@ fn drive<H: EventHost, S: Sessions>(
             if !progressed && frames.is_empty() {
                 break;
             }
-            sessions.pump(&mut links, frames, &segments);
+            stepping.pump(&mut links, &mut cells, frames, &segments);
         }
 
         if server.outcome.is_some() {
@@ -352,11 +433,9 @@ fn drive<H: EventHost, S: Sessions>(
     // into the queue; one last pump lets every vehicle see its `Done`,
     // then survivors classify the hang-up.
     drop(server);
-    sessions.pump(&mut links, fleet_queue.take(), &segments);
-    let exits = links.into_iter().enumerate();
-    let exits = exits
-        .map(|(i, link)| link.finish(sessions.core(i)))
-        .collect();
+    stepping.pump(&mut links, &mut cells, fleet_queue.take(), &segments);
+    let exits = links.into_iter().zip(&cells);
+    let exits = exits.map(|(link, cell)| link.finish(&cell.core)).collect();
     host.finish()?;
     Ok((seal_report(report, exits, &host.registry(), &tally), wire))
 }
@@ -401,8 +480,6 @@ fn seal_report(
 mod tests {
     use super::*;
     use crate::fault::FaultPoint;
-    use crate::transport::fleet::Batched;
-    use crate::transport::sim::Inline;
     use crate::vehicle::Behavior;
     use crowdwifi_channel::PathLossModel;
     use crowdwifi_core::{OnlineCs, OnlineCsConfig};
@@ -428,7 +505,7 @@ mod tests {
     /// Runs three vehicles with empty drives against [`Undecided`],
     /// stepped inline and batched, and returns each run's error.
     fn stall(plan: &FaultPlan) -> [String; 2] {
-        let run = |batched: bool| {
+        let run = |stepping: Stepping| {
             let area = Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)).unwrap();
             let segments = SegmentMap::new(area, 50.0);
             let fleet = (0..3u32)
@@ -439,20 +516,15 @@ mod tests {
                     (vehicle, Vec::new())
                 })
                 .collect();
+            let sensed = sense_all(cells(fleet, 1, plan).1, stepping.workers());
             let tally = Arc::new(FaultTally::new());
-            let host = &mut Undecided;
-            let result = if batched {
-                let batched = |vehicles| Batched::new(vehicles, 2);
-                drive(host, segments, fleet, 1, plan, tally, batched).map(drop)
-            } else {
-                drive(host, segments, fleet, 1, plan, tally, Inline).map(drop)
-            };
-            match result {
+            let result = drive(&mut Undecided, segments, sensed, plan, tally, stepping);
+            match result.map(drop) {
                 Err(MiddlewareError::Crowd(msg)) => msg,
                 other => panic!("expected a stalled round, got {other:?}"),
             }
         };
-        [run(false), run(true)]
+        [run(Stepping::Inline), run(Stepping::Batched(2))]
     }
 
     #[test]

@@ -1,35 +1,37 @@
 //! The batched-stepping transport for fleet-scale rounds.
 //!
 //! [`FleetTransport`] runs the simulator's event loop
-//! ([`super::drive`]) and differs only in how vehicles step. Each
+//! ([`super::drive`]) and differs only in how vehicles step. A round's
+//! fleet is sensed on the `crowdwifi_core::par` pool first. Each
 //! session is split in two: its [`Link`] (faulty uplink, recorded exit)
 //! stays with the driver, where every fault-RNG draw happens, and its
-//! `Send` compute half (the [`VehicleCore`], its pending frames and its
-//! staged outcomes) steps on a small worker pool in contiguous chunks.
+//! `Send` compute half, a [`Cell`] (the vehicle's state machine, its
+//! pending frames and its staged outcomes), steps on the same pool.
 //!
 //! A tick routes the drained downlink queue into the pending batches,
-//! steps every cell on the pool, then absorbs the staged outcomes **in
-//! vehicle-id order** on the driver thread — the only place uplink
-//! sends and exits happen. The server thus sees the exact event
-//! sequence [`SimTransport`](super::SimTransport) generates, and a
-//! same-seed round is byte-identical across the two backends for any
-//! worker count. Only [`FleetTransport::run_round_with_digest`] builds
-//! the equivalence digest; [`Transport`] rounds skip it.
+//! steps every cell with `par_for_each_mut` (the caller takes part, and
+//! workers come from the pool's one budget, so a tick runs inline while
+//! a campaign's sensing job holds the spare core), then absorbs the
+//! staged outcomes **in vehicle-id order** on the driver thread — the
+//! only place uplink sends and exits happen. The server thus sees the
+//! exact event sequence [`SimTransport`](super::SimTransport)
+//! generates, and a same-seed round is byte-identical across the two
+//! backends for any worker count. Only
+//! [`FleetTransport::run_round_with_digest`] builds the equivalence
+//! digest; [`Transport`] rounds skip it.
 
-use super::drive::{
-    self, session_of, step_frame, step_start, Frame, Link, Sessions, StepOutcome, Vehicle,
-};
+use super::drive::{self, session_of, step_frame, Backend, Cell, Frame, Link, Stepping};
 use super::Transport;
-use crate::durability::LogSink;
 use crate::fault::FaultPlan;
 use crate::protocol::{PlatformConfig, PlatformReport};
 use crate::segment::SegmentMap;
-use crate::vehicle::{CrowdVehicle, VehicleCore, VehicleStep};
+use crate::vehicle::{CrowdVehicle, VehicleStep};
 use crate::Result;
 use crowdwifi_channel::RssReading;
+use crowdwifi_core::par::par_for_each_mut;
 
 /// The fleet-scale backend: the shared event loop with vehicle sessions
-/// stepped in batches over a clamped worker pool.
+/// sensed and stepped in batches on a clamped number of threads.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetTransport {
     workers: usize,
@@ -48,7 +50,10 @@ impl FleetTransport {
     /// the request is clamped to the machine's detected parallelism
     /// ([`crowdwifi_core::par::resolve_threads`]) — oversubscribing an
     /// event loop whose work units are pure compute only adds
-    /// scheduling noise. `0` restores auto-detection.
+    /// scheduling noise. `0` restores auto-detection. The count sizes
+    /// a round's sensing and each pump; a campaign's background sensing
+    /// job takes `workers - 1` threads, but at least one, beside the
+    /// caller serving the previous round.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = crowdwifi_core::par::resolve_threads(workers);
         self
@@ -76,8 +81,7 @@ impl FleetTransport {
         config: PlatformConfig,
         plan: &FaultPlan,
     ) -> Result<(PlatformReport, String)> {
-        let batched = |vehicles| Batched::new(vehicles, self.workers);
-        drive::round_with_digest(segments, fleet, config, plan, batched)
+        drive::round_with_digest(segments, fleet, config, plan, self.stepping())
     }
 }
 
@@ -87,148 +91,55 @@ impl Default for FleetTransport {
     }
 }
 
-impl Transport for FleetTransport {
-    fn run_round_with_faults(
-        &self,
-        segments: SegmentMap,
-        fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-        config: PlatformConfig,
-        plan: &FaultPlan,
-    ) -> Result<PlatformReport> {
-        let batched = |vehicles| Batched::new(vehicles, self.workers);
-        Ok(drive::round(segments, fleet, config, plan, batched)?.0)
-    }
-
-    fn run_round_durable(
-        &self,
-        segments: SegmentMap,
-        fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-        config: PlatformConfig,
-        plan: &FaultPlan,
-        wal: &mut dyn LogSink,
-    ) -> Result<PlatformReport> {
-        let batched = |vehicles| Batched::new(vehicles, self.workers);
-        drive::round_durable(segments, fleet, config, plan, wal, batched)
+impl Backend for FleetTransport {
+    fn stepping(&self) -> Stepping {
+        Stepping::Batched(self.workers)
     }
 }
 
-/// The `Send` compute half of one vehicle session: the pure state
-/// machine, the drive it has yet to sense, its pending downlink batch
-/// and the outcomes it staged this tick. Workers touch nothing else.
-struct ComputeCell {
-    core: VehicleCore,
-    /// `Some` until the start step has run.
-    readings: Option<Vec<RssReading>>,
-    pending: Vec<Vec<u8>>,
-    staged: Vec<StepOutcome>,
-}
-
-impl ComputeCell {
-    /// Runs this cell's share of the tick: the start step if still
-    /// owed, then every pending frame in order. Once an exit (or
-    /// failure, or panic) is staged, the rest of the batch is absorbed
-    /// silently — the frames the inline stepping would skip.
-    fn step(&mut self, segments: &SegmentMap) {
-        if let Some(readings) = self.readings.take() {
-            self.staged.push(step_start(&mut self.core, &readings));
-        }
-        let mut running = self.staged.last().is_none_or(continues);
-        for frame in std::mem::take(&mut self.pending) {
-            if running {
-                let out = step_frame(&mut self.core, &frame, segments);
-                running = continues(&out);
-                self.staged.push(out);
-            }
-        }
-    }
-}
-
-/// Whether a step leaves the vehicle running.
-fn continues(outcome: &StepOutcome) -> bool {
-    matches!(outcome, Ok(Ok(VehicleStep::Continue(_))))
-}
+impl Transport for FleetTransport {}
 
 /// The fleet engine's stepping: route every drained frame to its
-/// cell, run one [`compute_batch`] over the worker pool, absorb in
-/// vehicle-id order.
-pub(super) struct Batched {
-    cells: Vec<ComputeCell>,
+/// cell, step the cells on the pool, then absorb the staged outcomes
+/// in vehicle-id order on the driver thread — the only place uplink
+/// sends and exits happen, which is what pins the server-side event
+/// order to the simulator's.
+pub(super) fn pump(
+    links: &mut [Link],
+    cells: &mut [Cell],
+    frames: Vec<Frame>,
+    map: &SegmentMap,
     workers: usize,
-}
-
-impl Batched {
-    pub(super) fn new(vehicles: Vec<Vehicle>, workers: usize) -> Self {
-        let cells = vehicles
-            .into_iter()
-            .map(|(core, readings)| ComputeCell {
-                core,
-                readings: Some(readings),
-                pending: Vec::new(),
-                staged: Vec::new(),
-            })
-            .collect();
-        Batched { cells, workers }
-    }
-
-    /// Steps every cell on the pool, then absorbs the staged outcomes
-    /// in vehicle-id order on the driver thread — the only place uplink
-    /// sends and exits happen, which is what pins the server-side event
-    /// order to the simulator's.
-    fn tick(&mut self, links: &mut [Link], segments: &SegmentMap) {
-        compute_batch(&mut self.cells, segments, self.workers);
-        for (link, cell) in links.iter_mut().zip(&mut self.cells) {
-            for outcome in cell.staged.drain(..) {
-                link.absorb(outcome);
-            }
-        }
-    }
-}
-
-impl Sessions for Batched {
-    fn start(&mut self, links: &mut [Link], segments: &SegmentMap) {
-        self.tick(links, segments);
-    }
-
-    fn pump(&mut self, links: &mut [Link], frames: Vec<Frame>, segments: &SegmentMap) {
-        if frames.is_empty() {
-            return;
-        }
-        for (id, frame) in frames {
-            let i = session_of(links, id);
-            if !links[i].exited() {
-                self.cells[i].pending.push(frame);
-            }
-        }
-        self.tick(links, segments);
-    }
-
-    fn core(&self, i: usize) -> &VehicleCore {
-        &self.cells[i].core
-    }
-}
-
-/// Fans the compute batch out over `workers` contiguous chunks of the
-/// cell array. Each cell's work is independent, so chunking is pure
-/// load-splitting; with one worker (or one cell) everything runs
-/// inline with zero thread spawns.
-fn compute_batch(cells: &mut [ComputeCell], segments: &SegmentMap, workers: usize) {
-    let workers = workers.max(1).min(cells.len().max(1));
-    if workers <= 1 {
-        for cell in cells.iter_mut() {
-            cell.step(segments);
-        }
+) {
+    if frames.is_empty() {
         return;
     }
-    let width = cells.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for part in cells.chunks_mut(width) {
-            scope.spawn(move || {
-                for cell in part {
-                    cell.step(segments);
-                }
-            });
+    for (id, frame) in frames {
+        let i = session_of(links, id);
+        if !links[i].exited() {
+            cells[i].pending.push(frame);
         }
-    });
+    }
+    par_for_each_mut(cells, workers, |cell| step(cell, map));
+    for (link, cell) in links.iter_mut().zip(cells) {
+        for outcome in cell.staged.drain(..) {
+            link.absorb(outcome);
+        }
+    }
+}
+
+/// Runs one cell's share of a tick: every pending frame in order. Once
+/// an exit (or failure, or panic) is staged, the rest of the batch is
+/// absorbed silently — the frames the inline stepping would skip.
+fn step(cell: &mut Cell, map: &SegmentMap) {
+    for frame in std::mem::take(&mut cell.pending) {
+        let out = step_frame(&mut cell.core, &frame, map);
+        let running = matches!(out, Ok(Ok(VehicleStep::Continue(_))));
+        cell.staged.push(out);
+        if !running {
+            break;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -263,10 +174,9 @@ mod tests {
     }
 
     #[test]
-    fn every_chunking_matches_the_simulator_byte_for_byte() {
-        // Built directly, so the worker counts skip the clamp:
-        // 3 and 5 workers split five vehicles into several chunks even
-        // on a one- or two-core machine.
+    fn every_worker_count_matches_the_simulator_byte_for_byte() {
+        // Built directly, so the worker counts skip the transport's
+        // clamp (the pool still clamps what it runs).
         let segments = SegmentMap::new(
             Rect::new(Point::new(0.0, -20.0), Point::new(300.0, 80.0)).unwrap(),
             150.0,

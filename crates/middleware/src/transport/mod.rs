@@ -10,18 +10,23 @@
 //! * [`SimTransport`] — the reference: each vehicle, in id order, steps
 //!   each queued message and sends its uplink before taking the next.
 //! * [`FleetTransport`] — the fleet-scale engine: the queued messages
-//!   are delivered first, then the vehicles step as one batch over a
-//!   clamped worker pool and their outcomes are absorbed in id order.
+//!   are delivered first, then the vehicles step as one batch on the
+//!   `crowdwifi_core::par` pool and their outcomes are absorbed in id
+//!   order.
 //!
-//! Both are one event loop (the private `drive` module) with one queue
-//! each way — uplink frames to the server, downlink frames to the
-//! fleet — behind the same [`crate::fault`] layer on every link,
-//! driving the same [`ServerCore`] (bare, or inside the durability
-//! layer's crash-injecting host). So a given seed + fault plan yields
-//! the same [`PlatformReport::deterministic`] projection on either.
-//! Only [`sim_round_with_digest`] and
-//! [`FleetTransport::run_round_with_digest`] build the equivalence
-//! digest; [`Transport`] rounds never pay for it.
+//! Both are one driver (the private `drive` module) in two stages.
+//! *Sensing* — each vehicle's estimator run and upload — is pure.
+//! *Serving* is everything else: one queue each way — uplink frames to
+//! the server, downlink frames to the fleet — behind the same
+//! [`crate::fault`] layer on every link, driving the same
+//! [`ServerCore`] (bare, or inside the durability layer's
+//! crash-injecting host). So a given seed + fault plan yields the same
+//! [`PlatformReport::deterministic`] projection on either. A campaign
+//! senses round r+1 as a background job on the pool while round r is
+//! served on the caller's thread; the server still sees the uploads in
+//! vehicle-id order, so that overlap changes no output. Only
+//! [`sim_round_with_digest`] and [`FleetTransport::run_round_with_digest`]
+//! build the equivalence digest; [`Transport`] rounds never pay for it.
 
 mod drive;
 mod fleet;
@@ -40,7 +45,9 @@ use crate::segment::SegmentMap;
 use crate::vehicle::CrowdVehicle;
 use crate::{messages::VehicleId, MiddlewareError, Result};
 use crowdwifi_channel::RssReading;
+use crowdwifi_core::par::Job;
 use crowdwifi_obs::Registry;
+use drive::{Backend, Cell};
 use std::collections::BTreeMap;
 
 /// The server-shaped thing the round driver's event loop drives: a bare
@@ -89,8 +96,10 @@ impl EventHost for ServerCore {
 
 /// One round-running backend. Implementations drive the whole fleet
 /// plus the [`crate::protocol::ServerCore`] to completion and seal the
-/// report with vehicle exits and fault tallies.
-pub trait Transport {
+/// report with vehicle exits and fault tallies. The trait is sealed:
+/// its rounds are provided, and a backend only chooses how its vehicles
+/// step, through a supertrait private to this crate.
+pub trait Transport: Backend {
     /// Runs one full crowdsensing round under a deterministic
     /// [`FaultPlan`].
     ///
@@ -105,7 +114,12 @@ pub trait Transport {
         fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
         config: PlatformConfig,
         plan: &FaultPlan,
-    ) -> Result<PlatformReport>;
+    ) -> Result<PlatformReport> {
+        let stepping = self.stepping();
+        let (ids, cells) = drive::cells(fleet, config.seed, plan);
+        let sensed = || drive::sense_all(cells, stepping.workers());
+        Ok(drive::round(segments, &ids, config, plan, stepping, sensed)?.0)
+    }
 
     /// [`Transport::run_round_with_faults`] with no injected faults.
     ///
@@ -139,7 +153,12 @@ pub trait Transport {
         config: PlatformConfig,
         plan: &FaultPlan,
         wal: &mut dyn LogSink,
-    ) -> Result<PlatformReport>;
+    ) -> Result<PlatformReport> {
+        let stepping = self.stepping();
+        let (ids, cells) = drive::cells(fleet, config.seed, plan);
+        let sensed = || drive::sense_all(cells, stepping.workers());
+        drive::round_durable(segments, &ids, config, plan, wal, stepping, sensed)
+    }
 }
 
 /// Result of a campaign: the per-round reports plus the sharded AP
@@ -180,6 +199,12 @@ impl RoundSink for NoSink {
 /// round's fused output is folded into the sharded campaign database,
 /// then `sink` observes the round close — the wiring point that makes
 /// the geo-sharded AP map the sink of any transport's round closes.
+///
+/// Sensing depends on nothing a round computes, so round `i + 1` senses
+/// as a background job on the `crowdwifi_core::par` pool while round
+/// `i` is served on the calling thread; the caller then helps finish
+/// it. Every output is the same as sensing each round just before
+/// serving it.
 ///
 /// # Errors
 ///
@@ -261,20 +286,49 @@ fn run_campaign<T: Transport + ?Sized>(
             "smoothing must lie in [0, 1], got {smoothing}"
         )));
     }
+    let stepping = transport.stepping();
+    // The sensing job's workers: the backend's threads less the caller,
+    // which serves meanwhile, but at least one so the stages overlap.
+    let extra = stepping.workers().saturating_sub(1).max(1);
     let none = FaultPlan::none();
+    let plan_of = |i: usize| plans.get(i).unwrap_or(&none);
+    let config_of = |i: usize| PlatformConfig {
+        seed: config.seed.wrapping_add(i as u64 * 1000),
+        ..config
+    };
+    let mut sensing = rounds.into_iter().enumerate().map(|(i, fleet)| {
+        let (ids, cells) = drive::cells(fleet, config_of(i).seed, plan_of(i));
+        (i, ids, Job::spawn(cells, extra, Cell::sense))
+    });
     let mut long_run: BTreeMap<VehicleId, f64> = BTreeMap::new();
-    let mut reports = Vec::with_capacity(rounds.len());
+    let mut reports = Vec::with_capacity(sensing.len());
     let mut database = ShardedDatabase::new();
-    for (i, fleet) in rounds.into_iter().enumerate() {
-        let mut round_config = config;
-        round_config.seed = config.seed.wrapping_add(i as u64 * 1000);
-        let plan = plans.get(i).unwrap_or(&none);
-        let mut report = match &mut durable {
-            Some((wal, _)) => {
-                transport.run_round_durable(segments.clone(), fleet, round_config, plan, *wal)?
-            }
-            None => transport.run_round_with_faults(segments.clone(), fleet, round_config, plan)?,
+    let mut next = sensing.next();
+    while let Some((i, ids, job)) = next.take() {
+        // Round i's sensing finishes with the caller's help, and round
+        // i + 1's starts on the workers that frees. Round 0 is joined at
+        // once.
+        let sensed = job.join();
+        next = sensing.next();
+        let (round_config, plan) = (config_of(i), plan_of(i));
+        let served = match &mut durable {
+            Some((wal, _)) => drive::round_durable(
+                segments.clone(),
+                &ids,
+                round_config,
+                plan,
+                *wal,
+                stepping,
+                || sensed,
+            ),
+            None => drive::round(segments.clone(), &ids, round_config, plan, stepping, || {
+                sensed
+            })
+            .map(|(report, ..)| report),
         };
+        // A failed round returns here, and dropping `next` cancels and
+        // joins the job sensing round i + 1: its results are discarded.
+        let mut report = served?;
         smooth_reliabilities(&mut report, &mut long_run, smoothing);
         database.absorb(i, &segments, &report.fused);
         if let Some((wal, snapshots)) = &mut durable {
@@ -288,3 +342,6 @@ fn run_campaign<T: Transport + ?Sized>(
     }
     Ok(CampaignOutcome { reports, database })
 }
+
+#[cfg(test)]
+mod tests;

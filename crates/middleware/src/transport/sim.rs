@@ -2,49 +2,35 @@
 //! reference backend, whose [`PlatformReport::deterministic`]
 //! projection [`super::FleetTransport`] must match byte for byte.
 
-use super::drive::{self, session_of, step_frame, step_start, Frame, Link, Sessions, Vehicle};
-use crate::durability::LogSink;
+use super::drive::{self, session_of, step_frame, Backend, Cell, Frame, Link, Stepping};
 use crate::fault::FaultPlan;
 use crate::protocol::{PlatformConfig, PlatformReport};
 use crate::segment::SegmentMap;
 use crate::transport::Transport;
-use crate::vehicle::{CrowdVehicle, VehicleCore};
+use crate::vehicle::CrowdVehicle;
 use crate::Result;
 use crowdwifi_channel::RssReading;
 
-/// The virtual-clock simulator: the whole fleet is stepped inline on
-/// the driver thread, links are in-memory queues behind the
+/// The virtual-clock simulator: a round's fleet is sensed and stepped
+/// inline on the driver thread, links are in-memory queues behind the
 /// [`crate::fault`] layer, and time advances only when every queue is
 /// empty — directly to the earliest armed deadline, never by sleeping,
 /// so a degraded round with multi-second timeouts and retry backoff
 /// replays in microseconds. One run is one deterministic replay: fleet
 /// order, queue order and per-link fault RNG streams are all fixed by
-/// the seeds.
+/// the seeds. A campaign still senses its next round in the background
+/// (see [`super::run_campaign_with_faults_into`]); sensing is pure, so
+/// that changes no output.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimTransport;
 
-impl Transport for SimTransport {
-    fn run_round_with_faults(
-        &self,
-        segments: SegmentMap,
-        fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-        config: PlatformConfig,
-        plan: &FaultPlan,
-    ) -> Result<PlatformReport> {
-        Ok(drive::round(segments, fleet, config, plan, Inline)?.0)
-    }
-
-    fn run_round_durable(
-        &self,
-        segments: SegmentMap,
-        fleet: Vec<(CrowdVehicle, Vec<RssReading>)>,
-        config: PlatformConfig,
-        plan: &FaultPlan,
-        wal: &mut dyn LogSink,
-    ) -> Result<PlatformReport> {
-        drive::round_durable(segments, fleet, config, plan, wal, Inline)
+impl Backend for SimTransport {
+    fn stepping(&self) -> Stepping {
+        Stepping::Inline
     }
 }
+
+impl Transport for SimTransport {}
 
 /// Runs one faulted round on the simulator and returns the report
 /// together with the server core's final
@@ -63,32 +49,23 @@ pub fn sim_round_with_digest(
     config: PlatformConfig,
     plan: &FaultPlan,
 ) -> Result<(PlatformReport, String)> {
-    drive::round_with_digest(segments, fleet, config, plan, Inline)
+    drive::round_with_digest(segments, fleet, config, plan, Stepping::Inline)
 }
 
 /// The reference stepping: each vehicle, in id order, steps each queued
 /// message and sends its uplink before taking the next.
-pub(super) struct Inline(pub(super) Vec<Vehicle>);
-
-impl Sessions for Inline {
-    fn start(&mut self, links: &mut [Link], _segments: &SegmentMap) {
-        for (link, (core, readings)) in links.iter_mut().zip(&mut self.0) {
-            link.absorb(step_start(core, &std::mem::take(readings)));
+pub(super) fn pump(
+    links: &mut [Link],
+    cells: &mut [Cell],
+    mut frames: Vec<Frame>,
+    map: &SegmentMap,
+) {
+    // Stable: each vehicle keeps its frames in send order.
+    frames.sort_by_key(|&(id, _)| id);
+    for (id, frame) in frames {
+        let i = session_of(links, id);
+        if !links[i].exited() {
+            links[i].absorb(step_frame(&mut cells[i].core, &frame, map));
         }
-    }
-
-    fn pump(&mut self, links: &mut [Link], mut frames: Vec<Frame>, segments: &SegmentMap) {
-        // Stable: each vehicle keeps its frames in send order.
-        frames.sort_by_key(|&(id, _)| id);
-        for (id, frame) in frames {
-            let i = session_of(links, id);
-            if !links[i].exited() {
-                links[i].absorb(step_frame(&mut self.0[i].0, &frame, segments));
-            }
-        }
-    }
-
-    fn core(&self, i: usize) -> &VehicleCore {
-        &self.0[i].0
     }
 }

@@ -170,7 +170,9 @@ pub(crate) enum VehicleStep {
 /// (via [`VehicleCore::start`]) and each downlink message (via
 /// [`VehicleCore::on_message`]), and put whatever it returns on the
 /// uplink. Scheduled misbehavior ([`Misbehavior`]) is folded in here so
-/// every transport injects crashes and stalls identically.
+/// every transport injects crashes and stalls identically. The start
+/// step depends on nothing but the vehicle and its drive, which is what
+/// lets a campaign sense a round before serving it.
 #[derive(Debug)]
 pub(crate) struct VehicleCore {
     vehicle: CrowdVehicle,
@@ -187,6 +189,11 @@ impl VehicleCore {
             script,
             stalled: false,
         }
+    }
+
+    /// The vehicle's identifier.
+    pub(crate) fn id(&self) -> VehicleId {
+        self.vehicle.id()
     }
 
     /// Fires a scheduled misbehavior if `point` matches the script. A

@@ -16,6 +16,11 @@
 # `completed_frac` is a ratio over that count, so it moves with the
 # round count alone; it is therefore compared only between runs with
 # equal `attempted`, one row per count both sides reached.
+# Two more rows describe each run as a whole process: `cpu_s`, the CPU
+# seconds (user + system) the run used, from `getrusage(RUSAGE_CHILDREN)`
+# before and after it, and `cores_busy`, those seconds over the run's
+# wall time. They have no bound; they show whether a change keeps more
+# cores busy, which the wall-time metrics alone cannot.
 # Exits 1 when a run fails its output check or reports failed
 # operations, or a median is past its bound.
 #
@@ -31,14 +36,19 @@ fi
 
 exec python3 - "$(dirname "$0")/../BENCHMARK.json" "$@" <<'EOF'
 import json
+import resource
 import statistics
 import subprocess
 import sys
+import time
 
 bench_path, base, change, workload, pairs = sys.argv[1:6]
 seed = sys.argv[6] if len(sys.argv) > 6 else "1"
 bench = json.load(open(bench_path))
-metrics = bench["end_to_end"]
+# The utilisation rows: informative, so they are never past a bound.
+usage = [{"name": "cpu_s", "better": "lower", "bound": float("inf")},
+         {"name": "cores_busy", "better": "higher", "bound": float("inf")}]
+metrics = bench["end_to_end"] + usage
 seconds = str(bench["run_seconds"])
 bins = {"base": base, "change": change}
 runs = {"base": [], "change": []}
@@ -46,24 +56,34 @@ attempted = {"base": [], "change": []}
 bad = False
 
 
+def cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run(side):
+    """Runs one side once; returns its JSON line and its (cpu, wall) seconds."""
     cmd = [bins[side], "--workload", workload, "--seed", seed,
            "--seconds", seconds, "--trace", "0"]
+    cpu, wall = cpu_seconds(), time.monotonic()
     out = subprocess.run(cmd, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+    cpu, wall = cpu_seconds() - cpu, time.monotonic() - wall
     lines = out.stdout.strip().splitlines()
     if not lines:
         sys.exit(f"{side}: {' '.join(cmd)} printed nothing ({out.returncode}):\n{out.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), cpu, wall
 
 
 for i in range(int(pairs)):
     order = ("base", "change") if i % 2 == 0 else ("change", "base")
     for side in order:
-        result = run(side)
+        result, cpu, wall = run(side)
         if not result["correct"] or result.get("failed", 0) != 0:
             bad = True
             print(f"pair {i + 1} {side}: correct={result['correct']} failed={result.get('failed')}")
         values = {k: v["value"] for k, v in result["metrics"].items()}
+        values["cpu_s"] = cpu
+        values["cores_busy"] = cpu / wall
         runs[side].append(values)
         attempted[side].append(result["attempted"])
         print(f"pair {i + 1} {side:<6} attempted={result['attempted']} " + " ".join(

@@ -33,6 +33,15 @@ if grep -RnE 'crossbeam|Instant::now|std::time::Instant|thread::sleep|SystemTime
     echo "tier1: FAILED — channel or wall-clock primitive in the middleware" >&2
     exit 1
 fi
+# Threads start in one place, `crowdwifi_core::par`, under its single
+# budget: the fleet's pumps, a campaign's background sensing job and any
+# estimator inside them all lease from it, so a 2-core machine never
+# runs a third worker. The middleware starts no thread of its own. (The
+# pattern leaves `std::thread::Result`, a caught panic's type, alone.)
+if grep -RnE 'thread::(scope|spawn|Builder)' crates/middleware/src/; then
+    echo "tier1: FAILED — thread started outside the par.rs pool in the middleware" >&2
+    exit 1
+fi
 # The estimator has one parallel region: pipeline.rs's one fan-out over
 # (window, hypothesis block) pairs on the par.rs pool. Each block's
 # sensing workspace has one owner that scores its hypotheses in order,

@@ -13,14 +13,15 @@
 //!
 //! Thread counts resolve with [`resolve_threads`]: a request clamped to
 //! [`std::thread::available_parallelism`], `0` meaning all of it. The
-//! estimator has one parallel region, the fan-out of
-//! [`crate::OnlineCs::run_detailed`] over (window, hypothesis block)
-//! pairs; a process-wide budget caps the
-//! *total* number of extra workers alive at once, so concurrent
-//! maps (a fleet's sensing job beside its pumps, say, or an estimator
-//! inside either) degrade to inline execution instead of multiplying
-//! thread counts. This module is the only place the workspace starts
-//! threads.
+//! estimator has one parallel region: an
+//! [`OnlineCsSession`](crate::pipeline::OnlineCsSession)'s fan-out over
+//! the (window, hypothesis block) pairs of the windows one call
+//! completes, which for a batch run is the whole drive. A process-wide
+//! budget caps the *total* number of extra workers alive at once, so
+//! concurrent maps (a fleet's sensing job beside its pumps, say, or an
+//! estimator inside either) degrade to inline execution instead of
+//! multiplying thread counts. This module is the only place the
+//! workspace starts threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};

@@ -12,7 +12,7 @@ use crate::consolidate::{ApEstimate, Consolidator};
 use crate::obs::PipelineInstruments;
 use crate::recovery::{CsRecovery, SensingStats, StageTimes};
 use crate::select::{estimate_round, RoundEstimate, Scored};
-use crate::window::{windows_over, SlidingWindow, WindowConfig};
+use crate::window::{SlidingWindow, WindowConfig};
 use crate::{CoreError, Result};
 use crowdwifi_channel::{GmmModel, PathLossModel, RssReading};
 use crowdwifi_geo::{Grid, Point};
@@ -49,8 +49,10 @@ pub struct OnlineCsConfig {
     /// candidates at the end of a batch run (see [`crate::refine`]).
     /// When disabled, only the credit filter of §4.3.6 applies.
     pub global_refine: bool,
-    /// Worker threads for the fan-out of a batch run over its windows'
-    /// hypothesis blocks (`0` = all of the machine's parallelism; see
+    /// Worker threads for a session's one fan-out, over the hypothesis
+    /// blocks of the windows that one call completes: every window of a
+    /// batch run's drive, or the window a [`OnlineCsSession::push`]
+    /// completes (`0` = all of the machine's parallelism; see
     /// [`crate::par::resolve_threads`]). Each block's hypotheses run in
     /// order on one thread, and blocks and windows are merged in input
     /// order, so any thread count produces byte-identical estimates and
@@ -166,39 +168,11 @@ impl OnlineCs {
         self
     }
 
-    /// Processes one window round: grid formation + hypothesis search.
-    ///
-    /// # Errors
-    ///
-    /// Propagates recovery failures; an un-formable grid (empty round)
-    /// yields `Ok(None)`.
-    pub fn process_round(&self, round: &[RssReading]) -> Result<Option<RoundEstimate>> {
-        Ok(self.process_round_stats(round)?.0)
-    }
-
-    /// [`OnlineCs::process_round`] plus the window's [`SensingStats`]:
-    /// the window's hypothesis blocks, scored in order on the calling
-    /// thread.
-    fn process_round_stats(
-        &self,
-        round: &[RssReading],
-    ) -> Result<(Option<RoundEstimate>, SensingStats)> {
-        if round.is_empty() {
-            return Ok((None, SensingStats::default()));
-        }
-        let blocks = self
-            .k_blocks()
-            .into_iter()
-            .map(|ks| self.score_block(round, ks))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(self.finish_window(blocks))
-    }
-
     /// A window's hypothesis blocks: the AP counts
     /// `1..=max_ap_per_window` in runs of [`K_BLOCK`], highest counts
-    /// first. A hypothesis costs more the more APs it has, so a batch
-    /// run starts a window's costliest blocks first and the cheap ones
-    /// fill in behind them.
+    /// first. A hypothesis costs more the more APs it has, so the
+    /// session's fan-out starts a window's costliest blocks first and
+    /// the cheap ones fill in behind them.
     fn k_blocks(&self) -> Vec<RangeInclusive<usize>> {
         let max_k = self.config.max_ap_per_window;
         (1..max_k + 1)
@@ -258,59 +232,23 @@ impl OnlineCs {
     ///
     /// # Errors
     ///
-    /// Propagates round-processing failures.
+    /// Rejects non-finite readings (see [`OnlineCsSession::push`]) and
+    /// propagates round-processing failures.
     pub fn run(&self, readings: &[RssReading]) -> Result<Vec<ApEstimate>> {
         Ok(self.run_detailed(readings)?.final_aps)
     }
 
-    /// Batch entry point that also returns per-round diagnostics.
+    /// Batch entry point that also returns per-round diagnostics: a
+    /// [`OnlineCs::session`] fed the whole drive at once, then finished.
     ///
     /// # Errors
     ///
-    /// Propagates round-processing failures.
+    /// Rejects non-finite readings (see [`OnlineCsSession::push`]) and
+    /// propagates round-processing failures.
     pub fn run_detailed(&self, readings: &[RssReading]) -> Result<PipelineReport> {
-        let mut consolidator = Consolidator::new(self.config.merge_radius);
-        // Windows are independent until consolidation, and so are the
-        // hypothesis blocks of one window: score every (window, block)
-        // pair in parallel, then fold each window's blocks and merge the
-        // windows strictly in order, so the consolidator sees the exact
-        // sequence a serial run produces (credit accumulation is
-        // order-sensitive). This is the estimator's only parallel
-        // region: each block's hypotheses run in order on the worker
-        // that owns its workspace.
-        let windows: Vec<Vec<RssReading>> = windows_over(readings, self.config.window)?;
-        let k_blocks = self.k_blocks();
-        let units: Vec<(&[RssReading], &RangeInclusive<usize>)> = windows
-            .iter()
-            .flat_map(|round| k_blocks.iter().map(move |ks| (round.as_slice(), ks)))
-            .collect();
-        let mut blocks = crate::par::try_par_map(&units, self.config.threads, |_, (round, ks)| {
-            self.score_block(round, (*ks).clone())
-        })?
-        .into_iter();
-        let mut rounds = Vec::new();
-        let mut sensing = SensingStats::default();
-        for _ in &windows {
-            let (est, stats) = self.finish_window(blocks.by_ref().take(k_blocks.len()).collect());
-            sensing.merge(&stats);
-            if let Some(est) = est {
-                self.consolidate_estimate(&mut consolidator, &est);
-                rounds.push(est);
-            }
-        }
-        let final_aps = if self.config.global_refine {
-            // Global refinement sees *all* candidates, including
-            // single-credit ones a weak AP may only have earned once.
-            self.refine(readings, consolidator.estimates(), 2)
-        } else {
-            consolidator.filtered(self.config.min_credit)
-        };
-        Ok(PipelineReport {
-            final_aps,
-            all_estimates: consolidator.estimates().to_vec(),
-            rounds,
-            sensing,
-        })
+        let mut session = self.session()?;
+        session.feed(readings)?;
+        session.finish_detailed()
     }
 
     /// Whole-drive refinement: the global BIC selection over
@@ -337,19 +275,6 @@ impl OnlineCs {
         polished
     }
 
-    /// Folds one round's winner (plus reduced-credit alternates) into
-    /// the consolidator, recording the merge/new split.
-    fn consolidate_estimate(&self, consolidator: &mut Consolidator, est: &RoundEstimate) {
-        let mut merged = consolidator.merge_round(&est.aps);
-        for &alt in &est.alternates {
-            if consolidator.merge_one(alt, 0.25) {
-                merged += 1;
-            }
-        }
-        self.instruments
-            .record_consolidation(merged, est.aps.len() + est.alternates.len());
-    }
-
     /// Starts a streaming session.
     ///
     /// # Errors
@@ -361,6 +286,8 @@ impl OnlineCs {
             window: SlidingWindow::new(self.config.window)?,
             consolidator: Consolidator::new(self.config.merge_radius),
             history: Vec::new(),
+            rounds: Vec::new(),
+            sensing: SensingStats::default(),
         })
     }
 }
@@ -420,13 +347,14 @@ pub fn ensemble_run(
 
 /// AP counts per hypothesis block. A window is scored in blocks of
 /// consecutive AP counts, each on its own [`crate::recovery::WindowSensing`]
-/// workspace, and a batch run spreads the blocks over its threads, so a
-/// single wide window (the batch round of [`ensemble_run`]) still uses
-/// every core. Blocks share no memo, and consecutive counts share the
-/// most groups, so a narrower block buys balance with repeated
-/// recoveries. A window with at most this many AP counts (the default
-/// configuration's) is one block, and the split depends on the
-/// configuration only, never on the thread count.
+/// workspace, and a session's fan-out spreads the blocks over its
+/// threads, so a single wide window (the batch round of
+/// [`ensemble_run`], or a streamed window) still uses every core.
+/// Blocks share no memo, and consecutive counts share the most groups,
+/// so a narrower block buys balance with repeated recoveries. A window
+/// with at most this many AP counts (the default configuration's) is
+/// one block, and the split depends on the configuration only, never on
+/// the thread count.
 const K_BLOCK: usize = 4;
 
 /// One hypothesis block's outcome, or a window's total over its blocks.
@@ -468,21 +396,80 @@ pub struct PipelineReport {
     pub sensing: SensingStats,
 }
 
-/// A streaming pipeline session; see [`OnlineCs::session`].
+/// A streaming pipeline session; see [`OnlineCs::session`]. It is the
+/// estimator's one driver: [`OnlineCs::run_detailed`] is a session fed
+/// the whole drive at once.
 #[derive(Debug)]
 pub struct OnlineCsSession<'a> {
     pipeline: &'a OnlineCs,
     window: SlidingWindow,
     consolidator: Consolidator,
     history: Vec<RssReading>,
+    rounds: Vec<RoundEstimate>,
+    sensing: SensingStats,
 }
 
 impl OnlineCsSession<'_> {
-    /// Runs one completed round through the pipeline.
-    fn process(&mut self, round: &[RssReading]) -> Result<()> {
-        if let Some(est) = self.pipeline.process_round_stats(round)?.0 {
-            self.pipeline
-                .consolidate_estimate(&mut self.consolidator, &est);
+    /// Pushes `readings` through the sliding window, scores every window
+    /// they complete and folds them into the session; returns whether
+    /// any window completed. A reading with a non-finite RSS or position
+    /// is rejected before any state changes.
+    fn feed(&mut self, readings: &[RssReading]) -> Result<bool> {
+        for (i, r) in (self.history.len()..).zip(readings) {
+            if !r.rss_dbm.is_finite() {
+                return Err(CoreError::Channel(format!(
+                    "reading {i}: non-finite RSS {} dBm",
+                    r.rss_dbm
+                )));
+            }
+            if !r.position.is_finite() {
+                return Err(CoreError::Geometry(format!(
+                    "reading {i}: non-finite position {}",
+                    r.position
+                )));
+            }
+        }
+        self.history.extend_from_slice(readings);
+        let windows: Vec<_> = readings
+            .iter()
+            .filter_map(|r| self.window.push(*r))
+            .collect();
+        self.score(&windows)?;
+        Ok(!windows.is_empty())
+    }
+
+    /// Scores `windows` in the estimator's only parallel region, one
+    /// workspace per (window, hypothesis block) pair, then folds each
+    /// window's winner and alternates into the consolidator strictly in
+    /// order, so it sees the sequence a serial run produces (credit
+    /// accumulation is order-sensitive).
+    fn score(&mut self, windows: &[Vec<RssReading>]) -> Result<()> {
+        let pipeline = self.pipeline;
+        let k_blocks = pipeline.k_blocks();
+        let units: Vec<(&[RssReading], &RangeInclusive<usize>)> = windows
+            .iter()
+            .flat_map(|round| k_blocks.iter().map(move |ks| (round.as_slice(), ks)))
+            .collect();
+        let mut blocks =
+            crate::par::try_par_map(&units, pipeline.config.threads, |_, (round, ks)| {
+                pipeline.score_block(round, (*ks).clone())
+            })?
+            .into_iter();
+        for _ in windows {
+            let window = blocks.by_ref().take(k_blocks.len()).collect();
+            let (est, stats) = pipeline.finish_window(window);
+            self.sensing.merge(&stats);
+            if let Some(est) = est {
+                let mut merged = self.consolidator.merge_round(&est.aps);
+                for &alt in &est.alternates {
+                    if self.consolidator.merge_one(alt, 0.25) {
+                        merged += 1;
+                    }
+                }
+                let total = est.aps.len() + est.alternates.len();
+                pipeline.instruments.record_consolidation(merged, total);
+                self.rounds.push(est);
+            }
         }
         Ok(())
     }
@@ -492,18 +479,12 @@ impl OnlineCsSession<'_> {
     ///
     /// # Errors
     ///
-    /// Propagates round-processing failures.
+    /// Rejects a reading with a non-finite RSS ([`CoreError::Channel`])
+    /// or position ([`CoreError::Geometry`]), leaving the session as it
+    /// was, and propagates round-processing failures.
     pub fn push(&mut self, reading: RssReading) -> Result<Option<Vec<ApEstimate>>> {
-        self.history.push(reading);
-        match self.window.push(reading) {
-            None => Ok(None),
-            Some(round) => {
-                self.process(&round)?;
-                Ok(Some(
-                    self.consolidator.filtered(self.pipeline.config.min_credit),
-                ))
-            }
-        }
+        let completed = self.feed(&[reading])?;
+        Ok(completed.then(|| self.consolidator.filtered(self.pipeline.config.min_credit)))
     }
 
     /// Ends the session: processes any partial round and returns the
@@ -512,16 +493,31 @@ impl OnlineCsSession<'_> {
     /// # Errors
     ///
     /// Propagates round-processing failures.
-    pub fn finish(mut self) -> Result<Vec<ApEstimate>> {
+    pub fn finish(self) -> Result<Vec<ApEstimate>> {
+        Ok(self.finish_detailed()?.final_aps)
+    }
+
+    /// [`OnlineCsSession::finish`] with the whole report: scores the
+    /// partial round, then refines (or credit-filters) the candidates.
+    fn finish_detailed(mut self) -> Result<PipelineReport> {
         if let Some(round) = self.window.flush() {
-            self.process(&round)?;
+            self.score(&[round])?;
         }
-        if self.pipeline.config.global_refine {
-            return Ok(self
-                .pipeline
-                .refine(&self.history, self.consolidator.estimates(), 2));
-        }
-        Ok(self.consolidator.filtered(self.pipeline.config.min_credit))
+        let config = &self.pipeline.config;
+        let final_aps = if config.global_refine {
+            // Global refinement sees *all* candidates, including
+            // single-credit ones a weak AP may only have earned once.
+            self.pipeline
+                .refine(&self.history, self.consolidator.estimates(), 2)
+        } else {
+            self.consolidator.filtered(config.min_credit)
+        };
+        Ok(PipelineReport {
+            final_aps,
+            all_estimates: self.consolidator.estimates().to_vec(),
+            rounds: self.rounds,
+            sensing: self.sensing,
+        })
     }
 
     /// Current unfiltered estimates.
@@ -639,8 +635,8 @@ mod tests {
         assert_eq!(a.sensing, b.sensing);
 
         // One whole-drive window scored in two hypothesis blocks (AP
-        // counts 5..=6 and 1..=4) spreads over the threads, and a
-        // streaming session scores the same blocks in order.
+        // counts 5..=6 and 1..=4) spreads over the threads, and so does
+        // the window a streaming session's last push completes.
         let wide = |threads| {
             let config = OnlineCsConfig {
                 window: WindowConfig {
@@ -668,6 +664,7 @@ mod tests {
             session.push(*r).unwrap();
         }
         assert_eq!(session.estimates(), a.all_estimates.as_slice());
+        assert_eq!(session.finish().unwrap(), a.final_aps);
     }
 
     #[test]
@@ -709,9 +706,8 @@ mod tests {
         for r in &readings {
             session.push(*r).unwrap();
         }
-        let streamed = session.finish().unwrap();
-        assert_eq!(batch.len(), streamed.len());
-        assert!(batch[0].position.distance(streamed[0].position) < 1e-9);
+        assert!(!batch.is_empty());
+        assert_eq!(session.finish().unwrap(), batch);
     }
 
     #[test]

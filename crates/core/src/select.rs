@@ -93,7 +93,7 @@ impl Scored {
 /// them in order with [`Scored::then`] picks the same winner as one
 /// call over their union; the pipeline does that to score a window
 /// with many AP counts on several threads
-/// ([`crate::OnlineCs::run_detailed`]).
+/// ([`crate::pipeline::OnlineCsSession`]).
 ///
 /// The result's `best` is `None` when no hypothesis produced a usable
 /// constellation (e.g. every recovery came back empty).

@@ -7,6 +7,7 @@ use crowdwifi_core::metrics::{counting_error, greedy_match, localization_error};
 use crowdwifi_core::recovery::CsRecovery;
 use crowdwifi_core::window::{windows_over, SlidingWindow, WindowConfig};
 use crowdwifi_core::GridSupport;
+use crowdwifi_core::{OnlineCs, OnlineCsConfig};
 use crowdwifi_geo::point::weighted_centroid;
 use crowdwifi_geo::{Grid, Point, Rect};
 use proptest::prelude::*;
@@ -98,6 +99,31 @@ fn random_groups(rng: &mut Unit, m: usize, count: usize) -> Vec<Vec<usize>> {
                     }
                 }
             }
+        })
+        .collect()
+}
+
+/// A drive of `n` readings, one a second, along a road with lane
+/// changes and random bends, each hearing the nearer of two roadside
+/// APs with bounded noise.
+fn random_drive(rng: &mut Unit, n: usize) -> Vec<RssReading> {
+    let model = PathLossModel::uci_campus();
+    let aps = [
+        Point::new(40.0 + 60.0 * rng.next(), 15.0 + 20.0 * rng.next()),
+        Point::new(160.0 + 80.0 * rng.next(), -15.0 - 20.0 * rng.next()),
+    ];
+    let mut y = 0.0;
+    (0..n)
+        .map(|i| {
+            if i % 5 == 0 {
+                y = 12.0 * (rng.next() - 0.5);
+            }
+            let p = Point::new(3.0 * i as f64, y);
+            let d = aps
+                .iter()
+                .map(|ap| p.distance(*ap))
+                .fold(f64::INFINITY, f64::min);
+            RssReading::new(p, model.mean_rss(d) + 4.0 * (rng.next() - 0.5), i as f64)
         })
         .collect()
 }
@@ -425,5 +451,41 @@ proptest! {
             let got = engine.recover_group(&mut shuffled, &groups[g]).unwrap();
             prop_assert_eq!(support_bits(&got), first[g].clone());
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A batch run is a session fed the whole drive: `run` equals
+    /// pushing every reading and finishing, bit for bit, at any window,
+    /// TTL, hypothesis-block split (six AP counts are two blocks) and
+    /// thread count.
+    #[test]
+    fn batch_run_equals_a_streamed_drive(
+        seed in 0u64..u64::MAX,
+        n in 0usize..=120,
+        size in 4usize..40,
+        step_raw in 1usize..40,
+        finite_ttl in any::<bool>(),
+        ttl_raw in 5.0..60.0f64,
+        two_blocks in any::<bool>(),
+        threads in 1usize..=2,
+    ) {
+        let drive = random_drive(&mut Unit(seed | 1), n);
+        let ttl = if finite_ttl { ttl_raw } else { f64::INFINITY };
+        let config = OnlineCsConfig {
+            window: WindowConfig { size, step: step_raw.min(size), ttl },
+            max_ap_per_window: if two_blocks { 6 } else { 3 },
+            threads,
+            ..OnlineCsConfig::default()
+        };
+        let pipeline = OnlineCs::new(config, PathLossModel::uci_campus()).unwrap();
+        let batch = pipeline.run(&drive).unwrap();
+        let mut session = pipeline.session().unwrap();
+        for r in &drive {
+            session.push(*r).unwrap();
+        }
+        prop_assert_eq!(session.finish().unwrap(), batch);
     }
 }

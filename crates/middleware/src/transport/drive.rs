@@ -538,6 +538,25 @@ mod tests {
     }
 
     #[test]
+    fn a_caught_panic_fails_the_vehicle_and_tells_the_server() {
+        let queue = Rc::new(RefCell::new(Vec::new()));
+        let sink = QueueSink(Rc::clone(&queue));
+        let (id, direction) = (VehicleId(3), LinkDirection::ToServer);
+        let uplink = FaultPlan::none().sender_tallied(sink, id, direction, None);
+        let mut link = Link {
+            id,
+            uplink: Some(uplink),
+            exit: None,
+        };
+        link.absorb(Err(Box::new("estimator blew up")));
+        let reason = "panic: estimator blew up".to_string();
+        assert_eq!(link.exit, Some(VehicleExit::Failed(reason.clone())));
+        assert!(link.uplink.is_none(), "the uplink closes with the exit");
+        let failed = ToServer::Failed(reason).to_frame();
+        assert_eq!(queue.take(), vec![(id, failed)]);
+    }
+
+    #[test]
     fn an_open_fleet_with_no_deadline_stalls() {
         for msg in stall(&FaultPlan::none()) {
             assert!(msg.contains("no traffic and no armed deadlines"), "{msg}");

@@ -289,10 +289,10 @@ fn quorum_loss_mid_campaign_cancels_the_sensing_job_and_keeps_the_error() {
 }
 
 #[test]
-fn a_panicking_estimator_in_a_pre_sensed_round_fails_its_vehicle_the_same_way() {
-    // Vehicle 2's round-1 drive carries a -inf RSS, on which the
-    // estimator panics. Round 1 is sensed in the background while round
-    // 0 is served.
+fn a_failing_estimator_in_a_pre_sensed_round_fails_its_vehicle_the_same_way() {
+    // Vehicle 2's round-1 drive carries a -inf RSS, which the estimator
+    // rejects. Round 1 is sensed in the background while round 0 is
+    // served.
     let rounds = || {
         let mut rounds: Vec<Fleet> = (0..2).map(fleet).collect();
         for r in rounds[1][2].1.iter_mut() {
@@ -313,7 +313,10 @@ fn a_panicking_estimator_in_a_pre_sensed_round_fails_its_vehicle_the_same_way() 
         )
         .expect("one failed vehicle leaves the quorum");
         match &outcome.reports[1].exits[&VehicleId(2)] {
-            VehicleExit::Failed(reason) => assert!(reason.starts_with("panic: "), "{reason}"),
+            VehicleExit::Failed(reason) => assert_eq!(
+                reason,
+                "estimator failure: channel failure: reading 0: non-finite RSS -inf dBm"
+            ),
             other => panic!("expected a failed exit, got {other:?}"),
         }
     }

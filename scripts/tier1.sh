@@ -42,8 +42,10 @@ if grep -RnE 'thread::(scope|spawn|Builder)' crates/middleware/src/; then
     echo "tier1: FAILED — thread started outside the par.rs pool in the middleware" >&2
     exit 1
 fi
-# The estimator has one parallel region: pipeline.rs's one fan-out over
-# (window, hypothesis block) pairs on the par.rs pool. Each block's
+# The estimator has one driver, OnlineCsSession, and one parallel
+# region: the session's fan-out over the (window, hypothesis block)
+# pairs of the windows one call completes (a batch run's whole drive,
+# or a push's one window), on the par.rs pool. Each block's
 # sensing workspace has one owner that scores its hypotheses in order,
 # so no lock, atomic or thread belongs anywhere else in the core, and
 # pipeline.rs holds no second par_map call.
@@ -61,6 +63,10 @@ fi
 # Small-budget end-to-end platform run on the simulator backend: a
 # clean round plus a degraded (crash + stall + lossy links) round.
 ./target/release/examples/crowd_platform --smoke
+# The paper-figure drivers are seeded: the five that run in under two
+# seconds must print their committed results/ files byte for byte
+# (scripts/figures_check.sh with no arguments checks every figure).
+./scripts/figures_check.sh fig5_trajectory fig6_lattice fig9_testbed fig10_vanlan fig11_transfers
 
 # The workspace run covers every suite once. Among their contracts:
 # - each linalg kernel matches its scalar reference loop bit for bit

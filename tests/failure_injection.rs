@@ -6,6 +6,7 @@
 use crowdwifi::channel::RssReading;
 use crowdwifi::core::pipeline::{ensemble_run, OnlineCs, OnlineCsConfig};
 use crowdwifi::core::window::WindowConfig;
+use crowdwifi::core::CoreError;
 use crowdwifi::crowd::graph::BipartiteAssignment;
 use crowdwifi::crowd::inference::IterativeInference;
 use crowdwifi::crowd::worker::WorkerPool;
@@ -103,6 +104,101 @@ fn out_of_order_timestamps_are_rejected_by_window_or_absorbed() {
     let _ = p.run(&readings).unwrap();
 }
 
+/// Replaces reading 17 of a 50-reading drive that the estimator maps
+/// (a window completes at every tenth reading) with `bad(reading)`, and
+/// checks that a batch run, a streaming push and `ensemble_run` each
+/// reject it with an error of the `expected` kind instead of panicking
+/// or returning no estimates.
+fn assert_rejected(bad: fn(RssReading) -> RssReading, expected: fn(&CoreError) -> bool) {
+    let p = pipeline();
+    let mut drive = platform_faults::drive(0.0);
+    assert!(
+        !p.run(&drive).unwrap().is_empty(),
+        "the clean drive maps APs"
+    );
+    drive[17] = bad(drive[17]);
+    let check = |err: CoreError| assert!(expected(&err), "wrong error kind: {err}");
+    check(p.run(&drive).unwrap_err());
+    let pathloss = *Scenario::uci_campus().pathloss();
+    check(ensemble_run(&drive, OnlineCsConfig::default(), pathloss, 5).unwrap_err());
+    let mut session = p.session().unwrap();
+    for r in &drive[..17] {
+        session.push(*r).unwrap();
+    }
+    check(session.push(drive[17]).unwrap_err());
+}
+
+fn channel(err: &CoreError) -> bool {
+    matches!(err, CoreError::Channel(_))
+}
+
+fn geometry(err: &CoreError) -> bool {
+    matches!(err, CoreError::Geometry(_))
+}
+
+#[test]
+fn minus_infinite_rss_is_rejected() {
+    assert_rejected(
+        |r| RssReading::new(r.position, f64::NEG_INFINITY, r.time),
+        channel,
+    );
+}
+
+#[test]
+fn plus_infinite_rss_is_rejected() {
+    assert_rejected(
+        |r| RssReading::new(r.position, f64::INFINITY, r.time),
+        channel,
+    );
+}
+
+#[test]
+fn nan_rss_is_rejected() {
+    assert_rejected(|r| RssReading::new(r.position, f64::NAN, r.time), channel);
+}
+
+#[test]
+fn infinite_position_is_rejected() {
+    let bad = |r: RssReading| {
+        let far = Point::new(f64::INFINITY, r.position.y);
+        RssReading::new(far, r.rss_dbm, r.time)
+    };
+    assert_rejected(bad, geometry);
+}
+
+#[test]
+fn nan_position_is_rejected() {
+    let bad = |r: RssReading| {
+        let nowhere = Point::new(f64::NAN, r.position.y);
+        RssReading::new(nowhere, r.rss_dbm, r.time)
+    };
+    assert_rejected(bad, geometry);
+}
+
+#[test]
+fn a_rejected_push_leaves_the_session_as_it_was() {
+    // Both bad readings arrive where a window would complete, and the
+    // session's outputs match a session that never saw them.
+    let p = pipeline();
+    let drive = platform_faults::drive(0.0);
+    let (mut clean, mut probed) = (p.session().unwrap(), p.session().unwrap());
+    for (i, &r) in drive.iter().enumerate() {
+        if i == 19 {
+            let rss = RssReading::new(r.position, f64::NEG_INFINITY, r.time);
+            let nowhere = Point::new(f64::NAN, r.position.y);
+            for bad in [rss, RssReading::new(nowhere, r.rss_dbm, r.time)] {
+                assert!(probed.push(bad).is_err());
+            }
+        }
+        assert_eq!(probed.push(r).unwrap(), clean.push(r).unwrap());
+        assert_eq!(probed.estimates(), clean.estimates());
+    }
+    let (probed, clean) = (probed.finish().unwrap(), clean.finish().unwrap());
+    assert!(!clean.is_empty());
+    assert_eq!(probed, clean);
+    assert_eq!(probed, p.run(&drive).unwrap());
+}
+
 #[test]
 fn all_spammer_crowd_degrades_gracefully() {
     let mut rng = ChaCha8Rng::seed_from_u64(1);
@@ -160,7 +256,7 @@ mod platform_faults {
     use std::time::Duration;
 
     /// Fading-free staggered drive past two roadside APs.
-    fn drive(lane_offset: f64) -> Vec<RssReading> {
+    pub(super) fn drive(lane_offset: f64) -> Vec<RssReading> {
         let model = PathLossModel::uci_campus();
         let aps = [Point::new(60.0, 30.0), Point::new(220.0, 30.0)];
         (0..50)
